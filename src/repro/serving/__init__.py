@@ -8,11 +8,11 @@ the online recommendation workload the paper opens with (§1):
   shared memory or a file-backed mmap, opened once, viewed zero-copy by
   every query worker.
 * :mod:`repro.serving.scorer` -- :class:`BatchTopKScorer`: batched
-  dot/cosine top-k with cached norms, candidate catalogues, exact
-  norm-bound pruning, and deterministic id tie-breaks.
+  dot/cosine top-k with cached norms, candidate catalogues, one
+  batched exact selection kernel, and deterministic id tie-breaks.
 * :mod:`repro.serving.engine` -- :class:`QueryEngine`: the in-process /
-  multi-worker front end with request pipelining, per-worker latency
-  accounting and graceful shutdown.
+  multi-worker front end with request pipelining, scoring-time and
+  submit->completion latency accounting, and graceful shutdown.
 * :mod:`repro.serving.trace`  -- :func:`zipf_query_trace`: the skewed
   synthetic request trace the QPS benchmark replays.
 

@@ -20,10 +20,13 @@ returns a pending handle for pipelined load (the QPS bench keeps
 ``2 x workers`` requests in flight); per-request failures surface from
 ``result()`` without tearing the pool down.
 
-Per-worker latency accounting rides on the responses: every worker
-stamps its pid and scoring time, and :meth:`QueryEngine.latency_summary`
-aggregates count / mean / p50 / p99 per worker and overall -- the
-numbers ``bench_serving_qps.py`` gates.
+Latency accounting has two clocks.  Every worker stamps its pid and
+scoring time on the response; the engine stamps submit and completion
+(completion from a future done-callback, so a caller that collects late
+does not inflate it).  :meth:`QueryEngine.latency_summary` aggregates
+count / mean / p50 / p99 of the scoring time per worker and overall, and
+of submit->completion -- queueing, pickling and result transfer included
+-- under ``"request"``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def _serving_worker_init(store_handle, candidates_handle,
 
 
 def _serving_query_task(nodes, k, metric, candidates, exclude_self,
-                        exclude, prune):
+                        exclude):
     # The scorer's construction-time caches (safe norms, normalised
     # matrix, gathered catalogues) are only valid for the generation of
     # the matrix they were built from; a store update in the owner bumps
@@ -77,8 +80,7 @@ def _serving_query_task(nodes, k, metric, candidates, exclude_self,
     start = time.perf_counter()
     result = scorer.top_k(nodes, k=k, metric=metric,
                           candidates=candidates,
-                          exclude_self=exclude_self, exclude=exclude,
-                          prune=prune)
+                          exclude_self=exclude_self, exclude=exclude)
     elapsed = time.perf_counter() - start
     return result.ids, result.scores, os.getpid(), elapsed
 
@@ -145,6 +147,7 @@ class QueryEngine:
         self._close_store = close_store
         self._closed = False
         self.latencies: Dict[str, List[float]] = {}
+        self.request_latencies: List[float] = []
         self._group: Optional[SharedGroup] = None
         self._pool: Optional[ProcessExecutor] = None
         self._scorer: Optional[BatchTopKScorer] = None
@@ -182,8 +185,8 @@ class QueryEngine:
                metric: Optional[str] = None,
                candidates: Optional[np.ndarray] = None,
                exclude_self: bool = True,
-               exclude: Optional[Sequence[np.ndarray]] = None,
-               prune: bool = False) -> PendingQuery:
+               exclude: Optional[Sequence[np.ndarray]] = None
+               ) -> PendingQuery:
         """Dispatch one request batch; returns a :class:`PendingQuery`.
 
         In-process engines answer immediately; multi-worker engines ship
@@ -191,6 +194,7 @@ class QueryEngine:
         byte parity with in-process scoring) intact.
         """
         self._check_open()
+        sent = time.perf_counter()
         metric = metric if metric is not None else self.metric
         nodes = np.asarray(nodes, dtype=np.int64)
         if self._pool is None:
@@ -207,25 +211,29 @@ class QueryEngine:
             result = self._scorer.top_k(nodes, k=k, metric=metric,
                                         candidates=candidates,
                                         exclude_self=exclude_self,
-                                        exclude=exclude, prune=prune)
-            self._record("inprocess", time.perf_counter() - start)
+                                        exclude=exclude)
+            done = time.perf_counter()
+            self._record("inprocess", done - start)
+            self.request_latencies.append(done - sent)
             return PendingQuery(self, ready=result)
         future = self._pool.submit(
             _serving_query_task, nodes, k, metric, candidates,
-            exclude_self, exclude, prune)
+            exclude_self, exclude)
+        future.add_done_callback(
+            lambda done: self._request_done(done, sent))
         return PendingQuery(self, future=future)
 
     def query(self, nodes: np.ndarray, k: int = 10,
               metric: Optional[str] = None,
               candidates: Optional[np.ndarray] = None,
               exclude_self: bool = True,
-              exclude: Optional[Sequence[np.ndarray]] = None,
-              prune: bool = False) -> TopKResult:
+              exclude: Optional[Sequence[np.ndarray]] = None
+              ) -> TopKResult:
         """Synchronous :meth:`submit` -- blocks for the batch's answer."""
         return self.submit(nodes, k=k, metric=metric,
                            candidates=candidates,
-                           exclude_self=exclude_self, exclude=exclude,
-                           prune=prune).result()
+                           exclude_self=exclude_self,
+                           exclude=exclude).result()
 
     # ------------------------------------------------------------- #
     # Latency accounting
@@ -234,31 +242,40 @@ class QueryEngine:
     def _record(self, worker: str, elapsed: float) -> None:
         self.latencies.setdefault(worker, []).append(elapsed)
 
-    def latency_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-worker and overall scoring-latency stats (seconds).
+    def _request_done(self, future, sent: float) -> None:
+        """Done-callback of a pool request (runs on the pool's collector
+        thread the moment the response lands).  Failed and cancelled
+        requests have no latency to report."""
+        done = time.perf_counter()
+        if not future.cancelled() and future.exception() is None:
+            self.request_latencies.append(done - sent)
 
-        Keys are worker tags (``inprocess`` / ``worker-<pid>``) plus
-        ``"overall"``; values hold ``count``, ``mean``, ``p50``, ``p99``.
+    def latency_summary(self) -> Dict[str, Dict[str, float]]:
+        """Scoring-time and request-latency stats (seconds).
+
+        Keys are worker tags (``inprocess`` / ``worker-<pid>``) and
+        ``"overall"`` -- time inside ``scorer.top_k`` -- plus
+        ``"request"``: submit to completion, which adds queueing,
+        pickling and result transfer.  Values hold ``count``, ``mean``,
+        ``p50``, ``p99``.
         """
-        summary: Dict[str, Dict[str, float]] = {}
-        all_samples: List[float] = []
-        for worker, samples in sorted(self.latencies.items()):
+        def stats(samples: List[float]) -> Dict[str, float]:
             arr = np.asarray(samples, dtype=np.float64)
-            summary[worker] = {
+            return {
                 "count": float(arr.size),
                 "mean": float(arr.mean()),
                 "p50": float(np.percentile(arr, 50)),
                 "p99": float(np.percentile(arr, 99)),
             }
-            all_samples.extend(samples)
-        if all_samples:
-            arr = np.asarray(all_samples, dtype=np.float64)
-            summary["overall"] = {
-                "count": float(arr.size),
-                "mean": float(arr.mean()),
-                "p50": float(np.percentile(arr, 50)),
-                "p99": float(np.percentile(arr, 99)),
-            }
+
+        summary = {worker: stats(samples)
+                   for worker, samples in sorted(self.latencies.items())}
+        if summary:
+            summary["overall"] = stats(
+                [s for samples in self.latencies.values() for s in samples])
+        requests = list(self.request_latencies)
+        if requests:
+            summary["request"] = stats(requests)
         return summary
 
     # ------------------------------------------------------------- #

@@ -12,11 +12,12 @@ evaluation protocol shared by the random-walk embedding literature.
   computed once at construction, never per query, and a fixed candidate
   catalogue is gathered once;
 * **deterministic** -- top-k selection breaks score ties by smallest
-  node id (:func:`deterministic_top_k`), so equal-score results are
-  byte-identical run to run and across serving processes.  This is the
-  fix for the ``np.argpartition`` tie nondeterminism that
-  ``top_k_similar`` inherited: argpartition picks an *arbitrary* subset
-  when ties straddle the k-boundary;
+  node id, so equal-score results are byte-identical run to run and
+  across serving processes.  This is the fix for the ``np.argpartition``
+  tie nondeterminism that ``top_k_similar`` inherited: argpartition
+  picks an *arbitrary* subset when ties straddle the k-boundary.  One
+  batched kernel (:func:`_batched_top_k`) selects for the whole request;
+  :func:`deterministic_top_k` is the per-row oracle it must equal;
 * **well-defined on cold nodes** -- zero-norm embeddings score 0 under
   cosine (never NaN), duplicate candidate ids are deduplicated, a query
   node absent from the catalogue simply is not self-excluded, and
@@ -27,7 +28,9 @@ matrix, a shared-memory segment or a read-only ``.npy`` mmap -- without
 copying it.  Float contract: a given *request batch* is scored by one
 matmul, so identical batches produce identical bytes wherever they run;
 the multi-worker front end (:mod:`repro.serving.engine`) dispatches whole
-request batches to single workers to inherit that guarantee.
+request batches to single workers to inherit that guarantee.  Selection
+compares scores in the matmul's own dtype and widens only the winners to
+float64 (an exact, order-preserving cast).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "BatchTopKScorer",
     "TopKResult",
     "deterministic_top_k",
+    "finite_row_norms",
     "row_norms",
 ]
 
@@ -53,6 +57,22 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix)
     return np.sqrt(np.einsum("ij,ij->i", matrix, matrix,
                              dtype=np.float64))
+
+
+def finite_row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+    """:func:`row_norms` that refuses NaN/inf rows.
+
+    A non-finite score would turn a selection threshold into NaN and the
+    response into silent padding, so the boundary raises instead, naming
+    the first offending row.  Zero-norm rows are legal.
+    """
+    norms = row_norms(matrix)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(
+            f"{what} row {int(bad[0])} is not finite (NaN/inf entry, or "
+            f"a magnitude whose squared norm overflows)")
+    return norms
 
 
 def deterministic_top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -98,6 +118,59 @@ class TopKResult(NamedTuple):
             out.append([(int(i), float(s))
                         for i, s in zip(row_ids, row_scores) if i >= 0])
         return out
+
+
+#: Catalogue rows sampled for the per-query threshold: small enough that
+#: the sampled block stays cache-resident for batches up to 64, large
+#: enough to leave only ~``k * c / 4096`` survivors per query.
+_SAMPLE_ROWS = 4096
+
+
+def _batched_top_k(block: np.ndarray, ids: np.ndarray, k: int, *,
+                   sample: int = _SAMPLE_ROWS) -> TopKResult:
+    """Exact top-``k`` of every column of a ``(c, q)`` score block.
+
+    ``block[i, j]`` scores catalogue entry ``ids[i]`` (ascending) for
+    query ``j``; barred entries already hold ``-inf``.  A strided sample
+    of rows gives each query a lower bound ``tau`` (the sample's k-th
+    largest): the sample alone holds k entries ``>= tau``, so the true
+    top-k -- boundary ties included -- lies in ``{score >= tau}``.  Those
+    survivors are ordered by one ``lexsort`` on ``(query, -score, id)``,
+    i.e. exactly :func:`deterministic_top_k` per column, and widened to
+    float64 (exact).  A query whose survivors do not thin out (heavy
+    ties, nearly everything barred) takes the per-row oracle instead,
+    so the worst case costs what the per-query loop did.
+    """
+    c, q = block.shape
+    out_ids = np.full((q, k), -1, dtype=np.int64)
+    out_scores = np.full((q, k), -np.inf, dtype=np.float64)
+    probe = block[::max(1, c // sample)]
+    m = probe.shape[0]
+    tau = np.partition(probe, m - k, axis=0)[m - k] if m >= k else -np.inf
+    mask = block >= tau
+    limit = max(256, c // 16)
+    if np.count_nonzero(mask) > limit * q:
+        heavy = np.flatnonzero(np.count_nonzero(mask, axis=0) > limit)
+        mask[:, heavy] = False
+        for col in heavy:
+            scores = block[:, col].astype(np.float64)
+            top = deterministic_top_k(scores, k)
+            top = top[scores[top] > -np.inf]
+            out_ids[col, :top.size] = ids[top]
+            out_scores[col, :top.size] = scores[top]
+    flat = np.flatnonzero(mask)
+    scores = block.ravel()[flat].astype(np.float64)
+    admissible = scores > -np.inf
+    pos, col = np.divmod(flat[admissible], q)
+    scores = scores[admissible]
+    order = np.lexsort((pos, -scores, col))
+    col = col[order]
+    rank = np.arange(col.size) - np.searchsorted(col, col)
+    won = rank < k
+    order, col, rank = order[won], col[won], rank[won]
+    out_ids[col, rank] = ids[pos[order]]
+    out_scores[col, rank] = scores[order]
+    return TopKResult(out_ids, out_scores)
 
 
 def _checked_candidates(candidates: np.ndarray,
@@ -205,9 +278,6 @@ class BatchTopKScorer:
             "normalized": (None if self._normalized is None
                            else (self._normalized if full
                                  else self._normalized[cand])),
-            # Norm-descending scan order for ANN-style pruning (stable,
-            # ids break norm ties, so the order is deterministic).
-            "prune_order": None,
             # Group-sorted column structure for top_k_bases (lazy).
             "group_cols": None,
         }
@@ -250,15 +320,14 @@ class BatchTopKScorer:
               metric: str = "cosine",
               candidates: Optional[np.ndarray] = None,
               exclude_self: bool = True,
-              exclude: Optional[Sequence[np.ndarray]] = None,
-              prune: bool = False) -> TopKResult:
+              exclude: Optional[Sequence[np.ndarray]] = None
+              ) -> TopKResult:
         """Top-``k`` catalogue nodes for each query node, best first.
 
         ``exclude`` optionally bars per-query node-id arrays (e.g. each
         user's training interactions) from that query's results;
         ``exclude_self`` bars the query node itself when it appears in
-        the catalogue.  ``prune=True`` enables exact norm-bound pruning
-        for the ``dot`` metric (see :meth:`_top_k_pruned`).
+        the catalogue.
         """
         check_positive("k", k)
         if metric not in METRICS:
@@ -272,20 +341,21 @@ class BatchTopKScorer:
         if exclude is not None and len(exclude) != nodes.size:
             raise ValueError("exclude must hold one id array per query")
         gathered = self._resolve_candidates(candidates)
-        if prune and metric == "dot" and gathered["ids"].size > k:
-            return self._top_k_pruned(nodes, k, gathered, exclude_self,
-                                      exclude)
-        queries = self.embeddings[nodes]
-        scores = self._score(queries, nodes, metric, gathered)
-        return self._select(scores, nodes, k, gathered, exclude_self,
-                            exclude)
+        scores = self._score(self.embeddings[nodes], self.norms[nodes],
+                             metric, gathered)
+        return self._select(scores, nodes if exclude_self else None, k,
+                            gathered["ids"], exclude)
 
     def top_k_vectors(self, vectors: np.ndarray, k: int = 10,
                       metric: str = "cosine",
                       candidates: Optional[np.ndarray] = None,
                       exclude: Optional[Sequence[np.ndarray]] = None
                       ) -> TopKResult:
-        """Top-``k`` for raw query *vectors* (analogy-style queries)."""
+        """Top-``k`` for raw query *vectors* (analogy-style queries).
+
+        Vectors arrive from outside the store, so a NaN/inf entry raises
+        here instead of poisoning the selection threshold.
+        """
         check_positive("k", k)
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; use "
@@ -294,8 +364,9 @@ class BatchTopKScorer:
         if exclude is not None and len(exclude) != vectors.shape[0]:
             raise ValueError("exclude must hold one id array per query")
         gathered = self._resolve_candidates(candidates)
-        scores = self._score(vectors, None, metric, gathered)
-        return self._select(scores, None, k, gathered, False, exclude)
+        scores = self._score(vectors, finite_row_norms(vectors, "query"),
+                             metric, gathered)
+        return self._select(scores, None, k, gathered["ids"], exclude)
 
     def top_k_bases(self, bases: np.ndarray, k: int = 10,
                     metric: str = "cosine",
@@ -341,156 +412,62 @@ class BatchTopKScorer:
         q_bounds = np.zeros(bases.size + 1, dtype=np.int64)
         np.cumsum(q_counts, out=q_bounds[1:])
 
-        out_ids = np.full((bases.size, k), -1, dtype=np.int64)
-        out_scores = np.full((bases.size, k), -np.inf, dtype=np.float64)
         if seg_gids.size == 0 or q_rows.size == 0:
-            return TopKResult(out_ids, out_scores)
-        member_scores = self._score(self.embeddings[q_rows], q_rows,
-                                    metric, gathered)
-        # Columns to groups, then member rows to query groups (max-max).
-        grouped_cols = np.maximum.reduceat(
-            member_scores[:, col_order], seg_starts, axis=1)
+            return _batched_top_k(np.empty((0, bases.size)), seg_gids[:0],
+                                  k)
+        member_scores = self._score(self.embeddings[q_rows],
+                                    self.norms[q_rows], metric, gathered)
+        # Catalogue rows to groups, then member columns to query groups
+        # (max-max; a max is exact, so the order of the two is free).
+        grouped_rows = np.maximum.reduceat(
+            member_scores[col_order], seg_starts, axis=0)
         nonempty = np.flatnonzero(q_counts > 0)
-        scores = np.full((bases.size, seg_gids.size), -np.inf,
-                         dtype=np.float64)
-        if nonempty.size:
-            # Start offsets of the nonempty query groups are strictly
-            # increasing (empty groups contribute no rows), so reduceat
-            # segments cover exactly each group's member block.
-            reduced = np.maximum.reduceat(grouped_cols,
-                                          q_bounds[:-1][nonempty], axis=0)
-            scores[nonempty] = reduced
-        if exclude_self:
-            pos = np.searchsorted(seg_gids, bases)
-            hit = (pos < seg_gids.size) & \
-                (seg_gids[np.minimum(pos, seg_gids.size - 1)] == bases)
-            scores[np.flatnonzero(hit), pos[hit]] = -np.inf
-        for row in range(bases.size):
-            row_scores = scores[row]
-            top = deterministic_top_k(row_scores, k)
-            keep = row_scores[top] > -np.inf
-            top = top[keep]
-            out_ids[row, :top.size] = seg_gids[top]
-            out_scores[row, :top.size] = row_scores[top]
-        return TopKResult(out_ids, out_scores)
+        scores = np.full((seg_gids.size, bases.size), -np.inf,
+                         dtype=grouped_rows.dtype)
+        # Start offsets of the nonempty query groups are strictly
+        # increasing (empty groups contribute no columns), so reduceat
+        # segments cover exactly each group's member block.
+        scores[:, nonempty] = np.maximum.reduceat(
+            grouped_rows, q_bounds[:-1][nonempty], axis=1)
+        return self._select(scores, bases if exclude_self else None, k,
+                            seg_gids, None)
 
-    def _score(self, queries: np.ndarray, nodes: Optional[np.ndarray],
+    def _score(self, queries: np.ndarray, query_norms: np.ndarray,
                metric: str, gathered: dict) -> np.ndarray:
-        """``(q, c)`` score matrix: one matmul per request batch."""
-        if metric == "cosine" and gathered["normalized"] is not None:
-            scores = np.asarray(gathered["normalized"] @ queries.T,
-                                dtype=np.float64).T
-            qn = (self.norms[nodes] if nodes is not None
-                  else row_norms(queries))
-            scores /= np.where(qn > 0.0, qn, 1.0)[:, None]
-            return scores
-        scores = np.asarray(gathered["matrix"] @ queries.T,
-                            dtype=np.float64).T
-        if metric == "cosine":
-            scores /= gathered["safe_norms"][None, :]
-            qn = (self.norms[nodes] if nodes is not None
-                  else row_norms(queries))
-            scores /= np.where(qn > 0.0, qn, 1.0)[:, None]
+        """``(c, q)`` score block, the layout the one matmul per request
+        batch produces.  ``dot`` keeps the product's own float dtype;
+        ``cosine`` divides in float64."""
+        normalized = gathered["normalized"] if metric == "cosine" else None
+        product = (gathered["matrix"] if normalized is None
+                   else normalized) @ queries.T
+        if metric == "dot":
+            return np.asarray(
+                product, dtype=np.result_type(product, np.float32))
+        scores = np.asarray(product, dtype=np.float64)
+        if normalized is None:
+            scores /= gathered["safe_norms"][:, None]
+        scores /= np.where(query_norms > 0.0, query_norms, 1.0)[None, :]
         return scores
 
-    def _select(self, scores: np.ndarray, nodes: Optional[np.ndarray],
-                k: int, gathered: dict, exclude_self: bool,
+    @staticmethod
+    def _select(scores: np.ndarray, own_ids: Optional[np.ndarray], k: int,
+                ids: np.ndarray,
                 exclude: Optional[Sequence[np.ndarray]]) -> TopKResult:
-        """Mask exclusions, then deterministic per-row top-k."""
-        cand = gathered["ids"]
-        if exclude_self and nodes is not None and cand.size:
-            pos = np.searchsorted(cand, nodes)
-            hit = (pos < cand.size) & \
-                (cand[np.minimum(pos, cand.size - 1)] == nodes)
-            scores[np.flatnonzero(hit), pos[hit]] = -np.inf
-        if exclude is not None and cand.size:
-            for row, barred in enumerate(exclude):
+        """Bar each query's own id and its ``exclude`` ids from the
+        ``(c, q)`` block (ids it does not hold are ignored), then take
+        the batched top-k."""
+        if own_ids is not None and ids.size:
+            pos = np.searchsorted(ids, own_ids)
+            hit = (pos < ids.size) & \
+                (ids[np.minimum(pos, ids.size - 1)] == own_ids)
+            scores[pos[hit], np.flatnonzero(hit)] = -np.inf
+        if exclude is not None and ids.size:
+            for col, barred in enumerate(exclude):
                 barred = np.asarray(barred, dtype=np.int64)
                 if not barred.size:
                     continue
-                pos = np.searchsorted(cand, barred)
-                hit = (pos < cand.size) & \
-                    (cand[np.minimum(pos, cand.size - 1)] == barred)
-                scores[row, pos[hit]] = -np.inf
-        q = scores.shape[0]
-        out_ids = np.full((q, k), -1, dtype=np.int64)
-        out_scores = np.full((q, k), -np.inf, dtype=np.float64)
-        for row in range(q):
-            row_scores = scores[row]
-            top = deterministic_top_k(row_scores, k)
-            keep = row_scores[top] > -np.inf
-            top = top[keep]
-            out_ids[row, :top.size] = cand[top]
-            out_scores[row, :top.size] = row_scores[top]
-        return TopKResult(out_ids, out_scores)
-
-    # ------------------------------------------------------------- #
-    # ANN-style norm pruning (dot metric, exact)
-    # ------------------------------------------------------------- #
-
-    def _top_k_pruned(self, nodes: np.ndarray, k: int, gathered: dict,
-                      exclude_self: bool,
-                      exclude: Optional[Sequence[np.ndarray]],
-                      chunk: int = 4096) -> TopKResult:
-        """Exact dot-product top-k scanning candidates by descending norm.
-
-        Cauchy-Schwarz bounds every unseen candidate's dot product by
-        ``||c|| * ||q||``; scanning in norm-descending order, once that
-        bound falls *strictly* below the current kth-best score no
-        remaining candidate can enter the top-k -- ties at the bound are
-        kept scanning, so the smallest-id tie-break is preserved and the
-        result equals the full scan's bytes.
-        """
-        cand = gathered["ids"]
-        if gathered["prune_order"] is None:
-            norms = gathered["safe_norms"] * (self.norms[cand] > 0.0)
-            gathered["prune_order"] = np.lexsort((cand, -norms))
-        order = gathered["prune_order"]
-        cand_norms = self.norms[cand]
-        q = nodes.size
-        out_ids = np.full((q, k), -1, dtype=np.int64)
-        out_scores = np.full((q, k), -np.inf, dtype=np.float64)
-        for row, node in enumerate(nodes):
-            query = self.embeddings[node]
-            qnorm = float(self.norms[node])
-            barred = set()
-            if exclude_self:
-                barred.add(int(node))
-            if exclude is not None:
-                barred.update(int(b) for b in np.asarray(exclude[row]))
-            kept_ids: List[np.ndarray] = []
-            kept_scores: List[np.ndarray] = []
-            kth_best = -np.inf
-            n_kept = 0
-            for lo in range(0, order.size, chunk):
-                idx = order[lo:lo + chunk]
-                if n_kept >= k and \
-                        float(cand_norms[idx[0]]) * qnorm < kth_best:
-                    break  # bound strictly below kth best: done
-                chunk_scores = np.asarray(
-                    self.embeddings[cand[idx]] @ query, dtype=np.float64)
-                if barred:
-                    mask = np.fromiter(
-                        (int(c) not in barred for c in cand[idx]),
-                        dtype=bool, count=idx.size)
-                    idx, chunk_scores = idx[mask], chunk_scores[mask]
-                if not idx.size:
-                    continue
-                kept_ids.append(cand[idx])
-                kept_scores.append(chunk_scores)
-                n_kept += idx.size
-                if n_kept >= k:
-                    flat_scores = np.concatenate(kept_scores)
-                    kth_best = float(
-                        -np.partition(-flat_scores, k - 1)[k - 1])
-            if not kept_ids:
-                continue
-            ids = np.concatenate(kept_ids)
-            scores = np.concatenate(kept_scores)
-            # Tie-break on the original node id, not scan position.
-            by_id = np.argsort(ids, kind="stable")
-            ids, scores = ids[by_id], scores[by_id]
-            top = deterministic_top_k(scores, k)
-            out_ids[row, :top.size] = ids[top]
-            out_scores[row, :top.size] = scores[top]
-        return TopKResult(out_ids, out_scores)
+                pos = np.searchsorted(ids, barred)
+                hit = (pos < ids.size) & \
+                    (ids[np.minimum(pos, ids.size - 1)] == barred)
+                scores[pos[hit], col] = -np.inf
+        return _batched_top_k(scores, ids, k)

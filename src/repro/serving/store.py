@@ -34,6 +34,12 @@ catalogues) keys its caches on ``generation`` and rebuilds on change;
 in-process and the worker path, so a :class:`~repro.serving.scorer.
 BatchTopKScorer` never scores post-update vectors against pre-update
 norms.
+
+Every publish (:meth:`from_array`, :meth:`open`, :meth:`update`,
+:meth:`refresh_norms`) computes the norm cache with
+:func:`~repro.serving.scorer.finite_row_norms`, so a NaN/inf row raises
+``ValueError`` at the boundary -- before an in-place update writes
+anything -- instead of surfacing later as an all-padding response.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.serving.scorer import row_norms
+from repro.serving.scorer import finite_row_norms
 from repro.utils.sharedmem import (
     SharedArray,
     SharedArrayHandle,
@@ -113,7 +119,7 @@ class EmbeddingStore:
         if embeddings.ndim != 2:
             raise ValueError(
                 f"embeddings must be 2-D, got shape {embeddings.shape}")
-        norms = row_norms(embeddings)
+        norms = finite_row_norms(embeddings, "embedding")
         if mode == "memory":
             return cls(embeddings, norms, mode, None, None)
         group = SharedGroup()
@@ -151,8 +157,8 @@ class EmbeddingStore:
                 try:
                     shared = group.adopt(SharedArray.from_file(path,
                                                                mode="r"))
-                    norms_shared = group.adopt(
-                        SharedArray.create(row_norms(shared.array)))
+                    norms_shared = group.adopt(SharedArray.create(
+                        finite_row_norms(shared.array, "embedding")))
                     meta_shared = group.adopt(
                         SharedArray.create(np.zeros(1, dtype=np.int64)))
                     handle = StoreHandle(shared.handle,
@@ -226,24 +232,30 @@ class EmbeddingStore:
         self._local_generation += 1
         return self._local_generation
 
+    def _publish_norms(self, fresh: np.ndarray) -> int:
+        """Install the (already checked) norms of the current matrix and
+        bump generation -- the last step of every mutation."""
+        if self.mode == "memory":
+            self.norms = fresh
+        else:
+            self.norms[...] = fresh
+        return self._bump_generation()
+
     def refresh_norms(self) -> int:
         """Recompute the norm cache from the current matrix, bump
         generation.
 
         For callers that mutated ``embeddings`` directly (in-place
         writes through the shared view) instead of going through
-        :meth:`update`.  Returns the new generation.
+        :meth:`update`.  Returns the new generation; raises
+        ``ValueError`` (generation unchanged) if a row is not finite.
         """
         if self.mode == "attached":
             raise RuntimeError(
                 "attached stores are read-only views; only the owning "
                 "store may refresh norms")
-        fresh = row_norms(self.embeddings)
-        if self.mode == "memory":
-            self.norms = fresh
-        else:
-            self.norms[...] = fresh
-        return self._bump_generation()
+        return self._publish_norms(
+            finite_row_norms(self.embeddings, "embedding"))
 
     def update(self, new_embeddings: np.ndarray) -> int:
         """Replace the served matrix, refresh norms, bump generation.
@@ -255,7 +267,8 @@ class EmbeddingStore:
         writable (a store ``open``\\ ed read-only from ``.npy`` cannot be
         updated in place; rebuild it with :meth:`from_array`).
         Memory-mode stores simply adopt the new array, any shape.
-        Returns the new generation.
+        A matrix with a NaN/inf row raises ``ValueError`` and leaves the
+        store as it was.  Returns the new generation.
         """
         if self.mode == "attached":
             raise RuntimeError(
@@ -266,8 +279,9 @@ class EmbeddingStore:
             raise ValueError(f"embeddings must be 2-D, got shape "
                              f"{new_embeddings.shape}")
         if self.mode == "memory":
+            fresh = finite_row_norms(new_embeddings, "embedding")
             self.embeddings = new_embeddings
-            return self.refresh_norms()
+            return self._publish_norms(fresh)
         if new_embeddings.shape != self.embeddings.shape:
             raise ValueError(
                 f"in-place update needs shape {self.embeddings.shape}, "
@@ -277,11 +291,15 @@ class EmbeddingStore:
             raise ValueError(
                 "store matrix is a read-only map; reopen writable or "
                 "rebuild with from_array before updating")
-        self.embeddings[...] = new_embeddings.astype(
-            self.embeddings.dtype, copy=False)
+        new_embeddings = new_embeddings.astype(self.embeddings.dtype,
+                                               copy=False)
+        # Norms of exactly the bytes about to be served, checked before
+        # the first of them is written.
+        fresh = finite_row_norms(new_embeddings, "embedding")
+        self.embeddings[...] = new_embeddings
         if isinstance(self.embeddings, np.memmap):
             self.embeddings.flush()
-        return self.refresh_norms()
+        return self._publish_norms(fresh)
 
     def save(self, path: str) -> None:
         """Persist the matrix as ``.npy`` (the mmap-openable format)."""

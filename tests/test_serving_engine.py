@@ -161,11 +161,14 @@ class TestLatencyAccounting:
             for _ in range(5):
                 engine.query([1, 2], k=3)
             summary = engine.latency_summary()
-        assert set(summary) == {"inprocess", "overall"}
-        stats = summary["overall"]
-        assert stats["count"] == 5.0
-        assert set(stats) == {"count", "mean", "p50", "p99"}
-        assert 0.0 <= stats["p50"] <= stats["p99"]
+        assert set(summary) == {"inprocess", "overall", "request"}
+        for tag in ("overall", "request"):
+            stats = summary[tag]
+            assert stats["count"] == 5.0
+            assert set(stats) == {"count", "mean", "p50", "p99"}
+            assert 0.0 <= stats["p50"] <= stats["p99"]
+        # submit -> completion wraps the scorer call.
+        assert summary["request"]["mean"] >= summary["overall"]["mean"]
 
     def test_worker_summary_tags_pids_and_sums_to_overall(self):
         with QueryEngine(tied_matrix(), workers=1) as engine:
@@ -177,6 +180,31 @@ class TestLatencyAccounting:
         assert workers  # at least one pid-tagged entry
         assert summary["overall"]["count"] == 6.0
         assert sum(summary[w]["count"] for w in workers) == 6.0
+
+    def test_request_latency_ignores_late_collection(self):
+        import time
+
+        with QueryEngine(tied_matrix(), workers=1) as engine:
+            engine.query([0], k=2)  # pool start-up off the clock
+            engine.request_latencies.clear()
+            engine.latencies.clear()
+            handles = [engine.submit([i], k=2) for i in range(6)]
+            time.sleep(0.5)  # collect late: must not count as latency
+            for handle in handles:
+                handle.result()
+        # Read after close: the pool's collector thread has run every
+        # done-callback by then.
+        summary = engine.latency_summary()
+        assert summary["request"]["count"] == 6.0
+        assert summary["request"]["p99"] < 0.5
+        # Queueing, pickling and transfer sit on top of scoring time.
+        assert summary["request"]["mean"] >= summary["overall"]["mean"]
+
+    def test_failed_request_reports_no_latency(self):
+        with QueryEngine(tied_matrix(), workers=1) as engine:
+            with pytest.raises(ValueError):
+                engine.submit([10_000], k=2).result()
+        assert "request" not in engine.latency_summary()
 
     def test_empty_engine_has_empty_summary(self):
         with QueryEngine(tied_matrix(), workers=0) as engine:

@@ -8,18 +8,26 @@ well-defined 0 under cosine, duplicate candidate ids deduplicated, and
 ``k`` beyond the catalogue padding with ``(-1, -inf)``.  Integer-valued
 matrices make dot products exactly representable, so equality here means
 equality of *bytes*, which is what the multi-worker parity gate builds
-on.
+on.  The batched selection kernel is additionally held, byte for byte,
+to the per-row ``deterministic_top_k`` oracle with its sampled threshold
+forced on (the catalogues above are small enough that the default sample
+covers them whole).
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving import scorer as scorer_module
 from repro.serving.scorer import (
     BatchTopKScorer,
+    _batched_top_k,
     deterministic_top_k,
     row_norms,
 )
@@ -263,47 +271,192 @@ class TestEdgeCases:
 
 
 # --------------------------------------------------------------------- #
-# Exact norm pruning
+# The batched selection kernel vs the per-row oracle
 # --------------------------------------------------------------------- #
 
 
-class TestNormPruning:
-    @given(st.integers(0, 5000), st.integers(1, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_pruned_equals_full_scan_bytes(self, seed, k):
+def oracle_top_k(block, ids, k):
+    """``deterministic_top_k`` per column of the float64 cast of ``block``
+    -- the per-query loop the batched kernel replaced."""
+    q = block.shape[1]
+    out_ids = np.full((q, k), -1, dtype=np.int64)
+    out_scores = np.full((q, k), -np.inf, dtype=np.float64)
+    for col in range(q):
+        scores = block[:, col].astype(np.float64)
+        top = deterministic_top_k(scores, k)
+        top = top[scores[top] > -np.inf]
+        out_ids[col, :top.size] = ids[top]
+        out_scores[col, :top.size] = scores[top]
+    return out_ids, out_scores
+
+
+def assert_kernel_equals_oracle(block, k, samples, ids=None):
+    ids = np.arange(block.shape[0], dtype=np.int64) if ids is None else ids
+    want_ids, want_scores = oracle_top_k(block, ids, k)
+    for sample in samples:
+        got = _batched_top_k(block.copy(), ids, k, sample=sample)
+        assert got.ids.tobytes() == want_ids.tobytes(), f"sample={sample}"
+        assert got.scores.tobytes() == want_scores.tobytes(), (
+            f"sample={sample}")
+
+
+def forcing_samples(c, k):
+    """Sample sizes that push a small catalogue through every regime of
+    the threshold: one probe row, exactly k, k+1, and full coverage."""
+    return sorted({1, k, k + 1, max(1, c - 1)})
+
+
+class TestBatchedKernel:
+    @given(st.integers(2, 600), st.integers(1, 6), st.integers(1, 610),
+           st.sampled_from(["normal", "integer"]),
+           st.sampled_from([np.float32, np.float64]),
+           st.floats(0.0, 0.9), st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_row_oracle_on_thresholded_branch(
+            self, c, q, k, kind, dtype, barred, seed):
         rng = np.random.default_rng(seed)
-        emb = rng.integers(-3, 4, size=(60, 4)).astype(np.float64)
-        emb[seed % 60] = 0.0  # a cold candidate in the pool
-        nodes = rng.integers(0, 60, size=3)
-        scorer = BatchTopKScorer(emb)
-        full = scorer.top_k(nodes, k=k, metric="dot")
-        pruned = scorer.top_k(nodes, k=k, metric="dot", prune=True)
-        assert full.ids.tobytes() == pruned.ids.tobytes()
-        assert full.scores.tobytes() == pruned.scores.tobytes()
+        if kind == "integer":
+            block = rng.integers(-2, 3, size=(c, q)).astype(dtype)
+        else:
+            block = rng.standard_normal((c, q)).astype(dtype)
+        block[rng.random((c, q)) < barred] = -np.inf  # exclusions
+        ids = np.sort(rng.choice(10 * c, size=c, replace=False))
+        assert_kernel_equals_oracle(block, k, forcing_samples(c, k), ids)
 
-    def test_prune_actually_prunes_with_small_chunks(self):
-        rng = np.random.default_rng(1)
-        emb = rng.integers(-3, 4, size=(300, 8)).astype(np.float64)
-        scorer = BatchTopKScorer(emb)
-        full = scorer.top_k([5], k=3, metric="dot")
-        pruned = scorer._top_k_pruned(
-            np.asarray([5], dtype=np.int64), 3,
-            scorer._resolve_candidates(None), True, None, chunk=16)
-        assert full.ids.tobytes() == pruned.ids.tobytes()
-        assert full.scores.tobytes() == pruned.scores.tobytes()
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_catalogue_sorted_by_score(self, direction):
+        # A strided sample of a sorted column is as unrepresentative as a
+        # sample gets at its ends; tau must still be a lower bound.
+        column = np.arange(5000, dtype=np.float32)[::direction]
+        block = np.stack([column, column * 0.5, -column], axis=1)
+        assert_kernel_equals_oracle(block, 10, [1, 10, 11, 64, 4999])
 
-    def test_prune_with_exclusions_and_candidates(self):
-        rng = np.random.default_rng(8)
-        emb = rng.integers(-2, 3, size=(80, 5)).astype(np.float64)
-        cand = np.arange(10, 70)
-        exclude = [np.array([11, 12, 13])]
+    def test_all_equal_rows_take_the_per_row_fallback(self):
+        # Every entry survives the threshold: the degenerate count sends
+        # each query to the oracle, and the answer is ids 0..k-1.
+        block = np.full((1000, 3), 2.5, dtype=np.float32)
+        assert_kernel_equals_oracle(block, 7, [1, 7, 8, 64, 999])
+        got = _batched_top_k(block, np.arange(1000), 7, sample=64)
+        np.testing.assert_array_equal(got.ids, np.tile(np.arange(7), (3, 1)))
+
+    def test_one_degenerate_query_beside_thin_ones(self):
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((4000, 4)).astype(np.float32)
+        block[:, 2] = 1.0  # at sample >= 512 this column alone falls back
+        assert_kernel_equals_oracle(block, 10, [64, 512, 3999])
+
+    def test_integer_ties_straddling_k(self):
+        # 4 strict winners, then a tie pool of 500 at the boundary: ids
+        # must fill the remaining 6 places in ascending order.
+        column = np.zeros(3000, dtype=np.float32)
+        column[[2999, 1500, 7, 42]] = [9.0, 8.0, 8.0, 7.0]
+        column[np.arange(100, 600)] = 3.0
+        block = np.stack([column, column[::-1]], axis=1)
+        assert_kernel_equals_oracle(block, 10, [1, 10, 11, 64, 2999])
+        got = _batched_top_k(block, np.arange(3000), 10, sample=64)
+        assert got.ids[0].tolist() == [2999, 7, 1500, 42, 100, 101, 102,
+                                       103, 104, 105]
+
+    def test_fewer_than_k_admissible_entries_pad(self):
+        block = np.full((600, 2), -np.inf, dtype=np.float32)
+        block[[5, 300, 599], 0] = [1.0, 3.0, 2.0]  # 3 of k=5; none at all
+        assert_kernel_equals_oracle(block, 5, [1, 5, 6, 64, 599])
+        got = _batched_top_k(block, np.arange(600), 5, sample=64)
+        assert got.ids[0].tolist() == [300, 599, 5, -1, -1]
+        assert (got.ids[1] == -1).all()
+        assert np.isneginf(got.scores[1]).all()
+
+    @pytest.mark.parametrize("k", [8, 9, 50])
+    def test_k_at_least_catalogue(self, k):
+        rng = np.random.default_rng(k)
+        block = rng.integers(-1, 2, size=(8, 3)).astype(np.float64)
+        assert_kernel_equals_oracle(block, k, [1, 4, 7, 8, 100])
+
+    def test_empty_catalogue_and_empty_batch(self):
+        none = np.empty(0, dtype=np.int64)
+        got = _batched_top_k(np.empty((0, 2)), none, 3)
+        assert (got.ids == -1).all() and np.isneginf(got.scores).all()
+        assert got.ids.shape == (2, 3)
+        got = _batched_top_k(np.empty((5, 0)), np.arange(5), 3)
+        assert got.ids.shape == (0, 3)
+
+    @pytest.mark.parametrize("sample", [1, 3, 4, 6])
+    def test_scorer_paths_through_a_forced_threshold(self, sample,
+                                                     monkeypatch):
+        # The scorer's own catalogues here are tens of rows, which the
+        # default sample covers whole; shrink it so candidates with
+        # duplicate ids, exclusions and the grouped block all meet a
+        # sampled tau, and check them against the brute-force references.
+        monkeypatch.setattr(
+            scorer_module, "_batched_top_k",
+            functools.partial(_batched_top_k, sample=sample))
+        rng = np.random.default_rng(sample)
+        emb = rng.integers(-2, 3, size=(30, 4)).astype(np.float64)
+        cand = rng.integers(0, 30, size=40)  # duplicated, unsorted
+        exclude = [np.array([0, 2, 9]), np.array([], dtype=np.int64)]
+        for metric in ("cosine", "dot"):
+            assert_matches_reference(emb, [1, 5], 3, metric,
+                                     candidates=cand, exclude=exclude)
+            assert_matches_reference(emb, [4, 4, 29], 5, metric)
+            groups = np.sort(rng.integers(0, 9, size=30))
+            scorer = BatchTopKScorer(emb, groups=groups)
+            bases = np.unique(groups)[:3]
+            result = scorer.top_k_bases(bases, k=3, metric=metric,
+                                        candidates=cand)
+            for row, base in enumerate(bases):
+                want = brute_force_top_k_bases(emb, groups, base, 3,
+                                               metric, candidates=cand)
+                got = result.as_lists()[row]
+                assert [i for i, _ in got] == [i for i, _ in want]
+                np.testing.assert_allclose([s for _, s in got],
+                                           [s for _, s in want],
+                                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [16, 64])
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    @pytest.mark.parametrize("kind", ["normal", "integer"])
+    def test_response_bytes_equal_the_oracle_at_20k_rows(self, kind,
+                                                         metric, batch):
+        # The serving shape: float32 catalogue, default sample (stride 4
+        # at 20 000 rows), self-exclusion.  Digest of ids and scores must
+        # equal the per-row oracle on the float64 cast of the same
+        # product -- the bytes the per-query loop used to emit.
+        rng = np.random.default_rng(20_000 + batch)
+        if kind == "integer":
+            emb = rng.integers(-8, 9, size=(20_000, 64)).astype(np.float32)
+        else:
+            emb = rng.standard_normal((20_000, 64), dtype=np.float32)
+        nodes = rng.integers(0, 20_000, size=batch)
         scorer = BatchTopKScorer(emb)
-        full = scorer.top_k([0], k=5, metric="dot", candidates=cand,
-                            exclude=exclude)
-        pruned = scorer.top_k([0], k=5, metric="dot", candidates=cand,
-                              exclude=exclude, prune=True)
-        assert full.ids.tobytes() == pruned.ids.tobytes()
-        assert full.scores.tobytes() == pruned.scores.tobytes()
+        got = scorer.top_k(nodes, k=10, metric=metric)
+        gathered = scorer._resolve_candidates(None)
+        block = scorer._score(emb[nodes], scorer.norms[nodes], metric,
+                              gathered)
+        block[nodes, np.arange(batch)] = -np.inf
+        want_ids, want_scores = oracle_top_k(
+            block.astype(np.float64), gathered["ids"], 10)
+        assert hashlib.sha256(got.ids.tobytes()).hexdigest() == \
+            hashlib.sha256(want_ids.tobytes()).hexdigest()
+        assert hashlib.sha256(got.scores.tobytes()).hexdigest() == \
+            hashlib.sha256(want_scores.tobytes()).hexdigest()
+
+
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    def test_top_k_vectors_names_the_first_bad_row(self, poison, metric):
+        emb = np.random.default_rng(0).standard_normal((12, 3))
+        vectors = emb[:4].copy()
+        vectors[2, 1] = poison
+        vectors[3, 0] = poison
+        with pytest.raises(ValueError, match="query row 2 is not finite"):
+            BatchTopKScorer(emb).top_k_vectors(vectors, k=3, metric=metric)
+
+    def test_zero_query_vector_stays_legal(self):
+        emb = np.random.default_rng(0).standard_normal((12, 3))
+        got = BatchTopKScorer(emb).top_k_vectors(np.zeros((1, 3)), k=3)
+        assert got.ids[0].tolist() == [0, 1, 2]
+        assert (got.scores[0] == 0.0).all()
 
 
 # --------------------------------------------------------------------- #

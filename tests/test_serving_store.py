@@ -275,3 +275,73 @@ class TestEmbeddingStore:
         emb = np.random.default_rng(1).standard_normal((7, 3))
         with EmbeddingStore.from_array(emb, mode="memory") as store:
             np.testing.assert_array_equal(store.norms, row_norms(emb))
+
+
+# --------------------------------------------------------------------- #
+# Non-finite guard at the publish boundary
+# --------------------------------------------------------------------- #
+
+
+class TestNonFiniteGuard:
+    """A NaN score would turn the selection threshold into NaN and the
+    response into silent ``(-1, -inf)`` padding; the store refuses the
+    matrix instead, naming the first offending row."""
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["memory", "shared"])
+    def test_from_array_refuses_and_leaks_nothing(self, poison, mode,
+                                                  shm_baseline):
+        emb = np.ones((6, 3), dtype=np.float32)
+        emb[4, 1] = poison
+        emb[5, 0] = poison
+        with pytest.raises(ValueError, match="embedding row 4 is not "
+                                             "finite"):
+            EmbeddingStore.from_array(emb, mode=mode)
+
+    def test_open_refuses_a_poisoned_npy(self, tmp_path, shm_baseline):
+        emb = np.ones((5, 2), dtype=np.float32)
+        emb[3, 0] = np.nan
+        path = str(tmp_path / "bad.npy")
+        np.save(path, emb)
+        with pytest.raises(ValueError, match="row 3"):
+            EmbeddingStore.open(path)
+
+    @pytest.mark.parametrize("mode", ["memory", "shared"])
+    def test_update_refuses_before_writing(self, mode, shm_baseline):
+        emb = np.arange(12, dtype=np.float32).reshape(6, 2)
+        bad = emb + 1.0
+        bad[2, 1] = np.nan
+        with EmbeddingStore.from_array(emb, mode=mode) as store:
+            norms = store.norms.copy()
+            with pytest.raises(ValueError, match="row 2"):
+                store.update(bad)
+            # Nothing was published: matrix, norms, generation untouched.
+            np.testing.assert_array_equal(store.embeddings, emb)
+            np.testing.assert_array_equal(store.norms, norms)
+            assert store.generation == 0
+            assert store.update(emb + 1.0) == 1
+
+    def test_update_catches_overflow_of_the_store_dtype(self,
+                                                        shm_baseline):
+        emb = np.ones((3, 2), dtype=np.float32)
+        huge = np.full((3, 2), 1e300)  # finite in float64, inf in float32
+        with EmbeddingStore.from_array(emb, mode="shared") as store:
+            with np.errstate(over="ignore"), \
+                    pytest.raises(ValueError, match="row 0"):
+                store.update(huge)
+            np.testing.assert_array_equal(store.embeddings, emb)
+
+    def test_refresh_norms_refuses_a_direct_poisoned_write(self):
+        with EmbeddingStore.from_array(np.ones((4, 2)),
+                                       mode="memory") as store:
+            store.embeddings[1, 0] = np.inf
+            with pytest.raises(ValueError, match="row 1"):
+                store.refresh_norms()
+            assert store.generation == 0
+
+    def test_zero_norm_rows_stay_legal(self):
+        emb = np.zeros((4, 2), dtype=np.float32)
+        emb[1] = [3.0, 4.0]
+        with EmbeddingStore.from_array(emb, mode="memory") as store:
+            np.testing.assert_array_equal(store.norms, [0, 5, 0, 0])
+            assert store.update(np.zeros((4, 2), dtype=np.float32)) == 1
