@@ -104,15 +104,13 @@ class DSGLLearner(BaseLearner):
             out_rows: List[np.ndarray] = []
             out_deltas: List[np.ndarray] = []
             for start in range(0, len(cohort), cfg.multi_windows):
-                chunk_tokens, plan = plan_dsgl_slice(
-                    self, cohort[start:start + cfg.multi_windows])
+                (chunk_tokens,), plan = plan_dsgl_slice(
+                    [(self, cohort[start:start + cfg.multi_windows], lr)])
                 tokens += chunk_tokens
                 if plan is None:
                     continue
-                ctx_mega, ctx_start, out_mega, out_start = plan.gather(
-                    phi_in, phi_out, ops)
-                for t in range(plan.num_steps):
-                    plan.run_step(t, 1, ctx_mega, out_mega, lr, ops)
+                ctx_mega, ctx_start, out_mega, out_start = plan.gather(ops)
+                plan.run_steps(ctx_mega, out_mega, ops)
                 ctx_mega -= ctx_start
                 out_mega -= out_start
                 ctx_rows.append(plan.ctx_gather)

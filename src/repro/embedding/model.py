@@ -142,7 +142,11 @@ class TrainConfig:
         check_positive("negatives", self.negatives)
         check_positive("epochs", self.epochs)
         check_positive("lr", self.lr)
+        check_positive("min_lr", self.min_lr, allow_zero=True)
         check_positive("multi_windows", self.multi_windows)
+        # A non-positive period never advances a shard cursor, so the
+        # trainer's round loop would spin forever.
+        check_positive("sync_period_tokens", self.sync_period_tokens)
         if self.sync_mode not in ("hotness", "full", "none"):
             raise ValueError(f"unknown sync_mode {self.sync_mode!r}")
         if self.lr_schedule not in SCHEDULES:

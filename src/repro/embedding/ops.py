@@ -4,9 +4,9 @@ Every gather, stacked matmul, sigmoid and scatter in the batched learners
 (:mod:`repro.embedding.vectorized`) and the shared DSGL step kernel flows
 through one of the two implementations here:
 
-* :class:`NumpyOps` -- the reference.  Each method wraps the exact NumPy
-  call the learners made before the seam existed (same function, same
-  ``out=`` discipline, same operand order), so the default float32 path is
+* :class:`NumpyOps` -- the reference.  Each method wraps the NumPy call
+  the learners made before the seam existed (same ``out=`` discipline,
+  same operand order, same arithmetic), so the default float32 path is
   byte-identical to the pre-seam trainer.  A ``dtype`` knob turns the same
   code into the float64 high-precision tier.
 
@@ -194,7 +194,13 @@ class ArrayOps:
     # -- kernels -------------------------------------------------------- #
 
     def take(self, src, idx, out) -> None:
-        """``out[...] = src[idx]`` for row gathers (idx int64, any shape)."""
+        """``out[...] = src[idx]`` for row gathers (idx int64, any shape).
+
+        The caller guarantees ``0 <= idx < len(src)`` (the DSGL plan
+        checks its index tensors once, at construction), so the CPU
+        tiers run the unbuffered ``mode="clip"`` gather instead of
+        re-validating every step.
+        """
         raise NotImplementedError
 
     def gather(self, src, idx):
@@ -213,11 +219,8 @@ class ArrayOps:
         :func:`sum_duplicate_rows`."""
         raise NotImplementedError
 
-    def put_flat(self, x, positions, value) -> None:
-        """``x.reshape(-1)[positions] = value``."""
-        raise NotImplementedError
-
-    def fill_(self, x, value) -> None:
+    def sub(self, a, b, out) -> None:
+        """``out[...] = a - b`` (equal shapes; exact elementwise)."""
         raise NotImplementedError
 
     def sigmoid(self, x):
@@ -290,10 +293,11 @@ class ArrayOps:
 class NumpyOps(ArrayOps):
     """Reference implementation: the learners' original NumPy calls.
 
-    With the default ``float32`` dtype, every method is the literal
-    pre-seam operation (``np.take(..., out=)``, ``np.matmul(..., out=)``,
-    the clip/negate/exp/+1/divide sigmoid pipeline), so the refactored
-    trainer's bytes are unchanged.  ``NumpyOps(np.float64)`` is the
+    With the default ``float32`` dtype, every method computes exactly
+    what the pre-seam learners did (``take(..., out=)``,
+    ``np.matmul(..., out=)``, the clip/negate/exp/+1/divide sigmoid
+    pipeline) through the cheapest dispatch that keeps the bytes, so the
+    trainer's output is unchanged.  ``NumpyOps(np.float64)`` is the
     host-side high-precision tier the torch-CPU float64 path is pinned
     against.
     """
@@ -337,7 +341,7 @@ class NumpyOps(ArrayOps):
     # -- kernels -------------------------------------------------------- #
 
     def take(self, src, idx, out) -> None:
-        np.take(src, idx, axis=0, out=out)
+        src.take(idx, axis=0, out=out, mode="clip")
 
     def gather(self, src, idx):
         return src[idx]
@@ -351,17 +355,17 @@ class NumpyOps(ArrayOps):
         urows, merged = sum_duplicate_rows(rows, src)
         dst[urows] += merged
 
-    def put_flat(self, x, positions, value) -> None:
-        x.reshape(-1)[positions] = value
-
-    def fill_(self, x, value) -> None:
-        x[...] = value
+    def sub(self, a, b, out) -> None:
+        np.subtract(a, b, out=out)
 
     def sigmoid(self, x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -6.0, 6.0)))
 
     def sigmoid_(self, x) -> None:
-        np.clip(x, -6.0, 6.0, out=x)
+        # minimum/maximum are the clip ufunc's two halves without
+        # np.clip's Python-level dispatch (same bytes, NaN included).
+        np.minimum(x, 6.0, out=x)
+        np.maximum(x, -6.0, out=x)
         np.negative(x, out=x)
         np.exp(x, out=x)
         x += 1.0
@@ -494,8 +498,8 @@ class TorchOps(ArrayOps):
 
     def take(self, src, idx, out) -> None:
         if self.is_cpu:
-            np.take(self._np(src), self._idx_np(idx), axis=0,
-                    out=self._np(out))
+            self._np(src).take(self._idx_np(idx), axis=0,
+                               out=self._np(out), mode="clip")
         else:
             flat = self._idx(idx).reshape(-1)
             self.torch.index_select(src, 0, flat,
@@ -529,14 +533,11 @@ class TorchOps(ArrayOps):
             # instead, so it never depends on this).
             dst.index_add_(0, self._idx(rows).reshape(-1), src)
 
-    def put_flat(self, x, positions, value) -> None:
+    def sub(self, a, b, out) -> None:
         if self.is_cpu:
-            self._np(x).reshape(-1)[self._idx_np(positions)] = value
+            np.subtract(self._np(a), self._np(b), out=self._np(out))
         else:
-            x.view(-1)[self._idx(positions)] = value
-
-    def fill_(self, x, value) -> None:
-        x.fill_(value)
+            self.torch.sub(a, b, out=out)
 
     def sigmoid(self, x):
         if self.is_cpu:
@@ -548,7 +549,8 @@ class TorchOps(ArrayOps):
     def sigmoid_(self, x) -> None:
         if self.is_cpu:
             host = self._np(x)
-            np.clip(host, -6.0, 6.0, out=host)
+            np.minimum(host, 6.0, out=host)
+            np.maximum(host, -6.0, out=host)
             np.negative(host, out=host)
             np.exp(host, out=host)
             host += 1.0

@@ -68,6 +68,19 @@ class BaseLearner:
         """Train on ``walks`` at learning rate ``lr``; return tokens used."""
         raise NotImplementedError
 
+    @staticmethod
+    def train_round(groups) -> List[int]:
+        """Train one sync round's ``(learner, walks, lr)`` slices, one per
+        machine; return each slice's token count.
+
+        Replicas are disjoint and the rates fixed up front, so a learner
+        may interleave the slices any way that keeps each replica's own
+        update order (the batched DSGL learner runs them in lock-step);
+        the default trains them one after another.
+        """
+        return [learner.train_walks(walks, lr)
+                for learner, walks, lr in groups]
+
     def apply_anchor(self, walks: Sequence[np.ndarray], lr: float) -> None:
         """One anchor-pull step over the unique rows touched by ``walks``.
 

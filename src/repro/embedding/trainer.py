@@ -3,10 +3,14 @@
 The corpus is split into per-machine sub-corpora (walks stay with the
 machine that owns their source, as in Fig. 1).  Every machine trains a full
 model replica on its shard; the trainer interleaves the shards in
-sync-period slices -- machine 0 trains one slice, machine 1 trains one
-slice, ..., then the sync strategy reconciles the replicas -- which is the
-deterministic sequential equivalent of the paper's parallel loop.  A final
-average produces the published embeddings.
+sync-period slices -- every machine trains one slice, then the sync
+strategy reconciles the replicas -- which is the deterministic equivalent
+of the paper's parallel loop.  A round's slices touch disjoint replicas at
+rates fixed up front, so serial execution hands the whole round to the
+learner (:meth:`~repro.embedding.sgns.BaseLearner.train_round`; the
+batched DSGL learner runs it as one lock-step plan per cohort) and the
+process executor runs the slices concurrently, with identical bytes.  A
+final average produces the published embeddings.
 
 Learner selection covers every trainer the paper measures: ``sgns``
 (original word2vec), ``pword2vec`` [22], ``psgnscc`` [45] and ``dsgl``
@@ -255,6 +259,20 @@ class DistributedTrainer:
         mask = rng.random(walk.size) < keep[walk]
         return walk[mask]
 
+    def _check_finite(self, final: EmbeddingModel) -> None:
+        """Fail here, where the divergence happened, rather than at the
+        serving store or silently inside a benchmark."""
+        for name, matrix in (("phi_in", final.phi_in),
+                             ("phi_out", final.phi_out)):
+            bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+            if bad.size:
+                row = int(bad[0])
+                raise FloatingPointError(
+                    f"training diverged: learner {self.learner_name!r} at "
+                    f"lr={self.config.lr!r} left {bad.size} non-finite "
+                    f"{name} rows, first row {row} (node "
+                    f"{int(final.vocab.row_to_node[row])}); lower lr")
+
     def train(self) -> TrainResult:
         """Run the full distributed training; returns final embeddings."""
         cfg = self.config
@@ -412,14 +430,21 @@ class DistributedTrainer:
                     if process_trainer is not None and plans:
                         used_by_machine = process_trainer.train_round(plans)
                     else:
-                        used_by_machine = {}
-                        for machine, batch, lr, _span in plans:
-                            used_by_machine[machine] = \
-                                learners[machine].train_walks(batch, lr)
-                            # Persona pull over this slice's touched rows
-                            # (no-op without an anchor) -- same
-                            # train-then-anchor order as the executors.
-                            learners[machine].apply_anchor(batch, lr)
+                        # The whole round goes to the learner at once:
+                        # the batched DSGL learner runs the machines'
+                        # slices as one lock-step plan per cohort.
+                        groups = [(learners[machine], batch, lr)
+                                  for machine, batch, lr, _span in plans]
+                        used = learner_cls.train_round(groups)
+                        used_by_machine = {
+                            plan[0]: tokens
+                            for plan, tokens in zip(plans, used)}
+                        # Persona pull over each slice's touched rows
+                        # (no-op without an anchor): per replica it still
+                        # follows that replica's training, as on the
+                        # executors, and it draws no negatives.
+                        for learner, batch, lr in groups:
+                            learner.apply_anchor(batch, lr)
                     for machine, _batch, _lr, _span in plans:
                         # Compute cost: one fused update per token per
                         # (window x (K+1)) dot products, matching §2.1's
@@ -439,6 +464,7 @@ class DistributedTrainer:
             if process_trainer is not None:
                 process_trainer.close()
         wall = time.perf_counter() - start
+        self._check_finite(final)
         for machine in range(m):
             cluster.metrics.record_memory(
                 machine,

@@ -41,10 +41,14 @@ way a bounded thread count does on real hardware.  Independence is what
 the vectorized backend exploits: all lifetimes of a cohort advance in
 lock-step, so one step processes every lifetime's current multi-window
 batch as a single stacked ``(chunks, ctx, dim) @ (chunks, dim, outs)``
-matrix multiplication.  The loop backend executes the *same* plans one
-lifetime at a time through the same step kernel, which keeps the two
-backends bit-identical while leaving the per-lifetime reference honestly
-sequential.
+matrix multiplication.  The machines' slices of one sync round are
+replica-disjoint with rates fixed up front, so the serial trainer widens
+the lock-step further: cohort *j* of every machine shares one plan
+(:meth:`VectorizedDSGLLearner.train_round`), while ``dsgl_threads`` keeps
+bounding the lifetimes *per replica*.  The loop backend executes the
+*same* plans one lifetime at a time through the same step kernel, which
+keeps the two backends bit-identical while leaving the per-lifetime
+reference honestly sequential.
 
 Every array primitive in this module flows through the
 :mod:`repro.embedding.ops` seam: :class:`~repro.embedding.ops.NumpyOps`
@@ -59,7 +63,7 @@ per device via :meth:`DSGLSlicePlan.bind`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -187,87 +191,107 @@ class VectorizedPword2vecLearner(BaseLearner):
 # DSGL: concurrent-lifetime slice plan shared by both backends
 # --------------------------------------------------------------------- #
 
+#: One machine's share of a lock-step plan: ``(learner, walks, lr)``.
+DSGLGroup = Tuple[BaseLearner, Sequence[np.ndarray], float]
+
 
 class DSGLSlicePlan:
-    """Precomputed schedule of one training slice's DSGL lifetimes.
+    """Precomputed schedule of one lock-step cohort of DSGL lifetimes.
 
-    Built once per ``train_walks`` call (the deterministic stand-in for one
-    sync period's worth of parallel thread work, §4.2/Fig. 4).  The plan
-    owns everything both executors need:
+    A plan covers cohort *j* of every *group* it was built from -- one
+    group per machine of a sync round (§4.2/Fig. 4: the deterministic
+    stand-in for one sync period's worth of parallel thread work).  The
+    groups' replicas are disjoint and their learning rates are fixed
+    before any slice runs, so their lifetimes can share one lock-step
+    schedule; everything order-sensitive stays per group.  The plan owns:
 
-    * per-lifetime local-buffer row sets, negative pools and lock-step
-      batch schedules (batches within a lifetime stay strictly
-      sequential);
-    * rectangular gather/scatter index tensors ``cidx``/``oidx`` of shape
-      ``(steps, lifetimes, Mmax)`` / ``(steps, lifetimes, Bmax)``, padded
-      with a scratch row that is kept at zero by the gradient masks;
-    * label coordinates grouped by ``(step, lifetime)`` and validity
-      masks, so a step's labels/gradients are pure slicing.
+    * the concatenated per-lifetime local-buffer row sets
+      ``ctx_gather``/``out_gather`` in original (group-major) lifetime
+      order; ``ctx_bounds``/``out_bounds`` cut them per group -- the
+      replica coordinate of the gather and of the delta-merge writeback;
+    * **step-major, ragged** step tensors: lifetimes are ordered by
+      descending step count, so step ``t``'s active set is the prefix
+      ``[0, c_t)`` and its block is the contiguous row range
+      ``step_offsets[t]:step_offsets[t + 1]`` of ``cidx`` (gather/scatter
+      rows into the context buffer), ``oidx`` (output buffer),
+      ``labels`` and ``mask`` -- no padding for finished lifetimes;
+    * ``labels`` (1.0 where a context row meets its own window's target)
+      and ``mask`` (1.0 on valid ``(context, output)`` lanes), both
+      learning-rate-free, so a step's gradient is
+      ``(labels - scores) * lr * mask``; padded lanes index a scratch row
+      that the mask keeps at zero;
+    * ``lr``: the per-lifetime learning-rate column, in execution order.
 
-    Lifetimes are ordered by descending step count so the lock-step
-    executor's active set is always a prefix; negative pools are drawn and
-    deltas merged (:func:`merge_deltas`) in *original* lifetime order,
-    keeping the stream consumption and the writeback arithmetic
-    backend-independent.  Step tensors are padded to the *structural*
-    maxima ``(multi_windows·2·window, multi_windows+negatives)``, so a
-    plan covering a single lifetime runs the exact same matrix shapes as
-    a whole-slice plan -- the loop reference exploits this by planning one
+    Negative pools are drawn per group stream and deltas merged
+    (:func:`merge_deltas`) per replica, both in *original* lifetime
+    order, keeping the stream consumption and the writeback arithmetic
+    independent of how many groups share the plan.  Step tensors are
+    padded to the *structural* maxima
+    ``(multi_windows·2·window, multi_windows+negatives)``, so a plan
+    covering a single lifetime runs the exact same matrix shapes as a
+    whole-round plan -- the loop reference exploits this by planning one
     lifetime at a time and still matching the lock-step executor bit for
     bit.
     """
 
     __slots__ = (
-        "tokens", "num_chunks", "num_steps", "m_max", "b_max",
-        "ctx_size", "out_size", "ctx_gather", "out_gather",
-        "cidx", "oidx", "row_mask", "col_mask",
-        "label_flat", "label_offsets", "active_counts", "steps_per_chunk",
+        "num_steps", "m_max", "b_max", "replicas",
+        "ctx_gather", "out_gather", "ctx_bounds", "out_bounds",
+        "cidx", "oidx", "labels", "mask", "lr", "step_offsets",
         "_buffers", "_bound",
     )
 
     # ------------------------------------------------------------------ #
 
     def bind(self, ops: ArrayOps = NUMPY_OPS) -> None:
-        """Adopt the plan's constant tensors on ``ops``'s device.
+        """Adopt the plan's constant tensors on ``ops``'s device, in place.
 
-        The index tensors, gradient masks and label coordinates never
-        depend on the model matrices, so a device backend can stage their
+        The index tensors, labels, masks and learning rates never depend
+        on the model matrices, so a device backend can stage their
         uploads (on the CUDA copy stream, via ``ops.staged_upload``-style
         transfer inside ``const``/``mask``) while the *previous* cohort's
         kernels are still queued -- the double-buffered half of the slice
-        upload.  On the NumPy backend every call is an identity.
+        upload.  On the NumPy backend every call is an identity, except
+        that the float64 learning rates meet the buffer dtype here (the
+        same rounding a Python-float multiply applies).
         """
-        self._bound = (
-            ops.const(self.cidx),
-            ops.const(self.oidx),
-            ops.mask(self.row_mask),
-            ops.mask(self.col_mask),
-            ops.const(self.label_flat),
-        )
+        self.cidx = ops.const(self.cidx)
+        self.oidx = ops.const(self.oidx)
+        self.labels = ops.mask(self.labels)
+        self.mask = ops.mask(self.mask)
+        self.lr = ops.upload(self.lr)
+        self._bound = True
 
-    def gather(self, phi_in: np.ndarray, phi_out: np.ndarray,
-               ops: ArrayOps = NUMPY_OPS):
-        """Slice-start local buffers of every lifetime, plus a zero scratch
-        row at the end (index ``ctx_size``/``out_size``).
+    def gather(self, ops: ArrayOps = NUMPY_OPS):
+        """Cohort-start local buffers of every lifetime, plus a zero
+        scratch row at the end (index ``len(ctx_gather)``/``len(out_gather)``).
 
-        The host-side gather reads the global float32 matrices; ``ops``
-        then adopts the blocks (identity on NumPy, upload on a device
-        backend -- the phi-dependent half of the slice upload, which
-        cannot start before the previous cohort's writeback).
+        The host-side gather reads each group's rows from its own
+        replica's float32 matrices; ``ops`` then adopts the blocks
+        (identity on NumPy, upload on a device backend -- the
+        phi-dependent half of the slice upload, which cannot start before
+        the previous cohort's writeback).
         """
-        d = phi_in.shape[1]
-        ctx_host = np.empty((self.ctx_size + 1, d), dtype=phi_in.dtype)
-        ctx_host[:-1] = phi_in[self.ctx_gather]
+        first = self.replicas[0]
+        d = first.phi_in.shape[1]
+        ctx_host = np.empty((self.ctx_gather.size + 1, d),
+                            dtype=first.phi_in.dtype)
+        out_host = np.empty((self.out_gather.size + 1, d),
+                            dtype=first.phi_out.dtype)
+        for g, model in enumerate(self.replicas):
+            lo, hi = self.ctx_bounds[g:g + 2]
+            ctx_host[lo:hi] = model.phi_in[self.ctx_gather[lo:hi]]
+            lo, hi = self.out_bounds[g:g + 2]
+            out_host[lo:hi] = model.phi_out[self.out_gather[lo:hi]]
         ctx_host[-1] = 0.0
-        out_host = np.empty((self.out_size + 1, d), dtype=phi_out.dtype)
-        out_host[:-1] = phi_out[self.out_gather]
         out_host[-1] = 0.0
-        if self._bound is None:
+        if not self._bound:
             self.bind(ops)
         ctx_mega = ops.upload(ctx_host)
         out_mega = ops.upload(out_host)
         # Reusable step workspaces, sized for the widest step: the step
         # kernel writes into views of these instead of allocating.
-        c_top = int(self.active_counts[0])
+        c_top = self.step_offsets[1]
         self._buffers = (
             ops.empty((c_top, self.m_max, d)),
             ops.empty((c_top, self.b_max, d)),
@@ -279,67 +303,77 @@ class DSGLSlicePlan:
         ops.join()  # compute must see the staged constant uploads
         return ctx_mega, ops.clone(ctx_mega), out_mega, ops.clone(out_mega)
 
-    def run_step(self, t: int, c: int,
-                 ctx_mega, out_mega,
-                 lr: float, ops: ArrayOps = NUMPY_OPS) -> None:
-        """One lock-step batch update for the first ``c`` lifetime slots.
+    def run_steps(self, ctx_mega, out_mega, ops: ArrayOps = NUMPY_OPS) -> None:
+        """Every lock-step batch update of the plan, first to last.
 
-        The shared step kernel: the loop backend calls it on one-lifetime
-        plans (``c=1``), the vectorized backend with the whole active
-        prefix.  Per-slice matmul results are identical either way (the
-        stacked form loops the same GEMM over slices), which is what makes
-        the two executors bit-equal.  Every primitive flows through
-        ``ops``; the learning rate stays a float64 Python scalar and only
-        meets the buffer dtype at the final scalar multiply.
+        The shared step kernel: the loop backend runs it on one-lifetime
+        plans, the vectorized backend on whole-round plans.  Per-slice
+        matmul results are identical either way (the stacked form loops
+        the same GEMM over slices), which is what makes the executors
+        bit-equal.  Every primitive flows through ``ops``, bound once per
+        plan; the workspace views are re-cut only when the active prefix
+        shrinks.
         """
-        buf_ctx, buf_out, buf_sc, buf_gr, buf_cd, buf_od = self._buffers
-        b_cidx, b_oidx, b_row_mask, b_col_mask, b_label_flat = self._bound
-        cidx = b_cidx[t, :c]                             # (C, Mmax)
-        oidx = b_oidx[t, :c]                             # (C, Bmax)
-        ctx_vecs = buf_ctx[:c]                           # (C, Mmax, d)
-        ops.take(ctx_mega, cidx, out=ctx_vecs)
-        out_vecs = buf_out[:c]                           # (C, Bmax, d)
-        ops.take(out_mega, oidx, out=out_vecs)
-        # In-place sigmoid (same elementwise ops as model.sigmoid).
-        scores = buf_sc[:c]                              # (C, Mmax, Bmax)
-        ops.bmm_nt(ctx_vecs, out_vecs, out=scores)
-        ops.sigmoid_(scores)
-        grad = buf_gr[:c]                                # (C, Mmax, Bmax)
-        ops.fill_(grad, 0.0)
-        positions = b_label_flat[self.label_offsets[t, 0]:
-                                 self.label_offsets[t, c]]
-        ops.put_flat(grad, positions, 1.0)
-        grad -= scores                                   # labels - scores
-        grad *= lr
-        # Zero the padding lanes so scratch-row garbage never leaks into a
-        # valid row (and the scratch row itself stays zero: its updates
-        # reduce to scratch + 0).  Valid lanes multiply by 1.0 -- exact.
-        grad *= b_row_mask[t, :c, :, None]
-        grad *= b_col_mask[t, :c, None, :]
-        ctx_delta = buf_cd[:c]
-        ops.bmm(grad, out_vecs, out=ctx_delta)
-        out_delta = buf_od[:c]
-        ops.bmm_tn(grad, ctx_vecs, out=out_delta)
-        ctx_vecs += ctx_delta
-        out_vecs += out_delta
-        ops.scatter_rows(ctx_mega, cidx, ctx_vecs)
-        ops.scatter_rows(out_mega, oidx, out_vecs)
+        take, scatter, sub, sigmoid_ = (ops.take, ops.scatter_rows, ops.sub,
+                                        ops.sigmoid_)
+        bmm, bmm_nt, bmm_tn = ops.bmm, ops.bmm_nt, ops.bmm_tn
+        b_cidx, b_oidx, b_labels, b_mask, b_lr = (
+            self.cidx, self.oidx, self.labels, self.mask, self.lr)
+        offsets = self.step_offsets
+        width = 0
+        for t in range(self.num_steps):
+            lo, hi = offsets[t], offsets[t + 1]
+            if hi - lo != width:
+                width = hi - lo
+                (ctx_vecs, out_vecs, scores, grad,
+                 ctx_delta, out_delta) = [buf[:width] for buf in self._buffers]
+                lr = b_lr[:width]
+            cidx = b_cidx[lo:hi]                         # (C, Mmax)
+            oidx = b_oidx[lo:hi]                         # (C, Bmax)
+            take(ctx_mega, cidx, ctx_vecs)               # (C, Mmax, d)
+            take(out_mega, oidx, out_vecs)               # (C, Bmax, d)
+            bmm_nt(ctx_vecs, out_vecs, scores)           # (C, Mmax, Bmax)
+            sigmoid_(scores)
+            sub(b_labels[lo:hi], scores, grad)
+            grad *= lr
+            # Zero the padding lanes so scratch-row garbage never leaks
+            # into a valid row (and the scratch row itself stays zero: its
+            # updates reduce to scratch + 0).  Valid lanes multiply by
+            # 1.0 -- exact.
+            grad *= b_mask[lo:hi]
+            bmm(grad, out_vecs, ctx_delta)
+            bmm_tn(grad, ctx_vecs, out_delta)
+            ctx_vecs += ctx_delta
+            out_vecs += out_delta
+            scatter(ctx_mega, cidx, ctx_vecs)
+            scatter(out_mega, oidx, out_vecs)
+        # A plan runs once.  Its step tensors and workspaces are dead
+        # now, and the next cohort is planned before this one's
+        # writeback: dropping them keeps two plans' worth off the peak.
+        self.cidx = self.oidx = self.labels = self.mask = None
+        self._buffers = None
 
-    def apply_writeback(self, phi_in: np.ndarray, phi_out: np.ndarray,
-                        ctx_mega, ctx_start,
-                        out_mega, out_start,
+    def apply_writeback(self, ctx_mega, ctx_start, out_mega, out_start,
                         ops: ArrayOps = NUMPY_OPS) -> None:
-        """Delta-sum every lifetime's buffer back into the global matrices.
+        """Delta-sum every lifetime's buffer back into its group's replica.
 
         Deltas are downloaded to the host first (a view on CPU backends,
         the device→host sync point on CUDA) and merged through the shared
-        :func:`merge_deltas`, so reconciliation arithmetic -- including
-        duplicate-row accumulation order -- is identical across backends.
+        :func:`merge_deltas`, one replica at a time, so reconciliation
+        arithmetic -- including duplicate-row accumulation order -- is
+        identical across backends and across group counts.
         """
         ctx_mega -= ctx_start        # buffers are dead after the writeback
         out_mega -= out_start
-        merge_deltas(phi_in, self.ctx_gather, ops.download(ctx_mega)[:-1])
-        merge_deltas(phi_out, self.out_gather, ops.download(out_mega)[:-1])
+        ctx_deltas = ops.download(ctx_mega)
+        out_deltas = ops.download(out_mega)
+        for g, model in enumerate(self.replicas):
+            lo, hi = self.ctx_bounds[g:g + 2]
+            merge_deltas(model.phi_in, self.ctx_gather[lo:hi],
+                         ctx_deltas[lo:hi])
+            lo, hi = self.out_bounds[g:g + 2]
+            merge_deltas(model.phi_out, self.out_gather[lo:hi],
+                         out_deltas[lo:hi])
 
 
 def merge_deltas(phi: np.ndarray, rows: np.ndarray,
@@ -370,12 +404,14 @@ def _chunk_ranks(values: np.ndarray, segment_of: np.ndarray,
                  num_segments: int):
     """Per-segment sorted-unique values and each element's global slot.
 
-    One ``lexsort`` over the whole slice replaces a per-chunk
-    ``np.unique`` + ``searchsorted`` pair: ``uniques`` concatenates every
-    segment's sorted unique values (the lifetime buffer layout) and
-    ``slots[i]`` is element ``i``'s row in that concatenation.
+    One sort over the whole slice replaces a per-chunk ``np.unique`` +
+    ``searchsorted`` pair: ``uniques`` concatenates every segment's
+    sorted unique values (the lifetime buffer layout) and ``slots[i]`` is
+    element ``i``'s row in that concatenation.  The sort key packs
+    ``(segment, value)`` into one integer -- equal keys are equal pairs,
+    so the (unstable, much faster) single-key sort loses nothing.
     """
-    order = np.lexsort((values, segment_of))
+    order = np.argsort(segment_of * (int(values.max()) + 1) + values)
     sv = values[order]
     sc = segment_of[order]
     new = np.empty(values.size, dtype=bool)
@@ -387,100 +423,123 @@ def _chunk_ranks(values: np.ndarray, segment_of: np.ndarray,
     return sv[new], np.bincount(sc[new], minlength=num_segments), slots
 
 
-def plan_dsgl_slice(learner: BaseLearner,
-                    walks: Sequence[np.ndarray]) -> Tuple[int, "DSGLSlicePlan"]:
-    """Build the concurrent-lifetime plan for one cohort of walks.
+def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
+    """``[0, v0, v0+v1, ..., Σv]`` (one entry longer than ``values``)."""
+    out = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
+    return out
 
-    Negative pools are drawn from ``learner``'s stream in original chunk
-    order, so loop and vectorized backends consume identical randomness.
-    Construction is itself vectorized over the whole cohort -- window
-    grids, buffer slots, batch offsets and label coordinates are all
-    slice-global array computations; no per-chunk schedule objects exist.
-    Returns ``(tokens, plan)``; ``plan`` is ``None`` when the cohort holds
-    no trainable window.
+
+def plan_dsgl_slice(
+    groups: Sequence[DSGLGroup],
+) -> Tuple[List[int], Optional["DSGLSlicePlan"]]:
+    """Build the lock-step plan for one cohort of every group's walks.
+
+    Each group is ``(learner, walks, lr)``: one machine's cohort, the
+    learner naming its replica and negative stream.  Negative pools are
+    drawn from each group's stream in original chunk order, so every
+    caller -- a whole round's groups, one slice worker's single group,
+    the loop reference's single lifetime -- consumes identical
+    randomness.  A group whose walks hold no trainable window still
+    draws its pool and then stays out of the plan (its replica sees no
+    writeback), exactly as when it is planned alone.  Construction is
+    itself vectorized over the whole cohort -- window grids, buffer
+    slots, batch offsets and label coordinates are all plan-global array
+    computations; no per-chunk schedule objects exist.  Returns
+    ``(tokens_per_group, plan)``; ``plan`` is ``None`` when no group
+    holds a trainable window.
     """
-    cfg = learner.config
+    cfg = groups[0][0].config
     k, group, window = cfg.negatives, cfg.multi_windows, cfg.window
-    layout_cache = learner.__dict__.setdefault("_window_layout_cache", {})
+    layout_cache = groups[0][0].__dict__.setdefault("_window_layout_cache",
+                                                    {})
 
-    # Row-map walks, split into lifetime chunks, index eligible walks.
-    chunks: List[List[np.ndarray]] = []
-    chunk_tokens: List[int] = []
-    tokens = 0
-    for start in range(0, len(walks), group):
-        chunk = [learner._rows(w) for w in walks[start:start + group]]
-        n_tokens = int(sum(w.size for w in chunk))
-        if n_tokens == 0:
+    # Per group: row-map the walks, split into lifetime chunks, draw the
+    # negative pool, index eligible walks (>= 2 tokens).  Everything is
+    # appended group-major, which is original lifetime order.
+    tokens: List[int] = []
+    replicas, lrs, group_chunks = [], [], []
+    tok_parts, pool_parts, chunk_size_parts = [], [], []
+    wl_len_parts, wl_chunk_parts, wl_base_parts = [], [], []
+    n_chunks = n_tokens = 0
+    for learner, walks, lr in groups:
+        sizes = np.fromiter((w.size for w in walks), dtype=np.int64,
+                            count=len(walks))
+        group_tokens = int(sizes.sum())
+        tokens.append(group_tokens)
+        if group_tokens == 0:
             continue
-        tokens += n_tokens
-        chunks.append(chunk)
-        chunk_tokens.append(n_tokens)
-    if not chunks:
+        # One pooled negative draw (counter-based draws are invariant to
+        # batching, so the per-chunk split equals per-chunk draws).
+        pool = learner._negatives(k * group_tokens)
+        eligible = np.flatnonzero(sizes > 1)
+        if not eligible.size:
+            continue
+        per_chunk = np.add.reduceat(sizes, np.arange(0, sizes.size, group))
+        kept = per_chunk > 0                       # empty chunks vanish
+        chunk_of_walk = (np.cumsum(kept) - 1)[np.arange(sizes.size) // group]
+        replicas.append(learner.model)
+        lrs.append(lr)
+        group_chunks.append(int(kept.sum()))
+        tok_parts.append(learner._rows(np.concatenate(walks)))
+        pool_parts.append(pool)
+        chunk_size_parts.append(per_chunk[kept])
+        wl_len_parts.append(sizes[eligible])
+        wl_chunk_parts.append(chunk_of_walk[eligible] + n_chunks)
+        wl_base_parts.append(
+            (np.cumsum(sizes) - sizes)[eligible] + n_tokens)
+        n_chunks += group_chunks[-1]
+        n_tokens += group_tokens
+    if not replicas:
         return tokens, None
-    # One pooled negative draw (counter-based draws are invariant to
-    # batching, so the per-chunk split equals per-chunk draws).
-    pool_all = learner._negatives(k * tokens)
-    chunk_sizes = np.asarray(chunk_tokens, dtype=np.int64)
-    n_chunks = len(chunks)
-    toff = np.zeros(n_chunks + 1, dtype=np.int64)
-    np.cumsum(chunk_sizes, out=toff[1:])
-    poff = np.zeros(n_chunks + 1, dtype=np.int64)
-    np.cumsum(chunk_sizes * k, out=poff[1:])
+    chunk_sizes = np.concatenate(chunk_size_parts)
+    chunks_per_group = np.asarray(group_chunks, dtype=np.int64)
+    group_starts = _exclusive_cumsum(chunks_per_group)[:-1]
+    poff = _exclusive_cumsum(chunk_sizes * k)
 
-    # Slice-global buffer layout: one lexsort pass assigns every token (and
+    # Plan-global buffer layout: one sort pass assigns every token (and
     # pool entry) its slot in the concatenation of per-lifetime sorted
     # unique row sets -- replacing a per-chunk unique+searchsorted pair.
-    tok = np.concatenate([rows for chunk in chunks for rows in chunk])
+    tok = np.concatenate(tok_parts)
     tok_chunk = np.repeat(np.arange(n_chunks), chunk_sizes)
-    ctx_gather, _ctx_counts, ctx_slots = _chunk_ranks(tok, tok_chunk,
-                                                      n_chunks)
-    ext = np.concatenate([tok, pool_all])
+    ctx_gather, ctx_counts, ctx_slots = _chunk_ranks(tok, tok_chunk,
+                                                     n_chunks)
+    ext = np.concatenate([tok] + pool_parts)
     ext_chunk = np.concatenate(
         [tok_chunk, np.repeat(np.arange(n_chunks), chunk_sizes * k)])
-    out_gather, _out_counts, ext_slots = _chunk_ranks(ext, ext_chunk,
-                                                      n_chunks)
+    out_gather, out_counts, ext_slots = _chunk_ranks(ext, ext_chunk,
+                                                     n_chunks)
     tgt_slots = ext_slots[:tok.size]
     neg_slots = ext_slots[tok.size:]
 
-    # Eligible walks (>= 2 tokens), in (chunk, within-chunk) order.
-    wl_len: List[int] = []         # walk length
-    wl_chunk: List[int] = []       # owning lifetime
-    wl_base: List[int] = []        # first token's global index
-    wl_layout: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for ci, chunk in enumerate(chunks):
-        base = int(toff[ci])
-        for rows in chunk:
-            if rows.size > 1:
-                layout = layout_cache.get(rows.size)
-                if layout is None:
-                    positions, sizes = window_context_layout(rows.size,
-                                                             window)
-                    offs = np.zeros(rows.size, dtype=np.int64)
-                    np.cumsum(sizes[:-1], out=offs[1:])
-                    layout = (positions, sizes, offs)
-                    layout_cache[rows.size] = layout
-                wl_len.append(rows.size)
-                wl_chunk.append(ci)
-                wl_base.append(base)
-                wl_layout.append(layout)
-            base += rows.size
-    if not wl_len:
-        return tokens, None
+    wl_len_arr = np.concatenate(wl_len_parts)
+    wl_chunk_arr = np.concatenate(wl_chunk_parts)
+    wl_base_arr = np.concatenate(wl_base_parts)
+    wl_len = wl_len_arr.tolist()
     n_walks = len(wl_len)
-    wl_len_arr = np.asarray(wl_len, dtype=np.int64)
-    wl_chunk_arr = np.asarray(wl_chunk, dtype=np.int64)
-    wl_base_arr = np.asarray(wl_base, dtype=np.int64)
+    wl_layout: List[Tuple[np.ndarray, np.ndarray]] = []
+    for length in wl_len:
+        layout = layout_cache.get(length)
+        if layout is None:
+            layout = layout_cache[length] = window_context_layout(length,
+                                                                  window)
+        wl_layout.append(layout)
 
     plan = DSGLSlicePlan()
-    plan._bound = None
-    plan.tokens = tokens
+    plan._bound = False
+    plan.replicas = replicas
     plan.ctx_gather = ctx_gather
     plan.out_gather = out_gather
-    plan.ctx_size = int(ctx_gather.size)
-    plan.out_size = int(out_gather.size)
+    plan.ctx_bounds = _exclusive_cumsum(
+        np.add.reduceat(ctx_counts, group_starts)).tolist()
+    plan.out_bounds = _exclusive_cumsum(
+        np.add.reduceat(out_counts, group_starts)).tolist()
+    ctx_size, out_size = int(ctx_gather.size), int(out_gather.size)
 
     # Execution order: descending step count, so the lock-step executor's
-    # active lifetimes are always the prefix [0, active_counts[t]).
+    # active lifetimes at step t are always the prefix [0, c_t) and the
+    # step-major tensors need no padding for finished lifetimes: slot
+    # (t, position) lives at row step_offsets[t] + position.
     chunk_steps = np.zeros(n_chunks, dtype=np.int64)
     np.maximum.at(chunk_steps, wl_chunk_arr, wl_len_arr)
     exec_order = np.argsort(-chunk_steps, kind="stable")
@@ -488,11 +547,14 @@ def plan_dsgl_slice(learner: BaseLearner,
     cpos_of_chunk[exec_order] = np.arange(n_chunks)
     steps_sorted = chunk_steps[exec_order]
     num_steps = int(steps_sorted[0])
-    plan.num_chunks = n_chunks
+    active_counts = (steps_sorted[None, :]
+                     > np.arange(num_steps)[:, None]).sum(axis=1)
+    step_off = _exclusive_cumsum(active_counts)
+    n_slots = int(step_off[-1])
     plan.num_steps = num_steps
-    plan.steps_per_chunk = steps_sorted
-    plan.active_counts = (steps_sorted[None, :]
-                          > np.arange(num_steps)[:, None]).sum(axis=1)
+    plan.step_offsets = step_off.tolist()
+    plan.lr = np.repeat(np.asarray(lrs, dtype=np.float64),
+                        chunks_per_group)[exec_order].reshape(-1, 1, 1)
     m_max = group * 2 * window
     b_max = group + k
     plan.m_max, plan.b_max = m_max, b_max
@@ -500,7 +562,6 @@ def plan_dsgl_slice(learner: BaseLearner,
     # Window grids: one column per eligible walk (chunk-major), one row
     # per lock-step batch.  Grouped cumsums along the walk axis give each
     # window its within-batch row offset and label column.
-    wl_cpos = cpos_of_chunk[wl_chunk_arr]
     t_rows = np.arange(num_steps, dtype=np.int64)[:, None]
     valid = t_rows < wl_len_arr[None, :]                   # (T, W)
     size_grid = np.zeros((num_steps, n_walks), dtype=np.int64)
@@ -523,77 +584,55 @@ def plan_dsgl_slice(learner: BaseLearner,
     win_size = size_grid.T.ravel()[vm]
     win_woff = woff_grid.T.ravel()[vm]
     win_ord = ord_grid.T.ravel()[vm]
-    win_cpos = wl_cpos[win_walk]
-
-    # Gather/scatter index tensors, padded with the scratch row.
-    cidx = np.full((num_steps, n_chunks, m_max), plan.ctx_size,
-                   dtype=np.int64)
-    oidx = np.full((num_steps, n_chunks, b_max), plan.out_size,
-                   dtype=np.int64)
+    win_slot = step_off[win_t] + cpos_of_chunk[wl_chunk_arr][win_walk]
 
     # Context elements: every window's contexts, walk-major; the element's
-    # global buffer slot comes straight from the token ranks.
+    # global buffer slot comes straight from the token ranks.  Padding
+    # lanes gather (and scatter) the scratch row.
     elem_positions = np.concatenate(
-        [wl_layout[j][0] + wl_base[j] for j in range(n_walks)])
-    ctx_elems = ctx_slots[elem_positions]
-    elem_t = np.repeat(win_t, win_size)
-    elem_cpos = np.repeat(win_cpos, win_size)
-    excl = np.zeros(win_size.size, dtype=np.int64)
-    np.cumsum(win_size[:-1], out=excl[1:])
-    elem_row = (np.repeat(win_woff, win_size)
-                + np.arange(int(ctx_elems.size), dtype=np.int64)
-                - np.repeat(excl, win_size))
-    cidx.reshape(-1)[(elem_t * n_chunks + elem_cpos) * m_max + elem_row] = \
-        ctx_elems
+        [wl_layout[j][0] + base
+         for j, base in enumerate(wl_base_arr.tolist())])
+    elem_slot = np.repeat(win_slot, win_size)
+    elem_row = (np.repeat(win_woff - _exclusive_cumsum(win_size)[:-1],
+                          win_size)
+                + np.arange(elem_positions.size, dtype=np.int64))
+    elem_lane = elem_slot * m_max + elem_row
+    cidx = np.full((n_slots, m_max), ctx_size, dtype=np.int64)
+    cidx.reshape(-1)[elem_lane] = ctx_slots[elem_positions]
 
     # Output rows: each batch's targets (walk order) then its k negatives.
-    win_tgt = tgt_slots[wl_base_arr[win_walk] + win_t]
-    oidx.reshape(-1)[(win_t * n_chunks + win_cpos) * b_max + win_ord] = \
-        win_tgt
-    wins_grid = np.zeros((num_steps, n_chunks), dtype=np.int64)
-    np.add.at(wins_grid, (win_t, win_cpos), 1)
+    oidx = np.full((n_slots, b_max), out_size, dtype=np.int64)
+    oidx.reshape(-1)[win_slot * b_max + win_ord] = \
+        tgt_slots[wl_base_arr[win_walk] + win_t]
+    wins = np.bincount(win_slot, minlength=n_slots)
     pair_c = np.repeat(np.arange(n_chunks, dtype=np.int64), chunk_steps)
-    steps_excl = np.zeros(n_chunks, dtype=np.int64)
-    np.cumsum(chunk_steps[:-1], out=steps_excl[1:])
-    pair_t = (np.arange(int(chunk_steps.sum()), dtype=np.int64)
-              - np.repeat(steps_excl, chunk_steps))
-    neg_src = (np.repeat(poff[pair_c] + pair_t * k, k)
-               + np.tile(np.arange(k, dtype=np.int64), pair_t.size))
-    pair_cpos = cpos_of_chunk[pair_c]
-    neg_dest = (np.repeat((pair_t * n_chunks + pair_cpos) * b_max
-                          + wins_grid[pair_t, pair_cpos], k)
-                + np.tile(np.arange(k, dtype=np.int64), pair_t.size))
-    oidx.reshape(-1)[neg_dest] = neg_slots[neg_src]
+    pair_t = (np.arange(n_slots, dtype=np.int64)
+              - np.repeat(_exclusive_cumsum(chunk_steps)[:-1], chunk_steps))
+    pair_slot = step_off[pair_t] + cpos_of_chunk[pair_c]
+    lane_k = np.tile(np.arange(k, dtype=np.int64), n_slots)
+    oidx.reshape(-1)[np.repeat(pair_slot * b_max + wins[pair_slot], k)
+                     + lane_k] = \
+        neg_slots[np.repeat(poff[pair_c] + pair_t * k, k) + lane_k]
+    # Checked once here so the step kernel's gathers can skip it.
+    if cidx.min() < 0 or cidx.max() > ctx_size \
+            or oidx.min() < 0 or oidx.max() > out_size:
+        raise IndexError("DSGL plan indexes outside its local buffers")
     plan.cidx, plan.oidx = cidx, oidx
 
-    # Validity masks (padding lanes multiply gradients by zero).
-    m_counts = np.zeros((num_steps, n_chunks), dtype=np.int64)
-    np.add.at(m_counts, (win_t, win_cpos), win_size)
-    o_counts = wins_grid + np.where(
-        np.arange(num_steps)[:, None] < chunk_steps[exec_order][None, :],
-        k, 0)
-    plan.row_mask = (np.arange(m_max)[None, None, :]
-                     < m_counts[:, :, None]).astype(np.float32)
-    plan.col_mask = (np.arange(b_max)[None, None, :]
-                     < o_counts[:, :, None]).astype(np.float32)
-
-    # Label positions grouped by (step, lifetime slot): within a group the
-    # elements keep their batch row order, so a direct scatter places them.
-    lab_vals = (elem_cpos * m_max + elem_row) * b_max \
-        + np.repeat(win_ord, win_size)
-    off_flat = np.zeros(num_steps * n_chunks + 1, dtype=np.int64)
-    np.cumsum(m_counts.reshape(-1), out=off_flat[1:])
-    label_flat = np.empty(lab_vals.size, dtype=np.int64)
-    label_flat[off_flat[elem_t * n_chunks + elem_cpos] + elem_row] = lab_vals
-    plan.label_flat = label_flat
-    plan.label_offsets = off_flat[
-        np.arange(num_steps)[:, None] * n_chunks
-        + np.arange(n_chunks + 1)[None, :]]
+    # Labels and validity mask per (slot, context lane, output lane).
+    labels = np.zeros((n_slots, m_max, b_max), dtype=np.float32)
+    labels.reshape(-1)[elem_lane * b_max + np.repeat(win_ord, win_size)] = 1.0
+    m_counts = np.bincount(elem_slot, minlength=n_slots)
+    plan.labels = labels
+    plan.mask = (
+        (np.arange(m_max)[None, :, None] < m_counts[:, None, None])
+        & (np.arange(b_max)[None, None, :] < (wins + k)[:, None, None])
+    ).astype(np.float32)
     return tokens, plan
 
 
 class VectorizedDSGLLearner(BaseLearner):
-    """Lock-step DSGL: all lifetimes of a slice advance together.
+    """Lock-step DSGL: all lifetimes of a cohort advance together.
 
     Executes the :class:`DSGLSlicePlan` breadth-first -- step ``t``
     processes the ``t``-th multi-window batch of every still-active
@@ -602,53 +641,62 @@ class VectorizedDSGLLearner(BaseLearner):
     the walk engine's lock-step supersteps.  Bit-identical to the loop
     backend's depth-first execution of the same plan (lifetimes are
     independent until the shared delta-merge writeback).
+
+    :meth:`train_round` widens the lock-step across machines: the serial
+    trainer hands it every machine's slice of a sync round and cohort
+    *j* of all of them becomes one plan.  ``dsgl_threads`` still bounds
+    the lifetimes *per replica*, so the staleness/quality frontier is
+    untouched -- only the dispatch count falls.
     """
 
     name = "dsgl"
 
     def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
-        ops = self.ops
-        phi_in, phi_out = self.model.phi_in, self.model.phi_out
-        cohort = self._cohort_walks()
-        spans = list(range(0, len(walks), cohort))
-        tokens = 0
+        return self.train_round([(self, walks, lr)])[0]
+
+    @staticmethod
+    def train_round(groups: Sequence[DSGLGroup]) -> List[int]:
+        tokens = [0] * len(groups)
+        if not groups:
+            return tokens
+        first = groups[0][0]
+        ops = first.ops
+        cohort = first.config.dsgl_threads * first.config.multi_windows
+        spans = range(0, max(len(walks) for _, walks, _ in groups), cohort)
 
         def plan_span(i: int):
             # Planning never reads the matrices (negatives come from the
-            # counter stream, layouts from walk lengths), so cohort i+1
+            # counter streams, layouts from walk lengths), so cohort i+1
             # can be planned -- and its constant tensors staged onto the
             # device copy stream via bind() -- while cohort i's kernels
             # are still queued.  Plans are built strictly in cohort
             # order, which keeps negative-stream consumption, and hence
             # backend parity, unchanged.
+            if i >= len(spans):
+                return None, None
             cohort_tokens, plan = plan_dsgl_slice(
-                self, walks[spans[i]:spans[i] + cohort])
+                [(learner, walks[spans[i]:spans[i] + cohort], lr)
+                 for learner, walks, lr in groups])
             if plan is not None:
                 plan.bind(ops)
             return cohort_tokens, plan
 
-        current = plan_span(0) if spans else (0, None)
+        current = plan_span(0)
         for i in range(len(spans)):
             cohort_tokens, plan = current
-            tokens += cohort_tokens
+            for g, used in enumerate(cohort_tokens):
+                tokens[g] += used
             if plan is None:
-                current = plan_span(i + 1) if i + 1 < len(spans) else (0, None)
+                current = plan_span(i + 1)
                 continue
-            ctx_mega, ctx_start, out_mega, out_start = plan.gather(
-                phi_in, phi_out, ops)
-            for t in range(plan.num_steps):
-                plan.run_step(t, int(plan.active_counts[t]),
-                              ctx_mega, out_mega, lr, ops)
+            ctx_mega, ctx_start, out_mega, out_start = plan.gather(ops)
+            plan.run_steps(ctx_mega, out_mega, ops)
             # Double buffering: stage the next cohort before this one's
             # delta download forces a device sync.
-            current = plan_span(i + 1) if i + 1 < len(spans) else (0, None)
-            plan.apply_writeback(phi_in, phi_out, ctx_mega, ctx_start,
-                                 out_mega, out_start, ops)
+            current = plan_span(i + 1)
+            plan.apply_writeback(ctx_mega, ctx_start, out_mega, out_start,
+                                 ops)
         return tokens
-
-    def _cohort_walks(self) -> int:
-        """Walks per thread cohort (``dsgl_threads`` lifetimes)."""
-        return self.config.dsgl_threads * self.config.multi_windows
 
 
 #: Batched counterpart of :data:`repro.embedding.trainer.LEARNERS`.

@@ -6,18 +6,22 @@ mis-parameterised experiment; these helpers keep the checks uniform.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 Number = Union[int, float]
 
 
 def check_positive(name: str, value: Number, allow_zero: bool = False) -> Number:
-    """Validate ``value > 0`` (or ``>= 0`` with ``allow_zero``)."""
-    if allow_zero:
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
-    elif value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    """Validate a finite ``value > 0`` (or ``>= 0`` with ``allow_zero``).
+
+    Written as "not in range" rather than "out of range": every
+    comparison with NaN is false, so ``value <= 0`` would let it through.
+    """
+    in_range = value >= 0 if allow_zero else value > 0
+    if not in_range or value == math.inf:
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
     return value
 
 

@@ -9,6 +9,9 @@ Tier-1 coverage for :mod:`repro.embedding.ops` that runs without torch:
 * :func:`sum_duplicate_rows` / :func:`merge_deltas` accumulation-order
   contract -- repeated destination rows reduce left-to-right in input
   order, byte-identical to a sequential reference loop (property-tested);
+* the fused step gradient (``sub`` → ``×lr`` → ``×mask`` over plan-time
+  label/mask tensors) against the unfused fill/put/``−=``/``×lr``/
+  ``×row``/``×col`` chain it replaced -- bytes, padded lanes included;
 * the ``NumpyOps`` float64 tier (the reference the torch-CPU tier is
   pinned against) and the identity fast path of the default float32 ops;
 * :func:`repro.embedding.schedules.progress64` -- the lr schedule input
@@ -210,6 +213,88 @@ class TestNumpyOpsTiers:
         np.testing.assert_allclose(ops.matmul_nt(a, b), a @ b.T)
         np.testing.assert_allclose(ops.matmul_tn(a[:, :2].copy(), a),
                                    a[:, :2].T @ a)
+
+
+def step_case(seed, lifetimes, m_max=6, b_max=4):
+    """Random lock-step block: garbage-filled padded lanes included."""
+    rng = np.random.default_rng(seed)
+    m_counts = rng.integers(0, m_max + 1, size=lifetimes)
+    o_counts = rng.integers(1, b_max + 1, size=lifetimes)
+    row_mask = (np.arange(m_max)[None, :] < m_counts[:, None]) \
+        .astype(np.float32)
+    col_mask = (np.arange(b_max)[None, :] < o_counts[:, None]) \
+        .astype(np.float32)
+    labels = np.zeros((lifetimes, m_max, b_max), dtype=np.float32)
+    for c in range(lifetimes):          # one target column per valid row
+        labels[c, np.arange(m_counts[c]),
+               rng.integers(0, o_counts[c], size=m_counts[c])] = 1.0
+    scores = rng.random((lifetimes, m_max, b_max))
+    rates = rng.uniform(1e-4, 0.05, size=lifetimes)
+    return scores, labels, row_mask, col_mask, rates
+
+
+def unfused_gradient(scores, labels, row_mask, col_mask, rate):
+    """The step kernel's gradient before labels and masks moved to plan
+    time: the literal ``fill_``/``put_flat``/mask-multiply sequence, one
+    learning rate (a Python float) per call."""
+    grad = np.empty_like(scores)
+    grad[...] = 0.0
+    grad.reshape(-1)[np.flatnonzero(labels)] = 1.0
+    grad -= scores
+    grad *= rate
+    grad *= row_mask[:, :, None]
+    grad *= col_mask[:, None, :]
+    return grad
+
+
+class TestFusedStepGradient:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**16), lifetimes=st.integers(1, 6))
+    def test_bytes_equal_unfused_chain(self, dtype, seed, lifetimes):
+        ops = NumpyOps(dtype=dtype)
+        scores, labels, row_mask, col_mask, rates = step_case(seed, lifetimes)
+        scores = scores.astype(dtype)
+        mask = row_mask[:, :, None] * col_mask[:, None, :]
+        grad = ops.empty(scores.shape)
+        ops.sub(ops.mask(labels), scores, grad)
+        grad *= ops.upload(rates.reshape(-1, 1, 1))
+        grad *= ops.mask(mask)
+        for c in range(lifetimes):      # per-lifetime rate == scalar rate
+            want = unfused_gradient(scores[c:c + 1], labels[c:c + 1],
+                                    row_mask[c:c + 1], col_mask[c:c + 1],
+                                    float(rates[c]))
+            assert grad[c:c + 1].tobytes() == want.tobytes()
+        # Padded lanes are (signed) zeros whatever the scores held there.
+        assert not grad[mask == 0.0].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_rows_stay_zero_through_a_plan(self, dtype):
+        """Padded lanes gather and scatter the scratch row; the mask must
+        keep it at zero across every step of a real plan."""
+        from repro.embedding import (EmbeddingModel, NegativeSampler,
+                                     VectorizedDSGLLearner, Vocabulary)
+        from repro.embedding.vectorized import plan_dsgl_slice
+        from repro.utils.rng import CounterStream
+        from repro.walks import Corpus
+
+        rng = np.random.default_rng(4)
+        corpus = Corpus(30)
+        walks = [rng.integers(0, 30, size=n) for n in (9, 2, 5, 1, 7, 3)]
+        for walk in walks:
+            corpus.add_walk(walk)
+        vocab = Vocabulary.from_corpus(corpus)
+        cfg = TrainConfig(dim=8, window=3, negatives=3)
+        ops = NumpyOps(dtype=dtype)
+        learner = VectorizedDSGLLearner(
+            EmbeddingModel(vocab, cfg.dim, seed=2), NegativeSampler(vocab),
+            cfg, rng, neg_stream=CounterStream(5), ops=ops)
+        _, plan = plan_dsgl_slice([(learner, walks, 0.05)])
+        assert (plan.cidx == plan.ctx_gather.size).any()    # padding exists
+        ctx_mega, ctx_start, out_mega, _ = plan.gather(ops)
+        plan.run_steps(ctx_mega, out_mega, ops)
+        assert not ctx_mega[-1].any() and not out_mega[-1].any()
+        assert (ctx_mega[:-1] != ctx_start[:-1]).any()      # it did train
 
 
 class TestProgress64:

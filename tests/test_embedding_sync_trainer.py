@@ -184,6 +184,40 @@ class TestDistributedTrainer:
         assert results["hotness"] < results["full"]
 
 
+class TestTrainerBoundaryGuards:
+    """Bad rates and periods fail at the config; divergence at ``train``."""
+
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_sync_period_must_be_positive(self, period):
+        """A non-positive period never advances a shard cursor: the
+        trainer used to spin forever instead of raising."""
+        with pytest.raises(ValueError, match="sync_period_tokens"):
+            TrainConfig(sync_period_tokens=period)
+
+    @pytest.mark.parametrize("field", ["lr", "min_lr"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: bad})
+
+    def test_min_lr_zero_still_allowed(self):
+        assert TrainConfig(min_lr=0.0).min_lr == 0.0
+
+    def test_diverged_run_raises_where_it_happens(self):
+        """An absurd lr overflows float32; the trainer names the learner,
+        the rate and the first offending row instead of publishing it."""
+        corpus = Corpus(6)
+        for _ in range(8):
+            corpus.add_walk([0, 1, 2, 3, 4, 5, 0, 1, 2, 3])
+        cluster = Cluster(1, np.zeros(6, dtype=np.int64), seed=0)
+        cfg = TrainConfig(dim=4, window=2, negatives=2, epochs=2,
+                          lr=1e38, min_lr=1e38)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError,
+                              match=r"dsgl.*lr=1e\+38.*row \d+"):
+            DistributedTrainer(corpus, cluster, cfg).train()
+
+
 class TestSubsampling:
     def test_disabled_by_default(self):
         corpus = Corpus(5)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.embedding import (
     LEARNERS,
@@ -23,8 +25,12 @@ from repro.embedding import (
     EmbeddingModel,
     NegativeSampler,
     TrainConfig,
+    VectorizedDSGLLearner,
     Vocabulary,
 )
+from repro.embedding.anchor import AnchorRegularizer
+from repro.embedding.trainer import WarmStart
+from repro.embedding.vectorized import plan_dsgl_slice
 from repro.graph import powerlaw_cluster
 from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
 from repro.runtime import Cluster
@@ -211,6 +217,240 @@ class TestTrainerParity:
         for threads, emb in zip((1, 4, 16), outs):
             loop = train_embeddings(corpus, "loop", dsgl_threads=threads)
             np.testing.assert_allclose(loop.embeddings, emb, atol=ATOL)
+
+
+def make_groups(cfg, shards, rates, vocab_nodes=40, seed=1):
+    """Fresh ``(learner, walks, lr)`` groups: cloned replicas, one negative
+    stream per machine -- what one sync round hands the learner."""
+    corpus = Corpus(vocab_nodes)
+    corpus.add_walk(np.arange(vocab_nodes))
+    vocab = Vocabulary.from_corpus(corpus)
+    sampler = NegativeSampler(vocab)
+    base = EmbeddingModel(vocab, cfg.dim, seed=seed)
+    return [(VectorizedDSGLLearner(base.clone(), sampler, cfg,
+                                   np.random.default_rng(0),
+                                   neg_stream=CounterStream(1000 + g)),
+             walks, lr)
+            for g, (walks, lr) in enumerate(zip(shards, rates))]
+
+
+def random_shards(machines, seed, cohort_walks, vocab_nodes=40):
+    """Uneven shards: different cohort counts per machine, one machine
+    whose second cohort holds only length-1 walks (that cohort plans to
+    ``None`` on its own but still draws negatives), and -- from three
+    machines up -- one machine with no slice at all this round."""
+    rng = np.random.default_rng(seed)
+
+    def walks(count, lo=1, hi=14):
+        return [rng.integers(0, vocab_nodes, size=rng.integers(lo, hi))
+                for _ in range(count)]
+
+    shards = []
+    for g in range(machines):
+        if g == 1:
+            shards.append(walks(cohort_walks) + walks(cohort_walks, 1, 2)
+                          + walks(3))
+        elif g == 2:
+            shards.append([])
+        else:
+            shards.append(walks(cohort_walks * (g + 1) + g + 1))
+    return shards
+
+
+def replica_bytes(groups):
+    return [(learner.model.phi_in.tobytes(), learner.model.phi_out.tobytes(),
+             learner.neg_stream.counter) for learner, _, _ in groups]
+
+
+class TestRoundStackedPlan:
+    """One lock-step plan per cohort across machines ≡ machine by machine.
+
+    The machines' slices of a sync round are replica-disjoint and their
+    rates are fixed up front, so stacking cohort *j* of every machine
+    must not change one byte of any replica, nor where any machine's
+    negative stream ends.
+    """
+
+    CFG = dict(dim=8, window=3, negatives=3, multi_windows=2, dsgl_threads=3)
+
+    @pytest.mark.parametrize("machines", (1, 2, 3, 4))
+    def test_stacked_equals_machine_by_machine(self, machines):
+        cfg = TrainConfig(**self.CFG)
+        shards = random_shards(machines, seed=machines,
+                               cohort_walks=cfg.dsgl_threads
+                               * cfg.multi_windows)
+        rates = [0.05 - 0.01 * g for g in range(machines)]
+        apart = make_groups(cfg, shards, rates)
+        used_apart = [learner.train_walks(walks, lr)
+                      for learner, walks, lr in apart]
+        stacked = make_groups(cfg, shards, rates)
+        used_stacked = VectorizedDSGLLearner.train_round(stacked)
+        assert used_stacked == used_apart == \
+            [sum(w.size for w in walks) for walks in shards]
+        assert replica_bytes(stacked) == replica_bytes(apart)
+        # The length-1-only cohort drew its pool although it never trained.
+        if machines > 1:
+            assert stacked[1][0].neg_stream.counter == \
+                cfg.negatives * used_stacked[1]
+
+    def test_loop_reference_matches_stacked_round(self):
+        """The per-lifetime reference (single group, ``c = 1`` plans) runs
+        the same planner and step kernel as the stacked round."""
+        cfg = TrainConfig(**self.CFG)
+        shards = random_shards(3, seed=9, cohort_walks=6)
+        rates = [0.04, 0.03, 0.02]
+        stacked = make_groups(cfg, shards, rates)
+        VectorizedDSGLLearner.train_round(stacked)
+        for (fast, walks, lr) in stacked:
+            model = make_groups(cfg, [walks], [lr])[0][0].model
+            loop = LEARNERS["dsgl"](model, fast.sampler, cfg,
+                                    np.random.default_rng(0),
+                                    neg_stream=CounterStream(
+                                        fast.neg_stream.key))
+            loop.train_walks(walks, lr)
+            assert model.phi_in.tobytes() == fast.model.phi_in.tobytes()
+            assert model.phi_out.tobytes() == fast.model.phi_out.tobytes()
+            assert loop.neg_stream.counter == fast.neg_stream.counter
+
+    def test_empty_round(self):
+        assert VectorizedDSGLLearner.train_round([]) == []
+        cfg = TrainConfig(**self.CFG)
+        groups = make_groups(cfg, [[], []], [0.05, 0.05])
+        before = replica_bytes(groups)
+        assert VectorizedDSGLLearner.train_round(groups) == [0, 0]
+        assert replica_bytes(groups) == before
+
+    @pytest.mark.parametrize("machines", (1, 2, 3, 4))
+    @pytest.mark.parametrize("extras", ("plain", "anchor", "warm"))
+    def test_trainer_bytes_unchanged_by_stacking(self, machines, extras,
+                                                 monkeypatch):
+        """Full trainer, stacked vs one single-group round per machine:
+        uneven shards (the last rounds miss machines), persona anchor,
+        warm start."""
+        corpus = make_corpus(num_nodes=50, num_walks=45, seed=machines)
+        owners = np.random.default_rng(5).integers(
+            0, machines, size=corpus.num_walks).tolist()
+        prior = np.random.default_rng(6).normal(
+            scale=0.1, size=(50, 16)).astype(np.float32)
+        kwargs = {}
+        if extras == "anchor":
+            kwargs["anchor"] = AnchorRegularizer(prior, 0.3)
+        if extras == "warm":
+            kwargs["warm_start"] = WarmStart(prior, prior[::-1].copy())
+
+        def run():
+            cluster = Cluster(machines, np.zeros(50, dtype=np.int64), seed=0)
+            cfg = TrainConfig(dim=16, window=4, negatives=3, epochs=2,
+                              dsgl_threads=2, sync_period_tokens=60,
+                              execution="serial")
+            return DistributedTrainer(corpus, cluster, cfg,
+                                      walk_machines=owners, **kwargs).train()
+
+        stacked = run()
+        whole_round = VectorizedDSGLLearner.train_round
+        monkeypatch.setattr(
+            VectorizedDSGLLearner, "train_round", staticmethod(
+                lambda groups: [whole_round([g])[0] for g in groups]))
+        apart = run()
+        assert stacked.tokens_processed == apart.tokens_processed
+        assert stacked.sync_rounds == apart.sync_rounds
+        assert stacked.embeddings.tobytes() == apart.embeddings.tobytes()
+        assert stacked.model.phi_out.tobytes() == \
+            apart.model.phi_out.tobytes()
+
+    @pytest.mark.parametrize("execution", ("process", "pipeline"))
+    def test_slice_workers_single_group_path_matches_stacked(self,
+                                                             execution):
+        """The executors' workers plan the one group they were handed
+        through the same planner and kernel; bytes match the stacked
+        serial round (anchor on, uneven shards)."""
+        corpus = make_corpus(num_nodes=50, num_walks=45, seed=2)
+        owners = np.random.default_rng(5).integers(
+            0, 3, size=corpus.num_walks).tolist()
+        prior = np.random.default_rng(6).normal(
+            scale=0.1, size=(50, 16)).astype(np.float32)
+        results = {}
+        for mode in ("serial", execution):
+            cluster = Cluster(3, np.zeros(50, dtype=np.int64), seed=0)
+            cfg = TrainConfig(dim=16, window=4, negatives=3, epochs=2,
+                              dsgl_threads=2, sync_period_tokens=60,
+                              execution=mode, workers=2)
+            results[mode] = DistributedTrainer(
+                corpus, cluster, cfg, walk_machines=owners,
+                anchor=AnchorRegularizer(prior, 0.3)).train()
+        assert results[execution].embeddings.tobytes() == \
+            results["serial"].embeddings.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.lists(st.integers(1, 9), min_size=0,
+                                     max_size=9),
+                            min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_ragged_layout_blocks_equal_per_lifetime_plans(self, lengths,
+                                                           seed):
+        """Every ``(step, lifetime)`` block of the ragged step-major
+        tensors equals the same step of that lifetime planned alone (the
+        dense ``[t, :1]`` form the loop reference runs), up to the
+        lifetime's offset into the shared local buffers."""
+        cfg = TrainConfig(dim=4, window=2, negatives=2, multi_windows=2)
+        rng = np.random.default_rng(seed)
+        shards = [[rng.integers(0, 20, size=n) for n in group]
+                  for group in lengths]
+        rates = [0.01 * (g + 1) for g in range(len(shards))]
+        tokens, plan = plan_dsgl_slice(make_groups(cfg, shards, rates, 20))
+        assert tokens == [sum(group) for group in lengths]
+        singles = []          # per-lifetime plans, original lifetime order
+        ctx_base = out_base = 0
+        for learner, walks, lr in make_groups(cfg, shards, rates, 20):
+            if not any(w.size > 1 for w in walks):
+                continue      # whole group stays out of the stacked plan
+            for start in range(0, len(walks), cfg.multi_windows):
+                chunk = walks[start:start + cfg.multi_windows]
+                rows = learner._rows(np.concatenate(chunk))
+                if not rows.size:
+                    continue
+                drawn = CounterStream(learner.neg_stream.key,
+                                      learner.neg_stream.counter)
+                single = plan_dsgl_slice([(learner, chunk, lr)])[1]
+                pool = learner.sampler.sample_rows_stream(
+                    cfg.negatives * rows.size, drawn)
+                # A lifetime without a trainable window plans to None
+                # alone, yet owns buffer rows inside the stacked plan.
+                sizes = (np.unique(rows).size,
+                         np.unique(np.concatenate([rows, pool])).size)
+                if single is not None:
+                    assert sizes == (single.ctx_gather.size,
+                                     single.out_gather.size)
+                singles.append((single, lr, (ctx_base, out_base), sizes))
+                ctx_base += sizes[0]
+                out_base += sizes[1]
+        if plan is None:
+            assert not singles
+            return
+        assert (ctx_base, out_base) == (plan.ctx_gather.size,
+                                        plan.out_gather.size)
+        steps = [0 if single is None else single.num_steps
+                 for single, _, _, _ in singles]
+        order = np.argsort(-np.asarray(steps), kind="stable")
+        off = plan.step_offsets
+        assert off[-1] == sum(steps)
+        for t in range(plan.num_steps):
+            active = [i for i in order if steps[i] > t]
+            assert off[t + 1] - off[t] == len(active)
+            for pos, i in enumerate(active):
+                single, lr, bases, sizes = singles[i]
+                row = off[t] + pos
+                for name, base, size, pad in (
+                        ("cidx", bases[0], sizes[0], ctx_base),
+                        ("oidx", bases[1], sizes[1], out_base)):
+                    want = getattr(single, name)[t]
+                    want = np.where(want == size, pad, want + base)
+                    np.testing.assert_array_equal(
+                        getattr(plan, name)[row], want)
+                np.testing.assert_array_equal(plan.labels[row],
+                                              single.labels[t])
+                np.testing.assert_array_equal(plan.mask[row], single.mask[t])
+                assert plan.lr[pos, 0, 0] == lr
 
 
 class TestBackendResolution:

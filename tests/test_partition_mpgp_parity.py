@@ -191,6 +191,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="backend"):
             MPGPPartitioner(backend="gpu")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, bad):
+        """``nan <= 0`` is False: the slack must be checked for finiteness."""
+        with pytest.raises(ValueError, match="gamma"):
+            PartitionConfig(gamma=bad)
+        with pytest.raises(ValueError, match="gamma"):
+            MPGPPartitioner(gamma=bad)
+
     def test_from_config(self):
         cfg = PartitionConfig(gamma=1.5, order="bfs+degree", seed=4,
                               backend="loop", num_segments=3)

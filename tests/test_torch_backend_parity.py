@@ -212,6 +212,41 @@ class TestOpsByteParity:
         NUMPY_OPS.sigmoid_(host)
         np.testing.assert_array_equal(ops.download(t), host)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_step_gradient_bytes_match(self, dtype):
+        """``sub`` → ``×lr`` → ``×mask`` on tensors ≡ the NumPy seam ≡ the
+        unfused fill/put/mask chain (padded lanes included)."""
+        rng = np.random.default_rng(11)
+        lifetimes, m_max, b_max = 5, 6, 4
+        m_counts = rng.integers(0, m_max + 1, size=lifetimes)
+        o_counts = rng.integers(1, b_max + 1, size=lifetimes)
+        mask = ((np.arange(m_max)[None, :, None] < m_counts[:, None, None])
+                & (np.arange(b_max)[None, None, :]
+                   < o_counts[:, None, None])).astype(np.float32)
+        labels = np.zeros_like(mask)
+        for c in range(lifetimes):
+            labels[c, np.arange(m_counts[c]),
+                   rng.integers(0, o_counts[c], size=m_counts[c])] = 1.0
+        scores = rng.random((lifetimes, m_max, b_max)).astype(dtype)
+        rates = rng.uniform(1e-4, 0.05, size=(lifetimes, 1, 1))
+        grads = []
+        for ops in (NumpyOps(dtype=dtype),
+                    TorchOps(device="cpu", dtype=dtype)):
+            grad = ops.empty(scores.shape)
+            ops.sub(ops.mask(labels), ops.upload(scores.copy()), grad)
+            grad *= ops.upload(rates)
+            grad *= ops.mask(mask)
+            grads.append(np.array(ops.download(grad)))
+        assert grads[0].tobytes() == grads[1].tobytes()
+        for c in range(lifetimes):      # the chain the fusion replaced
+            want = np.zeros((m_max, b_max), dtype=dtype)
+            want.reshape(-1)[np.flatnonzero(labels[c])] = 1.0
+            want -= scores[c]
+            want *= float(rates[c, 0, 0])
+            want *= mask[c].any(axis=1)[:, None]
+            want *= mask[c].any(axis=0)[None, :]
+            assert grads[1][c].tobytes() == want.tobytes()
+
     def test_matmul_bytes_match(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 4)).astype(np.float32)

@@ -90,6 +90,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_positive("x", -1, allow_zero=True)
 
+    @pytest.mark.parametrize("allow_zero", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_check_positive_rejects_non_finite(self, bad, allow_zero):
+        """``nan <= 0`` is False, so a plain comparison lets NaN through."""
+        with pytest.raises(ValueError, match="x"):
+            check_positive("x", bad, allow_zero=allow_zero)
+
     def test_check_probability(self):
         assert check_probability("p", 0.0) == 0.0
         assert check_probability("p", 1.0) == 1.0
