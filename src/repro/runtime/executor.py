@@ -415,9 +415,8 @@ class ProcessWalkRunner:
         lengths = self._lengths.array
         corpus.add_walks(self._paths.array, lengths)
         stats.total_walks += int(lengths.size)
-        stats.walk_lengths.extend(int(length) for length in lengths)
-        walk_machines.extend(
-            int(m) for m in self.cluster.assignment[sources])
+        stats.walk_lengths.extend(lengths.tolist())
+        walk_machines.extend(self.cluster.assignment[sources].tolist())
 
     def close(self) -> None:
         self._pool.shutdown()

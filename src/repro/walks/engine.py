@@ -181,6 +181,15 @@ class WalkConfig:
                 "(per-walker counter streams)"
             )
         check_positive("max_trials_per_step", self.max_trials_per_step)
+        check_positive("walk_length", self.walk_length)
+        check_positive("walks_per_node", self.walks_per_node)
+        # The rules own their parameter checks; building them here makes
+        # a bad mu / length / round bound fail at construction instead of
+        # inside run() -- after the partitioner has already been paid for.
+        WalkLengthRule(mu=self.mu, min_length=self.min_length,
+                       max_length=self.max_length)
+        WalkCountRule(delta=self.delta, min_rounds=self.min_rounds,
+                      max_rounds=self.max_rounds)
 
     def resolved_backend(self) -> str:
         """The backend ``"auto"`` resolves to for this mode."""
@@ -290,7 +299,14 @@ class DistributedWalkEngine:
             )
         if sources is None:
             sources = np.flatnonzero(self.graph.degrees > 0)
-        sources = np.asarray(sources, dtype=np.int64)
+        sources = np.asarray(sources)
+        if sources.size:
+            if not np.issubdtype(sources.dtype, np.integer):
+                raise ValueError(
+                    f"sources must be integer node ids, got {sources.dtype}")
+            if sources.min() < 0 or sources.max() >= self.graph.num_nodes:
+                raise ValueError("sources contain node ids outside the graph")
+        sources = sources.astype(np.int64, copy=False)
 
         corpus = Corpus(self.graph.num_nodes)
         stats = WalkStats()
@@ -407,7 +423,7 @@ class DistributedWalkEngine:
                 stats.total_trials += trial_count
                 stats.total_steps += step_count
                 stats.total_walks += int(lengths.size)
-                stats.walk_lengths.extend(int(length) for length in lengths)
+                stats.walk_lengths.extend(lengths.tolist())
                 runner.release_round()
                 stats.rounds += 1
                 if count_rule is not None:
@@ -420,9 +436,8 @@ class DistributedWalkEngine:
             # a pure function of the walk seed root.
             cluster.assignment = np.asarray(partition_join(),
                                             dtype=np.int64)
-        round_machines = cluster.assignment[sources]
-        for _ in range(stats.rounds):
-            walk_machines.extend(int(m) for m in round_machines)
+        walk_machines.extend(
+            cluster.assignment[sources].tolist() * stats.rounds)
         accounting.apply(cluster.assignment, cluster.metrics)
 
     # ------------------------------------------------------------------ #

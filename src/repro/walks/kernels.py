@@ -28,8 +28,9 @@ Two stepping interfaces coexist:
 :func:`common_neighbor_counts_per_arc` and
 :meth:`HuGEKernel.arc_acceptance_table` precompute Eq. 3 for every stored
 arc in one pass; the vectorized engine looks acceptance probabilities up
-by flat arc index while the loop engine computes them on demand through
-the same (cache-shared) scalar code, keeping the two backends bit-equal.
+by flat arc index while the loop engine computes them on demand with the
+same IEEE operations and the same libm ``tanh``, keeping the two backends
+bit-equal.
 """
 
 from __future__ import annotations
@@ -284,28 +285,33 @@ class HuGEKernel:
     def arc_acceptance_table(self) -> np.ndarray:
         """``P(u, v)`` of Eq. 3 for every stored arc, by flat arc index.
 
-        Common-neighbour counts are produced by the vectorised
-        :func:`common_neighbor_counts_per_arc` pass and pre-seeded into the
-        scalar cache, then every probability is evaluated through
-        :meth:`acceptance_probability` itself -- so the table the batch
-        engine indexes is bit-identical to what the loop engine computes on
-        demand (HuGE+ overrides flow through automatically).  Cached on the
-        kernel after the first call.
+        Built as arrays from the vectorised
+        :func:`common_neighbor_counts_per_arc` pass with the IEEE
+        operations :meth:`acceptance_probability` performs per arc, and
+        ``Z`` applied through the same scalar libm function -- so the table
+        the batch engine indexes is bit-identical to what the loop engine
+        computes on demand.  Cached on the kernel after the first call.
         """
-        if getattr(self, "_arc_acceptance", None) is None:
-            graph = self.graph
-            cm = common_neighbor_counts_per_arc(graph)
-            src = np.repeat(np.arange(graph.num_nodes, dtype=np.int64),
-                            graph.degrees)
-            dst = graph.indices
-            keys = np.where(src < dst, src * self._n + dst,
-                            dst * self._n + src)
-            self._cm_cache.update(zip(keys.tolist(), cm.tolist()))
-            table = np.empty(graph.num_stored_edges, dtype=np.float64)
-            for arc, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
-                table[arc] = self.acceptance_probability(u, v)
-            self._arc_acceptance = table
+        if self._arc_acceptance is None:
+            self._arc_acceptance = self._build_arc_table()
         return self._arc_acceptance
+
+    def _build_arc_table(self) -> np.ndarray:
+        graph = self.graph
+        deg_u = np.repeat(graph.degrees, graph.degrees)
+        deg_v = graph.degrees[graph.indices]
+        denom = deg_u - common_neighbor_counts_per_arc(graph)
+        # Dead-end target or every neighbour shared: accepted outright.
+        live = np.flatnonzero((deg_v > 0) & (denom > 0))
+        deg_u, deg_v = deg_u[live], deg_v[live]
+        alpha = np.maximum(deg_u / deg_v, deg_v / deg_u) / denom[live]
+        if graph.is_weighted:
+            alpha *= graph.weights[live]
+        table = np.ones(graph.num_stored_edges, dtype=np.float64)
+        # math.tanh, not np.tanh: NumPy's SIMD tanh is not guaranteed to
+        # round like the libm call the scalar path makes.
+        table[live] = [math.tanh(a) for a in alpha.tolist()]
+        return table
 
 
 @dataclass
@@ -331,6 +337,16 @@ class HuGEPlusKernel(HuGEKernel):
         base = super().acceptance_probability(u, v)
         info = 1.0 + math.log1p(self.graph.degree(v)) / self._log_max_deg
         return math.tanh(math.atanh(min(base, 1.0 - 1e-12)) * info)
+
+    def _build_arc_table(self) -> np.ndarray:
+        base = np.minimum(super()._build_arc_table(), 1.0 - 1e-12)
+        info = np.array([1.0 + math.log1p(d) / self._log_max_deg
+                         for d in self.graph.degrees.tolist()])
+        return np.array([
+            math.tanh(math.atanh(b) * i)
+            for b, i in zip(base.tolist(),
+                            info[self.graph.indices].tolist())
+        ], dtype=np.float64)
 
 
 KERNELS = {

@@ -62,6 +62,10 @@ from repro.walks.termination import WalkLengthRule
 #: Constant InCoM walker-message size (80 bytes, paper §3.1).
 _INCOM_MESSAGE_BYTES = IncrementalMessage(0, 0, 0).byte_size()
 
+#: Lanes (live walkers x block width) a superstep may evaluate; keeps the
+#: trial block's scratch O(round).
+_BLOCK_SCRATCH_LANES = 1 << 18
+
 
 def batch_walk_matrix(
     graph: CSRGraph,
@@ -352,9 +356,10 @@ class BatchWalkRunner:
         it (== every accumulator's observation count).
         """
         pn = prior.astype(np.float64)
-        self._S[idx] += _xlog2x_batch(pn + 1.0) - _xlog2x_batch(pn)
+        s = self._S[idx] + (_xlog2x_batch(pn + 1.0) - _xlog2x_batch(pn))
+        self._S[idx] = s
         lf = lengths_after.astype(np.float64)
-        h = np.log2(lf) - self._S[idx] / lf
+        h = np.log2(lf) - s / lf
         for arr, x in (
             (self._e_h, h),
             (self._e_l, lf),
@@ -362,14 +367,16 @@ class BatchWalkRunner:
             (self._e_h2, h * h),
             (self._e_l2, lf * lf),
         ):
-            arr[idx] += (x - arr[idx]) / lf
+            old = arr[idx]
+            arr[idx] = old + (x - old) / lf
 
     def _r_squared(self, idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Batch twin of ``IncrementalCorrelation.r_squared`` (same guards,
         same arithmetic, same clipping)."""
-        var_x = self._e_h2[idx] - self._e_h[idx] * self._e_h[idx]
-        var_y = self._e_l2[idx] - self._e_l[idx] * self._e_l[idx]
-        cov = self._e_hl[idx] - self._e_h[idx] * self._e_l[idx]
+        e_h, e_l = self._e_h[idx], self._e_l[idx]
+        var_x = self._e_h2[idx] - e_h * e_h
+        var_y = self._e_l2[idx] - e_l * e_l
+        cov = self._e_hl[idx] - e_h * e_l
         r = np.ones(idx.size, dtype=np.float64)
         ok = (counts >= 2) & (var_x > 1e-15) & (var_y > 1e-15)
         r[ok] = cov[ok] / np.sqrt(var_x[ok] * var_y[ok])
@@ -382,29 +389,30 @@ class BatchWalkRunner:
 
     def _propose(self, cur: np.ndarray, u1: np.ndarray):
         """Uniform→candidate map shared by the rejection kernels; returns
-        ``(candidate, local_index)`` exactly like ``propose_with_uniform``."""
+        ``(candidate, flat_arc_index)`` -- ``propose_with_uniform``'s
+        candidate, with its local index already offset by the row start."""
         deg = self._degrees[cur]
+        starts = self._indptr[cur]
         if self._row_cumsum is None:
             k = (u1 * deg).astype(np.int64)
         else:
-            starts = self._indptr[cur]
-            totals = self._row_cumsum[self._indptr[cur + 1] - 1]
+            totals = self._row_cumsum[starts + deg - 1]
             k = _bisect_rows(self._row_cumsum, starts, deg, u1 * totals,
                              right=True)
         np.minimum(k, deg - 1, out=k)
-        return self._indices[self._indptr[cur] + k], k
+        k += starts
+        return self._indices[k], k
 
     def _trial(self, cur: np.ndarray, prev: np.ndarray, u1: np.ndarray,
                u2: np.ndarray, forced: np.ndarray):
         """One batched sampling trial: ``(candidates, accepted_mask)``."""
         if self.kind == "node2vec-alias":
             return self._trial_alias(cur, prev, u1, u2)
-        cand, k = self._propose(cur, u1)
+        cand, arc = self._propose(cur, u1)
         if self.kind == "deepwalk":
             return cand, np.ones(cur.size, dtype=bool)
         if self.kind in ("huge", "huge+"):
-            p_acc = self._arc_accept[self._indptr[cur] + k]
-            return cand, (u2 < p_acc) | forced
+            return cand, (u2 < self._arc_accept[arc]) | forced
         # node2vec: KnightKing's rejection envelope, batched.
         kernel = self.kernel
         first = prev < 0
@@ -449,6 +457,16 @@ class BatchWalkRunner:
             cand[so] = self._indices[self._indptr[cur[so]] + slot]
         return cand, np.ones(cur.size, dtype=bool)
 
+    def _block_width(self, spent: int, hops: int, alive: int) -> int:
+        """Trials per live walker in the next superstep's block: the
+        call's running trials per accepted step, rounded up (a kernel that
+        never rejects stays at 1 and draws only the uniforms it consumes),
+        never past the forced-hop horizon or the scratch budget.  Any
+        width yields the same bytes."""
+        width = -(-spent // hops) if hops else 1
+        return max(1, min(width, self.config.max_trials_per_step + 1,
+                          _BLOCK_SCRATCH_LANES // alive))
+
     # ------------------------------------------------------------------ #
     # One round
     # ------------------------------------------------------------------ #
@@ -472,8 +490,8 @@ class BatchWalkRunner:
         # protocol; the loop backend emits the same order).
         corpus.add_walks(paths, lengths)
         stats.total_walks += n
-        stats.walk_lengths.extend(int(length) for length in lengths)
-        walk_machines.extend(int(m) for m in self._assignment[sources])
+        stats.walk_lengths.extend(lengths.tolist())
+        walk_machines.extend(self._assignment[sources].tolist())
 
     def run_walks(self, sources: np.ndarray, walk_ids: np.ndarray, stats,
                   paths_out: Optional[np.ndarray] = None,
@@ -541,81 +559,113 @@ class BatchWalkRunner:
             # observe(source): prior count 0, one token on the path.
             self._observe(np.arange(n), np.zeros(n, dtype=np.int64), lengths)
 
+        # Supersteps, not trials: a block is never slower than one trial.
         max_iters = cap * (cfg.max_trials_per_step + 2) + 8
+        spent = hops = 0   # this call's trials / accepted steps so far
         for _ in range(max_iters):
             alive = np.flatnonzero(active)
             if alive.size == 0:
                 break
             # 1) Termination sweep -- same decision order as the loop
             #    engine's _walk_finished: dead end, then the length rule.
-            done = self._degrees[current[alive]] == 0
+            cur = current[alive]
+            at = lengths[alive]
+            done = self._degrees[cur] == 0
             if self.info_mode:
-                r2 = self._r_squared(alive, lengths[alive])
-                done |= self.length_rule.stop_mask(lengths[alive], r2)
+                done |= self.length_rule.stop_mask(
+                    at, self._r_squared(alive, at))
             else:
-                done |= lengths[alive] >= cfg.walk_length
+                done |= at >= cfg.walk_length
             if done.any():
                 active[alive[done]] = False
-                alive = alive[~done]
+                keep = ~done
+                alive, cur, at = alive[keep], cur[keep], at[keep]
             if alive.size == 0:
                 continue
 
-            # 2) One trial per remaining walker: two stream uniforms each.
-            u1 = stream_uniforms(keys[alive], counters[alive])
-            u2 = stream_uniforms(keys[alive], counters[alive] + np.uint64(1))
-            counters[alive] += np.uint64(2)
-            forced = trials_at_step[alive] >= cfg.max_trials_per_step
-            cand, accepted = self._trial(current[alive], previous[alive],
-                                         u1, u2, forced)
+            # 2) A block of ``width`` trials per remaining walker.  A
+            #    walker stands still between rejections and its stream is
+            #    a pure function of (key, counter), so lane t is the trial
+            #    it would run t supersteps from now: counters c+2t (propose)
+            #    and c+2t+1 (accept), forced once trials_at_step + t hits
+            #    the cap.  The first accepted lane decides the hop; lanes
+            #    behind it are dropped, their counters never consumed.
+            width = self._block_width(spent, hops, alive.size)
+            lanes = np.arange(2 * width, dtype=np.uint64).reshape(width, 2).T
+            u1, u2 = stream_uniforms(
+                keys[alive][:, None],
+                counters[alive][:, None] + lanes[:, None, :])
+            forced = np.arange(width) >= (
+                cfg.max_trials_per_step - trials_at_step[alive])[:, None]
+            cand, accepted = self._trial(
+                np.repeat(cur, width), np.repeat(previous[alive], width),
+                u1.ravel(), u2.ravel(), forced.ravel())
+            # Lanes are walker-major, so a walker's first accepted lane is
+            # the head of its run in the sorted list of accepted lanes.
+            lane = np.flatnonzero(accepted)
+            owner = lane // width
+            head = np.ones(lane.size, dtype=bool)
+            np.not_equal(owner[1:], owner[:-1], out=head[1:])
+            win = lane[head]     # flat lane that decides each hop
+            sel = owner[head]    # its walker, as a position in ``alive``
+            used = np.full(alive.size, width, dtype=np.int64)
+            used[sel] = win - sel * width + 1
+            counters[alive] += (2 * used).astype(np.uint64)
+            spent += int(used.sum())
 
             if deferred:
-                # One trial spent towards the token at position lengths[i]
+                # Trials spent towards the token at position lengths[i]
                 # (the position the accepted step will eventually fill;
                 # rejected trials accumulate on the same slot because the
                 # walker does not move between rejections).
-                trials_out[alive, lengths[alive]] += 1
+                trials_out[alive, at] += used
             else:
-                stats.total_trials += int(alive.size)
-                trial_machines = self._assignment[current[alive]]
-                counts = np.bincount(trial_machines, minlength=num_machines)
+                trial_machines = self._assignment[cur]
+                # Integer-valued float sums: exact, so crediting a block
+                # at once equals crediting its trials one superstep each.
+                counts = np.bincount(trial_machines, weights=used,
+                                     minlength=num_machines)
                 for m in np.flatnonzero(counts):
                     metrics.record_compute(int(m), float(counts[m]))
 
-            rejected = alive[~accepted]
-            trials_at_step[rejected] += 1
-
-            idx = alive[accepted]
-            if idx.size == 0:
+            # Accepting walkers are reset to 0 below.
+            trials_at_step[alive] += width
+            if sel.size == 0:
                 continue
-            hop = cand[accepted]
-            src_m = None if deferred else trial_machines[accepted]
-            # Occurrences of the accepted node on the path so far: the
-            # batch form of InCoM's per-walker visit counters.  This scan
-            # is O(current length) per step -- bounded by max_length (80
-            # at paper scale), where one vectorised comparison row beats
-            # any per-walker hash structure; the simulated cost model
-            # still credits the paper's O(1) InCoM update, which the
-            # scalar backend's dict counters realise literally.
-            prior = (paths[idx, :int(lengths[idx].max())]
-                     == hop[:, None]).sum(axis=1)
-            previous[idx] = current[idx]
+            idx = alive[sel]
+            hops += int(sel.size)
+            hop = cand[win]
+            src_m = None if deferred else trial_machines[sel]
+            pos = at[sel]
+            if self.info_mode:
+                # Occurrences of the accepted node on the path so far: the
+                # batch form of InCoM's per-walker visit counters.  This
+                # scan is O(current length) per step -- bounded by
+                # max_length (80 at paper scale), where one vectorised
+                # comparison row beats any per-walker hash structure; the
+                # simulated cost model still credits the paper's O(1)
+                # InCoM update, which the scalar backend's dict counters
+                # realise literally.
+                prior = (paths[idx, :int(pos.max())]
+                         == hop[:, None]).sum(axis=1)
+            previous[idx] = cur[sel]
             current[idx] = hop
-            paths[idx, lengths[idx]] = hop
-            lengths[idx] += 1
+            paths[idx, pos] = hop
+            pos += 1
+            lengths[idx] = pos
             trials_at_step[idx] = 0
             if deferred:
                 # Steps, InCoM measurement cost and message crossings are
                 # all recoverable from (paths, lengths, trials) once the
                 # assignment is known; only the InCoM state advances here.
                 if self.info_mode:
-                    self._observe(idx, prior, lengths[idx])
+                    self._observe(idx, prior, pos)
                 continue
-            stats.total_steps += int(idx.size)
             step_counts = np.bincount(src_m, minlength=num_machines)
             for m in np.flatnonzero(step_counts):
                 metrics.record_local_step(int(m), int(step_counts[m]))
             if self.info_mode:
-                self._observe(idx, prior, lengths[idx])
+                self._observe(idx, prior, pos)
                 # InCoM measurement cost: O(1) per accepted step.
                 for m in np.flatnonzero(step_counts):
                     metrics.record_compute(int(m), float(step_counts[m]))
@@ -633,6 +683,10 @@ class BatchWalkRunner:
                     )
         else:
             raise RuntimeError(
-                f"batched walk round did not converge in {max_iters} trials"
+                f"batched walk round did not converge in {max_iters} "
+                "supersteps"
             )
+        if not deferred:
+            stats.total_trials += spent
+            stats.total_steps += hops
         return paths, lengths

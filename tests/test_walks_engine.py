@@ -35,6 +35,31 @@ class TestWalkConfig:
         with pytest.raises(ValueError):
             WalkConfig(mode="magic")
 
+    @pytest.mark.parametrize("kwargs,match", (
+        (dict(min_length=5, max_length=3), "max_length 3 < min_length 5"),
+        (dict(max_length=0), "max_length 0 < min_length"),
+        (dict(min_length=0), "min_length"),
+        (dict(max_rounds=0), "max_rounds 0 < min_rounds"),
+        (dict(min_rounds=0), "min_rounds"),
+        (dict(mu=float("nan")), "mu"),
+        (dict(mu=1.5), "mu"),
+        (dict(delta=0.0), "delta"),
+        (dict(mode="routine", walk_length=0), "walk_length"),
+        (dict(mode="routine", walks_per_node=0), "walks_per_node"),
+        (dict(walk_length=-3), "walk_length"),
+    ))
+    def test_unrunnable_config_rejected_at_construction(self, kwargs, match):
+        """Everything ``run()`` would trip over later -- inside the
+        length/count rules, or as an IndexError / a silently empty corpus
+        in routine mode -- fails when the config is built."""
+        with pytest.raises(ValueError, match=match):
+            WalkConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        WalkConfig(min_length=1, max_length=1, min_rounds=1, max_rounds=1,
+                   mu=0.0, walk_length=1, walks_per_node=1)
+        WalkConfig(mu=1.0)
+
 
 class TestCorpus:
     def test_add_and_occurrences(self):
@@ -229,6 +254,40 @@ class TestEngine:
         result = DistributedWalkEngine(g, cluster, cfg).run()
         # Walks from 0 and 1 stop at node 2 before reaching length 50.
         assert max(result.stats.walk_lengths) <= 3
+
+    @pytest.mark.parametrize("backend", ("vectorized", "loop"))
+    @pytest.mark.parametrize("bad,match", (
+        ([40], "outside the graph"),       # == num_nodes
+        ([-1], "outside the graph"),       # would wrap to node n-1
+        ([0, 3, 41], "outside the graph"),
+        ([0.5], "integer node ids"),       # astype would truncate to 0
+        ([1.0, 2.0], "integer node ids"),
+        ([True, False], "integer node ids"),
+    ))
+    def test_bad_sources_rejected_before_any_walk(self, small_graph, backend,
+                                                  bad, match):
+        engine = DistributedWalkEngine(
+            small_graph, make_cluster(small_graph),
+            WalkConfig.distger(max_rounds=1, min_rounds=1, backend=backend,
+                               rng_protocol="walker"))
+        with pytest.raises(ValueError, match=match):
+            engine.run(sources=bad)
+        # Nothing was sampled or charged before the refusal.
+        assert engine.cluster.metrics.total_compute == 0.0
+
+    def test_integer_sources_of_any_width_accepted(self, small_graph):
+        engine = DistributedWalkEngine(
+            small_graph, make_cluster(small_graph),
+            WalkConfig.distger(max_rounds=1, min_rounds=1))
+        ref = engine.run(sources=[0, 39, 7])
+        again = DistributedWalkEngine(
+            small_graph, make_cluster(small_graph),
+            WalkConfig.distger(max_rounds=1, min_rounds=1),
+        ).run(sources=np.array([0, 39, 7], dtype=np.uint8))
+        assert [w[0] for w in ref.corpus.walks] == [0, 39, 7]
+        for a, b in zip(ref.corpus.walks, again.corpus.walks):
+            np.testing.assert_array_equal(a, b)
+        assert engine.run(sources=[]).corpus.num_walks == 0
 
     def test_assignment_size_mismatch_rejected(self, small_graph):
         cluster = Cluster(2, np.zeros(3, dtype=np.int64), seed=0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, ring_of_cliques, star
+from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques, rmat, star
 from repro.walks import (
     DeepWalkKernel,
     HuGEKernel,
@@ -129,6 +129,78 @@ class TestHuGEPlus:
         for u in medium_graph.neighbors(hub)[:5]:
             assert plus.acceptance_probability(int(u), hub) >= \
                 base.acceptance_probability(int(u), hub) - 1e-12
+
+
+def scalar_arc_table(kernel) -> np.ndarray:
+    """``acceptance_probability`` called once per stored arc."""
+    graph = kernel.graph
+    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    return np.array([kernel.acceptance_probability(int(u), int(v))
+                     for u, v in zip(src, graph.indices)], dtype=np.float64)
+
+
+TABLE_GRAPHS = {
+    "unweighted": lambda: rmat(7, edge_factor=6, seed=2),
+    "weighted": lambda: powerlaw_cluster(150, attach=4, seed=1)
+    .with_random_weights(np.random.default_rng(8)),
+    # 5 and 6 have no out-arcs: (3,5), (4,6), (0,6) end on degree zero.
+    "directed": lambda: CSRGraph.from_edges(
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (3, 5), (4, 6), (4, 0),
+         (0, 6), (2, 4)], num_nodes=7, directed=True),
+    "weighted-directed": lambda: CSRGraph.from_edges(
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (3, 5), (2, 4)],
+        weights=[0.3, 2.5, 1e-3, 40.0, 1.0, 7.0, 0.25], num_nodes=6,
+        directed=True),
+}
+
+
+class TestArcAcceptanceTable:
+    """The array-built table is the scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", ("huge", "huge+"))
+    @pytest.mark.parametrize("family", sorted(TABLE_GRAPHS))
+    def test_equals_per_arc_scalar_loop(self, family, name):
+        graph = TABLE_GRAPHS[family]()
+        table = make_kernel(name, graph).arc_acceptance_table()
+        assert table.dtype == np.float64
+        assert table.shape == (graph.num_stored_edges,)
+        # A fresh kernel: the scalar path must not lean on table state.
+        np.testing.assert_array_equal(
+            table, scalar_arc_table(make_kernel(name, graph)))
+
+    @pytest.mark.parametrize("name", ("huge", "huge+"))
+    def test_zero_degree_endpoint(self, name):
+        graph = TABLE_GRAPHS["directed"]()
+        kernel = make_kernel(name, graph)
+        table = kernel.arc_acceptance_table()
+        dead = np.flatnonzero(graph.degrees[graph.indices] == 0)
+        scalar = [kernel.acceptance_probability(u, v)
+                  for u, v in ((0, 6), (3, 5), (4, 6))]   # arc order
+        # HuGE accepts a hop onto a dead end outright; HuGE+ rescales it.
+        if name == "huge":
+            assert scalar == [1.0, 1.0, 1.0]
+        assert table[dead].tolist() == scalar
+
+    @pytest.mark.parametrize("name", ("huge", "huge+"))
+    def test_nonpositive_denominator_arc(self, name):
+        """``deg u − Cm <= 0`` cannot arise on a simple graph (v itself
+        is in N(u) and never in N(v)), so forge the shared counts: the
+        guard both paths carry must still agree."""
+        graph = CSRGraph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        forged = np.zeros(graph.num_stored_edges, dtype=np.int64)
+        forged[0] = 3                    # arc (0, 1): deg 0 == 3 == Cm
+        forged[1] = 5                    # arc (0, 2): Cm > deg
+        graph.__dict__["_arc_common_neighbors"] = forged
+        kernel = make_kernel(name, graph)
+        kernel._cm_cache.update({0 * 4 + 1: 3, 0 * 4 + 2: 5})
+        table = kernel.arc_acceptance_table()
+        if name == "huge":
+            assert table[0] == table[1] == 1.0
+        np.testing.assert_array_equal(table[:2], scalar_arc_table(kernel)[:2])
+
+    def test_table_is_cached(self, small_graph):
+        kernel = HuGEKernel(small_graph)
+        assert kernel.arc_acceptance_table() is kernel.arc_acceptance_table()
 
 
 class TestFactory:

@@ -7,15 +7,19 @@ decisions, same trial counts, and the same simulated cluster accounting
 (compute units, local steps, message counts/bytes/matrix).  The suite runs
 every kernel in both vectorizable modes over undirected, weighted and
 directed graphs, and checks the oracles of :mod:`repro.walks.reference`
-against both backends alike.
+against both backends alike.  The loop engine runs one trial at a time,
+so it is also the oracle for block trials: whatever width the batched
+engine evaluates per superstep, it must land on the loop engine's bytes.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques
+from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques, rmat
 from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
 from repro.runtime import Cluster
 from repro.walks import (
@@ -23,6 +27,7 @@ from repro.walks import (
     WalkConfig,
     huge_effective_transition_matrix,
 )
+from repro.walks.vectorized import BatchWalkRunner
 
 ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
 VECTOR_MODES = ("incom", "routine")
@@ -118,6 +123,41 @@ class TestBackendParity:
         loop_cfg, vec_cfg = configs("huge", "incom", max_trials_per_step=1)
         a, ca, _ = run_engine(star_graph, loop_cfg)
         b, cb, _ = run_engine(star_graph, vec_cfg)
+        assert_runs_identical(a, ca, b, cb)
+
+
+class TestBlockWidthParity:
+    """The batched engine at any block width ≡ the per-walker loop."""
+
+    @pytest.mark.parametrize("width", (1, 2, 3, 8, 33))
+    @pytest.mark.parametrize("mode", VECTOR_MODES)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    def test_fixed_width_matches_loop(self, kernel, mode, width):
+        graph = rmat(6, edge_factor=6, seed=3).with_random_weights(
+            np.random.default_rng(5))
+        loop_cfg, vec_cfg = configs(kernel, mode, p=0.5, q=2.0,
+                                    max_length=30)
+        a, ca, _ = run_engine(graph, loop_cfg, machines=3)
+        with mock.patch.object(BatchWalkRunner, "_block_width",
+                               lambda self, spent, hops, alive: width):
+            b, cb, _ = run_engine(graph, vec_cfg, machines=3)
+        assert_runs_identical(a, ca, b, cb)
+
+    @pytest.mark.parametrize("width", (2, 3))
+    @pytest.mark.parametrize("cap", (1, 2, 3))
+    def test_forced_hop_straddling_a_block(self, cap, width):
+        graph = CSRGraph.from_edges(
+            np.random.default_rng(11).integers(0, 48, size=(160, 2)),
+            num_nodes=48, directed=True)
+        loop_cfg, vec_cfg = configs("huge", "incom", max_trials_per_step=cap)
+        a, ca, _ = run_engine(graph, loop_cfg, machines=2)
+        with mock.patch.object(BatchWalkRunner, "_block_width",
+                               lambda self, spent, hops, alive: width):
+            b, cb, _ = run_engine(graph, vec_cfg, machines=2)
+        # Forced hops happened: more trials than steps, yet never more
+        # than cap + 1 per step.
+        assert a.stats.total_steps < a.stats.total_trials
+        assert a.stats.total_trials <= (cap + 1) * a.stats.total_steps
         assert_runs_identical(a, ca, b, cb)
 
 
