@@ -75,8 +75,8 @@ def test_fig10a_vectorized_backend_speedup(benchmark):
     seconds, tokens = {}, {}
     for backend in ("vectorized", "loop"):
         cluster = Cluster(4, assignment, seed=1)
-        cfg = WalkConfig.distger(backend=backend, rng_protocol="walker",
-                                 max_rounds=1, min_rounds=1)
+        cfg = WalkConfig.distger(backend=backend, max_rounds=1,
+                                 min_rounds=1)
         engine = DistributedWalkEngine(graph, cluster, cfg)
         start = time.perf_counter()
         result = engine.run()

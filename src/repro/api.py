@@ -11,40 +11,41 @@ overrides expose the generic API of paper §6.6 (e.g. DeepWalk or node2vec
 walks with information-centric termination on DistGER).
 
 Walk-based methods accept every :class:`repro.walks.engine.WalkConfig`
-field as a flat keyword, including the execution knobs: ``backend``
+field as a flat keyword, including the execution knob ``backend``
 (``"auto"``/``"vectorized"``/``"loop"``; auto picks the batched NumPy
 engine wherever semantics match, i.e. the ``routine`` and ``incom``
-modes) and ``rng_protocol`` (``"walker"``, the default, for
-scheduling-independent per-walker streams; ``"cluster"`` for the legacy
-per-machine generators).  ``embed_graph(g, backend="loop")`` therefore
-runs the reference loop engine on the same random streams the vectorized
+modes).  All walk randomness comes from scheduling-independent
+per-walker counter streams, so ``embed_graph(g, backend="loop")`` runs
+the reference loop engine on the same random streams the vectorized
 backend consumes -- producing the identical corpus, only slower.
 
 The trainer's and partitioner's execution backends are exposed the same
-way under prefixed names (the bare names address the walk engine):
-``train_backend`` / ``train_rng_protocol`` map onto
-:class:`repro.embedding.model.TrainConfig` (loop vs batched learners,
-shared counter-based negative streams) and ``partition_backend`` onto
-DistGER's MPGP partitioner (on-demand galloping vs the precomputed
-per-arc common-neighbour table).  Each phase's loop/vectorized pair is
-result-identical under its parity protocol, so these knobs trade speed
-only.  ``train_backend="torch"`` (optional dependency, validated eagerly
-with an install hint) runs the batched slice plans on torch tensors; its
+way under prefixed names (the bare name addresses the walk engine):
+``train_backend`` maps onto :class:`repro.embedding.model.TrainConfig`
+(loop vs batched learners over the same counter-based negative streams)
+and ``partition_backend`` onto DistGER's MPGP partitioner (on-demand
+galloping vs the precomputed per-arc common-neighbour table).  Each
+phase's loop/vectorized pair is result-identical under its parity
+protocol, so these knobs trade speed only.  ``train_backend="torch"``
+(optional dependency, validated eagerly with an install hint) runs the
+batched slice plans on torch tensors; its
 ``torch_device``/``torch_dtype`` knobs are TrainConfig fields and route
 flat like any other -- the CPU tier holds the same byte-parity contract,
 the CUDA tier is gated on task quality instead.
 
 ``execution`` and ``workers`` are pipeline-wide: ``embed_graph(g,
-execution="process", workers=4)`` pushes walk rounds, training slices and
-(for the MPGP methods) parallel-partition segments onto real worker
-processes (:mod:`repro.runtime.executor`).  ``execution="pipeline"`` is
-the streaming superset: the same worker pools, plus overlap *between*
-phases -- the partitioner runs concurrently with walk sampling, and walk
-rounds sample ahead through a bounded queue while the parent flushes the
-previous round into the corpus, with the trainer's slice consumption
-gated on walk residency (:mod:`repro.runtime.pipeline`).  Because all
-randomness is counter-based, both backends reproduce serial runs byte
-for byte -- the knobs trade wall-clock only
+execution="process", workers=4)`` pushes walk rounds, training slices
+and (for the MPGP methods) parallel-partition segments onto real worker
+processes (:mod:`repro.runtime.executor`), each phase behind a barrier
+(walks: one per round).  ``execution="pipeline"`` is the streaming
+superset: the same worker pools and the same walk runner, plus overlap
+*between* phases -- the partitioner runs concurrently with walk
+sampling, and walk rounds sample ahead through a bounded queue while the
+parent flushes the previous round into the corpus, with the trainer's
+slice consumption gated on walk residency
+(:mod:`repro.runtime.pipeline`).  Because all randomness is
+counter-based, both backends reproduce serial runs byte for byte -- the
+knobs trade wall-clock only
 (``benchmarks/bench_fig5_pipeline_overlap.py`` gates the end-to-end
 overlap speedup).  Per-phase overrides still win:
 ``walk_overrides={"execution": "serial"}`` keeps just the walks serial.
@@ -104,23 +105,21 @@ _MPGP_METHODS = ("distger", "distger-gpu")
 # Flat hyper-parameter names accepted by embed_graph for the walk-based
 # systems and routed into their train/walk override dicts, so callers (and
 # grid searches) can write embed_graph(g, lr=0.05, mu=0.9) directly.
-# ``backend``/``rng_protocol`` exist on both WalkConfig and TrainConfig:
-# the bare names keep addressing the walk engine (historical behaviour),
-# while the prefixed aliases below address the trainer and partitioner.
+# ``backend`` exists on both WalkConfig and TrainConfig: the bare name
+# keeps addressing the walk engine (historical behaviour), while the
+# prefixed aliases below address the trainer and partitioner.
 #: Pipeline-wide executor knobs: these exist on WalkConfig, TrainConfig
 #: and PartitionConfig alike and a flat value fans out to every phase.
 _SHARED_EXEC_FIELDS = ("execution", "workers", "backing", "spill_dir")
 _TRAIN_FIELDS = frozenset(
     f.name for f in dataclasses.fields(TrainConfig)
-) - {"dim", "epochs", "seed", "backend", "rng_protocol",
-     *_SHARED_EXEC_FIELDS}
+) - {"dim", "epochs", "seed", "backend", *_SHARED_EXEC_FIELDS}
 _WALK_FIELDS = frozenset(
     f.name for f in dataclasses.fields(WalkConfig)
 ) - {"kernel", "mode", *_SHARED_EXEC_FIELDS}
 #: Prefixed execution-knob aliases: flat name -> (override dict, field).
 _PREFIXED_FIELDS = {
     "train_backend": ("train_overrides", "backend"),
-    "train_rng_protocol": ("train_overrides", "rng_protocol"),
     "partition_backend": ("partition_overrides", "backend"),
 }
 
@@ -130,8 +129,7 @@ def _route_overrides(key: str, kwargs: dict) -> dict:
     if key not in _WALK_METHODS:
         # Fail with a clear message instead of the constructor's TypeError
         # when an execution-backend knob reaches a non-walk system.
-        rejected = [name for name in ("backend", "rng_protocol",
-                                      *_SHARED_EXEC_FIELDS,
+        rejected = [name for name in ("backend", *_SHARED_EXEC_FIELDS,
                                       *_PREFIXED_FIELDS) if name in kwargs]
         if rejected:
             raise ValueError(

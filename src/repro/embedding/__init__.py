@@ -9,8 +9,8 @@ Every learner (except the inherently sequential pSGNScc) runs on two
 execution backends selected by ``TrainConfig.backend``: the per-window
 ``"loop"`` reference and the batched ``"vectorized"`` engine of
 :mod:`repro.embedding.vectorized`, which produce bit-identical embeddings
-under the shared counter-based negative-sampling protocol
-(``TrainConfig.rng_protocol="shared"``).
+because both draw negatives from the same counter-based per-machine
+streams.
 """
 
 from repro.embedding.checkpoint import load_model, save_model

@@ -62,13 +62,10 @@ class TrainConfig:
       device ``"auto"`` prefers CUDA when available, dtype ``"auto"``
       resolves to float64 on CPU (the byte-parity tier) and float32 on
       CUDA (the throughput tier).
-    * ``rng_protocol`` selects where negative-sample randomness comes
-      from: ``"shared"`` (counter-based per-machine streams from
-      :mod:`repro.utils.rng` -- draws are independent of batching, which
-      is the trainer parity guarantee and the documented default for new
-      code paths) or ``"cluster"`` (the legacy stateful per-machine
-      generators; loop backend only).  ``"auto"`` resolves to
-      ``"shared"``.
+
+    Negative-sample randomness has one source: counter-based per-machine
+    streams from :mod:`repro.utils.rng`, whose draws are independent of
+    batching -- the trainer parity guarantee.
     """
 
     dim: int = 64
@@ -100,15 +97,13 @@ class TrainConfig:
     #: Buffer dtype of the torch backend: "auto" (float64 on CPU --
     #: byte-parity tier -- float32 on CUDA), "float32", or "float64".
     torch_dtype: str = "auto"
-    #: "auto" | "shared" | "cluster" -- see the class docstring.
-    rng_protocol: str = "auto"
-    #: Simulated Hogwild thread-pool width of DSGL's shared-protocol
-    #: execution: lifetimes run concurrently (slice-start buffer gathers,
-    #: delta-sum reconciliation) in cohorts of this many lifetimes, and
-    #: cohorts are sequential.  Models the paper's per-machine thread
-    #: count; wider cohorts batch better but leave hot rows updated from
-    #: staler state, exactly like adding Hogwild threads does.  The
-    #: quality/speed frontier is swept by
+    #: Simulated Hogwild thread-pool width of DSGL: lifetimes run
+    #: concurrently (slice-start buffer gathers, delta-sum
+    #: reconciliation) in cohorts of this many lifetimes, and cohorts are
+    #: sequential.  Models the paper's per-machine thread count; wider
+    #: cohorts batch better but leave hot rows updated from staler state,
+    #: exactly like adding Hogwild threads does.  The quality/speed
+    #: frontier is swept by
     #: ``benchmarks/bench_ablation_dsgl_threads.py``, which calibrates
     #: this default.
     dsgl_threads: int = 8
@@ -117,11 +112,11 @@ class TrainConfig:
     #: slice to a worker process over shared-memory replica matrices
     #: (:class:`repro.runtime.executor.ProcessSliceTrainer`); slices touch
     #: disjoint replicas and all negative draws are counter-based, so the
-    #: result is bit-identical to serial execution (requires the
-    #: ``"shared"`` RNG protocol).  ``"pipeline"`` selects the streaming
-    #: system dataflow (:mod:`repro.runtime.pipeline`); for the training
-    #: phase itself it resolves to the process slice path -- the trainer
-    #: is the pipeline's *consumer*, gated on corpus readiness
+    #: result is bit-identical to serial execution.  ``"pipeline"``
+    #: selects the streaming system dataflow
+    #: (:mod:`repro.runtime.pipeline`); for the training phase itself it
+    #: resolves to the process slice path -- the trainer is the
+    #: pipeline's *consumer*, gated on corpus readiness
     #: (:class:`repro.walks.corpus.CorpusFeed`), not a producer with
     #: anything of its own to overlap.  Default from ``REPRO_EXECUTION``.
     execution: str = field(default_factory=default_execution)
@@ -169,14 +164,6 @@ class TrainConfig:
             raise ValueError(
                 f"unknown torch_dtype {self.torch_dtype!r}; options: "
                 "'auto', 'float32', 'float64'")
-        if self.rng_protocol not in ("auto", "shared", "cluster"):
-            raise ValueError(f"unknown rng_protocol {self.rng_protocol!r}")
-        if self.backend in ("vectorized", "torch") and \
-                self.rng_protocol == "cluster":
-            raise ValueError(
-                f"the {self.backend} backend requires the 'shared' RNG "
-                "protocol (counter-based per-machine negative streams)"
-            )
         if self.backend == "torch":
             # Eager availability / device validation: a missing optional
             # dependency must fail here, at config-resolve time, with the
@@ -196,14 +183,6 @@ class TrainConfig:
         resolve_backing(self.backing)
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
-        if self.execution in ("process", "pipeline") and \
-                self.rng_protocol == "cluster":
-            raise ValueError(
-                f"{self.execution} execution requires the 'shared' RNG "
-                "protocol: the legacy per-machine generator draws depend "
-                "on scheduling and cannot hold the cross-process parity "
-                "contract"
-            )
 
     def resolved_backend(self, learner: str = "dsgl") -> str:
         """The backend ``"auto"`` resolves to for ``learner``.
@@ -223,17 +202,7 @@ class TrainConfig:
             )
         if self.backend != "auto":
             return self.backend
-        if learner in LOOP_ONLY_LEARNERS:
-            return "loop"
-        # The legacy generator protocol cannot feed the batched learners
-        # (draw chunking would change the stream), so auto falls back.
-        return "loop" if self.resolved_rng_protocol() == "cluster" else "vectorized"
-
-    def resolved_rng_protocol(self) -> str:
-        """The RNG protocol ``"auto"`` resolves to (``"shared"``)."""
-        if self.rng_protocol != "auto":
-            return self.rng_protocol
-        return "shared"
+        return "loop" if learner in LOOP_ONLY_LEARNERS else "vectorized"
 
     def resolved_torch_device(self) -> str:
         """The device the torch backend runs on (``"cpu"``/``"cuda"``).
@@ -264,10 +233,8 @@ class TrainConfig:
     def resolved_execution(self) -> str:
         """The execution mode training actually runs under.
 
-        ``"process"`` holds for every learner whose randomness flows
-        through the shared counter streams (all of them under the
-        ``"shared"`` protocol); the conflicting ``"cluster"`` combination
-        is rejected at construction.  ``"pipeline"`` resolves to
+        ``"process"`` holds for every learner: all their randomness flows
+        through the counter streams.  ``"pipeline"`` resolves to
         ``"process"``: the streaming overlap lives in the system-level
         dataflow (partition ∥ sampling, flush ∥ sampling), while slice
         training itself always runs downstream of the finished corpus --

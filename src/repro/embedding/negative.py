@@ -6,17 +6,12 @@ expectation under.  Sampling is O(1) via the alias method, and samples are
 drawn in *row space* (frequency order) so learners can index the global
 matrices directly.
 
-Two draw paths coexist, mirroring the walk engine's RNG protocols:
-
-* :meth:`NegativeSampler.sample_rows` -- the legacy path drawing from a
-  stateful per-machine :class:`numpy.random.Generator` (the "cluster"
-  protocol).
-* :meth:`NegativeSampler.sample_rows_stream` -- the shared-draw path of
-  the "shared" protocol: uniforms come from a counter-based
-  :class:`repro.utils.rng.CounterStream` and are mapped through the alias
-  table as a pure function, so the ``i``-th negative of a machine's stream
-  has the same value no matter how draws are batched.  This is what makes
-  the loop and vectorized trainers consume identical negative samples.
+:meth:`NegativeSampler.sample_rows_stream` is the one draw path:
+uniforms come from a counter-based :class:`repro.utils.rng.CounterStream`
+and are mapped through the alias table as a pure function, so the
+``i``-th negative of a machine's stream has the same value no matter how
+draws are batched.  This is what makes the loop and vectorized trainers
+consume identical negative samples.
 """
 
 from __future__ import annotations
@@ -41,24 +36,15 @@ class NegativeSampler:
             weights = np.ones_like(weights)
         self.power = power
         self._table = AliasTable(weights)
-        self._vocab = vocab
-
-    def sample_rows(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` negative rows (indices into the global matrices)."""
-        return self._table.sample(rng, size=count)
 
     def sample_rows_stream(self, count: int, stream: CounterStream) -> np.ndarray:
-        """``count`` negative rows drawn from a counter-based stream.
+        """``count`` negative rows (indices into the global matrices).
 
         One uniform is consumed per negative; values depend only on the
         stream's ``(key, counter)`` state, never on how the draws are
         chunked into calls.
         """
         return self._table.sample_with_uniforms(stream.uniforms(count))
-
-    def sample_nodes(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """``count`` negative node ids (for API symmetry / tests)."""
-        return self._vocab.row_to_node[self.sample_rows(count, rng)]
 
     @property
     def probabilities(self) -> np.ndarray:

@@ -30,11 +30,9 @@ from repro.utils.rng import CounterStream
 class BaseLearner:
     """Common state for all learners.
 
-    ``neg_stream`` selects the negative-draw protocol: when a
-    :class:`repro.utils.rng.CounterStream` is supplied (the "shared"
-    protocol), negatives are a pure function of the stream's counter and
-    are identical no matter how draws are batched; when ``None`` (the
-    legacy "cluster" protocol), negatives come from the stateful ``rng``.
+    ``neg_stream`` is the machine's
+    :class:`repro.utils.rng.CounterStream`: negatives are a pure function
+    of its counter and are identical no matter how draws are batched.
 
     ``ops`` is the array-ops implementation the update math runs on
     (:mod:`repro.embedding.ops`); by default it is resolved from
@@ -50,14 +48,12 @@ class BaseLearner:
         model: EmbeddingModel,
         sampler: NegativeSampler,
         config: TrainConfig,
-        rng: np.random.Generator,
-        neg_stream: Optional[CounterStream] = None,
+        neg_stream: CounterStream,
         ops: Optional[ArrayOps] = None,
     ) -> None:
         self.model = model
         self.sampler = sampler
         self.config = config
-        self.rng = rng
         self.neg_stream = neg_stream
         self.ops = ops if ops is not None else resolve_ops(config)
         # Optional persona regularizer (repro.embedding.anchor.RowAnchor);
@@ -114,10 +110,8 @@ class BaseLearner:
         return self.model.vocab.rows_of(nodes)
 
     def _negatives(self, count: int) -> np.ndarray:
-        """``count`` negative rows under the configured draw protocol."""
-        if self.neg_stream is not None:
-            return self.sampler.sample_rows_stream(count, self.neg_stream)
-        return self.sampler.sample_rows(count, self.rng)
+        """The next ``count`` negative rows of this machine's stream."""
+        return self.sampler.sample_rows_stream(count, self.neg_stream)
 
     def _adopt(self):
         """The model matrices as backend buffers (identity on NumPy f32).

@@ -16,22 +16,20 @@ Learner selection covers every trainer the paper measures: ``sgns``
 (original word2vec), ``pword2vec`` [22], ``psgnscc`` [45] and ``dsgl``
 (DistGER's own, §4.2).
 
-Backends and RNG protocols
---------------------------
+Backends and randomness
+-----------------------
 ``TrainConfig.backend`` selects how each machine executes its slice
 (mirroring :class:`repro.walks.engine.WalkConfig`): ``"vectorized"`` runs
 the batched learners of :mod:`repro.embedding.vectorized`, ``"loop"`` the
 per-window reference learners, and ``"auto"`` (default) picks vectorized
-wherever semantics match (everything except ``psgnscc``).  Under
-``TrainConfig.rng_protocol="shared"`` (the default via ``"auto"``) each
+wherever semantics match (everything except ``psgnscc``).  Each
 machine's negative samples come from a counter-based stream derived from
 ``(train seed, machine)``, so the two backends consume identical
 randomness and produce bit-identical embeddings --
 ``tests/test_embedding_vectorized_parity.py`` is the reference-parity
-suite.  ``"cluster"`` keeps the legacy per-machine generator draws for
-backward-compatible seeds (loop backend only).  Per-superstep compute and
-sync-message accounting is charged identically for every backend, so the
-simulated cluster metrics stay comparable across them.
+suite.  Per-superstep compute and sync-message accounting is charged
+identically for every backend, so the simulated cluster metrics stay
+comparable across them.
 
 Execution
 ---------
@@ -49,8 +47,7 @@ the same slice path -- in the streaming dataflow the trainer is the
 *consumer*: pass a :class:`repro.walks.corpus.CorpusFeed` and the
 trainer gates slice consumption on walk residency, waiting for the
 producer to finish before deriving the global corpus statistics (vocab
-order, negative table, lr token total) that the ``shared`` protocol
-fixes up front.
+order, negative table, lr token total) that are fixed up front.
 """
 
 from __future__ import annotations
@@ -178,10 +175,9 @@ class DistributedTrainer:
         self.cluster = cluster
         self.config = config or TrainConfig()
         self.learner_name = learner
-        #: Backend / RNG protocol actually used (resolved from config;
-        #: raises here for invalid combinations, e.g. vectorized psgnscc).
+        #: Backend actually used (resolved from config; raises here for
+        #: invalid combinations, e.g. vectorized psgnscc).
         self.backend = self.config.resolved_backend(learner)
-        self.rng_protocol = self.config.resolved_rng_protocol()
         #: Execution mode ("serial" or "process") slices run under
         #: ("pipeline" resolves to the process slice path).
         self.execution = self.config.resolved_execution()
@@ -280,15 +276,15 @@ class DistributedTrainer:
         m = cluster.num_machines
         ready_walks = self.corpus.num_walks
         if self.feed is not None:
-            # Global-statistics barrier of the ``shared`` protocol: the
-            # frequency-ordered vocabulary, the unigram^0.75 negative
-            # table, the subsampling keep-probabilities and the lr
-            # schedule's token total are all functions of the *final*
-            # occurrence counters, so they can only be fixed once the
-            # producer has finished -- consuming any slice earlier would
-            # change bytes.  (Per-slice residency is still gated in the
-            # plan loop below, so the streaming contract survives a
-            # future protocol that freezes the counters earlier.)
+            # Global-statistics barrier: the frequency-ordered vocabulary,
+            # the unigram^0.75 negative table, the subsampling
+            # keep-probabilities and the lr schedule's token total are all
+            # functions of the *final* occurrence counters, so they can
+            # only be fixed once the producer has finished -- consuming
+            # any slice earlier would change bytes.  (Per-slice residency
+            # is still gated in the plan loop below, so the streaming
+            # contract survives a future protocol that freezes the
+            # counters earlier.)
             ready_walks = self.feed.wait_finished()
             if self.walk_machines is not None and \
                     len(self.walk_machines) != self.corpus.num_walks:
@@ -305,16 +301,12 @@ class DistributedTrainer:
                     for i in range(m)]
         rngs = spawn_rngs(cfg.seed, m + 1)
         sync_rng = rngs[-1]
-        if self.rng_protocol == "shared":
-            # Counter-based per-machine negative streams: draws become a
-            # pure function of (train seed, machine, draw index), so the
-            # loop and vectorized backends consume identical negatives.
-            root = walker_seed_root(derive_seed(cfg.seed,
-                                                _NEGATIVE_STREAM_SALT))
-            keys = walker_stream_keys(root, np.arange(m, dtype=np.int64))
-            neg_streams = [CounterStream(int(key)) for key in keys]
-        else:
-            neg_streams = [None] * m
+        # Counter-based per-machine negative streams: draws are a pure
+        # function of (train seed, machine, draw index), so the loop and
+        # vectorized backends consume identical negatives.
+        root = walker_seed_root(derive_seed(cfg.seed, _NEGATIVE_STREAM_SALT))
+        keys = walker_stream_keys(root, np.arange(m, dtype=np.int64))
+        neg_streams = [CounterStream(int(key)) for key in keys]
         # The torch backend executes the same batched slice plans as the
         # vectorized learners; only the array-ops implementation differs
         # (resolved per learner from the config by BaseLearner).
@@ -329,11 +321,8 @@ class DistributedTrainer:
         if self.anchor is not None and self.anchor.lam > 0.0:
             row_anchor = RowAnchor(self.anchor.row_space(vocab, cfg.dim),
                                    self.anchor.lam)
-        learners = [
-            learner_cls(replicas[i], sampler, cfg, rngs[i],
-                        neg_stream=neg_streams[i])
-            for i in range(m)
-        ]
+        learners = [learner_cls(replicas[i], sampler, cfg, neg_streams[i])
+                    for i in range(m)]
         for learner in learners:
             learner.anchor = row_anchor
         sync = make_sync(cfg.sync_mode)

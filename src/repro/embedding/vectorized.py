@@ -11,8 +11,8 @@ flat NumPy arrays per walk (SGNS/Pword2vec) or per lifetime chunk (DSGL) --
 while the update math itself is kept operation-for-operation identical.
 
 That identity is the backend contract (the trainer analogue of the walk
-engine's loop/vectorized parity): under the ``shared`` RNG protocol both
-backends feed the same counter-based negative streams through
+engine's loop/vectorized parity): both backends feed the same
+counter-based negative streams through
 :meth:`repro.embedding.negative.NegativeSampler.sample_rows_stream`, and
 every gather, matmul, ``sigmoid`` and scatter runs on bit-identical
 operands in the same order, so the final embeddings agree to the last bit
@@ -25,11 +25,9 @@ update: their speedup is pure bookkeeping elimination.
 
 DSGL goes further.  In the real system (§4.2, Fig. 4) the lifetimes --
 ``multi_windows``-walk chunks with private local buffers -- are processed
-by *parallel threads* whose lock-free updates race on the global matrices;
-the sequential chunk loop of :class:`repro.embedding.dsgl.DSGLLearner`'s
-legacy path is only a deterministic serialisation of that.  Under the
-shared protocol both backends instead execute the paper's concurrency
-model deterministically: ``TrainConfig.dsgl_threads`` lifetimes form a
+by *parallel threads* whose lock-free updates race on the global matrices.
+Both backends execute that concurrency model deterministically:
+``TrainConfig.dsgl_threads`` lifetimes form a
 *cohort* (the simulated thread pool), every lifetime of a cohort gathers
 its buffers from the cohort-start matrices, lifetimes are mutually
 independent while they run (their batches stay strictly sequential
@@ -126,8 +124,8 @@ class VectorizedSGNSLearner(BaseLearner):
             positions, sizes = window_context_layout(rows.size, self.config.window)
             pair_ctx = rows[positions]                    # (P,) pair order
             pair_tgt = np.repeat(rows, sizes)             # (P,)
-            # One pooled draw; under the shared protocol the p-th pair's
-            # negatives equal the loop backend's p-th per-pair draw.
+            # One pooled draw: the p-th pair's negatives equal the loop
+            # backend's p-th per-pair draw (counter-based stream).
             negs = self._negatives(k * pair_ctx.size).reshape(-1, k)
             for p in range(pair_ctx.size):
                 c_row = int(pair_ctx[p])

@@ -1,20 +1,21 @@
 """The simulated cluster.
 
 A :class:`Cluster` stands in for the paper's 8-machine testbed: it owns the
-node→machine placement produced by a partitioner, per-machine RNG streams,
-the metric counters, and the cost model that converts counters into a
-simulated makespan.  All "distributed" components (walk engine, trainer)
-take a cluster and record their work and traffic against it.
+node→machine placement produced by a partitioner, the root of the
+per-walker counter streams, the metric counters, and the cost model that
+converts counters into a simulated makespan.  All "distributed"
+components (walk engine, trainer) take a cluster and record their work
+and traffic against it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.runtime.metrics import ClusterMetrics, CostModel
-from repro.utils.rng import SeedLike, spawn_rngs, walker_seed_root
+from repro.utils.rng import SeedLike, walker_seed_root
 
 
 class Cluster:
@@ -28,7 +29,7 @@ class Cluster:
         ``int64[num_nodes]`` machine id per graph node, as produced by any
         :mod:`repro.partition` partitioner.
     seed:
-        Seed for the per-machine RNG streams.
+        Seed the per-walker counter streams derive from.
     cost_model:
         Optional :class:`CostModel` override.
     """
@@ -49,10 +50,7 @@ class Cluster:
         self.assignment = assignment
         self.metrics = ClusterMetrics(num_machines)
         self.cost_model = cost_model or CostModel()
-        self.rngs: List[np.random.Generator] = spawn_rngs(seed, num_machines)
-        # Root of the per-walker counter streams (the "walker" RNG protocol
-        # of repro.utils.rng).  Derived after spawn_rngs so Generator seeds
-        # keep producing the same per-machine streams as before.
+        # Root of the per-walker counter streams of repro.utils.rng.
         self.walk_seed_root: int = walker_seed_root(seed)
 
     # ------------------------------------------------------------------ #
@@ -84,7 +82,7 @@ class Cluster:
         return self.cost_model.makespan(self.metrics)
 
     def reset_metrics(self) -> None:
-        """Clear counters (placement and RNG streams are kept)."""
+        """Clear counters (placement and the walk seed root are kept)."""
         self.metrics = ClusterMetrics(self.num_machines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -11,14 +11,17 @@ KnightKing-style BSP engines are validated).
 
 Three phase executors live here:
 
-* **Walks** -- :class:`ProcessWalkRunner` splits a round's walkers across
-  workers.  Walkers are independent under the walker RNG protocol, so each
-  worker advances its slice through the same lock-step
+* **Walks** -- :class:`StreamingWalkRunner` splits a round's walkers
+  across workers.  Walkers are independent under the counter-stream
+  protocol, so each worker advances its slice through the same lock-step
   :class:`~repro.walks.vectorized.BatchWalkRunner` supersteps and writes
-  paths straight into a shared-memory output buffer; the parent flushes
-  them in walk-id order (the protocol's canonical corpus order) and merges
-  the per-worker metric deltas.  All metric increments are integer-valued
-  floats, so the merged counters equal the serial ones exactly.
+  paths and per-step trial counts straight into a shared-memory round
+  slot; the parent flushes rounds in walk-id order (the canonical corpus
+  order) and reconstructs stats and cluster metrics exactly from the
+  slot buffers (:class:`repro.runtime.pipeline.DeferredWalkAccounting`).
+  One round in flight is ``execution="process"`` (a barrier per round);
+  :data:`PIPELINE_DEPTH` rounds in flight is ``"pipeline"``, sampling
+  ahead of the parent's flush.
 
 * **Training** -- :class:`ProcessSliceTrainer` runs each machine's
   sync-period slice on a worker against replica matrices living in shared
@@ -40,12 +43,10 @@ Three phase executors live here:
   parallel-MPGP's independent stream segments on workers; the (sequential)
   merge stays in the parent.
 
-The streaming building blocks of ``execution="pipeline"`` also live
-here: :class:`StreamingWalkRunner` (a bounded round queue over the same
-walk pool, sampling rounds ahead of the parent's flush under deferred
-accounting) and :class:`AsyncPartition` (a partitioner on its own worker,
-joined where the placement is first consumed).
-:mod:`repro.runtime.pipeline` composes them into the overlapped dataflow.
+:class:`AsyncPartition` (a partitioner on its own worker, joined where
+the placement is first consumed) is the other building block of
+``execution="pipeline"``; :mod:`repro.runtime.pipeline` composes it with
+the walk runner into the overlapped dataflow.
 
 Shared-memory plumbing (:class:`SharedArray` / CSR helpers) is exposed for
 reuse; handles are picklable and survive round trips to worker processes
@@ -75,10 +76,10 @@ from repro.utils.sharedmem import (
 __all__ = [
     "BACKING_CHOICES",
     "EXECUTION_CHOICES",
+    "PIPELINE_DEPTH",
     "AsyncPartition",
     "ProcessExecutor",
     "ProcessSliceTrainer",
-    "ProcessWalkRunner",
     "SharedArray",
     "SharedArrayHandle",
     "StreamingWalkRunner",
@@ -88,7 +89,6 @@ __all__ = [
     "default_spill_dir",
     "default_workers",
     "detach_shared_array",
-    "pipeline_depth",
     "resolve_backing",
     "resolve_execution",
     "resolved_worker_count",
@@ -102,6 +102,13 @@ __all__ = [
 #: within the walk phase (round k+1 samples while round k flushes) --
 #: byte-identical results either way.
 EXECUTION_CHOICES = ("serial", "process", "pipeline")
+
+#: In-flight walk rounds under ``execution="pipeline"`` (``"process"``
+#: runs 1).  Double buffering: workers sample round ``k+1`` while the
+#: parent flushes round ``k``.  Each in-flight round owns one shared
+#: path/length/trial buffer set, so the depth bounds both speculation
+#: waste past a KL stop and resident memory.
+PIPELINE_DEPTH = 2
 
 
 def default_execution() -> str:
@@ -117,21 +124,6 @@ def default_execution() -> str:
 def default_workers() -> int:
     """Default of the ``workers`` config fields (``REPRO_WORKERS`` or 0)."""
     return int(os.environ.get("REPRO_WORKERS", "0"))
-
-
-def pipeline_depth() -> int:
-    """In-flight walk rounds of the streaming executor (backpressure bound).
-
-    ``REPRO_PIPELINE_DEPTH`` overrides the default of 2 (double buffering:
-    workers sample round ``k+1`` while the parent flushes round ``k``).
-    Each in-flight round owns one shared path/length/trial buffer set, so
-    the depth bounds both speculation waste past a KL stop and resident
-    memory; values below 1 are rejected.
-    """
-    depth = int(os.environ.get("REPRO_PIPELINE_DEPTH", "2"))
-    if depth < 1:
-        raise ValueError(f"REPRO_PIPELINE_DEPTH must be >= 1, got {depth}")
-    return depth
 
 
 def resolve_execution(execution: str) -> str:
@@ -278,8 +270,7 @@ def _share_kernel_tables(group: _SharedGroup, graph, kernel) -> Dict:
 
     HuGE acceptance / weighted cumsums, and node2vec-alias's five flat
     sampler tables (first- and second-order alias structures), so no walk
-    worker pays any table build.  Shared by the process and pipeline
-    runners.
+    worker pays any table build.
     """
     from repro.walks.vectorized import weighted_row_cumsum
 
@@ -323,169 +314,60 @@ def _build_worker_runner(graph, cluster, config, table_handles):
                            tables=tables)
 
 
-def _walk_worker_init(graph_handle, assignment_handle, num_machines,
-                      walk_seed_root, config, sources_handle, paths_handle,
-                      lengths_handle, table_handles) -> None:
+def _walk_worker_init(graph_handle, num_machines, walk_seed_root, config,
+                      sources_handle, slot_handles, table_handles) -> None:
     from repro.runtime.cluster import Cluster
 
     graph = attach_graph(graph_handle)
-    cluster = Cluster(num_machines, attach_shared_array(assignment_handle),
+    # Walk workers run under deferred accounting, which never consults
+    # the node placement (the partitioner may still be running); a
+    # placeholder assignment keeps the runner's plumbing intact while the
+    # parity-critical walk_seed_root is the parent's real root.
+    cluster = Cluster(num_machines, np.zeros(graph.num_nodes, dtype=np.int64),
                       seed=0)
-    # The parity-critical piece of cluster state: walker stream keys must
-    # derive from the parent's root, not this worker's placeholder seed.
     cluster.walk_seed_root = walk_seed_root
     _WORKER_STATE["walk_runner"] = _build_worker_runner(
         graph, cluster, config, table_handles)
     _WORKER_STATE["walk_sources"] = attach_shared_array(sources_handle)
-    _WORKER_STATE["walk_paths"] = attach_shared_array(paths_handle)
-    _WORKER_STATE["walk_lengths"] = attach_shared_array(lengths_handle)
-
-
-def _walk_round_task(round_idx: int, lo: int, hi: int, n_total: int):
-    from repro.runtime.metrics import ClusterMetrics
-    from repro.walks.walker import WalkStats
-
-    runner = _WORKER_STATE["walk_runner"]
-    runner.cluster.metrics = ClusterMetrics(runner.cluster.num_machines)
-    stats = WalkStats()
-    walk_ids = round_idx * n_total + np.arange(lo, hi, dtype=np.int64)
-    runner.run_walks(_WORKER_STATE["walk_sources"][lo:hi], walk_ids, stats,
-                     paths_out=_WORKER_STATE["walk_paths"][lo:hi],
-                     lengths_out=_WORKER_STATE["walk_lengths"][lo:hi])
-    return stats.total_trials, stats.total_steps, runner.cluster.metrics
-
-
-class ProcessWalkRunner:
-    """Round runner fanning one round's walkers across worker processes.
-
-    Mirrors :meth:`BatchWalkRunner.run_round`; the engine treats the two
-    interchangeably.  The graph CSR, node assignment, walk sources, kernel
-    tables and the per-round path/length output buffers all live in shared
-    memory: per round, only the slice coordinates travel to the workers and
-    only the scalar stat/metric deltas travel back.
-    """
-
-    def __init__(self, graph, cluster, config, kernel,
-                 routine_message_bytes: int, sources: np.ndarray) -> None:
-        del routine_message_bytes  # workers recompute it from the kernel
-        self.cluster = cluster
-        self.workers = resolved_worker_count(config.workers)
-        n = int(sources.size)
-        self._n = n
-        cap = config.max_length if config.mode != "routine" else \
-            config.walk_length
-        self._group = _SharedGroup(
-            backing=getattr(config, "backing", "shm"),
-            spill_dir=getattr(config, "spill_dir", None))
-        try:
-            graph_handle = share_graph(self._group, graph)
-            assignment_handle = self._group.share(cluster.assignment)
-            sources_handle = self._group.share(
-                np.asarray(sources, dtype=np.int64))
-            self._paths = self._group.empty((n, cap), np.int64)
-            self._lengths = self._group.empty((n,), np.int64)
-            tables = _share_kernel_tables(self._group, graph, kernel)
-            self._pool = ProcessExecutor(
-                self.workers, initializer=_walk_worker_init,
-                initargs=(graph_handle, assignment_handle,
-                          cluster.num_machines, cluster.walk_seed_root,
-                          config, sources_handle, self._paths.handle,
-                          self._lengths.handle, tables))
-        except BaseException:
-            self._group.close()
-            raise
-        self._ranges = split_ranges(n, self.workers)
-
-    def run_round(self, sources: np.ndarray, round_idx: int, corpus,
-                  stats, walk_machines: List[int]) -> None:
-        if sources.size != self._n:
-            # Workers walk from the shared snapshot taken at construction;
-            # a caller varying sources per round needs a fresh runner.
-            raise ValueError(
-                f"round sources ({sources.size}) do not match the shared "
-                f"snapshot ({self._n}) this runner was built for"
-            )
-        results = self._pool.run(
-            _walk_round_task,
-            [(round_idx, lo, hi, self._n) for lo, hi in self._ranges])
-        for trials, steps, metrics in results:
-            stats.total_trials += trials
-            stats.total_steps += steps
-            self.cluster.metrics.merge(metrics)
-        lengths = self._lengths.array
-        corpus.add_walks(self._paths.array, lengths)
-        stats.total_walks += int(lengths.size)
-        stats.walk_lengths.extend(lengths.tolist())
-        walk_machines.extend(self.cluster.assignment[sources].tolist())
-
-    def close(self) -> None:
-        self._pool.shutdown()
-        self._group.close()
-
-    def __enter__(self) -> "ProcessWalkRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------- #
-# Walk phase, streaming (the ``execution="pipeline"`` producer)
-# --------------------------------------------------------------------- #
-
-
-def _stream_walk_worker_init(graph_handle, num_machines, walk_seed_root,
-                             config, sources_handle, slot_handles,
-                             table_handles) -> None:
-    from repro.runtime.cluster import Cluster
-
-    graph = attach_graph(graph_handle)
-    # Streaming workers run under deferred accounting, which never
-    # consults the node placement (the partitioner may still be running);
-    # a placeholder assignment keeps the runner's plumbing intact while
-    # the parity-critical walk_seed_root is the parent's real root.
-    cluster = Cluster(num_machines, np.zeros(graph.num_nodes, dtype=np.int64),
-                      seed=0)
-    cluster.walk_seed_root = walk_seed_root
-    _WORKER_STATE["stream_runner"] = _build_worker_runner(
-        graph, cluster, config, table_handles)
-    _WORKER_STATE["stream_sources"] = attach_shared_array(sources_handle)
-    _WORKER_STATE["stream_slots"] = [
+    _WORKER_STATE["walk_slots"] = [
         tuple(attach_shared_array(handle) for handle in slot)
         for slot in slot_handles
     ]
 
 
-def _stream_walk_round_task(round_idx: int, lo: int, hi: int, n_total: int,
-                            slot: int) -> int:
+def _walk_round_task(round_idx: int, lo: int, hi: int, n_total: int,
+                     slot: int) -> int:
     from repro.walks.walker import WalkStats
 
-    runner = _WORKER_STATE["stream_runner"]
-    paths, lengths, trials = _WORKER_STATE["stream_slots"][slot]
+    runner = _WORKER_STATE["walk_runner"]
+    paths, lengths, trials = _WORKER_STATE["walk_slots"][slot]
     walk_ids = round_idx * n_total + np.arange(lo, hi, dtype=np.int64)
     # Deferred accounting: stats/metrics are reconstructed by the parent
     # from (paths, lengths, trials) once the assignment is known, so the
     # worker-side stats object is a discarded dummy.
-    runner.run_walks(_WORKER_STATE["stream_sources"][lo:hi], walk_ids,
+    runner.run_walks(_WORKER_STATE["walk_sources"][lo:hi], walk_ids,
                      WalkStats(), paths_out=paths[lo:hi],
                      lengths_out=lengths[lo:hi], trials_out=trials[lo:hi])
     return slot
 
 
 class StreamingWalkRunner:
-    """Bounded-queue walk producer: samples rounds *ahead* of the consumer.
+    """Bounded-queue walk producer fanning rounds across worker processes.
 
-    The streaming counterpart of :class:`ProcessWalkRunner`: the same
-    worker pool and shared-memory buffers, but instead of one
-    round-per-barrier, up to ``depth`` rounds are in flight at once over a
-    ring of round slots.  The parent consumes completed rounds strictly in
-    round order (:meth:`next_round`), flushes them into the corpus, and
-    recycles each slot with :meth:`release_round` -- which is what admits
-    the next speculative round, so a slow consumer exerts backpressure and
-    a fast one keeps every worker busy while it flushes.
+    The graph CSR, walk sources, kernel tables and a ring of ``depth``
+    round slots (paths, lengths, per-step trial counts) all live in
+    shared memory; per round only the slice coordinates travel to the
+    workers.  Up to ``depth`` rounds are in flight at once: the parent
+    consumes completed rounds strictly in round order
+    (:meth:`next_round`), flushes them into the corpus, and recycles each
+    slot with :meth:`release_round` -- which is what admits the next
+    round.  At ``depth=1`` that is a barrier per round
+    (``execution="process"``); deeper, a slow consumer exerts
+    backpressure and a fast one keeps every worker busy while it flushes
+    (``execution="pipeline"``).
 
     Walks are pure functions of ``(walk_seed_root, walk_id)`` under the
-    walker RNG protocol, so rounds sampled speculatively past a KL stop
+    counter-stream protocol, so rounds sampled speculatively past a KL stop
     are simply discarded without leaving a trace, and no round's bytes
     depend on how far ahead the producer ran.  Workers run the deferred-
     accounting mode of :meth:`BatchWalkRunner.run_walks`: per-step trial
@@ -502,18 +384,16 @@ class StreamingWalkRunner:
 
     def __init__(self, graph, num_machines: int, walk_seed_root: int,
                  config, kernel, sources: np.ndarray, max_rounds: int,
-                 depth: Optional[int] = None) -> None:
+                 depth: int = PIPELINE_DEPTH) -> None:
         self.workers = resolved_worker_count(config.workers)
         n = int(sources.size)
         self._n = n
         self._max_rounds = int(max_rounds)
-        self.depth = max(1, min(depth if depth is not None
-                                else pipeline_depth(), self._max_rounds))
+        self.depth = max(1, min(depth, self._max_rounds))
         cap = config.max_length if config.mode != "routine" else \
             config.walk_length
-        self._group = _SharedGroup(
-            backing=getattr(config, "backing", "shm"),
-            spill_dir=getattr(config, "spill_dir", None))
+        self._group = _SharedGroup(backing=config.backing,
+                                   spill_dir=config.spill_dir)
         self._pool: Optional[ProcessPoolExecutor] = None
         try:
             graph_handle = share_graph(self._group, graph)
@@ -531,7 +411,7 @@ class StreamingWalkRunner:
             tables = _share_kernel_tables(self._group, graph, kernel)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_stream_walk_worker_init,
+                initializer=_walk_worker_init,
                 initargs=(graph_handle, num_machines, walk_seed_root,
                           config, sources_handle, slot_handles, tables))
             self._ranges = split_ranges(n, self.workers)
@@ -550,8 +430,7 @@ class StreamingWalkRunner:
         r = self._next_submit
         slot = r % self.depth
         self._futures[r] = [
-            self._pool.submit(_stream_walk_round_task, r, lo, hi, self._n,
-                              slot)
+            self._pool.submit(_walk_round_task, r, lo, hi, self._n, slot)
             for lo, hi in self._ranges
         ]
         self._next_submit += 1
@@ -706,8 +585,9 @@ def _train_worker_init(phi_in_handle, phi_out_handle, vocab, config,
         _WORKER_STATE["shard_offsets"] = attach_shared_array(shard_offsets)
 
 
-def _train_learner_for(machine: int):
-    """The worker's cached learner for ``machine`` (built on first use)."""
+def _train_learner_for(machine: int, neg_stream):
+    """The worker's cached learner for ``machine`` (built on first use),
+    drawing negatives from ``neg_stream``."""
     from repro.embedding.model import EmbeddingModel
     from repro.embedding.trainer import LEARNERS
     from repro.embedding.vectorized import VECTORIZED_LEARNERS
@@ -727,19 +607,16 @@ def _train_learner_for(machine: int):
                     if _WORKER_STATE["train_backend"] in ("vectorized",
                                                           "torch")
                     else LEARNERS)
-        # The generator argument is never consumed under the shared
-        # protocol (negatives come from the counter stream; subsampling
-        # happens in the parent) -- a fixed dummy keeps the signature.
         learner = registry[_WORKER_STATE["train_learner_name"]](
             model, _WORKER_STATE["train_sampler"],
-            _WORKER_STATE["train_config"], np.random.default_rng(0),
-            neg_stream=None)
+            _WORKER_STATE["train_config"], neg_stream)
         anchor = _WORKER_STATE.get("train_anchor")
         if anchor is not None:
             from repro.embedding.anchor import RowAnchor
 
             learner.anchor = RowAnchor(anchor[0], anchor[1])
         learners[machine] = learner
+    learner.neg_stream = neg_stream
     return learner
 
 
@@ -748,8 +625,7 @@ def _train_slice_task(machine: int, walks, lr: float, key: int,
     """Train a pickled walk batch (the legacy payload; subsampled runs)."""
     from repro.utils.rng import CounterStream
 
-    learner = _train_learner_for(machine)
-    learner.neg_stream = CounterStream(key, counter)
+    learner = _train_learner_for(machine, CounterStream(key, counter))
     used = learner.train_walks(walks, lr)
     # Persona pull after the slice's SGNS updates -- identical order to
     # the serial path; consumes no negatives, so the counter is untouched.
@@ -809,9 +685,8 @@ class ProcessSliceTrainer:
                  anchor=None) -> None:
         m = len(replicas)
         dim = int(replicas[0].phi_in.shape[1])
-        self._group = _SharedGroup(
-            backing=getattr(config, "backing", "shm"),
-            spill_dir=getattr(config, "spill_dir", None))
+        self._group = _SharedGroup(backing=config.backing,
+                                   spill_dir=config.spill_dir)
         try:
             phi_in = self._group.empty((m, vocab.size, dim), np.float32)
             phi_out = self._group.empty((m, vocab.size, dim), np.float32)

@@ -1,9 +1,9 @@
 """Streaming dataflow for ``execution="pipeline"`` (walk→train overlap).
 
-The phased executors of :mod:`repro.runtime.executor` run the three
-pipeline phases behind hard barriers: partition, then every walk round
-(sample on workers, flush in the parent), then training.  Real DistGER's
-headline system win is *overlapping* these stages -- walks stream to the
+``execution="process"`` runs the three pipeline phases behind hard
+barriers: partition, then every walk round (sample on workers, flush in
+the parent), then training.  Real DistGER's headline system win is
+*overlapping* these stages -- walks stream to the
 trainer as they are produced (Fang et al., VLDB 2023 §5) -- and this
 module is the reproduction's equivalent: a streaming coordinator built on
 two facts the counter-based RNG protocols already guarantee:
@@ -15,25 +15,28 @@ two facts the counter-based RNG protocols already guarantee:
   where the placement is first consumed: metric attribution and
   sub-corpus shard construction.
 
-* **Metrics are a pure function of the sampled paths.**  Workers record
-  per-step trial counts instead of metric increments
-  (:meth:`BatchWalkRunner.run_walks` deferred accounting), and
+* **Metrics are a pure function of the sampled paths.**  Walk workers
+  record per-step trial counts instead of metric increments
+  (:meth:`BatchWalkRunner.run_walks` deferred accounting, under
+  ``"process"`` as well -- it is the same runner at depth 1), and
   :class:`DeferredWalkAccounting` reconstructs trials, steps, compute
   units and per-pair message traffic bit-for-bit once the assignment
   arrives -- every increment is an integer-valued float, so the late,
   batched reconstruction lands on the serial counters exactly.
 
 Within the walk phase, the bounded round queue of
-:class:`~repro.runtime.executor.StreamingWalkRunner` keeps workers
-sampling round ``k+1`` while the parent flushes round ``k`` into the flat
-corpus; rounds sampled speculatively past a KL stop are discarded without
-a trace.  The training phase consumes the finished block through the same
-shared-memory slice descriptors as ``execution="process"``; its
-consumption is gated by :class:`repro.walks.corpus.CorpusFeed` readiness
-(the ``shared`` RNG protocol's frequency-ordered vocabulary and unigram
-negative table are global corpus statistics, so the feed's *finished*
-event is the earliest point slice training may start without changing a
-byte -- see docs/ARCHITECTURE.md for the dependency analysis).
+:class:`~repro.runtime.executor.StreamingWalkRunner` (at
+:data:`~repro.runtime.executor.PIPELINE_DEPTH` rounds in flight) keeps
+workers sampling round ``k+1`` while the parent flushes round ``k`` into
+the flat corpus; rounds sampled speculatively past a KL stop are
+discarded without a trace.  The training phase consumes the finished
+block through the same shared-memory slice descriptors as
+``execution="process"``; its consumption is gated by
+:class:`repro.walks.corpus.CorpusFeed` readiness (the frequency-ordered
+vocabulary and unigram negative table are global corpus statistics, so
+the feed's *finished* event is the earliest point slice training may
+start without changing a byte -- see docs/ARCHITECTURE.md for the
+dependency analysis).
 
 The result is byte-identical to ``execution="process"`` and
 ``"serial"`` -- corpora, stats, metrics, assignments and embeddings --

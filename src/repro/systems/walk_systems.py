@@ -33,7 +33,7 @@ baseline cost being reproduced.  Pass
 :mod:`repro.walks.engine` for the parity guarantees.
 
 The same backend pattern covers the other two pipeline phases: the
-trainer (``train_overrides={"backend": ..., "rng_protocol": ...}``, see
+trainer (``train_overrides={"backend": ...}``, see
 :mod:`repro.embedding.trainer`) and DistGER's MPGP partitioner
 (``partition_overrides={"backend": ...}``, see
 :mod:`repro.partition.mpgp`), each with its own loop reference and parity
@@ -122,8 +122,8 @@ class RandomWalkSystem(EmbeddingSystem):
                 timer=timer)
             # The walk→train hand-off contract: the trainer gates slice
             # consumption on walk residency through the feed (already
-            # finished here -- the global corpus statistics of the shared
-            # RNG protocol are the streaming barrier).
+            # finished here -- the global corpus statistics are the
+            # streaming barrier).
             feed = CorpusFeed(walk_result.corpus)
             feed.finish()
         else:

@@ -902,8 +902,8 @@ class CorpusFeed:
     slice trainer) blocks in :meth:`wait_ready` until the walks a slice
     reads are resident in the flat token block, and in
     :meth:`wait_finished` for the global corpus statistics (occurrence
-    counters → frequency-ordered vocabulary and negative table) that the
-    ``shared`` RNG protocol derives from the *whole* corpus.
+    counters → frequency-ordered vocabulary and negative table) that
+    training derives from the *whole* corpus.
 
     Constructed over a corpus, the feed subscribes to its round
     listeners, so ``Corpus.add_walks`` flushes publish automatically; a

@@ -26,8 +26,8 @@ every measurement at its mode-specific cost, so the simulated cost model
 reproduces the paper's complexity separations; the *wall-clock* separation
 is also real because the full-path mode genuinely recomputes from scratch.
 
-Backends and RNG protocols
---------------------------
+Backends and randomness
+-----------------------
 ``WalkConfig.backend`` selects how a round of walkers is executed:
 
 * ``"vectorized"`` -- all walkers advance in lock-step through
@@ -40,44 +40,35 @@ Backends and RNG protocols
 * ``"auto"`` (default) -- ``vectorized`` where semantics match
   (``routine``/``incom``), ``loop`` for ``fullpath``.
 
-``WalkConfig.rng_protocol`` selects where walk randomness comes from:
-
-* ``"walker"`` -- each walker owns a counter-based stream derived from
-  ``(cluster seed, walk_id)`` via :mod:`repro.utils.rng`, consuming exactly
-  two uniforms per sampling trial.  Walks are then independent of
-  scheduling, batching and machine count, and the loop and vectorized
-  backends produce **byte-identical corpora** -- the reference-parity
-  guarantee.  This is the only protocol the vectorized backend supports.
-* ``"cluster"`` -- the legacy per-machine generator streams
-  (``cluster.rngs``); kept for backward-compatible seed behaviour, opt-in
-  only.
-* ``"auto"`` (default) -- ``walker`` on every backend.  Walker streams
-  are the documented default for all new code paths: they make corpora
-  independent of machine count, batching and scheduling, which the
-  corpus/embedding machine-count invariance suite
-  (``tests/test_golden_pipeline.py``) relies on.
+Walk randomness has one source: each walker owns a counter-based stream
+derived from ``(cluster seed, walk_id)`` via :mod:`repro.utils.rng`,
+consuming exactly two uniforms per sampling trial.  Walks are therefore
+independent of scheduling, batching and machine count, and the loop and
+vectorized backends produce **byte-identical corpora** -- the
+reference-parity guarantee, which the corpus/embedding machine-count
+invariance suite (``tests/test_golden_pipeline.py``) also relies on.
 
 ``WalkConfig.execution`` selects *where* a round's walkers run:
 
 * ``"serial"`` (default) -- everything in the calling process.
-* ``"process"`` -- the round is split across ``workers`` OS processes
-  (:class:`repro.runtime.executor.ProcessWalkRunner`): each worker
+* ``"process"`` / ``"pipeline"`` -- a round's walkers are split across
+  ``workers`` OS processes by one runner,
+  :class:`repro.runtime.executor.StreamingWalkRunner`: each worker
   advances its walker slice through the same lock-step supersteps over a
-  shared-memory CSR and writes paths into a shared output buffer.
-  Because walker randomness is counter-based, the resulting corpus is
-  **byte-identical** to the serial one -- the executor parity contract
+  shared-memory CSR and writes paths and per-step trial counts into a
+  shared round buffer; the parent flushes rounds in walk-id order and
+  reconstructs stats and cluster metrics exactly from the buffers
+  (:class:`repro.runtime.pipeline.DeferredWalkAccounting`), so workers
+  never need the node assignment.  ``"process"`` keeps one round in
+  flight -- a barrier per round.  ``"pipeline"`` keeps
+  :data:`repro.runtime.executor.PIPELINE_DEPTH` rounds in flight, so
+  workers advance round ``k+1`` while the parent flushes round ``k``
+  (rounds speculatively sampled past a KL stop are discarded without a
+  trace), and lets the system-level coordinator overlap MPGP
+  partitioning with sampling.  Because walker randomness is
+  counter-based, both are **byte-identical** to serial -- same corpus,
+  stats and metrics, the executor parity contract
   (``tests/test_runtime_executor_parity.py``).
-* ``"pipeline"`` -- the streaming superset of ``"process"``
-  (:class:`repro.runtime.executor.StreamingWalkRunner`): the same worker
-  pool samples up to ``REPRO_PIPELINE_DEPTH`` rounds ahead through a
-  bounded queue of shared round buffers, so workers advance round
-  ``k+1`` while the parent flushes round ``k`` into the corpus; rounds
-  speculatively sampled past a KL stop are discarded without a trace.
-  Workers run deferred accounting (per-step trial counts instead of
-  metric increments) and the parent reconstructs stats and cluster
-  metrics exactly (:mod:`repro.runtime.pipeline`), which also lets the
-  system-level coordinator overlap MPGP partitioning with sampling.
-  Still byte-identical -- same corpus, stats and metrics as serial.
 
 Process and pipeline execution apply to the vectorized backend; the loop
 reference and the ``fullpath`` mode are inherently serial, so
@@ -141,8 +132,6 @@ class WalkConfig:
     q: float = 1.0                  # node2vec in-out parameter
     #: "auto" | "vectorized" | "loop" -- see the module docstring.
     backend: str = "auto"
-    #: "auto" | "walker" | "cluster" -- see the module docstring.
-    rng_protocol: str = "auto"
     #: "serial" | "process" | "pipeline" -- see the module docstring.  The
     #: default is read from ``REPRO_EXECUTION`` ("serial" when unset).
     execution: str = field(default_factory=default_execution)
@@ -167,18 +156,11 @@ class WalkConfig:
         resolve_backing(self.backing)
         if self.workers < 0:
             raise ValueError(f"workers must be non-negative, got {self.workers}")
-        if self.rng_protocol not in ("auto", "walker", "cluster"):
-            raise ValueError(f"unknown rng_protocol {self.rng_protocol!r}")
         if self.backend == "vectorized" and self.mode == "fullpath":
             raise ValueError(
                 "mode='fullpath' cannot be vectorized: HuGE-D's O(L) "
                 "per-step recomputation is the baseline being measured; "
                 "use backend='auto' or 'loop'"
-            )
-        if self.backend == "vectorized" and self.rng_protocol == "cluster":
-            raise ValueError(
-                "the vectorized backend requires the 'walker' RNG protocol "
-                "(per-walker counter streams)"
             )
         check_positive("max_trials_per_step", self.max_trials_per_step)
         check_positive("walk_length", self.walk_length)
@@ -196,16 +178,6 @@ class WalkConfig:
         if self.backend != "auto":
             return self.backend
         return "loop" if self.mode == "fullpath" else "vectorized"
-
-    def resolved_rng_protocol(self) -> str:
-        """The RNG protocol ``"auto"`` resolves to (``"walker"``).
-
-        Counter-based walker streams are the default for every backend;
-        the legacy ``"cluster"`` generator streams are opt-in only.
-        """
-        if self.rng_protocol != "auto":
-            return self.rng_protocol
-        return "walker"
 
     def resolved_execution(self) -> str:
         """The execution mode this config actually runs under.
@@ -269,8 +241,7 @@ class DistributedWalkEngine:
         self._routine_message_bytes = self.kernel.message_fields * BYTES_PER_FIELD
         #: Backend actually used for rounds (resolved from config).
         self.backend = self.config.resolved_backend()
-        self.rng_protocol = self.config.resolved_rng_protocol()
-        #: Execution mode actually used ("serial" or "process").
+        #: Execution mode actually used (resolved from config).
         self.execution = self.config.resolved_execution()
         self._batch_runner: Optional[BatchWalkRunner] = None
 
@@ -339,31 +310,17 @@ class DistributedWalkEngine:
             )
         degrees = self.graph.degrees
 
-        if self.execution == "pipeline":
+        if self.execution == "serial":
+            for round_idx in range(rounds):
+                self._run_round(sources, round_idx, corpus, stats,
+                                walk_machines)
+                stats.rounds += 1
+                if count_rule is not None:
+                    if count_rule.observe_round(corpus, degrees):
+                        break
+        else:
             self._run_pipeline(sources, rounds, count_rule, degrees, corpus,
                                stats, walk_machines, partition_join)
-        else:
-            process_runner = None
-            if self.execution == "process":
-                # One pool + shared CSR/output buffers for the whole run;
-                # each round fans its walker slices across the same
-                # workers.
-                from repro.runtime.executor import ProcessWalkRunner
-
-                process_runner = ProcessWalkRunner(
-                    self.graph, self.cluster, self.config, self.kernel,
-                    self._routine_message_bytes, sources)
-            try:
-                for round_idx in range(rounds):
-                    self._run_round(sources, round_idx, corpus, stats,
-                                    walk_machines, process_runner)
-                    stats.rounds += 1
-                    if count_rule is not None:
-                        if count_rule.observe_round(corpus, degrees):
-                            break
-            finally:
-                if process_runner is not None:
-                    process_runner.close()
         if count_rule is not None:
             stats.kl_trace = list(count_rule.kl_trace)
         # Sampling is done: drop the growth headroom so the corpus the
@@ -372,7 +329,8 @@ class DistributedWalkEngine:
         return WalkResult(corpus=corpus, stats=stats, walk_machines=walk_machines)
 
     # ------------------------------------------------------------------ #
-    # Streaming execution (pipeline): flush round k while k+1 samples
+    # Worker-pool execution (process / pipeline): rounds fan out across
+    # workers; pipeline also flushes round k while k+1 samples
     # ------------------------------------------------------------------ #
 
     def _run_pipeline(
@@ -386,17 +344,18 @@ class DistributedWalkEngine:
         walk_machines: List[int],
         partition_join,
     ) -> None:
-        """Consume rounds from the streaming producer in walk-id order.
+        """Consume rounds from the worker-pool producer in walk-id order.
 
-        The producer keeps up to ``REPRO_PIPELINE_DEPTH`` rounds in
-        flight; this consumer flushes each completed round into the
-        corpus (identical ``add_walks`` order to the phased executors),
-        folds its buffers into the deferred accounting, and applies the
-        accounting against the node assignment at the end -- joining the
+        The producer keeps ``PIPELINE_DEPTH`` rounds in flight under
+        ``execution="pipeline"`` and one (a barrier per round) under
+        ``"process"``; this consumer flushes each completed round into
+        the corpus (the serial ``add_walks`` order), folds its buffers
+        into the deferred accounting, and applies the accounting against
+        the node assignment at the end -- joining the
         concurrently-running partitioner first when the coordinator
         passed its hook.
         """
-        from repro.runtime.executor import StreamingWalkRunner
+        from repro.runtime.executor import PIPELINE_DEPTH, StreamingWalkRunner
         from repro.runtime.pipeline import DeferredWalkAccounting
         from repro.walks.vectorized import _INCOM_MESSAGE_BYTES
 
@@ -410,7 +369,8 @@ class DistributedWalkEngine:
                                             message_bytes=message_bytes)
         runner = StreamingWalkRunner(
             self.graph, cluster.num_machines, cluster.walk_seed_root,
-            self.config, self.kernel, sources, max_rounds=rounds)
+            self.config, self.kernel, sources, max_rounds=rounds,
+            depth=PIPELINE_DEPTH if self.execution == "pipeline" else 1)
         try:
             for _round_idx in range(rounds):
                 paths, lengths, trials = runner.next_round()
@@ -451,13 +411,9 @@ class DistributedWalkEngine:
         corpus: Corpus,
         stats: WalkStats,
         walk_machines: List[int],
-        process_runner=None,
     ) -> None:
-        """Dispatch one round to the configured backend/executor."""
-        if process_runner is not None:
-            process_runner.run_round(sources, round_idx, corpus, stats,
-                                     walk_machines)
-        elif self.backend == "vectorized":
+        """Run one serial round on the configured backend."""
+        if self.backend == "vectorized":
             if self._batch_runner is None:
                 self._batch_runner = BatchWalkRunner(
                     self.graph, self.cluster, self.config, self.kernel,
@@ -465,89 +421,12 @@ class DistributedWalkEngine:
                 )
             self._batch_runner.run_round(sources, round_idx, corpus, stats,
                                          walk_machines)
-        elif self.rng_protocol == "walker":
+        else:
             self._run_round_loop_walker(sources, round_idx, corpus, stats,
                                         walk_machines)
-        else:
-            self._run_round_loop_cluster(sources, round_idx, corpus, stats,
-                                         walk_machines)
 
     # ------------------------------------------------------------------ #
-    # Loop backend, legacy per-machine RNG streams (BSP superstep loop)
-    # ------------------------------------------------------------------ #
-
-    def _run_round_loop_cluster(
-        self,
-        sources: np.ndarray,
-        round_idx: int,
-        corpus: Corpus,
-        stats: WalkStats,
-        walk_machines: List[int],
-    ) -> None:
-        cfg = self.config
-        cluster = self.cluster
-        graph = self.graph
-        metrics = cluster.metrics
-        info_mode = cfg.mode != "routine"
-        length_rule = (
-            WalkLengthRule(mu=cfg.mu, min_length=cfg.min_length,
-                           max_length=cfg.max_length)
-            if info_mode
-            else None
-        )
-
-        items: List[Tuple[int, Tuple[Walker, object]]] = []
-        for offset, source in enumerate(sources):
-            source = int(source)
-            walker = Walker.start(round_idx * len(sources) + offset, source)
-            measure = make_measure(cfg.mode) if info_mode else None
-            if measure is not None:
-                measure.observe(source)
-            items.append((cluster.machine_of(source), (walker, measure)))
-
-        def advance(machine: int, item: Tuple[Walker, object]) -> StepResult:
-            walker, measure = item
-            rng = cluster.rngs[machine]
-            while True:
-                if self._walk_finished(walker, measure, length_rule):
-                    corpus.add_walk(walker.path)
-                    stats.total_walks += 1
-                    stats.walk_lengths.append(walker.length)
-                    walk_machines.append(cluster.machine_of(walker.source))
-                    return None
-                candidate = self.kernel.step(walker.current, walker.previous, rng)
-                stats.total_trials += 1
-                metrics.record_compute(machine, 1.0)
-                if candidate is None:
-                    walker.trials_at_step += 1
-                    if walker.trials_at_step >= cfg.max_trials_per_step:
-                        # Force progress: unconditional uniform hop, the
-                        # pragmatic cap real engines apply to rejection loops.
-                        nbrs = graph.neighbors(walker.current)
-                        candidate = int(nbrs[rng.integers(0, nbrs.size)])
-                    else:
-                        continue
-                walker.advance(int(candidate))
-                stats.total_steps += 1
-                metrics.record_local_step(machine)
-                if measure is not None:
-                    measure.observe(int(candidate))
-                    # Measurement cost: O(1) for InCoM, O(L) for full-path.
-                    metrics.record_compute(machine, measure.step_cost())
-                dest = cluster.machine_of(int(candidate))
-                if dest != machine:
-                    n_bytes = (
-                        measure.message_bytes()
-                        if measure is not None
-                        else self._routine_message_bytes
-                    )
-                    return (dest, (walker, measure), n_bytes)
-
-        engine = BSPEngine(cluster)
-        engine.run(items, advance)
-
-    # ------------------------------------------------------------------ #
-    # Loop backend, walker RNG protocol (the parity reference)
+    # Loop backend (the parity reference; what fullpath HuGE-D runs on)
     # ------------------------------------------------------------------ #
 
     def _run_round_loop_walker(

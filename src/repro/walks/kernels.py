@@ -13,12 +13,13 @@ simulated cost model.
 
 Two stepping interfaces coexist:
 
-* ``step(current, previous, rng)`` -- the legacy interface drawing from a
-  stateful per-machine :class:`numpy.random.Generator` (the "cluster" RNG
-  protocol of :class:`repro.walks.engine.WalkConfig`).
+* ``step(current, previous, rng)`` -- draws from a stateful
+  :class:`numpy.random.Generator`; no engine calls it, the kernel
+  distribution tests and ``bench_ablation_alias_vs_rejection.py``
+  measure it.
 * ``step_with_uniforms(current, previous, u1, u2, forced)`` -- the
-  scheduling-independent interface of the "walker" RNG protocol: the
-  engine supplies exactly two uniforms per trial from the walker's private
+  scheduling-independent interface every engine runs on: the engine
+  supplies exactly two uniforms per trial from the walker's private
   counter stream (``u1`` proposes, ``u2`` accepts), so the loop and
   vectorized backends consume identical randomness and produce
   byte-identical walks.  ``forced`` marks the unconditional hop applied

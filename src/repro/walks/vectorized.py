@@ -25,12 +25,12 @@ Two batch layers live here:
   simulated :class:`repro.runtime.cluster.Cluster` so the paper's cost
   accounting is byte-identical to the loop engine's.
 
-  Randomness follows the **walker RNG protocol** of
+  Randomness follows the per-walker counter streams of
   :mod:`repro.utils.rng`: each walker consumes its private counter-based
   stream (two uniforms per trial), so this backend produces *the same
   corpus, walk lengths, termination decisions and metrics* as
   :class:`repro.walks.engine.DistributedWalkEngine` running the loop
-  backend under the same protocol -- the property the reference-parity
+  backend -- the property the reference-parity
   suite (``tests/test_walks_vectorized_parity.py``) pins down.
 
   Covered: kernels ``deepwalk``/``node2vec``/``node2vec-alias``/``huge``/
@@ -499,17 +499,18 @@ class BatchWalkRunner:
                   trials_out: Optional[np.ndarray] = None):
         """Advance one walk per source to termination, lock-step.
 
-        The superstep core shared by the serial round and the process
-        executor: walker streams are keyed by the caller-supplied
-        ``walk_ids`` (globally unique under the walker protocol, so a
-        worker holding a slice of a round produces exactly the walks the
-        whole-round call would).  Returns ``(paths, lengths)`` -- written
-        into ``paths_out``/``lengths_out`` when given (the executor's
-        shared-memory buffers) -- and credits trials/steps to ``stats``
-        and compute/messages to the cluster metrics.
+        The superstep core shared by the serial round and the walk
+        workers: walker streams are keyed by the caller-supplied
+        ``walk_ids`` (globally unique, so a worker holding a slice of a
+        round produces exactly the walks the whole-round call would).
+        Returns ``(paths, lengths)`` -- written into
+        ``paths_out``/``lengths_out`` when given (the serial round's
+        scratch or the executor's shared-memory slots) -- and credits
+        trials/steps to ``stats`` and compute/messages to the cluster
+        metrics.
 
         Passing ``trials_out`` (an int array of the paths shape) switches
-        to **deferred accounting**, the pipeline executor's mode: the
+        to **deferred accounting**, the walk workers' mode: the
         walker advances exactly as before (same streams, same uniforms,
         same termination), but nothing is recorded against ``stats`` or
         the cluster -- instead ``trials_out[i, s]`` receives the number of

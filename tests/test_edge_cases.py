@@ -19,6 +19,7 @@ from repro.embedding import (
 from repro.graph import CSRGraph, star
 from repro.runtime import Cluster
 from repro.systems import DistGER
+from repro.utils.rng import CounterStream
 from repro.walks import (
     Corpus,
     DistributedWalkEngine,
@@ -71,8 +72,9 @@ class TestEmptyAndTiny:
         vocab = Vocabulary.from_corpus(corpus)
         assert vocab.max_occurrence == 0
         sampler = NegativeSampler(vocab)  # falls back to uniform
-        rows = sampler.sample_rows(10, np.random.default_rng(0))
-        assert rows.size == 10
+        rows = sampler.sample_rows_stream(4000, CounterStream(0))
+        np.testing.assert_allclose(np.bincount(rows, minlength=4) / 4000,
+                                   [0.25] * 4, atol=0.05)
 
     def test_model_on_tiny_vocab(self):
         corpus = Corpus(1)
@@ -162,7 +164,7 @@ class TestVectorizedEngineEdges:
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)  # node 2 isolated
         for backend in ("loop", "vectorized"):
             cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     backend=backend, rng_protocol="walker")
+                                     backend=backend)
             result = self._run(g, cfg, sources=np.array([2, 0]))
             assert [len(w) for w in result.corpus.walks][0] == 1
             assert int(result.corpus.walks[0][0]) == 2
@@ -188,8 +190,7 @@ class TestVectorizedEngineEdges:
         walks = {}
         for backend in ("loop", "vectorized"):
             cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     max_length=12, backend=backend,
-                                     rng_protocol="walker")
+                                     max_length=12, backend=backend)
             result = self._run(g, cfg)
             assert result.stats.walk_lengths == [12]
             walks[backend] = [tuple(int(v) for v in w)
@@ -221,8 +222,7 @@ class TestVectorizedEngineEdges:
             runs = []
             for backend in ("loop", "vectorized"):
                 cfg = WalkConfig.distger(mu=mu, max_rounds=1, min_rounds=1,
-                                         backend=backend,
-                                         rng_protocol="walker")
+                                         backend=backend)
                 result = self._run(small_graph, cfg, machines=2, seed=5)
                 runs.append([tuple(int(v) for v in w)
                              for w in result.corpus.walks])

@@ -16,6 +16,7 @@ from repro.embedding import (
     sigmoid,
     window_batches,
 )
+from repro.utils.rng import CounterStream
 from repro.walks import Corpus
 
 
@@ -108,7 +109,7 @@ class TestLearnerContract:
         model = EmbeddingModel(vocab, cfg.dim, seed=1)
         before_in = model.phi_in.copy()
         learner = LEARNERS[learner_name](model, sampler, cfg,
-                                         np.random.default_rng(0))
+                                         CounterStream(0))
         tokens = learner.train_walks(corpus.walks, lr=0.05)
         assert tokens == corpus.total_tokens
         assert not np.allclose(model.phi_in, before_in)
@@ -119,7 +120,7 @@ class TestLearnerContract:
         cfg = TrainConfig(dim=16, window=3, negatives=3)
         model = EmbeddingModel(vocab, cfg.dim, seed=1)
         learner = LEARNERS[learner_name](model, sampler, cfg,
-                                         np.random.default_rng(0))
+                                         CounterStream(0))
         for _ in range(3):
             learner.train_walks(corpus.walks, lr=0.1)
         assert np.all(np.isfinite(model.phi_in))
@@ -132,7 +133,7 @@ class TestLearnerContract:
         for _ in range(2):
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             learner = LEARNERS[learner_name](model, sampler, cfg,
-                                             np.random.default_rng(7))
+                                             CounterStream(7))
             learner.train_walks(corpus.walks, lr=0.05)
             outs.append(model.phi_in.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
@@ -150,8 +151,7 @@ class TestLearnerSemantics:
         sampler = NegativeSampler(vocab)
         cfg = TrainConfig(dim=16, window=2, negatives=2)
         model = EmbeddingModel(vocab, cfg.dim, seed=1)
-        learner = LEARNERS["dsgl"](model, sampler, cfg,
-                                   np.random.default_rng(0))
+        learner = LEARNERS["dsgl"](model, sampler, cfg, CounterStream(0))
         for _ in range(5):
             learner.train_walks(corpus.walks, lr=0.05)
         emb = model.embeddings_node_space()
@@ -164,8 +164,7 @@ class TestLearnerSemantics:
         for mw in (1, 2, 4):
             cfg = TrainConfig(dim=8, window=2, negatives=2, multi_windows=mw)
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
-            learner = LEARNERS["dsgl"](model, sampler, cfg,
-                                       np.random.default_rng(0))
+            learner = LEARNERS["dsgl"](model, sampler, cfg, CounterStream(0))
             tokens = learner.train_walks(corpus.walks, lr=0.05)
             assert tokens == corpus.total_tokens
             assert np.all(np.isfinite(model.phi_in))

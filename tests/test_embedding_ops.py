@@ -76,11 +76,6 @@ class TestEagerBackendValidation:
         with pytest.raises(ValueError, match=bad):
             TrainConfig(**{field: bad})
 
-    def test_torch_requires_shared_protocol(self):
-        """Protocol check fires first, so it works with torch absent."""
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(backend="torch", rng_protocol="cluster")
-
     def test_resolve_ops_defaults_to_numpy_singleton(self):
         for cfg in (TrainConfig(), TrainConfig(backend="vectorized"),
                     TrainConfig(backend="loop"), None):
@@ -288,7 +283,7 @@ class TestFusedStepGradient:
         ops = NumpyOps(dtype=dtype)
         learner = VectorizedDSGLLearner(
             EmbeddingModel(vocab, cfg.dim, seed=2), NegativeSampler(vocab),
-            cfg, rng, neg_stream=CounterStream(5), ops=ops)
+            cfg, CounterStream(5), ops=ops)
         _, plan = plan_dsgl_slice([(learner, walks, 0.05)])
         assert (plan.cidx == plan.ctx_gather.size).any()    # padding exists
         ctx_mega, ctx_start, out_mega, _ = plan.gather(ops)

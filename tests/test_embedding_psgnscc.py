@@ -11,6 +11,7 @@ from repro.embedding import (
     TrainConfig,
     Vocabulary,
 )
+from repro.utils.rng import CounterStream
 from repro.walks import Corpus
 
 
@@ -30,8 +31,7 @@ class TestPSGNScc:
         corpus, vocab, sampler = fixture()
         cfg = TrainConfig(dim=8, window=3, negatives=4)
         model = EmbeddingModel(vocab, cfg.dim, seed=1)
-        learner = PSGNSccLearner(model, sampler, cfg,
-                                 np.random.default_rng(0))
+        learner = PSGNSccLearner(model, sampler, cfg, CounterStream(0))
         tokens = learner.train_walks(corpus.walks, lr=0.05)
         assert tokens == corpus.total_tokens
 
@@ -50,7 +50,7 @@ class TestPSGNScc:
         for name, cls in (("psgnscc", PSGNSccLearner),
                           ("pword2vec", Pword2vecLearner)):
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
-            learner = cls(model, sampler, cfg, np.random.default_rng(0))
+            learner = cls(model, sampler, cfg, CounterStream(0))
             learner.train_walks(corpus.walks, lr=0.05)
             out[name] = model.phi_in.copy()
         # Same seed, same corpus -- but the combined batches change the
@@ -65,8 +65,7 @@ class TestPSGNScc:
         sampler = NegativeSampler(vocab)
         cfg = TrainConfig(dim=8, window=2, negatives=2)
         model = EmbeddingModel(vocab, cfg.dim, seed=1)
-        learner = PSGNSccLearner(model, sampler, cfg,
-                                 np.random.default_rng(0))
+        learner = PSGNSccLearner(model, sampler, cfg, CounterStream(0))
         for _ in range(5):
             learner.train_walks(corpus.walks, lr=0.1)
         assert np.all(np.isfinite(model.phi_in))

@@ -84,8 +84,7 @@ class TestLearnerParity:
                                ("vectorized", VECTORIZED_LEARNERS)):
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             inst = registry[learner](model, sampler, cfg,
-                                     np.random.default_rng(0),
-                                     neg_stream=CounterStream(12345))
+                                     CounterStream(12345))
             tokens = inst.train_walks(corpus.walks, lr=0.05)
             results[kind] = (model.phi_in.copy(), model.phi_out.copy(),
                              tokens)
@@ -124,8 +123,7 @@ class TestLearnerParity:
             sampler = RecordingSampler(vocab)
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             inst = registry[learner](model, sampler, cfg,
-                                     np.random.default_rng(0),
-                                     neg_stream=CounterStream(777))
+                                     CounterStream(777))
             inst.train_walks(corpus.walks, lr=0.05)
             draws[kind] = np.concatenate(sampler.drawn)
         np.testing.assert_array_equal(draws["loop"], draws["vectorized"])
@@ -141,8 +139,7 @@ class TestLearnerParity:
                                    ("vectorized", VECTORIZED_LEARNERS)):
                 model = EmbeddingModel(vocab, cfg.dim, seed=1)
                 registry["dsgl"](model, sampler, cfg,
-                                 np.random.default_rng(0),
-                                 neg_stream=CounterStream(5)).train_walks(
+                                 CounterStream(5)).train_walks(
                                      corpus.walks, lr=0.05)
                 outs[kind] = model.phi_in.copy()
             np.testing.assert_allclose(outs["loop"], outs["vectorized"],
@@ -228,8 +225,7 @@ def make_groups(cfg, shards, rates, vocab_nodes=40, seed=1):
     sampler = NegativeSampler(vocab)
     base = EmbeddingModel(vocab, cfg.dim, seed=seed)
     return [(VectorizedDSGLLearner(base.clone(), sampler, cfg,
-                                   np.random.default_rng(0),
-                                   neg_stream=CounterStream(1000 + g)),
+                                   CounterStream(1000 + g)),
              walks, lr)
             for g, (walks, lr) in enumerate(zip(shards, rates))]
 
@@ -304,9 +300,7 @@ class TestRoundStackedPlan:
         for (fast, walks, lr) in stacked:
             model = make_groups(cfg, [walks], [lr])[0][0].model
             loop = LEARNERS["dsgl"](model, fast.sampler, cfg,
-                                    np.random.default_rng(0),
-                                    neg_stream=CounterStream(
-                                        fast.neg_stream.key))
+                                    CounterStream(fast.neg_stream.key))
             loop.train_walks(walks, lr)
             assert model.phi_in.tobytes() == fast.model.phi_in.tobytes()
             assert model.phi_out.tobytes() == fast.model.phi_out.tobytes()
@@ -466,24 +460,9 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="psgnscc"):
             TrainConfig(backend="vectorized").resolved_backend("psgnscc")
 
-    def test_vectorized_requires_shared_protocol(self):
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(backend="vectorized", rng_protocol="cluster")
-
-    def test_auto_protocol_is_shared(self):
-        assert TrainConfig().resolved_rng_protocol() == "shared"
-
-    def test_cluster_protocol_forces_loop(self):
-        # The legacy protocol is serial-only by design, so pin execution
-        # (REPRO_EXECUTION=process would otherwise reject the combination).
-        cfg = TrainConfig(rng_protocol="cluster", execution="serial")
-        assert cfg.resolved_backend("dsgl") == "loop"
-
     def test_invalid_names(self):
         with pytest.raises(ValueError, match="backend"):
             TrainConfig(backend="gpu")
-        with pytest.raises(ValueError, match="rng_protocol"):
-            TrainConfig(rng_protocol="magic")
         with pytest.raises(ValueError, match="dsgl_threads"):
             TrainConfig(dsgl_threads=0)
 
@@ -492,23 +471,6 @@ class TestBackendResolution:
         cluster = Cluster(1, np.zeros(40, dtype=np.int64), seed=0)
         trainer = DistributedTrainer(corpus, cluster, TrainConfig(dim=4))
         assert trainer.backend == "vectorized"
-        assert trainer.rng_protocol == "shared"
-        legacy = DistributedTrainer(
-            corpus, cluster, TrainConfig(dim=4, rng_protocol="cluster",
-                                         execution="serial"))
-        assert legacy.backend == "loop"
-
-    def test_legacy_cluster_protocol_unchanged(self):
-        """The cluster protocol still produces the historical seeds'
-        results (stateful per-machine generator draws, sequential
-        lifetimes)."""
-        corpus = make_corpus(seed=13)
-        outs = []
-        for _ in range(2):
-            res = train_embeddings(corpus, "loop", rng_protocol="cluster",
-                                   execution="serial")
-            outs.append(res.embeddings)
-        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 class TestSharedDrawPrimitives:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.embedding import NegativeSampler, Vocabulary
+from repro.utils.rng import CounterStream
 from repro.walks import Corpus
 
 
@@ -81,16 +82,17 @@ class TestNegativeSampler:
         expected0 = 16**0.75 / (16**0.75 + 1.0)
         assert probs[0] == pytest.approx(expected0, abs=1e-9)
 
-    def test_zero_count_rows_never_sampled(self, rng):
+    def test_zero_count_rows_never_sampled(self):
         c = corpus_with_counts([5, 5, 0])
-        sampler = NegativeSampler(Vocabulary.from_corpus(c))
-        nodes = sampler.sample_nodes(2000, rng)
-        assert 2 not in set(int(x) for x in nodes)
+        vocab = Vocabulary.from_corpus(c)
+        rows = NegativeSampler(vocab).sample_rows_stream(2000,
+                                                         CounterStream(1))
+        assert 2 not in set(int(x) for x in vocab.row_to_node[rows])
 
-    def test_power_zero_is_uniform_over_support(self, rng):
+    def test_power_zero_is_uniform_over_support(self):
         c = corpus_with_counts([100, 1])
         sampler = NegativeSampler(Vocabulary.from_corpus(c), power=0.0)
-        rows = sampler.sample_rows(4000, rng)
+        rows = sampler.sample_rows_stream(4000, CounterStream(2))
         freq = np.bincount(rows, minlength=2) / 4000
         np.testing.assert_allclose(freq, [0.5, 0.5], atol=0.05)
 

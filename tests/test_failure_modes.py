@@ -11,8 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import embed_graph
+from repro.embedding import TrainConfig
 from repro.graph import CSRGraph, star
 from repro.runtime import BSPEngine, Cluster, ClusterMetrics
+from repro.systems import DistGER
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig
 
 
@@ -137,6 +140,22 @@ class TestSystemFailureModes:
         with pytest.raises(ValueError, match="lr_schedule"):
             embed_graph(triangle, method="distger", num_machines=1,
                         lr_schedule="warp")
+
+    @pytest.mark.parametrize("build", [
+        lambda g: WalkConfig(rng_protocol="walker"),
+        lambda g: TrainConfig(rng_protocol="shared"),
+        lambda g: DistGER(train_overrides={"rng_protocol": "shared"}),
+        lambda g: DistGER(walk_overrides={"rng_protocol": "walker"}),
+        lambda g: embed_graph(g, num_machines=1, rng_protocol="walker"),
+        lambda g: embed_graph(g, num_machines=1,
+                              train_rng_protocol="shared"),
+    ], ids=["WalkConfig", "TrainConfig", "train_overrides",
+            "walk_overrides", "embed_graph", "embed_graph-train"])
+    def test_removed_rng_protocol_knob_is_rejected(self, triangle, build):
+        """Counter streams are the only randomness; the retired selector
+        must fail at the boundary, not be swallowed by override routing."""
+        with pytest.raises(TypeError, match="rng_protocol"):
+            build(triangle)
 
     def test_more_machines_than_nodes_fails_loudly(self, triangle):
         from repro.api import embed_graph

@@ -154,7 +154,7 @@ class TestAnchorPullMath:
         config = TrainConfig(dim=DIM, epochs=1, seed=3)
         # The pull never draws negatives, so no sampler is needed.
         return BaseLearner(model, sampler=None, config=config,
-                           rng=np.random.default_rng(0))
+                           neg_stream=None)
 
     def test_apply_anchor_pulls_unique_touched_rows(self):
         learner = self._learner()

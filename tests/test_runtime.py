@@ -123,6 +123,21 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(2, np.array([0, 5]))
 
+    @pytest.mark.parametrize("machines", (1, 2, 4))
+    @pytest.mark.parametrize("make_seed, root", [
+        (lambda: 7, 16920295385781661272),
+        (lambda: np.random.SeedSequence(7), 16920295385781661272),
+        (lambda: np.random.SeedSequence([7, 1]), 6635463128224577688),
+        # The generator's first draw, at any machine count.
+        (lambda: np.random.default_rng(7), 5765488047046174020),
+    ], ids=["int", "seedsequence", "seedsequence-list", "generator"])
+    def test_walk_seed_root_pinned(self, machines, make_seed, root):
+        """Every corpus derives from this root, so it must never move --
+        nor depend on the machine count."""
+        assignment = np.zeros(4, dtype=np.int64)
+        assert Cluster(machines, assignment,
+                       seed=make_seed()).walk_seed_root == root
+
     def test_reset_metrics(self):
         c = Cluster(1, np.zeros(3, dtype=np.int64))
         c.metrics.record_message(10)

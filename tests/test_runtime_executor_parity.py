@@ -1,4 +1,5 @@
-"""Cross-process parity: ``execution="process"`` vs ``"serial"``, byte for byte.
+"""Cross-process parity: ``execution="process"``/``"pipeline"`` vs
+``"serial"``, byte for byte.
 
 The process runtime (:mod:`repro.runtime.executor`) schedules real OS
 processes, yet every result must be **byte-identical** to the serial
@@ -69,48 +70,129 @@ def assert_corpora_equal(ref, other):
     np.testing.assert_array_equal(ref.occurrences, other.occurrences)
 
 
-class TestWalkParity:
-    """Process walk rounds reproduce the serial corpus bit for bit."""
+def assert_walk_runs_equal(ref_run, run):
+    """Corpus bytes, walk placement, WalkStats and every simulated metric
+    counter (all increments are integer-valued floats, so the deferred
+    reconstruction lands on the serial counters exactly)."""
+    (ref, ref_cluster), (result, cluster) = ref_run, run
+    assert_corpora_equal(ref.corpus, result.corpus)
+    assert ref.walk_machines == result.walk_machines
+    assert ref.stats.total_trials == result.stats.total_trials
+    assert ref.stats.total_steps == result.stats.total_steps
+    assert ref.stats.walk_lengths == result.stats.walk_lengths
+    assert ref.stats.rounds == result.stats.rounds
+    assert ref.stats.kl_trace == result.stats.kl_trace
+    assert ref_cluster.metrics.as_dict() == cluster.metrics.as_dict()
+    assert ref_cluster.metrics.message_byte_matrix == \
+        cluster.metrics.message_byte_matrix
+
+
+def shm_segments() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+#: Walk configurations of the parity matrix (``run_walks`` overrides).
+WALK_MODES = {
+    "incom": {},
+    "routine": dict(kernel="node2vec", mode="routine", walk_length=20,
+                    walks_per_node=2, p=2.0, q=0.5),
+    "node2vec-alias": dict(kernel="node2vec-alias", p=2.0, q=0.5),
+}
+
+
+@pytest.mark.parametrize("execution", ("process", "pipeline"))
+class TestWalkExecutorParity:
+    """One worker-pool runner behind both executions -- a barrier per
+    round (``process``) or rounds sampled ahead of the flush
+    (``pipeline``, speculating past the KL check) -- must land on the
+    serial bytes."""
 
     @pytest.fixture(scope="class")
     def serial_runs(self):
-        return {kind: run_walks(graph_family(kind), "serial")
-                for kind in GRAPHS}
+        return {(kind, mode): run_walks(graph_family(kind), "serial", **cfg)
+                for kind in GRAPHS for mode, cfg in WALK_MODES.items()}
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("mode", WALK_MODES)
     @pytest.mark.parametrize("kind", GRAPHS)
-    def test_corpora_byte_identical(self, serial_runs, kind, workers):
-        ref, ref_cluster = serial_runs[kind]
-        result, cluster = run_walks(graph_family(kind), "process", workers)
-        assert_corpora_equal(ref.corpus, result.corpus)
-        assert ref.walk_machines == result.walk_machines
-        assert ref.stats.total_trials == result.stats.total_trials
-        assert ref.stats.total_steps == result.stats.total_steps
-        assert ref.stats.walk_lengths == result.stats.walk_lengths
-        # Every metric increment is an integer-valued float, so even the
-        # simulated cost counters merge exactly.
-        assert ref_cluster.metrics.as_dict() == cluster.metrics.as_dict()
+    def test_corpora_stats_metrics_byte_identical(self, serial_runs, kind,
+                                                  mode, workers, execution):
+        run = run_walks(graph_family(kind), execution, workers,
+                        **WALK_MODES[mode])
+        assert_walk_runs_equal(serial_runs[kind, mode], run)
 
-    def test_routine_mode_parity(self):
-        graph = graph_family("undirected")
-        cfg = dict(kernel="node2vec", mode="routine", walk_length=20,
-                   walks_per_node=2, p=2.0, q=0.5)
-        ref, _ = run_walks(graph, "serial", **cfg)
-        result, _ = run_walks(graph, "process", 2, **cfg)
-        assert_corpora_equal(ref.corpus, result.corpus)
-
-    def test_node2vec_alias_shared_tables_parity(self):
+    def test_node2vec_alias_shared_tables_match_loop(self, execution):
         """Walk workers build their node2vec-alias kernel from the
         parent's exported flat tables (no per-worker Σ deg(u) rebuild);
-        loop, vectorized and process corpora stay byte-identical."""
-        graph = graph_family("weighted")
-        cfg = dict(kernel="node2vec-alias", p=2.0, q=0.5)
-        loop, _ = run_walks(graph, "serial", backend="loop", **cfg)
-        vec, _ = run_walks(graph, "serial", **cfg)
-        for workers in (1, 2):
-            proc, _ = run_walks(graph, "process", workers, **cfg)
-            assert_corpora_equal(loop.corpus, proc.corpus)
-        assert_corpora_equal(loop.corpus, vec.corpus)
+        the loop reference agrees with what they sample."""
+        loop, _ = run_walks(graph_family("weighted"), "serial",
+                            backend="loop", **WALK_MODES["node2vec-alias"])
+        proc, _ = run_walks(graph_family("weighted"), execution, 2,
+                            **WALK_MODES["node2vec-alias"])
+        assert_corpora_equal(loop.corpus, proc.corpus)
+
+    def test_kl_round_termination_matches(self, execution):
+        """The walk-count rule sees identical corpora, so every executor
+        stops after the same number of rounds; rounds the pipeline
+        sampled past the stop leave no trace."""
+        graph = graph_family("undirected")
+        ref = run_walks(graph, "serial", max_rounds=6)
+        assert_walk_runs_equal(ref, run_walks(graph, execution, 2,
+                                              max_rounds=6))
+
+    def test_engine_surfaces_worker_failure_and_cleans_up(self, execution,
+                                                          monkeypatch):
+        """A failure inside a walk worker re-raises from ``engine.run``
+        and the runner's shared segments are released on the way out."""
+        import multiprocessing
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("failure injection relies on fork inheritance")
+        from repro.walks.vectorized import BatchWalkRunner
+
+        def explode(self, *args, **kwargs):
+            raise RuntimeError("injected worker failure")
+
+        # Patch before the pool forks so the workers inherit the fault.
+        monkeypatch.setattr(BatchWalkRunner, "run_walks", explode)
+        graph = graph_family("undirected")
+        part = WorkloadBalancePartitioner().partition(graph, 2)
+        cluster = Cluster(2, part.assignment, seed=1)
+        cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
+                                 execution=execution, workers=2,
+                                 backing="shm")
+        engine = DistributedWalkEngine(graph, cluster, cfg)
+        before = shm_segments()
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            engine.run()
+        assert shm_segments() <= before
+
+
+class TestWalkRunner:
+    @pytest.mark.parametrize("depth", (1, 2, 4))
+    def test_queue_depth_is_result_invariant(self, depth):
+        """The backpressure bound trades memory and overlap only -- the
+        runner hands out the same round bytes at any depth."""
+        from repro.runtime.executor import StreamingWalkRunner
+        from repro.walks.corpus import Corpus
+        from repro.walks.kernels import make_kernel
+
+        graph = graph_family("undirected")
+        ref, ref_cluster = run_walks(graph, "serial", max_rounds=3,
+                                     min_rounds=3)
+        cfg = WalkConfig.distger(max_rounds=3, min_rounds=3, workers=2)
+        sources = np.flatnonzero(graph.degrees > 0)
+        corpus = Corpus(graph.num_nodes)
+        with StreamingWalkRunner(
+                graph, ref_cluster.num_machines, ref_cluster.walk_seed_root,
+                cfg, make_kernel("huge", graph), sources, max_rounds=3,
+                depth=depth) as runner:
+            assert runner.depth == min(depth, 3)
+            for _ in range(3):
+                paths, lengths, _trials = runner.next_round()
+                corpus.add_walks(paths, lengths)
+                runner.release_round()
+        assert_corpora_equal(ref.corpus, corpus)
 
     def test_alias_sampler_table_export_roundtrip(self):
         """from_tables(export_tables()) reproduces the building sampler's
@@ -138,15 +220,6 @@ class TestWalkParity:
             u1, u2 = float(rng.random()), float(rng.random())
             assert built.sample_step_with_uniforms(cur, prev, u1, u2) == \
                 wrapped.sample_step_with_uniforms(cur, prev, u1, u2)
-
-    def test_kl_round_termination_matches(self):
-        """The walk-count rule sees identical corpora, so both executors
-        stop after the same number of rounds."""
-        graph = graph_family("undirected")
-        ref, _ = run_walks(graph, "serial", max_rounds=6)
-        result, _ = run_walks(graph, "process", 2, max_rounds=6)
-        assert ref.stats.rounds == result.stats.rounds
-        assert ref.stats.kl_trace == result.stats.kl_trace
 
 
 class TestTrainParity:
@@ -234,70 +307,9 @@ class TestPartitionParity:
         assert (par.execution, par.workers) == ("process", 3)
 
 
-class TestPipelineParity:
-    """``execution="pipeline"`` streams rounds (bounded queue, deferred
-    accounting, speculative sampling past the KL check) yet must land on
-    the serial bytes: corpora, walk placement, stats, and every simulated
-    metric counter."""
-
-    @pytest.fixture(scope="class")
-    def serial_runs(self):
-        return {kind: run_walks(graph_family(kind), "serial")
-                for kind in GRAPHS}
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    @pytest.mark.parametrize("kind", GRAPHS)
-    def test_walk_corpora_byte_identical(self, serial_runs, kind, workers):
-        ref, ref_cluster = serial_runs[kind]
-        result, cluster = run_walks(graph_family(kind), "pipeline", workers)
-        assert_corpora_equal(ref.corpus, result.corpus)
-        assert ref.walk_machines == result.walk_machines
-        assert ref.stats.total_trials == result.stats.total_trials
-        assert ref.stats.total_steps == result.stats.total_steps
-        assert ref.stats.walk_lengths == result.stats.walk_lengths
-        # Deferred accounting reconstructs the counters exactly: trials
-        # and steps from the per-step trial buffers, messages from the
-        # per-arc traversal counts -- all integer-valued.
-        assert ref_cluster.metrics.as_dict() == cluster.metrics.as_dict()
-        assert ref_cluster.metrics.message_byte_matrix == \
-            cluster.metrics.message_byte_matrix
-
-    def test_speculative_rounds_leave_no_trace(self, serial_runs):
-        """The producer samples ahead of the KL check; rounds past the
-        stop are discarded, so round counts and KL traces match."""
-        graph = graph_family("undirected")
-        ref, _ = run_walks(graph, "serial", max_rounds=6)
-        result, _ = run_walks(graph, "pipeline", 2, max_rounds=6)
-        assert ref.stats.rounds == result.stats.rounds
-        assert ref.stats.kl_trace == result.stats.kl_trace
-        assert_corpora_equal(ref.corpus, result.corpus)
-
-    @pytest.mark.parametrize("depth", ("1", "4"))
-    def test_queue_depth_is_result_invariant(self, serial_runs, depth,
-                                             monkeypatch):
-        """Backpressure bound (REPRO_PIPELINE_DEPTH) trades memory and
-        overlap only -- any depth produces the same bytes."""
-        monkeypatch.setenv("REPRO_PIPELINE_DEPTH", depth)
-        ref, _ = serial_runs["undirected"]
-        result, _ = run_walks(graph_family("undirected"), "pipeline", 2)
-        assert_corpora_equal(ref.corpus, result.corpus)
-        assert ref.stats.walk_lengths == result.stats.walk_lengths
-
-    def test_node2vec_alias_pipeline_parity(self):
-        graph = graph_family("weighted")
-        cfg = dict(kernel="node2vec-alias", p=2.0, q=0.5)
-        ref, _ = run_walks(graph, "serial", **cfg)
-        result, _ = run_walks(graph, "pipeline", 2, **cfg)
-        assert_corpora_equal(ref.corpus, result.corpus)
-
-    def test_routine_mode_parity(self):
-        graph = graph_family("undirected")
-        cfg = dict(kernel="node2vec", mode="routine", walk_length=20,
-                   walks_per_node=3, p=2.0, q=0.5)
-        ref, ref_cluster = run_walks(graph, "serial", **cfg)
-        result, cluster = run_walks(graph, "pipeline", 2, **cfg)
-        assert_corpora_equal(ref.corpus, result.corpus)
-        assert ref_cluster.metrics.as_dict() == cluster.metrics.as_dict()
+class TestPipelineDataflow:
+    """The system-level streaming dataflow around the walk runner:
+    partition ∥ sampling and the feed-gated trainer."""
 
     def test_async_partition_matches_direct_call(self):
         from repro.partition.mpgp import MPGPPartitioner
@@ -373,28 +385,6 @@ class TestPipelineParity:
             producer.join()
         np.testing.assert_array_equal(expected.embeddings, result.embeddings)
 
-    def test_engine_surfaces_worker_failure_and_cleans_up(self, monkeypatch):
-        """A failure inside a streaming walk worker re-raises from
-        ``engine.run`` and the producer's shared segments are released."""
-        import multiprocessing
-
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("failure injection relies on fork inheritance")
-        from repro.walks.vectorized import BatchWalkRunner
-
-        def explode(self, *args, **kwargs):
-            raise RuntimeError("injected pipeline worker failure")
-
-        monkeypatch.setattr(BatchWalkRunner, "run_walks", explode)
-        graph = graph_family("undirected")
-        part = WorkloadBalancePartitioner().partition(graph, 2)
-        cluster = Cluster(2, part.assignment, seed=1)
-        cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
-                                 execution="pipeline", workers=2)
-        engine = DistributedWalkEngine(graph, cluster, cfg)
-        with pytest.raises(RuntimeError, match="injected pipeline"):
-            engine.run()
-
 
 # ------------------------------------------------------------------ #
 # Crash safety
@@ -443,29 +433,6 @@ class TestCrashSafety:
         with ProcessExecutor(1) as pool:
             with pytest.raises(BrokenProcessPool):
                 pool.run(_hard_exit, [()])
-
-    def test_engine_surfaces_worker_failure_and_cleans_up(self, monkeypatch):
-        """A failure inside a walk worker re-raises from ``engine.run``
-        and the runner's shared segments are released on the way out."""
-        import multiprocessing
-
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("failure injection relies on fork inheritance")
-        from repro.walks.vectorized import BatchWalkRunner
-
-        def explode(self, *args, **kwargs):
-            raise RuntimeError("injected worker failure")
-
-        # Patch before the pool forks so the workers inherit the fault.
-        monkeypatch.setattr(BatchWalkRunner, "run_walks", explode)
-        graph = graph_family("undirected")
-        part = WorkloadBalancePartitioner().partition(graph, 2)
-        cluster = Cluster(2, part.assignment, seed=1)
-        cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                 execution="process", workers=2)
-        engine = DistributedWalkEngine(graph, cluster, cfg)
-        with pytest.raises(RuntimeError, match="injected worker failure"):
-            engine.run()
 
 
 # ------------------------------------------------------------------ #
@@ -554,16 +521,9 @@ class TestKnobs:
             execution="pipeline").resolved_execution() == "serial"
         assert TrainConfig(execution="pipeline").resolved_execution() == \
             "process"
+        assert TrainConfig(execution="process").resolved_execution() == \
+            "process"
         PartitionConfig(execution="pipeline")  # accepted for uniformity
-
-    def test_pipeline_depth_validation(self, monkeypatch):
-        from repro.runtime.executor import pipeline_depth
-
-        monkeypatch.setenv("REPRO_PIPELINE_DEPTH", "3")
-        assert pipeline_depth() == 3
-        monkeypatch.setenv("REPRO_PIPELINE_DEPTH", "0")
-        with pytest.raises(ValueError, match="REPRO_PIPELINE_DEPTH"):
-            pipeline_depth()
 
     def test_partition_join_requires_pipeline_execution(self):
         graph = graph_family("undirected")
@@ -575,14 +535,6 @@ class TestKnobs:
                                                           execution="serial"))
         with pytest.raises(ValueError, match="partition_join"):
             engine.run(partition_join=lambda: part.assignment)
-
-    def test_train_process_requires_shared_protocol(self):
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(execution="process", rng_protocol="cluster")
-        with pytest.raises(ValueError, match="shared"):
-            TrainConfig(execution="pipeline", rng_protocol="cluster")
-        assert TrainConfig(execution="process").resolved_execution() == \
-            "process"
 
     def test_worker_count_resolution(self):
         assert resolved_worker_count(3) == 3

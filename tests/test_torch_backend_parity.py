@@ -75,8 +75,7 @@ def learner_pass(learner, ops, dtype, seed=1):
     cfg = TrainConfig(dim=16, window=3, negatives=4, multi_windows=2)
     model = EmbeddingModel(vocab, cfg.dim, seed=seed)
     inst = VECTORIZED_LEARNERS[learner](
-        model, NegativeSampler(vocab), cfg, np.random.default_rng(0),
-        neg_stream=CounterStream(12345), ops=ops)
+        model, NegativeSampler(vocab), cfg, CounterStream(12345), ops=ops)
     inst.train_walks(corpus.walks, lr=0.05)
     return model.phi_in.copy(), model.phi_out.copy()
 
@@ -163,8 +162,7 @@ class TestTrainerByteParity:
             sampler = RecordingSampler(vocab)
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             inst = VECTORIZED_LEARNERS["dsgl"](
-                model, sampler, cfg, np.random.default_rng(0),
-                neg_stream=CounterStream(777), ops=ops)
+                model, sampler, cfg, CounterStream(777), ops=ops)
             inst.train_walks(corpus.walks, lr=0.05)
             draws[kind] = np.concatenate([d.reshape(-1)
                                           for d in sampler.drawn])

@@ -268,8 +268,7 @@ class TestEngine:
                                                   bad, match):
         engine = DistributedWalkEngine(
             small_graph, make_cluster(small_graph),
-            WalkConfig.distger(max_rounds=1, min_rounds=1, backend=backend,
-                               rng_protocol="walker"))
+            WalkConfig.distger(max_rounds=1, min_rounds=1, backend=backend))
         with pytest.raises(ValueError, match=match):
             engine.run(sources=bad)
         # Nothing was sampled or charged before the refusal.
@@ -303,31 +302,23 @@ class TestEngine:
             results.append([tuple(w) for w in r.corpus.walks])
         assert results[0] == results[1]
 
-    def test_deterministic_given_seed_all_backend_protocols(self, small_graph):
-        """Byte-identical corpora for the same seed under every
-        backend × protocol combination the config admits."""
-        combos = (
-            ("vectorized", "walker"),
-            ("loop", "walker"),
-            ("loop", "cluster"),
-        )
-        for backend, protocol in combos:
+    def test_deterministic_given_seed_all_backends(self, small_graph):
+        """Byte-identical corpora for the same seed under every backend."""
+        for backend in ("vectorized", "loop"):
             results = []
             for _ in range(2):
                 cluster = make_cluster(small_graph, machines=2, seed=9)
                 cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                         backend=backend,
-                                         rng_protocol=protocol)
+                                         backend=backend)
                 r = DistributedWalkEngine(small_graph, cluster, cfg).run()
                 results.append([w.tobytes() for w in r.corpus.walks])
-            assert results[0] == results[1], (backend, protocol)
+            assert results[0] == results[1], backend
 
     def test_default_backend_is_vectorized_for_incom(self, small_graph):
         cluster = make_cluster(small_graph)
         engine = DistributedWalkEngine(small_graph, cluster,
                                        WalkConfig.distger())
         assert engine.backend == "vectorized"
-        assert engine.rng_protocol == "walker"
 
     def test_fullpath_stays_on_loop_backend(self, small_graph):
         cluster = make_cluster(small_graph)

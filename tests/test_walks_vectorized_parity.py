@@ -66,7 +66,7 @@ def configs(kernel, mode, **overrides):
     if mode == "routine":
         kwargs.update(walk_length=15, walks_per_node=2)
     kwargs.update(overrides)
-    loop = WalkConfig(backend="loop", rng_protocol="walker", **kwargs)
+    loop = WalkConfig(backend="loop", **kwargs)
     vec = WalkConfig(backend="vectorized", **kwargs)
     return loop, vec
 
@@ -169,25 +169,14 @@ class TestBackendResolution:
     def test_auto_resolves_loop_for_fullpath(self):
         cfg = WalkConfig.huge_d()
         assert cfg.resolved_backend() == "loop"
-        # Walker streams are the default protocol for every backend (the
-        # legacy cluster generators are opt-in only).
-        assert cfg.resolved_rng_protocol() == "walker"
-        explicit = WalkConfig.huge_d(rng_protocol="cluster")
-        assert explicit.resolved_rng_protocol() == "cluster"
 
     def test_explicit_vectorized_fullpath_rejected(self):
         with pytest.raises(ValueError, match="fullpath"):
             WalkConfig(mode="fullpath", backend="vectorized")
 
-    def test_vectorized_requires_walker_protocol(self):
-        with pytest.raises(ValueError, match="walker"):
-            WalkConfig(backend="vectorized", rng_protocol="cluster")
-
     def test_invalid_backend_names(self):
         with pytest.raises(ValueError, match="backend"):
             WalkConfig(backend="gpu")
-        with pytest.raises(ValueError, match="rng_protocol"):
-            WalkConfig(rng_protocol="magic")
 
     def test_fullpath_auto_equals_explicit_loop(self, small_graph):
         """backend='auto' on fullpath takes the loop path bit-for-bit."""
@@ -221,8 +210,7 @@ class TestReferenceOracles:
     def test_walks_follow_edges_both_backends(self, small_graph):
         for backend in ("loop", "vectorized"):
             cfg = WalkConfig.distger(
-                max_rounds=1, min_rounds=1, backend=backend,
-                rng_protocol="walker")
+                max_rounds=1, min_rounds=1, backend=backend)
             result, _, _ = run_engine(small_graph, cfg)
             for walk in result.corpus.walks:
                 for u, v in zip(walk[:-1], walk[1:]):

@@ -130,7 +130,7 @@ class TestDeterminism:
             assignment = np.arange(small_graph.num_nodes, dtype=np.int64) % 2
             cluster = Cluster(2, assignment, seed=13)
             cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     backend=backend, rng_protocol="walker")
+                                     backend=backend)
             result = DistributedWalkEngine(small_graph, cluster, cfg).run()
             outs.append([w.tobytes() for w in result.corpus.walks])
         assert outs[0] == outs[1]
