@@ -65,7 +65,7 @@ The walk corpus itself is a flat token block + offsets
 (:class:`repro.walks.corpus.Corpus`), which is what keeps the process
 hand-offs cheap: walk rounds compact straight into the block, the flat
 arrays move into shared memory once at training start, and every sync
-round ships only a ``(machine, lo, hi, lr, key, counter)`` slice
+round ships only a ``(machine, (lo, hi), lr, key, counter)`` slice
 descriptor per machine instead of pickled walk batches.  Process runs
 report the shipped descriptor bytes in
 ``result.stats["ipc_task_bytes"]`` (runs that fall back to pickled
@@ -316,7 +316,8 @@ def apply_edge_stream(
     ...                            dim=8, epochs=1, seed=0)
     >>> update.embeddings.shape[1]
     8
-    >>> update.graph.num_edges == graph.num_edges  # churn is 50/50 ins/del
+    >>> update.graph.num_edges == (graph.num_edges + stream.num_inserts
+    ...                            - stream.num_deletes)
     True
     """
     from repro.dynamic import update_embedding

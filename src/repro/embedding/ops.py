@@ -32,8 +32,9 @@ accumulates duplicate indices sequentially in input order, torch's
 it nondeterministic -- ties (same row, different lifetimes) then round
 differently run to run.  The seam pins one semantics instead of chasing
 kernel behaviour: :func:`sum_duplicate_rows` reduces each destination
-row's deltas left-to-right in input order *first* and applies one ``+=``
-per row (the ``merge_deltas`` contract in
+row's deltas in input order *first* -- as ``d1 + (d2 + ... + dk)``, the
+association spelled out on :class:`DuplicateRowSum` -- and applies one
+``+=`` per row (the ``merge_deltas`` contract in
 :mod:`repro.embedding.vectorized`), and the trainer always reconciles on
 the host over downloaded deltas -- so reconciliation bytes are identical
 across numpy/torch-CPU/CUDA by construction.  ``ops.index_add`` exists
@@ -60,12 +61,13 @@ load, :func:`torch_available` probes without importing, and
 from __future__ import annotations
 
 import importlib.util
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "ArrayOps",
+    "DuplicateRowSum",
     "NUMPY_OPS",
     "NumpyOps",
     "TORCH_INSTALL_HINT",
@@ -100,45 +102,139 @@ def require_torch():
     return torch
 
 
+#: Most contributors a destination row may have and still be summed by the
+#: layered reduce.  ``np.add.reduceat`` sums a segment as its first row
+#: plus NumPy's pairwise sum of the remaining ``k - 1``, and that kernel
+#: is a plain left-to-right loop below eight addends; from eight on it
+#: switches to eight unrolled accumulators, which only ``reduceat`` itself
+#: reproduces.
+_LAYERED_CONTRIBUTORS = 8
+
+
+class DuplicateRowSum:
+    """The deltas-free half of :func:`sum_duplicate_rows`.
+
+    Built from the destination ``rows`` alone (they may repeat), so a
+    caller that knows its rows before its deltas -- the DSGL planner --
+    pays for the sort ahead of time and runs only :meth:`reduce` on the
+    hot side.  The structure is: a stable sort by row (each row's
+    contributors stay in input order), one segment per distinct row, and
+    the segments ordered by descending contributor count, ties by
+    ascending row -- :attr:`rows` lists the distinct rows in that order.
+
+    :meth:`reduce` returns one merged delta per entry of :attr:`rows`
+    under the pinned association
+
+        ``merged = d1 + (d2 + d3 + ... + dk)``, the bracket left to right,
+
+    ``d1 .. dk`` being the row's contributors in input order.  That is
+    bit for bit what ``np.add.reduceat`` computes over the row-sorted
+    layout for ``k <= 8``; rows with more contributors go through that
+    very ``reduceat`` (first contributor plus NumPy's pairwise sum of the
+    rest), so every row's result is what one ``reduceat`` over the whole
+    layout would give -- a deterministic function of the row's own delta
+    subsequence alone, however other rows interleave.  Rounding therefore
+    is *not* that of a naive sequential loop.
+    """
+
+    __slots__ = ("rows", "_gather", "_layers", "_wide", "_wide_gather",
+                 "_wide_starts")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        n = int(rows.size)
+        self._layers: List[int] = []
+        self._wide = 0
+        if n == 0:
+            self.rows = rows[:0]
+            self._gather = np.empty(0, dtype=np.int64)
+            return
+        order = np.argsort(rows, kind="stable")
+        rows_sorted = rows[order]
+        new = np.empty(n, dtype=bool)
+        new[0] = True
+        np.not_equal(rows_sorted[1:], rows_sorted[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        sizes = np.empty(starts.size, dtype=np.int64)
+        sizes[:-1] = starts[1:] - starts[:-1]
+        sizes[-1] = n - starts[-1]
+        by_size = np.argsort(-sizes, kind="stable")
+        starts = starts[by_size]
+        sizes = sizes[by_size]
+        self.rows = rows_sorted[starts]
+        top = int(sizes[0])
+        if top == 1:
+            self._gather = order
+            return
+        # Descending sizes: "segments with more than r contributors" is a
+        # prefix, found by bisection on the negated (ascending) sizes.
+        ranks = np.arange(1, min(top, _LAYERED_CONTRIBUTORS) + 1)
+        *longer, wide = np.searchsorted(-sizes, -ranks).tolist()
+        # Rank-major gather: every segment's first contributor, then the
+        # second of every layered segment that has one, the third, ...
+        # Wide segments keep only their first row here (overwritten by
+        # the reduceat below) so ``rows`` and the merged block stay one
+        # aligned run.
+        parts = [starts]
+        for rank, count in enumerate(longer, start=1):
+            parts.append(starts[wide:count] + rank)
+        self._gather = order[np.concatenate(parts)]
+        self._layers = [count - wide for count in longer]
+        self._wide = wide
+        if wide:
+            wide_sizes = sizes[:wide]
+            excl = np.zeros(wide, dtype=np.int64)
+            np.cumsum(wide_sizes[:-1], out=excl[1:])
+            self._wide_gather = order[
+                np.arange(int(wide_sizes.sum()), dtype=np.int64)
+                - np.repeat(excl, wide_sizes)
+                + np.repeat(starts[:wide], wide_sizes)]
+            self._wide_starts = excl
+
+    def reduce(self, deltas: np.ndarray) -> np.ndarray:
+        """Merged deltas, row-aligned with :attr:`rows` (a fresh array).
+
+        ``deltas`` holds one row per entry of the ``rows`` the structure
+        was built from (extra trailing rows are ignored; a short block is
+        an ``IndexError``).  One full-width ``take`` lays the
+        contributors out rank-major; because segments are ordered by
+        descending size, the segments still active at each rank are a
+        prefix, so every rank is one contiguous ``+=``.
+        """
+        stack = deltas.take(self._gather, axis=0)
+        if not self._layers:
+            return stack
+        unique = self.rows.size
+        wide = self._wide
+        merged = stack[:unique]
+        lo = unique + self._layers[0]
+        rest = stack[unique:lo]
+        for count in self._layers[1:]:
+            rest[:count] += stack[lo:lo + count]
+            lo += count
+        merged[wide:wide + self._layers[0]] += rest
+        if wide:
+            merged[:wide] = np.add.reduceat(
+                deltas.take(self._wide_gather, axis=0), self._wide_starts,
+                axis=0)
+        return merged
+
+
 def sum_duplicate_rows(rows: np.ndarray,
                        deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce per-row deltas: ``(unique_rows, merged)`` with pinned order.
+    """Reduce per-row deltas: ``(distinct_rows, merged)`` with pinned order.
 
-    ``rows`` may repeat; the stable sort gathers each destination row's
-    deltas **in input order** and one ``reduceat`` over the row-sorted
-    layout sums them, so a row's result is a deterministic function of
-    its own delta subsequence alone -- independent of how other rows
-    interleave.  This single host routine is the accumulation-order
-    contract shared by ``merge_deltas`` and every CPU backend's
-    ``index_add`` (note the float32 rounding follows ``reduceat``'s
-    association, which is not bit-identical to a naive sequential loop).
-    Rows touched once (the common case) copy straight through without
-    paying the segmented reduction.
+    ``rows`` may repeat.  Each distinct row's deltas are summed **in
+    input order** as ``d1 + (d2 + ... + dk)`` -- see
+    :class:`DuplicateRowSum`, whose two halves (structure from ``rows``,
+    reduce over ``deltas``) this runs back to back.  It is the single
+    accumulation-order contract shared by ``merge_deltas``, the DSGL
+    plan's write-back (which builds the structure at plan time) and
+    every CPU backend's ``index_add``.  ``distinct_rows`` comes most
+    contested first, ties by ascending row; callers apply one ``+=`` per
+    row, for which the order is immaterial.
     """
-    order = np.argsort(rows, kind="stable")
-    rows_sorted = rows[order]
-    new = np.empty(rows.size, dtype=bool)
-    new[0] = True
-    np.not_equal(rows_sorted[1:], rows_sorted[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    deltas = deltas[order]
-    sizes = np.empty(starts.size, dtype=np.int64)
-    sizes[:-1] = starts[1:] - starts[:-1]
-    sizes[-1] = deltas.shape[0] - starts[-1]
-    merged = np.empty((starts.size, deltas.shape[1]), dtype=deltas.dtype)
-    single = sizes == 1
-    merged[single] = deltas[starts[single]]
-    multi = np.flatnonzero(~single)
-    if multi.size:
-        seg_starts = starts[multi]
-        seg_sizes = sizes[multi]
-        excl = np.zeros(multi.size, dtype=np.int64)
-        np.cumsum(seg_sizes[:-1], out=excl[1:])
-        gather = (np.arange(int(seg_sizes.sum()), dtype=np.int64)
-                  - np.repeat(excl, seg_sizes)
-                  + np.repeat(seg_starts, seg_sizes))
-        merged[multi] = np.add.reduceat(deltas[gather], excl, axis=0)
-    return rows_sorted[starts], merged
+    structure = DuplicateRowSum(rows)
+    return structure.rows, structure.reduce(deltas)
 
 
 class ArrayOps:
@@ -350,8 +446,6 @@ class NumpyOps(ArrayOps):
         dst[idx] = src
 
     def index_add(self, dst, rows, src) -> None:
-        if not rows.size:
-            return
         urows, merged = sum_duplicate_rows(rows, src)
         dst[urows] += merged
 

@@ -59,6 +59,9 @@ class BaseLearner:
         # Optional persona regularizer (repro.embedding.anchor.RowAnchor);
         # trainers attach it after construction.
         self.anchor = None
+        # The machine whose replica this learner trains, for error
+        # messages; trainers attach it after construction.
+        self.machine: Optional[int] = None
 
     def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
         """Train on ``walks`` at learning rate ``lr``; return tokens used."""

@@ -38,8 +38,10 @@ disjoint) per-machine slices concurrently on worker processes over
 shared-memory replica matrices.  Walk data never travels per round: the
 flat corpus (token block + offsets) and the per-machine shard index
 arrays move into shared memory once, and every sync round ships only
-``(machine, lo, hi, lr, key, counter)`` **slice descriptors** that
-workers resolve as zero-copy views into the shared block
+``(machine, (lo, hi), lr, key, counter)`` **slice descriptors** --
+one task per worker, carrying its share of the machines -- that
+workers resolve as zero-copy views into the shared block and train
+through the same ``train_round``
 (:class:`repro.runtime.executor.ProcessSliceTrainer`; parent-side
 subsampling is the one fallback that still pickles batches, since those
 walks exist only in the parent).  ``execution="pipeline"`` resolves to
@@ -323,8 +325,9 @@ class DistributedTrainer:
                                    self.anchor.lam)
         learners = [learner_cls(replicas[i], sampler, cfg, neg_streams[i])
                     for i in range(m)]
-        for learner in learners:
+        for machine, learner in enumerate(learners):
             learner.anchor = row_anchor
+            learner.machine = machine
         sync = make_sync(cfg.sync_mode)
         sync.start(replicas)
         shards = self._shards()

@@ -65,7 +65,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.embedding.ops import NUMPY_OPS, ArrayOps, sum_duplicate_rows
+from repro.embedding.ops import (
+    NUMPY_OPS,
+    ArrayOps,
+    DuplicateRowSum,
+    sum_duplicate_rows,
+)
 from repro.embedding.sgns import BaseLearner
 
 __all__ = [
@@ -203,6 +208,9 @@ class DSGLSlicePlan:
     before any slice runs, so their lifetimes can share one lock-step
     schedule; everything order-sensitive stays per group.  The plan owns:
 
+    * ``groups``: the ``(learner, lr)`` of every group that holds a
+      trainable window, in group order -- the replica coordinate -- and
+      ``cohort``, its index within the slice (for error messages);
     * the concatenated per-lifetime local-buffer row sets
       ``ctx_gather``/``out_gather`` in original (group-major) lifetime
       order; ``ctx_bounds``/``out_bounds`` cut them per group -- the
@@ -218,12 +226,24 @@ class DSGLSlicePlan:
       learning-rate-free, so a step's gradient is
       ``(labels - scores) * lr * mask``; padded lanes index a scratch row
       that the mask keeps at zero;
-    * ``lr``: the per-lifetime learning-rate column, in execution order.
+    * ``lr``: the per-lifetime learning-rate column, in execution order;
+    * the **write-back merge structure** of each buffer
+      (``ctx_merge``/``out_merge``): a
+      :class:`~repro.embedding.ops.DuplicateRowSum` over the
+      ``(replica, row)`` key of every buffer row, built here, at plan
+      time -- planning never reads φ and runs ahead of the write-back --
+      plus, per replica, its destination rows and where they sit in the
+      merged block (``ctx_dest``/``out_dest``).
 
-    Negative pools are drawn per group stream and deltas merged
-    (:func:`merge_deltas`) per replica, both in *original* lifetime
-    order, keeping the stream consumption and the writeback arithmetic
-    independent of how many groups share the plan.  Step tensors are
+    Negative pools are drawn per group stream and deltas merged per
+    replica, both in *original* lifetime order, keeping the stream
+    consumption and the writeback arithmetic independent of how many
+    groups share the plan: the buffers are group-major and the merge
+    structure's sort is stable, so a contested row's deltas are summed as
+    ``d1 + (d2 + ... + dk)`` over its own replica's lifetimes in
+    original order (NumPy's pairwise ``reduceat`` association past eight
+    contributors) -- exactly what the run-time :func:`merge_deltas` of
+    the loop reference computes one replica at a time.  Step tensors are
     padded to the *structural* maxima
     ``(multi_windows·2·window, multi_windows+negatives)``, so a plan
     covering a single lifetime runs the exact same matrix shapes as a
@@ -233,8 +253,9 @@ class DSGLSlicePlan:
     """
 
     __slots__ = (
-        "num_steps", "m_max", "b_max", "replicas",
+        "num_steps", "m_max", "b_max", "groups", "cohort",
         "ctx_gather", "out_gather", "ctx_bounds", "out_bounds",
+        "ctx_merge", "out_merge", "ctx_dest", "out_dest",
         "cidx", "oidx", "labels", "mask", "lr", "step_offsets",
         "_buffers", "_bound",
     )
@@ -265,22 +286,27 @@ class DSGLSlicePlan:
         scratch row at the end (index ``len(ctx_gather)``/``len(out_gather)``).
 
         The host-side gather reads each group's rows from its own
-        replica's float32 matrices; ``ops`` then adopts the blocks
-        (identity on NumPy, upload on a device backend -- the
-        phi-dependent half of the slice upload, which cannot start before
-        the previous cohort's writeback).
+        replica's float32 matrices straight into the step buffer (the
+        rows were range-checked when the plan was built, so ``take``
+        runs unbuffered); ``ops`` then adopts the blocks (identity on
+        NumPy, upload on a device backend -- the phi-dependent half of
+        the slice upload, which cannot start before the previous
+        cohort's writeback).
         """
-        first = self.replicas[0]
+        first = self.groups[0][0].model
         d = first.phi_in.shape[1]
         ctx_host = np.empty((self.ctx_gather.size + 1, d),
                             dtype=first.phi_in.dtype)
         out_host = np.empty((self.out_gather.size + 1, d),
                             dtype=first.phi_out.dtype)
-        for g, model in enumerate(self.replicas):
+        for g, (learner, _lr) in enumerate(self.groups):
+            model = learner.model
             lo, hi = self.ctx_bounds[g:g + 2]
-            ctx_host[lo:hi] = model.phi_in[self.ctx_gather[lo:hi]]
+            np.take(model.phi_in, self.ctx_gather[lo:hi], axis=0,
+                    out=ctx_host[lo:hi], mode="clip")
             lo, hi = self.out_bounds[g:g + 2]
-            out_host[lo:hi] = model.phi_out[self.out_gather[lo:hi]]
+            np.take(model.phi_out, self.out_gather[lo:hi], axis=0,
+                    out=out_host[lo:hi], mode="clip")
         ctx_host[-1] = 0.0
         out_host[-1] = 0.0
         if not self._bound:
@@ -355,23 +381,48 @@ class DSGLSlicePlan:
                         ops: ArrayOps = NUMPY_OPS) -> None:
         """Delta-sum every lifetime's buffer back into its group's replica.
 
-        Deltas are downloaded to the host first (a view on CPU backends,
-        the device→host sync point on CUDA) and merged through the shared
-        :func:`merge_deltas`, one replica at a time, so reconciliation
-        arithmetic -- including duplicate-row accumulation order -- is
-        identical across backends and across group counts.
+        Subtract, reduce, one ``+=`` per replica.  Deltas are downloaded
+        to the host first (a view on CPU backends, the device→host sync
+        point on CUDA) and reduced through the plan-time
+        :class:`~repro.embedding.ops.DuplicateRowSum` -- the routine
+        behind :func:`merge_deltas` -- so reconciliation arithmetic,
+        duplicate-row accumulation order included, is identical across
+        backends and across group counts.  A non-finite merged block is
+        refused before any replica sees it (:meth:`_diverged`).
         """
         ctx_mega -= ctx_start        # buffers are dead after the writeback
         out_mega -= out_start
-        ctx_deltas = ops.download(ctx_mega)
-        out_deltas = ops.download(out_mega)
-        for g, model in enumerate(self.replicas):
-            lo, hi = self.ctx_bounds[g:g + 2]
-            merge_deltas(model.phi_in, self.ctx_gather[lo:hi],
-                         ctx_deltas[lo:hi])
-            lo, hi = self.out_bounds[g:g + 2]
-            merge_deltas(model.phi_out, self.out_gather[lo:hi],
-                         out_deltas[lo:hi])
+        blocks = []
+        for name, merge, dest, deltas in (
+                ("phi_in", self.ctx_merge, self.ctx_dest, ctx_mega),
+                ("phi_out", self.out_merge, self.out_dest, out_mega)):
+            merged = merge.reduce(ops.download(deltas))
+            if not np.isfinite(merged).all():
+                raise self._diverged(name, dest, merged)
+            blocks.append((name, dest, merged))
+        for name, dest, merged in blocks:
+            for (learner, _lr), (rows, at) in zip(self.groups, dest):
+                getattr(learner.model, name)[rows] += merged.take(at, axis=0)
+
+    def _diverged(self, matrix: str, dest, merged) -> FloatingPointError:
+        """The error for a write-back that would add a non-finite delta.
+
+        Raised by the cohort that produced it, before any replica is
+        poisoned and the next sync spreads it: it names the machine, the
+        rate, the cohort of the slice and the lowest offending row.
+        """
+        bad = ~np.isfinite(merged).all(axis=1)
+        for (learner, lr), (rows, at) in zip(self.groups, dest):
+            hit = rows[bad[at]]
+            if hit.size:
+                break
+        row = int(hit.min())
+        node = int(learner.model.vocab.row_to_node[row])
+        return FloatingPointError(
+            f"training diverged: learner {learner.name!r} on machine "
+            f"{learner.machine} at lr={lr!r}, cohort {self.cohort}: "
+            f"non-finite {matrix} delta, first row {row} (node {node}); "
+            f"lower lr")
 
 
 def merge_deltas(phi: np.ndarray, rows: np.ndarray,
@@ -379,21 +430,18 @@ def merge_deltas(phi: np.ndarray, rows: np.ndarray,
     """``phi[row] += Σ_lifetimes delta`` for concatenated lifetime deltas.
 
     ``rows``/``deltas`` concatenate every lifetime's buffer rows in
-    original lifetime order; per-row deltas are summed in that order
-    (``reduceat`` over the row-sorted layout) -- the thread-level analogue
-    of the cross-machine delta reconciliation in
-    :mod:`repro.embedding.sync`.  Shared by both executors, which makes
-    the reconciliation arithmetic backend-independent.
+    original lifetime order -- the thread-level analogue of the
+    cross-machine delta reconciliation in :mod:`repro.embedding.sync`.
 
-    The accumulation order for rows contested by several lifetimes is
-    pinned by :func:`repro.embedding.ops.sum_duplicate_rows` (stable sort
-    gathering each row's deltas in original lifetime order, one
-    ``reduceat`` segment per row, one ``+=`` per row) -- the same routine
-    every CPU backend's ``index_add`` calls, so ties reconcile
-    identically on numpy and torch.
+    The run-time form of the write-back: it builds the merge structure
+    from ``rows`` on the spot and reduces through it
+    (:func:`repro.embedding.ops.sum_duplicate_rows`: a contested row's
+    deltas summed as ``d1 + (d2 + ... + dk)`` in lifetime order, one
+    ``+=`` per row).  The loop reference calls it per cohort; the
+    lock-step plans build the same structure at plan time and every CPU
+    backend's ``index_add`` calls the same routine, so ties reconcile
+    identically everywhere.
     """
-    if not rows.size:
-        return
     urows, merged = sum_duplicate_rows(rows, deltas)
     phi[urows] += merged
 
@@ -428,6 +476,30 @@ def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _replica_merge(gather: np.ndarray, bounds: List[int], vocab_rows: int):
+    """Plan-time half of one buffer's write-back.
+
+    ``gather`` concatenates the lifetimes' buffer rows group-major and
+    ``bounds`` cuts it per replica.  Returns the
+    :class:`~repro.embedding.ops.DuplicateRowSum` over the
+    ``(replica, row)`` keys -- one structure for every replica of the
+    plan, each key's contributors in original lifetime order because the
+    sort is stable -- and, per replica, ``(rows, at)``: its destination
+    rows and their positions in the merged block.  The range check here
+    is what lets :meth:`DSGLSlicePlan.gather` run an unchecked ``take``.
+    """
+    if gather.min() < 0 or gather.max() >= vocab_rows:
+        raise IndexError("DSGL plan gathers rows outside the model matrices")
+    replica_of_row = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    merge = DuplicateRowSum(replica_of_row * vocab_rows + gather)
+    replica, rows = np.divmod(merge.rows, vocab_rows)
+    at = np.argsort(replica, kind="stable")
+    cuts = np.searchsorted(replica[at], np.arange(len(bounds))).tolist()
+    rows = rows[at]
+    return merge, [(rows[lo:hi], at[lo:hi])
+                   for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
 def plan_dsgl_slice(
     groups: Sequence[DSGLGroup],
 ) -> Tuple[List[int], Optional["DSGLSlicePlan"]]:
@@ -456,7 +528,7 @@ def plan_dsgl_slice(
     # negative pool, index eligible walks (>= 2 tokens).  Everything is
     # appended group-major, which is original lifetime order.
     tokens: List[int] = []
-    replicas, lrs, group_chunks = [], [], []
+    planned, group_chunks = [], []
     tok_parts, pool_parts, chunk_size_parts = [], [], []
     wl_len_parts, wl_chunk_parts, wl_base_parts = [], [], []
     n_chunks = n_tokens = 0
@@ -476,8 +548,7 @@ def plan_dsgl_slice(
         per_chunk = np.add.reduceat(sizes, np.arange(0, sizes.size, group))
         kept = per_chunk > 0                       # empty chunks vanish
         chunk_of_walk = (np.cumsum(kept) - 1)[np.arange(sizes.size) // group]
-        replicas.append(learner.model)
-        lrs.append(lr)
+        planned.append((learner, lr))
         group_chunks.append(int(kept.sum()))
         tok_parts.append(learner._rows(np.concatenate(walks)))
         pool_parts.append(pool)
@@ -488,7 +559,7 @@ def plan_dsgl_slice(
             (np.cumsum(sizes) - sizes)[eligible] + n_tokens)
         n_chunks += group_chunks[-1]
         n_tokens += group_tokens
-    if not replicas:
+    if not planned:
         return tokens, None
     chunk_sizes = np.concatenate(chunk_size_parts)
     chunks_per_group = np.asarray(group_chunks, dtype=np.int64)
@@ -525,13 +596,19 @@ def plan_dsgl_slice(
 
     plan = DSGLSlicePlan()
     plan._bound = False
-    plan.replicas = replicas
+    plan.groups = planned
+    plan.cohort = 0
     plan.ctx_gather = ctx_gather
     plan.out_gather = out_gather
     plan.ctx_bounds = _exclusive_cumsum(
         np.add.reduceat(ctx_counts, group_starts)).tolist()
     plan.out_bounds = _exclusive_cumsum(
         np.add.reduceat(out_counts, group_starts)).tolist()
+    vocab_rows = planned[0][0].model.phi_in.shape[0]
+    plan.ctx_merge, plan.ctx_dest = _replica_merge(
+        ctx_gather, plan.ctx_bounds, vocab_rows)
+    plan.out_merge, plan.out_dest = _replica_merge(
+        out_gather, plan.out_bounds, vocab_rows)
     ctx_size, out_size = int(ctx_gather.size), int(out_gather.size)
 
     # Execution order: descending step count, so the lock-step executor's
@@ -551,7 +628,8 @@ def plan_dsgl_slice(
     n_slots = int(step_off[-1])
     plan.num_steps = num_steps
     plan.step_offsets = step_off.tolist()
-    plan.lr = np.repeat(np.asarray(lrs, dtype=np.float64),
+    plan.lr = np.repeat(np.asarray([lr for _, lr in planned],
+                                   dtype=np.float64),
                         chunks_per_group)[exec_order].reshape(-1, 1, 1)
     m_max = group * 2 * window
     b_max = group + k
@@ -676,6 +754,7 @@ class VectorizedDSGLLearner(BaseLearner):
                 [(learner, walks[spans[i]:spans[i] + cohort], lr)
                  for learner, walks, lr in groups])
             if plan is not None:
+                plan.cohort = i
                 plan.bind(ops)
             return cohort_tokens, plan
 

@@ -30,10 +30,13 @@ Three phase executors live here:
   concurrently is a pure reordering of independent float work; negative
   draws stay deterministic because each machine's
   :class:`~repro.utils.rng.CounterStream` counter is threaded through the
-  task messages.  The walk data itself never travels: the flat corpus
+  task messages.  A round is one task per worker -- its share of the
+  machines, trained through the same ``train_round(groups)`` the serial
+  trainer calls, so the batched DSGL learner lock-steps the share.  The
+  walk data itself never travels: the flat corpus
   (token block + offsets) and the per-machine shard index arrays are
   copied into shared memory once at construction, and each sync round
-  ships only ``(machine, lo, hi, lr, key, counter)`` **slice
+  ships only ``(machine, (lo, hi), lr, key, counter)`` **slice
   descriptors** -- workers rebuild their batch as zero-copy views into
   the shared token block.  (Subsampled runs fall back to shipping the
   parent-side subsampled batches by pickle, since those walks exist only
@@ -615,40 +618,56 @@ def _train_learner_for(machine: int, neg_stream):
             from repro.embedding.anchor import RowAnchor
 
             learner.anchor = RowAnchor(anchor[0], anchor[1])
+        learner.machine = machine
         learners[machine] = learner
     learner.neg_stream = neg_stream
     return learner
 
 
-def _train_slice_task(machine: int, walks, lr: float, key: int,
-                      counter: int):
-    """Train a pickled walk batch (the legacy payload; subsampled runs)."""
-    from repro.utils.rng import CounterStream
+def _shard_walks(machine: int, lo: int, hi: int):
+    """The batch a ``(lo, hi)`` slice descriptor stands for.
 
-    learner = _train_learner_for(machine, CounterStream(key, counter))
-    used = learner.train_walks(walks, lr)
-    # Persona pull after the slice's SGNS updates -- identical order to
-    # the serial path; consumes no negatives, so the counter is untouched.
-    learner.apply_anchor(walks, lr)
-    return machine, used, learner.neg_stream.counter
-
-
-def _train_slice_range_task(machine: int, lo: int, hi: int, lr: float,
-                            key: int, counter: int):
-    """Train a slice described by a shard index range (zero-copy payload).
-
-    The batch is rebuilt as views into the shared flat token block --
-    walk ``shard[machine][j]`` for ``j`` in ``[lo, hi)``, empty walks
-    skipped -- exactly the batch the parent's serial path materialises,
-    so the descriptor protocol is a pure transport change.
+    Rebuilt as views into the shared flat token block -- walk
+    ``shard[machine][j]`` for ``j`` in ``[lo, hi)``, empty walks skipped
+    -- exactly the batch the parent's serial path materialises, so the
+    descriptor protocol is a pure transport change.
     """
     tokens = _WORKER_STATE["corpus_tokens"]
     offsets = _WORKER_STATE["corpus_offsets"]
     base = int(_WORKER_STATE["shard_offsets"][machine])
     idx = _WORKER_STATE["shard_flat"][base + lo:base + hi]
-    walks = [w for w in
-             (tokens[offsets[j]:offsets[j + 1]] for j in idx) if w.size]
-    return _train_slice_task(machine, walks, lr, key, counter)
+    return [w for w in
+            (tokens[offsets[j]:offsets[j + 1]] for j in idx) if w.size]
+
+
+def _train_round_task(slices):
+    """Train one worker's share of a sync round.
+
+    ``slices`` holds ``(machine, payload, lr, key, counter)`` per machine
+    of the share; ``payload`` is the ``(lo, hi)`` range of the machine's
+    shard (the zero-copy descriptor, see :func:`_shard_walks`) or the
+    pickled walk list itself (subsampled runs).  The share goes through
+    the same ``train_round(groups)`` the serial trainer calls, so the
+    batched DSGL learner lock-steps the share's machines per plan.
+    Returns ``(machine, tokens used, negative-stream counter)`` per
+    slice.
+    """
+    from repro.utils.rng import CounterStream
+
+    groups = []
+    for machine, payload, lr, key, counter in slices:
+        learner = _train_learner_for(machine, CounterStream(key, counter))
+        walks = (_shard_walks(machine, *payload)
+                 if isinstance(payload, tuple) else payload)
+        groups.append((learner, walks, lr))
+    used = type(groups[0][0]).train_round(groups)
+    # Persona pull after the share's SGNS updates -- per replica the same
+    # order as the serial path; it consumes no negatives, so the
+    # counters are untouched.
+    for learner, walks, lr in groups:
+        learner.apply_anchor(walks, lr)
+    return [(learner.machine, tokens_used, learner.neg_stream.counter)
+            for (learner, _walks, _lr), tokens_used in zip(groups, used)]
 
 
 class ProcessSliceTrainer:
@@ -664,7 +683,7 @@ class ProcessSliceTrainer:
     When a flat ``corpus`` + per-machine ``shards`` (walk-index arrays)
     are supplied, the token block, offsets and shard indices are copied
     into shared memory **once** and every sync round ships only
-    ``(machine, lo, hi, lr, key, counter)`` slice descriptors -- a
+    ``(machine, (lo, hi), lr, key, counter)`` slice descriptors -- a
     constant ~100 bytes per machine instead of the slice's pickled walks
     (the Table 3 IPC gate measures the reduction).  Without them (or when
     the parent subsamples walks) rounds fall back to pickled batches.
@@ -751,24 +770,23 @@ class ProcessSliceTrainer:
         the materialised walk list and ``(lo, hi)`` the slice's cursor
         range in the machine's shard -- descriptor-shipping runs send only
         the latter.  ``(lo, hi)`` may be ``None`` (subsampled batches have
-        no shard range); those rounds always ship the batch.  Returns
-        tokens used per machine, having advanced each machine's
+        no shard range); those rounds always ship the batch.  The round
+        goes out as one task per worker (:func:`_train_round_task`).
+        Returns tokens used per machine, having advanced each machine's
         negative-stream counter to where the serial path would leave it.
         """
         import pickle
 
         ship_slices = self.ships_descriptors and \
             all(span is not None for _m, _b, _lr, span in plans)
-        if ship_slices:
-            fn = _train_slice_range_task
-            tasks = [(machine, int(lo), int(hi), lr, self._keys[machine],
-                      self._counters[machine])
-                     for machine, _batch, lr, (lo, hi) in plans]
-        else:
-            fn = _train_slice_task
-            tasks = [(machine, batch, lr, self._keys[machine],
-                      self._counters[machine])
-                     for machine, batch, lr, _span in plans]
+        slices = [(machine,
+                   (int(span[0]), int(span[1])) if ship_slices else batch,
+                   lr, self._keys[machine], self._counters[machine])
+                  for machine, batch, lr, span in plans]
+        # One task per worker: its share of the round's machines runs as
+        # one lock-step round inside the worker.
+        tasks = [(slices[lo:hi],)
+                 for lo, hi in split_ranges(len(slices), self.workers)]
         self.ipc_rounds += 1
         if ship_slices or self._audit:
             # Descriptor tasks are ~100 bytes, so this is free; for the
@@ -785,9 +803,10 @@ class ProcessSliceTrainer:
                     protocol=pickle.HIGHEST_PROTOCOL))
                 for machine, batch, lr, _span in plans)
         used: Dict[int, int] = {}
-        for machine, tokens, counter in self._pool.run(fn, tasks):
-            self._counters[machine] = counter
-            used[machine] = tokens
+        for share in self._pool.run(_train_round_task, tasks):
+            for machine, tokens, counter in share:
+                self._counters[machine] = counter
+                used[machine] = tokens
         return used
 
     def ipc_stats(self) -> Dict[str, float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,22 @@ from repro.graph import (
     ring_of_cliques,
     star,
 )
+
+
+def pytest_report_header(config):
+    """What a byte-level failure depends on, in the log's first lines.
+
+    The golden digests and the ``reduceat`` association pin are functions
+    of the NumPy build and of how many threads its BLAS runs, so a
+    failure on a new environment should be attributable from the log
+    alone.
+    """
+    threads = ", ".join(
+        f"{name}={os.environ.get(name, 'unset')}"
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                     "MKL_NUM_THREADS"))
+    return [f"numpy {np.__version__}; BLAS threads: {threads}; "
+            f"cpus: {os.cpu_count()}"]
 
 
 @pytest.fixture

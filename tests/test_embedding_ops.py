@@ -7,8 +7,11 @@ Tier-1 coverage for :mod:`repro.embedding.ops` that runs without torch:
   for every executor (the process/pipeline workers reconstruct learners
   from a config the *parent* already validated);
 * :func:`sum_duplicate_rows` / :func:`merge_deltas` accumulation-order
-  contract -- repeated destination rows reduce left-to-right in input
-  order, byte-identical to a sequential reference loop (property-tested);
+  contract -- a repeated destination row's deltas reduce in input order
+  as ``d1 + (d2 + ... + dk)``: bit for bit ``np.add.reduceat`` over the
+  stable-sorted layout, a function of the row's own subsequence alone
+  (also for the DSGL plan's plan-time ``(replica, row)`` structure), and
+  within a dtype-derived bound of the float64 sequential sum;
 * the fused step gradient (``sub`` → ``×lr`` → ``×mask`` over plan-time
   label/mask tensors) against the unfused fill/put/``−=``/``×lr``/
   ``×row``/``×col`` chain it replaced -- bytes, padded lanes included;
@@ -22,12 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.embedding.model import TrainConfig
 from repro.embedding.ops import (
     NUMPY_OPS,
+    DuplicateRowSum,
     NumpyOps,
     TORCH_INSTALL_HINT,
     resolve_ops,
@@ -35,7 +40,7 @@ from repro.embedding.ops import (
     torch_available,
 )
 from repro.embedding.schedules import SCHEDULES, make_schedule, progress64
-from repro.embedding.vectorized import merge_deltas
+from repro.embedding.vectorized import _replica_merge, merge_deltas
 
 needs_missing_torch = pytest.mark.skipif(
     torch_available(),
@@ -82,20 +87,6 @@ class TestEagerBackendValidation:
             assert resolve_ops(cfg) is NUMPY_OPS
 
 
-def reference_merge(rows, deltas):
-    """Sequential left-to-right accumulation -- the pinned order."""
-    acc = {}
-    for row, delta in zip(rows.tolist(), deltas):
-        if row in acc:
-            acc[row] = acc[row] + delta
-        else:
-            acc[row] = delta.copy()
-    urows = np.array(sorted(acc), dtype=rows.dtype)
-    merged = np.stack([acc[int(r)] for r in urows]) if urows.size else \
-        np.empty((0, deltas.shape[1]), dtype=deltas.dtype)
-    return urows, merged
-
-
 def deltas_for(rows, dim=5):
     """Deterministic float32 deltas whose sum is order-sensitive."""
     rng = np.random.default_rng(rows.size * 31 + 7)
@@ -103,21 +94,101 @@ def deltas_for(rows, dim=5):
     return (rng.standard_normal((rows.size, dim)) * scale).astype(np.float32)
 
 
+def by_row(urows, merged):
+    """``sum_duplicate_rows`` output re-sorted by ascending row."""
+    order = np.argsort(urows)
+    return urows[order], merged[order]
+
+
+def reduceat_reference(rows, deltas):
+    """One ``np.add.reduceat`` over the stable row-sorted layout -- the
+    association every caller of the merge routine is pinned to."""
+    order = np.argsort(rows, kind="stable")
+    rows_sorted = rows[order]
+    starts = np.flatnonzero(
+        np.r_[True, rows_sorted[1:] != rows_sorted[:-1]])
+    return rows_sorted[starts], np.add.reduceat(deltas[order], starts, axis=0)
+
+
+#: Values that expose an association change: signed zeros, float32
+#: subnormals, magnitudes that cancel or absorb their neighbours.  All
+#: stay far enough below the float32 maximum that 40 of them cannot
+#: overflow (an inf - inf NaN would make the byte comparison moot).
+TRICKY = [0.0, -0.0, 1e-45, -1e-45, 1e-39, -1e-39, 1.0, -1.0, 1e-8,
+          16777216.0, -16777216.0, 1e30, -1e30, 3.0e-5, 0.1]
+delta_values = st.one_of(
+    st.sampled_from(TRICKY),
+    st.floats(-2.0 ** 100, 2.0 ** 100, width=32, allow_nan=False,
+              allow_subnormal=True))
+
+
+@st.composite
+def contested_rows(draw):
+    """``(rows, deltas)`` with 1-40 contributors per distinct row, the
+    rows' contributions interleaved arbitrarily."""
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64) * 3, counts)
+    rows = rows[draw(st.permutations(range(rows.size)))]
+    deltas = draw(hnp.arrays(np.float32, (rows.size, 3),
+                             elements=delta_values))
+    return rows, deltas
+
+
 class TestDuplicateRowAccumulation:
     """Satellite 2: repeated rows reconcile in pinned input order."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=40))
+    @example([0, 0, 0, 0, 0, 0, 1, 0, 0, 0])
     def test_matches_sequential_reference(self, row_list):
+        """Mathematically the sequential sum; only the association
+        differs (pinned below), so each row must sit within the float32
+        summation bound -- contributors x eps32 x sum|d|, per column -- of
+        the float64 left-to-right sum.  A fixed ``atol`` is wrong here:
+        the explicit example cancels at magnitude 1e3.
+        """
         rows = np.asarray(row_list, dtype=np.int64)
         deltas = deltas_for(rows)
-        urows, merged = sum_duplicate_rows(rows, deltas)
-        ref_rows, ref_merged = reference_merge(rows, deltas)
+        urows, merged = by_row(*sum_duplicate_rows(rows, deltas))
+        np.testing.assert_array_equal(urows, np.unique(rows))
+        eps32 = float(np.finfo(np.float32).eps)
+        for i, row in enumerate(urows.tolist()):
+            own = deltas[rows == row].astype(np.float64)
+            exact = np.zeros(deltas.shape[1])
+            for delta in own:
+                exact = exact + delta
+            bound = own.shape[0] * eps32 * np.abs(own).sum(axis=0)
+            assert (np.abs(merged[i] - exact) <= bound).all(), (row, own)
+
+    @settings(max_examples=300, deadline=None)
+    @given(contested_rows())
+    def test_association_is_reduceat_bit_for_bit(self, case):
+        """The pin the plan-time write-back rests on: the rank-by-rank
+        reduce (<= 8 contributors: ``d1 + (d2 + ... + dk)`` left to
+        right) and the ``reduceat`` branch (> 8) both reproduce one
+        ``np.add.reduceat`` over the stable-sorted layout exactly --
+        signed zeros, subnormals and cancellation included.
+        """
+        rows, deltas = case
+        urows, merged = by_row(*sum_duplicate_rows(rows, deltas))
+        ref_rows, ref_merged = reduceat_reference(rows, deltas)
         np.testing.assert_array_equal(urows, ref_rows)
-        # Mathematically the sequential sum; bitwise only the association
-        # differs (reduceat's, pinned) -- so compare at float32 ulp scale.
-        np.testing.assert_allclose(merged, ref_merged, rtol=1e-5,
-                                   atol=1e-5)
+        assert merged.tobytes() == ref_merged.tobytes()
+
+    def test_both_reduce_branches_are_exercised(self):
+        """8 contributors is the last layered size, 9 the first wide."""
+        rows = np.repeat(np.array([5, 2, 9], dtype=np.int64), [8, 9, 1])
+        structure = DuplicateRowSum(rows)
+        assert structure.rows.tolist() == [2, 5, 9]   # most contested first
+        assert structure._wide == 1 and len(structure._layers) == 7
+        deltas = deltas_for(rows)
+        _, ref = reduceat_reference(rows, deltas)
+        assert structure.reduce(deltas).tobytes() == ref.tobytes()
+
+    def test_short_delta_block_is_an_index_error(self):
+        structure = DuplicateRowSum(np.array([1, 1, 3], dtype=np.int64))
+        with pytest.raises(IndexError):
+            structure.reduce(np.zeros((2, 4), dtype=np.float32))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=40))
@@ -135,6 +206,45 @@ class TestDuplicateRowAccumulation:
             alone_rows, alone = sum_duplicate_rows(rows[mask], deltas[mask])
             assert alone_rows.tolist() == [row]
             np.testing.assert_array_equal(merged[i], alone[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 7), min_size=0, max_size=30),
+                    min_size=1, max_size=4))
+    def test_plan_time_replica_structure_same_contract(self, per_replica):
+        """The DSGL plan's structure over ``(replica, row)`` keys: every
+        replica's every row gets exactly the bytes of reducing that
+        row's own subsequence alone -- so one structure for the whole
+        plan equals the run-time ``merge_deltas`` per replica.
+        """
+        gather = np.asarray([row for rows in per_replica for row in rows],
+                            dtype=np.int64)
+        if not gather.size:
+            return
+        bounds = np.r_[0, np.cumsum([len(rows) for rows in per_replica])]
+        deltas = deltas_for(gather)
+        merge, dest = _replica_merge(gather, bounds.tolist(), 8)
+        merged = merge.reduce(deltas)
+        assert len(dest) == len(per_replica)
+        for g, (dest_rows, at) in enumerate(dest):
+            lo, hi = bounds[g:g + 2]
+            assert sorted(dest_rows.tolist()) == \
+                np.unique(gather[lo:hi]).tolist()
+            for row, pos in zip(dest_rows.tolist(), at.tolist()):
+                mask = gather[lo:hi] == row
+                _, alone = sum_duplicate_rows(gather[lo:hi][mask],
+                                              deltas[lo:hi][mask])
+                assert merged[pos].tobytes() == alone[0].tobytes()
+            # ... which is what the loop reference's merge applies.
+            phi_plan = np.zeros((8, deltas.shape[1]), dtype=np.float32)
+            phi_plan[dest_rows] += merged.take(at, axis=0)
+            phi_loop = np.zeros_like(phi_plan)
+            merge_deltas(phi_loop, gather[lo:hi], deltas[lo:hi])
+            assert phi_plan.tobytes() == phi_loop.tobytes()
+
+    def test_plan_time_structure_rejects_out_of_range_rows(self):
+        for rows in ([0, 8], [-1, 3]):
+            with pytest.raises(IndexError, match="outside the model"):
+                _replica_merge(np.asarray(rows, dtype=np.int64), [0, 2], 8)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=40))

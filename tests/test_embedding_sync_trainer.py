@@ -217,6 +217,62 @@ class TestTrainerBoundaryGuards:
                               match=r"dsgl.*lr=1e\+38.*row \d+"):
             DistributedTrainer(corpus, cluster, cfg).train()
 
+    @pytest.mark.parametrize("execution", ["serial", "process"])
+    def test_diverged_cohort_is_named_before_it_is_synced(self, execution):
+        """The write-back refuses a non-finite merged block: the error
+        comes from the cohort that produced it and names machine, rate,
+        cohort and the offending row and node -- on the worker-pool
+        executor too, where it crosses the process boundary."""
+        corpus = Corpus(6)
+        for _ in range(8):
+            corpus.add_walk([0, 1, 2, 3, 4, 5, 0, 1, 2, 3])
+        cluster = Cluster(2, np.zeros(6, dtype=np.int64), seed=0)
+        cfg = TrainConfig(dim=4, window=2, negatives=2, epochs=2,
+                          lr=1e38, min_lr=1e38, execution=execution,
+                          workers=2)
+        with np.errstate(all="ignore"), \
+                pytest.raises(
+                    FloatingPointError,
+                    match=r"'dsgl' on machine [01] at lr=1e\+38, cohort 0: "
+                          r"non-finite phi_(in|out) delta, first row \d+ "
+                          r"\(node \d+\)"):
+            DistributedTrainer(corpus, cluster, cfg).train()
+
+    def test_refused_writeback_leaves_every_replica_untouched(self):
+        """Both buffers are reduced and checked before either matrix of
+        any replica is added to."""
+        from repro.embedding import NegativeSampler, VectorizedDSGLLearner
+        from repro.embedding.vectorized import plan_dsgl_slice
+        from repro.utils.rng import CounterStream
+
+        corpus = Corpus(6)
+        walks = [np.array([0, 1, 2, 3, 4, 5, 0, 1]) for _ in range(4)]
+        for walk in walks:
+            corpus.add_walk(walk)
+        vocab = Vocabulary.from_corpus(corpus)
+        cfg = TrainConfig(dim=4, window=2, negatives=2)
+        groups = []
+        for machine, lr in enumerate((0.05, 1e38)):
+            learner = VectorizedDSGLLearner(
+                EmbeddingModel(vocab, cfg.dim, seed=machine),
+                NegativeSampler(vocab), cfg, CounterStream(machine + 1))
+            learner.machine = machine
+            learner.model.phi_out += 0.25      # word2vec starts it at zero
+            groups.append((learner, walks, lr))
+        before = [(g[0].model.phi_in.copy(), g[0].model.phi_out.copy())
+                  for g in groups]
+        _, plan = plan_dsgl_slice(groups)
+        with np.errstate(all="ignore"):
+            ctx_mega, ctx_start, out_mega, out_start = plan.gather()
+            plan.run_steps(ctx_mega, out_mega)
+            with pytest.raises(FloatingPointError,
+                               match=r"machine 1 at lr=1e\+38, cohort 0"):
+                plan.apply_writeback(ctx_mega, ctx_start, out_mega,
+                                     out_start)
+        for (learner, _walks, _lr), (phi_in, phi_out) in zip(groups, before):
+            assert learner.model.phi_in.tobytes() == phi_in.tobytes()
+            assert learner.model.phi_out.tobytes() == phi_out.tobytes()
+
 
 class TestSubsampling:
     def test_disabled_by_default(self):

@@ -306,6 +306,33 @@ class TestRoundStackedPlan:
             assert model.phi_out.tobytes() == fast.model.phi_out.tobytes()
             assert loop.neg_stream.counter == fast.neg_stream.counter
 
+    def test_wide_cohort_reduces_like_the_loop_reference(self):
+        """``dsgl_threads=16`` on a skewed vocabulary: hot rows collect
+        more than eight lifetimes' deltas, so the plan-time write-back
+        takes its ``reduceat`` branch next to the layered one -- and must
+        still equal the loop reference's run-time ``merge_deltas`` byte
+        for byte."""
+        cfg = TrainConfig(dim=8, window=3, negatives=3, multi_windows=2,
+                          dsgl_threads=16)
+        rng = np.random.default_rng(21)
+        shards = [[(rng.random(rng.integers(2, 10)) ** 3 * 40).astype(np.int64)
+                   for _ in range(count)] for count in (40, 33)]
+        rates = [0.04, 0.03]
+        _, plan = plan_dsgl_slice(
+            [(learner, walks[:32], lr) for learner, walks, lr
+             in make_groups(cfg, shards, rates)])
+        for merge in (plan.ctx_merge, plan.out_merge):
+            assert merge._wide > 0 and merge._layers[0] > 0
+        stacked = make_groups(cfg, shards, rates)
+        VectorizedDSGLLearner.train_round(stacked)
+        for (fast, walks, lr) in stacked:
+            model = make_groups(cfg, [walks], [lr])[0][0].model
+            loop = LEARNERS["dsgl"](model, fast.sampler, cfg,
+                                    CounterStream(fast.neg_stream.key))
+            loop.train_walks(walks, lr)
+            assert model.phi_in.tobytes() == fast.model.phi_in.tobytes()
+            assert model.phi_out.tobytes() == fast.model.phi_out.tobytes()
+
     def test_empty_round(self):
         assert VectorizedDSGLLearner.train_round([]) == []
         cfg = TrainConfig(**self.CFG)
