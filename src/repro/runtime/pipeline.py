@@ -96,6 +96,11 @@ class DeferredWalkAccounting:
         self._steps_at_node = np.zeros(graph.num_nodes, dtype=np.int64)
         self._arc_traversals = np.zeros(graph.num_stored_edges,
                                         dtype=np.int64)
+        # Stored arc (u, v) packed as u·n + v: rows are sorted, so the
+        # keys ascend with the flat arc index and one binary search per
+        # *distinct* traversed arc finds it.
+        self._arc_keys = graph.indices + graph.num_nodes * np.repeat(
+            np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
 
     def observe_round(self, paths: np.ndarray, lengths: np.ndarray,
                       trials: np.ndarray) -> Tuple[int, int]:
@@ -106,8 +111,6 @@ class DeferredWalkAccounting:
         walk ``i`` moved from ``paths[i, s-1]`` to ``paths[i, s]`` and cost
         ``trials[i, s]`` sampling trials at the former node.
         """
-        from repro.walks.vectorized import _locate_in_rows
-
         n, cap = paths.shape
         if n == 0 or cap <= 1:
             return 0, 0
@@ -122,13 +125,13 @@ class DeferredWalkAccounting:
         self._trials_at_node += np.bincount(
             prev, weights=step_trials, minlength=num_nodes).astype(np.int64)
         self._steps_at_node += np.bincount(prev, minlength=num_nodes)
-        # Flat arc index of each traversed (prev -> nxt) edge: adjacency
-        # rows are sorted, so one vectorised bisection finds them all.
-        pos = _locate_in_rows(self._graph.indptr, self._graph.indices,
-                              prev, nxt)
-        self._arc_traversals += np.bincount(
-            self._graph.indptr[prev] + pos,
-            minlength=self._graph.num_stored_edges)
+        # Sort the packed (prev, nxt) keys, count each run, and look only
+        # the distinct keys up among the stored arcs -- ascending queries
+        # into an ascending table, instead of one bisection per step.
+        traversed, counts = np.unique(prev * num_nodes + nxt,
+                                      return_counts=True)
+        self._arc_traversals[
+            np.searchsorted(self._arc_keys, traversed)] += counts
         return int(step_trials.sum()), int(prev.size)
 
     def apply(self, assignment: np.ndarray, metrics) -> None:

@@ -68,11 +68,30 @@ def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64's output function on a ``uint64`` array (finalising mix)."""
-    z = (z ^ (z >> np.uint64(30))) * _SM64_MUL1
-    z = (z ^ (z >> np.uint64(27))) * _SM64_MUL2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """splitmix64's output function (finalising mix), **in place**.
+
+    ``z`` must be a ``uint64`` array the caller owns: every shift lands in
+    ``scratch`` (same shape; allocated when omitted) and every xor and
+    multiply writes back into ``z``, which is also returned.  The integer
+    operations are the ones the expression form
+    ``(z ^ (z >> 30)) * M1 ...`` performs, so the values are identical;
+    what changes is that a block of lanes is mixed through two buffers
+    instead of eight temporaries -- the walk engine's trial blocks and the
+    trainer's negative draws (:meth:`CounterStream.uniforms`) both go
+    through here.
+    """
+    if scratch is None:
+        scratch = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _SM64_MUL1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _SM64_MUL2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def walker_seed_root(seed: SeedLike) -> int:
@@ -98,7 +117,40 @@ def walker_stream_keys(root: int, walk_ids: np.ndarray) -> np.ndarray:
     conceptually carries).
     """
     ids = np.asarray(walk_ids, dtype=np.uint64)
-    return _mix64(np.uint64(root) + _SM64_GAMMA * (ids + np.uint64(1)))
+    return _mix64(np.asarray(
+        np.uint64(root) + _SM64_GAMMA * (ids + np.uint64(1))))
+
+
+def stream_arguments(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """``keys + γ·(counters + 1)`` mod 2**64, as a fresh ``uint64`` array.
+
+    The splitmix64 state whose mix is uniform number ``counters[i]`` of
+    stream ``keys[i]``.  Consecutive counters of one stream sit exactly
+    ``γ`` apart (unsigned arithmetic wraps, and wrapping is what
+    splitmix64 specifies), so a caller that advances an argument by
+    :func:`stream_stride` ``(k)`` itself addresses counter ``+k`` of the
+    same stream -- how the walk engine lays a block of trials out without
+    per-lane key and counter gathers.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    return np.asarray(keys + _SM64_GAMMA * (counters + np.uint64(1)))
+
+
+def argument_uniforms(args: np.ndarray, out: Optional[np.ndarray] = None,
+                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniforms in [0, 1) of the stream arguments ``args`` (consumed).
+
+    ``args`` is mixed in place (see :func:`_mix64`) and its top 53 bits
+    are scaled by 2**-53 into ``out`` (``float64``, allocated when
+    omitted); ``scratch`` is the mix's ``uint64`` buffer.
+    """
+    z = _mix64(args, scratch)
+    z >>= np.uint64(11)
+    # uint64 -> float64 is exact below 2**53 and so is the power-of-two
+    # scaling, so this is ``(z >> 11).astype(float64) * 2**-53`` without
+    # the two temporaries.
+    return np.multiply(z, _U53_INV, out=out)
 
 
 def stream_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -108,10 +160,7 @@ def stream_uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     interleaving across walkers cannot change any value, which is the
     property the loop/vectorized parity protocol rests on.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    counters = np.asarray(counters, dtype=np.uint64)
-    z = _mix64(keys + _SM64_GAMMA * (counters + np.uint64(1)))
-    return (z >> np.uint64(11)).astype(np.float64) * _U53_INV
+    return argument_uniforms(stream_arguments(keys, counters))
 
 
 #: Python-int mirrors of the uint64 constants (for the scalar fast path).
@@ -119,6 +168,12 @@ _U64_MASK = (1 << 64) - 1
 _SM64_GAMMA_INT = int(_SM64_GAMMA)
 _SM64_MUL1_INT = int(_SM64_MUL1)
 _SM64_MUL2_INT = int(_SM64_MUL2)
+
+
+def stream_stride(counters: int) -> np.uint64:
+    """``counters·γ`` mod 2**64: how far apart the stream arguments of two
+    counters ``counters`` apart sit (see :func:`stream_arguments`)."""
+    return np.uint64((counters * _SM64_GAMMA_INT) & _U64_MASK)
 
 
 def _mix64_int(z: int) -> int:

@@ -7,6 +7,7 @@ mis-parameterised experiment; these helpers keep the checks uniform.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Union
 
 Number = Union[int, float]
@@ -22,6 +23,15 @@ def check_positive(name: str, value: Number, allow_zero: bool = False) -> Number
     if not in_range or value == math.inf:
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    return value
+
+
+def check_integral(name: str, value: int) -> int:
+    """Validate that ``value`` is an integer (``bool`` excluded) -- for
+    counts and sizes that end up as array shapes or loop bounds, where
+    ``2.5`` must not get as far as sizing a buffer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 

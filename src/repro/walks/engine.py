@@ -95,10 +95,10 @@ from repro.runtime.executor import (
 )
 from repro.runtime.message import BYTES_PER_FIELD
 from repro.utils.rng import WalkerStream, walker_stream_keys
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integral, check_positive
 from repro.walks.corpus import Corpus
 from repro.walks.incom import make_measure
-from repro.walks.kernels import make_kernel
+from repro.walks.kernels import KERNELS, make_kernel
 from repro.walks.termination import WalkCountRule, WalkLengthRule
 from repro.walks.vectorized import BatchWalkRunner
 from repro.walks.walker import Walker, WalkStats
@@ -162,6 +162,12 @@ class WalkConfig:
                 "per-step recomputation is the baseline being measured; "
                 "use backend='auto' or 'loop'"
             )
+        if (not isinstance(self.kernel, str)
+                or self.kernel.lower() not in KERNELS):
+            raise ValueError(f"unknown kernel {self.kernel!r}; "
+                             f"options: {sorted(KERNELS)}")
+        check_positive("p", self.p)
+        check_positive("q", self.q)
         check_positive("max_trials_per_step", self.max_trials_per_step)
         check_positive("walk_length", self.walk_length)
         check_positive("walks_per_node", self.walks_per_node)
@@ -172,6 +178,10 @@ class WalkConfig:
                        max_length=self.max_length)
         WalkCountRule(delta=self.delta, min_rounds=self.min_rounds,
                       max_rounds=self.max_rounds)
+        # These size integer arrays (trial lanes, path buffers, rounds).
+        for name in ("max_trials_per_step", "walk_length", "walks_per_node",
+                     "min_length", "max_length", "min_rounds", "max_rounds"):
+            check_integral(name, getattr(self, name))
 
     def resolved_backend(self) -> str:
         """The backend ``"auto"`` resolves to for this mode."""

@@ -50,8 +50,10 @@ from repro.graph.csr import CSRGraph
 from repro.runtime.message import BYTES_PER_FIELD, IncrementalMessage
 from repro.utils.rng import (
     SeedLike,
+    argument_uniforms,
     default_rng,
-    stream_uniforms,
+    stream_arguments,
+    stream_stride,
     walker_stream_keys,
 )
 from repro.utils.validation import check_positive
@@ -62,9 +64,21 @@ from repro.walks.termination import WalkLengthRule
 #: Constant InCoM walker-message size (80 bytes, paper §3.1).
 _INCOM_MESSAGE_BYTES = IncrementalMessage(0, 0, 0).byte_size()
 
-#: Lanes (live walkers x block width) a superstep may evaluate; keeps the
-#: trial block's scratch O(round).
+#: Lanes (trials summed over live walkers) a superstep may evaluate; keeps
+#: the trial block's scratch O(round).
 _BLOCK_SCRATCH_LANES = 1 << 18
+
+#: Share of a walker's expected rejections its block covers while the
+#: superstep is lane-bound, and the live-walker count around which
+#: interpreter dispatch, not lanes, starts to dominate a superstep (the
+#: share doubles there and keeps growing as the superstep thins out).
+_BLOCK_SHARE = 0.5
+_DISPATCH_BOUND_WALKERS = 512
+
+#: A trial consumes two counters of its walker's stream: the proposal
+#: uniform, then the acceptance uniform one counter further.
+_ACCEPT_STRIDE = stream_stride(1)
+_TRIAL_STRIDE = stream_stride(2)
 
 
 def batch_walk_matrix(
@@ -277,6 +291,90 @@ def _has_edges_batch(
     return inside & (indices[probe] == vs)
 
 
+class _TrialLanes:
+    """Flat scratch for a runner's trial blocks.
+
+    A superstep's block is **ragged and walker-major**: live walker ``j``
+    owns the ``widths[j]`` consecutive lanes that start at ``begin[j]``,
+    lane ``begin[j] + t`` being the trial it would run ``t`` rejections
+    from now.  Every per-lane array of the block is a prefix of a buffer
+    held here and reused by every superstep -- sized by the widest block
+    seen so far, not by the budget -- so a wide superstep recycles warm
+    memory instead of faulting eight fresh temporaries in, which is where
+    the time and the resident-set peak of large blocks otherwise go.
+
+    The four ``words`` rows are viewed as whatever 8-byte type a step
+    needs: :meth:`uniforms` mixes in rows 0-1 with rows 2-3 as scratch
+    and leaves ``(u1, u2)`` in rows 2-3; rows 0-1 are then the kernel's
+    (:meth:`row`, :meth:`expand`).
+    """
+
+    def __init__(self) -> None:
+        self._capacity = 0
+        self.total = 0
+        #: Lane -> position of its walker in the superstep's ``alive``
+        #: (``None`` when every width is 1: lanes *are* walkers).
+        self.own: Optional[np.ndarray] = None
+
+    def _reserve(self, lanes: int) -> None:
+        """Fresh buffers for ``lanes`` lanes (nothing in them outlives a
+        superstep, so nothing is carried over)."""
+        self._capacity = lanes
+        self._words = np.empty((4, lanes), dtype=np.uint64)
+        self._own = np.empty(lanes, dtype=np.int64)
+        self._flags = np.empty(lanes, dtype=bool)
+        # Lane i's offset from a block that started at lane 0.
+        self._ramp = np.arange(lanes, dtype=np.uint64) * _TRIAL_STRIDE
+
+    def layout(self, widths: np.ndarray, ends: np.ndarray) -> None:
+        """Adopt the block ``widths`` (``ends`` = their running sum)."""
+        total = self.total = int(ends[-1])
+        if total > self._capacity:
+            # Blocks widen as walkers drift onto hubs, then thin out with
+            # the round: grow in small steps, the peak is held for long.
+            self._reserve(max(total, self._capacity * 5 // 4))
+        if total == widths.size:
+            self.own = None
+            return
+        own = self._own[:total]
+        own[...] = 0
+        own[ends[:-1]] = 1          # widths >= 1: block starts are distinct
+        self.own = np.cumsum(own, out=own)
+
+    def row(self, index: int, dtype=np.int64) -> np.ndarray:
+        """Scratch row ``index`` as ``total`` lanes of ``dtype`` (8 bytes)."""
+        return self._words[index, :self.total].view(dtype)
+
+    def flags(self) -> np.ndarray:
+        """One boolean per lane (the block's acceptance mask)."""
+        return self._flags[:self.total]
+
+    def expand(self, per_walker: np.ndarray, index: int) -> np.ndarray:
+        """``per_walker[own]`` into scratch row ``index`` (the per-walker
+        array itself when lanes are walkers)."""
+        if self.own is None:
+            return per_walker
+        return np.take(per_walker, self.own, mode="clip",
+                       out=self.row(index, per_walker.dtype))
+
+    def uniforms(self, args: np.ndarray, begin: np.ndarray) -> np.ndarray:
+        """Rows ``(u1, u2)`` of every lane: the proposal and acceptance
+        uniform of trial ``t`` sit at stream arguments ``args + 2t·γ`` and
+        one ``γ`` further (see :func:`repro.utils.rng.stream_arguments`).
+
+        ``args + (i − begin)·2γ`` is evaluated as ``(args − begin·2γ)``
+        expanded per lane plus a fixed ramp ``i·2γ`` -- one gather and one
+        add per lane, all modulo 2**64 like every stream argument.
+        """
+        total = self.total
+        z, scratch = self._words[:2, :total], self._words[2:, :total]
+        base = args - begin.astype(np.uint64) * _TRIAL_STRIDE
+        np.add(self.expand(base, 0), self._ramp[:total], out=z[0])
+        np.add(z[0], _ACCEPT_STRIDE, out=z[1])
+        return argument_uniforms(z, out=scratch.view(np.float64),
+                                 scratch=scratch)
+
+
 class BatchWalkRunner:
     """Lock-step walker batch for one :class:`DistributedWalkEngine`.
 
@@ -302,6 +400,8 @@ class BatchWalkRunner:
         self.config = config
         self.kernel = kernel
         self.kind = kernel.name
+        #: Whether the transition reads the walker's previous node.
+        self._second_order = self.kind in ("node2vec", "node2vec-alias")
         self.info_mode = config.mode != "routine"
         self.length_rule = (
             WalkLengthRule(mu=config.mu, min_length=config.min_length,
@@ -314,7 +414,14 @@ class BatchWalkRunner:
         self._indptr = graph.indptr
         self._indices = graph.indices
         self._degrees = graph.degrees
+        self._degrees_f = graph.degrees.astype(np.float64)
         self._assignment = cluster.assignment
+        if self.info_mode:
+            # ΔS of appending a node seen k times before, for every k a
+            # path can hold: (k+1)·log₂(k+1) − k·log₂ k.
+            seen = np.arange(config.max_length + 1, dtype=np.float64)
+            self._xlog2x_gain = (_xlog2x_batch(seen + 1.0)
+                                 - _xlog2x_batch(seen))
 
         # Kernel-specific tables.  All values are produced by (or shared
         # with) the scalar kernel code, keeping the two backends bit-equal.
@@ -325,10 +432,14 @@ class BatchWalkRunner:
             self._row_cumsum = tables.get("row_cumsum")
             if self._row_cumsum is None:
                 self._row_cumsum = weighted_row_cumsum(graph)
+        #: Expected rejections per accepted step at each node (HuGE
+        #: kernels; the widths policy's per-walker input).
+        self._node_rejections: Optional[np.ndarray] = None
         if self.kind in ("huge", "huge+"):
             self._arc_accept = tables.get("arc_accept")
             if self._arc_accept is None:
                 self._arc_accept = kernel.arc_acceptance_table()
+            self._node_rejections = self._expected_rejections()
         elif self.kind == "node2vec-alias":
             sampler = kernel.sampler
             fo = sampler._first_order
@@ -339,9 +450,37 @@ class BatchWalkRunner:
             self._so_alias = sampler._alias_local
         # Scratch path/length buffers reused across serial rounds, so the
         # per-round flush writes through one stable padded matrix into the
-        # corpus's flat token block instead of allocating per round.
+        # corpus's flat token block instead of allocating per round; the
+        # trial lanes likewise outlive a round.
         self._scratch_paths: Optional[np.ndarray] = None
         self._scratch_lengths: Optional[np.ndarray] = None
+        self._lanes = _TrialLanes()
+
+    def _expected_rejections(self) -> np.ndarray:
+        """``1 / (a node's mean acceptance) − 1`` from the per-arc table.
+
+        Every trial at ``u`` proposes an arc from the same distribution
+        (uniform, or weight-proportional on weighted graphs), so trials
+        there accept independently with that proposal-weighted mean and
+        the rejections before a hop are geometric with this expectation.
+        Capped at ``max_trials_per_step`` (the forced hop bounds them) and
+        0 for dead ends, which no live walker stands on.
+        """
+        graph = self.graph
+        source = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+        # Per node: proposal mass, and the part of it that is accepted.
+        mass, accepted = self._degrees_f, self._arc_accept
+        if graph.is_weighted:
+            mass = np.bincount(source, weights=graph.weights,
+                               minlength=graph.num_nodes)
+            accepted = graph.weights * accepted
+        hit = np.bincount(source, weights=accepted,
+                          minlength=graph.num_nodes)
+        cap = float(self.config.max_trials_per_step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rejections = mass / hit - 1.0
+        rejections[~(rejections > 0)] = 0.0     # dead ends, rounding, NaN
+        return np.minimum(rejections, cap, out=rejections)
 
     # ------------------------------------------------------------------ #
     # InCoM batch state helpers
@@ -355,8 +494,7 @@ class BatchWalkRunner:
         *before* the append; ``lengths_after`` the token count including
         it (== every accumulator's observation count).
         """
-        pn = prior.astype(np.float64)
-        s = self._S[idx] + (_xlog2x_batch(pn + 1.0) - _xlog2x_batch(pn))
+        s = self._S[idx] + self._xlog2x_gain[prior]
         self._S[idx] = s
         lf = lengths_after.astype(np.float64)
         h = np.log2(lf) - s / lf
@@ -387,53 +525,71 @@ class BatchWalkRunner:
     # Kernel batch steps
     # ------------------------------------------------------------------ #
 
-    def _propose(self, cur: np.ndarray, u1: np.ndarray):
-        """Uniform→candidate map shared by the rejection kernels; returns
-        ``(candidate, flat_arc_index)`` -- ``propose_with_uniform``'s
-        candidate, with its local index already offset by the row start."""
-        deg = self._degrees[cur]
+    def _propose(self, lanes: _TrialLanes, cur: np.ndarray,
+                 u1: np.ndarray) -> np.ndarray:
+        """Uniform→arc map shared by the rejection kernels: per lane, the
+        flat arc index of ``propose_with_uniform``'s candidate (its local
+        index already offset by the row start).  Row start and degree are
+        gathered once per walker (``cur``) and expanded per lane; uses
+        scratch rows 0-1 and returns row 1 on unweighted graphs."""
         starts = self._indptr[cur]
-        if self._row_cumsum is None:
-            k = (u1 * deg).astype(np.int64)
-        else:
-            totals = self._row_cumsum[starts + deg - 1]
-            k = _bisect_rows(self._row_cumsum, starts, deg, u1 * totals,
-                             right=True)
-        np.minimum(k, deg - 1, out=k)
-        k += starts
-        return self._indices[k], k
+        last = starts + self._degrees[cur] - 1
+        if self._row_cumsum is not None:
+            starts = lanes.expand(starts, 0)
+            last = lanes.expand(last, 1)
+            arc = _bisect_rows(self._row_cumsum, starts, last - starts + 1,
+                               u1 * self._row_cumsum[last], right=True)
+            arc += starts
+            return np.minimum(arc, last, out=arc)
+        x = lanes.row(0, np.float64)
+        np.multiply(u1, lanes.expand(self._degrees_f[cur], 0), out=x)
+        arc = lanes.row(1)
+        np.copyto(arc, x, casting="unsafe")     # truncation, as astype
+        arc += lanes.expand(starts, 0)
+        return np.minimum(arc, lanes.expand(last, 0), out=arc)
 
-    def _trial(self, cur: np.ndarray, prev: np.ndarray, u1: np.ndarray,
-               u2: np.ndarray, forced: np.ndarray):
-        """One batched sampling trial: ``(candidates, accepted_mask)``."""
+    def _trial(self, lanes: _TrialLanes, cur: np.ndarray, prev: np.ndarray,
+               u1: np.ndarray, u2: np.ndarray):
+        """One block of sampling trials: ``(arc, accepted)`` per lane --
+        the flat index of the proposed arc and whether the kernel takes it
+        (the forced hop is the caller's).  ``cur``/``prev`` are per
+        walker; candidate ids are the caller's to gather, for the lanes
+        that win (HuGE's acceptance reads the arc, never the candidate)."""
         if self.kind == "node2vec-alias":
-            return self._trial_alias(cur, prev, u1, u2)
-        cand, arc = self._propose(cur, u1)
+            return self._trial_alias(lanes, cur, prev, u1, u2)
+        arc = self._propose(lanes, cur, u1)
+        accepted = lanes.flags()
         if self.kind == "deepwalk":
-            return cand, np.ones(cur.size, dtype=bool)
-        if self.kind in ("huge", "huge+"):
-            return cand, (u2 < self._arc_accept[arc]) | forced
-        # node2vec: KnightKing's rejection envelope, batched.
-        kernel = self.kernel
-        first = prev < 0
-        adjacent = np.zeros(cur.size, dtype=bool)
-        second = np.flatnonzero(~first)
-        if second.size:
-            adjacent[second] = _has_edges_batch(
-                self._indptr, self._indices, prev[second], cand[second]
+            accepted[...] = True
+        elif self.kind in ("huge", "huge+"):
+            np.less(u2, np.take(self._arc_accept, arc, mode="clip",
+                                out=lanes.row(0, np.float64)), out=accepted)
+        else:
+            # node2vec: KnightKing's rejection envelope, batched.
+            kernel = self.kernel
+            cand = self._indices[arc]
+            prev = lanes.expand(prev, 0)
+            first = prev < 0
+            adjacent = np.zeros(cand.size, dtype=bool)
+            second = np.flatnonzero(~first)
+            if second.size:
+                adjacent[second] = _has_edges_batch(
+                    self._indptr, self._indices, prev[second], cand[second]
+                )
+            pi = np.where(
+                first, 1.0,
+                np.where(cand == prev, 1.0 / kernel.p,
+                         np.where(adjacent, 1.0, 1.0 / kernel.q)),
             )
-        pi = np.where(
-            first, 1.0,
-            np.where(cand == prev, 1.0 / kernel.p,
-                     np.where(adjacent, 1.0, 1.0 / kernel.q)),
-        )
-        y = u2 * kernel._envelope
-        return cand, (pi >= y) | forced
+            np.greater_equal(pi, u2 * kernel._envelope, out=accepted)
+        return arc, accepted
 
-    def _trial_alias(self, cur: np.ndarray, prev: np.ndarray,
-                     u1: np.ndarray, u2: np.ndarray):
+    def _trial_alias(self, lanes: _TrialLanes, cur: np.ndarray,
+                     prev: np.ndarray, u1: np.ndarray, u2: np.ndarray):
         """Batched alias-table draw (never rejects)."""
-        cand = np.empty(cur.size, dtype=np.int64)
+        cur = lanes.expand(cur, 0)
+        prev = lanes.expand(prev, 1)
+        arc = np.empty(lanes.total, dtype=np.int64)
         first = prev < 0
         fo = np.flatnonzero(first)
         if fo.size:
@@ -442,30 +598,64 @@ class BatchWalkRunner:
             flat = self._indptr[cur[fo]] + slot
             use_alias = u2[fo] >= self._fo_accept[flat]
             slot = np.where(use_alias, self._fo_alias[flat], slot)
-            cand[fo] = self._indices[self._indptr[cur[fo]] + slot]
+            arc[fo] = self._indptr[cur[fo]] + slot
         so = np.flatnonzero(~first)
         if so.size:
             # Flat index of arc (prev, cur): position of cur within N(prev).
             pos = _locate_in_rows(self._indptr, self._indices,
                                   prev[so], cur[so])
-            arc = self._indptr[prev[so]] + pos
-            t_start = self._so_offsets[arc]
-            size = (self._so_offsets[arc + 1] - t_start).astype(np.int64)
+            table = self._indptr[prev[so]] + pos
+            t_start = self._so_offsets[table]
+            size = (self._so_offsets[table + 1] - t_start).astype(np.int64)
             slot = np.minimum((u1[so] * size).astype(np.int64), size - 1)
             use_alias = u2[so] >= self._so_accept[t_start + slot]
             slot = np.where(use_alias, self._so_alias[t_start + slot], slot)
-            cand[so] = self._indices[self._indptr[cur[so]] + slot]
-        return cand, np.ones(cur.size, dtype=bool)
+            arc[so] = self._indptr[cur[so]] + slot
+        accepted = lanes.flags()
+        accepted[...] = True
+        return arc, accepted
 
-    def _block_width(self, spent: int, hops: int, alive: int) -> int:
-        """Trials per live walker in the next superstep's block: the
-        call's running trials per accepted step, rounded up (a kernel that
-        never rejects stays at 1 and draws only the uniforms it consumes),
-        never past the forced-hop horizon or the scratch budget.  Any
-        width yields the same bytes."""
-        width = -(-spent // hops) if hops else 1
-        return max(1, min(width, self.config.max_trials_per_step + 1,
-                          _BLOCK_SCRATCH_LANES // alive))
+    def _block_width(self, cur: np.ndarray, waited: np.ndarray,
+                     spent: int, hops: int) -> np.ndarray:
+        """The widths policy: trials to evaluate this superstep for each
+        live walker (standing on ``cur``, ``waited`` rejections into its
+        current step).  **Any** positive widths yield the same bytes --
+        the caller clamps them to the forced-hop horizon and the scratch
+        budget -- so this only trades lanes evaluated behind an accept
+        against supersteps.
+
+        A walker's block is one trial plus a share of the rejections it
+        should expect where it stands: from the per-node table under the
+        HuGE kernels (trials at a node accept independently with its mean
+        acceptance, so per-node expectations span ~0 at leaves to the cap
+        at hubs), from the call's running rejections per accepted step
+        otherwise -- zero for the kernels that never reject, which
+        therefore stay at one lane and draw only the uniforms they
+        consume.  The share grows as the superstep thins out: a block of
+        thousands of walkers is lane-bound and should waste few lanes, a
+        few hundred (the tail of a round, a dynamic-update resample) are
+        dispatch-bound and should finish in few supersteps.  A walker
+        whose earlier blocks all failed gets at least as many lanes again.
+        """
+        if self._node_rejections is not None:
+            rejections = self._node_rejections[cur]
+        else:
+            rejections = (spent - hops) / hops if hops else 0.0
+        share = _BLOCK_SHARE * (1.0 + _DISPATCH_BOUND_WALKERS / cur.size)
+        widths = np.ceil(share * rejections).astype(np.int64) + 1
+        return np.maximum(widths, waited)
+
+    def _finished(self, idx: np.ndarray, nodes: np.ndarray,
+                  at: np.ndarray) -> np.ndarray:
+        """Termination mask of walkers ``idx`` standing on ``nodes`` with
+        ``at`` tokens -- same decision order as the loop engine's
+        ``_walk_finished``: dead end, then the length rule."""
+        done = self._degrees[nodes] == 0
+        if self.info_mode:
+            done |= self.length_rule.stop_mask(at, self._r_squared(idx, at))
+        else:
+            done |= at >= self.config.walk_length
+        return done
 
     # ------------------------------------------------------------------ #
     # One round
@@ -509,6 +699,22 @@ class BatchWalkRunner:
         trials/steps to ``stats`` and compute/messages to the cluster
         metrics.
 
+        Each superstep resolves a **ragged block** of trials: live walker
+        ``j`` gets ``widths[j]`` lanes (:meth:`_block_width`, clamped here
+        to its forced-hop horizon and jointly to the scratch budget), the
+        lanes of all walkers laid out flat and walker-major over
+        :class:`_TrialLanes`.  A walker stands still between rejections
+        and its stream is a pure function of ``(key, counter)``, so lane
+        ``t`` of its block *is* the trial it would run ``t`` supersteps
+        from now; its first accepted lane decides the hop, the lanes
+        behind it are dropped and their counters never consumed.  Trials
+        are counted by the lanes *used* and credited -- to ``stats``, the
+        machines' compute units or ``trials_out`` -- when their step
+        completes, all integer-valued sums: the corpus, lengths, stats
+        and metrics are one function of the seed for every width vector,
+        the rectangular block and one trial per superstep included (the
+        loop engine is the oracle the parity suites hold this to).
+
         Passing ``trials_out`` (an int array of the paths shape) switches
         to **deferred accounting**, the walk workers' mode: the
         walker advances exactly as before (same streams, same uniforms,
@@ -525,7 +731,6 @@ class BatchWalkRunner:
         """
         cfg = self.config
         cluster = self.cluster
-        metrics = cluster.metrics
         num_machines = cluster.num_machines
         n = sources.size
         cap = cfg.max_length if self.info_mode else cfg.walk_length
@@ -533,8 +738,10 @@ class BatchWalkRunner:
         if deferred:
             trials_out[...] = 0
 
-        keys = walker_stream_keys(cluster.walk_seed_root, walk_ids)
-        counters = np.zeros(n, dtype=np.uint64)
+        # Where each walker stands in its stream: the argument of its next
+        # proposal uniform (counter 0 now, one trial stride per trial).
+        args = stream_arguments(
+            walker_stream_keys(cluster.walk_seed_root, walk_ids), 0)
         if paths_out is None:
             paths = np.full((n, cap), -1, dtype=np.int64)
         else:
@@ -549,7 +756,7 @@ class BatchWalkRunner:
         current = sources.astype(np.int64).copy()
         previous = np.full(n, -1, dtype=np.int64)
         trials_at_step = np.zeros(n, dtype=np.int64)
-        active = np.ones(n, dtype=bool)
+        alive = np.arange(n)
         if self.info_mode:
             self._S = np.zeros(n, dtype=np.float64)
             self._e_h = np.zeros(n, dtype=np.float64)
@@ -558,130 +765,115 @@ class BatchWalkRunner:
             self._e_h2 = np.zeros(n, dtype=np.float64)
             self._e_l2 = np.zeros(n, dtype=np.float64)
             # observe(source): prior count 0, one token on the path.
-            self._observe(np.arange(n), np.zeros(n, dtype=np.int64), lengths)
+            self._observe(alive, np.zeros(n, dtype=np.int64), lengths)
+        # Termination is a function of where a walker stands and what it
+        # has measured, so it is decided once here and again only for the
+        # walkers that hop; ``alive`` carries the rest across supersteps.
+        alive = alive[~self._finished(alive, current, lengths)]
 
+        # A walker is forced to hop once max_trials_per_step trials of a
+        # step were rejected, so its block never needs to reach further.
+        horizon = cfg.max_trials_per_step + 1
+        lanes = self._lanes
         # Supersteps, not trials: a block is never slower than one trial.
         max_iters = cap * (cfg.max_trials_per_step + 2) + 8
         spent = hops = 0   # this call's trials / accepted steps so far
+        trial_units = np.zeros(num_machines)        # see _record
+        machine_hops = np.zeros(num_machines * num_machines, dtype=np.int64)
         for _ in range(max_iters):
-            alive = np.flatnonzero(active)
             if alive.size == 0:
                 break
-            # 1) Termination sweep -- same decision order as the loop
-            #    engine's _walk_finished: dead end, then the length rule.
+            # 1) The block.
             cur = current[alive]
-            at = lengths[alive]
-            done = self._degrees[cur] == 0
-            if self.info_mode:
-                done |= self.length_rule.stop_mask(
-                    at, self._r_squared(alive, at))
-            else:
-                done |= at >= cfg.walk_length
-            if done.any():
-                active[alive[done]] = False
-                keep = ~done
-                alive, cur, at = alive[keep], cur[keep], at[keep]
-            if alive.size == 0:
-                continue
+            waited = trials_at_step[alive]
+            room = horizon - waited
+            widths = np.clip(self._block_width(cur, waited, spent, hops),
+                             1, room)
+            ends = np.cumsum(widths)
+            if ends[-1] > _BLOCK_SCRATCH_LANES:
+                np.minimum(widths,
+                           max(1, _BLOCK_SCRATCH_LANES // alive.size),
+                           out=widths)
+                ends = np.cumsum(widths)
+            begin = ends - widths
+            lanes.layout(widths, ends)
+            stream_at = args[alive]
+            u1, u2 = lanes.uniforms(stream_at, begin)
+            prev = previous[alive] if self._second_order else None
+            arc, accepted = self._trial(lanes, cur, prev, u1, u2)
+            # The forced hop: a block that reaches the horizon ends on it.
+            accepted[ends[widths == room] - 1] = True
 
-            # 2) A block of ``width`` trials per remaining walker.  A
-            #    walker stands still between rejections and its stream is
-            #    a pure function of (key, counter), so lane t is the trial
-            #    it would run t supersteps from now: counters c+2t (propose)
-            #    and c+2t+1 (accept), forced once trials_at_step + t hits
-            #    the cap.  The first accepted lane decides the hop; lanes
-            #    behind it are dropped, their counters never consumed.
-            width = self._block_width(spent, hops, alive.size)
-            lanes = np.arange(2 * width, dtype=np.uint64).reshape(width, 2).T
-            u1, u2 = stream_uniforms(
-                keys[alive][:, None],
-                counters[alive][:, None] + lanes[:, None, :])
-            forced = np.arange(width) >= (
-                cfg.max_trials_per_step - trials_at_step[alive])[:, None]
-            cand, accepted = self._trial(
-                np.repeat(cur, width), np.repeat(previous[alive], width),
-                u1.ravel(), u2.ravel(), forced.ravel())
-            # Lanes are walker-major, so a walker's first accepted lane is
-            # the head of its run in the sorted list of accepted lanes.
+            # 2) Lanes are walker-major, so a walker's first accepted lane
+            #    is the head of its run in the sorted accepted lanes.
             lane = np.flatnonzero(accepted)
-            owner = lane // width
+            owner = lane if lanes.own is None else lanes.own[lane]
             head = np.ones(lane.size, dtype=bool)
             np.not_equal(owner[1:], owner[:-1], out=head[1:])
             win = lane[head]     # flat lane that decides each hop
             sel = owner[head]    # its walker, as a position in ``alive``
-            used = np.full(alive.size, width, dtype=np.int64)
-            used[sel] = win - sel * width + 1
-            counters[alive] += (2 * used).astype(np.uint64)
+            used = widths        # lanes consumed: all, or up to the winner
+            used[sel] = win - begin[sel] + 1
+            waited += used
+            step_trials = waited[sel]   # what each completed step cost
+            waited[sel] = 0
+            trials_at_step[alive] = waited
+            args[alive] = stream_at + used.astype(np.uint64) * _TRIAL_STRIDE
             spent += int(used.sum())
 
-            if deferred:
-                # Trials spent towards the token at position lengths[i]
-                # (the position the accepted step will eventually fill;
-                # rejected trials accumulate on the same slot because the
-                # walker does not move between rejections).
-                trials_out[alive, at] += used
-            else:
-                trial_machines = self._assignment[cur]
-                # Integer-valued float sums: exact, so crediting a block
-                # at once equals crediting its trials one superstep each.
-                counts = np.bincount(trial_machines, weights=used,
-                                     minlength=num_machines)
-                for m in np.flatnonzero(counts):
-                    metrics.record_compute(int(m), float(counts[m]))
-
-            # Accepting walkers are reset to 0 below.
-            trials_at_step[alive] += width
             if sel.size == 0:
                 continue
+
+            # 3) The hops, and the only walkers whose termination moved.
             idx = alive[sel]
             hops += int(sel.size)
-            hop = cand[win]
-            src_m = None if deferred else trial_machines[sel]
-            pos = at[sel]
+            hop = self._indices[arc[win]]
+            pos = lengths[idx]
             if self.info_mode:
                 # Occurrences of the accepted node on the path so far: the
                 # batch form of InCoM's per-walker visit counters.  This
-                # scan is O(current length) per step -- bounded by
-                # max_length (80 at paper scale), where one vectorised
-                # comparison row beats any per-walker hash structure; the
-                # simulated cost model still credits the paper's O(1)
-                # InCoM update, which the scalar backend's dict counters
-                # realise literally.
-                prior = (paths[idx, :int(pos.max())]
-                         == hop[:, None]).sum(axis=1)
-            previous[idx] = cur[sel]
+                # scan is O(current length) per step, bounded by
+                # max_length (80 at paper scale); revisits are the
+                # minority, so the hits are counted from their flat
+                # positions rather than by summing rows.  A per-walker
+                # hashed (walker, node) -> count table was prototyped and
+                # lost to the scan at the benchmark's walk lengths
+                # (ROADMAP item 4 has the numbers); the simulated cost
+                # model still credits the paper's O(1) InCoM update,
+                # which the scalar backend's dict counters realise
+                # literally.
+                reach = int(pos.max())
+                seen = np.flatnonzero(paths[idx, :reach] == hop[:, None])
+                prior = np.bincount(seen // reach, minlength=idx.size)
+            if self._second_order:
+                previous[idx] = cur[sel]
             current[idx] = hop
             paths[idx, pos] = hop
             pos += 1
             lengths[idx] = pos
-            trials_at_step[idx] = 0
+            if self.info_mode:
+                self._observe(idx, prior, pos)
             if deferred:
                 # Steps, InCoM measurement cost and message crossings are
                 # all recoverable from (paths, lengths, trials) once the
-                # assignment is known; only the InCoM state advances here.
-                if self.info_mode:
-                    self._observe(idx, prior, pos)
-                continue
-            step_counts = np.bincount(src_m, minlength=num_machines)
-            for m in np.flatnonzero(step_counts):
-                metrics.record_local_step(int(m), int(step_counts[m]))
-            if self.info_mode:
-                self._observe(idx, prior, pos)
-                # InCoM measurement cost: O(1) per accepted step.
-                for m in np.flatnonzero(step_counts):
-                    metrics.record_compute(int(m), float(step_counts[m]))
-            dst_m = self._assignment[hop]
-            crossing = src_m != dst_m
-            if crossing.any():
-                pair = src_m[crossing] * num_machines + dst_m[crossing]
-                pair_counts = np.bincount(
-                    pair, minlength=num_machines * num_machines)
-                for p in np.flatnonzero(pair_counts):
-                    c = int(pair_counts[p])
-                    metrics.record_messages(
-                        c, c * self.message_bytes,
-                        src=int(p // num_machines), dst=int(p % num_machines),
-                    )
+                # assignment is known.
+                trials_out[idx, pos - 1] = step_trials
+            else:
+                # A walker does not move between rejections and every
+                # live walker ends its step (the forced hop), so a step's
+                # trials are credited when it completes, at the machine
+                # they ran on.
+                src_m = self._assignment[cur[sel]]
+                trial_units += np.bincount(src_m, weights=step_trials,
+                                           minlength=num_machines)
+                machine_hops += np.bincount(
+                    src_m * num_machines + self._assignment[hop],
+                    minlength=machine_hops.size)
+            done = self._finished(idx, hop, pos)
+            if done.any():
+                keep = np.ones(alive.size, dtype=bool)
+                keep[sel[done]] = False
+                alive = alive[keep]
         else:
             raise RuntimeError(
                 f"batched walk round did not converge in {max_iters} "
@@ -690,4 +882,27 @@ class BatchWalkRunner:
         if not deferred:
             stats.total_trials += spent
             stats.total_steps += hops
+            self._record(trial_units,
+                         machine_hops.reshape(num_machines, num_machines))
         return paths, lengths
+
+    def _record(self, trial_units: np.ndarray,
+                machine_hops: np.ndarray) -> None:
+        """Credit one call's work to the cluster metrics: ``trial_units[m]``
+        sampling trials run on machine ``m`` and ``machine_hops[s, d]``
+        accepted steps from a node of ``s`` to a node of ``d``.  Every
+        counter is an integer-valued sum, so recording a call at once
+        equals recording its trials and steps one at a time."""
+        metrics = self.cluster.metrics
+        steps = machine_hops.sum(axis=1)
+        for m in np.flatnonzero(steps):
+            metrics.record_local_step(int(m), int(steps[m]))
+            # One unit per trial, plus InCoM's O(1) measurement per
+            # accepted step.
+            metrics.record_compute(int(m), float(
+                trial_units[m] + (steps[m] if self.info_mode else 0)))
+        for src, dst in zip(*np.nonzero(machine_hops)):
+            if src != dst:
+                count = int(machine_hops[src, dst])
+                metrics.record_messages(count, count * self.message_bytes,
+                                        src=int(src), dst=int(dst))

@@ -92,11 +92,32 @@ class TestWalkEngineFailureModes:
         with pytest.raises(ValueError, match="unknown mode"):
             WalkConfig(mode="telepathy")
 
-    def test_unknown_kernel_rejected(self, triangle):
-        cluster = Cluster(1, np.zeros(3, dtype=np.int64), seed=0)
-        with pytest.raises(KeyError, match="unknown kernel"):
-            DistributedWalkEngine(triangle, cluster,
-                                  WalkConfig(kernel="quantum"))
+    @pytest.mark.parametrize("field,value,match", [
+        ("kernel", "quantum", "unknown kernel 'quantum'; options:.*huge"),
+        ("kernel", None, "unknown kernel None"),
+        ("p", 0.0, "p must be finite and > 0"),
+        ("p", -1.0, "p must be finite and > 0"),
+        ("q", float("nan"), "q must be finite and > 0"),
+        ("q", float("inf"), "q must be finite and > 0"),
+        ("max_trials_per_step", 2.5, "max_trials_per_step must be an integer"),
+        ("max_trials_per_step", 0, "max_trials_per_step must be finite"),
+        ("min_length", 5.0, "min_length must be an integer"),
+        ("max_length", 80.5, "max_length must be an integer"),
+        ("min_rounds", 1.5, "min_rounds must be an integer"),
+        ("max_rounds", 10.0, "max_rounds must be an integer"),
+        ("walk_length", 12.0, "walk_length must be an integer"),
+    ])
+    def test_bad_config_rejected_at_construction(self, field, value, match):
+        """Before any engine, partitioner or lane buffer exists -- the
+        kernel name and p/q used to fail inside the engine's __init__,
+        a fractional trial cap not at all."""
+        with pytest.raises(ValueError, match=match):
+            WalkConfig(**{"kernel": "node2vec", field: value})
+
+    def test_integral_numpy_values_accepted(self):
+        config = WalkConfig(kernel="HuGE", max_length=np.int64(40),
+                            max_trials_per_step=np.int32(4))
+        assert config.max_length == 40
 
 
 class TestCorpusFailureModes:

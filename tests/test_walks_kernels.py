@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques, rmat, star
+from repro.partition.galloping import galloping_intersect_size
 from repro.walks import (
     DeepWalkKernel,
     HuGEKernel,
@@ -13,6 +14,7 @@ from repro.walks import (
     Node2VecKernel,
     make_kernel,
 )
+from repro.walks.kernels import _reverse_arcs, common_neighbor_counts_per_arc
 
 
 class TestDeepWalk:
@@ -201,6 +203,111 @@ class TestArcAcceptanceTable:
     def test_table_is_cached(self, small_graph):
         kernel = HuGEKernel(small_graph)
         assert kernel.arc_acceptance_table() is kernel.arc_acceptance_table()
+
+
+def arc_sources(graph) -> np.ndarray:
+    return np.repeat(np.arange(graph.num_nodes, dtype=np.int64),
+                     graph.degrees)
+
+
+def galloping_counts(graph) -> np.ndarray:
+    """One ``galloping_intersect_size`` call per stored arc."""
+    return np.array([
+        galloping_intersect_size(graph.neighbors(int(u)),
+                                 graph.neighbors(int(v)))
+        for u, v in zip(arc_sources(graph), graph.indices)], dtype=np.int64)
+
+
+def wedge_counts(graph) -> np.ndarray:
+    """What the all-arcs scan counts for arc ``(u, v)``: entries of
+    ``N(v)`` that lie in ``N(u)`` -- galloping's count on simple rows,
+    and still defined on rows that repeat a neighbour."""
+    return np.array([
+        sum(int(w) in set(graph.neighbors(int(u)).tolist())
+            for w in graph.neighbors(int(v)))
+        for u, v in zip(arc_sources(graph), graph.indices)], dtype=np.int64)
+
+
+def cycle(n: int) -> CSRGraph:
+    return CSRGraph.from_edges([(i, (i + 1) % n) for i in range(n)])
+
+
+SYMMETRIC_GRAPHS = {
+    "rmat": lambda: rmat(7, edge_factor=6, seed=2),
+    "weighted": lambda: powerlaw_cluster(150, attach=4, seed=1)
+    .with_random_weights(np.random.default_rng(8)),
+    # Every degree equal: the smaller endpoint is decided by id alone.
+    "cycle": lambda: cycle(9),
+    "cliques": lambda: ring_of_cliques(4, 5),
+    "star": lambda: star(12),
+    # Nodes 40..59 have no arcs at all.
+    "isolated": lambda: CSRGraph.from_edges(
+        np.random.default_rng(4).integers(0, 40, size=(120, 2)),
+        num_nodes=60),
+    "empty": lambda: CSRGraph.from_edges([], num_nodes=5),
+}
+ASYMMETRIC_GRAPHS = {
+    "directed": lambda: CSRGraph.from_edges(
+        np.random.default_rng(1).integers(0, 60, size=(400, 2)),
+        num_nodes=60, directed=True),
+    "directed-dead-ends": TABLE_GRAPHS["directed"],
+    # Hand-built and mislabelled: claims to be undirected, stores 0->1,
+    # 0->2, 1->2, 2->0 -- only (0,2)/(2,0) has its reverse.
+    "asymmetric-undirected": lambda: CSRGraph(
+        [0, 2, 3, 4], [1, 2, 2, 0], directed=False),
+    # Symmetric as a set, but row 0 lists neighbour 2 twice: the counts
+    # are no longer symmetric in their endpoints, so nothing may be
+    # mirrored.
+    "repeated-arc": lambda: CSRGraph(
+        [0, 3, 5, 8], [1, 2, 2, 0, 2, 0, 0, 1], directed=False),
+}
+
+
+class TestCommonNeighbourPass:
+    """Min-side scan + mirror ≡ one intersection per arc."""
+
+    @pytest.mark.parametrize("family", sorted(SYMMETRIC_GRAPHS))
+    def test_symmetric_graphs_mirror(self, family):
+        graph = SYMMETRIC_GRAPHS[family]()
+        rev = _reverse_arcs(graph, arc_sources(graph))
+        assert rev is not None
+        # A certified reversal: an involution that swaps the endpoints.
+        np.testing.assert_array_equal(rev[rev], np.arange(rev.size))
+        np.testing.assert_array_equal(graph.indices[rev], arc_sources(graph))
+        table = common_neighbor_counts_per_arc(graph)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        np.testing.assert_array_equal(table, galloping_counts(graph))
+        np.testing.assert_array_equal(table, table[rev])
+
+    @pytest.mark.parametrize("family", sorted(ASYMMETRIC_GRAPHS))
+    def test_asymmetric_inputs_scan_every_arc(self, family):
+        graph = ASYMMETRIC_GRAPHS[family]()
+        assert _reverse_arcs(graph, arc_sources(graph)) is None
+        table = common_neighbor_counts_per_arc(graph)
+        np.testing.assert_array_equal(table, wedge_counts(graph))
+        if family != "repeated-arc":
+            np.testing.assert_array_equal(table, galloping_counts(graph))
+
+    def test_repeated_arc_counts_are_not_symmetric(self):
+        """Why a repeated arc must disable the mirror: (0, 1) sees node 2
+        once in N(1), (1, 0) sees it twice in N(0)."""
+        graph = ASYMMETRIC_GRAPHS["repeated-arc"]()
+        table = common_neighbor_counts_per_arc(graph)
+        assert table[0] == 1 and table[3] == 2
+
+    def test_min_side_scan_gathers_fewer_wedges(self):
+        """The point of the pass: on a heavy-tailed graph the smaller
+        endpoints' rows are a fraction of every target's row."""
+        graph = rmat(9, edge_factor=8, seed=1)
+        source, deg = arc_sources(graph), graph.degrees
+        all_arcs = int(deg[graph.indices].sum())
+        min_side = int(np.minimum(deg[source], deg[graph.indices]).sum()) // 2
+        assert min_side * 3 < all_arcs
+
+    def test_table_is_memoised_on_the_graph(self):
+        graph = cycle(6)
+        assert (common_neighbor_counts_per_arc(graph)
+                is common_neighbor_counts_per_arc(graph))
 
 
 class TestFactory:

@@ -126,33 +126,43 @@ class TestBackendParity:
         assert_runs_identical(a, ca, b, cb)
 
 
-class TestBlockWidthParity:
-    """The batched engine at any block width ≡ the per-walker loop."""
+def pinned_widths(widths):
+    """Patch the widths policy: live walker ``j`` of every superstep takes
+    ``widths[j % len(widths)]`` lanes (one entry = a rectangular block)."""
+    widths = np.asarray(widths, dtype=np.int64)
 
-    @pytest.mark.parametrize("width", (1, 2, 3, 8, 33))
+    def policy(self, cur, waited, spent, hops):
+        return np.resize(widths, cur.size)
+
+    return mock.patch.object(BatchWalkRunner, "_block_width", policy)
+
+
+class TestBlockWidthParity:
+    """The batched engine at any block widths ≡ the per-walker loop."""
+
+    @pytest.mark.parametrize("widths", ([1], [2], [3], [8], [33],
+                                        [1, 6, 2], [9, 1, 1, 40, 2, 3, 5]))
     @pytest.mark.parametrize("mode", VECTOR_MODES)
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
-    def test_fixed_width_matches_loop(self, kernel, mode, width):
+    def test_pinned_widths_match_loop(self, kernel, mode, widths):
         graph = rmat(6, edge_factor=6, seed=3).with_random_weights(
             np.random.default_rng(5))
         loop_cfg, vec_cfg = configs(kernel, mode, p=0.5, q=2.0,
                                     max_length=30)
         a, ca, _ = run_engine(graph, loop_cfg, machines=3)
-        with mock.patch.object(BatchWalkRunner, "_block_width",
-                               lambda self, spent, hops, alive: width):
+        with pinned_widths(widths):
             b, cb, _ = run_engine(graph, vec_cfg, machines=3)
         assert_runs_identical(a, ca, b, cb)
 
-    @pytest.mark.parametrize("width", (2, 3))
+    @pytest.mark.parametrize("widths", ([2], [3], [1, 3], [4, 1, 2]))
     @pytest.mark.parametrize("cap", (1, 2, 3))
-    def test_forced_hop_straddling_a_block(self, cap, width):
+    def test_forced_hop_straddling_a_block(self, cap, widths):
         graph = CSRGraph.from_edges(
             np.random.default_rng(11).integers(0, 48, size=(160, 2)),
             num_nodes=48, directed=True)
         loop_cfg, vec_cfg = configs("huge", "incom", max_trials_per_step=cap)
         a, ca, _ = run_engine(graph, loop_cfg, machines=2)
-        with mock.patch.object(BatchWalkRunner, "_block_width",
-                               lambda self, spent, hops, alive: width):
+        with pinned_widths(widths):
             b, cb, _ = run_engine(graph, vec_cfg, machines=2)
         # Forced hops happened: more trials than steps, yet never more
         # than cap + 1 per step.

@@ -15,16 +15,20 @@ Invariants covered:
 * determinism: same seed ⇒ byte-identical corpus, per backend and across
   backends;
 * block trials: paths, lengths, deferred trial counts, stats and cluster
-  metrics do not depend on how many trials a superstep evaluates per
-  walker -- fixed widths, drawn width sequences, blocks straddling the
-  forced-hop cap, and the scratch-budget clamp all emit the bytes of the
-  one-trial-per-superstep run.
+  metrics do not depend on how many trials a superstep evaluates for
+  which walker -- fixed widths, drawn per-walker width vectors, blocks
+  straddling the forced-hop cap, and the scratch-budget clamp all emit
+  the bytes of the one-trial-per-superstep run and of the per-walker loop
+  engine; the flat ragged lanes address exactly the counters a walker
+  would reach one trial at a time, and the in-place mix is the expression
+  it replaced, wrap-around included.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -39,8 +43,15 @@ from repro.graph import (
     rmat,
 )
 from repro.runtime import Cluster
-from repro.utils.rng import WalkerStream, stream_uniforms, walker_stream_keys
-from repro.walks import DistributedWalkEngine, WalkConfig, vectorized
+from repro.runtime.pipeline import DeferredWalkAccounting
+from repro.utils.rng import (
+    WalkerStream,
+    _mix64,
+    stream_arguments,
+    stream_uniforms,
+    walker_stream_keys,
+)
+from repro.walks import Corpus, DistributedWalkEngine, WalkConfig, vectorized
 from repro.walks.vectorized import BatchWalkRunner
 from repro.walks.walker import WalkStats
 
@@ -207,7 +218,7 @@ class TestCounterStreams:
 
 
 # ---------------------------------------------------------------------- #
-# Block trials: any width, the same bytes
+# Block trials: any width vector, the same bytes
 # ---------------------------------------------------------------------- #
 
 ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
@@ -215,14 +226,22 @@ ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
 
 @contextmanager
 def pinned_widths(widths):
-    """Replace the width policy by ``widths``, cycled one per superstep.
+    """Replace the widths policy: each live walker of each superstep takes
+    the next entry of ``widths`` (cycled), so a one-element list is a
+    rectangular block and anything longer is ragged, differently in every
+    superstep.
 
-    The pinned widths bypass the policy's own clamps on purpose: a block
-    may overshoot the forced-hop horizon and still must change nothing.
+    The pinned widths bypass the policy on purpose: they may overshoot the
+    forced-hop horizon and the scratch budget (the loop clamps both) and
+    still must change nothing.
     """
     seq = itertools.cycle(widths)
-    with mock.patch.object(BatchWalkRunner, "_block_width",
-                           lambda self, spent, hops, alive: next(seq)):
+
+    def policy(self, cur, waited, spent, hops):
+        return np.fromiter(itertools.islice(seq, cur.size), dtype=np.int64,
+                           count=cur.size)
+
+    with mock.patch.object(BatchWalkRunner, "_block_width", policy):
         yield
 
 
@@ -236,12 +255,32 @@ def block_graph(kind):
     return CSRGraph.from_edges(edges, num_nodes=48, directed=True)
 
 
-def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
-    """Everything one round of walks emits, as comparable bytes/values."""
+def block_config(kernel, mode, backend, **overrides):
     kwargs = dict(kernel=kernel, mode=mode, p=0.5, q=2.0, max_length=30,
                   walk_length=12)
     kwargs.update(overrides)
-    cfg = WalkConfig(backend="vectorized", **kwargs)
+    return WalkConfig(backend=backend, **kwargs)
+
+
+def emitted(paths, lengths, trials, stats, cluster):
+    return {
+        "paths": paths.tobytes(), "lengths": lengths.tobytes(),
+        "trials": None if trials is None else trials.tobytes(),
+        "stats": (stats.total_trials, stats.total_steps),
+        "metrics": cluster.metrics.as_dict(),
+        "compute": list(cluster.metrics.compute_units),
+        "local_steps": list(cluster.metrics.local_steps),
+        "matrix": cluster.metrics.message_byte_matrix,
+    }
+
+
+#: The snapshot walks are walk ids 7n .. 8n-1: round 7 of the loop engine.
+ROUND = 7
+
+
+def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
+    """Everything one round of walks emits, as comparable bytes/values."""
+    cfg = block_config(kernel, mode, "vectorized", **overrides)
     assignment = np.arange(graph.num_nodes, dtype=np.int64) % machines
     cluster = Cluster(machines, assignment, seed=17)
     engine = DistributedWalkEngine(graph, cluster, cfg)
@@ -252,17 +291,35 @@ def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
     cap = cfg.walk_length if mode == "routine" else cfg.max_length
     trials = np.zeros((sources.size, cap), dtype=np.int64) if deferred else None
     paths, lengths = runner.run_walks(
-        sources, 7 * sources.size + np.arange(sources.size), stats,
+        sources, ROUND * sources.size + np.arange(sources.size), stats,
         trials_out=trials)
-    return {
-        "paths": paths.tobytes(), "lengths": lengths.tobytes(),
-        "trials": None if trials is None else trials.tobytes(),
-        "stats": (stats.total_trials, stats.total_steps),
-        "metrics": cluster.metrics.as_dict(),
-        "compute": list(cluster.metrics.compute_units),
-        "local_steps": list(cluster.metrics.local_steps),
-        "matrix": cluster.metrics.message_byte_matrix,
-    }, trials
+    return emitted(paths, lengths, trials, stats, cluster), trials
+
+
+@functools.lru_cache(maxsize=None)
+def loop_snapshot(graph_kind, kernel, mode, machines=3, **overrides):
+    """The same walks from the per-walker loop in ``walks/engine.py`` --
+    the oracle -- in :func:`snapshot`'s form (it has no per-step trial
+    buffer, so ``trials`` is ``None``)."""
+    graph = block_graph(graph_kind)
+    cfg = block_config(kernel, mode, "loop", **overrides)
+    assignment = np.arange(graph.num_nodes, dtype=np.int64) % machines
+    cluster = Cluster(machines, assignment, seed=17)
+    engine = DistributedWalkEngine(graph, cluster, cfg)
+    sources = np.flatnonzero(graph.degrees > 0)
+    corpus, stats = Corpus(graph.num_nodes), WalkStats()
+    engine._run_round_loop_walker(sources, ROUND, corpus, stats, [])
+    cap = cfg.walk_length if mode == "routine" else cfg.max_length
+    paths = np.full((sources.size, cap), -1, dtype=np.int64)
+    for row, walk in zip(paths, corpus.walks):
+        row[:walk.size] = walk
+    lengths = np.array(stats.walk_lengths, dtype=np.int64)
+    return emitted(paths, lengths, None, stats, cluster)
+
+
+def assert_is_the_loop(got, graph_kind, kernel, mode, **overrides):
+    reference = loop_snapshot(graph_kind, kernel, mode, **overrides)
+    assert {**got, "trials": None} == reference
 
 
 class TestBlockTrials:
@@ -274,31 +331,42 @@ class TestBlockTrials:
         graph = block_graph(graph_kind)
         with pinned_widths([1]):
             reference, _ = snapshot(graph, kernel, mode, deferred)
-        for width in (2, 3, 8, 33):
-            with pinned_widths([width]):
+        if not deferred:      # deferred runs credit nothing in-loop
+            assert_is_the_loop(reference, graph_kind, kernel, mode)
+        for widths in ([2], [3], [8], [33], [1, 4], [5, 1, 2, 40, 3]):
+            with pinned_widths(widths):
                 got, _ = snapshot(graph, kernel, mode, deferred)
-            assert got == reference, f"width {width}"
+            assert got == reference, f"widths {widths}"
         adaptive, _ = snapshot(graph, kernel, mode, deferred)
         assert adaptive == reference
 
-    @settings(max_examples=25, deadline=None)
-    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=12),
-           kernel=st.sampled_from(("node2vec", "huge", "huge+")),
-           deferred=st.booleans())
-    def test_any_width_sequence(self, widths, kernel, deferred):
-        graph = block_graph("weighted")
-        with pinned_widths([1]):
-            reference, _ = snapshot(graph, kernel, "incom", deferred)
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=23),
+           kernel=st.sampled_from(ALL_KERNELS),
+           mode=st.sampled_from(("incom", "routine")),
+           graph_kind=st.sampled_from(("weighted", "directed")))
+    def test_any_width_vector(self, widths, kernel, mode, graph_kind):
+        """Per-walker widths, redrawn from the list every superstep: the
+        in-loop run is the loop oracle, the deferred run moves nothing
+        but the accounting and its trial buffer is the one-trial run's."""
+        graph = block_graph(graph_kind)
         with pinned_widths(widths):
-            got, _ = snapshot(graph, kernel, "incom", deferred)
-        assert got == reference
+            got, _ = snapshot(graph, kernel, mode)
+            deferred, _ = snapshot(graph, kernel, mode, deferred=True)
+        assert_is_the_loop(got, graph_kind, kernel, mode)
+        with pinned_widths([1]):
+            reference, _ = snapshot(graph, kernel, mode, deferred=True)
+        assert deferred == reference
+        assert deferred["paths"] == got["paths"]
+        assert deferred["lengths"] == got["lengths"]
 
-    @pytest.mark.parametrize("width", (2, 3))
+    @pytest.mark.parametrize("widths", ([2], [3], [1, 3], [4, 1, 2], [3, 2]))
     @pytest.mark.parametrize("cap", (1, 2, 3))
-    def test_forced_hop_inside_a_block(self, cap, width):
-        """Blocks that straddle ``max_trials_per_step``: (1,3) forces a
-        middle lane, (2,2) and (3,3) the first lane of the next block,
-        (2,3) and (3,2) a block's last lane."""
+    def test_forced_hop_inside_a_block(self, cap, widths):
+        """Blocks that straddle ``max_trials_per_step``, equal and
+        unequal: the forced lane lands mid-block for one walker, on the
+        last lane for its neighbour and in the next block for a third --
+        and every block is cut at the horizon, whatever was asked for."""
         graph = block_graph("weighted")
         with pinned_widths([1]):
             reference, trials = snapshot(graph, "huge", "incom", True,
@@ -306,38 +374,70 @@ class TestBlockTrials:
         # The scenario is live: some step ran into the forced lane, and
         # none ever needed more trials than the cap allows.
         assert trials.max() == cap + 1
-        with pinned_widths([width]):
+        with pinned_widths(widths):
             got, _ = snapshot(graph, "huge", "incom", True,
                               max_trials_per_step=cap)
         assert got == reference
-        with pinned_widths([1]):
-            serial_ref, _ = snapshot(graph, "huge", "incom",
-                                     max_trials_per_step=cap)
-        with pinned_widths([width]):
+        with pinned_widths(widths):
             serial, _ = snapshot(graph, "huge", "incom",
                                  max_trials_per_step=cap)
-        assert serial == serial_ref
+        assert_is_the_loop(serial, "weighted", "huge", "incom",
+                           max_trials_per_step=cap)
+
+    @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
+    @pytest.mark.parametrize("kernel,mode", (
+        ("huge", "incom"), ("node2vec", "routine"), ("deepwalk", "incom")))
+    def test_deferred_accounting_is_the_in_loop_accounting(self, kernel, mode,
+                                                           graph_kind):
+        """``DeferredWalkAccounting`` finds every traversed arc through
+        one search of the distinct packed ``(prev, next)`` keys; fed the
+        deferred buffers it must land on the in-loop counters exactly."""
+        graph = block_graph(graph_kind)
+        in_loop, _ = snapshot(graph, kernel, mode)
+        deferred, trials = snapshot(graph, kernel, mode, deferred=True)
+        lengths = np.frombuffer(deferred["lengths"], dtype=np.int64)
+        paths = np.frombuffer(deferred["paths"], dtype=np.int64).reshape(
+            lengths.size, -1)
+        info_mode = mode != "routine"
+        fields = {"node2vec": 4, "deepwalk": 3}.get(kernel, 10)
+        accounting = DeferredWalkAccounting(
+            graph, info_mode=info_mode,
+            message_bytes=80 if info_mode else fields * 8)
+        half = lengths.size // 2          # two rounds' worth of folding
+        totals = [accounting.observe_round(paths[rows], lengths[rows],
+                                           trials[rows])
+                  for rows in (slice(0, half), slice(half, None))]
+        assert tuple(map(sum, zip(*totals))) == in_loop["stats"]
+        cluster = Cluster(3, np.arange(graph.num_nodes, dtype=np.int64) % 3,
+                          seed=17)
+        accounting.apply(cluster.assignment, cluster.metrics)
+        assert emitted(paths, lengths, None, WalkStats(), cluster) == {
+            **in_loop, "stats": (0, 0)}
 
     def test_scratch_budget_clamps_the_block(self, monkeypatch):
         graph = block_graph("weighted")
         reference, _ = snapshot(graph, "huge", "incom")
         monkeypatch.setattr(vectorized, "_BLOCK_SCRATCH_LANES", 40)
         seen = []
-        policy = BatchWalkRunner._block_width
+        layout = vectorized._TrialLanes.layout
 
-        def spy(self, spent, hops, alive):
-            width = policy(self, spent, hops, alive)
-            seen.append((alive, width))
-            return width
+        def spy(self, widths, ends):
+            seen.append((widths.size, int(ends[-1]), widths.copy()))
+            return layout(self, widths, ends)
 
-        monkeypatch.setattr(BatchWalkRunner, "_block_width", spy)
-        got, _ = snapshot(graph, "huge", "incom")
-        assert got == reference
-        assert all(width >= 1 and alive * width <= max(alive, 40)
-                   for alive, width in seen)
-        # Wide rounds are held at one trial; the thinning tail widens.
-        assert any(alive > 40 and width == 1 for alive, width in seen)
-        assert any(width > 1 for _, width in seen)
+        monkeypatch.setattr(vectorized._TrialLanes, "layout", spy)
+        for widths in (None, [7, 1, 3, 12, 2]):
+            del seen[:]
+            with pinned_widths(widths) if widths else nullcontext():
+                got, _ = snapshot(graph, "huge", "incom")
+            assert got == reference
+            assert all(w.min() >= 1 and total <= max(alive, 40)
+                       for alive, total, w in seen)
+            # Wide rounds are held at one trial; the thinning tail runs
+            # ragged blocks inside the budget.
+            assert any(alive > 40 and total == alive
+                       for alive, total, _ in seen)
+            assert any(np.unique(w).size > 1 for _, _, w in seen)
 
     def test_width_policy(self):
         graph = block_graph("weighted")
@@ -345,14 +445,54 @@ class TestBlockTrials:
         cfg = WalkConfig.distger(max_trials_per_step=12)
         engine = DistributedWalkEngine(graph, cluster, cfg)
         runner = BatchWalkRunner(graph, cluster, cfg, engine.kernel, 0)
-        assert runner._block_width(0, 0, 100) == 1        # starts at one
-        assert runner._block_width(50, 50, 100) == 1      # never rejected
-        assert runner._block_width(75, 10, 100) == 8      # ceil(7.5)
-        assert runner._block_width(80, 10, 100) == 8
-        assert runner._block_width(900, 10, 100) == 13    # forced horizon
-        lanes = vectorized._BLOCK_SCRATCH_LANES
-        assert runner._block_width(75, 10, lanes // 2) == 2
-        assert runner._block_width(75, 10, lanes + 1) == 1
+        # The per-node input: 1 / (proposal-weighted mean acceptance) - 1.
+        accept = engine.kernel.arc_acceptance_table()
+        nodes = np.flatnonzero(graph.degrees > 0)
+        expected = []
+        for u in nodes:
+            row = slice(graph.indptr[u], graph.indptr[u + 1])
+            w = graph.weights[row]
+            expected.append(min(12.0, max(
+                0.0, w.sum() / (w * accept[row]).sum() - 1.0)))
+        rejections = runner._node_rejections[nodes]
+        np.testing.assert_allclose(rejections, expected, rtol=1e-12)
+        assert rejections.max() > 2 * np.median(rejections) > 0
+
+        fresh = np.zeros(nodes.size, dtype=np.int64)
+        crowd = np.tile(nodes, 200)             # a lane-bound superstep
+        wide = runner._block_width(crowd, np.zeros(crowd.size, np.int64),
+                                   0, 0)[:nodes.size]
+        thin = runner._block_width(nodes[:8], fresh[:8], 0, 0)
+        assert wide.dtype == np.int64 and wide.min() >= 1
+        # One trial plus a share of the node's expected rejections ...
+        share = vectorized._BLOCK_SHARE * (
+            1 + vectorized._DISPATCH_BOUND_WALKERS / crowd.size)
+        np.testing.assert_array_equal(
+            wide, 1 + np.ceil(share * rejections).astype(np.int64))
+        assert np.all(wide[np.argsort(rejections)][1:]
+                      >= wide[np.argsort(rejections)][:-1])
+        # ... a larger share when the superstep is thin ...
+        assert np.all(thin >= wide[:8]) and thin.sum() > wide[:8].sum()
+        # ... and never fewer lanes than the walker already burnt.
+        waited = np.full(nodes.size, 9, dtype=np.int64)
+        assert np.all(runner._block_width(nodes, waited, 0, 0) >= 9)
+
+    def test_width_policy_without_a_node_table(self):
+        """node2vec has no per-arc table: the call's running rejections
+        per accepted step stand in, for every walker alike."""
+        graph = block_graph("weighted")
+        cluster = Cluster(1, np.zeros(graph.num_nodes, dtype=np.int64), seed=0)
+        cfg = WalkConfig.routine("node2vec", p=0.5, q=2.0)
+        engine = DistributedWalkEngine(graph, cluster, cfg)
+        runner = BatchWalkRunner(graph, cluster, cfg, engine.kernel, 0)
+        cur = np.zeros(100_000, dtype=np.int64)
+        idle = np.zeros(cur.size, dtype=np.int64)
+        assert set(runner._block_width(cur, idle, 0, 0)) == {1}     # start
+        assert set(runner._block_width(cur, idle, 50, 50)) == {1}   # no reject
+        share = vectorized._BLOCK_SHARE * (
+            1 + vectorized._DISPATCH_BOUND_WALKERS / cur.size)
+        assert set(runner._block_width(cur, idle, 75, 10)) == {
+            1 + int(np.ceil(share * 6.5))}
 
     @pytest.mark.parametrize("kernel,extra", (
         ("deepwalk", {}), ("node2vec-alias", {}),
@@ -361,15 +501,83 @@ class TestBlockTrials:
     def test_never_rejecting_kernels_waste_no_uniform(self, kernel, extra,
                                                       monkeypatch):
         drawn = []
-        real = vectorized.stream_uniforms
+        real = vectorized.argument_uniforms
 
-        def counting(keys, counters):
-            out = real(keys, counters)
-            drawn.append(out.size)
-            return out
+        def counting(args, out=None, scratch=None):
+            result = real(args, out=out, scratch=scratch)
+            drawn.append(result.size)
+            return result
 
-        monkeypatch.setattr(vectorized, "stream_uniforms", counting)
+        monkeypatch.setattr(vectorized, "argument_uniforms", counting)
         got, _ = snapshot(block_graph("directed"), kernel, "incom", **extra)
         trials, steps = got["stats"]
         assert trials == steps > 0
         assert sum(drawn) == 2 * trials
+
+
+class TestTrialLanes:
+    """The flat ragged layout addresses each walker's own counters."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(widths=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lane_uniforms_are_the_stream_uniforms(self, widths, seed):
+        rng = np.random.default_rng(seed)
+        widths = np.array(widths, dtype=np.int64)
+        keys = rng.integers(0, 2**64, size=widths.size, dtype=np.uint64)
+        counters = rng.integers(0, 2**64, size=widths.size, dtype=np.uint64)
+        keys[0], counters[-1] = 2**64 - 1, 2**64 - 3      # wrap both ways
+        ends = np.cumsum(widths)
+        lanes = vectorized._TrialLanes()
+        lanes.layout(widths, ends)
+        u1, u2 = lanes.uniforms(stream_arguments(keys, counters),
+                                ends - widths)
+        own = np.repeat(np.arange(widths.size), widths)
+        t = (np.arange(ends[-1]) - (ends - widths)[own]).astype(np.uint64)
+        two = np.uint64(2)
+        np.testing.assert_array_equal(
+            u1, stream_uniforms(keys[own], counters[own] + two * t))
+        np.testing.assert_array_equal(
+            u2, stream_uniforms(keys[own],
+                                counters[own] + two * t + np.uint64(1)))
+        if (widths == 1).all():
+            assert lanes.own is None
+        else:
+            np.testing.assert_array_equal(lanes.own, own)
+
+
+class TestInPlaceMix:
+    """``_mix64`` rewritten in place is the expression it replaced."""
+
+    @staticmethod
+    def expression_form(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def test_values_including_wrap_around(self):
+        rng = np.random.default_rng(1)
+        z = np.concatenate([
+            np.array([0, 1, 2**63, 2**64 - 1, 2**64 - 2, 0x9E3779B97F4A7C15],
+                     dtype=np.uint64),
+            rng.integers(0, 2**64, size=500, dtype=np.uint64)])
+        expected = self.expression_form(z)
+        np.testing.assert_array_equal(_mix64(z.copy()), expected)
+        scratch = np.empty_like(z)
+        np.testing.assert_array_equal(_mix64(z.copy(), scratch), expected)
+        block = z[:500].reshape(2, 250).copy()
+        assert _mix64(block) is block                      # in place
+        np.testing.assert_array_equal(block.ravel(), expected[:500])
+
+    def test_streams_wrap_like_the_scalar_path(self):
+        """Keys and counters at the top of the range: the array path
+        wraps modulo 2**64 exactly like the loop backend's Python ints."""
+        for key in (2**64 - 1, 2**64 - 0x9E3779B97F4A7C15, 12345):
+            for start in (0, 2**64 - 4):
+                stream = WalkerStream(key, start)
+                scalar = [u for _ in range(4) for u in stream.next_pair()]
+                counters = [(start + i) % 2**64 for i in range(8)]
+                batched = stream_uniforms(
+                    np.full(8, key, dtype=np.uint64),
+                    np.array(counters, dtype=np.uint64))
+                np.testing.assert_array_equal(np.array(scalar), batched)
