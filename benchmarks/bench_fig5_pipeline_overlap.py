@@ -11,7 +11,7 @@ phases instead of running them behind barriers (Fang et al., VLDB 2023
 * walk rounds stream through a bounded queue, so workers sample round
   ``k+1`` while the parent flushes round ``k`` into the flat corpus;
 * training consumes the shared token block through the same slice
-  descriptors as ``execution="process"``, gated on corpus readiness.
+  descriptors as ``execution="process"``, once the corpus is finished.
 
 Because the two executors are byte-identical (the pipeline parity
 suite's contract), the speedup is pure scheduling: the gate asserts

@@ -65,15 +65,11 @@ The walk corpus itself is a flat token block + offsets
 (:class:`repro.walks.corpus.Corpus`), which is what keeps the process
 hand-offs cheap: walk rounds compact straight into the block, the flat
 arrays move into shared memory once at training start, and every sync
-round ships only a ``(machine, (lo, hi), lr, key, counter)`` slice
-descriptor per machine instead of pickled walk batches.  Process runs
-report the shipped descriptor bytes in
-``result.stats["ipc_task_bytes"]`` (runs that fall back to pickled
-batches -- parent-side subsampling -- tally their payload only under
-``REPRO_IPC_AUDIT=1``, which also records the counterfactual batch
-bytes).  Walk-based methods expose the sampled corpus as
-``result.corpus``; ``result.corpus.save(path)`` persists it in the flat
-``.npz`` format (legacy text via ``.txt``).
+round ships only a ``(machine, lo, hi, lr)`` slice descriptor per
+machine -- never a walk token, subsampled or not.  Process runs report
+the shipped descriptor bytes in ``result.stats["ipc_task_bytes"]``.
+Walk-based methods expose the sampled corpus as ``result.corpus``;
+``result.corpus.save(path)`` persists it in the flat ``.npz`` format.
 """
 
 from __future__ import annotations

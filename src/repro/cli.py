@@ -503,9 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("--out", metavar="FILE",
                          help="write embeddings (word2vec text format)")
     p_embed.add_argument("--save-corpus", metavar="FILE",
-                         help="write the sampled walk corpus: flat npz "
-                              "(token block + offsets) by default, legacy "
-                              "text when FILE ends in .txt")
+                         help="write the sampled walk corpus as flat npz "
+                              "(token block + offsets)")
     p_embed.add_argument("--persona", action="store_true",
                          help="Splitter persona workload: ego-net split "
                               "the graph, train persona embeddings "

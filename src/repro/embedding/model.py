@@ -85,7 +85,8 @@ class TrainConfig:
     sync_mode: str = "hotness"  # hotness | full | none
     # word2vec's frequent-token subsampling threshold ``t``: occurrences of
     # node v are kept with probability min(1, sqrt(t / f(v))) where f(v) is
-    # its corpus frequency.  0 disables (the default -- the paper does not
+    # its corpus frequency, decided per (epoch, corpus position) by a
+    # counter stream.  0 disables (the default -- the paper does not
     # subsample; exposed as a standard word2vec option).
     subsample: float = 0.0
     seed: int = 0
@@ -116,7 +117,7 @@ class TrainConfig:
     #: selects the streaming system dataflow
     #: (:mod:`repro.runtime.pipeline`); for the training phase itself it
     #: resolves to the process slice path -- the trainer is the
-    #: pipeline's *consumer*, gated on corpus readiness
+    #: pipeline's *consumer*, starting when the corpus is finished
     #: (:class:`repro.walks.corpus.CorpusFeed`), not a producer with
     #: anything of its own to overlap.  Default from ``REPRO_EXECUTION``.
     execution: str = field(default_factory=default_execution)

@@ -6,11 +6,13 @@ model replica on its shard; the trainer interleaves the shards in
 sync-period slices -- every machine trains one slice, then the sync
 strategy reconciles the replicas -- which is the deterministic equivalent
 of the paper's parallel loop.  A round's slices touch disjoint replicas at
-rates fixed up front, so serial execution hands the whole round to the
-learner (:meth:`~repro.embedding.sgns.BaseLearner.train_round`; the
-batched DSGL learner runs it as one lock-step plan per cohort) and the
-process executor runs the slices concurrently, with identical bytes.  A
-final average produces the published embeddings.
+rates fixed up front, so the trainer plans a round as ``(machine, lo, hi,
+lr)`` **slice descriptors** over the per-machine shard index arrays and
+hands it to a :class:`SliceTrainer`, which resolves each slice into walk
+views (:func:`repro.walks.corpus.shard_walks`) and trains the round
+through :meth:`~repro.embedding.sgns.BaseLearner.train_round` (the
+batched DSGL learner runs it as one lock-step plan per cohort).  A final
+average produces the published embeddings.
 
 Learner selection covers every trainer the paper measures: ``sgns``
 (original word2vec), ``pword2vec`` [22], ``psgnscc`` [45] and ``dsgl``
@@ -33,21 +35,17 @@ comparable across them.
 
 Execution
 ---------
-``TrainConfig.execution="process"`` runs each sync period's (replica-
-disjoint) per-machine slices concurrently on worker processes over
-shared-memory replica matrices.  Walk data never travels per round: the
-flat corpus (token block + offsets) and the per-machine shard index
-arrays move into shared memory once, and every sync round ships only
-``(machine, (lo, hi), lr, key, counter)`` **slice descriptors** --
-one task per worker, carrying its share of the machines -- that
-workers resolve as zero-copy views into the shared block and train
-through the same ``train_round``
-(:class:`repro.runtime.executor.ProcessSliceTrainer`; parent-side
-subsampling is the one fallback that still pickles batches, since those
-walks exist only in the parent).  ``execution="pipeline"`` resolves to
-the same slice path -- in the streaming dataflow the trainer is the
-*consumer*: pass a :class:`repro.walks.corpus.CorpusFeed` and the
-trainer gates slice consumption on walk residency, waiting for the
+Serial execution owns one :class:`SliceTrainer` over its replicas.
+``TrainConfig.execution="process"`` moves the replica matrices, the flat
+corpus (token block + offsets), the shard index arrays and the keep
+probabilities into shared memory once; every worker builds the same
+:class:`SliceTrainer` over its attachment and a sync round ships each
+worker its share of the descriptors
+(:class:`repro.runtime.executor.ProcessSliceTrainer`) -- no walk token
+is ever pickled, and serial training is the pool's code run in-process.
+``execution="pipeline"`` resolves to the same slice path; in the
+streaming dataflow the trainer is the *consumer*: pass a
+:class:`repro.walks.corpus.CorpusFeed` and ``train`` waits for the
 producer to finish before deriving the global corpus statistics (vocab
 order, negative table, lr token total) that are fixed up front.
 """
@@ -78,7 +76,7 @@ from repro.utils.rng import (
     walker_seed_root,
     walker_stream_keys,
 )
-from repro.walks.corpus import Corpus
+from repro.walks.corpus import Corpus, shard_walks
 
 LEARNERS: Dict[str, Type[BaseLearner]] = {
     "sgns": SGNSLearner,
@@ -87,8 +85,10 @@ LEARNERS: Dict[str, Type[BaseLearner]] = {
     "dsgl": DSGLLearner,
 }
 
-#: Salt separating the negative-stream root from the walk-stream root.
+#: Salts separating the negative- and subsampling-stream roots from the
+#: walk-stream root (and from each other).
 _NEGATIVE_STREAM_SALT = 3
+_SUBSAMPLE_STREAM_SALT = 4
 
 
 class WarmStart(NamedTuple):
@@ -137,6 +137,65 @@ def seed_model_from_warm_start(model: EmbeddingModel, vocab: Vocabulary,
         model.phi_out[rows] = prev_out[:n].astype(np.float32, copy=False)
 
 
+class SliceTrainer:
+    """One process's end of the walk→train hand-off.
+
+    A learner per machine over that machine's replica matrices, plus what
+    a slice descriptor indexes: the flat corpus, the per-machine shard
+    index arrays and (under subsampling) the keep probabilities.  The
+    serial trainer builds one over its own replicas and every slice
+    worker one over its shared-memory attachment, so both executors run
+    this constructor and this round body.
+    """
+
+    def __init__(self, models: Sequence[EmbeddingModel], config: TrainConfig,
+                 learner_name: str, backend: str, neg_keys: Sequence[int],
+                 anchor: Optional[RowAnchor], tokens: np.ndarray,
+                 offsets: np.ndarray, shards: Sequence[np.ndarray],
+                 keep: Optional[np.ndarray]) -> None:
+        # The torch backend executes the same batched slice plans as the
+        # vectorized learners; only the array-ops implementation differs
+        # (resolved per learner from the config by BaseLearner).
+        registry = (VECTORIZED_LEARNERS if backend in ("vectorized", "torch")
+                    else LEARNERS)
+        self.learner_cls = registry[learner_name]
+        sampler = NegativeSampler(models[0].vocab)
+        self.learners: List[BaseLearner] = []
+        for machine, model in enumerate(models):
+            # Counter-based per-machine negative streams: draws are a pure
+            # function of (key, draw index), so backends and executors
+            # consume identical negatives.
+            learner = self.learner_cls(model, sampler, config,
+                                       CounterStream(int(neg_keys[machine])))
+            learner.anchor = anchor
+            learner.machine = machine
+            self.learners.append(learner)
+        self.tokens = tokens
+        self.offsets = offsets
+        self.shards = shards
+        self.keep = keep
+
+    def train_round(self, slices, keep_key: int) -> List[int]:
+        """Train one sync round's ``(machine, lo, hi, lr)`` slices; return
+        the tokens each slice's learner used.
+
+        The whole round goes to the learner at once (the batched DSGL
+        learner lock-steps the machines per cohort), then the persona
+        pull runs over each slice's touched rows -- a no-op without an
+        anchor, and it draws no negatives.
+        """
+        groups = [(self.learners[machine],
+                   shard_walks(self.tokens, self.offsets,
+                               self.shards[machine], lo, hi, self.keep,
+                               keep_key),
+                   lr)
+                  for machine, lo, hi, lr in slices]
+        used = self.learner_cls.train_round(groups)
+        for learner, walks, lr in groups:
+            learner.apply_anchor(walks, lr)
+        return used
+
+
 @dataclass
 class TrainResult:
     """Output of distributed training."""
@@ -183,17 +242,16 @@ class DistributedTrainer:
         #: Execution mode ("serial" or "process") slices run under
         #: ("pipeline" resolves to the process slice path).
         self.execution = self.config.resolved_execution()
-        #: Streaming readiness gate (the pipeline dataflow's walk→train
-        #: hand-off); None means the corpus is already complete.
+        #: Finished-event of a corpus that is still being sampled (the
+        #: pipeline dataflow's walk→train hand-off); None means the
+        #: corpus is already complete.
         self.feed = feed
         if feed is not None and feed.corpus is not corpus:
             raise ValueError("feed must wrap the corpus being trained on")
         self.walk_machines = (
-            list(walk_machines) if walk_machines is not None else None
-        )
-        if feed is None and self.walk_machines is not None and \
-                len(self.walk_machines) != corpus.num_walks:
-            raise ValueError("walk_machines must align with corpus walks")
+            None if walk_machines is None else np.asarray(walk_machines))
+        if feed is None:
+            self._check_walk_machines()
         #: Node-space seed matrices applied to the base model before the
         #: replicas are cloned (and before the process executor shares
         #: them), so every execution mode trains from identical bytes.
@@ -205,26 +263,46 @@ class DistributedTrainer:
 
     # ------------------------------------------------------------------ #
 
+    def _check_walk_machines(self) -> None:
+        """``walk_machines`` names one machine of the cluster per corpus
+        walk -- checked once the walk count is final (at construction, or
+        after the feed finished)."""
+        machines = self.walk_machines
+        if machines is None:
+            return
+        if machines.shape != (self.corpus.num_walks,):
+            raise ValueError("walk_machines must align with corpus walks")
+        if machines.size and machines.dtype.kind not in "iu":
+            raise ValueError(
+                f"walk_machines must be integers, got dtype {machines.dtype}")
+        m = self.cluster.num_machines
+        bad = np.flatnonzero((machines < 0) | (machines >= m))
+        if bad.size:
+            raise ValueError(
+                f"walk {int(bad[0])} is placed on machine "
+                f"{int(machines[bad[0]])}; the cluster has machines "
+                f"0..{m - 1}")
+
     def _shards(self) -> List[np.ndarray]:
         """Split walks into per-machine sub-corpora (walk-index arrays).
 
         Shards are **indices into the corpus** rather than walk arrays:
-        the flat corpus hands out zero-copy views on demand, and the
-        process executor ships sync-round slices as ``(lo, hi)`` ranges
-        over exactly these index arrays.  With ``walk_machines`` the
-        sub-corpora keep sampling locality (walks stay with their
-        source's machine -- load-bearing for reconciliation quality),
-        then whole walks are moved from the heaviest to the lightest
-        shards until token counts are balanced: the partitioner's γ-slack
-        node skew must not become a training straggler.
+        sync-round slices are ``(lo, hi)`` ranges over exactly these
+        index arrays, resolved into zero-copy views where they train
+        (:func:`~repro.walks.corpus.shard_walks`).  With
+        ``walk_machines`` the sub-corpora keep sampling locality (walks
+        stay with their source's machine -- load-bearing for
+        reconciliation quality), then whole walks are moved from the
+        heaviest to the lightest shards until token counts are balanced:
+        the partitioner's γ-slack node skew must not become a training
+        straggler.
         """
         m = self.cluster.num_machines
         n = self.corpus.num_walks
         if self.walk_machines is None:
             return [np.arange(i, n, m, dtype=np.int64) for i in range(m)]
-        shards: List[List[int]] = [[] for _ in range(m)]
-        for i, machine in enumerate(self.walk_machines):
-            shards[machine].append(i)
+        shards = [np.flatnonzero(self.walk_machines == machine).tolist()
+                  for machine in range(m)]
         lengths = self.corpus.walk_lengths
         tokens = [int(lengths[shard].sum()) for shard in shards]
         target = sum(tokens) / m
@@ -250,13 +328,6 @@ class DistributedTrainer:
         freq = np.maximum(occ / total, 1e-12)
         return np.minimum(1.0, np.sqrt(t / freq))
 
-    @staticmethod
-    def _subsample_walk(
-        walk: np.ndarray, keep: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        mask = rng.random(walk.size) < keep[walk]
-        return walk[mask]
-
     def _check_finite(self, final: EmbeddingModel) -> None:
         """Fail here, where the divergence happened, rather than at the
         serving store or silently inside a benchmark."""
@@ -276,24 +347,16 @@ class DistributedTrainer:
         cfg = self.config
         cluster = self.cluster
         m = cluster.num_machines
-        ready_walks = self.corpus.num_walks
         if self.feed is not None:
             # Global-statistics barrier: the frequency-ordered vocabulary,
             # the unigram^0.75 negative table, the subsampling
             # keep-probabilities and the lr schedule's token total are all
             # functions of the *final* occurrence counters, so they can
             # only be fixed once the producer has finished -- consuming
-            # any slice earlier would change bytes.  (Per-slice residency
-            # is still gated in the plan loop below, so the streaming
-            # contract survives a future protocol that freezes the
-            # counters earlier.)
-            ready_walks = self.feed.wait_finished()
-            if self.walk_machines is not None and \
-                    len(self.walk_machines) != self.corpus.num_walks:
-                raise ValueError(
-                    "walk_machines must align with corpus walks")
+            # any slice earlier would change bytes.
+            self.feed.wait_finished()
+            self._check_walk_machines()
         vocab = Vocabulary.from_corpus(self.corpus)
-        sampler = NegativeSampler(vocab)
         keep = self._keep_probabilities()
         base_model = EmbeddingModel(vocab, cfg.dim, seed=cfg.seed)
         if self.warm_start is not None:
@@ -301,21 +364,16 @@ class DistributedTrainer:
                                        cfg.dim)
         replicas = [base_model if i == 0 else base_model.clone()
                     for i in range(m)]
-        rngs = spawn_rngs(cfg.seed, m + 1)
-        sync_rng = rngs[-1]
-        # Counter-based per-machine negative streams: draws are a pure
-        # function of (train seed, machine, draw index), so the loop and
-        # vectorized backends consume identical negatives.
-        root = walker_seed_root(derive_seed(cfg.seed, _NEGATIVE_STREAM_SALT))
-        keys = walker_stream_keys(root, np.arange(m, dtype=np.int64))
-        neg_streams = [CounterStream(int(key)) for key in keys]
-        # The torch backend executes the same batched slice plans as the
-        # vectorized learners; only the array-ops implementation differs
-        # (resolved per learner from the config by BaseLearner).
-        learner_registry = (VECTORIZED_LEARNERS
-                            if self.backend in ("vectorized", "torch")
-                            else LEARNERS)
-        learner_cls = learner_registry[self.learner_name]
+        # Child m of m + 1: the goldens pin the sync draws to this child.
+        sync_rng = spawn_rngs(cfg.seed, m + 1)[-1]
+        # Counter-stream keys: one negative stream per machine, one
+        # subsampling stream per epoch (indexed by flat corpus position).
+        neg_keys = walker_stream_keys(
+            walker_seed_root(derive_seed(cfg.seed, _NEGATIVE_STREAM_SALT)),
+            np.arange(m, dtype=np.int64))
+        keep_keys = walker_stream_keys(
+            walker_seed_root(derive_seed(cfg.seed, _SUBSAMPLE_STREAM_SALT)),
+            np.arange(cfg.epochs, dtype=np.int64))
         # Persona regularizer: scatter node-space anchors into this
         # corpus's row space once (same id-prefix rule as warm starts).
         # A zero λ drops the anchor entirely so the plain byte path runs.
@@ -323,88 +381,60 @@ class DistributedTrainer:
         if self.anchor is not None and self.anchor.lam > 0.0:
             row_anchor = RowAnchor(self.anchor.row_space(vocab, cfg.dim),
                                    self.anchor.lam)
-        learners = [learner_cls(replicas[i], sampler, cfg, neg_streams[i])
-                    for i in range(m)]
-        for machine, learner in enumerate(learners):
-            learner.anchor = row_anchor
-            learner.machine = machine
         sync = make_sync(cfg.sync_mode)
         sync.start(replicas)
         shards = self._shards()
+        # Slices and the schedule's progress are cut on raw walk lengths
+        # (word2vec.c's word_count): nothing here reads a token, so under
+        # process execution a file-backed corpus's token pages are only
+        # ever faulted by the workers that train them (the
+        # backing="mmap" RSS ceiling), and progress reaches 1.0 with or
+        # without subsampling.
+        lengths = self.corpus.walk_lengths
+        shard_lengths = [lengths[shard].tolist() for shard in shards]
         total_tokens = self.corpus.total_tokens * cfg.epochs
         schedule = make_schedule(cfg.lr_schedule, cfg.lr, cfg.min_lr)
 
         tokens_done = 0
+        tokens_used = 0
         sync_rounds = 0
         start = time.perf_counter()
-        process_trainer = None
         if self.execution == "process":
             # One worker pool for the whole run; replica matrices move
             # into shared memory (the parent's replica objects become
             # views, so the sync strategy below keeps operating in place).
-            # The flat corpus and the shard index arrays move too -- one
-            # copy up front -- so (un-subsampled) sync rounds ship slice
-            # descriptors instead of pickled walk batches.
             from repro.runtime.executor import ProcessSliceTrainer
 
-            process_trainer = ProcessSliceTrainer(
-                replicas, vocab, cfg, self.learner_name, self.backend,
-                [stream.key for stream in neg_streams],
-                corpus=self.corpus if keep is None else None,
-                shards=shards if keep is None else None,
-                anchor=row_anchor)
-        # Descriptor-shipping rounds never materialise walks in the
-        # parent: slice spans are sized from the offsets table alone so
-        # a file-backed corpus's token pages are only ever faulted by
-        # the workers that train them (the backing="mmap" RSS ceiling).
-        # The audit flag re-pickles batches, so it forces the slow path.
-        plan_lengths = None
-        if process_trainer is not None and process_trainer.ships_descriptors \
-                and not process_trainer.audits:
-            plan_lengths = self.corpus.walk_lengths
+            slice_trainer = ProcessSliceTrainer(
+                replicas, cfg, self.learner_name, self.backend, neg_keys,
+                row_anchor, self.corpus, shards, keep)
+        else:
+            slice_trainer = SliceTrainer(
+                replicas, cfg, self.learner_name, self.backend, neg_keys,
+                row_anchor, self.corpus.tokens, self.corpus.offsets, shards,
+                keep)
         try:
-            for _epoch in range(cfg.epochs):
+            for epoch in range(cfg.epochs):
                 # Cursor into each machine's shard.
                 cursors = [0] * m
                 while any(cursors[i] < len(shards[i]) for i in range(m)):
-                    # Build every machine's sync-period slice first.  A
+                    # Cut every machine's sync-period slice first.  A
                     # machine's learning rate depends on the tokens the
-                    # machines before it trained this period; every
-                    # learner consumes exactly its batch's token count, so
-                    # the rates can be fixed up front -- which is what
-                    # lets the process executor run the (replica-disjoint)
-                    # slices concurrently and still match the serial
-                    # interleaving bit for bit.
-                    plans = []
+                    # machines before it were handed this period, so the
+                    # rates are fixed up front -- which is what lets the
+                    # process executor run the (replica-disjoint) slices
+                    # concurrently and still match the serial interleaving
+                    # bit for bit.
+                    slices = []
                     for machine in range(m):
-                        shard = shards[machine]
+                        walk_tokens = shard_lengths[machine]
+                        lo = hi = cursors[machine]
                         slice_tokens = 0
-                        lo = cursors[machine]
-                        batch: List[np.ndarray] = []
-                        while (cursors[machine] < len(shard)
+                        while (hi < len(walk_tokens)
                                and slice_tokens < cfg.sync_period_tokens):
-                            walk_index = int(shard[cursors[machine]])
-                            if self.feed is not None and \
-                                    walk_index >= ready_walks:
-                                # Shard-readiness gate: block until the
-                                # walk this slice reads is resident in
-                                # the flat block (cheap watermark check
-                                # on the hot path; only locks when the
-                                # producer is actually behind).
-                                ready_walks = self.feed.wait_ready(
-                                    walk_index + 1)
-                            if plan_lengths is not None:
-                                slice_tokens += int(plan_lengths[walk_index])
-                            else:
-                                walk = self.corpus.walk(walk_index)
-                                if keep is not None:
-                                    walk = self._subsample_walk(
-                                        walk, keep, rngs[machine]
-                                    )
-                                if walk.size:
-                                    batch.append(walk)
-                                    slice_tokens += int(walk.size)
-                            cursors[machine] += 1
+                            slice_tokens += walk_tokens[hi]
+                            hi += 1
+                        cursors[machine] = hi
                         if slice_tokens == 0:
                             continue
                         # progress64 keeps the schedule input float64 no
@@ -412,40 +442,17 @@ class DistributedTrainer:
                         # the lr sequence is part of the parity contract.
                         lr = schedule(progress64(tokens_done, total_tokens))
                         tokens_done += slice_tokens
-                        # The (lo, hi) shard range describes this batch
-                        # exactly when no parent-side subsampling ran --
-                        # the descriptor the process executor ships in
-                        # place of the batch.
-                        span = ((lo, cursors[machine])
-                                if keep is None else None)
-                        plans.append((machine, batch, lr, span))
-                    if process_trainer is not None and plans:
-                        used_by_machine = process_trainer.train_round(plans)
-                    else:
-                        # The whole round goes to the learner at once:
-                        # the batched DSGL learner runs the machines'
-                        # slices as one lock-step plan per cohort.
-                        groups = [(learners[machine], batch, lr)
-                                  for machine, batch, lr, _span in plans]
-                        used = learner_cls.train_round(groups)
-                        used_by_machine = {
-                            plan[0]: tokens
-                            for plan, tokens in zip(plans, used)}
-                        # Persona pull over each slice's touched rows
-                        # (no-op without an anchor): per replica it still
-                        # follows that replica's training, as on the
-                        # executors, and it draws no negatives.
-                        for learner, batch, lr in groups:
-                            learner.apply_anchor(batch, lr)
-                    for machine, _batch, _lr, _span in plans:
+                        slices.append((machine, lo, hi, lr))
+                    used = slice_trainer.train_round(slices,
+                                                     int(keep_keys[epoch]))
+                    for (machine, _lo, _hi, _lr), tokens in zip(slices, used):
+                        tokens_used += tokens
                         # Compute cost: one fused update per token per
                         # (window x (K+1)) dot products, matching §2.1's
                         # complexity O(C · w · (K+1) · o).
                         cluster.metrics.record_compute(
                             machine,
-                            used_by_machine[machine]
-                            * cfg.window * (cfg.negatives + 1),
-                        )
+                            tokens * cfg.window * (cfg.negatives + 1))
                     sync.sync(replicas, sync_rng, cluster.metrics)
                     sync_rounds += 1
             # Final reduction: delta-sum every row once so no machine's
@@ -453,8 +460,8 @@ class DistributedTrainer:
             # model owns its matrices even when replicas are shared views.)
             final = sync.finalize(replicas, cluster.metrics)
         finally:
-            if process_trainer is not None:
-                process_trainer.close()
+            if self.execution == "process":
+                slice_trainer.close()
         wall = time.perf_counter() - start
         self._check_finite(final)
         for machine in range(m):
@@ -463,14 +470,14 @@ class DistributedTrainer:
                 replicas[machine].memory_bytes() + self.corpus.memory_bytes() // m,
             )
         extras: Dict[str, float] = {}
-        if process_trainer is not None:
+        if self.execution == "process":
             # IPC accounting of the slice-descriptor protocol (what the
             # Table 3 pickled-bytes-per-sync-round gate reads).
-            extras.update(process_trainer.ipc_stats())
+            extras.update(slice_trainer.ipc_stats())
         return TrainResult(
             embeddings=final.embeddings_node_space(),
             model=final,
-            tokens_processed=tokens_done,
+            tokens_processed=tokens_used,
             wall_seconds=wall,
             sync_rounds=sync_rounds,
             extras=extras,

@@ -62,7 +62,6 @@ uniformity; the vectorized PF2 table is its fast path).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -320,24 +319,21 @@ class ParallelMPGPPartitioner(Partitioner):
     merge (paper default: BFS+degree stream).
 
     Each segment is partitioned by the core MPGP loop against its own empty
-    partition set -- serially, on a thread pool (``use_threads``), or on
-    worker processes (``execution="process"``), all byte-identical -- and
-    segment results are merged by :func:`merge_segments`.
+    partition set -- serially or on worker processes
+    (``execution="process"``), byte-identical -- and segment results are
+    merged by :func:`merge_segments`.
     """
 
     name = "mpgp-parallel"
 
     def __init__(self, gamma: float = 2.0, order: str = "bfs+degree",
                  num_segments: int = 4, seed: SeedLike = 0,
-                 use_threads: bool = False, backend: str = "auto",
-                 execution: str = "serial", workers: int = 0,
-                 backing: str = "shm",
+                 backend: str = "auto", execution: str = "serial",
+                 workers: int = 0, backing: str = "shm",
                  spill_dir: Optional[str] = None) -> None:
-        # ``use_threads`` exists for fidelity with the paper's parallel
-        # implementation; under the CPython GIL the independent-segment
-        # structure (less PF2 work per segment) is what delivers the
-        # speed-up within one process -- ``execution="process"`` is what
-        # buys real multi-core wall-clock.
+        # Within one process the independent-segment structure (less PF2
+        # work per segment) is what delivers the speed-up;
+        # ``execution="process"`` is what buys multi-core wall-clock.
         check_positive("gamma", gamma)
         check_positive("num_segments", num_segments)
         resolve_backend(backend)
@@ -347,7 +343,6 @@ class ParallelMPGPPartitioner(Partitioner):
         self.order = order
         self.num_segments = num_segments
         self.seed = seed
-        self.use_threads = use_threads
         self.backend = backend
         self.execution = execution
         self.workers = workers
@@ -382,16 +377,10 @@ class ParallelMPGPPartitioner(Partitioner):
                 self.workers, backing=self.backing,
                 spill_dir=self.spill_dir)
         else:
-            def run_segment(segment: np.ndarray) -> np.ndarray:
-                return _mpgp_stream(graph, segment, num_parts, self.gamma,
-                                    arc_cm=arc_cm)[segment]
-
-            if self.use_threads and len(segments) > 1:
-                with ThreadPoolExecutor(max_workers=len(segments)) as pool:
-                    seg_parts_list: List[np.ndarray] = list(
-                        pool.map(run_segment, segments))
-            else:
-                seg_parts_list = [run_segment(s) for s in segments]
+            seg_parts_list = [
+                _mpgp_stream(graph, segment, num_parts, self.gamma,
+                             arc_cm=arc_cm)[segment]
+                for segment in segments]
 
         return merge_segments(graph, segments, seg_parts_list, num_parts,
                               self.gamma)

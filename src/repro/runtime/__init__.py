@@ -10,8 +10,8 @@ makes the pipeline phases actually run on multiple OS processes:
 backends (shared-memory buffers, slice descriptors) and the streaming
 building blocks, and :mod:`repro.runtime.pipeline` composes them into the
 ``execution="pipeline"`` dataflow (partition ∥ sampling, round flushes ∥
-the next round, readiness-gated training) -- all byte-identical to serial
-execution under the counter-based RNG protocols.
+the next round, training from the finished-event) -- all byte-identical
+to serial execution under the counter-based RNG protocols.
 """
 
 from repro.runtime.bsp import BSPEngine, BSPStats, SuperstepRecord

@@ -30,17 +30,14 @@ Three phase executors live here:
   concurrently is a pure reordering of independent float work; negative
   draws stay deterministic because each machine's
   :class:`~repro.utils.rng.CounterStream` counter is threaded through the
-  task messages.  A round is one task per worker -- its share of the
-  machines, trained through the same ``train_round(groups)`` the serial
-  trainer calls, so the batched DSGL learner lock-steps the share.  The
-  walk data itself never travels: the flat corpus
-  (token block + offsets) and the per-machine shard index arrays are
-  copied into shared memory once at construction, and each sync round
-  ships only ``(machine, (lo, hi), lr, key, counter)`` **slice
-  descriptors** -- workers rebuild their batch as zero-copy views into
-  the shared token block.  (Subsampled runs fall back to shipping the
-  parent-side subsampled batches by pickle, since those walks exist only
-  in the parent.)
+  task messages.  Every worker holds the same
+  :class:`~repro.embedding.trainer.SliceTrainer` the serial trainer
+  runs in-process, built over shared memory: the flat corpus (token
+  block + offsets), the per-machine shard index arrays and the
+  subsampling keep probabilities are shared once at construction, and a
+  sync round is one task per worker carrying its share of the
+  ``(machine, lo, hi, lr)`` **slice descriptors** -- the walk data
+  itself never travels.
 
 * **Partitioning** -- :func:`run_partition_segments` partitions
   parallel-MPGP's independent stream segments on workers; the (sequential)
@@ -562,147 +559,79 @@ def run_partition_async(partitioner, graph, num_parts: int) -> AsyncPartition:
 
 
 def _train_worker_init(phi_in_handle, phi_out_handle, vocab, config,
-                       learner_name, backend, corpus_handles,
-                       anchor_spec=None) -> None:
-    from repro.embedding.negative import NegativeSampler
-
-    _WORKER_STATE["train_phi_in"] = attach_shared_array(phi_in_handle)
-    _WORKER_STATE["train_phi_out"] = attach_shared_array(phi_out_handle)
-    _WORKER_STATE["train_vocab"] = vocab
-    _WORKER_STATE["train_config"] = config
-    _WORKER_STATE["train_sampler"] = NegativeSampler(vocab)
-    _WORKER_STATE["train_backend"] = backend
-    _WORKER_STATE["train_learner_name"] = learner_name
-    _WORKER_STATE["train_learners"] = {}
-    # Persona anchor (row-space matrix shared read-only + λ), or None.
-    _WORKER_STATE["train_anchor"] = (
-        None if anchor_spec is None
-        else (attach_shared_array(anchor_spec[0]), anchor_spec[1]))
-    if corpus_handles is not None:
-        # Flat corpus + shard indices: attach once, the slice-descriptor
-        # tasks rebuild their walk batches as views into these arrays.
-        tokens, offsets, shard_flat, shard_offsets = corpus_handles
-        _WORKER_STATE["corpus_tokens"] = attach_shared_array(tokens)
-        _WORKER_STATE["corpus_offsets"] = attach_shared_array(offsets)
-        _WORKER_STATE["shard_flat"] = attach_shared_array(shard_flat)
-        _WORKER_STATE["shard_offsets"] = attach_shared_array(shard_offsets)
-
-
-def _train_learner_for(machine: int, neg_stream):
-    """The worker's cached learner for ``machine`` (built on first use),
-    drawing negatives from ``neg_stream``."""
+                       learner_name, backend, neg_keys, anchor_spec,
+                       corpus_handles, keep_handle) -> None:
+    """Build this worker's :class:`~repro.embedding.trainer.SliceTrainer`
+    -- the serial trainer's, over the shared attachment."""
+    from repro.embedding.anchor import RowAnchor
     from repro.embedding.model import EmbeddingModel
-    from repro.embedding.trainer import LEARNERS
-    from repro.embedding.vectorized import VECTORIZED_LEARNERS
+    from repro.embedding.trainer import SliceTrainer
 
-    learners: Dict[int, object] = _WORKER_STATE["train_learners"]
-    learner = learners.get(machine)
-    if learner is None:
+    phi_in = attach_shared_array(phi_in_handle)
+    phi_out = attach_shared_array(phi_out_handle)
+    models = []
+    for machine in range(phi_in.shape[0]):
         model = EmbeddingModel.__new__(EmbeddingModel)
-        model.phi_in = _WORKER_STATE["train_phi_in"][machine]
-        model.phi_out = _WORKER_STATE["train_phi_out"][machine]
-        model.vocab = _WORKER_STATE["train_vocab"]
-        model.dim = int(model.phi_in.shape[1])
-        # "torch" shares the batched-learner registry: workers resolve
-        # their array-ops from the (parent-validated) config, so a missing
-        # torch install can never surface as an opaque worker crash here.
-        registry = (VECTORIZED_LEARNERS
-                    if _WORKER_STATE["train_backend"] in ("vectorized",
-                                                          "torch")
-                    else LEARNERS)
-        learner = registry[_WORKER_STATE["train_learner_name"]](
-            model, _WORKER_STATE["train_sampler"],
-            _WORKER_STATE["train_config"], neg_stream)
-        anchor = _WORKER_STATE.get("train_anchor")
-        if anchor is not None:
-            from repro.embedding.anchor import RowAnchor
-
-            learner.anchor = RowAnchor(anchor[0], anchor[1])
-        learner.machine = machine
-        learners[machine] = learner
-    learner.neg_stream = neg_stream
-    return learner
+        model.phi_in = phi_in[machine]
+        model.phi_out = phi_out[machine]
+        model.vocab = vocab
+        model.dim = int(phi_in.shape[2])
+        models.append(model)
+    # Persona anchor (row-space matrix shared read-only + λ), or None.
+    anchor = (None if anchor_spec is None
+              else RowAnchor(attach_shared_array(anchor_spec[0]),
+                             anchor_spec[1]))
+    tokens, offsets, shard_flat, shard_offsets = (
+        attach_shared_array(handle) for handle in corpus_handles)
+    shards = [shard_flat[shard_offsets[i]:shard_offsets[i + 1]]
+              for i in range(len(models))]
+    keep = None if keep_handle is None else attach_shared_array(keep_handle)
+    # "torch" workers resolve their array-ops from the (parent-validated)
+    # config, so a missing torch install can never surface as an opaque
+    # worker crash here.
+    _WORKER_STATE["slice_trainer"] = SliceTrainer(
+        models, config, learner_name, backend, neg_keys, anchor, tokens,
+        offsets, shards, keep)
 
 
-def _shard_walks(machine: int, lo: int, hi: int):
-    """The batch a ``(lo, hi)`` slice descriptor stands for.
-
-    Rebuilt as views into the shared flat token block -- walk
-    ``shard[machine][j]`` for ``j`` in ``[lo, hi)``, empty walks skipped
-    -- exactly the batch the parent's serial path materialises, so the
-    descriptor protocol is a pure transport change.
-    """
-    tokens = _WORKER_STATE["corpus_tokens"]
-    offsets = _WORKER_STATE["corpus_offsets"]
-    base = int(_WORKER_STATE["shard_offsets"][machine])
-    idx = _WORKER_STATE["shard_flat"][base + lo:base + hi]
-    return [w for w in
-            (tokens[offsets[j]:offsets[j + 1]] for j in idx) if w.size]
-
-
-def _train_round_task(slices):
+def _train_round_task(slices, counters, keep_key):
     """Train one worker's share of a sync round.
 
-    ``slices`` holds ``(machine, payload, lr, key, counter)`` per machine
-    of the share; ``payload`` is the ``(lo, hi)`` range of the machine's
-    shard (the zero-copy descriptor, see :func:`_shard_walks`) or the
-    pickled walk list itself (subsampled runs).  The share goes through
-    the same ``train_round(groups)`` the serial trainer calls, so the
-    batched DSGL learner lock-steps the share's machines per plan.
-    Returns ``(machine, tokens used, negative-stream counter)`` per
-    slice.
+    ``slices`` holds the share's ``(machine, lo, hi, lr)`` descriptors and
+    ``counters`` where each of those machines' negative streams stands
+    (any worker may train any machine's slice, so the position travels
+    with the task).  Returns ``(tokens used, counters after)``.
     """
-    from repro.utils.rng import CounterStream
-
-    groups = []
-    for machine, payload, lr, key, counter in slices:
-        learner = _train_learner_for(machine, CounterStream(key, counter))
-        walks = (_shard_walks(machine, *payload)
-                 if isinstance(payload, tuple) else payload)
-        groups.append((learner, walks, lr))
-    used = type(groups[0][0]).train_round(groups)
-    # Persona pull after the share's SGNS updates -- per replica the same
-    # order as the serial path; it consumes no negatives, so the
-    # counters are untouched.
-    for learner, walks, lr in groups:
-        learner.apply_anchor(walks, lr)
-    return [(learner.machine, tokens_used, learner.neg_stream.counter)
-            for (learner, _walks, _lr), tokens_used in zip(groups, used)]
+    trainer = _WORKER_STATE["slice_trainer"]
+    streams = [trainer.learners[machine].neg_stream
+               for machine, _lo, _hi, _lr in slices]
+    for stream, counter in zip(streams, counters):
+        stream.counter = counter
+    used = trainer.train_round(slices, keep_key)
+    return used, [stream.counter for stream in streams]
 
 
 class ProcessSliceTrainer:
     """Runs per-machine training slices on workers over shared replicas.
 
-    The trainer repoints every replica's matrices into one shared-memory
-    block ``(machines, vocab, dim)``; workers mutate their machine's block
-    in place, the parent's sync strategy reads/writes the same pages
-    between rounds.  Each machine's negative-stream counter is carried in
-    the task messages, so any worker can train any machine's slice and the
-    stream still advances exactly as in the serial interleaving.
-
-    When a flat ``corpus`` + per-machine ``shards`` (walk-index arrays)
-    are supplied, the token block, offsets and shard indices are copied
-    into shared memory **once** and every sync round ships only
-    ``(machine, (lo, hi), lr, key, counter)`` slice descriptors -- a
-    constant ~100 bytes per machine instead of the slice's pickled walks
-    (the Table 3 IPC gate measures the reduction).  Without them (or when
-    the parent subsamples walks) rounds fall back to pickled batches.
-
-    ``ipc_task_bytes`` accumulates the pickled task bytes of descriptor
-    rounds (always -- the tasks are ~100 bytes); pickled-batch fallback
-    rounds tally theirs only under ``REPRO_IPC_AUDIT=1``, which avoids
-    re-serialising whole batches just for accounting.  The audit flag
-    additionally records ``ipc_batch_bytes`` -- what pickling the
-    materialised batches would have cost -- which is how the IPC
-    benchmark computes its reduction factor without re-deriving the
-    slice plan.
+    The process-pool counterpart of
+    :class:`~repro.embedding.trainer.SliceTrainer`, with the same
+    ``train_round``.  The trainer repoints every replica's matrices into
+    one shared-memory block ``(machines, vocab, dim)``; workers mutate
+    their machine's block in place, the parent's sync strategy
+    reads/writes the same pages between rounds.  The token block,
+    offsets, shard indices and keep probabilities are shared **once**, so
+    a sync round ships only slice descriptors plus each machine's
+    negative-stream counter -- a constant ~50 bytes per machine;
+    ``ipc_task_bytes`` accumulates what was actually pickled (the
+    Table 3 IPC gate reads it).
     """
 
-    def __init__(self, replicas, vocab, config, learner_name: str,
-                 backend: str, neg_keys, corpus=None,
-                 shards: Optional[Sequence[np.ndarray]] = None,
-                 anchor=None) -> None:
+    def __init__(self, replicas, config, learner_name: str, backend: str,
+                 neg_keys, anchor, corpus, shards: Sequence[np.ndarray],
+                 keep: Optional[np.ndarray]) -> None:
         m = len(replicas)
+        vocab = replicas[0].vocab
         dim = int(replicas[0].phi_in.shape[1])
         self._group = _SharedGroup(backing=config.backing,
                                    spill_dir=config.spill_dir)
@@ -714,110 +643,79 @@ class ProcessSliceTrainer:
                 phi_out.array[i] = replica.phi_out
                 replica.phi_in = phi_in.array[i]
                 replica.phi_out = phi_out.array[i]
-            corpus_handles = None
-            self.ships_descriptors = corpus is not None and shards is not None
-            if self.ships_descriptors:
-                shard_flat = np.concatenate(
-                    [np.asarray(s, dtype=np.int64) for s in shards])
-                shard_offsets = np.zeros(len(shards) + 1, dtype=np.int64)
-                np.cumsum([s.size for s in shards], out=shard_offsets[1:])
-                if getattr(corpus, "is_spilled", False) and \
-                        corpus.total_tokens:
-                    # The corpus already lives on shareable .npy files:
-                    # hand workers handles over those -- no O(corpus)
-                    # copy into a second segment/file.
-                    tokens_handle, offsets_handle = corpus.spill_handles()
-                else:
-                    tokens_handle = self._group.share(corpus.tokens)
-                    offsets_handle = self._group.share(corpus.offsets)
-                corpus_handles = (
-                    tokens_handle,
-                    offsets_handle,
-                    self._group.share(shard_flat),
-                    self._group.share(shard_offsets),
-                )
-            # Persona anchor matrix (row space) rides along read-only --
-            # every worker pulls against the same shared bytes.
-            anchor_spec = None
-            if anchor is not None and anchor.lam > 0.0:
-                anchor_spec = (self._group.share(anchor.matrix),
-                               float(anchor.lam))
+            shard_offsets = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum([s.size for s in shards], out=shard_offsets[1:])
+            if corpus.is_spilled and corpus.total_tokens:
+                # The corpus already lives on shareable .npy files: hand
+                # workers handles over those -- no O(corpus) copy into a
+                # second segment/file.
+                tokens_handle, offsets_handle = corpus.spill_handles()
+            else:
+                tokens_handle = self._group.share(corpus.tokens)
+                offsets_handle = self._group.share(corpus.offsets)
+            corpus_handles = (
+                tokens_handle,
+                offsets_handle,
+                self._group.share(np.concatenate(shards)),
+                self._group.share(shard_offsets),
+            )
+            # The persona anchor matrix (row space) and the keep
+            # probabilities ride along read-only -- every worker reads
+            # the same shared bytes.
+            anchor_spec = (None if anchor is None
+                           else (self._group.share(anchor.matrix),
+                                 float(anchor.lam)))
+            keep_handle = None if keep is None else self._group.share(keep)
             self.workers = resolved_worker_count(config.workers)
             self._pool = ProcessExecutor(
                 self.workers, initializer=_train_worker_init,
                 initargs=(phi_in.handle, phi_out.handle, vocab, config,
-                          learner_name, backend, corpus_handles,
-                          anchor_spec))
+                          learner_name, backend, neg_keys, anchor_spec,
+                          corpus_handles, keep_handle))
         except BaseException:
             self._group.close()
             raise
-        self._keys = [int(key) for key in neg_keys]
         self._counters = [0] * m
-        self._audit = os.environ.get("REPRO_IPC_AUDIT", "") not in ("", "0")
-        #: True when the IPC audit wants materialised batches in every
-        #: plan (the trainer's lengths-only plan fast path checks this).
-        self.audits = self._audit
-        #: Pickled bytes of the per-round task messages actually shipped.
+        #: Pickled bytes of the per-round task messages shipped.
         self.ipc_task_bytes = 0
-        #: Counterfactual pickled-batch bytes (only under REPRO_IPC_AUDIT).
-        self.ipc_batch_bytes = 0
         self.ipc_rounds = 0
 
-    def train_round(self, plans) -> Dict[int, int]:
-        """Train one sync round's slices.
+    def train_round(self, slices, keep_key: int) -> List[int]:
+        """Train one sync round's ``(machine, lo, hi, lr)`` slices, one
+        task per worker (:func:`_train_round_task`).
 
-        ``plans`` = ``(machine, batch, lr, (lo, hi))`` where ``batch`` is
-        the materialised walk list and ``(lo, hi)`` the slice's cursor
-        range in the machine's shard -- descriptor-shipping runs send only
-        the latter.  ``(lo, hi)`` may be ``None`` (subsampled batches have
-        no shard range); those rounds always ship the batch.  The round
-        goes out as one task per worker (:func:`_train_round_task`).
-        Returns tokens used per machine, having advanced each machine's
-        negative-stream counter to where the serial path would leave it.
+        Returns the tokens each slice's learner used, having advanced
+        each machine's negative-stream counter to where the serial path
+        would leave it.
         """
         import pickle
 
-        ship_slices = self.ships_descriptors and \
-            all(span is not None for _m, _b, _lr, span in plans)
-        slices = [(machine,
-                   (int(span[0]), int(span[1])) if ship_slices else batch,
-                   lr, self._keys[machine], self._counters[machine])
-                  for machine, batch, lr, span in plans]
+        if not slices:
+            # Only zero-length walks were left: nothing ships, so the
+            # round does not count as IPC.
+            return []
         # One task per worker: its share of the round's machines runs as
         # one lock-step round inside the worker.
-        tasks = [(slices[lo:hi],)
-                 for lo, hi in split_ranges(len(slices), self.workers)]
+        shares = [slices[lo:hi]
+                  for lo, hi in split_ranges(len(slices), self.workers)]
+        tasks = [(share, [self._counters[s[0]] for s in share], keep_key)
+                 for share in shares]
         self.ipc_rounds += 1
-        if ship_slices or self._audit:
-            # Descriptor tasks are ~100 bytes, so this is free; for the
-            # pickled-batch fallback the re-serialisation is real work and
-            # only runs under the audit flag.
-            self.ipc_task_bytes += sum(
-                len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-                for task in tasks)
-        if self._audit:
-            self.ipc_batch_bytes += sum(
-                len(pickle.dumps(
-                    (machine, batch, lr, self._keys[machine],
-                     self._counters[machine]),
-                    protocol=pickle.HIGHEST_PROTOCOL))
-                for machine, batch, lr, _span in plans)
-        used: Dict[int, int] = {}
-        for share in self._pool.run(_train_round_task, tasks):
-            for machine, tokens, counter in share:
+        self.ipc_task_bytes += sum(
+            len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+            for task in tasks)
+        used: List[int] = []
+        for share, (share_used, counters) in zip(
+                shares, self._pool.run(_train_round_task, tasks)):
+            for (machine, _lo, _hi, _lr), counter in zip(share, counters):
                 self._counters[machine] = counter
-                used[machine] = tokens
+            used.extend(share_used)
         return used
 
     def ipc_stats(self) -> Dict[str, float]:
         """IPC accounting for :class:`TrainResult.extras` / the benches."""
-        stats = {
-            "ipc_rounds": float(self.ipc_rounds),
-            "ipc_task_bytes": float(self.ipc_task_bytes),
-        }
-        if self._audit:
-            stats["ipc_batch_bytes"] = float(self.ipc_batch_bytes)
-        return stats
+        return {"ipc_rounds": float(self.ipc_rounds),
+                "ipc_task_bytes": float(self.ipc_task_bytes)}
 
     def close(self) -> None:
         self._pool.shutdown()

@@ -31,10 +31,10 @@ workers sampling round ``k+1`` while the parent flushes round ``k`` into
 the flat corpus; rounds sampled speculatively past a KL stop are
 discarded without a trace.  The training phase consumes the finished
 block through the same shared-memory slice descriptors as
-``execution="process"``; its consumption is gated by
-:class:`repro.walks.corpus.CorpusFeed` readiness (the frequency-ordered
-vocabulary and unigram negative table are global corpus statistics, so
-the feed's *finished* event is the earliest point slice training may
+``execution="process"``; it starts at the
+:class:`repro.walks.corpus.CorpusFeed` *finished* event (the
+frequency-ordered vocabulary and unigram negative table are global
+corpus statistics, so that is the earliest point slice training may
 start without changing a byte -- see docs/ARCHITECTURE.md for the
 dependency analysis).
 

@@ -33,7 +33,7 @@ class SystemResult:
     stats: Dict[str, float] = field(default_factory=dict)
     #: The sampled walk corpus (flat token block + offsets); set by the
     #: walk-based systems, ``None`` for PBG/DistDGL.  ``corpus.save(path)``
-    #: writes the flat ``.npz`` format (or legacy text for ``.txt``).
+    #: writes the flat ``.npz`` format.
     corpus: Optional[object] = None
     #: Per-walk sampling machine ids, parallel with ``corpus`` walks; the
     #: dynamic-update path re-uses them for spliced-in resampled walks.

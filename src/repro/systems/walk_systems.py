@@ -45,9 +45,9 @@ segments on worker processes behind per-phase barriers;
 ``"pipeline"`` switches :meth:`RandomWalkSystem.embed` onto the streaming
 dataflow of :mod:`repro.runtime.pipeline` -- the partitioner runs
 concurrently with walk sampling, walk rounds stream through a bounded
-queue, and the trainer consumes the shared flat corpus gated on a
-:class:`repro.walks.corpus.CorpusFeed`.  Both are byte-identical to
-serial execution.
+queue, and the trainer consumes the shared flat corpus once its
+:class:`repro.walks.corpus.CorpusFeed` has finished.  Both are
+byte-identical to serial execution.
 """
 
 from __future__ import annotations
@@ -120,10 +120,9 @@ class RandomWalkSystem(EmbeddingSystem):
                 graph, self.partitioner, self.num_machines,
                 self.walk_config, cluster_seed=derive_seed(self.seed, 1),
                 timer=timer)
-            # The walk→train hand-off contract: the trainer gates slice
-            # consumption on walk residency through the feed (already
-            # finished here -- the global corpus statistics are the
-            # streaming barrier).
+            # The walk→train hand-off: the trainer waits for the feed's
+            # finished-event (already set here -- the global corpus
+            # statistics are the streaming barrier).
             feed = CorpusFeed(walk_result.corpus)
             feed.finish()
         else:

@@ -8,10 +8,9 @@ alias-table samplers and the vectorised batch walkers provide the
 non-distributed fast paths (original-node2vec tables and the pure-NumPy
 routine corpus).  Sampled walks land in the flat
 :class:`~repro.walks.corpus.Corpus` (one contiguous token block +
-monotone offsets, list API preserved as zero-copy views), whose
-ready-prefix/round-listener contract --
-:class:`~repro.walks.corpus.CorpusFeed` -- is what the streaming
-``execution="pipeline"`` runtime hands to the trainer.
+monotone offsets, list API preserved as zero-copy views); its
+finished-event, :class:`~repro.walks.corpus.CorpusFeed`, is what the
+streaming ``execution="pipeline"`` runtime hands to the trainer.
 """
 
 from repro.walks.alias_sampling import (

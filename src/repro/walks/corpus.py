@@ -13,10 +13,11 @@ monotone ``offsets`` array, with walk ``i`` occupying
 ``tokens[offsets[i]:offsets[i + 1]]``.  The list-based API is preserved as
 views -- ``corpus.walks[i]`` and iteration hand out zero-copy slices of
 the token block -- which is what makes the corpus cheap to hand between
-the three pipeline phases: the process executor copies ``tokens`` and
-``offsets`` into shared memory once and every training sync round ships
-only ``(machine, lo, hi)`` slice descriptors instead of pickled walk
-batches (see :class:`repro.runtime.executor.ProcessSliceTrainer`).
+the three pipeline phases: training plans ``(machine, lo, hi, lr)``
+slices over per-machine shard index arrays and :func:`shard_walks`
+resolves a slice into walk views -- in the parent for serial execution,
+in the workers (over one shared copy of ``tokens``/``offsets``) for the
+process executor.
 
 Both storage arrays grow by amortised doubling, so ``add_walk`` stays
 O(len(walk)) and ``add_walks`` does one reserve + one bounds check + one
@@ -34,11 +35,9 @@ RAM instead of O(corpus).  :meth:`storage_bytes` reports the
 resident-vs-mapped split; :meth:`spill_handles` lets the process trainer
 share the blocks zero-copy straight from the spill files.
 
-Persistence: :meth:`save` writes the flat arrays as ``.npz`` (the compact
-format; default), or the legacy one-walk-per-line text format when the
-path ends in ``.txt``; :meth:`load` sniffs the format, so corpora written
-by older revisions keep loading.  Both formats round-trip empty corpora
-and zero-length walks exactly.
+Persistence: :meth:`save` writes the flat arrays as ``.npz`` and
+:meth:`load` reads them back (anything else is refused); empty corpora
+and zero-length walks round-trip exactly.
 """
 
 from __future__ import annotations
@@ -47,11 +46,11 @@ import os
 import shutil
 import tempfile
 import threading
-import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.rng import stream_uniforms
 from repro.utils.stats import kl_divergence
 
 #: Zip local-file-header magic -- how :meth:`Corpus.load` detects ``.npz``.
@@ -137,7 +136,6 @@ class Corpus:
         self._n_tokens = 0
         self._n_walks = 0
         self._occurrences = np.zeros(self.num_nodes, dtype=np.int64)
-        self._round_listeners: List[Callable[["Corpus"], None]] = []
         # Out-of-core spill state (see spill_to); counters above always
         # include staged-but-unflushed appends.
         self._spill_dir: Optional[str] = None
@@ -171,9 +169,9 @@ class Corpus:
                 self._occurrences += np.bincount(flat,
                                                  minlength=self.num_nodes)
             else:
-                # Small appends (add_walk from the loop engines, text
-                # loading): O(len(walk)), not O(num_nodes) -- integer
-                # counts, so both paths land on identical state.
+                # Small appends (add_walk from the loop engines):
+                # O(len(walk)), not O(num_nodes) -- integer counts, so
+                # both paths land on identical state.
                 np.add.at(self._occurrences, flat, 1)
 
     def _append_flat(self, flat: np.ndarray, lengths: np.ndarray) -> None:
@@ -249,37 +247,16 @@ class Corpus:
         self._append_flat(flat, lengths)
         if self._spill_dir is not None:
             # Round boundary: push the round to disk and drop its pages,
-            # so resident memory stays O(round) while sampling -- and the
-            # ready prefix the listeners publish is resident on disk.
+            # so resident memory stays O(round) while sampling.
             self._flush_staging()
-        # Round-completion notification: batch flushes are the unit the
-        # streaming executor publishes, so consumers (CorpusFeed) learn
-        # the new ready prefix exactly once per flushed round.
-        for listener in self._round_listeners:
-            listener(self)
-
-    def add_round_listener(self,
-                           listener: Callable[["Corpus"], None]) -> None:
-        """Call ``listener(corpus)`` after every :meth:`add_walks` flush.
-
-        The walk engines flush exactly one round per ``add_walks`` call
-        (in walk-id order, every backend), so a listener observes the
-        ready walk prefix growing round by round --
-        :class:`CorpusFeed` uses this to publish readiness to a
-        concurrently-consuming trainer.
-        """
-        self._round_listeners.append(listener)
 
     def __getstate__(self):
-        # Listeners are process-local streaming wiring (a CorpusFeed
-        # holds a threading.Condition); a pickled corpus carries the
-        # walks, never the live handshake.  A spilled corpus materialises
-        # its blocks: the receiver has no claim on our temp files'
-        # lifetime, so the pickle must be self-contained.
+        # A spilled corpus materialises its blocks: the receiver has no
+        # claim on our temp files' lifetime, so the pickle must be
+        # self-contained.
         if self._stage:
             self._flush_staging()
         state = self.__dict__.copy()
-        state["_round_listeners"] = []
         if self._spill_dir is not None:
             state["_tokens"] = np.array(self._tokens[:self._n_tokens])
             state["_offsets"] = np.array(self._offsets[:self._n_walks + 1])
@@ -365,12 +342,9 @@ class Corpus:
 
         ``indices`` names the walks to replace; ``paths``/``lengths`` is
         the padded-matrix batch format of :meth:`add_walks` (row ``j``
-        replaces walk ``indices[j]``).  The walk *count* never changes,
-        so ``ready_prefix`` is preserved and the round listeners fire
-        with an equal prefix -- legal for :class:`CorpusFeed`, whose
-        contract only forbids shrinking.  Occurrence counters are
-        patched incrementally (subtract the old tokens, add the new
-        ones), never recounted.
+        replaces walk ``indices[j]``).  The walk *count* never changes.
+        Occurrence counters are patched incrementally (subtract the old
+        tokens, add the new ones), never recounted.
 
         Equal-length replacements write straight into the flat block;
         otherwise the block is rebuilt with one bulk copy per unchanged
@@ -426,9 +400,6 @@ class Corpus:
                 _advise_dontneed(self._tokens)
         else:
             self._splice_rebuild(indices, lengths, new_flat, old_lengths)
-
-        for listener in self._round_listeners:
-            listener(self)
 
     def _splice_rebuild(self, indices: np.ndarray, lengths: np.ndarray,
                         new_flat: np.ndarray,
@@ -732,19 +703,6 @@ class Corpus:
         return self._n_walks
 
     @property
-    def ready_prefix(self) -> int:
-        """Number of resident walks -- the streaming executor's contract.
-
-        Walks land in walk-id order (every backend flushes rounds through
-        :meth:`add_walks` in that order), so walk ``i`` is fully resident
-        in the flat token block iff ``i < ready_prefix``.  For a corpus
-        that is done growing this is simply ``num_walks``; while the
-        pipeline executor is still producing, it is the prefix a consumer
-        may safely read through zero-copy views.
-        """
-        return self._n_walks
-
-    @property
     def total_tokens(self) -> int:
         return self._n_tokens
 
@@ -827,22 +785,12 @@ class Corpus:
     # ------------------------------------------------------------------ #
 
     def save(self, path: str) -> None:
-        """Persist the corpus.
-
-        The default format is the flat ``.npz`` layout (``tokens`` +
-        ``offsets`` + ``num_nodes``, exactly the in-memory representation);
-        paths ending in ``.txt`` keep the legacy one-walk-per-line
-        word2vec corpus format with the node universe recorded in a header
-        comment.  Both round-trip empty corpora and zero-length walks.
+        """Persist the corpus as the flat ``.npz`` layout (``tokens`` +
+        ``offsets`` + ``num_nodes``, exactly the in-memory
+        representation), whatever the path's extension.  Empty corpora
+        and zero-length walks round-trip.
         """
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        if path.endswith(".txt"):
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(f"# num_nodes={self.num_nodes}\n")
-                for walk in self.walks:
-                    handle.write(" ".join(str(int(v)) for v in walk))
-                    handle.write("\n")
-            return
         # Write through a handle so numpy cannot append a second ".npz".
         with open(path, "wb") as handle:
             np.savez(handle,
@@ -852,33 +800,19 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str) -> "Corpus":
-        """Rebuild a corpus written by :meth:`save` (either format).
+        """Rebuild a corpus written by :meth:`save`.
 
-        The format is sniffed from the file's magic bytes, so flat ``.npz``
-        corpora and legacy text corpora both load through this one entry
-        point.  Zero-length walks survive the round trip: in the text
-        format they appear as empty lines (older loaders dropped them).
+        A file that does not start with the ``.npz`` magic bytes is
+        refused with a ``ValueError`` naming the path.
         """
         with open(path, "rb") as probe:
             magic = probe.read(len(_NPZ_MAGIC))
-        if magic == _NPZ_MAGIC:
-            with np.load(path) as data:
-                return cls.from_flat(int(data["num_nodes"]),
-                                     data["tokens"], data["offsets"])
-        with open(path, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip()
-            if not header.startswith("# num_nodes="):
-                raise ValueError(f"{path}: missing corpus header")
-            corpus = cls(int(header.split("=", 1)[1]))
-            for line in handle:
-                walk = [int(tok) for tok in line.split()]
-                if walk:
-                    corpus.add_walk(walk)
-                else:
-                    # A blank line is a zero-length walk, not filler.
-                    corpus._append_flat(np.empty(0, dtype=np.int64),
-                                        np.zeros(1, dtype=np.int64))
-        return corpus
+        if magic != _NPZ_MAGIC:
+            raise ValueError(
+                f"{path}: not a flat .npz corpus (no zip header)")
+        with np.load(path) as data:
+            return cls.from_flat(int(data["num_nodes"]),
+                                 data["tokens"], data["offsets"])
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.walks)
@@ -893,115 +827,66 @@ class Corpus:
         )
 
 
+def shard_walks(tokens: np.ndarray, offsets: np.ndarray, shard: np.ndarray,
+                lo: int, hi: int, keep: Optional[np.ndarray] = None,
+                keep_key: int = 0) -> List[np.ndarray]:
+    """The walks a ``[lo, hi)`` slice of ``shard`` stands for.
+
+    ``shard`` holds walk indices into the flat ``tokens``/``offsets``
+    pair; walk ``shard[j]`` for ``j`` in ``[lo, hi)`` comes back as a
+    zero-copy view, empty walks skipped.  This is the one resolver of the
+    training slice descriptor -- the serial trainer calls it in the
+    parent, the slice workers over their shared attachment -- so a slice
+    means the same walks in every process.
+
+    ``keep`` (per-node keep probabilities) turns on word2vec subsampling:
+    the token at flat position ``t`` survives iff uniform ``t`` of the
+    counter stream ``keep_key`` is below ``keep[tokens[t]]``.  The draw is
+    indexed by corpus position, not by consumption order, so it is the
+    same decision wherever and however the slice is cut.
+    """
+    idx = shard[lo:hi]
+    bounds = zip(offsets[idx].tolist(), offsets[idx + 1].tolist())
+    if keep is None:
+        return [tokens[a:b] for a, b in bounds if b > a]
+    walks = []
+    for a, b in bounds:
+        walk = tokens[a:b]
+        draws = stream_uniforms(np.uint64(keep_key),
+                                np.arange(a, b, dtype=np.uint64))
+        walk = walk[draws < keep[walk]]
+        if walk.size:
+            walks.append(walk)
+    return walks
+
+
 class CorpusFeed:
-    """Producer→consumer readiness handshake over a growing corpus.
+    """The walk→train hand-off: a finished-event over a growing corpus.
 
-    The streaming executor's walk→train hand-off: the producer (the walk
-    phase) publishes the ready walk prefix after every flushed round and
-    marks the feed *finished* once sampling stops; the consumer (the
-    slice trainer) blocks in :meth:`wait_ready` until the walks a slice
-    reads are resident in the flat token block, and in
-    :meth:`wait_finished` for the global corpus statistics (occurrence
-    counters → frequency-ordered vocabulary and negative table) that
-    training derives from the *whole* corpus.
-
-    Constructed over a corpus, the feed subscribes to its round
-    listeners, so ``Corpus.add_walks`` flushes publish automatically; a
-    producer on another thread only has to call :meth:`finish` when the
-    last round is in.  All waits are condition-variable based (no
-    polling) and re-entrant after finish.
+    Training derives its global statistics -- the frequency-ordered
+    vocabulary, the negative table, the keep probabilities and the lr
+    schedule's token total -- from the *whole* corpus, so the earliest
+    byte-preserving start of training is the moment sampling stops.  The
+    producer (the walk phase, possibly on another thread) calls
+    :meth:`finish` once the last round is in;
+    ``DistributedTrainer(feed=...)`` blocks in :meth:`wait_finished`
+    once, before it reads anything from the corpus.
     """
 
     def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
-        self._cond = threading.Condition()
-        self._ready = corpus.ready_prefix
-        self._finished = False
-        corpus.add_round_listener(self._on_round)
-
-    def _on_round(self, corpus: Corpus) -> None:
-        self.publish(corpus.ready_prefix)
-
-    # ------------------------------------------------------------------ #
-    # Producer side
-    # ------------------------------------------------------------------ #
-
-    def publish(self, ready_walks: int) -> None:
-        """Announce that walks ``[0, ready_walks)`` are resident."""
-        with self._cond:
-            if ready_walks < self._ready:
-                raise ValueError(
-                    f"ready prefix may only grow ({ready_walks} < "
-                    f"{self._ready})"
-                )
-            self._ready = ready_walks
-            self._cond.notify_all()
+        self._done = threading.Event()
 
     def finish(self) -> None:
         """The producer is done: no more walks will arrive."""
-        with self._cond:
-            self._ready = self.corpus.ready_prefix
-            self._finished = True
-            self._cond.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # Consumer side
-    # ------------------------------------------------------------------ #
+        self._done.set()
 
     @property
     def finished(self) -> bool:
-        with self._cond:
-            return self._finished
+        return self._done.is_set()
 
-    def ready_walks(self) -> int:
-        """Walks currently safe to read through zero-copy views."""
-        with self._cond:
-            return self._ready
-
-    @staticmethod
-    def _remaining(deadline: Optional[float], what: str) -> Optional[float]:
-        """Time left until ``deadline`` -- the overall wait budget.
-
-        A deadline (rather than passing the caller's timeout to every
-        ``Condition.wait``) keeps the budget cumulative: a producer that
-        keeps publishing without ever satisfying the wait still times
-        out, instead of resetting the window on each notification.
-        """
-        if deadline is None:
-            return None
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError(what)
-        return remaining
-
-    def wait_ready(self, count: int, timeout: Optional[float] = None) -> int:
-        """Block until at least ``count`` walks are resident.
-
-        Returns the ready prefix at wake-up.  Raises ``TimeoutError``
-        once ``timeout`` seconds have elapsed overall, and
-        ``RuntimeError`` if the producer finished before ever reaching
-        ``count`` (the consumer asked for walks that will never exist --
-        a plan/corpus mismatch, not a timing issue).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        message = f"corpus feed stalled below {count} ready walks"
-        with self._cond:
-            while self._ready < count and not self._finished:
-                if not self._cond.wait(self._remaining(deadline, message)):
-                    raise TimeoutError(message)
-            if self._ready < count:
-                raise RuntimeError(
-                    f"producer finished at {self._ready} walks; slice "
-                    f"needs {count}"
-                )
-            return self._ready
-
-    def wait_finished(self, timeout: Optional[float] = None) -> int:
-        """Block until the producer finished; returns the final prefix."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        message = "corpus feed never finished"
-        with self._cond:
-            while not self._finished:
-                if not self._cond.wait(self._remaining(deadline, message)):
-                    raise TimeoutError(message)
-            return self._ready
+    def wait_finished(self, timeout: Optional[float] = None) -> None:
+        """Block until the producer finished; ``TimeoutError`` after
+        ``timeout`` seconds."""
+        if not self._done.wait(timeout):
+            raise TimeoutError("corpus feed never finished")

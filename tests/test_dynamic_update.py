@@ -23,7 +23,7 @@ from repro.dynamic.invalidate import (
 from repro.dynamic.update import update_embedding
 from repro.graph import powerlaw_cluster
 from repro.graph.csr import CSRGraph
-from repro.walks import Corpus, CorpusFeed
+from repro.walks import Corpus
 from repro.walks.engine import WalkConfig
 
 SMALL = dict(num_machines=2, dim=12, epochs=2, seed=7)
@@ -96,18 +96,15 @@ class TestReplaceWalks:
 
     def test_equal_length_overwrites_in_place(self):
         corpus = self.build()
-        feed = CorpusFeed(corpus)
-        before_prefix = corpus.ready_prefix
         paths, lengths = _padded([[7, 8], [2, 3, 4, 5]])
         corpus.replace_walks([1, 2], paths, lengths)
         np.testing.assert_array_equal(corpus.walk(1), [7, 8])
         np.testing.assert_array_equal(corpus.walk(2), [2, 3, 4, 5])
         np.testing.assert_array_equal(corpus.walk(0), [0, 1, 2])
         np.testing.assert_array_equal(corpus.walk(3), [9, 0])
-        # the streaming contract: the prefix never shrank, the feed is
-        # still consistent, and the lengths view tracks the patch
-        assert corpus.ready_prefix == before_prefix
-        feed.publish(corpus.ready_prefix)  # must not raise (no shrink)
+        # the walk count never changes and the lengths view tracks the
+        # patch
+        assert corpus.num_walks == 4
         np.testing.assert_array_equal(corpus.walk_lengths, [3, 2, 4, 2])
 
     def test_occurrences_patched_incrementally(self):
@@ -131,7 +128,7 @@ class TestReplaceWalks:
         assert offsets[0] == 0
         assert (np.diff(offsets) > 0).all()
         assert corpus.total_tokens == offsets[-1] == 1 + 2 + 4 + 5
-        assert corpus.ready_prefix == 4
+        assert corpus.num_walks == 4
         recount = np.bincount(np.asarray(corpus.tokens),
                               minlength=corpus.num_nodes)
         np.testing.assert_array_equal(corpus.occurrences, recount)

@@ -145,6 +145,33 @@ class TestDistributedTrainer:
             DistributedTrainer(corpus, cluster, TrainConfig(dim=4),
                                walk_machines=[0])
 
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5])
+    def test_walk_machines_must_name_cluster_machines(self, bad):
+        """-1 used to land in the last shard, 2 to raise a bare IndexError
+        deep inside ``train``."""
+        corpus = self.make_corpus()
+        cluster = Cluster(2, np.zeros(30, dtype=np.int64), seed=0)
+        with pytest.raises(ValueError, match="walk 3|integers"):
+            DistributedTrainer(corpus, cluster, TrainConfig(dim=4),
+                               walk_machines=[0, 1, 0, bad] + [1] * 16)
+
+    def test_slices_and_rates_match_the_recorded_run(self):
+        """Without subsampling the slice boundaries and the lr sequence
+        are the ones recorded before slices were cut on raw lengths."""
+        rng = np.random.default_rng(7)
+        corpus = Corpus(40)
+        for _ in range(120):
+            corpus.add_walk(rng.integers(0, 40, size=int(rng.integers(1, 15))))
+        machines = np.minimum(rng.integers(0, 5, size=120), 2)
+        cluster = Cluster(3, np.zeros(40, dtype=np.int64), seed=0)
+        cfg = TrainConfig(dim=8, window=3, negatives=2, epochs=2, seed=3,
+                          sync_period_tokens=60)
+        result = DistributedTrainer(corpus, cluster, cfg,
+                                    walk_machines=machines).train()
+        assert (result.sync_rounds, result.tokens_processed) == (10, 1758)
+        assert np.abs(result.embeddings.astype(np.float64)).sum() == \
+            pytest.approx(9.533524297730764, rel=1e-6)
+
     def test_shard_rebalancing(self):
         """Skewed walk placement gets rebalanced within ~10% by tokens."""
         corpus = Corpus(10)
@@ -294,6 +321,25 @@ class TestSubsampling:
                           subsample=0.05)
         result = DistributedTrainer(corpus, cluster, cfg).train()
         assert 0 < result.tokens_processed < corpus.total_tokens
+
+    def test_schedule_progress_counts_raw_tokens(self, monkeypatch):
+        """Progress is cut on raw walk lengths (word2vec.c's word_count),
+        so it ends within one slice of 1.0 whatever subsampling drops."""
+        import repro.embedding.trainer as trainer_module
+
+        seen = []
+        monkeypatch.setattr(
+            trainer_module, "make_schedule",
+            lambda *args: lambda progress: seen.append(progress) or 0.025)
+        corpus = Corpus(5)
+        for _ in range(20):
+            corpus.add_walk([0, 0, 0, 0, 1, 2, 3, 4])
+        cluster = Cluster(1, np.zeros(5, dtype=np.int64), seed=0)
+        cfg = TrainConfig(dim=4, window=2, negatives=1, epochs=2,
+                          subsample=0.05, sync_period_tokens=16)
+        result = DistributedTrainer(corpus, cluster, cfg).train()
+        assert result.tokens_processed < 2 * corpus.total_tokens
+        assert seen[-1] == pytest.approx(1.0 - 16 / (2 * corpus.total_tokens))
 
     def test_keep_probabilities_shape(self):
         corpus = Corpus(3)

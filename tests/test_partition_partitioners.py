@@ -114,11 +114,3 @@ class TestParallelMPGP:
     def test_matches_graph_coverage(self, medium_graph):
         res = ParallelMPGPPartitioner(num_segments=3).partition(medium_graph, 4)
         assert np.all(res.assignment >= 0)
-
-    def test_thread_and_serial_agree(self, medium_graph):
-        serial = ParallelMPGPPartitioner(num_segments=3, use_threads=False)
-        threaded = ParallelMPGPPartitioner(num_segments=3, use_threads=True)
-        np.testing.assert_array_equal(
-            serial.partition(medium_graph, 4).assignment,
-            threaded.partition(medium_graph, 4).assignment,
-        )

@@ -245,38 +245,38 @@ class TestTrainParity:
                                      walk_machines=result.walk_machines)
         return trainer.train(), cluster
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_dsgl_embeddings_bit_equal(self, walk_result, workers):
-        ref, ref_cluster = self.train(walk_result, "serial")
-        result, cluster = self.train(walk_result, "process", workers)
+    def assert_process_equals_serial(self, walk_result, workers, **kwargs):
+        ref, ref_cluster = self.train(walk_result, "serial", **kwargs)
+        result, cluster = self.train(walk_result, "process", workers,
+                                     **kwargs)
         np.testing.assert_array_equal(ref.embeddings, result.embeddings)
         np.testing.assert_array_equal(ref.model.phi_out,
                                       result.model.phi_out)
         assert ref.tokens_processed == result.tokens_processed
         assert ref.sync_rounds == result.sync_rounds
         assert ref_cluster.metrics.as_dict() == cluster.metrics.as_dict()
+        return ref
 
-    def test_loop_backend_and_subsampling_parity(self, walk_result):
-        """The loop learners and the parent-side subsampling draws go
-        through the same process path unchanged."""
-        kwargs = dict(backend="loop", subsample=1e-3)
-        ref, _ = self.train(walk_result, "serial", **dict(kwargs))
-        result, _ = self.train(walk_result, "process", 2, **dict(kwargs))
-        np.testing.assert_array_equal(ref.embeddings, result.embeddings)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_dsgl_embeddings_bit_equal(self, walk_result, workers):
+        self.assert_process_equals_serial(walk_result, workers)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("learner", ("dsgl", "pword2vec"))
+    @pytest.mark.parametrize("backend", ("loop", "auto"))
+    def test_loop_backend_and_subsampling_parity(self, walk_result, backend,
+                                                 learner, workers):
+        """Subsampling is a pure function of corpus position, so the
+        workers keep exactly the tokens the parent would."""
+        ref = self.assert_process_equals_serial(
+            walk_result, workers, backend=backend, learner=learner,
+            subsample=1e-3)
+        assert 0 < ref.tokens_processed < \
+            2 * walk_result[0].corpus.total_tokens
 
     @pytest.mark.parametrize("learner", ("pword2vec", "sgns"))
     def test_other_learners_bit_equal(self, walk_result, learner):
-        result, assignment = walk_result
-        out = {}
-        for execution, workers in (("serial", 0), ("process", 2)):
-            cluster = Cluster(4, assignment, seed=9)
-            cfg = TrainConfig(dim=12, epochs=1, seed=11,
-                              execution=execution, workers=workers)
-            out[execution] = DistributedTrainer(
-                result.corpus, cluster, cfg, learner=learner,
-                walk_machines=result.walk_machines).train()
-        np.testing.assert_array_equal(out["serial"].embeddings,
-                                      out["process"].embeddings)
+        self.assert_process_equals_serial(walk_result, 2, learner=learner)
 
 
 class TestPartitionParity:
@@ -345,8 +345,8 @@ class TestPipelineDataflow:
 
     def test_trainer_streams_behind_a_live_producer(self):
         """The feed's walk→train handshake: a trainer constructed over a
-        still-growing corpus blocks on readiness, then produces the same
-        bytes as training the finished corpus."""
+        still-growing corpus blocks until the producer finishes, then
+        produces the same bytes as training the finished corpus."""
         import threading
         import time as _time
 
@@ -368,13 +368,10 @@ class TestPipelineDataflow:
         feed = CorpusFeed(streaming)
 
         def produce():
-            chunk = max(1, reference.num_walks // 5)
-            for start in range(0, reference.num_walks, chunk):
-                for i in range(start,
-                               min(start + chunk, reference.num_walks)):
-                    streaming.add_walk(reference.walk(i))
-                feed.publish(streaming.num_walks)
-                _time.sleep(0.005)
+            for i in range(reference.num_walks):
+                streaming.add_walk(reference.walk(i))
+                if i % 100 == 0:
+                    _time.sleep(0.005)
             feed.finish()
 
         producer = threading.Thread(target=produce)

@@ -9,9 +9,10 @@ protocol) relies on:
 * offsets are monotone and exhaustive -- every token belongs to exactly
   one walk, walk ``i`` is ``tokens[offsets[i]:offsets[i + 1]]``;
 * ``add_walk`` and ``add_walks`` build byte-identical flat state;
-* flat ↔ list views round trip losslessly (including through save/load
-  in both the npz flat format and the legacy text format, zero-length
-  walks and empty corpora included);
+* flat ↔ list views round trip losslessly (including through npz
+  save/load, zero-length walks and empty corpora included);
+* a ``(lo, hi)`` shard slice resolves to the same walks however it is
+  cut, and subsampling decisions are indexed by corpus position;
 * iteration order is stable under process execution -- the parent's
   ``add_walks`` flush preserves walk-id order no matter how many workers
   produced the padded path rows.
@@ -216,8 +217,7 @@ class TestSaveLoadRoundTrips:
 
     @pytest.mark.parametrize("suffix", ("npz", "txt"))
     def test_zero_length_walks_round_trip(self, tmp_path, suffix):
-        """The regression this PR fixes: zero-length walks used to be
-        silently dropped by the text loader (and had no flat encoding)."""
+        """Zero-length walks have a flat encoding and survive it."""
         corpus = Corpus.from_flat(6, [4, 5, 1], [0, 0, 2, 2, 2, 3])
         path = str(tmp_path / f"zeros.{suffix}")
         corpus.save(path)
@@ -225,32 +225,13 @@ class TestSaveLoadRoundTrips:
         assert_flat_equal(corpus, loaded)
         np.testing.assert_array_equal(loaded.walk_lengths, [0, 2, 0, 0, 1])
 
-    def test_legacy_text_files_still_load(self, tmp_path):
-        """Files written by the pre-flat revision (header + one walk per
-        line) load through the same entry point."""
+    def test_non_npz_file_is_refused(self, tmp_path):
+        """The one-walk-per-line text format is gone; the error names
+        the file."""
         path = tmp_path / "legacy.txt"
         path.write_text("# num_nodes=9\n0 1 2\n8 7\n")
-        corpus = Corpus.load(str(path))
-        assert corpus.num_nodes == 9
-        np.testing.assert_array_equal(corpus.tokens, [0, 1, 2, 8, 7])
-        np.testing.assert_array_equal(corpus.offsets, [0, 3, 5])
-
-    def test_headerless_text_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1 2\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="legacy.txt"):
             Corpus.load(str(path))
-
-    def test_npz_default_and_txt_opt_in(self, tmp_path):
-        """Non-.txt paths get the flat npz format (sniffed on load)."""
-        corpus = build_corpus([[1, 2], [3]])
-        flat = tmp_path / "corpus.npz"
-        corpus.save(str(flat))
-        assert flat.read_bytes()[:2] == b"PK"
-        text = tmp_path / "corpus.txt"
-        corpus.save(str(text))
-        assert text.read_text().startswith("# num_nodes=")
-        assert_flat_equal(Corpus.load(str(flat)), Corpus.load(str(text)))
 
 
 class TestFlushOrdering:
@@ -298,10 +279,13 @@ class TestFlushOrdering:
                 graph, cluster, cfg).run().corpus
         assert_flat_equal(corpora["serial"], corpora["process"])
 
-    def test_descriptor_rounds_ship_constant_bytes(self):
+    @pytest.mark.parametrize("backing", ("shm", "mmap"))
+    @pytest.mark.parametrize("subsample", (0.0, 1e-3))
+    def test_descriptor_rounds_ship_constant_bytes(self, subsample, backing):
         """Process training over the flat corpus ships slice descriptors:
         the recorded per-round task bytes stay O(machines), not O(slice
-        tokens)."""
+        tokens) -- subsampled or not, whichever way the blocks are
+        shared."""
         from repro.embedding import DistributedTrainer, TrainConfig
 
         graph = powerlaw_cluster(120, attach=4, triangle_prob=0.4, seed=2)
@@ -313,13 +297,13 @@ class TestFlushOrdering:
         result = DistributedTrainer(
             walk_result.corpus, train_cluster,
             TrainConfig(dim=8, epochs=1, seed=11, execution="process",
-                        workers=2),
+                        workers=2, subsample=subsample, backing=backing),
             walk_machines=walk_result.walk_machines).train()
         rounds = result.extras["ipc_rounds"]
         assert rounds > 0
-        # A descriptor task is six scalars; even with pickle framing a
-        # round of two machines stays far below one pickled walk batch.
-        assert result.extras["ipc_task_bytes"] / rounds < 1024
+        # A descriptor is five scalars; even with pickle framing a round
+        # of two machines stays far below one pickled walk batch.
+        assert 0 < result.extras["ipc_task_bytes"] / rounds < 1024
 
     def test_iteration_order_stable_under_process_execution(self):
         """The list view iterates walks in walk-id order for both
@@ -361,71 +345,52 @@ class TestFlatConsumers:
             count_windows(list(corpus.walks), window=3)
 
 
+class TestShardWalks:
+    @given(walks=st.lists(st.lists(st.integers(0, NUM_NODES - 1),
+                                   max_size=12), max_size=20),
+           subsampled=st.booleans(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_any_split_resolves_to_the_whole(self, walks, subsampled, data):
+        """The slice-descriptor resolver: ``[lo, hi)`` resolved whole
+        equals any split of it resolved in pieces, and the kept tokens
+        are exactly the corpus positions the counter stream selects."""
+        from repro.utils.rng import stream_uniforms
+        from repro.walks.corpus import shard_walks
+
+        tokens = np.array([v for w in walks for v in w], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(w) for w in walks])
+        shard = np.array(data.draw(st.permutations(range(len(walks)))),
+                         dtype=np.int64)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(walks)),
+                                         min_size=2, max_size=5)))
+        keep = np.linspace(0.0, 1.0, NUM_NODES) if subsampled else None
+        key = data.draw(st.integers(0, 2**64 - 1))
+
+        def resolve(lo, hi):
+            return [w.tolist() for w in
+                    shard_walks(tokens, offsets, shard, lo, hi, keep, key)]
+
+        kept = np.ones(tokens.size, dtype=bool)
+        if subsampled:
+            kept = stream_uniforms(np.uint64(key), np.arange(
+                tokens.size, dtype=np.uint64)) < keep[tokens]
+        expected = [tokens[a:b][kept[a:b]].tolist()
+                    for a, b in ((offsets[j], offsets[j + 1])
+                                 for j in shard[cuts[0]:cuts[-1]])]
+        assert resolve(cuts[0], cuts[-1]) == [w for w in expected if w] == \
+            [w for lo, hi in zip(cuts, cuts[1:]) for w in resolve(lo, hi)]
+
+
 class TestStreamingContract:
-    """Ready-prefix accessor, round listeners, and the CorpusFeed
-    handshake the pipeline executor's walk→train hand-off rides on."""
+    """CorpusFeed, the walk→train finished-event of the pipeline."""
 
-    def test_ready_prefix_tracks_flushed_rounds(self):
-        corpus = Corpus(NUM_NODES)
-        assert corpus.ready_prefix == 0
-        seen = []
-        corpus.add_round_listener(lambda c: seen.append(c.ready_prefix))
-        paths, lengths = padded_matrix([[1, 2], [3]])
-        corpus.add_walks(paths, lengths)
-        assert corpus.ready_prefix == 2
-        corpus.add_walks(paths, lengths)
-        assert corpus.ready_prefix == 4
-        # One notification per flushed round, carrying the new prefix.
-        assert seen == [2, 4]
-
-    def test_feed_publishes_on_flush_and_gates_waiters(self):
-        import threading
-
-        from repro.walks.corpus import CorpusFeed
-
-        corpus = Corpus(NUM_NODES)
-        feed = CorpusFeed(corpus)
-        assert feed.ready_walks() == 0 and not feed.finished
-        observed = []
-
-        def consumer():
-            observed.append(feed.wait_ready(2, timeout=10.0))
-            observed.append(feed.wait_finished(timeout=10.0))
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        paths, lengths = padded_matrix([[0, 1], [2, 3, 4]])
-        corpus.add_walks(paths, lengths)  # listener publishes prefix 2
-        feed.finish()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert observed == [2, 2]
-
-    def test_feed_rejects_shrinking_prefix(self):
-        from repro.walks.corpus import CorpusFeed
-
-        corpus = Corpus(NUM_NODES)
-        feed = CorpusFeed(corpus)
-        feed.publish(3)
-        with pytest.raises(ValueError, match="only grow"):
-            feed.publish(1)
-
-    def test_wait_ready_past_the_final_prefix_is_an_error(self):
-        """Asking for walks the finished producer never made is a
-        plan/corpus mismatch, not a timing issue."""
-        from repro.walks.corpus import CorpusFeed
-
-        corpus = Corpus(NUM_NODES)
-        feed = CorpusFeed(corpus)
-        corpus.add_walk([1, 2, 3])
-        feed.finish()
-        assert feed.wait_ready(1) == 1
-        with pytest.raises(RuntimeError, match="finished at 1"):
-            feed.wait_ready(5)
-
-    def test_wait_ready_timeout(self):
+    def test_wait_finished_times_out_until_finish(self):
         from repro.walks.corpus import CorpusFeed
 
         feed = CorpusFeed(Corpus(NUM_NODES))
+        assert not feed.finished
         with pytest.raises(TimeoutError):
-            feed.wait_ready(1, timeout=0.01)
+            feed.wait_finished(timeout=0.01)
+        feed.finish()
+        assert feed.finished
+        feed.wait_finished(timeout=0.01)
