@@ -69,14 +69,12 @@ from repro.embedding.trainer import (
 from repro.embedding.vocab import Vocabulary
 from repro.graph.csr import CSRGraph
 from repro.runtime.cluster import Cluster
-from repro.runtime.message import BYTES_PER_FIELD
 from repro.utils.rng import derive_seed
 from repro.utils.timer import Timer
 from repro.walks.corpus import Corpus, _concat_ranges
 from repro.walks.engine import WalkConfig
 from repro.walks.kernels import make_kernel
 from repro.walks.vectorized import BatchWalkRunner
-from repro.walks.walker import WalkStats
 
 __all__ = ["UpdateResult", "update_embedding"]
 
@@ -228,18 +226,16 @@ def update_embedding(
                 kernel_kwargs = {"p": walk_config.p, "q": walk_config.q}
             kernel = make_kernel(walk_config.kernel, new_graph,
                                  **kernel_kwargs)
-            runner = BatchWalkRunner(
-                new_graph, cluster, walk_config, kernel,
-                kernel.message_fields * BYTES_PER_FIELD)
-            walk_stats = WalkStats()
+            runner = BatchWalkRunner(new_graph, cluster.walk_seed_root,
+                                     walk_config, kernel)
             # Original walk ids: the corpus index *is* the walk id under
             # the round protocol, so counter-based streams line up with
             # what a full re-run would draw for these walks.
-            paths, lengths = runner.run_walks(sources, stale, walk_stats)
-            corpus.replace_walks(stale, paths, lengths)
+            walks = runner.run_walks(sources, stale)
+            corpus.replace_walks(stale, walks.paths, walks.lengths)
             walk_machines[stale] = assignment[sources]
-            resampled_tokens = int(lengths.sum())
-            stats["resample_trials"] = float(walk_stats.total_trials)
+            resampled_tokens = int(walks.lengths.sum())
+            stats["resample_trials"] = float(walks.trials.sum())
     stats["resampled_tokens"] = float(resampled_tokens)
 
     with timer.phase("train"):

@@ -15,10 +15,11 @@ Three phase executors live here:
   across workers.  Walkers are independent under the counter-stream
   protocol, so each worker advances its slice through the same lock-step
   :class:`~repro.walks.vectorized.BatchWalkRunner` supersteps and writes
-  paths and per-step trial counts straight into a shared-memory round
-  slot; the parent flushes rounds in walk-id order (the canonical corpus
-  order) and reconstructs stats and cluster metrics exactly from the
-  slot buffers (:class:`repro.runtime.pipeline.DeferredWalkAccounting`).
+  paths and per-step trials and arcs straight into a shared-memory round
+  slot; the parent consumes the slots in the same round loop as an
+  in-process round -- flush in walk-id order (the canonical corpus
+  order), credit stats and cluster metrics from the buffers
+  (:class:`repro.walks.vectorized.DeferredWalkAccounting`).
   One round in flight is ``execution="process"`` (a barrier per round);
   :data:`PIPELINE_DEPTH` rounds in flight is ``"pipeline"``, sampling
   ahead of the parent's flush.
@@ -285,9 +286,8 @@ def _share_kernel_tables(group: _SharedGroup, graph, kernel) -> Dict:
     return tables
 
 
-def _build_worker_runner(graph, cluster, config, table_handles):
+def _build_worker_runner(graph, walk_seed_root, config, table_handles):
     """Rebuild a :class:`BatchWalkRunner` over shared tables (worker side)."""
-    from repro.runtime.message import BYTES_PER_FIELD
     from repro.walks.alias_sampling import (
         Node2VecAliasKernel,
         SecondOrderAliasSampler,
@@ -309,45 +309,31 @@ def _build_worker_runner(graph, cluster, config, table_handles):
                          if config.kernel in ("node2vec", "node2vec-alias")
                          else {})
         kernel = make_kernel(config.kernel, graph, **kernel_kwargs)
-    return BatchWalkRunner(graph, cluster, config, kernel,
-                           kernel.message_fields * BYTES_PER_FIELD,
+    return BatchWalkRunner(graph, walk_seed_root, config, kernel,
                            tables=tables)
 
 
-def _walk_worker_init(graph_handle, num_machines, walk_seed_root, config,
-                      sources_handle, slot_handles, table_handles) -> None:
-    from repro.runtime.cluster import Cluster
+def _walk_worker_init(graph_handle, walk_seed_root, config, sources_handle,
+                      slot_handles, table_handles) -> None:
+    from repro.walks.vectorized import WalkBuffers
 
-    graph = attach_graph(graph_handle)
-    # Walk workers run under deferred accounting, which never consults
-    # the node placement (the partitioner may still be running); a
-    # placeholder assignment keeps the runner's plumbing intact while the
-    # parity-critical walk_seed_root is the parent's real root.
-    cluster = Cluster(num_machines, np.zeros(graph.num_nodes, dtype=np.int64),
-                      seed=0)
-    cluster.walk_seed_root = walk_seed_root
+    # The runner never consults the node placement (the partitioner may
+    # still be running): the parent credits the slots' trials and arcs.
     _WORKER_STATE["walk_runner"] = _build_worker_runner(
-        graph, cluster, config, table_handles)
+        attach_graph(graph_handle), walk_seed_root, config, table_handles)
     _WORKER_STATE["walk_sources"] = attach_shared_array(sources_handle)
     _WORKER_STATE["walk_slots"] = [
-        tuple(attach_shared_array(handle) for handle in slot)
+        WalkBuffers(*(attach_shared_array(handle) for handle in slot))
         for slot in slot_handles
     ]
 
 
 def _walk_round_task(round_idx: int, lo: int, hi: int, n_total: int,
                      slot: int) -> int:
-    from repro.walks.walker import WalkStats
-
-    runner = _WORKER_STATE["walk_runner"]
-    paths, lengths, trials = _WORKER_STATE["walk_slots"][slot]
     walk_ids = round_idx * n_total + np.arange(lo, hi, dtype=np.int64)
-    # Deferred accounting: stats/metrics are reconstructed by the parent
-    # from (paths, lengths, trials) once the assignment is known, so the
-    # worker-side stats object is a discarded dummy.
-    runner.run_walks(_WORKER_STATE["walk_sources"][lo:hi], walk_ids,
-                     WalkStats(), paths_out=paths[lo:hi],
-                     lengths_out=lengths[lo:hi], trials_out=trials[lo:hi])
+    _WORKER_STATE["walk_runner"].run_walks(
+        _WORKER_STATE["walk_sources"][lo:hi], walk_ids,
+        _WORKER_STATE["walk_slots"][slot].rows(lo, hi))
     return slot
 
 
@@ -355,8 +341,8 @@ class StreamingWalkRunner:
     """Bounded-queue walk producer fanning rounds across worker processes.
 
     The graph CSR, walk sources, kernel tables and a ring of ``depth``
-    round slots (paths, lengths, per-step trial counts) all live in
-    shared memory; per round only the slice coordinates travel to the
+    round slots (:class:`~repro.walks.vectorized.WalkBuffers`) all live
+    in shared memory; per round only the slice coordinates travel to the
     workers.  Up to ``depth`` rounds are in flight at once: the parent
     consumes completed rounds strictly in round order
     (:meth:`next_round`), flushes them into the corpus, and recycles each
@@ -369,22 +355,23 @@ class StreamingWalkRunner:
     Walks are pure functions of ``(walk_seed_root, walk_id)`` under the
     counter-stream protocol, so rounds sampled speculatively past a KL stop
     are simply discarded without leaving a trace, and no round's bytes
-    depend on how far ahead the producer ran.  Workers run the deferred-
-    accounting mode of :meth:`BatchWalkRunner.run_walks`: per-step trial
-    counts land in the slot's ``trials`` buffer and the parent
-    reconstructs stats and cluster metrics exactly
-    (:class:`repro.runtime.pipeline.DeferredWalkAccounting`) -- which also
-    means the producer never needs the node assignment, freeing the
-    partitioner to run concurrently.
+    depend on how far ahead the producer ran.  Workers fill the slots
+    through :meth:`BatchWalkRunner.run_walks`, per-step trials and arcs
+    included, and the parent credits stats and cluster metrics from them
+    (:class:`repro.walks.vectorized.DeferredWalkAccounting`) exactly as
+    for an in-process round -- so the producer never needs the node
+    assignment, freeing the partitioner to run concurrently.
 
     Failure semantics match the executor contract: the first worker
     exception surfaces from :meth:`next_round`, cancels everything in
     flight and releases the pool and shared segments.
     """
 
-    def __init__(self, graph, num_machines: int, walk_seed_root: int,
-                 config, kernel, sources: np.ndarray, max_rounds: int,
+    def __init__(self, graph, walk_seed_root: int, config, kernel,
+                 sources: np.ndarray, max_rounds: int,
                  depth: int = PIPELINE_DEPTH) -> None:
+        from repro.walks.vectorized import WalkBuffers
+
         self.workers = resolved_worker_count(config.workers)
         n = int(sources.size)
         self._n = n
@@ -399,21 +386,18 @@ class StreamingWalkRunner:
             graph_handle = share_graph(self._group, graph)
             sources_handle = self._group.share(
                 np.asarray(sources, dtype=np.int64))
-            self._slots = []
-            slot_handles = []
-            for _ in range(self.depth):
-                paths = self._group.empty((n, cap), np.int64)
-                lengths = self._group.empty((n,), np.int64)
-                trials = self._group.empty((n, cap), np.int32)
-                self._slots.append((paths, lengths, trials))
-                slot_handles.append(
-                    (paths.handle, lengths.handle, trials.handle))
+            slots = [WalkBuffers.allocate(n, cap, self._group.empty)
+                     for _ in range(self.depth)]
+            self._slots = [WalkBuffers(*(buffer.array for buffer in slot))
+                           for slot in slots]
+            slot_handles = [tuple(buffer.handle for buffer in slot)
+                            for slot in slots]
             tables = _share_kernel_tables(self._group, graph, kernel)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_walk_worker_init,
-                initargs=(graph_handle, num_machines, walk_seed_root,
-                          config, sources_handle, slot_handles, tables))
+                initargs=(graph_handle, walk_seed_root, config,
+                          sources_handle, slot_handles, tables))
             self._ranges = split_ranges(n, self.workers)
             self._futures: Dict[int, List] = {}
             self._next_submit = 0
@@ -438,9 +422,9 @@ class StreamingWalkRunner:
     def next_round(self):
         """Block until the next in-order round is resident.
 
-        Returns ``(paths, lengths, trials)`` views into the round's slot;
-        they stay valid until :meth:`release_round` recycles the slot (the
-        corpus flush compacts out of them, so nothing aliases past that).
+        Returns the round slot's :class:`WalkBuffers`; they stay valid
+        until :meth:`release_round` recycles the slot (the corpus flush
+        compacts out of them, so nothing aliases past that).
         """
         r = self._next_consume
         if r >= self._max_rounds:
@@ -454,8 +438,7 @@ class StreamingWalkRunner:
             self.close()
             raise
         self._next_consume += 1
-        paths, lengths, trials = self._slots[r % self.depth]
-        return paths.array, lengths.array, trials.array
+        return self._slots[r % self.depth]
 
     def release_round(self) -> None:
         """Recycle the last consumed round's slot (admits the next round)."""
@@ -470,6 +453,8 @@ class StreamingWalkRunner:
             self._futures = {}
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        # No view of a slot may outlive its segment.
+        self._slots = []
         self._group.close()
 
     def __enter__(self) -> "StreamingWalkRunner":

@@ -15,14 +15,14 @@ two facts the counter-based RNG protocols already guarantee:
   where the placement is first consumed: metric attribution and
   sub-corpus shard construction.
 
-* **Metrics are a pure function of the sampled paths.**  Walk workers
-  record per-step trial counts instead of metric increments
-  (:meth:`BatchWalkRunner.run_walks` deferred accounting, under
-  ``"process"`` as well -- it is the same runner at depth 1), and
-  :class:`DeferredWalkAccounting` reconstructs trials, steps, compute
-  units and per-pair message traffic bit-for-bit once the assignment
-  arrives -- every increment is an integer-valued float, so the late,
-  batched reconstruction lands on the serial counters exactly.
+* **Metrics are a pure function of the sampled steps.**  Vectorized
+  walks record each step's arc and trial count instead of metric
+  increments (:meth:`BatchWalkRunner.run_walks`, in-process and on
+  workers alike),
+  and :class:`~repro.walks.vectorized.DeferredWalkAccounting` credits
+  trials, steps, compute units and per-pair message traffic once the
+  assignment is known -- so under ``"pipeline"`` it simply waits for the
+  partition join, and every executor lands on the same counters.
 
 Within the walk phase, the bounded round queue of
 :class:`~repro.runtime.executor.StreamingWalkRunner` (at
@@ -58,112 +58,14 @@ serial×shm).
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.runtime.executor import run_partition_async
 from repro.utils.timer import Timer
 
-__all__ = [
-    "DeferredWalkAccounting",
-    "run_pipelined_sampling",
-]
-
-
-class DeferredWalkAccounting:
-    """Exact walk-phase accounting reconstructed after the fact.
-
-    The in-loop accounting of :meth:`BatchWalkRunner.run_walks` credits,
-    at the machine a walker currently occupies: one compute unit per
-    sampling trial, one local step (plus one InCoM measurement unit in
-    the information-oriented modes) per accepted step, and one
-    ``message_bytes``-sized message per machine-crossing step.  All of it
-    is determined by *which node* each trial/step happened at and *which
-    arc* each step traversed -- so this class aggregates rounds into three
-    placement-free arrays (trials per node, steps per node, traversals
-    per stored arc) and maps them onto machines in one pass once the
-    assignment is known.  Every counter is an integer-valued float, so
-    the batched late application equals the serial increment-by-increment
-    accounting bit for bit (pinned by the pipeline parity suite).
-    """
-
-    def __init__(self, graph, info_mode: bool, message_bytes: int) -> None:
-        self._graph = graph
-        self.info_mode = info_mode
-        self.message_bytes = int(message_bytes)
-        self._trials_at_node = np.zeros(graph.num_nodes, dtype=np.int64)
-        self._steps_at_node = np.zeros(graph.num_nodes, dtype=np.int64)
-        self._arc_traversals = np.zeros(graph.num_stored_edges,
-                                        dtype=np.int64)
-        # Stored arc (u, v) packed as u·n + v: rows are sorted, so the
-        # keys ascend with the flat arc index and one binary search per
-        # *distinct* traversed arc finds it.
-        self._arc_keys = graph.indices + graph.num_nodes * np.repeat(
-            np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
-
-    def observe_round(self, paths: np.ndarray, lengths: np.ndarray,
-                      trials: np.ndarray) -> Tuple[int, int]:
-        """Fold one round's buffers in; returns ``(trials, steps)`` totals.
-
-        ``paths``/``lengths``/``trials`` are the round-slot buffers of
-        :class:`~repro.runtime.executor.StreamingWalkRunner`: step ``s`` of
-        walk ``i`` moved from ``paths[i, s-1]`` to ``paths[i, s]`` and cost
-        ``trials[i, s]`` sampling trials at the former node.
-        """
-        n, cap = paths.shape
-        if n == 0 or cap <= 1:
-            return 0, 0
-        # Positions 1..len-1 of every walk: the step that filled them.
-        valid = np.arange(1, cap)[None, :] < lengths[:, None]
-        prev = paths[:, :-1][valid]
-        if prev.size == 0:
-            return 0, 0
-        nxt = paths[:, 1:][valid]
-        step_trials = trials[:, 1:][valid].astype(np.int64)
-        num_nodes = self._graph.num_nodes
-        self._trials_at_node += np.bincount(
-            prev, weights=step_trials, minlength=num_nodes).astype(np.int64)
-        self._steps_at_node += np.bincount(prev, minlength=num_nodes)
-        # Sort the packed (prev, nxt) keys, count each run, and look only
-        # the distinct keys up among the stored arcs -- ascending queries
-        # into an ascending table, instead of one bisection per step.
-        traversed, counts = np.unique(prev * num_nodes + nxt,
-                                      return_counts=True)
-        self._arc_traversals[
-            np.searchsorted(self._arc_keys, traversed)] += counts
-        return int(step_trials.sum()), int(prev.size)
-
-    def apply(self, assignment: np.ndarray, metrics) -> None:
-        """Credit everything observed so far against ``assignment``."""
-        m = metrics.num_machines
-        trials_m = np.bincount(assignment, weights=self._trials_at_node,
-                               minlength=m)
-        steps_m = np.bincount(assignment, weights=self._steps_at_node,
-                              minlength=m)
-        for machine in np.flatnonzero(trials_m):
-            # One compute unit per sampling trial.
-            metrics.record_compute(int(machine), float(trials_m[machine]))
-        for machine in np.flatnonzero(steps_m):
-            metrics.record_local_step(int(machine), int(steps_m[machine]))
-            if self.info_mode:
-                # InCoM measurement cost: O(1) per accepted step.
-                metrics.record_compute(int(machine), float(steps_m[machine]))
-        graph = self._graph
-        u_of_arc = np.repeat(np.arange(graph.num_nodes, dtype=np.int64),
-                             graph.degrees)
-        src = assignment[u_of_arc]
-        dst = assignment[graph.indices]
-        crossing = (src != dst) & (self._arc_traversals > 0)
-        if crossing.any():
-            pair = src[crossing] * m + dst[crossing]
-            counts = np.bincount(pair,
-                                 weights=self._arc_traversals[crossing],
-                                 minlength=m * m)
-            for p in np.flatnonzero(counts):
-                c = int(counts[p])
-                metrics.record_messages(c, c * self.message_bytes,
-                                        src=int(p // m), dst=int(p % m))
+__all__ = ["run_pipelined_sampling"]
 
 
 def run_pipelined_sampling(graph, partitioner, num_machines: int,

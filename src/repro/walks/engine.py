@@ -25,6 +25,11 @@ Per-machine compute units are credited for every sampling trial and for
 every measurement at its mode-specific cost, so the simulated cost model
 reproduces the paper's complexity separations; the *wall-clock* separation
 is also real because the full-path mode genuinely recomputes from scratch.
+The loop engine credits walker by walker as it goes (``fullpath`` costs
+depend on the path, so it has to); vectorized rounds record each step's
+arc and trial count and reach ``WalkStats`` and the metrics through one
+:class:`~repro.walks.vectorized.DeferredWalkAccounting`, under every
+execution.
 
 Backends and randomness
 -----------------------
@@ -48,19 +53,20 @@ vectorized backends produce **byte-identical corpora** -- the
 reference-parity guarantee, which the corpus/embedding machine-count
 invariance suite (``tests/test_golden_pipeline.py``) also relies on.
 
-``WalkConfig.execution`` selects *where* a round's walkers run:
+``WalkConfig.execution`` selects *where* a vectorized round's walkers
+run; one consumer loop (:meth:`DistributedWalkEngine._run_rounds`)
+flushes rounds in walk-id order and folds their buffers into the
+accounting whichever it is:
 
-* ``"serial"`` (default) -- everything in the calling process.
+* ``"serial"`` (default) -- one in-process runner fills one reused
+  round slot.
 * ``"process"`` / ``"pipeline"`` -- a round's walkers are split across
   ``workers`` OS processes by one runner,
   :class:`repro.runtime.executor.StreamingWalkRunner`: each worker
   advances its walker slice through the same lock-step supersteps over a
-  shared-memory CSR and writes paths and per-step trial counts into a
-  shared round buffer; the parent flushes rounds in walk-id order and
-  reconstructs stats and cluster metrics exactly from the buffers
-  (:class:`repro.runtime.pipeline.DeferredWalkAccounting`), so workers
-  never need the node assignment.  ``"process"`` keeps one round in
-  flight -- a barrier per round.  ``"pipeline"`` keeps
+  shared-memory CSR and fills its rows of a shared round slot, so
+  workers never need the node assignment.  ``"process"`` keeps one
+  round in flight -- a barrier per round.  ``"pipeline"`` keeps
   :data:`repro.runtime.executor.PIPELINE_DEPTH` rounds in flight, so
   workers advance round ``k+1`` while the parent flushes round ``k``
   (rounds speculatively sampled past a KL stop are discarded without a
@@ -100,7 +106,12 @@ from repro.walks.corpus import Corpus
 from repro.walks.incom import make_measure
 from repro.walks.kernels import KERNELS, make_kernel
 from repro.walks.termination import WalkCountRule, WalkLengthRule
-from repro.walks.vectorized import BatchWalkRunner
+from repro.walks.vectorized import (
+    _INCOM_MESSAGE_BYTES,
+    BatchWalkRunner,
+    DeferredWalkAccounting,
+    WalkBuffers,
+)
 from repro.walks.walker import Walker, WalkStats
 
 
@@ -248,7 +259,12 @@ class DistributedWalkEngine:
         if self.config.kernel in ("node2vec", "node2vec-alias"):
             kernel_kwargs = {"p": self.config.p, "q": self.config.q}
         self.kernel = make_kernel(self.config.kernel, graph, **kernel_kwargs)
-        self._routine_message_bytes = self.kernel.message_fields * BYTES_PER_FIELD
+        # One walker message: InCoM's constant one in the information-
+        # oriented modes (fullpath messages carry the path and are sized
+        # per step), the kernel's routine one otherwise.
+        self._message_bytes = (
+            _INCOM_MESSAGE_BYTES if self.config.mode != "routine"
+            else self.kernel.message_fields * BYTES_PER_FIELD)
         #: Backend actually used for rounds (resolved from config).
         self.backend = self.config.resolved_backend()
         #: Execution mode actually used (resolved from config).
@@ -320,17 +336,17 @@ class DistributedWalkEngine:
             )
         degrees = self.graph.degrees
 
-        if self.execution == "serial":
+        if self.backend == "vectorized":
+            self._run_rounds(sources, rounds, count_rule, degrees, corpus,
+                             stats, walk_machines, partition_join)
+        else:
             for round_idx in range(rounds):
-                self._run_round(sources, round_idx, corpus, stats,
-                                walk_machines)
+                self._run_round_loop_walker(sources, round_idx, corpus, stats,
+                                            walk_machines)
                 stats.rounds += 1
                 if count_rule is not None:
                     if count_rule.observe_round(corpus, degrees):
                         break
-        else:
-            self._run_pipeline(sources, rounds, count_rule, degrees, corpus,
-                               stats, walk_machines, partition_join)
         if count_rule is not None:
             stats.kl_trace = list(count_rule.kl_trace)
         # Sampling is done: drop the growth headroom so the corpus the
@@ -339,11 +355,10 @@ class DistributedWalkEngine:
         return WalkResult(corpus=corpus, stats=stats, walk_machines=walk_machines)
 
     # ------------------------------------------------------------------ #
-    # Worker-pool execution (process / pipeline): rounds fan out across
-    # workers; pipeline also flushes round k while k+1 samples
+    # Vectorized rounds: one consumer loop, an in-process or pooled producer
     # ------------------------------------------------------------------ #
 
-    def _run_pipeline(
+    def _run_rounds(
         self,
         sources: np.ndarray,
         rounds: int,
@@ -354,53 +369,37 @@ class DistributedWalkEngine:
         walk_machines: List[int],
         partition_join,
     ) -> None:
-        """Consume rounds from the worker-pool producer in walk-id order.
+        """Consume vectorized rounds in walk-id order, under every execution.
 
-        The producer keeps ``PIPELINE_DEPTH`` rounds in flight under
-        ``execution="pipeline"`` and one (a barrier per round) under
-        ``"process"``; this consumer flushes each completed round into
-        the corpus (the serial ``add_walks`` order), folds its buffers
-        into the deferred accounting, and applies the accounting against
-        the node assignment at the end -- joining the
-        concurrently-running partitioner first when the coordinator
-        passed its hook.
+        :meth:`_produce_rounds` hands over each round's
+        :class:`~repro.walks.vectorized.WalkBuffers`; this consumer
+        flushes them into the corpus (the canonical walk-id order), folds
+        them into the :class:`DeferredWalkAccounting` -- the only
+        accounting vectorized walks have -- and applies it against the
+        node assignment at the end, joining the concurrently-running
+        partitioner first when the pipeline coordinator passed its hook.
         """
-        from repro.runtime.executor import PIPELINE_DEPTH, StreamingWalkRunner
-        from repro.runtime.pipeline import DeferredWalkAccounting
-        from repro.walks.vectorized import _INCOM_MESSAGE_BYTES
-
         cluster = self.cluster
-        info_mode = self.config.mode != "routine"
-        # Same constant the in-loop accounting uses (one source of truth,
-        # so the deferred reconstruction can never drift from it).
-        message_bytes = (_INCOM_MESSAGE_BYTES if info_mode
-                         else self._routine_message_bytes)
-        accounting = DeferredWalkAccounting(self.graph, info_mode=info_mode,
-                                            message_bytes=message_bytes)
-        runner = StreamingWalkRunner(
-            self.graph, cluster.num_machines, cluster.walk_seed_root,
-            self.config, self.kernel, sources, max_rounds=rounds,
-            depth=PIPELINE_DEPTH if self.execution == "pipeline" else 1)
+        accounting = DeferredWalkAccounting(
+            self.graph, info_mode=self.config.mode != "routine",
+            message_bytes=self._message_bytes)
+        produced = self._produce_rounds(sources, rounds)
         try:
-            for _round_idx in range(rounds):
-                paths, lengths, trials = runner.next_round()
-                # Flush in walk-id order -- the canonical corpus order
-                # shared by every backend; add_walks compacts out of the
-                # slot buffers, so releasing the slot below is safe.
-                corpus.add_walks(paths, lengths)
-                trial_count, step_count = accounting.observe_round(
-                    paths, lengths, trials)
+            for walks in produced:
+                # add_walks compacts out of the round buffers, so the
+                # producer may recycle them once the next round is asked.
+                corpus.add_walks(walks.paths, walks.lengths)
+                trial_count, step_count = accounting.observe_round(walks)
                 stats.total_trials += trial_count
                 stats.total_steps += step_count
-                stats.total_walks += int(lengths.size)
-                stats.walk_lengths.extend(lengths.tolist())
-                runner.release_round()
+                stats.total_walks += int(walks.lengths.size)
+                stats.walk_lengths.extend(walks.lengths.tolist())
                 stats.rounds += 1
                 if count_rule is not None:
                     if count_rule.observe_round(corpus, degrees):
                         break
         finally:
-            runner.close()
+            produced.close()
         if partition_join is not None:
             # The earliest placement-dependent point: everything above is
             # a pure function of the walk seed root.
@@ -410,30 +409,39 @@ class DistributedWalkEngine:
             cluster.assignment[sources].tolist() * stats.rounds)
         accounting.apply(cluster.assignment, cluster.metrics)
 
-    # ------------------------------------------------------------------ #
-    # One round: a walk from every source
-    # ------------------------------------------------------------------ #
+    def _produce_rounds(self, sources: np.ndarray, rounds: int):
+        """Yield every round's buffers in round order; they stay valid
+        until the next round is requested.
 
-    def _run_round(
-        self,
-        sources: np.ndarray,
-        round_idx: int,
-        corpus: Corpus,
-        stats: WalkStats,
-        walk_machines: List[int],
-    ) -> None:
-        """Run one serial round on the configured backend."""
-        if self.backend == "vectorized":
+        ``"serial"`` runs :meth:`BatchWalkRunner.run_walks` in-process over
+        one reused round slot.  ``"process"`` / ``"pipeline"`` read the
+        slots of a :class:`~repro.runtime.executor.StreamingWalkRunner`,
+        which keeps one round (a barrier per round) or
+        ``PIPELINE_DEPTH`` rounds in flight; closing the generator after
+        a KL stop discards whatever was sampled ahead.
+        """
+        if self.execution == "serial":
             if self._batch_runner is None:
                 self._batch_runner = BatchWalkRunner(
-                    self.graph, self.cluster, self.config, self.kernel,
-                    self._routine_message_bytes,
-                )
-            self._batch_runner.run_round(sources, round_idx, corpus, stats,
-                                         walk_machines)
-        else:
-            self._run_round_loop_walker(sources, round_idx, corpus, stats,
-                                        walk_machines)
+                    self.graph, self.cluster.walk_seed_root, self.config,
+                    self.kernel)
+            runner = self._batch_runner
+            n = sources.size
+            slot = WalkBuffers.allocate(n, runner.cap)
+            for round_idx in range(rounds):
+                walk_ids = round_idx * n + np.arange(n, dtype=np.int64)
+                yield runner.run_walks(sources, walk_ids, slot)
+            return
+        from repro.runtime.executor import PIPELINE_DEPTH, StreamingWalkRunner
+
+        with StreamingWalkRunner(
+                self.graph, self.cluster.walk_seed_root, self.config,
+                self.kernel, sources, max_rounds=rounds,
+                depth=PIPELINE_DEPTH if self.execution == "pipeline"
+                else 1) as pool:
+            for _round_idx in range(rounds):
+                yield pool.next_round()
+                pool.release_round()
 
     # ------------------------------------------------------------------ #
     # Loop backend (the parity reference; what fullpath HuGE-D runs on)
@@ -511,7 +519,7 @@ class DistributedWalkEngine:
                     n_bytes = (
                         measure.message_bytes()
                         if measure is not None
-                        else self._routine_message_bytes
+                        else self._message_bytes
                     )
                     return (dest, (walker, measure, stream), n_bytes)
 

@@ -20,10 +20,12 @@ Two batch layers live here:
   (the ``S = Σ n log₂ n`` entropy accumulator and the five regression
   moments of Eq. 12/13) held as parallel NumPy arrays, termination
   (``mu``/min/max-length and dead ends) applied through active masks,
-  second-order kernels (node2vec, HuGE, HuGE+) via batched rejection
-  sampling, and every superstep's compute/messages credited to the
-  simulated :class:`repro.runtime.cluster.Cluster` so the paper's cost
-  accounting is byte-identical to the loop engine's.
+  and second-order kernels (node2vec, HuGE, HuGE+) via batched rejection
+  sampling.  The runner records each step's arc and trial count next to
+  the path (:class:`WalkBuffers`); :class:`DeferredWalkAccounting` turns
+  those buffers into
+  ``WalkStats`` and the simulated cluster's compute/message counters,
+  byte-identical to the loop engine's in-loop accounting.
 
   Randomness follows the per-walker counter streams of
   :mod:`repro.utils.rng`: each walker consumes its private counter-based
@@ -42,12 +44,12 @@ Two batch layers live here:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.runtime.message import BYTES_PER_FIELD, IncrementalMessage
+from repro.runtime.message import IncrementalMessage
 from repro.utils.rng import (
     SeedLike,
     argument_uniforms,
@@ -375,18 +377,47 @@ class _TrialLanes:
                                  scratch=scratch)
 
 
-class BatchWalkRunner:
-    """Lock-step walker batch for one :class:`DistributedWalkEngine`.
+class WalkBuffers(NamedTuple):
+    """A batch of walks as :meth:`BatchWalkRunner.run_walks` leaves it:
+    ``n`` rows of up to ``cap`` tokens, and what each step cost.
 
-    Owns the per-graph precomputations (flat weight cumsums, per-arc HuGE
-    acceptance table, alias tables via the kernel) and runs one round of
-    walks per :meth:`run_round` call, mutating the same ``corpus``/
-    ``stats``/``walk_machines`` structures the loop backend fills -- the
-    engine treats both backends interchangeably.
+    Step ``s`` of walk ``i`` moved to ``paths[i, s]`` along stored arc
+    ``arcs[i, s]`` after ``trials[i, s]`` sampling trials (rejections +
+    the accepted or forced one) at ``paths[i, s - 1]``; ``trials`` is 0
+    wherever no step happened (column 0, and past ``lengths[i]``).
     """
 
-    def __init__(self, graph: CSRGraph, cluster, config, kernel,
-                 routine_message_bytes: int,
+    paths: np.ndarray       # int64 (n, cap), -1 past the walk
+    lengths: np.ndarray     # int64 (n,)
+    trials: np.ndarray      # int32 (n, cap)
+    arcs: np.ndarray        # int64 (n, cap), -1 where no step happened
+
+    @classmethod
+    def allocate(cls, n: int, cap: int, empty=np.empty) -> "WalkBuffers":
+        """Unfilled buffers; ``empty(shape, dtype)`` allocates each (a
+        shared-memory group's for the executor's round slots)."""
+        return cls(empty((n, cap), np.int64), empty((n,), np.int64),
+                   empty((n, cap), np.int32), empty((n, cap), np.int64))
+
+    def rows(self, lo: int, hi: int) -> "WalkBuffers":
+        """Views of walks ``lo:hi``."""
+        return WalkBuffers(*(buffer[lo:hi] for buffer in self))
+
+
+class BatchWalkRunner:
+    """Lock-step walker batch over one graph.
+
+    Owns the per-graph precomputations (flat weight cumsums, per-arc HuGE
+    acceptance table, alias tables via the kernel) and advances batches
+    of walkers with :meth:`run_walks` -- the engine's serial rounds, the
+    walk workers and the dynamic resample all call it.  It never sees
+    the node placement: walker streams hang off ``walk_seed_root`` and
+    what a step cost is recorded per step, for
+    :class:`DeferredWalkAccounting` to credit wherever the assignment is
+    known.
+    """
+
+    def __init__(self, graph: CSRGraph, walk_seed_root: int, config, kernel,
                  tables: Optional[dict] = None) -> None:
         if config.mode == "fullpath":
             raise ValueError(
@@ -396,7 +427,7 @@ class BatchWalkRunner:
             )
         tables = tables or {}
         self.graph = graph
-        self.cluster = cluster
+        self.walk_seed_root = walk_seed_root
         self.config = config
         self.kernel = kernel
         self.kind = kernel.name
@@ -408,14 +439,12 @@ class BatchWalkRunner:
                            max_length=config.max_length)
             if self.info_mode else None
         )
-        self.message_bytes = (
-            _INCOM_MESSAGE_BYTES if self.info_mode else routine_message_bytes
-        )
+        #: Path buffer width: the most tokens a walk can hold.
+        self.cap = config.max_length if self.info_mode else config.walk_length
         self._indptr = graph.indptr
         self._indices = graph.indices
         self._degrees = graph.degrees
         self._degrees_f = graph.degrees.astype(np.float64)
-        self._assignment = cluster.assignment
         if self.info_mode:
             # ΔS of appending a node seen k times before, for every k a
             # path can hold: (k+1)·log₂(k+1) − k·log₂ k.
@@ -448,12 +477,7 @@ class BatchWalkRunner:
             self._so_offsets = sampler._table_offsets
             self._so_accept = sampler._accept
             self._so_alias = sampler._alias_local
-        # Scratch path/length buffers reused across serial rounds, so the
-        # per-round flush writes through one stable padded matrix into the
-        # corpus's flat token block instead of allocating per round; the
-        # trial lanes likewise outlive a round.
-        self._scratch_paths: Optional[np.ndarray] = None
-        self._scratch_lengths: Optional[np.ndarray] = None
+        # The trial lanes outlive a call: their scratch is reused.
         self._lanes = _TrialLanes()
 
     def _expected_rejections(self) -> np.ndarray:
@@ -658,46 +682,22 @@ class BatchWalkRunner:
         return done
 
     # ------------------------------------------------------------------ #
-    # One round
+    # One batch of walks
     # ------------------------------------------------------------------ #
 
-    def run_round(self, sources: np.ndarray, round_idx: int, corpus,
-                  stats, walk_machines: List[int]) -> None:
-        """Walk every source once, lock-step, with full cost accounting."""
-        n = sources.size
-        if n == 0:
-            return
-        cap = (self.config.max_length if self.info_mode
-               else self.config.walk_length)
-        if self._scratch_paths is None or self._scratch_paths.shape != (n, cap):
-            self._scratch_paths = np.empty((n, cap), dtype=np.int64)
-            self._scratch_lengths = np.empty(n, dtype=np.int64)
-        walk_ids = round_idx * n + np.arange(n, dtype=np.int64)
-        paths, lengths = self.run_walks(sources, walk_ids, stats,
-                                        paths_out=self._scratch_paths,
-                                        lengths_out=self._scratch_lengths)
-        # Flush in walk-id order (the canonical order of the walker
-        # protocol; the loop backend emits the same order).
-        corpus.add_walks(paths, lengths)
-        stats.total_walks += n
-        stats.walk_lengths.extend(lengths.tolist())
-        walk_machines.extend(self._assignment[sources].tolist())
-
-    def run_walks(self, sources: np.ndarray, walk_ids: np.ndarray, stats,
-                  paths_out: Optional[np.ndarray] = None,
-                  lengths_out: Optional[np.ndarray] = None,
-                  trials_out: Optional[np.ndarray] = None):
+    def run_walks(self, sources: np.ndarray, walk_ids: np.ndarray,
+                  out: Optional[WalkBuffers] = None) -> WalkBuffers:
         """Advance one walk per source to termination, lock-step.
 
-        The superstep core shared by the serial round and the walk
-        workers: walker streams are keyed by the caller-supplied
-        ``walk_ids`` (globally unique, so a worker holding a slice of a
-        round produces exactly the walks the whole-round call would).
-        Returns ``(paths, lengths)`` -- written into
-        ``paths_out``/``lengths_out`` when given (the serial round's
-        scratch or the executor's shared-memory slots) -- and credits
-        trials/steps to ``stats`` and compute/messages to the cluster
-        metrics.
+        Walker streams are keyed by the caller-supplied ``walk_ids``
+        (globally unique, so a worker holding a slice of a round produces
+        exactly the walks the whole-round call would).  Returns the
+        :class:`WalkBuffers`, ``cap`` columns wide -- ``out`` when given
+        (a round slot: the engine's in-process one or a row range of the
+        executor's shared-memory ring).  Nothing is credited anywhere:
+        trials, steps, compute and message counters are pure functions of
+        the per-step trials and arcs and of the node assignment, which
+        :class:`DeferredWalkAccounting` applies bit for bit.
 
         Each superstep resolves a **ragged block** of trials: live walker
         ``j`` gets ``widths[j]`` lanes (:meth:`_block_width`, clamped here
@@ -708,51 +708,28 @@ class BatchWalkRunner:
         ``t`` of its block *is* the trial it would run ``t`` supersteps
         from now; its first accepted lane decides the hop, the lanes
         behind it are dropped and their counters never consumed.  Trials
-        are counted by the lanes *used* and credited -- to ``stats``, the
-        machines' compute units or ``trials_out`` -- when their step
-        completes, all integer-valued sums: the corpus, lengths, stats
-        and metrics are one function of the seed for every width vector,
-        the rectangular block and one trial per superstep included (the
-        loop engine is the oracle the parity suites hold this to).
-
-        Passing ``trials_out`` (an int array of the paths shape) switches
-        to **deferred accounting**, the walk workers' mode: the
-        walker advances exactly as before (same streams, same uniforms,
-        same termination), but nothing is recorded against ``stats`` or
-        the cluster -- instead ``trials_out[i, s]`` receives the number of
-        sampling trials (rejections + the accepted or forced one) spent to
-        produce step ``s`` of walk ``i``.  Trials, steps, compute and
-        message metrics are pure functions of ``(paths, lengths, trials)``
-        and the node assignment, so a consumer that learns the assignment
-        *later* (the streaming executor overlaps partitioning with
-        sampling) can reconstruct them bit for bit --
-        :class:`repro.runtime.pipeline.DeferredWalkAccounting` is that
-        consumer, and the pipeline parity suite pins the equality.
+        are counted by the lanes *used* and recorded when their step
+        completes: every buffer is one function of the seed for every
+        width vector, the rectangular block and one trial per superstep
+        included (the loop engine is the oracle the parity suites hold
+        this to).
         """
         cfg = self.config
-        cluster = self.cluster
-        num_machines = cluster.num_machines
         n = sources.size
-        cap = cfg.max_length if self.info_mode else cfg.walk_length
-        deferred = trials_out is not None
-        if deferred:
-            trials_out[...] = 0
+        cap = self.cap
 
         # Where each walker stands in its stream: the argument of its next
         # proposal uniform (counter 0 now, one trial stride per trial).
         args = stream_arguments(
-            walker_stream_keys(cluster.walk_seed_root, walk_ids), 0)
-        if paths_out is None:
-            paths = np.full((n, cap), -1, dtype=np.int64)
-        else:
-            paths = paths_out
-            paths[...] = -1
+            walker_stream_keys(self.walk_seed_root, walk_ids), 0)
+        if out is None:
+            out = WalkBuffers.allocate(n, cap)
+        paths, lengths, trials, arcs = out
+        paths[...] = -1
         paths[:, 0] = sources
-        if lengths_out is None:
-            lengths = np.ones(n, dtype=np.int64)
-        else:
-            lengths = lengths_out
-            lengths[...] = 1
+        lengths[...] = 1
+        trials[...] = 0
+        arcs[...] = -1
         current = sources.astype(np.int64).copy()
         previous = np.full(n, -1, dtype=np.int64)
         trials_at_step = np.zeros(n, dtype=np.int64)
@@ -778,8 +755,6 @@ class BatchWalkRunner:
         # Supersteps, not trials: a block is never slower than one trial.
         max_iters = cap * (cfg.max_trials_per_step + 2) + 8
         spent = hops = 0   # this call's trials / accepted steps so far
-        trial_units = np.zeros(num_machines)        # see _record
-        machine_hops = np.zeros(num_machines * num_machines, dtype=np.int64)
         for _ in range(max_iters):
             if alive.size == 0:
                 break
@@ -827,7 +802,8 @@ class BatchWalkRunner:
             # 3) The hops, and the only walkers whose termination moved.
             idx = alive[sel]
             hops += int(sel.size)
-            hop = self._indices[arc[win]]
+            taken = arc[win]
+            hop = self._indices[taken]
             pos = lengths[idx]
             if self.info_mode:
                 # Occurrences of the accepted node on the path so far: the
@@ -853,22 +829,11 @@ class BatchWalkRunner:
             lengths[idx] = pos
             if self.info_mode:
                 self._observe(idx, prior, pos)
-            if deferred:
-                # Steps, InCoM measurement cost and message crossings are
-                # all recoverable from (paths, lengths, trials) once the
-                # assignment is known.
-                trials_out[idx, pos - 1] = step_trials
-            else:
-                # A walker does not move between rejections and every
-                # live walker ends its step (the forced hop), so a step's
-                # trials are credited when it completes, at the machine
-                # they ran on.
-                src_m = self._assignment[cur[sel]]
-                trial_units += np.bincount(src_m, weights=step_trials,
-                                           minlength=num_machines)
-                machine_hops += np.bincount(
-                    src_m * num_machines + self._assignment[hop],
-                    minlength=machine_hops.size)
+            # A walker does not move between rejections and every live
+            # walker ends its step (the forced hop), so a step's trials
+            # all ran at the node the arc leaves.
+            trials[idx, pos - 1] = step_trials
+            arcs[idx, pos - 1] = taken
             done = self._finished(idx, hop, pos)
             if done.any():
                 keep = np.ones(alive.size, dtype=bool)
@@ -879,30 +844,68 @@ class BatchWalkRunner:
                 f"batched walk round did not converge in {max_iters} "
                 "supersteps"
             )
-        if not deferred:
-            stats.total_trials += spent
-            stats.total_steps += hops
-            self._record(trial_units,
-                         machine_hops.reshape(num_machines, num_machines))
-        return paths, lengths
+        return out
 
-    def _record(self, trial_units: np.ndarray,
-                machine_hops: np.ndarray) -> None:
-        """Credit one call's work to the cluster metrics: ``trial_units[m]``
-        sampling trials run on machine ``m`` and ``machine_hops[s, d]``
-        accepted steps from a node of ``s`` to a node of ``d``.  Every
-        counter is an integer-valued sum, so recording a call at once
-        equals recording its trials and steps one at a time."""
-        metrics = self.cluster.metrics
-        steps = machine_hops.sum(axis=1)
-        for m in np.flatnonzero(steps):
-            metrics.record_local_step(int(m), int(steps[m]))
-            # One unit per trial, plus InCoM's O(1) measurement per
-            # accepted step.
-            metrics.record_compute(int(m), float(
-                trial_units[m] + (steps[m] if self.info_mode else 0)))
-        for src, dst in zip(*np.nonzero(machine_hops)):
-            if src != dst:
-                count = int(machine_hops[src, dst])
-                metrics.record_messages(count, count * self.message_bytes,
-                                        src=int(src), dst=int(dst))
+
+class DeferredWalkAccounting:
+    """Walk-phase accounting from the buffers :meth:`BatchWalkRunner.run_walks`
+    fills -- the one way vectorized walks reach ``WalkStats`` and the
+    cluster metrics, whatever the execution.
+
+    The cost model credits, at the machine a walker currently occupies:
+    one compute unit per sampling trial, one local step (plus one InCoM
+    measurement unit in the information-oriented modes) per accepted
+    step, and one ``message_bytes``-sized message per machine-crossing
+    step.  All of it is determined by the stored arc each step took (its
+    source is where the step's trials ran) -- so this class aggregates
+    rounds into two placement-free per-arc arrays (steps and trials) and
+    maps them onto machines in one pass once the assignment is known.
+    Every counter is an integer-valued float, so the late application
+    equals the loop engine's increment-by-increment accounting bit for
+    bit (pinned by the block-trial and executor parity suites).
+    """
+
+    def __init__(self, graph, info_mode: bool, message_bytes: int) -> None:
+        self._graph = graph
+        self.info_mode = info_mode
+        self.message_bytes = int(message_bytes)
+        self._arc_steps = np.zeros(graph.num_stored_edges, dtype=np.int64)
+        self._arc_trials = np.zeros(graph.num_stored_edges, dtype=np.int64)
+
+    def observe_round(self, walks: WalkBuffers) -> Tuple[int, int]:
+        """Fold one round's buffers in; returns ``(trials, steps)`` totals."""
+        # Every step ran at least its accepted (or forced) trial.
+        step = walks.trials > 0
+        arcs = walks.arcs[step]
+        trials = walks.trials[step]
+        num_arcs = self._graph.num_stored_edges
+        self._arc_steps += np.bincount(arcs, minlength=num_arcs)
+        self._arc_trials += np.bincount(
+            arcs, weights=trials, minlength=num_arcs).astype(np.int64)
+        return int(trials.sum()), int(arcs.size)
+
+    def apply(self, assignment: np.ndarray, metrics) -> None:
+        """Credit everything observed so far against ``assignment``."""
+        m = metrics.num_machines
+        graph = self._graph
+        src = assignment[np.repeat(np.arange(graph.num_nodes), graph.degrees)]
+        dst = assignment[graph.indices]
+        trials_m = np.bincount(src, weights=self._arc_trials, minlength=m)
+        steps_m = np.bincount(src, weights=self._arc_steps, minlength=m)
+        for machine in np.flatnonzero(trials_m):
+            # One compute unit per sampling trial.
+            metrics.record_compute(int(machine), float(trials_m[machine]))
+        for machine in np.flatnonzero(steps_m):
+            metrics.record_local_step(int(machine), int(steps_m[machine]))
+            if self.info_mode:
+                # InCoM measurement cost: O(1) per accepted step.
+                metrics.record_compute(int(machine), float(steps_m[machine]))
+        crossing = (src != dst) & (self._arc_steps > 0)
+        if crossing.any():
+            pair = src[crossing] * m + dst[crossing]
+            counts = np.bincount(pair, weights=self._arc_steps[crossing],
+                                 minlength=m * m)
+            for p in np.flatnonzero(counts):
+                c = int(counts[p])
+                metrics.record_messages(c, c * self.message_bytes,
+                                        src=int(p // m), dst=int(p % m))

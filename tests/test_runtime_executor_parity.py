@@ -184,13 +184,13 @@ class TestWalkRunner:
         sources = np.flatnonzero(graph.degrees > 0)
         corpus = Corpus(graph.num_nodes)
         with StreamingWalkRunner(
-                graph, ref_cluster.num_machines, ref_cluster.walk_seed_root,
-                cfg, make_kernel("huge", graph), sources, max_rounds=3,
+                graph, ref_cluster.walk_seed_root, cfg,
+                make_kernel("huge", graph), sources, max_rounds=3,
                 depth=depth) as runner:
             assert runner.depth == min(depth, 3)
             for _ in range(3):
-                paths, lengths, _trials = runner.next_round()
-                corpus.add_walks(paths, lengths)
+                walks = runner.next_round()
+                corpus.add_walks(walks.paths, walks.lengths)
                 runner.release_round()
         assert_corpora_equal(ref.corpus, corpus)
 

@@ -14,7 +14,7 @@ Invariants covered:
   machine count under the walker RNG protocol;
 * determinism: same seed ⇒ byte-identical corpus, per backend and across
   backends;
-* block trials: paths, lengths, deferred trial counts, stats and cluster
+* block trials: paths, lengths, per-step trial counts, stats and cluster
   metrics do not depend on how many trials a superstep evaluates for
   which walker -- fixed widths, drawn per-walker width vectors, blocks
   straddling the forced-hop cap, and the scratch-budget clamp all emit
@@ -43,7 +43,6 @@ from repro.graph import (
     rmat,
 )
 from repro.runtime import Cluster
-from repro.runtime.pipeline import DeferredWalkAccounting
 from repro.utils.rng import (
     WalkerStream,
     _mix64,
@@ -52,7 +51,7 @@ from repro.utils.rng import (
     walker_stream_keys,
 )
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig, vectorized
-from repro.walks.vectorized import BatchWalkRunner
+from repro.walks.vectorized import BatchWalkRunner, DeferredWalkAccounting
 from repro.walks.walker import WalkStats
 
 GRAPHS = {
@@ -99,7 +98,6 @@ class TestInvariants:
         _, _, engine = run_vectorized(graph, seed, execution="serial")
         runner = engine._batch_runner
         # The final round's batch state is still attached to the runner.
-        lengths = np.array([1.0])  # guard: arrays exist and are finite
         assert np.all(runner._S >= 0.0)
         assert np.all(np.isfinite(runner._S))
         # E(H) is a mean of entropies: non-negative, at most log2(max len).
@@ -108,7 +106,6 @@ class TestInvariants:
         # Moment consistency: E(H²) ≥ E(H)² and E(L²) ≥ E(L)² (variances).
         assert np.all(runner._e_h2 - runner._e_h * runner._e_h >= -1e-12)
         assert np.all(runner._e_l2 - runner._e_l * runner._e_l >= -1e-9)
-        assert lengths.size == 1
 
     def test_stats_conserved_across_machines(self, family, seed):
         graph = GRAPHS[family](seed)
@@ -279,21 +276,24 @@ ROUND = 7
 
 
 def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
-    """Everything one round of walks emits, as comparable bytes/values."""
+    """Everything one round of walks emits, credited through the one
+    accounting (``deferred`` also keeps the per-step trial buffer)."""
     cfg = block_config(kernel, mode, "vectorized", **overrides)
     assignment = np.arange(graph.num_nodes, dtype=np.int64) % machines
     cluster = Cluster(machines, assignment, seed=17)
     engine = DistributedWalkEngine(graph, cluster, cfg)
-    runner = BatchWalkRunner(graph, cluster, cfg, engine.kernel,
-                             engine._routine_message_bytes)
+    runner = BatchWalkRunner(graph, cluster.walk_seed_root, cfg,
+                             engine.kernel)
     sources = np.flatnonzero(graph.degrees > 0)
+    walks = runner.run_walks(
+        sources, ROUND * sources.size + np.arange(sources.size))
+    accounting = DeferredWalkAccounting(graph, info_mode=mode != "routine",
+                                        message_bytes=engine._message_bytes)
     stats = WalkStats()
-    cap = cfg.walk_length if mode == "routine" else cfg.max_length
-    trials = np.zeros((sources.size, cap), dtype=np.int64) if deferred else None
-    paths, lengths = runner.run_walks(
-        sources, ROUND * sources.size + np.arange(sources.size), stats,
-        trials_out=trials)
-    return emitted(paths, lengths, trials, stats, cluster), trials
+    stats.total_trials, stats.total_steps = accounting.observe_round(walks)
+    accounting.apply(assignment, cluster.metrics)
+    return emitted(walks.paths, walks.lengths,
+                   walks.trials if deferred else None, stats, cluster), walks
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,8 +331,7 @@ class TestBlockTrials:
         graph = block_graph(graph_kind)
         with pinned_widths([1]):
             reference, _ = snapshot(graph, kernel, mode, deferred)
-        if not deferred:      # deferred runs credit nothing in-loop
-            assert_is_the_loop(reference, graph_kind, kernel, mode)
+        assert_is_the_loop(reference, graph_kind, kernel, mode)
         for widths in ([2], [3], [8], [33], [1, 4], [5, 1, 2, 40, 3]):
             with pinned_widths(widths):
                 got, _ = snapshot(graph, kernel, mode, deferred)
@@ -347,8 +346,8 @@ class TestBlockTrials:
            graph_kind=st.sampled_from(("weighted", "directed")))
     def test_any_width_vector(self, widths, kernel, mode, graph_kind):
         """Per-walker widths, redrawn from the list every superstep: the
-        in-loop run is the loop oracle, the deferred run moves nothing
-        but the accounting and its trial buffer is the one-trial run's."""
+        run is the loop oracle and its trial buffer is the one-trial
+        run's."""
         graph = block_graph(graph_kind)
         with pinned_widths(widths):
             got, _ = snapshot(graph, kernel, mode)
@@ -369,11 +368,11 @@ class TestBlockTrials:
         and every block is cut at the horizon, whatever was asked for."""
         graph = block_graph("weighted")
         with pinned_widths([1]):
-            reference, trials = snapshot(graph, "huge", "incom", True,
-                                         max_trials_per_step=cap)
+            reference, walks = snapshot(graph, "huge", "incom", True,
+                                        max_trials_per_step=cap)
         # The scenario is live: some step ran into the forced lane, and
         # none ever needed more trials than the cap allows.
-        assert trials.max() == cap + 1
+        assert walks.trials.max() == cap + 1
         with pinned_widths(widths):
             got, _ = snapshot(graph, "huge", "incom", True,
                               max_trials_per_step=cap)
@@ -389,30 +388,30 @@ class TestBlockTrials:
         ("huge", "incom"), ("node2vec", "routine"), ("deepwalk", "incom")))
     def test_deferred_accounting_is_the_in_loop_accounting(self, kernel, mode,
                                                            graph_kind):
-        """``DeferredWalkAccounting`` finds every traversed arc through
-        one search of the distinct packed ``(prev, next)`` keys; fed the
-        deferred buffers it must land on the in-loop counters exactly."""
+        """``DeferredWalkAccounting`` reads each step's arc (which leads
+        to the node the step recorded) and trial count off the buffers;
+        folded over two rounds' worth of rows it must land on the loop
+        engine's in-loop counters exactly."""
         graph = block_graph(graph_kind)
-        in_loop, _ = snapshot(graph, kernel, mode)
-        deferred, trials = snapshot(graph, kernel, mode, deferred=True)
-        lengths = np.frombuffer(deferred["lengths"], dtype=np.int64)
-        paths = np.frombuffer(deferred["paths"], dtype=np.int64).reshape(
-            lengths.size, -1)
+        in_loop = loop_snapshot(graph_kind, kernel, mode)
+        _, walks = snapshot(graph, kernel, mode)
+        step = walks.trials > 0
+        np.testing.assert_array_equal(graph.indices[walks.arcs[step]],
+                                      walks.paths[step])
         info_mode = mode != "routine"
         fields = {"node2vec": 4, "deepwalk": 3}.get(kernel, 10)
         accounting = DeferredWalkAccounting(
             graph, info_mode=info_mode,
             message_bytes=80 if info_mode else fields * 8)
-        half = lengths.size // 2          # two rounds' worth of folding
-        totals = [accounting.observe_round(paths[rows], lengths[rows],
-                                           trials[rows])
-                  for rows in (slice(0, half), slice(half, None))]
+        half = walks.lengths.size // 2    # two rounds' worth of folding
+        totals = [accounting.observe_round(walks.rows(lo, hi))
+                  for lo, hi in ((0, half), (half, walks.lengths.size))]
         assert tuple(map(sum, zip(*totals))) == in_loop["stats"]
         cluster = Cluster(3, np.arange(graph.num_nodes, dtype=np.int64) % 3,
                           seed=17)
         accounting.apply(cluster.assignment, cluster.metrics)
-        assert emitted(paths, lengths, None, WalkStats(), cluster) == {
-            **in_loop, "stats": (0, 0)}
+        assert emitted(walks.paths, walks.lengths, None, WalkStats(),
+                       cluster) == {**in_loop, "stats": (0, 0)}
 
     def test_scratch_budget_clamps_the_block(self, monkeypatch):
         graph = block_graph("weighted")
@@ -444,7 +443,8 @@ class TestBlockTrials:
         cluster = Cluster(1, np.zeros(graph.num_nodes, dtype=np.int64), seed=0)
         cfg = WalkConfig.distger(max_trials_per_step=12)
         engine = DistributedWalkEngine(graph, cluster, cfg)
-        runner = BatchWalkRunner(graph, cluster, cfg, engine.kernel, 0)
+        runner = BatchWalkRunner(graph, cluster.walk_seed_root, cfg,
+                                 engine.kernel)
         # The per-node input: 1 / (proposal-weighted mean acceptance) - 1.
         accept = engine.kernel.arc_acceptance_table()
         nodes = np.flatnonzero(graph.degrees > 0)
@@ -484,7 +484,8 @@ class TestBlockTrials:
         cluster = Cluster(1, np.zeros(graph.num_nodes, dtype=np.int64), seed=0)
         cfg = WalkConfig.routine("node2vec", p=0.5, q=2.0)
         engine = DistributedWalkEngine(graph, cluster, cfg)
-        runner = BatchWalkRunner(graph, cluster, cfg, engine.kernel, 0)
+        runner = BatchWalkRunner(graph, cluster.walk_seed_root, cfg,
+                                 engine.kernel)
         cur = np.zeros(100_000, dtype=np.int64)
         idle = np.zeros(cur.size, dtype=np.int64)
         assert set(runner._block_width(cur, idle, 0, 0)) == {1}     # start
