@@ -107,7 +107,7 @@ def test_fig5_pipeline_overlap_walk_phase_report(benchmark):
     """Walk-phase-only report: flush ∥ sampling overlap on a fixed
     partition (runs on any host; informational, no gate)."""
     from repro.partition.balance import WorkloadBalancePartitioner
-    from repro.runtime import Cluster
+    from repro.runtime import Cluster, ExecutionContext
     from repro.walks import DistributedWalkEngine, WalkConfig
 
     graph = _bench_graph()
@@ -118,7 +118,8 @@ def test_fig5_pipeline_overlap_walk_phase_report(benchmark):
     for execution in ("process", "pipeline"):
         cluster = Cluster(MACHINES, assignment, seed=1)
         cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
-                                 execution=execution, workers=WORKERS)
+                                 context=ExecutionContext(execution,
+                                                          WORKERS))
         start = time.perf_counter()
         result = DistributedWalkEngine(graph, cluster, cfg).run()
         seconds = time.perf_counter() - start

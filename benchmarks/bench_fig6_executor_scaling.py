@@ -31,7 +31,7 @@ from common import print_table, run_once
 from repro.embedding import DistributedTrainer, TrainConfig
 from repro.graph.generators import rmat
 from repro.partition.balance import WorkloadBalancePartitioner
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.walks import DistributedWalkEngine, WalkConfig
 
 SCALE = int(os.environ.get("REPRO_BENCH_EXEC_SCALE", "17"))
@@ -54,7 +54,7 @@ def _bench_graph():
 def _walk_once(graph, assignment, execution, workers=0):
     cluster = Cluster(MACHINES, assignment, seed=1)
     cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
-                             execution=execution, workers=workers)
+                             context=ExecutionContext(execution, workers))
     start = time.perf_counter()
     result = DistributedWalkEngine(graph, cluster, cfg).run()
     return time.perf_counter() - start, result
@@ -106,8 +106,8 @@ def test_fig6_executor_worker_sweep_report(benchmark):
 
     def train_once(execution, workers=0):
         cluster = Cluster(MACHINES, assignment, seed=2)
-        cfg = TrainConfig(dim=32, epochs=1, seed=4, execution=execution,
-                          workers=workers)
+        cfg = TrainConfig(dim=32, epochs=1, seed=4,
+                          context=ExecutionContext(execution, workers))
         trainer = DistributedTrainer(serial_result.corpus, cluster, cfg,
                                      walk_machines=serial_result.walk_machines)
         return trainer.train().wall_seconds

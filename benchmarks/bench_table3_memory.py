@@ -31,7 +31,7 @@ from common import PAPER, bench_dataset, bench_epochs, print_table, run_once
 from repro.embedding import DistributedTrainer, TrainConfig
 from repro.graph.generators import powerlaw_cluster
 from repro.partition.balance import WorkloadBalancePartitioner
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.systems import DistGER, KnightKing
 from repro.walks import DistributedWalkEngine, WalkConfig
 
@@ -102,7 +102,7 @@ def test_table3_flat_corpus_ipc_gate(benchmark):
     def train_process():
         cluster = Cluster(4, assignment, seed=9)
         cfg = TrainConfig(dim=16, epochs=1, seed=11,
-                          execution="process", workers=2)
+                          context=ExecutionContext("process", 2))
         return DistributedTrainer(
             walk_result.corpus, cluster, cfg,
             walk_machines=walk_result.walk_machines).train()
@@ -176,7 +176,8 @@ def test_table3_spilled_corpus_resident_gate(benchmark, tmp_path):
 
     def build_spilled():
         cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
-                                 backing="mmap", spill_dir=str(tmp_path))
+                                 context=ExecutionContext(
+                                     backing="mmap", spill_dir=str(tmp_path)))
         return DistributedWalkEngine(graph, cluster, cfg).run().corpus
 
     corpus = run_once(benchmark, build_spilled)

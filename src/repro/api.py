@@ -33,33 +33,29 @@ batched slice plans on torch tensors; its
 flat like any other -- the CPU tier holds the same byte-parity contract,
 the CUDA tier is gated on task quality instead.
 
-``execution`` and ``workers`` are pipeline-wide: ``embed_graph(g,
-execution="process", workers=4)`` pushes walk rounds, training slices
-and (for the MPGP methods) parallel-partition segments onto real worker
-processes (:mod:`repro.runtime.executor`), each phase behind a barrier
-(walks: one per round).  ``execution="pipeline"`` is the streaming
-superset: the same worker pools and the same walk runner, plus overlap
-*between* phases -- the partitioner runs concurrently with walk
-sampling, and walk rounds sample ahead through a bounded queue while the
-parent flushes the previous round into the corpus, with the trainer's
-slice consumption gated on walk residency
-(:mod:`repro.runtime.pipeline`).  Because all randomness is
-counter-based, both backends reproduce serial runs byte for byte -- the
-knobs trade wall-clock only
-(``benchmarks/bench_fig5_pipeline_overlap.py`` gates the end-to-end
-overlap speedup).  Per-phase overrides still win:
-``walk_overrides={"execution": "serial"}`` keeps just the walks serial.
-
-``backing`` and ``spill_dir`` are pipeline-wide the same way:
-``embed_graph(g, execution="process", backing="mmap")`` materialises the
+Where the work runs is one :class:`~repro.runtime.executor.
+ExecutionContext` for the whole run, never a per-phase setting.  Its four
+fields arrive as flat keywords and are resolved once (``REPRO_*``
+environment defaults for the ones left out, then validation); the system
+hands the same context to its partition, walk and training configs.
+``embed_graph(g, execution="process", workers=4)`` pushes walk rounds and
+training slices onto real worker processes (:mod:`repro.runtime.executor`),
+each phase behind a barrier (walks: one per round).
+``execution="pipeline"`` is the streaming superset: the same worker pools
+and the same walk runner, plus overlap *between* phases -- the
+partitioner runs concurrently with walk sampling, and walk rounds sample
+ahead through a bounded queue while the parent flushes the previous
+round into the corpus (:mod:`repro.runtime.pipeline`).  ``backing="mmap"`` materialises the
 read-only blocks the workers attach -- the CSR arrays, the kernel
 acceptance/alias tables, MPGP's per-arc common-neighbour table, and the
 flat corpus itself -- as file-backed ``.npy`` maps under ``spill_dir``
 instead of ``/dev/shm`` segments, so resident memory stays bounded by
-the working set rather than the corpus (the out-of-core mode;
-``benchmarks/bench_ooc_memory_ceiling.py`` gates the RSS ceiling and the
-shm/mmap byte parity).  Defaults come from ``REPRO_BACKING`` /
-``REPRO_SPILL_DIR``.
+the working set rather than the corpus
+(``benchmarks/bench_ooc_memory_ceiling.py`` gates the RSS ceiling).
+Because all randomness is counter-based, every context reproduces serial
+runs byte for byte -- it trades wall-clock and residency only
+(``benchmarks/bench_fig5_pipeline_overlap.py`` gates the end-to-end
+overlap speedup).
 
 The walk corpus itself is a flat token block + offsets
 (:class:`repro.walks.corpus.Corpus`), which is what keeps the process
@@ -79,6 +75,7 @@ from typing import Optional
 
 from repro.embedding.model import TrainConfig
 from repro.graph.csr import CSRGraph
+from repro.runtime.executor import CONTEXT_FIELDS, ExecutionContext
 from repro.systems.base import SystemResult
 from repro.systems.distdgl import DistDGL
 from repro.systems.gpu import DistGERGPU
@@ -104,15 +101,12 @@ _MPGP_METHODS = ("distger", "distger-gpu")
 # ``backend`` exists on both WalkConfig and TrainConfig: the bare name
 # keeps addressing the walk engine (historical behaviour), while the
 # prefixed aliases below address the trainer and partitioner.
-#: Pipeline-wide executor knobs: these exist on WalkConfig, TrainConfig
-#: and PartitionConfig alike and a flat value fans out to every phase.
-_SHARED_EXEC_FIELDS = ("execution", "workers", "backing", "spill_dir")
 _TRAIN_FIELDS = frozenset(
     f.name for f in dataclasses.fields(TrainConfig)
-) - {"dim", "epochs", "seed", "backend", *_SHARED_EXEC_FIELDS}
+) - {"dim", "epochs", "seed", "backend", "context"}
 _WALK_FIELDS = frozenset(
     f.name for f in dataclasses.fields(WalkConfig)
-) - {"kernel", "mode", *_SHARED_EXEC_FIELDS}
+) - {"kernel", "mode", "context"}
 #: Prefixed execution-knob aliases: flat name -> (override dict, field).
 _PREFIXED_FIELDS = {
     "train_backend": ("train_overrides", "backend"),
@@ -121,11 +115,12 @@ _PREFIXED_FIELDS = {
 
 
 def _route_overrides(key: str, kwargs: dict) -> dict:
-    """Move flat TrainConfig/WalkConfig fields into the override dicts."""
+    """Move flat TrainConfig/WalkConfig fields into the override dicts and
+    the flat execution values into one context."""
     if key not in _WALK_METHODS:
         # Fail with a clear message instead of the constructor's TypeError
         # when an execution-backend knob reaches a non-walk system.
-        rejected = [name for name in ("backend", *_SHARED_EXEC_FIELDS,
+        rejected = [name for name in ("backend", *CONTEXT_FIELDS,
                                       *_PREFIXED_FIELDS) if name in kwargs]
         if rejected:
             raise ValueError(
@@ -140,16 +135,16 @@ def _route_overrides(key: str, kwargs: dict) -> dict:
         "partition_overrides": dict(
             kwargs.pop("partition_overrides", {}) or {}),
     }
+    # Run-wide: the flat values build the one ExecutionContext.
+    context = {name: kwargs.pop(name) for name in CONTEXT_FIELDS
+               if name in kwargs}
+    if context:
+        if "context" in kwargs:
+            raise ValueError(
+                f"pass either context= or {', '.join(context)}, not both")
+        kwargs["context"] = ExecutionContext(**context)
     for name in list(kwargs):
-        if name in _SHARED_EXEC_FIELDS:
-            # Pipeline-wide: fan out to every phase config (MPGP methods
-            # only for the partitioner); explicit per-phase overrides win.
-            value = kwargs.pop(name)
-            overrides["walk_overrides"].setdefault(name, value)
-            overrides["train_overrides"].setdefault(name, value)
-            if key in _MPGP_METHODS:
-                overrides["partition_overrides"].setdefault(name, value)
-        elif name in _PREFIXED_FIELDS:
+        if name in _PREFIXED_FIELDS:
             dest, field = _PREFIXED_FIELDS[name]
             overrides[dest][field] = kwargs.pop(name)
         elif name in _TRAIN_FIELDS:
@@ -212,7 +207,8 @@ def embed_graph(
         ``window``, ``negatives``, ``lr_schedule``, ...) and walk knobs
         (``mu``, ``delta``, ``max_length``, ...) are recognised and routed
         into the system's ``train_overrides``/``walk_overrides``
-        automatically.
+        automatically; ``execution``/``workers``/``backing``/
+        ``spill_dir`` build the run's one ``context``.
 
     Returns
     -------

@@ -57,6 +57,12 @@ from repro.partition import (
     WorkloadBalancePartitioner,
     evaluate as evaluate_partition,
 )
+from repro.runtime.executor import (
+    BACKING_CHOICES,
+    CONTEXT_FIELDS,
+    EXECUTION_CHOICES,
+    ExecutionContext,
+)
 from repro.tasks import evaluate_link_prediction
 
 _KERNEL_CHOICES = ["huge", "huge+", "deepwalk", "node2vec", "node2vec-alias"]
@@ -87,8 +93,6 @@ _BACKEND_CHOICES = ["auto", "vectorized", "loop"]
 #: The trainer additionally offers the torch device backend (optional
 #: dependency; validated eagerly with an install hint by TrainConfig).
 _TRAIN_BACKEND_CHOICES = _BACKEND_CHOICES + ["torch"]
-_EXECUTION_CHOICES = ["serial", "process", "pipeline"]
-_BACKING_CHOICES = ["shm", "mmap"]
 
 
 def _add_system_args(parser: argparse.ArgumentParser) -> None:
@@ -121,19 +125,26 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
                         choices=_BACKEND_CHOICES,
                         help="MPGP partitioner backend; DistGER methods "
                              "only (default: auto)")
+    _add_execution_args(parser)
+
+
+def _add_execution_args(parser: argparse.ArgumentParser) -> None:
+    """The four fields of the run's one ExecutionContext."""
     parser.add_argument("--execution", default=None,
-                        choices=_EXECUTION_CHOICES,
-                        help="run walk rounds, training slices and MPGP "
-                             "segments on worker processes ('process'), or "
-                             "additionally overlap partitioning with "
-                             "sampling and round flushes with the next "
-                             "round ('pipeline'); byte-identical results "
-                             "either way (default: serial)")
+                        choices=EXECUTION_CHOICES,
+                        help="run walk rounds, training slices and "
+                             "parallel-MPGP segments on worker processes "
+                             "('process'), or additionally overlap "
+                             "partitioning with sampling and round "
+                             "flushes with the next round ('pipeline'); "
+                             "byte-identical results either way "
+                             "(default: REPRO_EXECUTION or serial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --execution "
-                             "process/pipeline (default: min(4, cores))")
+                             "process/pipeline (default: REPRO_WORKERS or "
+                             "min(4, cores))")
     parser.add_argument("--backing", default=None,
-                        choices=_BACKING_CHOICES,
+                        choices=BACKING_CHOICES,
                         help="transport of the read-only blocks workers "
                              "attach under --execution process/pipeline: "
                              "'shm' (/dev/shm segments) or 'mmap' "
@@ -144,6 +155,12 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spill-dir", default=None, metavar="DIR",
                         help="spill root for --backing mmap (default: "
                              "REPRO_SPILL_DIR or the system temp dir)")
+
+
+def _execution_kwargs(args) -> dict:
+    """ExecutionContext fields for the execution flags that were given."""
+    return {name: getattr(args, name) for name in CONTEXT_FIELDS
+            if getattr(args, name, None) is not None}
 
 
 def _backend_kwargs(args) -> dict:
@@ -159,14 +176,7 @@ def _backend_kwargs(args) -> dict:
         kwargs["torch_dtype"] = args.torch_dtype
     if getattr(args, "partition_backend", None):
         kwargs["partition_backend"] = args.partition_backend
-    if getattr(args, "execution", None):
-        kwargs["execution"] = args.execution
-    if getattr(args, "workers", None) is not None:
-        kwargs["workers"] = args.workers
-    if getattr(args, "backing", None):
-        kwargs["backing"] = args.backing
-    if getattr(args, "spill_dir", None):
-        kwargs["spill_dir"] = args.spill_dir
+    kwargs.update(_execution_kwargs(args))
     return kwargs
 
 
@@ -304,39 +314,30 @@ _PARTITIONERS = {
 
 
 #: Schemes that accept the ``backend`` knob (the baselines have nothing
-#: to vectorize differently).
+#: to vectorize differently); only the parallel one takes a context.
 _BACKEND_SCHEMES = ("mpgp", "mpgp-parallel")
 
 
 def cmd_partition(args) -> int:
     graph = _load_graph(args)
     schemes = args.schemes or list(_PARTITIONERS)
-    exec_flags = (args.backend or args.execution or args.workers is not None
-                  or args.backing or args.spill_dir)
-    if exec_flags:
+    context = _execution_kwargs(args)
+    if args.backend or context:
         skipped = [n for n in schemes if n not in _BACKEND_SCHEMES]
         if skipped:
-            print(f"note: --backend/--execution/--workers/--backing apply "
-                  f"to {'/'.join(_BACKEND_SCHEMES)} only; ignored for "
+            print(f"note: --backend applies to "
+                  f"{'/'.join(_BACKEND_SCHEMES)} and the execution flags "
+                  f"to mpgp-parallel only; ignored for "
                   f"{', '.join(skipped)}")
     print(f"{'scheme':20s} {'seconds':>8s} {'cut%':>7s} {'balance':>8s} "
           f"{'walk locality':>13s}")
     for name in schemes:
-        if exec_flags and name in _BACKEND_SCHEMES:
-            scheme_kwargs = {}
-            if args.backend:
-                scheme_kwargs["backend"] = args.backend
-            if args.execution:
-                scheme_kwargs["execution"] = args.execution
-            if args.workers is not None:
-                scheme_kwargs["workers"] = args.workers
-            if args.backing:
-                scheme_kwargs["backing"] = args.backing
-            if args.spill_dir:
-                scheme_kwargs["spill_dir"] = args.spill_dir
-            partitioner = _PARTITIONERS[name](**scheme_kwargs)
-        else:
-            partitioner = _PARTITIONERS[name]()
+        scheme_kwargs = {}
+        if args.backend and name in _BACKEND_SCHEMES:
+            scheme_kwargs["backend"] = args.backend
+        if name == "mpgp-parallel":
+            scheme_kwargs["context"] = ExecutionContext(**context)
+        partitioner = _PARTITIONERS[name](**scheme_kwargs)
         result = partitioner.partition(graph, args.machines)
         quality = evaluate_partition(graph, result.assignment, args.machines)
         print(f"{name:20s} {result.seconds:8.3f} "
@@ -559,17 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=list(_PARTITIONERS), default=None)
     p_part.add_argument("--backend", default=None, choices=_BACKEND_CHOICES,
                         help="MPGP scoring backend (default: auto)")
-    p_part.add_argument("--execution", default=None,
-                        choices=_EXECUTION_CHOICES,
-                        help="partition parallel-MPGP segments on worker "
-                             "processes (default: serial)")
-    p_part.add_argument("--workers", type=int, default=None,
-                        help="worker processes for --execution process")
-    p_part.add_argument("--backing", default=None, choices=_BACKING_CHOICES,
-                        help="segment-worker transport: shm segments or "
-                             "file-backed mmaps (default: REPRO_BACKING)")
-    p_part.add_argument("--spill-dir", default=None, metavar="DIR",
-                        help="spill root for --backing mmap")
+    _add_execution_args(p_part)
     p_part.set_defaults(func=cmd_partition)
 
     p_cluster = sub.add_parser("cluster",

@@ -10,20 +10,14 @@ end of training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.embedding.ops import TORCH_INSTALL_HINT, torch_available
 from repro.embedding.schedules import SCHEDULES
 from repro.embedding.vocab import Vocabulary
-from repro.runtime.executor import (
-    default_backing,
-    default_execution,
-    default_workers,
-    resolve_backing,
-    resolve_execution,
-)
+from repro.runtime.executor import ExecutionContext
 from repro.utils.rng import SeedLike, default_rng
 from repro.utils.validation import check_positive
 
@@ -108,29 +102,14 @@ class TrainConfig:
     #: ``benchmarks/bench_ablation_dsgl_threads.py``, which calibrates
     #: this default.
     dsgl_threads: int = 8
-    #: "serial" | "process" | "pipeline": where each sync period's
-    #: per-machine slices train.  ``"process"`` dispatches every machine's
-    #: slice to a worker process over shared-memory replica matrices
-    #: (:class:`repro.runtime.executor.ProcessSliceTrainer`); slices touch
-    #: disjoint replicas and all negative draws are counter-based, so the
-    #: result is bit-identical to serial execution.  ``"pipeline"``
-    #: selects the streaming system dataflow
-    #: (:mod:`repro.runtime.pipeline`); for the training phase itself it
-    #: resolves to the process slice path -- the trainer is the
-    #: pipeline's *consumer*, starting when the corpus is finished
-    #: (:class:`repro.walks.corpus.CorpusFeed`), not a producer with
-    #: anything of its own to overlap.  Default from ``REPRO_EXECUTION``.
-    execution: str = field(default_factory=default_execution)
-    #: Worker processes under execution="process"/"pipeline"; 0 = auto
-    #: (min(4, cores)).
-    workers: int = field(default_factory=default_workers)
-    #: "shm" | "mmap" -- transport of the shared corpus/shard blocks the
-    #: slice workers attach (replica matrices always stay shm: workers
-    #: write them).  Default from ``REPRO_BACKING`` ("shm" when unset).
-    backing: str = field(default_factory=default_backing)
-    #: Spill root under backing="mmap" (None: ``REPRO_SPILL_DIR`` or the
-    #: system temp dir).
-    spill_dir: Optional[str] = None
+    #: Where each sync period's per-machine slices train
+    #: (:meth:`ExecutionContext.slice_trainer`).  Off ``"serial"`` every
+    #: machine's slice goes to a worker process over shared-memory
+    #: replica matrices; slices touch disjoint replicas and all negative
+    #: draws are counter-based, so the result is bit-identical to serial
+    #: execution.  ``backing`` is the transport of the shared corpus/shard
+    #: blocks (replica matrices always stay shm: workers write them).
+    context: ExecutionContext = field(default_factory=ExecutionContext)
 
     def __post_init__(self) -> None:
         check_positive("dim", self.dim)
@@ -175,15 +154,11 @@ class TrainConfig:
                 raise ValueError(
                     f"backend='torch' requires PyTorch: {TORCH_INSTALL_HINT}")
             if self.resolved_torch_device() == "cuda" and \
-                    self.execution in ("process", "pipeline"):
+                    self.context.execution != "serial":
                 raise ValueError(
                     "backend='torch' on CUDA requires execution='serial': "
                     "CUDA contexts cannot be shared with forked slice "
                     "workers (CPU torch composes with every executor)")
-        resolve_execution(self.execution)
-        resolve_backing(self.backing)
-        if self.workers < 0:
-            raise ValueError(f"workers must be non-negative, got {self.workers}")
 
     def resolved_backend(self, learner: str = "dsgl") -> str:
         """The backend ``"auto"`` resolves to for ``learner``.
@@ -230,20 +205,6 @@ class TrainConfig:
             return self.torch_dtype
         return "float64" if self.resolved_torch_device() == "cpu" else \
             "float32"
-
-    def resolved_execution(self) -> str:
-        """The execution mode training actually runs under.
-
-        ``"process"`` holds for every learner: all their randomness flows
-        through the counter streams.  ``"pipeline"`` resolves to
-        ``"process"``: the streaming overlap lives in the system-level
-        dataflow (partition ∥ sampling, flush ∥ sampling), while slice
-        training itself always runs downstream of the finished corpus --
-        the frequency-ordered vocabulary and the unigram^0.75 negative
-        table are global corpus statistics, so no slice can train before
-        the occurrence counters are final without changing bytes.
-        """
-        return "process" if self.execution == "pipeline" else self.execution
 
 
 class EmbeddingModel:

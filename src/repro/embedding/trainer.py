@@ -35,16 +35,17 @@ comparable across them.
 
 Execution
 ---------
-Serial execution owns one :class:`SliceTrainer` over its replicas.
-``TrainConfig.execution="process"`` moves the replica matrices, the flat
-corpus (token block + offsets), the shard index arrays and the keep
-probabilities into shared memory once; every worker builds the same
-:class:`SliceTrainer` over its attachment and a sync round ships each
-worker its share of the descriptors
+``TrainConfig.context`` picks the slice executor
+(:meth:`repro.runtime.executor.ExecutionContext.slice_trainer`).  Serial
+execution owns one :class:`SliceTrainer` over its replicas.  Under
+``"process"`` and ``"pipeline"`` the replica matrices, the flat corpus
+(token block + offsets), the shard index arrays and the keep
+probabilities move into shared memory once; every worker builds the
+same :class:`SliceTrainer` over its attachment and a sync round ships
+each worker its share of the descriptors
 (:class:`repro.runtime.executor.ProcessSliceTrainer`) -- no walk token
 is ever pickled, and serial training is the pool's code run in-process.
-``execution="pipeline"`` resolves to the same slice path; in the
-streaming dataflow the trainer is the *consumer*: pass a
+In the streaming dataflow the trainer is the *consumer*: pass a
 :class:`repro.walks.corpus.CorpusFeed` and ``train`` waits for the
 producer to finish before deriving the global corpus statistics (vocab
 order, negative table, lr token total) that are fixed up front.
@@ -195,6 +196,13 @@ class SliceTrainer:
             learner.apply_anchor(walks, lr)
         return used
 
+    def ipc_stats(self) -> Dict[str, float]:
+        """Nothing crosses a process boundary in-process."""
+        return {}
+
+    def close(self) -> None:
+        """Nothing to release: the replicas and corpus are the caller's."""
+
 
 @dataclass
 class TrainResult:
@@ -239,9 +247,6 @@ class DistributedTrainer:
         #: Backend actually used (resolved from config; raises here for
         #: invalid combinations, e.g. vectorized psgnscc).
         self.backend = self.config.resolved_backend(learner)
-        #: Execution mode ("serial" or "process") slices run under
-        #: ("pipeline" resolves to the process slice path).
-        self.execution = self.config.resolved_execution()
         #: Finished-event of a corpus that is still being sampled (the
         #: pipeline dataflow's walk→train hand-off); None means the
         #: corpus is already complete.
@@ -399,20 +404,12 @@ class DistributedTrainer:
         tokens_used = 0
         sync_rounds = 0
         start = time.perf_counter()
-        if self.execution == "process":
-            # One worker pool for the whole run; replica matrices move
-            # into shared memory (the parent's replica objects become
-            # views, so the sync strategy below keeps operating in place).
-            from repro.runtime.executor import ProcessSliceTrainer
-
-            slice_trainer = ProcessSliceTrainer(
-                replicas, cfg, self.learner_name, self.backend, neg_keys,
-                row_anchor, self.corpus, shards, keep)
-        else:
-            slice_trainer = SliceTrainer(
-                replicas, cfg, self.learner_name, self.backend, neg_keys,
-                row_anchor, self.corpus.tokens, self.corpus.offsets, shards,
-                keep)
+        # Off serial: one worker pool for the whole run; replica matrices
+        # move into shared memory (the parent's replica objects become
+        # views, so the sync strategy below keeps operating in place).
+        slice_trainer = cfg.context.slice_trainer(
+            replicas, cfg, self.learner_name, self.backend, neg_keys,
+            row_anchor, self.corpus, shards, keep)
         try:
             for epoch in range(cfg.epochs):
                 # Cursor into each machine's shard.
@@ -460,8 +457,7 @@ class DistributedTrainer:
             # model owns its matrices even when replicas are shared views.)
             final = sync.finalize(replicas, cluster.metrics)
         finally:
-            if self.execution == "process":
-                slice_trainer.close()
+            slice_trainer.close()
         wall = time.perf_counter() - start
         self._check_finite(final)
         for machine in range(m):
@@ -469,16 +465,13 @@ class DistributedTrainer:
                 machine,
                 replicas[machine].memory_bytes() + self.corpus.memory_bytes() // m,
             )
-        extras: Dict[str, float] = {}
-        if self.execution == "process":
-            # IPC accounting of the slice-descriptor protocol (what the
-            # Table 3 pickled-bytes-per-sync-round gate reads).
-            extras.update(slice_trainer.ipc_stats())
         return TrainResult(
             embeddings=final.embeddings_node_space(),
             model=final,
             tokens_processed=tokens_used,
             wall_seconds=wall,
             sync_rounds=sync_rounds,
-            extras=extras,
+            # IPC accounting of the slice-descriptor protocol (what the
+            # Table 3 pickled-bytes-per-sync-round gate reads).
+            extras=slice_trainer.ipc_stats(),
         )

@@ -148,6 +148,17 @@ class CSRGraph:
             raise ValueError("indptr must be non-decreasing")
         if self.weights is not None and self.weights.shape != self.indices.shape:
             raise ValueError("weights must parallel indices")
+        if self.weights is not None and self.weights.size:
+            # Walk kernels turn weights into transition probabilities: a
+            # NaN or negative weight would yield finite-looking garbage.
+            bad = np.flatnonzero(~(self.weights >= 0) | np.isinf(self.weights))
+            if bad.size:
+                arc = int(bad[0])
+                source = int(np.searchsorted(self.indptr, arc, side="right")) - 1
+                raise ValueError(
+                    f"edge weights must be finite and >= 0: arc {arc} "
+                    f"({source} -> {int(self.indices[arc])}) has weight "
+                    f"{float(self.weights[arc])!r} ({bad.size} bad arcs)")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.num_nodes):
             raise ValueError("indices contain out-of-range node ids")
 

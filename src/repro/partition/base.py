@@ -11,18 +11,12 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.runtime.executor import (
-    default_backing,
-    default_execution,
-    default_workers,
-    resolve_backing,
-    resolve_execution,
-)
+from repro.runtime.executor import ExecutionContext
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive
 
@@ -58,36 +52,20 @@ class PartitionConfig:
     num_segments: int = 4          # parallel variant only
     #: "auto" | "vectorized" | "loop" -- see the class docstring.
     backend: str = "auto"
-    #: "serial" | "process" | "pipeline": where the parallel variant's
-    #: independent stream segments are partitioned.  Segments share no
-    #: state, so running them on worker processes
-    #: (:func:`repro.runtime.executor.run_partition_segments`) produces
-    #: byte-identical assignments; ``"pipeline"`` segments the same way
-    #: and additionally lets the system-level coordinator run the whole
-    #: partition concurrently with walk sampling
-    #: (:class:`repro.runtime.executor.AsyncPartition`).  The *sequential*
-    #: partitioner's stream is one order-dependent chain and always runs
-    #: serially.  Default from ``REPRO_EXECUTION``.
-    execution: str = field(default_factory=default_execution)
-    #: Worker processes under execution="process"/"pipeline"; 0 = auto
-    #: (min(4, cores)).
-    workers: int = field(default_factory=default_workers)
-    #: "shm" | "mmap" -- transport of the CSR + common-neighbour table
-    #: the segment workers attach.  Default from ``REPRO_BACKING``.
-    backing: str = field(default_factory=default_backing)
-    #: Spill root under backing="mmap" (None: ``REPRO_SPILL_DIR`` or the
-    #: system temp dir).
-    spill_dir: Optional[str] = None
+    #: Where the parallel variant's independent stream segments are
+    #: partitioned.  Segments share no state, so running them on worker
+    #: processes (:func:`repro.runtime.executor.run_partition_segments`,
+    #: the CSR + common-neighbour table shipped under the context's
+    #: ``backing``) produces byte-identical assignments.  The
+    #: *sequential* partitioner's stream is one order-dependent chain and
+    #: takes no context.
+    context: ExecutionContext = field(default_factory=ExecutionContext)
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
         check_positive("gamma", self.gamma)
         check_positive("num_segments", self.num_segments)
         resolve_backend(self.backend)
-        resolve_execution(self.execution)
-        resolve_backing(self.backing)
-        if self.workers < 0:
-            raise ValueError(f"workers must be non-negative, got {self.workers}")
 
     def resolved_backend(self) -> str:
         """The backend ``"auto"`` resolves to (``"vectorized"``)."""

@@ -48,16 +48,16 @@ byte-identical; only the wall time differs.
 
 Execution
 ---------
-``PartitionConfig.execution`` (also a constructor kwarg) selects where the
-*parallel* variant's segments are partitioned: ``"serial"`` runs them one
-after another in the calling process, ``"process"`` fans them out across
-``workers`` OS processes over a shared-memory CSR
+The *parallel* variant takes the run's
+:class:`~repro.runtime.executor.ExecutionContext` (``PartitionConfig.
+context``, or the constructor's ``context``): serial execution runs the
+segments one after another in the calling process, a worker-pool context
+fans them out across ``workers`` OS processes over a shared CSR
 (:func:`repro.runtime.executor.run_partition_segments`).  Segments share no
 state, so the fan-out is a pure reordering and assignments stay
 byte-identical.  The sequential partitioner's stream is one
 order-dependent chain -- each placement reads every earlier one -- so it
-always executes serially regardless of the knob (accepted for config
-uniformity; the vectorized PF2 table is its fast path).
+takes no context (the vectorized PF2 table is its fast path).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from repro.partition.base import (
 )
 from repro.partition.galloping import galloping_intersect_size
 from repro.partition.streaming_orders import get_order
-from repro.runtime.executor import resolve_backing, resolve_execution
+from repro.runtime.executor import ExecutionContext
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive
 
@@ -179,40 +179,27 @@ def _mpgp_stream(
 class MPGPPartitioner(Partitioner):
     """Sequential MPGP (paper default: DFS+degree stream, γ = 2).
 
-    ``execution``/``workers``/``backing``/``spill_dir`` are accepted for
-    config uniformity with the other phases but the sequential stream
-    always runs serially: every
-    placement reads all earlier placements, so there is no independent
-    work to fan out (use :class:`ParallelMPGPPartitioner` for the
+    Takes no execution context: every placement reads all earlier
+    placements, so the stream is one chain with no independent work to
+    fan out (use :class:`ParallelMPGPPartitioner` for the
     segment-parallel variant).
     """
 
     name = "mpgp"
 
     def __init__(self, gamma: float = 2.0, order: str = "dfs+degree",
-                 seed: SeedLike = 0, backend: str = "auto",
-                 execution: str = "serial", workers: int = 0,
-                 backing: str = "shm",
-                 spill_dir: Optional[str] = None) -> None:
+                 seed: SeedLike = 0, backend: str = "auto") -> None:
         check_positive("gamma", gamma)
         resolve_backend(backend)
-        resolve_execution(execution)
-        resolve_backing(backing)
         self.gamma = gamma
         self.order = order
         self.seed = seed
         self.backend = backend
-        self.execution = execution
-        self.workers = workers
-        self.backing = backing
-        self.spill_dir = spill_dir
 
     @classmethod
     def from_config(cls, config: PartitionConfig) -> "MPGPPartitioner":
         return cls(gamma=config.gamma, order=config.order, seed=config.seed,
-                   backend=config.backend, execution=config.execution,
-                   workers=config.workers, backing=config.backing,
-                   spill_dir=config.spill_dir)
+                   backend=config.backend)
 
     def resolved_backend(self) -> str:
         return resolve_backend(self.backend)
@@ -319,43 +306,35 @@ class ParallelMPGPPartitioner(Partitioner):
     merge (paper default: BFS+degree stream).
 
     Each segment is partitioned by the core MPGP loop against its own empty
-    partition set -- serially or on worker processes
-    (``execution="process"``), byte-identical -- and segment results are
-    merged by :func:`merge_segments`.
+    partition set -- serially or on worker processes, as ``context``
+    says (:meth:`ExecutionContext.fans_out`), byte-identical -- and
+    segment results are merged by :func:`merge_segments`.
     """
 
     name = "mpgp-parallel"
 
     def __init__(self, gamma: float = 2.0, order: str = "bfs+degree",
                  num_segments: int = 4, seed: SeedLike = 0,
-                 backend: str = "auto", execution: str = "serial",
-                 workers: int = 0, backing: str = "shm",
-                 spill_dir: Optional[str] = None) -> None:
+                 backend: str = "auto",
+                 context: Optional[ExecutionContext] = None) -> None:
         # Within one process the independent-segment structure (less PF2
-        # work per segment) is what delivers the speed-up;
-        # ``execution="process"`` is what buys multi-core wall-clock.
+        # work per segment) is what delivers the speed-up; a worker-pool
+        # context is what buys multi-core wall-clock.
         check_positive("gamma", gamma)
         check_positive("num_segments", num_segments)
         resolve_backend(backend)
-        resolve_execution(execution)
-        resolve_backing(backing)
         self.gamma = gamma
         self.order = order
         self.num_segments = num_segments
         self.seed = seed
         self.backend = backend
-        self.execution = execution
-        self.workers = workers
-        self.backing = backing
-        self.spill_dir = spill_dir
+        self.context = context or ExecutionContext()
 
     @classmethod
     def from_config(cls, config: PartitionConfig) -> "ParallelMPGPPartitioner":
         return cls(gamma=config.gamma, order=config.order,
                    num_segments=config.num_segments, seed=config.seed,
-                   backend=config.backend, execution=config.execution,
-                   workers=config.workers, backing=config.backing,
-                   spill_dir=config.spill_dir)
+                   backend=config.backend, context=config.context)
 
     def resolved_backend(self) -> str:
         return resolve_backend(self.backend)
@@ -369,13 +348,12 @@ class ParallelMPGPPartitioner(Partitioner):
         arc_cm = (_arc_common_neighbors(graph)
                   if self.resolved_backend() == "vectorized" else None)
 
-        if self.execution in ("process", "pipeline") and len(segments) > 1:
+        if self.context.fans_out(len(segments)):
             from repro.runtime.executor import run_partition_segments
 
             seg_parts_list = run_partition_segments(
                 graph, segments, num_parts, self.gamma, arc_cm,
-                self.workers, backing=self.backing,
-                spill_dir=self.spill_dir)
+                self.context)
         else:
             seg_parts_list = [
                 _mpgp_stream(graph, segment, num_parts, self.gamma,

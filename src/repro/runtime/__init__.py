@@ -6,9 +6,10 @@ message accounting and a cost model that converts operation/traffic counts
 into a simulated makespan (see DESIGN.md §1 for why this substitution
 preserves the paper's efficiency comparisons).  The *execution* layer
 makes the pipeline phases actually run on multiple OS processes:
-:mod:`repro.runtime.executor` hosts the phased ``execution="process"``
-backends (shared-memory buffers, slice descriptors) and the streaming
-building blocks, and :mod:`repro.runtime.pipeline` composes them into the
+:mod:`repro.runtime.executor` hosts the run's one
+:class:`~repro.runtime.executor.ExecutionContext`, the phased
+``execution="process"`` backends (shared-memory buffers, slice
+descriptors) and the streaming building blocks, and :mod:`repro.runtime.pipeline` composes them into the
 ``execution="pipeline"`` dataflow (partition ∥ sampling, round flushes ∥
 the next round, training from the finished-event) -- all byte-identical
 to serial execution under the counter-based RNG protocols.
@@ -17,12 +18,11 @@ to serial execution under the counter-based RNG protocols.
 from repro.runtime.bsp import BSPEngine, BSPStats, SuperstepRecord
 from repro.runtime.cluster import Cluster
 from repro.runtime.executor import (
+    ExecutionContext,
     ProcessExecutor,
     SharedArray,
     SharedArrayHandle,
     attach_shared_array,
-    resolve_execution,
-    resolved_worker_count,
 )
 from repro.runtime.message import (
     DeepWalkMessage,
@@ -46,12 +46,11 @@ __all__ = [
     "Cluster",
     "ClusterMetrics",
     "CostModel",
+    "ExecutionContext",
     "ProcessExecutor",
     "SharedArray",
     "SharedArrayHandle",
     "attach_shared_array",
-    "resolve_execution",
-    "resolved_worker_count",
     "DeepWalkMessage",
     "FullPathMessage",
     "HeterogeneousCostModel",

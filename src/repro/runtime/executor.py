@@ -9,7 +9,11 @@ process backend must reproduce the serial backends **bit for bit** (the
 contract ``tests/test_runtime_executor_parity.py`` enforces, mirroring how
 KnightKing-style BSP engines are validated).
 
-Three phase executors live here:
+Where work runs is one :class:`ExecutionContext` per run -- execution
+mode, worker count, backing and spill root, resolved once from explicit
+values and ``REPRO_*`` defaults -- which every phase config carries and
+whose methods hold the per-phase policy.  Three phase executors live
+here:
 
 * **Walks** -- :class:`StreamingWalkRunner` splits a round's walkers
   across workers.  Walkers are independent under the counter-stream
@@ -56,8 +60,11 @@ reuse; handles are picklable and survive round trips to worker processes
 
 from __future__ import annotations
 
+import contextlib
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,36 +75,28 @@ from repro.utils.sharedmem import (
     SharedArrayHandle,
     SharedGroup as _SharedGroup,
     attach_shared_array,
-    default_backing,
-    default_spill_dir,
     detach_shared_array,
-    resolve_backing,
 )
 
 __all__ = [
     "BACKING_CHOICES",
+    "CONTEXT_FIELDS",
     "EXECUTION_CHOICES",
     "PIPELINE_DEPTH",
     "AsyncPartition",
+    "ExecutionContext",
     "ProcessExecutor",
     "ProcessSliceTrainer",
     "SharedArray",
     "SharedArrayHandle",
     "StreamingWalkRunner",
     "attach_shared_array",
-    "default_backing",
-    "default_execution",
-    "default_spill_dir",
-    "default_workers",
     "detach_shared_array",
-    "resolve_backing",
-    "resolve_execution",
-    "resolved_worker_count",
     "run_partition_async",
     "run_partition_segments",
 ]
 
-#: Accepted values of the ``execution`` knob on every phase config.
+#: Accepted values of :attr:`ExecutionContext.execution`.
 #: ``"pipeline"`` is the streaming superset of ``"process"``: the same
 #: worker pools, plus overlap between phases (partition || sampling) and
 #: within the walk phase (round k+1 samples while round k flushes) --
@@ -111,44 +110,136 @@ EXECUTION_CHOICES = ("serial", "process", "pipeline")
 #: waste past a KL stop and resident memory.
 PIPELINE_DEPTH = 2
 
+#: Each context field's environment variable and built-in default.  This
+#: table is the only place the library reads these variables.
+_ENVIRONMENT = {
+    "execution": ("REPRO_EXECUTION", "serial"),
+    "workers": ("REPRO_WORKERS", 0),
+    "backing": ("REPRO_BACKING", "shm"),
+    "spill_dir": ("REPRO_SPILL_DIR", None),
+}
 
-def default_execution() -> str:
-    """Default of the ``execution`` config fields.
+#: The context's field names -- what ``embed_graph``, the systems and the
+#: CLI accept as flat execution values.
+CONTEXT_FIELDS = tuple(_ENVIRONMENT)
 
-    ``REPRO_EXECUTION`` overrides the built-in ``"serial"`` so a whole test
-    or CI run can be pushed onto the process backend without touching call
-    sites (the ``execution=process`` tier-1 CI job uses this).
+
+def _check_field(name: str, value, source: str):
+    """Validate one context field; ``source`` names where it came from."""
+    if name == "execution" and value not in EXECUTION_CHOICES:
+        raise ValueError(f"unknown execution {value!r}{source}; options: "
+                         f"{'/'.join(EXECUTION_CHOICES)}")
+    if name == "backing" and value not in BACKING_CHOICES:
+        raise ValueError(f"backing must be one of {BACKING_CHOICES}, got "
+                         f"{value!r}{source}")
+    if name == "workers":
+        if source:
+            with contextlib.suppress(ValueError):
+                value = int(value)
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral) or value < 0:
+            raise ValueError(f"workers must be a non-negative integer, got "
+                             f"{value!r}{source}")
+        value = int(value)
+    if name == "spill_dir" and value is not None:
+        value = os.fspath(value) or None
+    return value
+
+
+@dataclass(frozen=True)
+class ExecutionContext:
+    """Where one run's work executes -- resolved once, carried by every
+    phase.
+
+    ``execution`` (``"serial"`` | ``"process"`` | ``"pipeline"``) picks
+    in-process work, worker pools behind per-phase barriers, or the
+    streaming dataflow; ``workers`` sizes the pools (0 = auto);
+    ``backing`` (``"shm"`` | ``"mmap"``) and ``spill_dir`` say where the
+    shared read-only blocks live.  A field left ``None`` takes its
+    ``REPRO_*`` environment default (built-in default when unset), then
+    everything is validated -- so a bad value fails at construction,
+    naming the variable it came from, not inside a worker pool.
+
+    :class:`~repro.walks.engine.WalkConfig`,
+    :class:`~repro.embedding.model.TrainConfig` and
+    :class:`~repro.partition.base.PartitionConfig` each hold one; the
+    systems hand the *same* context to all three.  The per-phase policy
+    lives here: :meth:`walk_execution`, :meth:`slice_trainer`,
+    :meth:`fans_out` and :meth:`overlaps_partition`.  Every choice is
+    byte-identical to serial execution; the context trades wall-clock
+    and residency only.
     """
-    return os.environ.get("REPRO_EXECUTION", "serial")
 
+    execution: Optional[str] = None
+    workers: Optional[int] = None
+    backing: Optional[str] = None
+    spill_dir: Optional[str] = None
 
-def default_workers() -> int:
-    """Default of the ``workers`` config fields (``REPRO_WORKERS`` or 0)."""
-    return int(os.environ.get("REPRO_WORKERS", "0"))
+    def __post_init__(self) -> None:
+        for name, (variable, builtin) in _ENVIRONMENT.items():
+            value, source = getattr(self, name), ""
+            if value is None:
+                value = os.environ.get(variable) or builtin
+                if value is not builtin:
+                    source = f" (from {variable})"
+            object.__setattr__(self, name, _check_field(name, value, source))
 
+    @property
+    def pool_size(self) -> int:
+        """Worker processes a pool starts: ``workers``, or for 0 (auto)
+        ``min(4, cpu_count)`` -- beyond 4 the parent's per-round merge
+        dominates at the graph sizes this reproduction targets."""
+        if self.workers > 0:
+            return self.workers
+        return max(1, min(4, os.cpu_count() or 1))
 
-def resolve_execution(execution: str) -> str:
-    """Validate an ``execution`` knob value and return it."""
-    if execution not in EXECUTION_CHOICES:
-        raise ValueError(
-            f"unknown execution {execution!r}; options: "
-            f"{'/'.join(EXECUTION_CHOICES)}"
-        )
-    return execution
+    def walk_execution(self, backend: str) -> str:
+        """Where walk rounds run under the resolved walk ``backend``.
 
+        Worker pools apply to the vectorized backend (whose lock-step
+        rounds fan out); the loop reference -- and with it the
+        ``fullpath`` mode -- is inherently serial, its per-walker cost is
+        what the benches measure, so it degrades to ``"serial"``.
+        """
+        return self.execution if backend == "vectorized" else "serial"
 
-def resolved_worker_count(workers: int) -> int:
-    """Worker-process count ``workers=0`` (auto) resolves to.
+    def overlaps_partition(self, walk_backend: str) -> bool:
+        """Whether the system runs partitioning concurrently with walk
+        sampling (:func:`repro.runtime.pipeline.run_pipelined_sampling`)."""
+        return self.walk_execution(walk_backend) == "pipeline"
 
-    Auto picks ``min(4, cpu_count)``: beyond 4 the per-round merge work in
-    the parent starts to dominate at the graph sizes this reproduction
-    targets, and the parity/bench suites pin 1/2/4 anyway.
-    """
-    if workers < 0:
-        raise ValueError(f"workers must be non-negative, got {workers}")
-    if workers > 0:
-        return workers
-    return max(1, min(4, os.cpu_count() or 1))
+    def fans_out(self, tasks: int) -> bool:
+        """Whether ``tasks`` independent tasks (parallel-MPGP segments)
+        run on a worker pool."""
+        return self.execution != "serial" and tasks > 1
+
+    def shared_group(self) -> _SharedGroup:
+        """An owner-side group of shared blocks under this backing."""
+        return _SharedGroup(backing=self.backing, spill_dir=self.spill_dir)
+
+    def slice_trainer(self, replicas, config, learner_name: str,
+                      backend: str, neg_keys, anchor, corpus,
+                      shards: Sequence[np.ndarray],
+                      keep: Optional[np.ndarray]):
+        """The training phase's slice executor.
+
+        Serial runs train in-process
+        (:class:`~repro.embedding.trainer.SliceTrainer`); ``"process"``
+        and ``"pipeline"`` both get a :class:`ProcessSliceTrainer` --
+        under ``"pipeline"`` the trainer is the streaming *consumer*: the
+        frequency-ordered vocabulary and the negative table are global
+        corpus statistics, so no slice can train before the corpus is
+        final without changing bytes.  Both share one surface:
+        ``train_round`` / ``ipc_stats`` / ``close``.
+        """
+        if self.execution == "serial":
+            from repro.embedding.trainer import SliceTrainer
+
+            return SliceTrainer(replicas, config, learner_name, backend,
+                                neg_keys, anchor, corpus.tokens,
+                                corpus.offsets, shards, keep)
+        return ProcessSliceTrainer(replicas, config, learner_name, backend,
+                                   neg_keys, anchor, corpus, shards, keep)
 
 
 # --------------------------------------------------------------------- #
@@ -372,15 +463,14 @@ class StreamingWalkRunner:
                  depth: int = PIPELINE_DEPTH) -> None:
         from repro.walks.vectorized import WalkBuffers
 
-        self.workers = resolved_worker_count(config.workers)
+        self.workers = config.context.pool_size
         n = int(sources.size)
         self._n = n
         self._max_rounds = int(max_rounds)
         self.depth = max(1, min(depth, self._max_rounds))
         cap = config.max_length if config.mode != "routine" else \
             config.walk_length
-        self._group = _SharedGroup(backing=config.backing,
-                                   spill_dir=config.spill_dir)
+        self._group = config.context.shared_group()
         self._pool: Optional[ProcessPoolExecutor] = None
         try:
             graph_handle = share_graph(self._group, graph)
@@ -618,8 +708,7 @@ class ProcessSliceTrainer:
         m = len(replicas)
         vocab = replicas[0].vocab
         dim = int(replicas[0].phi_in.shape[1])
-        self._group = _SharedGroup(backing=config.backing,
-                                   spill_dir=config.spill_dir)
+        self._group = config.context.shared_group()
         try:
             phi_in = self._group.empty((m, vocab.size, dim), np.float32)
             phi_out = self._group.empty((m, vocab.size, dim), np.float32)
@@ -651,7 +740,7 @@ class ProcessSliceTrainer:
                            else (self._group.share(anchor.matrix),
                                  float(anchor.lam)))
             keep_handle = None if keep is None else self._group.share(keep)
-            self.workers = resolved_worker_count(config.workers)
+            self.workers = config.context.pool_size
             self._pool = ProcessExecutor(
                 self.workers, initializer=_train_worker_init,
                 initargs=(phi_in.handle, phi_out.handle, vocab, config,
@@ -733,23 +822,22 @@ def _partition_segment_task(segment: np.ndarray) -> np.ndarray:
 
 def run_partition_segments(graph, segments, num_parts: int, gamma: float,
                            arc_cm: Optional[np.ndarray],
-                           workers: int, backing: str = "shm",
-                           spill_dir: Optional[str] = None
-                           ) -> List[np.ndarray]:
+                           context: ExecutionContext) -> List[np.ndarray]:
     """Partition parallel-MPGP's segments on worker processes.
 
     Returns each segment's per-node part labels (aligned with the segment
     order), exactly as the serial per-segment loop produces them --
     segments share no state, so the fan-out is a pure reordering.
-    ``backing="mmap"`` ships the CSR + common-neighbour table as spill
-    files instead of shm segments (same labels either way).
+    The context's ``backing="mmap"`` ships the CSR + common-neighbour
+    table as spill files instead of shm segments (same labels either
+    way).
     """
-    group = _SharedGroup(backing=backing, spill_dir=spill_dir)
+    group = context.shared_group()
     try:
         graph_handle = share_graph(group, graph)
         arc_handle = None if arc_cm is None else group.share(arc_cm)
         with ProcessExecutor(
-                min(resolved_worker_count(workers), len(segments)),
+                min(context.pool_size, len(segments)),
                 initializer=_partition_worker_init,
                 initargs=(graph_handle, arc_handle, num_parts,
                           gamma)) as pool:

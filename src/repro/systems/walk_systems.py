@@ -39,9 +39,12 @@ trainer (``train_overrides={"backend": ...}``, see
 :mod:`repro.partition.mpgp`), each with its own loop reference and parity
 suite.
 
-Execution: every phase config additionally carries ``execution`` +
-``workers``.  ``"process"`` runs walk rounds, training slices and MPGP
-segments on worker processes behind per-phase barriers;
+Execution: each system builds one
+:class:`~repro.runtime.executor.ExecutionContext` (its ``context``
+argument, or lifted from the override dicts -- the four context names
+may appear in any of them, but must agree) and hands the same object to
+every phase config.  ``"process"`` runs walk rounds, training slices and
+parallel-MPGP segments on worker processes behind per-phase barriers;
 ``"pipeline"`` switches :meth:`RandomWalkSystem.embed` onto the streaming
 dataflow of :mod:`repro.runtime.pipeline` -- the partitioner runs
 concurrently with walk sampling, walk rounds stream through a bounded
@@ -52,7 +55,8 @@ byte-identical to serial execution.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import dataclasses
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,10 +67,45 @@ from repro.partition.balance import WorkloadBalancePartitioner
 from repro.partition.base import PartitionConfig, Partitioner
 from repro.partition.mpgp import MPGPPartitioner
 from repro.runtime.cluster import Cluster
+from repro.runtime.executor import CONTEXT_FIELDS, ExecutionContext
 from repro.systems.base import EmbeddingSystem, SystemResult
 from repro.utils.rng import derive_seed
 from repro.utils.timer import Timer
 from repro.walks.engine import DistributedWalkEngine, WalkConfig
+
+
+def _one_context(context: Optional[ExecutionContext],
+                 *overrides: Optional[dict]
+                 ) -> Tuple[ExecutionContext, List[dict]]:
+    """The one context every phase of a system runs under.
+
+    Lifts the :class:`ExecutionContext` field names out of the phase
+    override dicts (copies; the callers' dicts are untouched) and
+    returns ``(context, overrides without them)``.  A name set to two
+    different values -- across the dicts, or against an explicit
+    ``context`` -- raises ``ValueError``: one run executes in one place.
+    """
+    lifted: Dict[str, object] = {}
+    remaining = []
+    for override in overrides:
+        override = dict(override or {})
+        for name in CONTEXT_FIELDS:
+            if name in override:
+                value = override.pop(name)
+                if lifted.setdefault(name, value) != value:
+                    raise ValueError(
+                        f"phase overrides disagree on {name} "
+                        f"({lifted[name]!r} vs {value!r}); every phase "
+                        "runs under one execution context")
+        remaining.append(override)
+    if context is None:
+        return ExecutionContext(**lifted), remaining
+    if ExecutionContext(**{**dataclasses.asdict(context), **lifted}) \
+            != context:
+        raise ValueError(f"overrides {lifted} disagree with context="
+                         f"{context!r}; every phase runs under one "
+                         "execution context")
+    return context, remaining
 
 
 class RandomWalkSystem(EmbeddingSystem):
@@ -106,7 +145,8 @@ class RandomWalkSystem(EmbeddingSystem):
     def embed(self, graph: CSRGraph) -> SystemResult:
         timer = Timer()
         feed = None
-        if self.walk_config.resolved_execution() == "pipeline":
+        if self.walk_config.context.overlaps_partition(
+                self.walk_config.resolved_backend()):
             # Streaming dataflow: the partitioner runs on its own worker
             # while walk rounds sample ahead through the bounded queue
             # (byte-identical to the phased sequence below -- walk
@@ -193,21 +233,24 @@ class DistGER(RandomWalkSystem):
                  seed: int = 0, kernel: str = "huge",
                  walk_overrides: Optional[dict] = None,
                  train_overrides: Optional[dict] = None,
-                 partition_overrides: Optional[dict] = None) -> None:
-        walk_kwargs = {"mode": "incom", "kernel": kernel,
-                       **(walk_overrides or {})}
+                 partition_overrides: Optional[dict] = None,
+                 context: Optional[ExecutionContext] = None) -> None:
+        context, (walk_overrides, train_overrides, partition_overrides) = \
+            _one_context(context, walk_overrides, train_overrides,
+                         partition_overrides)
+        walk_kwargs = {"mode": "incom", "kernel": kernel, **walk_overrides}
         walk_kwargs["mode"] = "incom"  # InCoM is what makes it DistGER
         train_kwargs = {
             "dim": dim, "epochs": epochs, "sync_mode": "hotness",
-            "seed": derive_seed(seed, 2) or 0, **(train_overrides or {}),
+            "seed": derive_seed(seed, 2) or 0, **train_overrides,
         }
         super().__init__(
             # Route through PartitionConfig so the overrides are validated
             # as one unit (it is the config surface PartitionConfig owns).
             partitioner=MPGPPartitioner.from_config(PartitionConfig(
-                seed=seed, **(partition_overrides or {}))),
-            walk_config=WalkConfig(**walk_kwargs),
-            train_config=TrainConfig(**train_kwargs),
+                seed=seed, context=context, **partition_overrides)),
+            walk_config=WalkConfig(context=context, **walk_kwargs),
+            train_config=TrainConfig(context=context, **train_kwargs),
             learner="dsgl",
             num_machines=num_machines, dim=dim, epochs=epochs, seed=seed,
         )
@@ -223,15 +266,18 @@ class HuGED(RandomWalkSystem):
     def __init__(self, num_machines: int = 4, dim: int = 64, epochs: int = 5,
                  seed: int = 0,
                  walk_overrides: Optional[dict] = None,
-                 train_overrides: Optional[dict] = None) -> None:
+                 train_overrides: Optional[dict] = None,
+                 context: Optional[ExecutionContext] = None) -> None:
+        context, (walk_overrides, train_overrides) = _one_context(
+            context, walk_overrides, train_overrides)
         train_kwargs = {
             "dim": dim, "epochs": epochs, "sync_mode": "full",
-            "seed": derive_seed(seed, 2) or 0, **(train_overrides or {}),
+            "seed": derive_seed(seed, 2) or 0, **train_overrides,
         }
         super().__init__(
             partitioner=WorkloadBalancePartitioner(),
-            walk_config=WalkConfig.huge_d(**(walk_overrides or {})),
-            train_config=TrainConfig(**train_kwargs),
+            walk_config=WalkConfig.huge_d(context=context, **walk_overrides),
+            train_config=TrainConfig(context=context, **train_kwargs),
             learner="pword2vec",
             num_machines=num_machines, dim=dim, epochs=epochs, seed=seed,
         )
@@ -248,19 +294,23 @@ class KnightKing(RandomWalkSystem):
                  walk_length: int = 80, walks_per_node: int = 10,
                  p: float = 1.0, q: float = 1.0,
                  walk_overrides: Optional[dict] = None,
-                 train_overrides: Optional[dict] = None) -> None:
+                 train_overrides: Optional[dict] = None,
+                 context: Optional[ExecutionContext] = None) -> None:
+        context, (walk_overrides, train_overrides) = _one_context(
+            context, walk_overrides, train_overrides)
         walk_kwargs = {
             "walk_length": walk_length, "walks_per_node": walks_per_node,
-            "p": p, "q": q, **(walk_overrides or {}),
+            "p": p, "q": q, **walk_overrides,
         }
         train_kwargs = {
             "dim": dim, "epochs": epochs, "sync_mode": "full",
-            "seed": derive_seed(seed, 2) or 0, **(train_overrides or {}),
+            "seed": derive_seed(seed, 2) or 0, **train_overrides,
         }
         super().__init__(
             partitioner=WorkloadBalancePartitioner(),
-            walk_config=WalkConfig.routine(kernel, **walk_kwargs),
-            train_config=TrainConfig(**train_kwargs),
+            walk_config=WalkConfig.routine(kernel, context=context,
+                                           **walk_kwargs),
+            train_config=TrainConfig(context=context, **train_kwargs),
             learner="pword2vec",
             num_machines=num_machines, dim=dim, epochs=epochs, seed=seed,
         )

@@ -25,8 +25,8 @@ Two backing modes, same handles, same views:
   the owner's business.
 
 The mode every executor uses is one knob: ``backing="shm"`` (default)
-or ``"mmap"`` -- env ``REPRO_BACKING``, CLI ``--backing`` -- resolved by
-:func:`default_backing`/:func:`resolve_backing` and consumed by
+or ``"mmap"`` -- a field of :class:`repro.runtime.executor.
+ExecutionContext`, which hands it (with the spill root) to
 :class:`SharedGroup`.  Under ``mmap`` backing a group materialises its
 ``share``\\ d (read-only input) arrays as temp-spill ``.npy`` files and
 ``madvise``\\ s the owner's pages away, so the resident cost of sharing
@@ -61,8 +61,6 @@ __all__ = [
     "SharedGroup",
     "attach_shared_array",
     "attached_count",
-    "default_backing",
-    "default_spill_dir",
     "detach_shared_array",
     "resolve_backing",
 ]
@@ -72,22 +70,12 @@ __all__ = [
 BACKING_CHOICES = ("shm", "mmap")
 
 
-def default_backing() -> str:
-    """Backing mode from ``REPRO_BACKING`` (default ``"shm"``)."""
-    return os.environ.get("REPRO_BACKING", "shm")
-
-
 def resolve_backing(backing: str) -> str:
     """Validate a backing-mode knob value."""
     if backing not in BACKING_CHOICES:
         raise ValueError(
             f"backing must be one of {BACKING_CHOICES}, got {backing!r}")
     return backing
-
-
-def default_spill_dir() -> Optional[str]:
-    """Spill root from ``REPRO_SPILL_DIR`` (None: system temp dir)."""
-    return os.environ.get("REPRO_SPILL_DIR") or None
 
 
 class SharedArrayHandle(NamedTuple):
@@ -468,7 +456,7 @@ class SharedGroup:
     ``backing`` routes the **read-only inputs** (``share``): under
     ``"shm"`` they become ``/dev/shm`` segments, under ``"mmap"`` they
     are spilled as ``.npy`` files into a private temp directory under
-    ``spill_dir`` (default: ``REPRO_SPILL_DIR`` or the system temp dir)
+    ``spill_dir`` (default: the system temp dir)
     and the owner's pages are released immediately -- workers attach
     read-only through the page cache.  Mutable worker-*written* buffers
     (``empty``) always stay shm: they are small (round slots, replica
@@ -489,8 +477,7 @@ class SharedGroup:
 
     def _next_spill_path(self) -> str:
         if self._spill_dir is None:
-            root = self._spill_root or default_spill_dir() or \
-                tempfile.gettempdir()
+            root = self._spill_root or tempfile.gettempdir()
             os.makedirs(root, exist_ok=True)
             self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-",
                                                dir=root)

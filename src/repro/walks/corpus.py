@@ -492,7 +492,7 @@ class Corpus:
         ``tokens`` and ``offsets`` are rewritten (chunked, so the copy
         itself is O(chunk) resident) onto ``tokens.npy``/``offsets.npy``
         under a fresh private subdirectory of ``directory`` (default:
-        ``REPRO_SPILL_DIR`` or the system temp dir), and the corpus keeps
+        the system temp dir), and the corpus keeps
         growing through them: appends accumulate in a bounded in-RAM
         staging buffer (at most ``stage_tokens`` tokens) that every
         :meth:`add_walks` round flushes to disk.  All views, statistics
@@ -505,8 +505,7 @@ class Corpus:
         """
         if self._spill_dir is not None:
             return self._spill_dir
-        root = directory or os.environ.get("REPRO_SPILL_DIR") or \
-            tempfile.gettempdir()
+        root = directory or tempfile.gettempdir()
         os.makedirs(root, exist_ok=True)
         self._spill_dir = tempfile.mkdtemp(prefix="repro-corpus-", dir=root)
         self._stage_limit = max(1, int(stage_tokens))

@@ -53,8 +53,9 @@ vectorized backends produce **byte-identical corpora** -- the
 reference-parity guarantee, which the corpus/embedding machine-count
 invariance suite (``tests/test_golden_pipeline.py``) also relies on.
 
-``WalkConfig.execution`` selects *where* a vectorized round's walkers
-run; one consumer loop (:meth:`DistributedWalkEngine._run_rounds`)
+``WalkConfig.context.execution`` (the run's
+:class:`~repro.runtime.executor.ExecutionContext`) selects *where* a
+vectorized round's walkers run; one consumer loop (:meth:`DistributedWalkEngine._run_rounds`)
 flushes rounds in walk-id order and folds their buffers into the
 accounting whichever it is:
 
@@ -78,8 +79,8 @@ accounting whichever it is:
 
 Process and pipeline execution apply to the vectorized backend; the loop
 reference and the ``fullpath`` mode are inherently serial, so
-``resolved_execution()`` degrades to ``"serial"`` there (measuring their
-sequential cost is the point of keeping them).
+:meth:`ExecutionContext.walk_execution` degrades to ``"serial"`` there
+(measuring their sequential cost is the point of keeping them).
 """
 
 from __future__ import annotations
@@ -92,13 +93,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.runtime.bsp import BSPEngine, StepResult
 from repro.runtime.cluster import Cluster
-from repro.runtime.executor import (
-    default_backing,
-    default_execution,
-    default_workers,
-    resolve_backing,
-    resolve_execution,
-)
+from repro.runtime.executor import ExecutionContext
 from repro.runtime.message import BYTES_PER_FIELD
 from repro.utils.rng import WalkerStream, walker_stream_keys
 from repro.utils.validation import check_integral, check_positive
@@ -143,30 +138,17 @@ class WalkConfig:
     q: float = 1.0                  # node2vec in-out parameter
     #: "auto" | "vectorized" | "loop" -- see the module docstring.
     backend: str = "auto"
-    #: "serial" | "process" | "pipeline" -- see the module docstring.  The
-    #: default is read from ``REPRO_EXECUTION`` ("serial" when unset).
-    execution: str = field(default_factory=default_execution)
-    #: Worker processes under execution="process"/"pipeline"; 0 = auto
-    #: (min(4, cores)).
-    workers: int = field(default_factory=default_workers)
-    #: "shm" | "mmap" -- where the shared read-only inputs (CSR, kernel
-    #: tables) and the corpus live.  ``"mmap"`` spills them to
-    #: file-backed ``.npy`` maps so resident memory stays O(round), not
-    #: O(corpus).  Default from ``REPRO_BACKING`` ("shm" when unset).
-    backing: str = field(default_factory=default_backing)
-    #: Spill root under backing="mmap" (None: ``REPRO_SPILL_DIR`` or the
-    #: system temp dir).
-    spill_dir: Optional[str] = None
+    #: Where rounds run and where shared blocks live -- see the module
+    #: docstring.  Under ``backing="mmap"`` the corpus, CSR and kernel
+    #: tables spill to file-backed ``.npy`` maps, so resident memory
+    #: stays O(round), not O(corpus).
+    context: ExecutionContext = field(default_factory=ExecutionContext)
 
     def __post_init__(self) -> None:
         if self.mode not in ("incom", "fullpath", "routine"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.backend not in ("auto", "vectorized", "loop"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        resolve_execution(self.execution)
-        resolve_backing(self.backing)
-        if self.workers < 0:
-            raise ValueError(f"workers must be non-negative, got {self.workers}")
         if self.backend == "vectorized" and self.mode == "fullpath":
             raise ValueError(
                 "mode='fullpath' cannot be vectorized: HuGE-D's O(L) "
@@ -199,21 +181,6 @@ class WalkConfig:
         if self.backend != "auto":
             return self.backend
         return "loop" if self.mode == "fullpath" else "vectorized"
-
-    def resolved_execution(self) -> str:
-        """The execution mode this config actually runs under.
-
-        ``"process"`` and ``"pipeline"`` apply to the vectorized backend
-        (whose lock-step rounds fan out across workers); the loop
-        reference and the ``fullpath`` mode are inherently serial --
-        their per-walker cost is what the benches measure -- so both
-        degrade to ``"serial"`` there, mirroring how ``backend="auto"``
-        keeps ``fullpath`` on the loop engine.
-        """
-        if self.execution == "serial":
-            return "serial"
-        return self.execution if self.resolved_backend() == "vectorized" \
-            else "serial"
 
     @classmethod
     def distger(cls, **overrides) -> "WalkConfig":
@@ -267,8 +234,8 @@ class DistributedWalkEngine:
             else self.kernel.message_fields * BYTES_PER_FIELD)
         #: Backend actually used for rounds (resolved from config).
         self.backend = self.config.resolved_backend()
-        #: Execution mode actually used (resolved from config).
-        self.execution = self.config.resolved_execution()
+        #: Where rounds actually run (the context's walk policy).
+        self.execution = self.config.context.walk_execution(self.backend)
         self._batch_runner: Optional[BatchWalkRunner] = None
 
     # ------------------------------------------------------------------ #
@@ -317,13 +284,13 @@ class DistributedWalkEngine:
             return WalkResult(corpus=corpus, stats=stats,
                               walk_machines=walk_machines)
 
-        if cfg.backing == "mmap":
+        if cfg.context.backing == "mmap":
             # Out-of-core sampling: walks land on file-backed blocks,
             # rounds append through the bounded staging buffer, and the
             # trainer later shares the blocks zero-copy from the spill
             # files.  A pure transport change -- corpora stay
             # byte-identical to shm/in-RAM runs.
-            corpus.spill_to(cfg.spill_dir)
+            corpus.spill_to(cfg.context.spill_dir)
 
         if cfg.mode == "routine":
             rounds = cfg.walks_per_node

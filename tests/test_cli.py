@@ -98,6 +98,36 @@ class TestCommands:
         assert code == 0
         assert "AUC" in capsys.readouterr().out
 
+    def test_embed_execution_flags_write_the_serial_bytes(self, tmp_path,
+                                                          capsys):
+        """The four execution flags build one context: worker pools and
+        file-backed blocks change where the work runs, not one byte of
+        the embedding file."""
+        base = ["embed", "--dataset", "FL", "--scale", "0.2", "--method",
+                "distger", "--dim", "8", "--epochs", "1", "--machines", "2"]
+        serial, pooled = tmp_path / "serial.emb", tmp_path / "pooled.emb"
+        assert main(base + ["--execution", "serial", "--backing", "shm",
+                            "--out", str(serial)]) == 0
+        assert main(base + ["--execution", "process", "--workers", "2",
+                            "--backing", "mmap", "--spill-dir",
+                            str(tmp_path / "spill"), "--out",
+                            str(pooled)]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_partition_parallel_mpgp_on_workers(self, capsys):
+        """``--execution``/``--workers`` reach parallel MPGP; its cut and
+        balance columns match the serial run."""
+        rows = {}
+        for flags in ([], ["--execution", "process", "--workers", "2"]):
+            code = main(["partition", "--dataset", "FL", "--scale", "0.25",
+                         "--machines", "2", "--schemes", "mpgp-parallel",
+                         *flags])
+            assert code == 0
+            row = capsys.readouterr().out.splitlines()[-1].split()
+            assert row[0] == "mpgp-parallel"
+            rows[bool(flags)] = row[2:]  # drop the seconds column
+        assert rows[True] == rows[False]
+
     def test_partition_table(self, capsys):
         code = main([
             "partition", "--dataset", "FL", "--scale", "0.25",

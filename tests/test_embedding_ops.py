@@ -41,6 +41,7 @@ from repro.embedding.ops import (
 )
 from repro.embedding.schedules import SCHEDULES, make_schedule, progress64
 from repro.embedding.vectorized import _replica_merge, merge_deltas
+from repro.runtime import ExecutionContext
 
 needs_missing_torch = pytest.mark.skipif(
     torch_available(),
@@ -66,7 +67,8 @@ class TestEagerBackendValidation:
         runs in the parent process -- it must cover every executor.
         """
         with pytest.raises(ValueError, match="pip install torch"):
-            TrainConfig(backend="torch", execution=execution, workers=2)
+            TrainConfig(backend="torch",
+                        context=ExecutionContext(execution, 2))
 
     def test_install_hint_is_actionable(self):
         assert "pip install torch" in TORCH_INSTALL_HINT

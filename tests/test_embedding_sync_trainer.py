@@ -15,7 +15,7 @@ from repro.embedding import (
     Vocabulary,
     make_sync,
 )
-from repro.runtime import Cluster, ClusterMetrics
+from repro.runtime import Cluster, ClusterMetrics, ExecutionContext
 from repro.walks import Corpus
 
 
@@ -255,8 +255,8 @@ class TestTrainerBoundaryGuards:
             corpus.add_walk([0, 1, 2, 3, 4, 5, 0, 1, 2, 3])
         cluster = Cluster(2, np.zeros(6, dtype=np.int64), seed=0)
         cfg = TrainConfig(dim=4, window=2, negatives=2, epochs=2,
-                          lr=1e38, min_lr=1e38, execution=execution,
-                          workers=2)
+                          lr=1e38, min_lr=1e38,
+                          context=ExecutionContext(execution, 2))
         with np.errstate(all="ignore"), \
                 pytest.raises(
                     FloatingPointError,

@@ -33,7 +33,7 @@ from repro.embedding.trainer import WarmStart
 from repro.embedding.vectorized import plan_dsgl_slice
 from repro.graph import powerlaw_cluster
 from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.utils.rng import CounterStream
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig
 
@@ -363,7 +363,7 @@ class TestRoundStackedPlan:
             cluster = Cluster(machines, np.zeros(50, dtype=np.int64), seed=0)
             cfg = TrainConfig(dim=16, window=4, negatives=3, epochs=2,
                               dsgl_threads=2, sync_period_tokens=60,
-                              execution="serial")
+                              context=ExecutionContext("serial"))
             return DistributedTrainer(corpus, cluster, cfg,
                                       walk_machines=owners, **kwargs).train()
 
@@ -395,7 +395,7 @@ class TestRoundStackedPlan:
             cluster = Cluster(3, np.zeros(50, dtype=np.int64), seed=0)
             cfg = TrainConfig(dim=16, window=4, negatives=3, epochs=2,
                               dsgl_threads=2, sync_period_tokens=60,
-                              execution=mode, workers=2)
+                              context=ExecutionContext(mode, 2))
             results[mode] = DistributedTrainer(
                 corpus, cluster, cfg, walk_machines=owners,
                 anchor=AnchorRegularizer(prior, 0.3)).train()

@@ -94,6 +94,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match="weights length"):
             CSRGraph.from_edges([(0, 1)], weights=[1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), -2.0, float("inf")])
+    def test_rejects_non_finite_and_negative_weights(self, bad):
+        """The first bad arc is named; before this check a NaN and a
+        negative weight embedded end to end without a word."""
+        with pytest.raises(ValueError, match=r"arc 2 \(1 -> 2\)"):
+            CSRGraph.from_edges([(0, 1), (1, 2), (2, 3)],
+                                weights=[1.0, bad, 3.0])
+
+    def test_zero_weights_stay_legal(self):
+        g = CSRGraph.from_edges([(0, 1), (1, 2)], weights=[0.0, 1.0])
+        assert g.edge_weight(0, 1) == 0.0
+
+    def test_file_readers_reject_bad_weights(self, tmp_path):
+        from repro.graph.io import load_graph_npz, read_edge_list
+
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 1 1.0\n1 2 nan\n")
+        with pytest.raises(ValueError, match="weight"):
+            read_edge_list(str(edges), weighted=True)
+        path = tmp_path / "g.npz"
+        np.savez(path, indptr=np.array([0, 1, 2]), indices=np.array([1, 0]),
+                 weights=np.array([-1.0, -1.0]), directed=np.array([False]))
+        with pytest.raises(ValueError, match=r"arc 0 \(0 -> 1\)"):
+            load_graph_npz(str(path))
+
     @given(edge_lists)
     @settings(max_examples=150, deadline=None)
     def test_invariants(self, edges):

@@ -23,7 +23,7 @@ from repro.embedding import TrainConfig
 from repro.graph import powerlaw_cluster
 from repro.partition import PartitionConfig
 from repro.partition.balance import WorkloadBalancePartitioner
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.utils.sharedmem import attach_shared_array, detach_shared_array
 from repro.walks import DistributedWalkEngine, WalkConfig
 from repro.walks.corpus import Corpus
@@ -44,12 +44,13 @@ def graph_family(kind):
     raise KeyError(kind)
 
 
-def run_walks(graph, execution, workers=0, machines=3, **overrides):
+def run_walks(graph, execution, workers=0, machines=3, backing=None,
+              spill_dir=None):
     part = WorkloadBalancePartitioner().partition(graph, machines)
     cluster = Cluster(machines, part.assignment, seed=5)
-    cfg = WalkConfig.distger(**{"max_rounds": 2, "min_rounds": 2,
-                                "execution": execution, "workers": workers,
-                                **overrides})
+    cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
+                             context=ExecutionContext(execution, workers,
+                                                      backing, spill_dir))
     return DistributedWalkEngine(graph, cluster, cfg).run(), cluster
 
 
@@ -228,9 +229,9 @@ class TestEmbedParity:
 
         graph = graph_family("weighted")
         serial = ParallelMPGPPartitioner().partition(graph, 4).assignment
-        proc = ParallelMPGPPartitioner(
-            execution="process", workers=2, backing="mmap",
-            spill_dir=str(tmp_path)).partition(graph, 4).assignment
+        proc = ParallelMPGPPartitioner(context=ExecutionContext(
+            "process", 2, "mmap", str(tmp_path))).partition(
+                graph, 4).assignment
         np.testing.assert_array_equal(serial, proc)
 
 
@@ -241,17 +242,18 @@ class TestEmbedParity:
 
 class TestKnobRouting:
     def test_invalid_backing_rejected_everywhere(self):
-        for config in (WalkConfig, TrainConfig, PartitionConfig):
-            with pytest.raises(ValueError, match="backing"):
-                config(backing="tmpfs")
+        with pytest.raises(ValueError, match="backing"):
+            ExecutionContext(backing="tmpfs")
+        with pytest.raises(ValueError, match="backing"):
+            embed_graph(powerlaw_cluster(30, attach=2, seed=1),
+                        backing="tmpfs")
 
     def test_env_default_backing(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKING", "mmap")
-        assert WalkConfig().backing == "mmap"
-        assert TrainConfig().backing == "mmap"
-        assert PartitionConfig().backing == "mmap"
+        for config in (WalkConfig, TrainConfig, PartitionConfig):
+            assert config().context.backing == "mmap"
         monkeypatch.setenv("REPRO_BACKING", "shm")
-        assert WalkConfig().backing == "shm"
+        assert WalkConfig().context.backing == "shm"
 
     def test_embed_graph_rejects_backing_for_non_walk_methods(self):
         graph = powerlaw_cluster(30, attach=2, seed=1)
@@ -260,13 +262,12 @@ class TestKnobRouting:
 
     def test_from_config_carries_backing(self):
         from repro.partition import ParallelMPGPPartitioner
-        from repro.partition.mpgp import MPGPPartitioner
 
-        cfg = PartitionConfig(backing="mmap", spill_dir="/tmp/x")
-        for cls in (MPGPPartitioner, ParallelMPGPPartitioner):
-            partitioner = cls.from_config(cfg)
-            assert partitioner.backing == "mmap"
-            assert partitioner.spill_dir == "/tmp/x"
+        cfg = PartitionConfig(context=ExecutionContext(
+            backing="mmap", spill_dir="/tmp/x"))
+        partitioner = ParallelMPGPPartitioner.from_config(cfg)
+        assert partitioner.context.backing == "mmap"
+        assert partitioner.context.spill_dir == "/tmp/x"
 
     def test_cli_flags_route_to_backend_kwargs(self):
         from repro.cli import _backend_kwargs, build_parser

@@ -29,11 +29,10 @@ from repro.partition import ParallelMPGPPartitioner, PartitionConfig
 from repro.partition.balance import WorkloadBalancePartitioner
 from repro.runtime import Cluster
 from repro.runtime.executor import (
+    ExecutionContext,
     ProcessExecutor,
     SharedArray,
     attach_shared_array,
-    resolve_execution,
-    resolved_worker_count,
     split_ranges,
 )
 from repro.walks import DistributedWalkEngine, WalkConfig
@@ -58,7 +57,8 @@ def run_walks(graph, execution, workers=0, machines=3, **overrides):
     part = WorkloadBalancePartitioner().partition(graph, machines)
     cluster = Cluster(machines, part.assignment, seed=5)
     cfg = WalkConfig.distger(**{"max_rounds": 2, "min_rounds": 2,
-                                "execution": execution, "workers": workers,
+                                "context": ExecutionContext(execution,
+                                                            workers),
                                 **overrides})
     return DistributedWalkEngine(graph, cluster, cfg).run(), cluster
 
@@ -159,8 +159,8 @@ class TestWalkExecutorParity:
         part = WorkloadBalancePartitioner().partition(graph, 2)
         cluster = Cluster(2, part.assignment, seed=1)
         cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
-                                 execution=execution, workers=2,
-                                 backing="shm")
+                                 context=ExecutionContext(execution, 2,
+                                                          "shm"))
         engine = DistributedWalkEngine(graph, cluster, cfg)
         before = shm_segments()
         with pytest.raises(RuntimeError, match="injected worker failure"):
@@ -180,7 +180,8 @@ class TestWalkRunner:
         graph = graph_family("undirected")
         ref, ref_cluster = run_walks(graph, "serial", max_rounds=3,
                                      min_rounds=3)
-        cfg = WalkConfig.distger(max_rounds=3, min_rounds=3, workers=2)
+        cfg = WalkConfig.distger(max_rounds=3, min_rounds=3,
+                                 context=ExecutionContext(workers=2))
         sources = np.flatnonzero(graph.degrees > 0)
         corpus = Corpus(graph.num_nodes)
         with StreamingWalkRunner(
@@ -238,8 +239,9 @@ class TestTrainParity:
         result, assignment = walk_result
         learner = overrides.pop("learner", "dsgl")
         cluster = Cluster(4, assignment, seed=9)
-        cfg = TrainConfig(dim=16, epochs=2, seed=11, execution=execution,
-                          workers=workers, **overrides)
+        cfg = TrainConfig(dim=16, epochs=2, seed=11,
+                          context=ExecutionContext(execution, workers),
+                          **overrides)
         trainer = DistributedTrainer(result.corpus, cluster, cfg,
                                      learner=learner,
                                      walk_machines=result.walk_machines)
@@ -288,8 +290,8 @@ class TestPartitionParity:
         serial = ParallelMPGPPartitioner().partition(graph, 4).assignment
         for workers in (2, 4):
             proc = ParallelMPGPPartitioner(
-                execution="process",
-                workers=workers).partition(graph, 4).assignment
+                context=ExecutionContext("process", workers)).partition(
+                    graph, 4).assignment
             np.testing.assert_array_equal(serial, proc)
 
     def test_loop_backend_process_parity(self):
@@ -297,14 +299,15 @@ class TestPartitionParity:
         serial = ParallelMPGPPartitioner(backend="loop").partition(
             graph, 4).assignment
         proc = ParallelMPGPPartitioner(
-            backend="loop", execution="process",
-            workers=2).partition(graph, 4).assignment
+            backend="loop", context=ExecutionContext(
+                "process", 2)).partition(graph, 4).assignment
         np.testing.assert_array_equal(serial, proc)
 
     def test_from_config_carries_execution(self):
-        cfg = PartitionConfig(execution="process", workers=3)
-        par = ParallelMPGPPartitioner.from_config(cfg)
-        assert (par.execution, par.workers) == ("process", 3)
+        context = ExecutionContext("process", 3)
+        par = ParallelMPGPPartitioner.from_config(
+            PartitionConfig(context=context))
+        assert par.context is context
 
 
 class TestPipelineDataflow:
@@ -485,59 +488,163 @@ class TestSharedBuffers:
 class TestKnobs:
     def test_invalid_execution_rejected_everywhere(self):
         with pytest.raises(ValueError, match="execution"):
-            resolve_execution("threads")
-        with pytest.raises(ValueError, match="execution"):
-            WalkConfig(execution="gpu")
-        with pytest.raises(ValueError, match="execution"):
-            TrainConfig(execution="gpu")
-        with pytest.raises(ValueError, match="execution"):
-            PartitionConfig(execution="gpu")
+            ExecutionContext("threads")
         with pytest.raises(ValueError, match="workers"):
-            WalkConfig(workers=-1)
+            ExecutionContext(workers=-1)
+        for config in (WalkConfig, TrainConfig, PartitionConfig):
+            with pytest.raises(ValueError, match="execution"):
+                config(context=ExecutionContext("gpu"))
+
+    @pytest.mark.parametrize("workers", (2.5, 2.0, True, "2"))
+    def test_workers_must_be_a_non_negative_integer(self, workers):
+        """Checked once, at construction -- not as a TypeError from inside
+        multiprocessing after the partitioner already ran."""
+        with pytest.raises(ValueError, match="workers"):
+            ExecutionContext("process", workers)
+
+    def test_embed_graph_rejects_fractional_workers_up_front(self, monkeypatch):
+        from repro import embed_graph
+        from repro.partition.mpgp import MPGPPartitioner
+
+        def never(*args, **kwargs):
+            raise AssertionError("partitioned before the knob was checked")
+
+        monkeypatch.setattr(MPGPPartitioner, "partition", never)
+        with pytest.raises(ValueError, match="workers"):
+            embed_graph(graph_family("undirected"), execution="process",
+                        workers=2.5)
+
+    @pytest.mark.parametrize("variable,value,match", [
+        ("REPRO_EXECUTION", "proc", "execution 'proc' \\(from REPRO_EXECUTION"),
+        ("REPRO_WORKERS", "abc", "'abc' \\(from REPRO_WORKERS\\)"),
+        ("REPRO_WORKERS", "-3", "-3 \\(from REPRO_WORKERS\\)"),
+        ("REPRO_BACKING", "tmpfs", "'tmpfs' \\(from REPRO_BACKING\\)"),
+    ])
+    def test_environment_errors_name_their_variable(self, monkeypatch,
+                                                    variable, value, match):
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=match):
+            ExecutionContext()
+        with pytest.raises(ValueError, match=match):
+            WalkConfig()
+
+    def test_explicit_values_beat_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTION", "proc")
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        context = ExecutionContext("serial", 1, "shm", "/tmp/x")
+        assert (context.execution, context.workers) == ("serial", 1)
+        monkeypatch.setenv("REPRO_SPILL_DIR", "/tmp/spill-root")
+        monkeypatch.setenv("REPRO_EXECUTION", "pipeline")
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.setenv("REPRO_BACKING", "mmap")
+        assert ExecutionContext(workers=1) == ExecutionContext(
+            "pipeline", 1, "mmap", "/tmp/spill-root")
+
+    def test_context_is_frozen_and_travels_by_pickle(self):
+        context = ExecutionContext("pipeline", 2, "mmap", "/tmp/x")
+        with pytest.raises(AttributeError):
+            context.workers = 3
+        assert pickle.loads(pickle.dumps(context)) == context
+
+    @pytest.mark.parametrize("field,value", [
+        ("execution", "process"), ("workers", 2), ("backing", "mmap"),
+        ("spill_dir", "/tmp/x")])
+    def test_removed_config_fields_raise_type_error(self, field, value):
+        from repro.partition.mpgp import MPGPPartitioner
+
+        for config in (WalkConfig, TrainConfig, PartitionConfig,
+                       MPGPPartitioner, ParallelMPGPPartitioner):
+            with pytest.raises(TypeError, match=field):
+                config(**{field: value})
 
     def test_walk_execution_degrades_with_loop_backend(self):
         """The loop reference and fullpath mode are inherently serial."""
-        assert WalkConfig(execution="process").resolved_execution() == \
-            "process"
-        assert WalkConfig(execution="process",
-                          backend="loop").resolved_execution() == "serial"
-        assert WalkConfig.huge_d(
-            execution="process").resolved_execution() == "serial"
+        context = ExecutionContext("process")
+        assert context.walk_execution(
+            WalkConfig(context=context).resolved_backend()) == "process"
+        assert context.walk_execution(WalkConfig(
+            context=context, backend="loop").resolved_backend()) == "serial"
+        assert context.walk_execution(WalkConfig.huge_d(
+            context=context).resolved_backend()) == "serial"
 
     def test_pipeline_execution_resolution(self):
         """Pipeline applies to vectorized walks, degrades exactly like
-        process elsewhere, and resolves to the process slice path for
-        training (the trainer is the streaming consumer, not a producer)."""
-        from repro.partition import PartitionConfig
+        process elsewhere, overlaps partitioning only where walks stream,
+        and trains on the process slice path (the trainer is the
+        streaming consumer, not a producer)."""
+        pipeline = ExecutionContext("pipeline", 1)
+        assert pipeline.walk_execution("vectorized") == "pipeline"
+        assert pipeline.walk_execution("loop") == "serial"
+        assert pipeline.overlaps_partition("vectorized")
+        assert not pipeline.overlaps_partition("loop")
+        assert not ExecutionContext("process").overlaps_partition(
+            "vectorized")
+        assert pipeline.fans_out(2) and not pipeline.fans_out(1)
+        assert not ExecutionContext("serial").fans_out(4)
+        walks, cluster = run_walks(graph_family("undirected"), "serial")
+        for context, pooled in ((ExecutionContext("serial"), False),
+                                (pipeline, True)):
+            result = DistributedTrainer(
+                walks.corpus, cluster,
+                TrainConfig(dim=4, epochs=1, context=context)).train()
+            # Only the worker-pool slice trainer ships task messages.
+            assert ("ipc_rounds" in result.extras) == pooled
 
-        assert WalkConfig(execution="pipeline").resolved_execution() == \
-            "pipeline"
-        assert WalkConfig(execution="pipeline",
-                          backend="loop").resolved_execution() == "serial"
-        assert WalkConfig.huge_d(
-            execution="pipeline").resolved_execution() == "serial"
-        assert TrainConfig(execution="pipeline").resolved_execution() == \
-            "process"
-        assert TrainConfig(execution="process").resolved_execution() == \
-            "process"
-        PartitionConfig(execution="pipeline")  # accepted for uniformity
+    def test_systems_share_one_context_across_phases(self):
+        from repro.systems import DistGER, HuGED, KnightKing
+
+        context = ExecutionContext("process", 2)
+        for system in (DistGER(context=context), HuGED(context=context),
+                       KnightKing(context=context)):
+            assert system.walk_config.context is context
+            assert system.train_config.context is context
+
+    def test_systems_lift_context_names_from_overrides(self):
+        """The four names may ride in any phase override dict; they build
+        the one context, and two dicts that disagree are refused."""
+        from repro.systems import DistGER, KnightKing
+
+        overrides = {"execution": "pipeline", "workers": 2}
+        system = DistGER(walk_overrides=dict(overrides, min_rounds=2),
+                         train_overrides=dict(overrides),
+                         partition_overrides=dict(overrides))
+        assert system.walk_config.context == ExecutionContext("pipeline", 2)
+        assert system.train_config.context is system.walk_config.context
+        assert system.walk_config.min_rounds == 2
+        with pytest.raises(ValueError, match="disagree on execution"):
+            DistGER(walk_overrides={"execution": "serial"},
+                    train_overrides={"execution": "process"})
+        with pytest.raises(ValueError, match="workers"):
+            KnightKing(walk_overrides={"workers": 3},
+                       context=ExecutionContext(workers=2))
+
+    def test_embed_graph_builds_one_context(self):
+        from repro.api import _route_overrides
+
+        kwargs = _route_overrides("distger", {"execution": "process",
+                                              "workers": 2, "mu": 0.9})
+        assert kwargs["context"] == ExecutionContext("process", 2)
+        assert "execution" not in kwargs.get("walk_overrides", {})
+        with pytest.raises(ValueError, match="context"):
+            _route_overrides("distger", {"workers": 2,
+                                         "context": ExecutionContext()})
 
     def test_partition_join_requires_pipeline_execution(self):
         graph = graph_family("undirected")
         part = WorkloadBalancePartitioner().partition(graph, 2)
         cluster = Cluster(2, part.assignment, seed=1)
-        engine = DistributedWalkEngine(graph, cluster,
-                                       WalkConfig.distger(max_rounds=1,
-                                                          min_rounds=1,
-                                                          execution="serial"))
+        engine = DistributedWalkEngine(
+            graph, cluster, WalkConfig.distger(
+                max_rounds=1, min_rounds=1,
+                context=ExecutionContext("serial")))
         with pytest.raises(ValueError, match="partition_join"):
             engine.run(partition_join=lambda: part.assignment)
 
     def test_worker_count_resolution(self):
-        assert resolved_worker_count(3) == 3
-        assert resolved_worker_count(0) >= 1
+        assert ExecutionContext(workers=3).pool_size == 3
+        assert ExecutionContext(workers=0).pool_size >= 1
         with pytest.raises(ValueError, match="workers"):
-            resolved_worker_count(-2)
+            ExecutionContext(workers=-2)
 
     def test_split_ranges_partition_the_index_space(self):
         for n, parts in ((10, 3), (4, 8), (1, 1), (100, 4)):
@@ -551,6 +658,6 @@ class TestKnobs:
         (the CI tier-1 process job relies on this)."""
         monkeypatch.setenv("REPRO_EXECUTION", "process")
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert WalkConfig().execution == "process"
-        assert TrainConfig().workers == 2
-        assert PartitionConfig().execution == "process"
+        assert WalkConfig().context.execution == "process"
+        assert TrainConfig().context.workers == 2
+        assert PartitionConfig().context == ExecutionContext("process", 2)

@@ -28,8 +28,6 @@ from repro.utils.sharedmem import (
     SharedGroup,
     attach_shared_array,
     attached_count,
-    default_backing,
-    default_spill_dir,
     detach_shared_array,
     resolve_backing,
 )
@@ -279,12 +277,20 @@ class TestBackingKnobs:
         with pytest.raises(ValueError, match="backing"):
             SharedGroup(backing="tmpfs")
 
-    def test_env_defaults(self, monkeypatch):
+    def test_env_defaults(self, monkeypatch, tmp_path):
+        """The execution context reads the environment; the group it
+        hands out spills under ``REPRO_SPILL_DIR``."""
+        from repro.runtime.executor import ExecutionContext
+
         monkeypatch.delenv("REPRO_BACKING", raising=False)
         monkeypatch.delenv("REPRO_SPILL_DIR", raising=False)
-        assert default_backing() == "shm"
-        assert default_spill_dir() is None
+        context = ExecutionContext()
+        assert (context.backing, context.spill_dir) == ("shm", None)
         monkeypatch.setenv("REPRO_BACKING", "mmap")
-        monkeypatch.setenv("REPRO_SPILL_DIR", "/tmp/spill-root")
-        assert default_backing() == "mmap"
-        assert default_spill_dir() == "/tmp/spill-root"
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        group = ExecutionContext().shared_group()
+        try:
+            handle = group.share(np.arange(4))
+            assert handle.path.startswith(str(tmp_path))
+        finally:
+            group.close()

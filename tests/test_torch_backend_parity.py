@@ -43,7 +43,7 @@ from repro.embedding import (
 )
 from repro.embedding.ops import NUMPY_OPS, NumpyOps, TorchOps, resolve_ops
 from repro.graph import load, powerlaw_cluster
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.tasks import auc_from_split, split_edges
 from repro.utils.rng import CounterStream
 from repro.walks import Corpus
@@ -95,7 +95,7 @@ class TestConfigResolution:
     def test_cuda_rejects_forked_executors(self):
         with pytest.raises(ValueError, match="serial"):
             TrainConfig(backend="torch", torch_device="cuda",
-                        execution="process", workers=2)
+                        context=ExecutionContext("process", 2))
 
     def test_cuda_without_device_raises_at_ops(self):
         if torch.cuda.is_available():
@@ -177,7 +177,7 @@ class TestTrainerByteParity:
         got = train_embeddings(corpus, learner="dsgl",
                                backend="torch", torch_device="cpu",
                                torch_dtype="float32",
-                               execution="process", workers=2)
+                               context=ExecutionContext("process", 2))
         np.testing.assert_array_equal(got, ref)
 
 

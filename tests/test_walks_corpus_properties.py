@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.graph import powerlaw_cluster
 from repro.partition.balance import WorkloadBalancePartitioner
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig
 
 NUM_NODES = 23
@@ -274,7 +274,8 @@ class TestFlushOrdering:
             part = WorkloadBalancePartitioner().partition(graph, 3)
             cluster = Cluster(3, part.assignment, seed=4)
             cfg = WalkConfig.distger(max_rounds=2, min_rounds=2,
-                                     execution=execution, workers=n_workers)
+                                     context=ExecutionContext(
+                                         execution, n_workers))
             corpora[execution] = DistributedWalkEngine(
                 graph, cluster, cfg).run().corpus
         assert_flat_equal(corpora["serial"], corpora["process"])
@@ -296,8 +297,8 @@ class TestFlushOrdering:
         train_cluster = Cluster(2, part.assignment, seed=9)
         result = DistributedTrainer(
             walk_result.corpus, train_cluster,
-            TrainConfig(dim=8, epochs=1, seed=11, execution="process",
-                        workers=2, subsample=subsample, backing=backing),
+            TrainConfig(dim=8, epochs=1, seed=11, subsample=subsample,
+                        context=ExecutionContext("process", 2, backing)),
             walk_machines=walk_result.walk_machines).train()
         rounds = result.extras["ipc_rounds"]
         assert rounds > 0
@@ -314,7 +315,8 @@ class TestFlushOrdering:
         for execution, workers in (("serial", 0), ("process", 2)):
             cluster = Cluster(2, part.assignment, seed=3)
             cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     execution=execution, workers=workers)
+                                     context=ExecutionContext(
+                                         execution, workers))
             result = DistributedWalkEngine(graph, cluster, cfg).run()
             out[execution] = [walk.tolist() for walk in result.corpus.walks]
         assert out["serial"] == out["process"]

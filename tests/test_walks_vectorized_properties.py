@@ -42,7 +42,7 @@ from repro.graph import (
     ring_of_cliques,
     rmat,
 )
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
 from repro.utils.rng import (
     WalkerStream,
     _mix64,
@@ -95,7 +95,8 @@ class TestInvariants:
         graph = GRAPHS[family](seed)
         # Reads the in-process runner's state, which only the serial
         # executor leaves behind.
-        _, _, engine = run_vectorized(graph, seed, execution="serial")
+        _, _, engine = run_vectorized(
+            graph, seed, context=ExecutionContext("serial"))
         runner = engine._batch_runner
         # The final round's batch state is still attached to the runner.
         assert np.all(runner._S >= 0.0)
