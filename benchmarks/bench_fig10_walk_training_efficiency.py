@@ -9,12 +9,13 @@ Paper results:
 
 Reproduced: (a) the walk phase of each system on each stand-in;
 (b) DSGL vs Pword2vec vs SGNS on an identical corpus;
-(c) the vectorized InCoM backend vs the per-walker loop engine on a
-10^4-node graph (>=5x is the acceptance floor; both backends run the
-walker RNG protocol, so the corpora they time are byte-identical);
-(d) the batched DSGL trainer backend vs its per-lifetime loop reference
-on the same corpus (>=3x floor; identical negative streams, bit-equal
-embeddings).  ``REPRO_BENCH_BACKEND_NODES`` / ``REPRO_BENCH_TRAIN_NODES``
+(c) the lock-step InCoM engine vs the per-walker loop oracle
+(``tests/oracles/walks.py``) on a 10^4-node graph (>=5x is the acceptance
+floor; both run the walker RNG protocol, so the corpora they time are
+byte-identical);
+(d) the batched DSGL learner vs its per-lifetime loop reference
+(``tests/oracles/embedding.py``) on the same corpus (>=3x floor;
+identical negative streams, bit-equal embeddings).  ``REPRO_BENCH_BACKEND_NODES`` / ``REPRO_BENCH_TRAIN_NODES``
 and ``REPRO_BENCH_TRAIN_FLOOR`` scale (c)/(d) down for CI smoke runs.
 """
 
@@ -33,19 +34,22 @@ from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
 from repro.runtime import Cluster
 from repro.walks import DistributedWalkEngine, WalkConfig
 
+from oracles.embedding import train_reference
+from oracles.walks import LoopWalkEngine
+
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
 _walk = {}
 _train = {}
 
-# The cross-system comparison pins backend="loop" everywhere: fullpath
-# (HuGE-D) cannot be vectorized, so leaving the others on the default
-# vectorized backend would conflate NumPy batching (~22x, measured
+# The cross-system comparison runs every system on the per-walker loop:
+# fullpath (HuGE-D) is only implemented there, so timing the others on
+# the lock-step engine would conflate NumPy batching (~22x, measured
 # separately below) with the paper's algorithmic InCoM-vs-full-path
 # effect (3.88x) that this figure isolates.
 WALK_MODES = {
-    "DistGER": (lambda: WalkConfig.distger(backend="loop"), MPGPPartitioner),
+    "DistGER": (WalkConfig.distger, MPGPPartitioner),
     "HuGE-D": (WalkConfig.huge_d, WorkloadBalancePartitioner),
-    "KnightKing": (lambda: WalkConfig.routine("node2vec", backend="loop"),
+    "KnightKing": (lambda: WalkConfig.routine("node2vec"),
                    WorkloadBalancePartitioner),
 }
 
@@ -57,15 +61,15 @@ def test_fig10a_walk_efficiency(benchmark, mode, dataset):
     cfg_factory, partitioner_cls = WALK_MODES[mode]
     assignment = partitioner_cls().partition(ds.graph, 4).assignment
     cluster = Cluster(4, assignment, seed=1)
-    engine = DistributedWalkEngine(ds.graph, cluster, cfg_factory())
+    engine = LoopWalkEngine(ds.graph, cluster, cfg_factory())
     result = run_once(benchmark, engine.run)
     _walk[(mode, dataset)] = (result.stats, result.corpus)
 
 
 def test_fig10a_vectorized_backend_speedup(benchmark):
-    """Vectorized vs loop InCoM sampling at 10^4 nodes (ISSUE 1 gate).
+    """Lock-step vs loop InCoM sampling at 10^4 nodes (the walk gate).
 
-    The walker RNG protocol makes the two backends produce identical
+    The walker RNG protocol makes the two engines produce identical
     corpora, so the timing difference is pure execution strategy: batched
     NumPy supersteps vs the per-walker Python loop.
     """
@@ -73,11 +77,11 @@ def test_fig10a_vectorized_backend_speedup(benchmark):
     graph = powerlaw_cluster(nodes, attach=5, triangle_prob=0.3, seed=11)
     assignment = WorkloadBalancePartitioner().partition(graph, 4).assignment
     seconds, tokens = {}, {}
-    for backend in ("vectorized", "loop"):
+    engines = {"vectorized": DistributedWalkEngine, "loop": LoopWalkEngine}
+    for backend, engine_cls in engines.items():
         cluster = Cluster(4, assignment, seed=1)
-        cfg = WalkConfig.distger(backend=backend, max_rounds=1,
-                                 min_rounds=1)
-        engine = DistributedWalkEngine(graph, cluster, cfg)
+        cfg = WalkConfig.distger(max_rounds=1, min_rounds=1)
+        engine = engine_cls(graph, cluster, cfg)
         start = time.perf_counter()
         result = engine.run()
         seconds[backend] = time.perf_counter() - start
@@ -98,9 +102,9 @@ def test_fig10a_vectorized_backend_speedup(benchmark):
 
 
 def test_fig10b_dsgl_vectorized_backend_speedup(benchmark):
-    """Batched vs loop DSGL training at 10^4 nodes (ISSUE 2 gate).
+    """Batched vs loop DSGL training at 10^4 nodes (the trainer gate).
 
-    Both backends run the shared-protocol concurrent-lifetime semantics
+    Both learners run the shared-protocol concurrent-lifetime semantics
     on identical negative streams, so they produce bit-equal embeddings
     (asserted); the timing difference is pure execution strategy --
     lock-step lifetime batching vs the per-lifetime loop.  The gate runs
@@ -123,12 +127,15 @@ def test_fig10b_dsgl_vectorized_backend_speedup(benchmark):
 
     def run(backend, threads):
         cl = Cluster(4, assignment, seed=1)
-        cfg = TrainConfig(dim=32, epochs=1, backend=backend,
-                          dsgl_threads=threads)
-        trainer = DistributedTrainer(walks.corpus, cl, cfg, learner="dsgl",
-                                     walk_machines=walks.walk_machines)
+        cfg = TrainConfig(dim=32, epochs=1, dsgl_threads=threads)
         start = time.perf_counter()
-        result = trainer.train()
+        if backend == "loop":
+            result = train_reference(walks.corpus, cl, cfg, learner="dsgl",
+                                     walk_machines=walks.walk_machines)
+        else:
+            result = DistributedTrainer(
+                walks.corpus, cl, cfg, learner="dsgl",
+                walk_machines=walks.walk_machines).train()
         return time.perf_counter() - start, result.embeddings
 
     loop_secs, loop_emb = run("loop", 32)

@@ -9,7 +9,7 @@ Known deviations at laptop scale (recorded in EXPERIMENTS.md):
   our chunk partitioner is only the assignment, so the PBG column here is
   near-zero;
 * the paper's MPGP-beats-METIS wall-clock gap does not reproduce in pure
-  Python: MPGP's per-node galloping loop pays interpreter constants while
+  Python: MPGP's per-node streaming loop pays interpreter constants while
   the METIS-like multilevel phases are NumPy-vectorised, and the
   asymptotic advantage of single-pass streaming only bites at the paper's
   10^6-10^9-edge scale.  The bench therefore reports the measured numbers
@@ -34,6 +34,8 @@ from repro.partition import (
     MPGPPartitioner,
 )
 
+from oracles.partition import GallopingMPGPPartitioner
+
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
 PARTITIONERS = {
     "PBG": ChunkPartitioner,
@@ -44,13 +46,14 @@ _times = {}
 
 
 def test_table5a_mpgp_vectorized_backend_speedup(benchmark):
-    """Vectorized vs loop MPGP scoring at 10^4 nodes (ISSUE 2 gate).
+    """Table vs galloping MPGP scoring at 10^4 nodes (the partition gate).
 
-    The vectorized backend precomputes the per-arc common-neighbour table
-    (the pass shared with ``HuGEKernel.arc_acceptance_table``) instead of
-    galloping every placed neighbour on demand; the two backends place
-    every node identically, so the assignments are asserted byte-equal
-    and the timing difference is pure execution strategy.  The graph uses
+    The partitioner precomputes the per-arc common-neighbour table (the
+    pass shared with ``HuGEKernel.arc_acceptance_table``) instead of
+    galloping every placed neighbour on demand like the oracle in
+    ``tests/oracles/partition.py``; the two place every node identically,
+    so the assignments are asserted byte-equal and the timing difference
+    is pure execution strategy.  The graph uses
     attach=8 (average degree ~16, the LJ-like density regime MPGP
     targets).  ``REPRO_BENCH_MPGP_NODES`` / ``REPRO_BENCH_MPGP_FLOOR``
     scale the gate down for CI smoke runs (2000 nodes / 2x there).
@@ -59,9 +62,11 @@ def test_table5a_mpgp_vectorized_backend_speedup(benchmark):
     floor = float(os.environ.get("REPRO_BENCH_MPGP_FLOOR", "3.0"))
     graph = powerlaw_cluster(nodes, attach=8, triangle_prob=0.3, seed=11)
     seconds, assignments = {}, {}
-    for backend in ("loop", "vectorized"):
+    partitioners = {"loop": GallopingMPGPPartitioner,
+                    "vectorized": MPGPPartitioner}
+    for backend, partitioner_cls in partitioners.items():
         start = time.perf_counter()
-        result = MPGPPartitioner(backend=backend).partition(graph, 8)
+        result = partitioner_cls().partition(graph, 8)
         seconds[backend] = time.perf_counter() - start
         assignments[backend] = result.assignment
     run_once(benchmark, lambda: None)

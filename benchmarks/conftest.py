@@ -1,9 +1,13 @@
-"""Benchmark-suite configuration: make ``benchmarks/`` importable."""
+"""Benchmark-suite configuration: make ``benchmarks/`` importable, and
+``tests/`` too -- the speedup gates time the library against the loop
+references in ``tests/oracles/``."""
 
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+_HERE = os.path.dirname(__file__)
+sys.path.insert(0, _HERE)
+sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "tests"))
 
 
 def pytest_addoption(parser):

@@ -11,22 +11,12 @@ overrides expose the generic API of paper §6.6 (e.g. DeepWalk or node2vec
 walks with information-centric termination on DistGER).
 
 Walk-based methods accept every :class:`repro.walks.engine.WalkConfig`
-field as a flat keyword, including the execution knob ``backend``
-(``"auto"``/``"vectorized"``/``"loop"``; auto picks the batched NumPy
-engine wherever semantics match, i.e. the ``routine`` and ``incom``
-modes).  All walk randomness comes from scheduling-independent
-per-walker counter streams, so ``embed_graph(g, backend="loop")`` runs
-the reference loop engine on the same random streams the vectorized
-backend consumes -- producing the identical corpus, only slower.
-
-The trainer's and partitioner's execution backends are exposed the same
-way under prefixed names (the bare name addresses the walk engine):
-``train_backend`` maps onto :class:`repro.embedding.model.TrainConfig`
-(loop vs batched learners over the same counter-based negative streams)
-and ``partition_backend`` onto DistGER's MPGP partitioner (on-demand
-galloping vs the precomputed per-arc common-neighbour table).  Each
-phase's loop/vectorized pair is result-identical under its parity
-protocol, so these knobs trade speed only.  ``train_backend="torch"``
+field as a flat keyword (``mu=0.9``, ``max_length=40``, ...).  Each phase
+runs one engine: the walk mode picks the walk engine (lock-step NumPy
+rounds for ``incom``/``routine``, the per-walker loop for HuGE-D's
+``fullpath``), MPGP scores from its per-arc common-neighbour table, and
+the trainer runs the batched learner of the chosen ``learner``.  The one
+trainer knob is exposed under a prefixed name: ``train_backend="torch"``
 (optional dependency, validated eagerly with an install hint) runs the
 batched slice plans on torch tensors; its
 ``torch_device``/``torch_dtype`` knobs are TrainConfig fields and route
@@ -98,19 +88,16 @@ _MPGP_METHODS = ("distger", "distger-gpu")
 # Flat hyper-parameter names accepted by embed_graph for the walk-based
 # systems and routed into their train/walk override dicts, so callers (and
 # grid searches) can write embed_graph(g, lr=0.05, mu=0.9) directly.
-# ``backend`` exists on both WalkConfig and TrainConfig: the bare name
-# keeps addressing the walk engine (historical behaviour), while the
-# prefixed aliases below address the trainer and partitioner.
+# TrainConfig's ``backend`` is only reachable as ``train_backend``.
 _TRAIN_FIELDS = frozenset(
     f.name for f in dataclasses.fields(TrainConfig)
 ) - {"dim", "epochs", "seed", "backend", "context"}
 _WALK_FIELDS = frozenset(
     f.name for f in dataclasses.fields(WalkConfig)
 ) - {"kernel", "mode", "context"}
-#: Prefixed execution-knob aliases: flat name -> (override dict, field).
+#: Prefixed aliases: flat name -> (override dict, field).
 _PREFIXED_FIELDS = {
     "train_backend": ("train_overrides", "backend"),
-    "partition_backend": ("partition_overrides", "backend"),
 }
 
 
@@ -119,13 +106,13 @@ def _route_overrides(key: str, kwargs: dict) -> dict:
     the flat execution values into one context."""
     if key not in _WALK_METHODS:
         # Fail with a clear message instead of the constructor's TypeError
-        # when an execution-backend knob reaches a non-walk system.
-        rejected = [name for name in ("backend", *CONTEXT_FIELDS,
-                                      *_PREFIXED_FIELDS) if name in kwargs]
+        # when an execution knob reaches a non-walk system.
+        rejected = [name for name in (*CONTEXT_FIELDS, *_PREFIXED_FIELDS)
+                    if name in kwargs]
         if rejected:
             raise ValueError(
-                f"method {key!r} has no loop/vectorized execution "
-                f"backends; {', '.join(rejected)} applies to walk-based "
+                f"method {key!r} has no execution context or trainer "
+                f"backend; {', '.join(rejected)} applies to walk-based "
                 f"methods only ({', '.join(_WALK_METHODS)})"
             )
         return kwargs
@@ -159,7 +146,7 @@ def _route_overrides(key: str, kwargs: dict) -> dict:
     if overrides["partition_overrides"] and key not in _MPGP_METHODS:
         raise ValueError(
             f"method {key!r} uses a workload-balancing partitioner; "
-            "partition_backend/partition_overrides apply to MPGP methods "
+            "partition_overrides apply to MPGP methods "
             f"only ({', '.join(_MPGP_METHODS)})"
         )
     for name, value in overrides.items():

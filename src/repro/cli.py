@@ -89,10 +89,9 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
                         help="read a third edge-weight column")
 
 
-_BACKEND_CHOICES = ["auto", "vectorized", "loop"]
-#: The trainer additionally offers the torch device backend (optional
-#: dependency; validated eagerly with an install hint by TrainConfig).
-_TRAIN_BACKEND_CHOICES = _BACKEND_CHOICES + ["torch"]
+#: The trainer's device backend (torch is an optional dependency,
+#: validated eagerly with an install hint by TrainConfig).
+_TRAIN_BACKEND_CHOICES = ["auto", "torch"]
 
 
 def _add_system_args(parser: argparse.ArgumentParser) -> None:
@@ -104,12 +103,9 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kernel", default=None, choices=_KERNEL_CHOICES,
                         help="walk kernel for walk-based methods (§6.6)")
-    parser.add_argument("--walk-backend", default=None,
-                        choices=_BACKEND_CHOICES,
-                        help="walk engine execution backend (default: auto)")
     parser.add_argument("--train-backend", default=None,
                         choices=_TRAIN_BACKEND_CHOICES,
-                        help="trainer execution backend; 'torch' runs the "
+                        help="trainer array backend; 'torch' runs the "
                              "batched slice plans on torch tensors "
                              "(optional dependency) (default: auto)")
     parser.add_argument("--torch-device", default=None,
@@ -121,10 +117,6 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
                         help="buffer dtype for --train-backend torch: "
                              "'auto' is float64 on CPU (byte-parity tier) "
                              "and float32 on CUDA (default: auto)")
-    parser.add_argument("--partition-backend", default=None,
-                        choices=_BACKEND_CHOICES,
-                        help="MPGP partitioner backend; DistGER methods "
-                             "only (default: auto)")
     _add_execution_args(parser)
 
 
@@ -166,16 +158,12 @@ def _execution_kwargs(args) -> dict:
 def _backend_kwargs(args) -> dict:
     """Flat embed_graph kwargs for the backend flags that were given."""
     kwargs = {}
-    if getattr(args, "walk_backend", None):
-        kwargs["backend"] = args.walk_backend
     if getattr(args, "train_backend", None):
         kwargs["train_backend"] = args.train_backend
     if getattr(args, "torch_device", None):
         kwargs["torch_device"] = args.torch_device
     if getattr(args, "torch_dtype", None):
         kwargs["torch_dtype"] = args.torch_dtype
-    if getattr(args, "partition_backend", None):
-        kwargs["partition_backend"] = args.partition_backend
     kwargs.update(_execution_kwargs(args))
     return kwargs
 
@@ -313,28 +301,19 @@ _PARTITIONERS = {
 }
 
 
-#: Schemes that accept the ``backend`` knob (the baselines have nothing
-#: to vectorize differently); only the parallel one takes a context.
-_BACKEND_SCHEMES = ("mpgp", "mpgp-parallel")
-
-
 def cmd_partition(args) -> int:
     graph = _load_graph(args)
     schemes = args.schemes or list(_PARTITIONERS)
     context = _execution_kwargs(args)
-    if args.backend or context:
-        skipped = [n for n in schemes if n not in _BACKEND_SCHEMES]
+    if context:
+        skipped = [n for n in schemes if n != "mpgp-parallel"]
         if skipped:
-            print(f"note: --backend applies to "
-                  f"{'/'.join(_BACKEND_SCHEMES)} and the execution flags "
-                  f"to mpgp-parallel only; ignored for "
-                  f"{', '.join(skipped)}")
+            print(f"note: the execution flags apply to mpgp-parallel "
+                  f"only; ignored for {', '.join(skipped)}")
     print(f"{'scheme':20s} {'seconds':>8s} {'cut%':>7s} {'balance':>8s} "
           f"{'walk locality':>13s}")
     for name in schemes:
         scheme_kwargs = {}
-        if args.backend and name in _BACKEND_SCHEMES:
-            scheme_kwargs["backend"] = args.backend
         if name == "mpgp-parallel":
             scheme_kwargs["context"] = ExecutionContext(**context)
         partitioner = _PARTITIONERS[name](**scheme_kwargs)
@@ -558,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--machines", type=int, default=4)
     p_part.add_argument("--schemes", nargs="*",
                         choices=list(_PARTITIONERS), default=None)
-    p_part.add_argument("--backend", default=None, choices=_BACKEND_CHOICES,
-                        help="MPGP scoring backend (default: auto)")
     _add_execution_args(p_part)
     p_part.set_defaults(func=cmd_partition)
 

@@ -5,12 +5,11 @@ multi-window shared negative sampling, and hotness-block synchronisation --
 alongside the baselines it is measured against: vanilla SGNS, Intel's
 Pword2vec, and pSGNScc.
 
-Every learner (except the inherently sequential pSGNScc) runs on two
-execution backends selected by ``TrainConfig.backend``: the per-window
-``"loop"`` reference and the batched ``"vectorized"`` engine of
-:mod:`repro.embedding.vectorized`, which produce bit-identical embeddings
-because both draw negatives from the same counter-based per-machine
-streams.
+Every learner except the inherently sequential pSGNScc is a batched
+learner of :mod:`repro.embedding.vectorized`; the per-window references
+they are verified against (bit-identical embeddings, because both draw
+negatives from the same counter-based per-machine streams) live in
+``tests/oracles/embedding.py``.
 """
 
 from repro.embedding.checkpoint import load_model, save_model
@@ -22,7 +21,6 @@ from repro.embedding.convergence import (
     quality_time_curve,
     time_to_quality,
 )
-from repro.embedding.dsgl import DSGLLearner
 from repro.embedding.model import (
     EmbeddingModel,
     TrainConfig,
@@ -39,12 +37,7 @@ from repro.embedding.schedules import (
 )
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.psgnscc import PSGNSccLearner
-from repro.embedding.sgns import (
-    BaseLearner,
-    Pword2vecLearner,
-    SGNSLearner,
-    linear_lr,
-)
+from repro.embedding.sgns import BaseLearner, linear_lr
 from repro.embedding.similarity import (
     analogy,
     cosine_similarity,
@@ -64,7 +57,6 @@ from repro.embedding.trainer import (
     TrainResult,
 )
 from repro.embedding.vectorized import (
-    VECTORIZED_LEARNERS,
     VectorizedDSGLLearner,
     VectorizedPword2vecLearner,
     VectorizedSGNSLearner,
@@ -82,7 +74,6 @@ __all__ = [
     "ConstantSchedule",
     "CosineSchedule",
     "CurvePoint",
-    "DSGLLearner",
     "DistributedTrainer",
     "EmbeddingModel",
     "FullSync",
@@ -93,14 +84,11 @@ __all__ = [
     "NegativeSampler",
     "NoSync",
     "PSGNSccLearner",
-    "Pword2vecLearner",
     "QualityTimeCurve",
     "SCHEDULES",
-    "SGNSLearner",
     "SyncStrategy",
     "TrainConfig",
     "TrainResult",
-    "VECTORIZED_LEARNERS",
     "VectorizedDSGLLearner",
     "VectorizedPword2vecLearner",
     "VectorizedSGNSLearner",

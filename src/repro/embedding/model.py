@@ -19,14 +19,7 @@ from repro.embedding.schedules import SCHEDULES
 from repro.embedding.vocab import Vocabulary
 from repro.runtime.executor import ExecutionContext
 from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_positive
-
-
-#: Learners whose update schedule cannot be batched: pSGNScc's partner
-#: lookup consults an inverted index that mutates as windows are consumed,
-#: so (like the walk engine's ``fullpath`` mode) it stays on the loop
-#: backend and its index overhead remains measurable.
-LOOP_ONLY_LEARNERS = frozenset({"psgnscc"})
+from repro.utils.validation import check_integral, check_positive
 
 
 @dataclass
@@ -38,20 +31,21 @@ class TrainConfig:
     token-based synchronisation period replacing the paper's 0.1-second
     wall-clock period (deterministic at any machine speed).
 
-    Execution knobs mirror :class:`repro.walks.engine.WalkConfig`:
+    Every count below (``dim``, ``window``, ``negatives``, ``epochs``,
+    ``multi_windows``, ``sync_period_tokens``, ``dsgl_threads``) must be
+    a positive integer and ``subsample`` a finite value ``>= 0``;
+    violations raise ``ValueError`` naming the field here, before any
+    partitioning or sampling is paid for.
 
-    * ``backend`` selects how a machine's slice of walks is trained:
-      ``"vectorized"`` runs the batched learners of
-      :mod:`repro.embedding.vectorized` (window extraction, buffer
-      indexing and negative draws hoisted into NumPy precomputation,
-      update math unchanged to the bit); ``"loop"`` runs the per-window
-      reference learners; ``"torch"`` runs the *same* batched slice
-      plans on torch tensors through the :mod:`repro.embedding.ops`
-      seam (byte-equal to NumPy on CPU, golden-AUC-gated float32 on
-      CUDA; requires the optional ``torch`` dependency -- validated
-      eagerly here, not deep inside a worker); ``"auto"`` (default)
-      picks vectorized wherever semantics match
-      (``sgns``/``pword2vec``/``dsgl``) and loop for ``psgnscc``.
+    The learners themselves are fixed per learner name
+    (:data:`repro.embedding.trainer.LEARNERS`); the one device knob is:
+
+    * ``backend`` -- ``"auto"`` (default) runs the array math on NumPy;
+      ``"torch"`` runs the *same* batched slice plans on torch tensors
+      through the :mod:`repro.embedding.ops` seam (byte-equal to NumPy
+      on CPU, golden-AUC-gated float32 on CUDA; requires the optional
+      ``torch`` dependency -- validated eagerly here, not deep inside a
+      worker).  The loop-only ``psgnscc`` learner rejects ``"torch"``.
     * ``torch_device`` / ``torch_dtype`` shape the torch backend:
       device ``"auto"`` prefers CUDA when available, dtype ``"auto"``
       resolves to float64 on CPU (the byte-parity tier) and float32 on
@@ -84,7 +78,7 @@ class TrainConfig:
     # subsample; exposed as a standard word2vec option).
     subsample: float = 0.0
     seed: int = 0
-    #: "auto" | "vectorized" | "loop" | "torch" -- see the class docstring.
+    #: "auto" | "torch" -- see the class docstring.
     backend: str = "auto"
     #: Device of the torch backend: "auto" (CUDA when available, else
     #: CPU), "cpu", or "cuda".  Ignored by the other backends.
@@ -112,16 +106,15 @@ class TrainConfig:
     context: ExecutionContext = field(default_factory=ExecutionContext)
 
     def __post_init__(self) -> None:
-        check_positive("dim", self.dim)
-        check_positive("window", self.window)
-        check_positive("negatives", self.negatives)
-        check_positive("epochs", self.epochs)
+        # These size arrays, windows and loop bounds; a non-positive sync
+        # period never advances a shard cursor, so the trainer's round
+        # loop would spin forever.
+        for name in ("dim", "window", "negatives", "epochs",
+                     "multi_windows", "sync_period_tokens", "dsgl_threads"):
+            check_integral(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         check_positive("lr", self.lr)
         check_positive("min_lr", self.min_lr, allow_zero=True)
-        check_positive("multi_windows", self.multi_windows)
-        # A non-positive period never advances a shard cursor, so the
-        # trainer's round loop would spin forever.
-        check_positive("sync_period_tokens", self.sync_period_tokens)
         if self.sync_mode not in ("hotness", "full", "none"):
             raise ValueError(f"unknown sync_mode {self.sync_mode!r}")
         if self.lr_schedule not in SCHEDULES:
@@ -129,13 +122,13 @@ class TrainConfig:
                 f"unknown lr_schedule {self.lr_schedule!r}; "
                 f"options: {sorted(SCHEDULES)}"
             )
-        if self.subsample < 0:
-            raise ValueError(f"subsample must be >= 0, got {self.subsample}")
-        check_positive("dsgl_threads", self.dsgl_threads)
-        if self.backend not in ("auto", "vectorized", "loop", "torch"):
+        # NaN compares false both ways: "< 0" alone would let it through
+        # and train on zero tokens.
+        check_positive("subsample", self.subsample, allow_zero=True)
+        if self.backend not in ("auto", "torch"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; options: 'auto', "
-                "'vectorized', 'loop', 'torch'")
+                "'torch'")
         if self.torch_device not in ("auto", "cpu", "cuda"):
             raise ValueError(
                 f"unknown torch_device {self.torch_device!r}; options: "
@@ -159,26 +152,6 @@ class TrainConfig:
                     "backend='torch' on CUDA requires execution='serial': "
                     "CUDA contexts cannot be shared with forked slice "
                     "workers (CPU torch composes with every executor)")
-
-    def resolved_backend(self, learner: str = "dsgl") -> str:
-        """The backend ``"auto"`` resolves to for ``learner``.
-
-        Raises for combinations that cannot hold the parity contract:
-        pSGNScc's mutable inverted-index lookup is inherently sequential
-        (its overhead is part of what §4.1 measures), so it cannot be
-        vectorized (or run on torch) -- exactly like the walk engine's
-        ``fullpath`` mode.
-        """
-        if self.backend in ("vectorized", "torch") and \
-                learner in LOOP_ONLY_LEARNERS:
-            raise ValueError(
-                f"learner {learner!r} cannot be batched: its per-window "
-                "partner lookup mutates state between windows; use "
-                "backend='auto' or 'loop'"
-            )
-        if self.backend != "auto":
-            return self.backend
-        return "loop" if learner in LOOP_ONLY_LEARNERS else "vectorized"
 
     def resolved_torch_device(self) -> str:
         """The device the torch backend runs on (``"cpu"``/``"cuda"``).

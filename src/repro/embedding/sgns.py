@@ -1,17 +1,11 @@
-"""Baseline Skip-Gram learners: vanilla SGNS and Pword2vec.
+"""The learner base class every Skip-Gram learner shares.
 
-* :class:`SGNSLearner` is the original word2vec formulation (Fig. 3(a)):
-  every (context, target) pair draws its own negative set, producing
-  level-1 (vector-vector) operations -- the memory-bandwidth-bound baseline.
-
-* :class:`Pword2vecLearner` shares one negative set across all context
-  nodes of a window (Fig. 3(b), Ji et al. [22]), converting the update
-  into one small matrix-matrix product per window -- Intel's shared-memory
-  state of the art the paper builds on and then beats with DSGL.
-
-Both operate on an :class:`EmbeddingModel` in row (frequency) space.
-Duplicate-row updates within one batch follow Hogwild semantics (last
-write wins), exactly like the lock-free implementations they model.
+:class:`BaseLearner` holds one machine's replica, its negative sampler and
+counter stream, and the array-ops implementation its update math runs on;
+the concrete learners -- the batched SGNS / Pword2vec / DSGL learners of
+:mod:`repro.embedding.vectorized` and the loop-only pSGNScc of
+:mod:`repro.embedding.psgnscc` -- subclass it.  All operate on an
+:class:`EmbeddingModel` in row (frequency) space.
 """
 
 from __future__ import annotations
@@ -20,10 +14,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.embedding.model import EmbeddingModel, TrainConfig, sigmoid
+from repro.embedding.model import EmbeddingModel, TrainConfig
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.ops import ArrayOps, resolve_ops
-from repro.embedding.windows import iter_windows
 from repro.utils.rng import CounterStream
 
 
@@ -36,8 +29,8 @@ class BaseLearner:
 
     ``ops`` is the array-ops implementation the update math runs on
     (:mod:`repro.embedding.ops`); by default it is resolved from
-    ``config`` -- the shared float32 NumPy reference for every backend
-    except ``"torch"``.  Tests inject explicit instances (e.g.
+    ``config`` -- the shared float32 NumPy reference unless
+    ``config.backend`` is ``"torch"``.  Tests inject explicit instances (e.g.
     ``NumpyOps(np.float64)``) to pin the precision tiers.
     """
 
@@ -135,60 +128,6 @@ class BaseLearner:
             if host is dst or np.shares_memory(host, dst):
                 continue
             np.copyto(dst, host.astype(dst.dtype, copy=False))
-
-
-class SGNSLearner(BaseLearner):
-    """Vanilla Skip-Gram with per-pair negative sampling (level-1 BLAS)."""
-
-    name = "sgns"
-
-    def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
-        phi_in, phi_out = self.model.phi_in, self.model.phi_out
-        k = self.config.negatives
-        tokens = 0
-        for walk in walks:
-            tokens += int(walk.size)
-            rows = self._rows(walk)
-            for target, contexts in iter_windows(rows, self.config.window):
-                for c_row in contexts:
-                    neg_rows = self._negatives(k)
-                    out_rows = np.concatenate([[target], neg_rows])
-                    x = phi_in[c_row]
-                    outs = phi_out[out_rows]
-                    scores = sigmoid(outs @ x)
-                    grad = np.zeros(k + 1, dtype=np.float32)
-                    grad[0] = 1.0
-                    grad -= scores
-                    grad *= lr
-                    phi_in[c_row] = x + grad @ outs
-                    phi_out[out_rows] = outs + np.outer(grad, x)
-        return tokens
-
-
-class Pword2vecLearner(BaseLearner):
-    """Shared-negatives-per-window learner (level-3 BLAS batching)."""
-
-    name = "pword2vec"
-
-    def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
-        phi_in, phi_out = self.model.phi_in, self.model.phi_out
-        k = self.config.negatives
-        tokens = 0
-        for walk in walks:
-            tokens += int(walk.size)
-            rows = self._rows(walk)
-            for target, contexts in iter_windows(rows, self.config.window):
-                neg_rows = self._negatives(k)
-                out_rows = np.concatenate([[target], neg_rows])
-                ctx = phi_in[contexts]                     # (m, d)
-                outs = phi_out[out_rows]                   # (k+1, d)
-                scores = sigmoid(ctx @ outs.T)             # (m, k+1)
-                labels = np.zeros_like(scores)
-                labels[:, 0] = 1.0
-                grad = (labels - scores) * lr              # (m, k+1)
-                phi_in[contexts] = ctx + grad @ outs
-                phi_out[out_rows] = outs + grad.T @ ctx
-        return tokens
 
 
 def linear_lr(

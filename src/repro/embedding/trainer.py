@@ -18,20 +18,18 @@ Learner selection covers every trainer the paper measures: ``sgns``
 (original word2vec), ``pword2vec`` [22], ``psgnscc`` [45] and ``dsgl``
 (DistGER's own, §4.2).
 
-Backends and randomness
+Learners and randomness
 -----------------------
-``TrainConfig.backend`` selects how each machine executes its slice
-(mirroring :class:`repro.walks.engine.WalkConfig`): ``"vectorized"`` runs
-the batched learners of :mod:`repro.embedding.vectorized`, ``"loop"`` the
-per-window reference learners, and ``"auto"`` (default) picks vectorized
-wherever semantics match (everything except ``psgnscc``).  Each
-machine's negative samples come from a counter-based stream derived from
-``(train seed, machine)``, so the two backends consume identical
-randomness and produce bit-identical embeddings --
-``tests/test_embedding_vectorized_parity.py`` is the reference-parity
-suite.  Per-superstep compute and sync-message accounting is charged
-identically for every backend, so the simulated cluster metrics stay
-comparable across them.
+:data:`LEARNERS` holds one learner per name: the batched learners of
+:mod:`repro.embedding.vectorized` for ``sgns`` / ``pword2vec`` / ``dsgl``,
+and pSGNScc's loop learner, which stays sequential because its mutable
+inverted-index lookup is the overhead §4.1 measures.  Each machine's
+negative samples come from a counter-based stream derived from
+``(train seed, machine)``, so the per-window reference learners in
+``tests/oracles/embedding.py`` consume identical randomness and produce
+bit-identical embeddings -- ``tests/test_embedding_vectorized_parity.py``
+is the reference-parity suite.  ``TrainConfig.backend="torch"`` runs the
+same batched slice plans on torch tensors (:mod:`repro.embedding.ops`).
 
 Execution
 ---------
@@ -60,14 +58,17 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Type
 import numpy as np
 
 from repro.embedding.anchor import AnchorRegularizer, RowAnchor
-from repro.embedding.dsgl import DSGLLearner
 from repro.embedding.model import EmbeddingModel, TrainConfig
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.psgnscc import PSGNSccLearner
 from repro.embedding.schedules import make_schedule, progress64
-from repro.embedding.sgns import BaseLearner, Pword2vecLearner, SGNSLearner
+from repro.embedding.sgns import BaseLearner
 from repro.embedding.sync import make_sync
-from repro.embedding.vectorized import VECTORIZED_LEARNERS
+from repro.embedding.vectorized import (
+    VectorizedDSGLLearner,
+    VectorizedPword2vecLearner,
+    VectorizedSGNSLearner,
+)
 from repro.embedding.vocab import Vocabulary
 from repro.runtime.cluster import Cluster
 from repro.utils.rng import (
@@ -79,11 +80,12 @@ from repro.utils.rng import (
 )
 from repro.walks.corpus import Corpus, shard_walks
 
+#: The learner each name trains with (see the module docstring).
 LEARNERS: Dict[str, Type[BaseLearner]] = {
-    "sgns": SGNSLearner,
-    "pword2vec": Pword2vecLearner,
+    "sgns": VectorizedSGNSLearner,
+    "pword2vec": VectorizedPword2vecLearner,
     "psgnscc": PSGNSccLearner,
-    "dsgl": DSGLLearner,
+    "dsgl": VectorizedDSGLLearner,
 }
 
 #: Salts separating the negative- and subsampling-stream roots from the
@@ -150,21 +152,18 @@ class SliceTrainer:
     """
 
     def __init__(self, models: Sequence[EmbeddingModel], config: TrainConfig,
-                 learner_name: str, backend: str, neg_keys: Sequence[int],
+                 learner_name: str, neg_keys: Sequence[int],
                  anchor: Optional[RowAnchor], tokens: np.ndarray,
                  offsets: np.ndarray, shards: Sequence[np.ndarray],
                  keep: Optional[np.ndarray]) -> None:
-        # The torch backend executes the same batched slice plans as the
-        # vectorized learners; only the array-ops implementation differs
+        # The torch backend only swaps the array-ops implementation
         # (resolved per learner from the config by BaseLearner).
-        registry = (VECTORIZED_LEARNERS if backend in ("vectorized", "torch")
-                    else LEARNERS)
-        self.learner_cls = registry[learner_name]
+        self.learner_cls = LEARNERS[learner_name]
         sampler = NegativeSampler(models[0].vocab)
         self.learners: List[BaseLearner] = []
         for machine, model in enumerate(models):
             # Counter-based per-machine negative streams: draws are a pure
-            # function of (key, draw index), so backends and executors
+            # function of (key, draw index), so learners and executors
             # consume identical negatives.
             learner = self.learner_cls(model, sampler, config,
                                        CounterStream(int(neg_keys[machine])))
@@ -244,9 +243,11 @@ class DistributedTrainer:
         self.cluster = cluster
         self.config = config or TrainConfig()
         self.learner_name = learner
-        #: Backend actually used (resolved from config; raises here for
-        #: invalid combinations, e.g. vectorized psgnscc).
-        self.backend = self.config.resolved_backend(learner)
+        if learner == "psgnscc" and self.config.backend == "torch":
+            raise ValueError(
+                "learner 'psgnscc' cannot run on torch: its per-window "
+                "partner lookup mutates state between windows, so it has "
+                "no batched slice plan; use backend='auto'")
         #: Finished-event of a corpus that is still being sampled (the
         #: pipeline dataflow's walk→train hand-off); None means the
         #: corpus is already complete.
@@ -408,7 +409,7 @@ class DistributedTrainer:
         # move into shared memory (the parent's replica objects become
         # views, so the sync strategy below keeps operating in place).
         slice_trainer = cfg.context.slice_trainer(
-            replicas, cfg, self.learner_name, self.backend, neg_keys,
+            replicas, cfg, self.learner_name, neg_keys,
             row_anchor, self.corpus, shards, keep)
         try:
             for epoch in range(cfg.epochs):

@@ -1,18 +1,20 @@
-"""Batched Skip-Gram learners: the trainer's ``vectorized`` backend.
+"""Batched Skip-Gram learners: what the trainer runs for SGNS, Pword2vec
+and DSGL.
 
-The loop learners in :mod:`repro.embedding.sgns` / :mod:`~.dsgl` spend most
-of their time *around* the update math: ``iter_windows`` concatenates two
-walk slices per window, every window re-runs ``searchsorted`` over the
-lifetime buffers, negatives are drawn a handful at a time, and DSGL's
-lock-step batching advances Python generators.  The learners here hoist all
-of that bookkeeping out of the inner loop -- window layouts, buffer
-indices, label coordinates and the whole negative pool are precomputed as
-flat NumPy arrays per walk (SGNS/Pword2vec) or per lifetime chunk (DSGL) --
-while the update math itself is kept operation-for-operation identical.
+A per-window learner spends most of its time *around* the update math:
+windows are re-sliced per target, every window re-runs ``searchsorted``
+over the lifetime buffers, negatives are drawn a handful at a time, and
+DSGL's multi-window batching advances Python generators.  The learners
+here hoist all of that bookkeeping out of the inner loop -- window
+layouts, buffer indices, label coordinates and the whole negative pool
+are precomputed as flat NumPy arrays per walk (SGNS/Pword2vec) or per
+lifetime chunk (DSGL) -- while the update math itself is kept
+operation-for-operation identical.
 
-That identity is the backend contract (the trainer analogue of the walk
-engine's loop/vectorized parity): both backends feed the same
-counter-based negative streams through
+That identity is the parity contract against the per-window reference
+learners in ``tests/oracles/embedding.py`` (the trainer analogue of the
+walk engine's loop/lock-step parity): both feed the same counter-based
+negative streams through
 :meth:`repro.embedding.negative.NegativeSampler.sample_rows_stream`, and
 every gather, matmul, ``sigmoid`` and scatter runs on bit-identical
 operands in the same order, so the final embeddings agree to the last bit
@@ -20,33 +22,37 @@ operands in the same order, so the final embeddings agree to the last bit
 ``atol=1e-10`` (far below float32 resolution).
 
 SGD is order-sensitive, so SGNS stays a per-pair update (its level-1
-structure is the baseline being measured) and Pword2vec a per-window
-update: their speedup is pure bookkeeping elimination.
+structure is the baseline being measured: the original word2vec
+formulation, Fig. 3(a)) and Pword2vec a per-window update (one negative
+set shared by a window's contexts, Fig. 3(b), Ji et al. [22]): their
+speedup is pure bookkeeping elimination.
 
 DSGL goes further.  In the real system (§4.2, Fig. 4) the lifetimes --
 ``multi_windows``-walk chunks with private local buffers -- are processed
 by *parallel threads* whose lock-free updates race on the global matrices.
-Both backends execute that concurrency model deterministically:
+The trainer executes that concurrency model deterministically:
 ``TrainConfig.dsgl_threads`` lifetimes form a
 *cohort* (the simulated thread pool), every lifetime of a cohort gathers
 its buffers from the cohort-start matrices, lifetimes are mutually
 independent while they run (their batches stay strictly sequential
-*within* each lifetime -- Improvement-II is untouched), and at cohort end
-each row receives the **sum of the per-lifetime deltas** (the same
-delta-sum rule :mod:`repro.embedding.sync` applies across machines, here
-applied across threads); cohorts are sequential, bounding staleness the
-way a bounded thread count does on real hardware.  Independence is what
-the vectorized backend exploits: all lifetimes of a cohort advance in
-lock-step, so one step processes every lifetime's current multi-window
-batch as a single stacked ``(chunks, ctx, dim) @ (chunks, dim, outs)``
-matrix multiplication.  The machines' slices of one sync round are
-replica-disjoint with rates fixed up front, so the serial trainer widens
-the lock-step further: cohort *j* of every machine shares one plan
+*within* each lifetime -- Improvement-II, multi-window shared negatives,
+is untouched), and at cohort end each row receives the **sum of the
+per-lifetime deltas** (the same delta-sum rule :mod:`repro.embedding.sync`
+applies across machines -- Improvement-III -- here applied across
+threads); cohorts are sequential, bounding staleness the way a bounded
+thread count does on real hardware.  Independence is what the lock-step
+execution exploits: all lifetimes of a cohort advance together, so one
+step processes every lifetime's current multi-window batch as a single
+stacked ``(chunks, ctx, dim) @ (chunks, dim, outs)`` matrix
+multiplication (Improvement-I's local buffers are the gathered blocks).
+The machines' slices of one sync round are replica-disjoint with rates
+fixed up front, so the serial trainer widens the lock-step further:
+cohort *j* of every machine shares one plan
 (:meth:`VectorizedDSGLLearner.train_round`), while ``dsgl_threads`` keeps
-bounding the lifetimes *per replica*.  The loop backend executes the
-*same* plans one lifetime at a time through the same step kernel, which
-keeps the two backends bit-identical while leaving the per-lifetime
-reference honestly sequential.
+bounding the lifetimes *per replica*.  The reference executes the *same*
+plans one lifetime at a time through the same step kernel, which keeps
+the two bit-identical while leaving the per-lifetime reference honestly
+sequential.
 
 Every array primitive in this module flows through the
 :mod:`repro.embedding.ops` seam: :class:`~repro.embedding.ops.NumpyOps`
@@ -61,7 +67,7 @@ per device via :meth:`DSGLSlicePlan.bind`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +80,6 @@ from repro.embedding.ops import (
 from repro.embedding.sgns import BaseLearner
 
 __all__ = [
-    "VECTORIZED_LEARNERS",
     "VectorizedDSGLLearner",
     "VectorizedPword2vecLearner",
     "VectorizedSGNSLearner",
@@ -129,8 +134,8 @@ class VectorizedSGNSLearner(BaseLearner):
             positions, sizes = window_context_layout(rows.size, self.config.window)
             pair_ctx = rows[positions]                    # (P,) pair order
             pair_tgt = np.repeat(rows, sizes)             # (P,)
-            # One pooled draw: the p-th pair's negatives equal the loop
-            # backend's p-th per-pair draw (counter-based stream).
+            # One pooled draw: the p-th pair's negatives equal the
+            # per-pair reference's p-th draw (counter-based stream).
             negs = self._negatives(k * pair_ctx.size).reshape(-1, k)
             for p in range(pair_ctx.size):
                 c_row = int(pair_ctx[p])
@@ -191,7 +196,7 @@ class VectorizedPword2vecLearner(BaseLearner):
 
 
 # --------------------------------------------------------------------- #
-# DSGL: concurrent-lifetime slice plan shared by both backends
+# DSGL: concurrent-lifetime slice plan (shared with the reference)
 # --------------------------------------------------------------------- #
 
 #: One machine's share of a lock-step plan: ``(learner, walks, lr)``.
@@ -330,8 +335,8 @@ class DSGLSlicePlan:
     def run_steps(self, ctx_mega, out_mega, ops: ArrayOps = NUMPY_OPS) -> None:
         """Every lock-step batch update of the plan, first to last.
 
-        The shared step kernel: the loop backend runs it on one-lifetime
-        plans, the vectorized backend on whole-round plans.  Per-slice
+        The shared step kernel: the per-lifetime reference runs it on
+        one-lifetime plans, the lock-step learner on whole-round plans.  Per-slice
         matmul results are identical either way (the stacked form loops
         the same GEMM over slices), which is what makes the executors
         bit-equal.  Every primitive flows through ``ops``, bound once per
@@ -714,8 +719,8 @@ class VectorizedDSGLLearner(BaseLearner):
     processes the ``t``-th multi-window batch of every still-active
     lifetime as one stacked matrix multiplication -- which amortises the
     per-batch dispatch cost over every concurrent lifetime, exactly like
-    the walk engine's lock-step supersteps.  Bit-identical to the loop
-    backend's depth-first execution of the same plan (lifetimes are
+    the walk engine's lock-step supersteps.  Bit-identical to the
+    reference's depth-first execution of the same plan (lifetimes are
     independent until the shared delta-merge writeback).
 
     :meth:`train_round` widens the lock-step across machines: the serial
@@ -747,7 +752,7 @@ class VectorizedDSGLLearner(BaseLearner):
             # device copy stream via bind() -- while cohort i's kernels
             # are still queued.  Plans are built strictly in cohort
             # order, which keeps negative-stream consumption, and hence
-            # backend parity, unchanged.
+            # reference parity, unchanged.
             if i >= len(spans):
                 return None, None
             cohort_tokens, plan = plan_dsgl_slice(
@@ -774,13 +779,3 @@ class VectorizedDSGLLearner(BaseLearner):
             plan.apply_writeback(ctx_mega, ctx_start, out_mega, out_start,
                                  ops)
         return tokens
-
-
-#: Batched counterpart of :data:`repro.embedding.trainer.LEARNERS`.
-#: ``psgnscc`` is deliberately absent -- see
-#: :data:`repro.embedding.model.LOOP_ONLY_LEARNERS`.
-VECTORIZED_LEARNERS: Dict[str, Type[BaseLearner]] = {
-    "sgns": VectorizedSGNSLearner,
-    "pword2vec": VectorizedPword2vecLearner,
-    "dsgl": VectorizedDSGLLearner,
-}

@@ -17,41 +17,24 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.runtime.executor import ExecutionContext
+from repro.partition.streaming_orders import check_order
 from repro.utils.rng import SeedLike
-from repro.utils.validation import check_positive
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a partitioner backend name; resolve ``"auto"``.
-
-    Shared by :class:`PartitionConfig` and the MPGP partitioners so the
-    accepted names live in one place.  ``"auto"`` resolves to
-    ``"vectorized"`` (the backends are assignment-identical, so auto can
-    always take the fast path).
-    """
-    if backend not in ("auto", "vectorized", "loop"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return "vectorized" if backend == "auto" else backend
+from repro.utils.validation import check_integral, check_positive
 
 
 @dataclass
 class PartitionConfig:
     """Knobs of the MPGP partitioners, mirroring ``WalkConfig``.
 
-    ``backend`` selects how per-node scores are computed: ``"vectorized"``
-    precomputes the per-arc common-neighbour table (the same pass behind
-    ``HuGEKernel.arc_acceptance_table``) so each streamed node's
-    second-order proximity is a pure array gather; ``"loop"`` is the
-    per-neighbour galloping reference; ``"auto"`` (default) picks
-    vectorized.  Both backends produce **byte-identical assignments** --
-    ``tests/test_partition_mpgp_parity.py`` is the parity suite.
+    Every field is validated at construction: ``gamma`` finite and
+    positive, ``order`` one of
+    :data:`~repro.partition.streaming_orders.STREAMING_ORDERS`,
+    ``num_segments`` a positive integer.
     """
 
     gamma: float = 2.0
     order: str = "dfs+degree"
     num_segments: int = 4          # parallel variant only
-    #: "auto" | "vectorized" | "loop" -- see the class docstring.
-    backend: str = "auto"
     #: Where the parallel variant's independent stream segments are
     #: partitioned.  Segments share no state, so running them on worker
     #: processes (:func:`repro.runtime.executor.run_partition_segments`,
@@ -64,12 +47,9 @@ class PartitionConfig:
 
     def __post_init__(self) -> None:
         check_positive("gamma", self.gamma)
+        check_order(self.order)
+        check_integral("num_segments", self.num_segments)
         check_positive("num_segments", self.num_segments)
-        resolve_backend(self.backend)
-
-    def resolved_backend(self) -> str:
-        """The backend ``"auto"`` resolves to (``"vectorized"``)."""
-        return resolve_backend(self.backend)
 
 
 @dataclass

@@ -20,7 +20,12 @@ where
 Optimisations from the paper, all implemented here:
 
 1. first-order scores use a membership bitmap (O(deg) for all partitions at
-   once) and common-neighbour counts use **galloping** intersection;
+   once); common-neighbour counts come from one per-arc table,
+   :func:`repro.walks.kernels.common_neighbor_counts_per_arc` -- the exact
+   pass ``HuGEKernel.arc_acceptance_table`` is built from (MPGP's
+   second-order proximity *is* the quantity HuGE's transition probability
+   rewards) -- so each streamed node scores all partitions with pure
+   array ops, no per-neighbour Python loop;
 2. PF2 only visits ``u ∈ N(v) ∩ P_i`` -- non-neighbours cannot be reached
    by a walker in one hop, so they are skipped;
 3. streaming order is pluggable, defaulting to **DFS+degree** (recommended
@@ -29,22 +34,10 @@ Optimisations from the paper, all implemented here:
    into segments partitioned independently and merged, defaulting to
    **BFS+degree** as the paper recommends.
 
-Backends
---------
-``PartitionConfig.backend`` (also a constructor kwarg) selects how PF2 is
-computed, mirroring the walk engine's backend knob:
-
-* ``"vectorized"`` -- the per-arc common-neighbour table is precomputed by
-  :func:`repro.walks.kernels.common_neighbor_counts_per_arc`, the exact
-  pass ``HuGEKernel.arc_acceptance_table`` is built from (the ROADMAP's
-  suggested sharing: MPGP's second-order proximity *is* the quantity
-  HuGE's transition probability rewards).  Each streamed node then scores
-  all partitions with pure array ops -- no per-neighbour Python loop.
-* ``"loop"`` -- the on-demand galloping reference below.
-
-Both backends place every node identically (the score arithmetic is the
-same float64 operations in the same order), so assignments are
-byte-identical; only the wall time differs.
+The paper's on-demand **galloping** intersection per placed neighbour is
+the parity reference ``tests/oracles/partition.py`` keeps: it places
+every node identically (the score arithmetic is the same float64
+operations in the same order), so assignments are byte-identical.
 
 Execution
 ---------
@@ -57,7 +50,7 @@ fans them out across ``workers`` OS processes over a shared CSR
 state, so the fan-out is a pure reordering and assignments stay
 byte-identical.  The sequential partitioner's stream is one
 order-dependent chain -- each placement reads every earlier one -- so it
-takes no context (the vectorized PF2 table is its fast path).
+takes no context (the PF2 table is its fast path).
 """
 
 from __future__ import annotations
@@ -67,20 +60,15 @@ from typing import List, Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition.base import (
-    PartitionConfig,
-    Partitioner,
-    resolve_backend,
-)
-from repro.partition.galloping import galloping_intersect_size
-from repro.partition.streaming_orders import get_order
+from repro.partition.base import PartitionConfig, Partitioner
+from repro.partition.streaming_orders import check_order, get_order
 from repro.runtime.executor import ExecutionContext
 from repro.utils.rng import SeedLike
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integral, check_positive
 
 
 def _arc_common_neighbors(graph: CSRGraph) -> np.ndarray:
-    """Per-arc ``|N(u) ∩ N(v)|`` table (vectorized backend precompute)."""
+    """Per-arc ``|N(u) ∩ N(v)|`` table (PF2's precompute)."""
     # Imported lazily: walks.kernels itself imports partition.galloping,
     # and a module-level import here would close that cycle during
     # package initialisation.
@@ -94,24 +82,17 @@ def _mpgp_stream(
     stream: np.ndarray,
     num_parts: int,
     gamma: float,
-    part_of: Optional[np.ndarray] = None,
-    sizes: Optional[np.ndarray] = None,
-    arc_cm: Optional[np.ndarray] = None,
+    arc_cm: np.ndarray,
 ) -> np.ndarray:
     """Core streaming loop shared by sequential and parallel MPGP.
 
-    ``part_of``/``sizes`` allow a caller to continue from a partial
-    assignment (used when merging parallel segments).  ``arc_cm`` is the
-    precomputed per-arc common-neighbour table (vectorized backend); when
-    ``None`` counts are galloped on demand (loop backend).  The float64
-    accumulation order is identical either way, so both backends place
-    every node on the same partition.
+    Places ``stream``'s nodes one by one against an empty partition set
+    and returns the per-node parts (-1 for nodes off the stream).
+    ``arc_cm`` is the per-arc common-neighbour table
+    (:func:`_arc_common_neighbors`).
     """
-    n = graph.num_nodes
-    if part_of is None:
-        part_of = np.full(n, -1, dtype=np.int64)
-    if sizes is None:
-        sizes = np.zeros(num_parts, dtype=np.int64)
+    part_of = np.full(graph.num_nodes, -1, dtype=np.int64)
+    sizes = np.zeros(num_parts, dtype=np.int64)
     member_of_part = part_of  # alias for readability
     weighted = graph.is_weighted
     indptr = graph.indptr
@@ -133,23 +114,14 @@ def _mpgp_stream(
             else:
                 np.add.at(pf1, parts, 1.0)
             # Second-order proximity, restricted to partitioned neighbours
-            # (optimisation 2).
-            if arc_cm is not None:
-                # Vectorized: gather the placed arcs' precomputed counts
-                # and accumulate per partition in one pass.  np.add.at
-                # adds in index order, matching the loop below (zero
-                # counts add +0.0 exactly).
-                cm_placed = arc_cm[indptr[v]:indptr[v + 1]][placed_mask]
-                contrib = (cm_placed * nbr_weights[placed_mask] if weighted
-                           else cm_placed.astype(np.float64))
-                np.add.at(pf2, parts, contrib)
-            else:
-                # Loop reference: gallop each placed neighbour on demand.
-                for idx, u in enumerate(placed_nbrs):
-                    cm = galloping_intersect_size(nbrs, graph.neighbors(int(u)))
-                    if cm:
-                        contrib = cm * (nbr_weights[placed_mask][idx] if weighted else 1.0)
-                        pf2[parts[idx]] += contrib
+            # (optimisation 2): gather the placed arcs' precomputed counts
+            # and accumulate per partition in one pass.  np.add.at adds in
+            # index order, the order the galloping reference adds in (zero
+            # counts add +0.0 exactly).
+            cm_placed = arc_cm[indptr[v]:indptr[v + 1]][placed_mask]
+            contrib = (cm_placed * nbr_weights[placed_mask] if weighted
+                       else cm_placed.astype(np.float64))
+            np.add.at(pf2, parts, contrib)
 
         total_assigned = int(sizes.sum())
         if total_assigned == 0:
@@ -188,28 +160,21 @@ class MPGPPartitioner(Partitioner):
     name = "mpgp"
 
     def __init__(self, gamma: float = 2.0, order: str = "dfs+degree",
-                 seed: SeedLike = 0, backend: str = "auto") -> None:
+                 seed: SeedLike = 0) -> None:
         check_positive("gamma", gamma)
-        resolve_backend(backend)
+        check_order(order)
         self.gamma = gamma
         self.order = order
         self.seed = seed
-        self.backend = backend
 
     @classmethod
     def from_config(cls, config: PartitionConfig) -> "MPGPPartitioner":
-        return cls(gamma=config.gamma, order=config.order, seed=config.seed,
-                   backend=config.backend)
-
-    def resolved_backend(self) -> str:
-        return resolve_backend(self.backend)
+        return cls(gamma=config.gamma, order=config.order, seed=config.seed)
 
     def _assign(self, graph: CSRGraph, num_parts: int) -> np.ndarray:
         stream = get_order(self.order, graph, self.seed)
-        arc_cm = (_arc_common_neighbors(graph)
-                  if self.resolved_backend() == "vectorized" else None)
         return _mpgp_stream(graph, stream, num_parts, self.gamma,
-                            arc_cm=arc_cm)
+                            _arc_common_neighbors(graph))
 
 
 def _segment_affinity(graph: CSRGraph, seg_nodes: np.ndarray,
@@ -220,8 +185,9 @@ def _segment_affinity(graph: CSRGraph, seg_nodes: np.ndarray,
     ``affinity[p, m]`` counts edges from the segment's part-``p`` nodes to
     already-merged nodes on machine ``m``.  Computed as one flat CSR
     gather plus a bincount over ``(part, machine)`` pairs; every increment
-    is the integer 1.0, so the float64 sums equal the per-neighbour loop
-    of :func:`_segment_affinity_loop` exactly, in any accumulation order.
+    is the integer 1.0, so the float64 sums equal a per-neighbour loop
+    (the parity reference in ``tests/oracles/partition.py``) exactly, in
+    any accumulation order.
     """
     affinity = np.zeros((num_parts, num_parts), dtype=np.float64)
     degrees = graph.degrees[seg_nodes].astype(np.int64)
@@ -244,25 +210,9 @@ def _segment_affinity(graph: CSRGraph, seg_nodes: np.ndarray,
     return affinity
 
 
-def _segment_affinity_loop(graph: CSRGraph, seg_nodes: np.ndarray,
-                           seg_parts: np.ndarray, final: np.ndarray,
-                           num_parts: int) -> np.ndarray:
-    """Per-node reference of :func:`_segment_affinity` (the merge parity
-    suite pins the two equal; at 10^5+ nodes this loop is what used to
-    serialize the parallel path)."""
-    affinity = np.zeros((num_parts, num_parts), dtype=np.float64)
-    for v, p in zip(seg_nodes, seg_parts):
-        nbr_final = final[graph.neighbors(int(v))]
-        nbr_final = nbr_final[nbr_final >= 0]
-        if nbr_final.size:
-            np.add.at(affinity[p], nbr_final, 1.0)
-    return affinity
-
-
 def merge_segments(graph: CSRGraph, segments: List[np.ndarray],
                    seg_parts_list: List[np.ndarray], num_parts: int,
-                   gamma: float,
-                   affinity_fn=_segment_affinity) -> np.ndarray:
+                   gamma: float) -> np.ndarray:
     """Merge independently-partitioned segments onto global machines.
 
     Per segment, each part goes to the machine it shares the most edges
@@ -276,8 +226,8 @@ def merge_segments(graph: CSRGraph, segments: List[np.ndarray],
     global_sizes = np.zeros(num_parts, dtype=np.int64)
     for seg_nodes, seg_parts in zip(segments, seg_parts_list):
         seg_sizes = np.bincount(seg_parts, minlength=num_parts)
-        affinity = affinity_fn(graph, seg_nodes, seg_parts, final,
-                               num_parts)
+        affinity = _segment_affinity(graph, seg_nodes, seg_parts, final,
+                                     num_parts)
         mapping = np.full(num_parts, -1, dtype=np.int64)
         taken = np.zeros(num_parts, dtype=bool)
         total_assigned = int(global_sizes.sum())
@@ -315,29 +265,25 @@ class ParallelMPGPPartitioner(Partitioner):
 
     def __init__(self, gamma: float = 2.0, order: str = "bfs+degree",
                  num_segments: int = 4, seed: SeedLike = 0,
-                 backend: str = "auto",
                  context: Optional[ExecutionContext] = None) -> None:
         # Within one process the independent-segment structure (less PF2
         # work per segment) is what delivers the speed-up; a worker-pool
         # context is what buys multi-core wall-clock.
         check_positive("gamma", gamma)
+        check_order(order)
+        check_integral("num_segments", num_segments)
         check_positive("num_segments", num_segments)
-        resolve_backend(backend)
         self.gamma = gamma
         self.order = order
         self.num_segments = num_segments
         self.seed = seed
-        self.backend = backend
         self.context = context or ExecutionContext()
 
     @classmethod
     def from_config(cls, config: PartitionConfig) -> "ParallelMPGPPartitioner":
         return cls(gamma=config.gamma, order=config.order,
                    num_segments=config.num_segments, seed=config.seed,
-                   backend=config.backend, context=config.context)
-
-    def resolved_backend(self) -> str:
-        return resolve_backend(self.backend)
+                   context=config.context)
 
     def _assign(self, graph: CSRGraph, num_parts: int) -> np.ndarray:
         stream = get_order(self.order, graph, self.seed)
@@ -345,8 +291,7 @@ class ParallelMPGPPartitioner(Partitioner):
         segments = [s for s in segments if s.size]
         # One table shared by every segment (and, conceptually, with the
         # HuGE kernel's acceptance precompute on the same graph).
-        arc_cm = (_arc_common_neighbors(graph)
-                  if self.resolved_backend() == "vectorized" else None)
+        arc_cm = _arc_common_neighbors(graph)
 
         if self.context.fans_out(len(segments)):
             from repro.runtime.executor import run_partition_segments
@@ -357,7 +302,7 @@ class ParallelMPGPPartitioner(Partitioner):
         else:
             seg_parts_list = [
                 _mpgp_stream(graph, segment, num_parts, self.gamma,
-                             arc_cm=arc_cm)[segment]
+                             arc_cm)[segment]
                 for segment in segments]
 
         return merge_segments(graph, segments, seg_parts_list, num_parts,

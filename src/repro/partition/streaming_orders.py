@@ -104,6 +104,17 @@ STREAMING_ORDERS: Dict[str, Callable[[CSRGraph, SeedLike], np.ndarray]] = {
 }
 
 
+def check_order(name: str) -> str:
+    """Validate a streaming-order name (case-insensitive, like
+    :func:`get_order`) where a partitioner is configured, so a typo fails
+    at construction with the options listed rather than inside
+    ``partition()``."""
+    if not isinstance(name, str) or name.lower() not in STREAMING_ORDERS:
+        raise ValueError(f"unknown streaming order {name!r}; options: "
+                         f"{sorted(STREAMING_ORDERS)}")
+    return name
+
+
 def get_order(name: str, graph: CSRGraph, seed: SeedLike = None) -> np.ndarray:
     """Look up a streaming order by name (see :data:`STREAMING_ORDERS`)."""
     key = name.lower()

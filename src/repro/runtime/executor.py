@@ -5,7 +5,7 @@ module makes the three pipeline phases *actually* run on multiple OS
 processes.  The enabling property is the counter-based RNG protocols of
 PRs 1-2: every random draw is a pure function of ``(stream key, counter)``,
 so results cannot depend on how work is scheduled -- which means the
-process backend must reproduce the serial backends **bit for bit** (the
+process executors must reproduce serial execution **bit for bit** (the
 contract ``tests/test_runtime_executor_parity.py`` enforces, mirroring how
 KnightKing-style BSP engines are validated).
 
@@ -193,20 +193,20 @@ class ExecutionContext:
             return self.workers
         return max(1, min(4, os.cpu_count() or 1))
 
-    def walk_execution(self, backend: str) -> str:
-        """Where walk rounds run under the resolved walk ``backend``.
+    def walk_execution(self, mode: str) -> str:
+        """Where walk rounds run for walk ``mode``.
 
-        Worker pools apply to the vectorized backend (whose lock-step
-        rounds fan out); the loop reference -- and with it the
-        ``fullpath`` mode -- is inherently serial, its per-walker cost is
-        what the benches measure, so it degrades to ``"serial"``.
+        Worker pools apply to the lock-step rounds of ``routine`` and
+        ``incom`` walks; ``fullpath`` (HuGE-D) runs the per-walker loop,
+        which is inherently serial -- its per-walker cost is what the
+        benches measure -- so it degrades to ``"serial"``.
         """
-        return self.execution if backend == "vectorized" else "serial"
+        return "serial" if mode == "fullpath" else self.execution
 
-    def overlaps_partition(self, walk_backend: str) -> bool:
+    def overlaps_partition(self, walk_mode: str) -> bool:
         """Whether the system runs partitioning concurrently with walk
         sampling (:func:`repro.runtime.pipeline.run_pipelined_sampling`)."""
-        return self.walk_execution(walk_backend) == "pipeline"
+        return self.walk_execution(walk_mode) == "pipeline"
 
     def fans_out(self, tasks: int) -> bool:
         """Whether ``tasks`` independent tasks (parallel-MPGP segments)
@@ -218,7 +218,7 @@ class ExecutionContext:
         return _SharedGroup(backing=self.backing, spill_dir=self.spill_dir)
 
     def slice_trainer(self, replicas, config, learner_name: str,
-                      backend: str, neg_keys, anchor, corpus,
+                      neg_keys, anchor, corpus,
                       shards: Sequence[np.ndarray],
                       keep: Optional[np.ndarray]):
         """The training phase's slice executor.
@@ -235,11 +235,11 @@ class ExecutionContext:
         if self.execution == "serial":
             from repro.embedding.trainer import SliceTrainer
 
-            return SliceTrainer(replicas, config, learner_name, backend,
-                                neg_keys, anchor, corpus.tokens,
-                                corpus.offsets, shards, keep)
-        return ProcessSliceTrainer(replicas, config, learner_name, backend,
-                                   neg_keys, anchor, corpus, shards, keep)
+            return SliceTrainer(replicas, config, learner_name, neg_keys,
+                                anchor, corpus.tokens, corpus.offsets,
+                                shards, keep)
+        return ProcessSliceTrainer(replicas, config, learner_name, neg_keys,
+                                   anchor, corpus, shards, keep)
 
 
 # --------------------------------------------------------------------- #
@@ -634,7 +634,7 @@ def run_partition_async(partitioner, graph, num_parts: int) -> AsyncPartition:
 
 
 def _train_worker_init(phi_in_handle, phi_out_handle, vocab, config,
-                       learner_name, backend, neg_keys, anchor_spec,
+                       learner_name, neg_keys, anchor_spec,
                        corpus_handles, keep_handle) -> None:
     """Build this worker's :class:`~repro.embedding.trainer.SliceTrainer`
     -- the serial trainer's, over the shared attachment."""
@@ -665,8 +665,8 @@ def _train_worker_init(phi_in_handle, phi_out_handle, vocab, config,
     # config, so a missing torch install can never surface as an opaque
     # worker crash here.
     _WORKER_STATE["slice_trainer"] = SliceTrainer(
-        models, config, learner_name, backend, neg_keys, anchor, tokens,
-        offsets, shards, keep)
+        models, config, learner_name, neg_keys, anchor, tokens, offsets,
+        shards, keep)
 
 
 def _train_round_task(slices, counters, keep_key):
@@ -702,7 +702,7 @@ class ProcessSliceTrainer:
     Table 3 IPC gate reads it).
     """
 
-    def __init__(self, replicas, config, learner_name: str, backend: str,
+    def __init__(self, replicas, config, learner_name: str,
                  neg_keys, anchor, corpus, shards: Sequence[np.ndarray],
                  keep: Optional[np.ndarray]) -> None:
         m = len(replicas)
@@ -744,7 +744,7 @@ class ProcessSliceTrainer:
             self._pool = ProcessExecutor(
                 self.workers, initializer=_train_worker_init,
                 initargs=(phi_in.handle, phi_out.handle, vocab, config,
-                          learner_name, backend, neg_keys, anchor_spec,
+                          learner_name, neg_keys, anchor_spec,
                           corpus_handles, keep_handle))
         except BaseException:
             self._group.close()
@@ -804,8 +804,7 @@ class ProcessSliceTrainer:
 def _partition_worker_init(graph_handle, arc_handle, num_parts,
                            gamma) -> None:
     _WORKER_STATE["part_graph"] = attach_graph(graph_handle)
-    _WORKER_STATE["part_arc"] = (None if arc_handle is None
-                                 else attach_shared_array(arc_handle))
+    _WORKER_STATE["part_arc"] = attach_shared_array(arc_handle)
     _WORKER_STATE["part_num_parts"] = num_parts
     _WORKER_STATE["part_gamma"] = gamma
 
@@ -816,12 +815,12 @@ def _partition_segment_task(segment: np.ndarray) -> np.ndarray:
     part_of = _mpgp_stream(_WORKER_STATE["part_graph"], segment,
                            _WORKER_STATE["part_num_parts"],
                            _WORKER_STATE["part_gamma"],
-                           arc_cm=_WORKER_STATE["part_arc"])
+                           _WORKER_STATE["part_arc"])
     return part_of[segment]
 
 
 def run_partition_segments(graph, segments, num_parts: int, gamma: float,
-                           arc_cm: Optional[np.ndarray],
+                           arc_cm: np.ndarray,
                            context: ExecutionContext) -> List[np.ndarray]:
     """Partition parallel-MPGP's segments on worker processes.
 
@@ -835,7 +834,7 @@ def run_partition_segments(graph, segments, num_parts: int, gamma: float,
     group = context.shared_group()
     try:
         graph_handle = share_graph(group, graph)
-        arc_handle = None if arc_cm is None else group.share(arc_cm)
+        arc_handle = group.share(arc_cm)
         with ProcessExecutor(
                 min(context.pool_size, len(segments)),
                 initializer=_partition_worker_init,

@@ -23,21 +23,17 @@ kernel (``deepwalk``/``node2vec``/``huge``/``huge+``) can be combined with
 information-centric termination, which is how the Fig. 12 generality
 experiments deploy DeepWalk and node2vec on DistGER.
 
-Walk execution backend: all three systems inherit
-``WalkConfig.backend="auto"``, so DistGER and KnightKing sample through
-the batched :class:`repro.walks.vectorized.BatchWalkRunner` (lock-step
-NumPy supersteps, ~22x faster at 10^4 nodes) while HuGE-D keeps the
-per-walker loop -- its O(L)-per-step full-path measurement *is* the
-baseline cost being reproduced.  Pass
-``walk_overrides={"backend": "loop"}`` to force a specific engine; see
-:mod:`repro.walks.engine` for the parity guarantees.
-
-The same backend pattern covers the other two pipeline phases: the
-trainer (``train_overrides={"backend": ...}``, see
-:mod:`repro.embedding.trainer`) and DistGER's MPGP partitioner
-(``partition_overrides={"backend": ...}``, see
-:mod:`repro.partition.mpgp`), each with its own loop reference and parity
-suite.
+One engine per phase: the walk mode picks the walk engine -- DistGER and
+KnightKing sample through the batched
+:class:`repro.walks.vectorized.BatchWalkRunner` (lock-step NumPy
+supersteps, ~22x faster at 10^4 nodes) while HuGE-D runs the per-walker
+loop, because its O(L)-per-step full-path measurement *is* the baseline
+cost being reproduced (:mod:`repro.walks.engine`).  MPGP always scores
+from the precomputed per-arc common-neighbour table
+(:mod:`repro.partition.mpgp`) and the trainer always runs the batched
+learners, except for the loop-only pSGNScc baseline
+(:mod:`repro.embedding.trainer`).  The loop references each fast path
+is verified against live in ``tests/oracles/``.
 
 Execution: each system builds one
 :class:`~repro.runtime.executor.ExecutionContext` (its ``context``
@@ -146,7 +142,7 @@ class RandomWalkSystem(EmbeddingSystem):
         timer = Timer()
         feed = None
         if self.walk_config.context.overlaps_partition(
-                self.walk_config.resolved_backend()):
+                self.walk_config.mode):
             # Streaming dataflow: the partitioner runs on its own worker
             # while walk rounds sample ahead through the bounded queue
             # (byte-identical to the phased sequence below -- walk

@@ -41,13 +41,6 @@ from repro.walks.kernels import (
     Node2VecKernel,
     make_kernel,
 )
-from repro.walks.reference import (
-    first_order_stationary_distribution,
-    huge_acceptance_matrix,
-    huge_effective_transition_matrix,
-    node2vec_transition_distribution,
-    stationary_distribution_power_iteration,
-)
 from repro.walks.termination import WalkCountRule, WalkLengthRule
 from repro.walks.vectorized import (
     BatchWalkRunner,
@@ -89,14 +82,9 @@ __all__ = [
     "corpus_quality",
     "empirical_transition_matrix",
     "entropy_trace",
-    "first_order_stationary_distribution",
-    "huge_acceptance_matrix",
-    "huge_effective_transition_matrix",
     "make_kernel",
     "make_measure",
-    "node2vec_transition_distribution",
     "second_order_table_entries",
-    "stationary_distribution_power_iteration",
     "traversed_edges",
     "vectorized_routine_corpus",
 ]

@@ -12,46 +12,46 @@ three systems compared throughout the paper:
 * ``incom``    -- DistGER: information-oriented walks with O(1) InCoM
   measurement and constant 80-byte messages.
 
-Every backend flushes finished walks into the flat
+Every mode flushes finished walks into the flat
 :class:`repro.walks.corpus.Corpus` (one contiguous token block + monotone
 offsets) in **walk-id order** -- the canonical corpus order of the walker
-RNG protocol.  The vectorized backend and the process executor compact
-whole padded rounds into the token block with ``Corpus.add_walks``; the
-loop references append one walk at a time and land on the identical flat
-state, which the corpus-invariants suite
-(``tests/test_walks_corpus_properties.py``) pins down.
+RNG protocol.  Vectorized rounds compact whole padded rounds into the
+token block with ``Corpus.add_walks``; the per-walker loop appends one
+walk at a time and lands on the identical flat state, which the
+corpus-invariants suite (``tests/test_walks_corpus_properties.py``) pins
+down.
 
 Per-machine compute units are credited for every sampling trial and for
 every measurement at its mode-specific cost, so the simulated cost model
 reproduces the paper's complexity separations; the *wall-clock* separation
 is also real because the full-path mode genuinely recomputes from scratch.
-The loop engine credits walker by walker as it goes (``fullpath`` costs
-depend on the path, so it has to); vectorized rounds record each step's
-arc and trial count and reach ``WalkStats`` and the metrics through one
+The loop credits walker by walker as it goes (``fullpath`` costs depend
+on the path, so it has to); vectorized rounds record each step's arc and
+trial count and reach ``WalkStats`` and the metrics through one
 :class:`~repro.walks.vectorized.DeferredWalkAccounting`, under every
 execution.
 
-Backends and randomness
------------------------
-``WalkConfig.backend`` selects how a round of walkers is executed:
+Engines and randomness
+----------------------
+The mode picks the engine:
 
-* ``"vectorized"`` -- all walkers advance in lock-step through
-  :class:`repro.walks.vectorized.BatchWalkRunner` (NumPy array ops, no
-  per-walker Python loop).  Supports every kernel in modes ``routine`` and
-  ``incom``; this is the fast path for DistGER/KnightKing-style sampling.
-* ``"loop"`` -- the per-walker BSP loop below.  Required for
-  ``fullpath`` (HuGE-D), whose O(L)-per-step recomputation is itself part
-  of what the benches measure.
-* ``"auto"`` (default) -- ``vectorized`` where semantics match
-  (``routine``/``incom``), ``loop`` for ``fullpath``.
+* ``routine`` and ``incom`` -- all walkers of a round advance in
+  lock-step through :class:`repro.walks.vectorized.BatchWalkRunner`
+  (NumPy array ops, no per-walker Python loop), for every kernel.
+* ``fullpath`` -- the per-walker BSP loop below
+  (:meth:`DistributedWalkEngine._run_round_loop_walker`).  It stays in the
+  library because HuGE-D is one of the paper's measured baselines: its
+  O(L)-per-step recomputation is itself what the benches measure.
 
 Walk randomness has one source: each walker owns a counter-based stream
 derived from ``(cluster seed, walk_id)`` via :mod:`repro.utils.rng`,
 consuming exactly two uniforms per sampling trial.  Walks are therefore
-independent of scheduling, batching and machine count, and the loop and
-vectorized backends produce **byte-identical corpora** -- the
-reference-parity guarantee, which the corpus/embedding machine-count
-invariance suite (``tests/test_golden_pipeline.py``) also relies on.
+independent of scheduling, batching and machine count: the per-walker
+loop driven over ``incom``/``routine`` configs produces **byte-identical
+corpora** to the lock-step rounds -- the reference-parity guarantee
+(``tests/oracles/walks.py`` drives it; ``tests/test_walks_vectorized_parity.py``
+asserts it), which the corpus/embedding machine-count invariance suite
+(``tests/test_golden_pipeline.py``) also relies on.
 
 ``WalkConfig.context.execution`` (the run's
 :class:`~repro.runtime.executor.ExecutionContext`) selects *where* a
@@ -77,10 +77,9 @@ accounting whichever it is:
   stats and metrics, the executor parity contract
   (``tests/test_runtime_executor_parity.py``).
 
-Process and pipeline execution apply to the vectorized backend; the loop
-reference and the ``fullpath`` mode are inherently serial, so
+The ``fullpath`` loop is inherently serial, so
 :meth:`ExecutionContext.walk_execution` degrades to ``"serial"`` there
-(measuring their sequential cost is the point of keeping them).
+(measuring its sequential cost is the point of keeping it).
 """
 
 from __future__ import annotations
@@ -136,8 +135,6 @@ class WalkConfig:
     max_trials_per_step: int = 32
     p: float = 1.0                  # node2vec return parameter
     q: float = 1.0                  # node2vec in-out parameter
-    #: "auto" | "vectorized" | "loop" -- see the module docstring.
-    backend: str = "auto"
     #: Where rounds run and where shared blocks live -- see the module
     #: docstring.  Under ``backing="mmap"`` the corpus, CSR and kernel
     #: tables spill to file-backed ``.npy`` maps, so resident memory
@@ -147,14 +144,6 @@ class WalkConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("incom", "fullpath", "routine"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.backend not in ("auto", "vectorized", "loop"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "vectorized" and self.mode == "fullpath":
-            raise ValueError(
-                "mode='fullpath' cannot be vectorized: HuGE-D's O(L) "
-                "per-step recomputation is the baseline being measured; "
-                "use backend='auto' or 'loop'"
-            )
         if (not isinstance(self.kernel, str)
                 or self.kernel.lower() not in KERNELS):
             raise ValueError(f"unknown kernel {self.kernel!r}; "
@@ -175,12 +164,6 @@ class WalkConfig:
         for name in ("max_trials_per_step", "walk_length", "walks_per_node",
                      "min_length", "max_length", "min_rounds", "max_rounds"):
             check_integral(name, getattr(self, name))
-
-    def resolved_backend(self) -> str:
-        """The backend ``"auto"`` resolves to for this mode."""
-        if self.backend != "auto":
-            return self.backend
-        return "loop" if self.mode == "fullpath" else "vectorized"
 
     @classmethod
     def distger(cls, **overrides) -> "WalkConfig":
@@ -232,10 +215,8 @@ class DistributedWalkEngine:
         self._message_bytes = (
             _INCOM_MESSAGE_BYTES if self.config.mode != "routine"
             else self.kernel.message_fields * BYTES_PER_FIELD)
-        #: Backend actually used for rounds (resolved from config).
-        self.backend = self.config.resolved_backend()
         #: Where rounds actually run (the context's walk policy).
-        self.execution = self.config.context.walk_execution(self.backend)
+        self.execution = self.config.context.walk_execution(self.config.mode)
         self._batch_runner: Optional[BatchWalkRunner] = None
 
     # ------------------------------------------------------------------ #
@@ -303,17 +284,12 @@ class DistributedWalkEngine:
             )
         degrees = self.graph.degrees
 
-        if self.backend == "vectorized":
+        if cfg.mode == "fullpath":
+            self._run_loop_rounds(sources, rounds, count_rule, degrees,
+                                  corpus, stats, walk_machines)
+        else:
             self._run_rounds(sources, rounds, count_rule, degrees, corpus,
                              stats, walk_machines, partition_join)
-        else:
-            for round_idx in range(rounds):
-                self._run_round_loop_walker(sources, round_idx, corpus, stats,
-                                            walk_machines)
-                stats.rounds += 1
-                if count_rule is not None:
-                    if count_rule.observe_round(corpus, degrees):
-                        break
         if count_rule is not None:
             stats.kl_trace = list(count_rule.kl_trace)
         # Sampling is done: drop the growth headroom so the corpus the
@@ -411,8 +387,28 @@ class DistributedWalkEngine:
                 pool.release_round()
 
     # ------------------------------------------------------------------ #
-    # Loop backend (the parity reference; what fullpath HuGE-D runs on)
+    # Per-walker loop: what fullpath HuGE-D runs on
     # ------------------------------------------------------------------ #
+
+    def _run_loop_rounds(
+        self,
+        sources: np.ndarray,
+        rounds: int,
+        count_rule,
+        degrees: np.ndarray,
+        corpus: Corpus,
+        stats: WalkStats,
+        walk_machines: List[int],
+    ) -> None:
+        """Run rounds through :meth:`_run_round_loop_walker` until the
+        walk-count rule stops them."""
+        for round_idx in range(rounds):
+            self._run_round_loop_walker(sources, round_idx, corpus, stats,
+                                        walk_machines)
+            stats.rounds += 1
+            if count_rule is not None:
+                if count_rule.observe_round(corpus, degrees):
+                    break
 
     def _run_round_loop_walker(
         self,
@@ -424,12 +420,13 @@ class DistributedWalkEngine:
     ) -> None:
         """Per-walker BSP loop drawing from private counter streams.
 
-        Functionally the reference implementation the vectorized backend is
-        verified against: same per-walker uniforms (two per trial), same
-        trial/termination schedule, same cost accounting -- only executed
-        one walker at a time.  Finished walks are emitted in walk-id order
-        (the protocol's canonical corpus order, independent of BSP
-        scheduling).
+        Mode-generic: the same per-walker uniforms (two per trial), the
+        same trial/termination schedule and the same cost accounting as
+        the lock-step rounds -- only executed one walker at a time -- so
+        the parity oracle drives it over ``incom``/``routine`` configs and
+        compares against the vectorized bytes.  Finished walks are emitted
+        in walk-id order (the protocol's canonical corpus order,
+        independent of BSP scheduling).
         """
         cfg = self.config
         cluster = self.cluster

@@ -29,17 +29,17 @@ Two batch layers live here:
 
   Randomness follows the per-walker counter streams of
   :mod:`repro.utils.rng`: each walker consumes its private counter-based
-  stream (two uniforms per trial), so this backend produces *the same
-  corpus, walk lengths, termination decisions and metrics* as
-  :class:`repro.walks.engine.DistributedWalkEngine` running the loop
-  backend -- the property the reference-parity
-  suite (``tests/test_walks_vectorized_parity.py``) pins down.
+  stream (two uniforms per trial), so these rounds produce *the same
+  corpus, walk lengths, termination decisions and metrics* as the
+  engine's per-walker loop driven over the same config -- the property
+  the reference-parity suite (``tests/test_walks_vectorized_parity.py``)
+  pins down.
 
   Covered: kernels ``deepwalk``/``node2vec``/``node2vec-alias``/``huge``/
   ``huge+`` in modes ``routine`` and ``incom``.  The ``fullpath`` mode is
   deliberately *not* vectorised: HuGE-D's from-scratch O(L) recomputation
-  per step is the baseline cost the benchmarks measure, so it stays on
-  the loop engine (``backend="auto"`` resolves it there).
+  per step is the baseline cost the benchmarks measure, so the engine
+  runs it on the per-walker loop.
 """
 
 from __future__ import annotations
@@ -422,8 +422,8 @@ class BatchWalkRunner:
         if config.mode == "fullpath":
             raise ValueError(
                 "the fullpath (HuGE-D) measurement is deliberately O(L) per "
-                "step and stays on the loop backend; use backend='auto' or "
-                "'loop' for mode='fullpath'"
+                "step and runs on DistributedWalkEngine's per-walker loop, "
+                "not in lock-step rounds"
             )
         tables = tables or {}
         self.graph = graph

@@ -1,9 +1,15 @@
-"""Reference oracles: exact walk distributions for verification.
+"""Walk oracles: the per-walker loop engine and exact walk distributions.
 
-Every sampler in :mod:`repro.walks` is stochastic; these oracles compute
-the distributions they *should* follow, by direct evaluation of the
-paper's formulas, so tests and notebooks can compare empirical behaviour
-against ground truth:
+:class:`LoopWalkEngine` runs every walk mode through the per-walker BSP
+loop the library keeps for HuGE-D's ``fullpath`` mode.  Under the walker
+RNG protocol it must land on the lock-step rounds' bytes for ``incom`` and
+``routine`` too -- same corpus, stats and cluster metrics -- which is the
+walk engine's reference parity.
+
+Every sampler in :mod:`repro.walks` is stochastic; the functions below
+compute the distributions they *should* follow, by direct evaluation of
+the paper's formulas, so tests can compare empirical behaviour against
+ground truth:
 
 * :func:`node2vec_transition_distribution` -- the exact second-order
   probabilities of §2.1 that both the rejection kernel and the alias
@@ -26,7 +32,25 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.utils.validation import check_positive
+from repro.walks.engine import DistributedWalkEngine
 from repro.walks.kernels import HuGEKernel
+
+
+class LoopWalkEngine(DistributedWalkEngine):
+    """:class:`DistributedWalkEngine` with every mode on the per-walker
+    loop -- one walker, one trial at a time, in-process.
+
+    The lock-step consumer loop (``_run_rounds``) is replaced by the loop
+    rounds ``fullpath`` runs on, so whatever block widths, executor or
+    accounting the production rounds use, they must agree with this.
+    """
+
+    def _run_rounds(self, sources, rounds, count_rule, degrees, corpus,
+                    stats, walk_machines, partition_join) -> None:
+        if partition_join is not None:
+            raise ValueError("the loop reference takes no partition join")
+        self._run_loop_rounds(sources, rounds, count_rule, degrees, corpus,
+                              stats, walk_machines)
 
 
 def node2vec_transition_distribution(

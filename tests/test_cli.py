@@ -24,6 +24,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["embed", "--method", "gcn"])
 
+    @pytest.mark.parametrize("argv", [
+        ["embed", "--walk-backend", "loop"],
+        ["evaluate", "--partition-backend", "loop"],
+        ["partition", "--backend", "loop"],
+        ["embed", "--train-backend", "loop"],
+    ])
+    def test_removed_backend_flags_are_argparse_errors(self, argv):
+        """One engine per phase: only --train-backend {auto,torch}
+        remains."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_edges_overrides_dataset(self):
         args = build_parser().parse_args(
             ["embed", "--dataset", "LJ", "--edges", "x.txt"]

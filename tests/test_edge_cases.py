@@ -28,6 +28,11 @@ from repro.walks import (
     WalkStats,
 )
 
+from oracles.walks import LoopWalkEngine
+
+#: The lock-step engine and the per-walker loop oracle, by name.
+ENGINES = {"loop": LoopWalkEngine, "vectorized": DistributedWalkEngine}
+
 
 class TestIsolatedNodes:
     def test_walk_engine_skips_isolated_sources(self):
@@ -140,17 +145,18 @@ class TestHubGraph:
 
 
 class TestVectorizedEngineEdges:
-    """Degenerate inputs through the batched InCoM backend (and, where the
-    behaviour must match, through the loop backend too)."""
+    """Degenerate inputs through the batched InCoM engine (and, where the
+    behaviour must match, through the per-walker loop oracle too)."""
 
     @staticmethod
-    def _run(graph, cfg, machines=1, seed=0, sources=None):
+    def _run(graph, cfg, machines=1, seed=0, sources=None,
+             engine="vectorized"):
         cluster = Cluster(
             machines,
             np.arange(graph.num_nodes, dtype=np.int64) % machines,
             seed=seed,
         )
-        return DistributedWalkEngine(graph, cluster, cfg).run(sources=sources)
+        return ENGINES[engine](graph, cluster, cfg).run(sources=sources)
 
     def test_isolated_vertices_skipped_by_default(self):
         g = CSRGraph.from_edges([(0, 1), (1, 2)], num_nodes=6)  # 3..5 isolated
@@ -160,12 +166,12 @@ class TestVectorizedEngineEdges:
 
     def test_isolated_vertex_as_explicit_source(self):
         """An explicitly requested dead source yields a length-1 walk in
-        both backends (the walker dies where it stands)."""
+        both engines (the walker dies where it stands)."""
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)  # node 2 isolated
-        for backend in ("loop", "vectorized"):
-            cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     backend=backend)
-            result = self._run(g, cfg, sources=np.array([2, 0]))
+        cfg = WalkConfig.distger(max_rounds=1, min_rounds=1)
+        for engine in ENGINES:
+            result = self._run(g, cfg, sources=np.array([2, 0]),
+                               engine=engine)
             assert [len(w) for w in result.corpus.walks][0] == 1
             assert int(result.corpus.walks[0][0]) == 2
 
@@ -183,17 +189,16 @@ class TestVectorizedEngineEdges:
     def test_self_loop_graph(self):
         """A raw CSR self-loop pins the walker to one node: zero entropy
         growth keeps R² degenerate at 1, so the walk runs to max_length --
-        identically in both backends."""
+        identically in both engines."""
         indptr = np.array([0, 1], dtype=np.int64)
         indices = np.array([0], dtype=np.int64)  # 0 -> 0
         g = CSRGraph(indptr, indices, directed=True)
         walks = {}
-        for backend in ("loop", "vectorized"):
-            cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     max_length=12, backend=backend)
-            result = self._run(g, cfg)
+        cfg = WalkConfig.distger(max_rounds=1, min_rounds=1, max_length=12)
+        for engine in ENGINES:
+            result = self._run(g, cfg, engine=engine)
             assert result.stats.walk_lengths == [12]
-            walks[backend] = [tuple(int(v) for v in w)
+            walks[engine] = [tuple(int(v) for v in w)
                               for w in result.corpus.walks]
         assert walks["loop"] == walks["vectorized"]
         assert walks["loop"][0] == (0,) * 12
@@ -220,10 +225,10 @@ class TestVectorizedEngineEdges:
     def test_mu_extremes_parity(self, small_graph):
         for mu in (0.0, 1.0):
             runs = []
-            for backend in ("loop", "vectorized"):
-                cfg = WalkConfig.distger(mu=mu, max_rounds=1, min_rounds=1,
-                                         backend=backend)
-                result = self._run(small_graph, cfg, machines=2, seed=5)
+            cfg = WalkConfig.distger(mu=mu, max_rounds=1, min_rounds=1)
+            for engine in ENGINES:
+                result = self._run(small_graph, cfg, machines=2, seed=5,
+                                   engine=engine)
                 runs.append([tuple(int(v) for v in w)
                              for w in result.corpus.walks])
             assert runs[0] == runs[1]

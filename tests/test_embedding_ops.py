@@ -84,8 +84,7 @@ class TestEagerBackendValidation:
             TrainConfig(**{field: bad})
 
     def test_resolve_ops_defaults_to_numpy_singleton(self):
-        for cfg in (TrainConfig(), TrainConfig(backend="vectorized"),
-                    TrainConfig(backend="loop"), None):
+        for cfg in (TrainConfig(), None):
             assert resolve_ops(cfg) is NUMPY_OPS
 
 

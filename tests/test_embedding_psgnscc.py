@@ -39,7 +39,7 @@ class TestPSGNScc:
         """With a repetitive walk, negatives frequently hit other windows'
         targets, so partner windows must be found and merged (observable
         through the deterministic update trace differing from Pword2vec)."""
-        from repro.embedding import Pword2vecLearner
+        from repro.embedding import LEARNERS
         corpus = Corpus(4)
         for _ in range(5):
             corpus.add_walk(np.array([0, 1, 2, 3] * 4))
@@ -48,7 +48,7 @@ class TestPSGNScc:
         cfg = TrainConfig(dim=8, window=2, negatives=3)
         out = {}
         for name, cls in (("psgnscc", PSGNSccLearner),
-                          ("pword2vec", Pword2vecLearner)):
+                          ("pword2vec", LEARNERS["pword2vec"])):
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             learner = cls(model, sampler, cfg, CounterStream(0))
             learner.train_walks(corpus.walks, lr=0.05)

@@ -1,14 +1,14 @@
-"""Reference parity: the batched trainer backends vs the loop learners.
+"""Reference parity: the batched learners vs the per-window references.
 
 Under the shared RNG protocol (counter-based per-machine negative streams
-from :mod:`repro.utils.rng`), ``TrainConfig.backend="vectorized"`` must
-reproduce ``backend="loop"`` exactly: identical negative draws, identical
-token accounting, and embeddings equal to far below float32 resolution
-(the contract is ``atol=1e-10``; in practice the backends are bit-equal
-because every gather, matrix product and scatter runs on identical
-operands in the same order).  The suite covers every batched learner on
-undirected, weighted and directed graphs across 1/2/4 simulated machines,
-plus the backend/protocol resolution rules.
+from :mod:`repro.utils.rng`), the trainer's batched learners must
+reproduce the reference learners of :mod:`oracles.embedding` exactly:
+identical negative draws, identical token accounting, and embeddings
+equal to far below float32 resolution (the contract is ``atol=1e-10``; in
+practice the two are bit-equal because every gather, matrix product and
+scatter runs on identical operands in the same order).  The suite covers
+every batched learner on undirected, weighted and directed graphs across
+1/2/4 simulated machines, plus the learner registry.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 
 from repro.embedding import (
     LEARNERS,
-    VECTORIZED_LEARNERS,
     DistributedTrainer,
     EmbeddingModel,
     NegativeSampler,
+    PSGNSccLearner,
     TrainConfig,
     VectorizedDSGLLearner,
+    VectorizedPword2vecLearner,
+    VectorizedSGNSLearner,
     Vocabulary,
 )
 from repro.embedding.anchor import AnchorRegularizer
@@ -37,7 +39,10 @@ from repro.runtime import Cluster, ExecutionContext
 from repro.utils.rng import CounterStream
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig
 
-PARITY_LEARNERS = sorted(VECTORIZED_LEARNERS)
+from oracles.embedding import LEARNERS as REFERENCE_LEARNERS
+from oracles.embedding import train_reference
+
+PARITY_LEARNERS = sorted(REFERENCE_LEARNERS)
 ATOL = 1e-10
 
 
@@ -59,15 +64,21 @@ def walk_corpus(graph, machines=2, seed=9):
     return DistributedWalkEngine(graph, cluster, cfg).run()
 
 
-def train_embeddings(corpus, backend, machines=2, walk_machines=None,
+def train(kind, corpus, cluster, cfg, **kwargs):
+    """``DistributedTrainer.train`` with the batched learners
+    (``"vectorized"``) or the reference learners (``"loop"``)."""
+    if kind == "loop":
+        return train_reference(corpus, cluster, cfg, **kwargs)
+    return DistributedTrainer(corpus, cluster, cfg, **kwargs).train()
+
+
+def train_embeddings(corpus, kind, machines=2, walk_machines=None,
                      learner="dsgl", **overrides):
     assignment = np.zeros(corpus.occurrences.size, dtype=np.int64)
     cluster = Cluster(machines, assignment, seed=0)
-    cfg = TrainConfig(dim=16, window=4, negatives=3, epochs=2,
-                      backend=backend, **overrides)
-    trainer = DistributedTrainer(corpus, cluster, cfg, learner=learner,
-                                 walk_machines=walk_machines)
-    return trainer.train()
+    cfg = TrainConfig(dim=16, window=4, negatives=3, epochs=2, **overrides)
+    return train(kind, corpus, cluster, cfg, learner=learner,
+                 walk_machines=walk_machines)
 
 
 class TestLearnerParity:
@@ -80,8 +91,8 @@ class TestLearnerParity:
         sampler = NegativeSampler(vocab)
         cfg = TrainConfig(dim=16, window=3, negatives=4, multi_windows=2)
         results = {}
-        for kind, registry in (("loop", LEARNERS),
-                               ("vectorized", VECTORIZED_LEARNERS)):
+        for kind, registry in (("loop", REFERENCE_LEARNERS),
+                               ("vectorized", LEARNERS)):
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             inst = registry[learner](model, sampler, cfg,
                                      CounterStream(12345))
@@ -97,11 +108,11 @@ class TestLearnerParity:
 
     @pytest.mark.parametrize("learner", PARITY_LEARNERS)
     def test_identical_negative_draws(self, learner):
-        """Both backends consume the very same negative rows.
+        """Both learners consume the very same negative rows.
 
         A recording sampler captures every draw; the concatenated streams
         must be identical because draws are a pure function of the
-        counter stream, not of how either backend batches them.
+        counter stream, not of how either learner batches them.
         """
         corpus = make_corpus(seed=5)
         vocab = Vocabulary.from_corpus(corpus)
@@ -118,8 +129,8 @@ class TestLearnerParity:
 
         cfg = TrainConfig(dim=8, window=3, negatives=3)
         draws = {}
-        for kind, registry in (("loop", LEARNERS),
-                               ("vectorized", VECTORIZED_LEARNERS)):
+        for kind, registry in (("loop", REFERENCE_LEARNERS),
+                               ("vectorized", LEARNERS)):
             sampler = RecordingSampler(vocab)
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
             inst = registry[learner](model, sampler, cfg,
@@ -135,8 +146,8 @@ class TestLearnerParity:
         for mw in (1, 2, 4):
             cfg = TrainConfig(dim=8, window=2, negatives=2, multi_windows=mw)
             outs = {}
-            for kind, registry in (("loop", LEARNERS),
-                                   ("vectorized", VECTORIZED_LEARNERS)):
+            for kind, registry in (("loop", REFERENCE_LEARNERS),
+                                   ("vectorized", LEARNERS)):
                 model = EmbeddingModel(vocab, cfg.dim, seed=1)
                 registry["dsgl"](model, sampler, cfg,
                                  CounterStream(5)).train_walks(
@@ -154,9 +165,9 @@ class TestTrainerParity:
     def test_machine_counts(self, learner, machines):
         corpus = make_corpus(num_nodes=50, num_walks=40, seed=7)
         results = {
-            backend: train_embeddings(corpus, backend, machines=machines,
-                                      learner=learner)
-            for backend in ("loop", "vectorized")
+            kind: train_embeddings(corpus, kind, machines=machines,
+                                   learner=learner)
+            for kind in ("loop", "vectorized")
         }
         assert results["loop"].tokens_processed == \
             results["vectorized"].tokens_processed
@@ -173,29 +184,28 @@ class TestTrainerParity:
             graph = graph.as_directed()
         walk_result = walk_corpus(graph)
         results = {}
-        for backend in ("loop", "vectorized"):
+        for kind in ("loop", "vectorized"):
             part = WorkloadBalancePartitioner().partition(graph, 2)
             cluster = Cluster(2, part.assignment, seed=0)
-            cfg = TrainConfig(dim=16, epochs=1, backend=backend)
-            results[backend] = DistributedTrainer(
-                walk_result.corpus, cluster, cfg, learner="dsgl",
-                walk_machines=walk_result.walk_machines).train()
+            cfg = TrainConfig(dim=16, epochs=1)
+            results[kind] = train(kind, walk_result.corpus, cluster, cfg,
+                                  learner="dsgl",
+                                  walk_machines=walk_result.walk_machines)
         np.testing.assert_allclose(results["loop"].embeddings,
                                    results["vectorized"].embeddings,
                                    atol=ATOL)
 
     def test_sync_and_compute_accounting_identical(self):
-        """Simulated cluster metrics stay comparable across backends."""
+        """Simulated cluster metrics are identical for both learners."""
         corpus = make_corpus(num_nodes=50, num_walks=40, seed=7)
         metrics = {}
-        for backend in ("loop", "vectorized"):
+        for kind in ("loop", "vectorized"):
             assignment = np.zeros(50, dtype=np.int64)
             cluster = Cluster(2, assignment, seed=0)
             cfg = TrainConfig(dim=8, window=3, negatives=2, epochs=1,
-                              backend=backend, sync_mode="full",
-                              sync_period_tokens=100)
-            DistributedTrainer(corpus, cluster, cfg).train()
-            metrics[backend] = cluster.metrics
+                              sync_mode="full", sync_period_tokens=100)
+            train(kind, corpus, cluster, cfg)
+            metrics[kind] = cluster.metrics
         a, b = metrics["loop"], metrics["vectorized"]
         assert a.compute_units == b.compute_units
         assert a.sync_bytes == b.sync_bytes
@@ -299,8 +309,8 @@ class TestRoundStackedPlan:
         VectorizedDSGLLearner.train_round(stacked)
         for (fast, walks, lr) in stacked:
             model = make_groups(cfg, [walks], [lr])[0][0].model
-            loop = LEARNERS["dsgl"](model, fast.sampler, cfg,
-                                    CounterStream(fast.neg_stream.key))
+            loop = REFERENCE_LEARNERS["dsgl"](
+                model, fast.sampler, cfg, CounterStream(fast.neg_stream.key))
             loop.train_walks(walks, lr)
             assert model.phi_in.tobytes() == fast.model.phi_in.tobytes()
             assert model.phi_out.tobytes() == fast.model.phi_out.tobytes()
@@ -327,8 +337,8 @@ class TestRoundStackedPlan:
         VectorizedDSGLLearner.train_round(stacked)
         for (fast, walks, lr) in stacked:
             model = make_groups(cfg, [walks], [lr])[0][0].model
-            loop = LEARNERS["dsgl"](model, fast.sampler, cfg,
-                                    CounterStream(fast.neg_stream.key))
+            loop = REFERENCE_LEARNERS["dsgl"](
+                model, fast.sampler, cfg, CounterStream(fast.neg_stream.key))
             loop.train_walks(walks, lr)
             assert model.phi_in.tobytes() == fast.model.phi_in.tobytes()
             assert model.phi_out.tobytes() == fast.model.phi_out.tobytes()
@@ -474,30 +484,31 @@ class TestRoundStackedPlan:
                 assert plan.lr[pos, 0, 0] == lr
 
 
-class TestBackendResolution:
-    def test_auto_resolves_vectorized_for_batched_learners(self):
-        cfg = TrainConfig()
-        for learner in PARITY_LEARNERS:
-            assert cfg.resolved_backend(learner) == "vectorized"
+class TestLearnerRegistry:
+    def test_one_learner_per_name(self):
+        """The batched learners everywhere semantics allow; pSGNScc keeps
+        its loop (the measured baseline)."""
+        assert LEARNERS == {"sgns": VectorizedSGNSLearner,
+                            "pword2vec": VectorizedPword2vecLearner,
+                            "dsgl": VectorizedDSGLLearner,
+                            "psgnscc": PSGNSccLearner}
 
-    def test_auto_resolves_loop_for_psgnscc(self):
-        assert TrainConfig().resolved_backend("psgnscc") == "loop"
-
-    def test_explicit_vectorized_psgnscc_rejected(self):
+    def test_psgnscc_rejects_torch(self):
+        """pSGNScc has no batched slice plan to run on torch; the trainer
+        refuses before any round (the config is built without torch
+        installed, so the field is set after validation)."""
+        cfg = TrainConfig(dim=4)
+        cfg.backend = "torch"
+        cluster = Cluster(1, np.zeros(40, dtype=np.int64), seed=0)
         with pytest.raises(ValueError, match="psgnscc"):
-            TrainConfig(backend="vectorized").resolved_backend("psgnscc")
+            DistributedTrainer(make_corpus(), cluster, cfg,
+                               learner="psgnscc")
 
     def test_invalid_names(self):
         with pytest.raises(ValueError, match="backend"):
             TrainConfig(backend="gpu")
         with pytest.raises(ValueError, match="dsgl_threads"):
             TrainConfig(dsgl_threads=0)
-
-    def test_trainer_exposes_resolution(self):
-        corpus = make_corpus()
-        cluster = Cluster(1, np.zeros(40, dtype=np.int64), seed=0)
-        trainer = DistributedTrainer(corpus, cluster, TrainConfig(dim=4))
-        assert trainer.backend == "vectorized"
 
 
 class TestSharedDrawPrimitives:

@@ -8,12 +8,19 @@ truncated checkpoints, and exhausted sampling budgets.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.api import embed_graph
 from repro.embedding import TrainConfig
 from repro.graph import CSRGraph, star
+from repro.partition import (
+    MPGPPartitioner,
+    ParallelMPGPPartitioner,
+    PartitionConfig,
+)
 from repro.runtime import BSPEngine, Cluster, ClusterMetrics
 from repro.systems import DistGER
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig
@@ -119,6 +126,32 @@ class TestWalkEngineFailureModes:
                             max_trials_per_step=np.int32(4))
         assert config.max_length == 40
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("subsample", float("nan"), "subsample must be finite and >= 0"),
+        ("subsample", float("inf"), "subsample must be finite and >= 0"),
+        ("subsample", -1e-3, "subsample must be finite and >= 0"),
+        ("window", 2.5, "window must be an integer"),
+        ("dim", 16.0, "dim must be an integer"),
+        ("negatives", 2.5, "negatives must be an integer"),
+        ("epochs", 1.5, "epochs must be an integer"),
+        ("multi_windows", 2.0, "multi_windows must be an integer"),
+        ("dsgl_threads", True, "dsgl_threads must be an integer"),
+        ("sync_period_tokens", 100.5,
+         "sync_period_tokens must be an integer"),
+    ])
+    def test_bad_train_config_rejected_at_construction(self, triangle,
+                                                       field, value, match):
+        """A NaN threshold used to train on zero tokens and a fractional
+        window to fail only after partitioning and sampling; both are
+        refused by the config -- and so by embed_graph before any phase
+        runs."""
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**{field: value})
+        with mock.patch.object(DistributedWalkEngine, "run",
+                               side_effect=AssertionError("sampled")), \
+                pytest.raises(ValueError, match=match):
+            embed_graph(triangle, num_machines=1, **{field: value})
+
 
 class TestCorpusFailureModes:
     def test_walk_outside_universe(self):
@@ -177,6 +210,30 @@ class TestSystemFailureModes:
         must fail at the boundary, not be swallowed by override routing."""
         with pytest.raises(TypeError, match="rng_protocol"):
             build(triangle)
+
+    @pytest.mark.parametrize("build", [
+        lambda g: WalkConfig(backend="loop"),
+        lambda g: PartitionConfig(backend="loop"),
+        lambda g: MPGPPartitioner(backend="loop"),
+        lambda g: ParallelMPGPPartitioner(backend="loop"),
+        lambda g: DistGER(walk_overrides={"backend": "loop"}),
+        lambda g: DistGER(partition_overrides={"backend": "loop"}),
+        lambda g: embed_graph(g, num_machines=1, backend="loop"),
+        lambda g: embed_graph(g, num_machines=1, partition_backend="loop"),
+    ], ids=["WalkConfig", "PartitionConfig", "MPGPPartitioner",
+            "ParallelMPGPPartitioner", "walk_overrides",
+            "partition_overrides", "embed_graph", "embed_graph-partition"])
+    def test_removed_backend_knobs_are_rejected(self, triangle, build):
+        """One engine per phase: the walk mode picks the walk engine and
+        MPGP always scores from its table, so the retired selectors are
+        the constructors' TypeError."""
+        with pytest.raises(TypeError, match="backend"):
+            build(triangle)
+
+    @pytest.mark.parametrize("value", ["loop", "vectorized", "gpu"])
+    def test_train_backend_is_auto_or_torch(self, value):
+        with pytest.raises(ValueError, match="options: 'auto', 'torch'"):
+            TrainConfig(backend=value)
 
     def test_more_machines_than_nodes_fails_loudly(self, triangle):
         from repro.api import embed_graph

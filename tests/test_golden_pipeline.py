@@ -24,9 +24,15 @@ from repro import embed_graph
 from repro.embedding import DistributedTrainer, TrainConfig
 from repro.graph import load, powerlaw_cluster
 from repro.partition import WorkloadBalancePartitioner
-from repro.runtime import Cluster
+from repro.runtime import Cluster, ExecutionContext
+from repro.systems import DistGER
 from repro.tasks import auc_from_split, split_edges
+from repro.utils.rng import derive_seed
 from repro.walks import DistributedWalkEngine, WalkConfig
+
+from oracles.embedding import train_reference
+from oracles.partition import GallopingMPGPPartitioner
+from oracles.walks import LoopWalkEngine
 
 #: Committed expectations (measured at the introduction of this test).
 #: Tolerances are absolute for AUC, relative elsewhere.
@@ -75,16 +81,29 @@ class TestGoldenMetrics:
         assert np.all(np.isfinite(result.embeddings))
 
     def test_backends_reproduce_the_golden_run(self, golden_run):
-        """The loop backends land inside the same bands (they are the
-        parity references, so this is nearly free but guards the wiring:
-        a backend silently diverging from its reference shows up here
-        even if the parity suite is skipped)."""
-        _, split = golden_run
-        result = embed_graph(split.train_graph, method="distger",
-                             num_machines=2, dim=24, epochs=4, seed=7,
-                             backend="loop", train_backend="loop",
-                             partition_backend="loop")
-        auc = auc_from_split(result.embeddings, split)
+        """The three loop references composed -- galloping MPGP, the
+        per-walker loop, the per-window DSGL learner -- land on the golden
+        embeddings byte for byte (and so inside the same bands): a phase
+        silently diverging from its reference shows up here even if the
+        parity suites are skipped."""
+        golden, split = golden_run
+        graph = split.train_graph
+        # DistGER's own configs and seeds (embed_graph's system), every
+        # phase swapped for its oracle, run in-process.
+        system = DistGER(num_machines=2, dim=24, epochs=4, seed=7,
+                         context=ExecutionContext("serial"))
+        partition = GallopingMPGPPartitioner(
+            seed=system.partitioner.seed).partition(graph, 2)
+        cluster = Cluster(2, partition.assignment, seed=derive_seed(7, 1))
+        walks = LoopWalkEngine(graph, cluster, system.walk_config).run()
+        trained = train_reference(walks.corpus, cluster, system.train_config,
+                                  learner=system.learner,
+                                  walk_machines=walks.walk_machines)
+        np.testing.assert_array_equal(partition.assignment, golden.assignment)
+        np.testing.assert_array_equal(walks.corpus.tokens,
+                                      golden.corpus.tokens)
+        np.testing.assert_array_equal(trained.embeddings, golden.embeddings)
+        auc = auc_from_split(trained.embeddings, split)
         expected, tol = GOLDEN["auc"]
         assert abs(auc - expected) <= tol
 

@@ -1,12 +1,14 @@
-"""Reference parity: the vectorized MPGP scoring backend vs the loop one.
+"""Reference parity: MPGP's per-arc table vs on-demand galloping.
 
-``backend="vectorized"`` precomputes the per-arc common-neighbour table
-(the same pass behind ``HuGEKernel.arc_acceptance_table``) while
-``backend="loop"`` gallops each placed neighbour on demand; both must
-produce **byte-identical** node→machine assignments (and therefore
-identical balance/edge-cut metrics) on every graph family, for both the
-sequential and the parallel partitioner.  Property tests pin the γ-slack
-balance bound and fixed-seed determinism.
+The partitioners score PF2 from the precomputed per-arc common-neighbour
+table (the same pass behind ``HuGEKernel.arc_acceptance_table``); the
+oracle in :mod:`oracles.partition` gallops each placed neighbour on
+demand.  Both must produce **byte-identical** node→machine assignments
+(and therefore identical balance/edge-cut metrics) on every graph family,
+for both the sequential and the parallel partitioner, and the segment
+merge's vectorized affinity must equal the per-node loop.  Property tests
+pin the γ-slack balance bound, fixed-seed determinism and construction-
+time validation.
 """
 
 from __future__ import annotations
@@ -25,11 +27,16 @@ from repro.partition import (
 from repro.partition.mpgp import (
     _mpgp_stream,
     _segment_affinity,
-    _segment_affinity_loop,
     merge_segments,
 )
 from repro.partition.streaming_orders import get_order
 from repro.walks.kernels import common_neighbor_counts_per_arc
+
+from oracles.partition import (
+    GallopingMPGPPartitioner,
+    GallopingParallelMPGPPartitioner,
+    segment_affinity_loop,
+)
 
 
 def graph_family(kind):
@@ -52,46 +59,44 @@ class TestBackendParity:
     @pytest.mark.parametrize("kind", GRAPHS)
     def test_sequential_assignments_identical(self, kind, num_parts):
         graph = graph_family(kind)
-        loop = MPGPPartitioner(backend="loop").partition(graph, num_parts)
-        vec = MPGPPartitioner(backend="vectorized").partition(graph,
-                                                              num_parts)
+        loop = GallopingMPGPPartitioner().partition(graph, num_parts)
+        vec = MPGPPartitioner().partition(graph, num_parts)
         np.testing.assert_array_equal(loop.assignment, vec.assignment)
 
     @pytest.mark.parametrize("kind", GRAPHS)
     def test_parallel_assignments_identical(self, kind):
         graph = graph_family(kind)
-        loop = ParallelMPGPPartitioner(backend="loop").partition(graph, 4)
-        vec = ParallelMPGPPartitioner(backend="vectorized").partition(graph,
-                                                                      4)
+        loop = GallopingParallelMPGPPartitioner().partition(graph, 4)
+        vec = ParallelMPGPPartitioner().partition(graph, 4)
         np.testing.assert_array_equal(loop.assignment, vec.assignment)
 
     @pytest.mark.parametrize("kind", GRAPHS)
     def test_quality_metrics_identical(self, kind):
         graph = graph_family(kind)
         metrics = {}
-        for backend in ("loop", "vectorized"):
-            result = MPGPPartitioner(backend=backend).partition(graph, 4)
-            metrics[backend] = evaluate(graph, result.assignment, 4).as_dict()
+        for name, cls in (("loop", GallopingMPGPPartitioner),
+                          ("vectorized", MPGPPartitioner)):
+            result = cls().partition(graph, 4)
+            metrics[name] = evaluate(graph, result.assignment, 4).as_dict()
         assert metrics["loop"] == metrics["vectorized"]
 
     def test_streaming_orders_all_match(self, medium_graph):
         for order in ("dfs+degree", "bfs+degree", "random"):
-            loop = MPGPPartitioner(order=order, seed=7,
-                                   backend="loop").partition(medium_graph, 3)
-            vec = MPGPPartitioner(order=order, seed=7,
-                                  backend="vectorized").partition(
-                                      medium_graph, 3)
+            loop = GallopingMPGPPartitioner(order=order, seed=7).partition(
+                medium_graph, 3)
+            vec = MPGPPartitioner(order=order, seed=7).partition(
+                medium_graph, 3)
             np.testing.assert_array_equal(loop.assignment, vec.assignment)
 
     def test_star_and_tiny_graphs(self):
         for graph in (star(12), ring_of_cliques(3, 4),
                       CSRGraph.from_edges([(0, 1), (1, 2)], num_nodes=4)):
-            loop = MPGPPartitioner(backend="loop").partition(graph, 2)
-            vec = MPGPPartitioner(backend="vectorized").partition(graph, 2)
+            loop = GallopingMPGPPartitioner().partition(graph, 2)
+            vec = MPGPPartitioner().partition(graph, 2)
             np.testing.assert_array_equal(loop.assignment, vec.assignment)
 
     def test_arc_table_matches_galloping(self, medium_graph):
-        """The vectorized backend's table is the exact quantity the loop
+        """The partitioners' table is the exact quantity the oracle
         gallops -- and the same one the HuGE kernel precomputes."""
         from repro.partition.galloping import galloping_intersect_size
 
@@ -111,9 +116,8 @@ class TestProperties:
     def test_balance_bound_respected(self, num_parts):
         """γ-slack: no machine exceeds γ · (n / num_parts) + 1 nodes."""
         graph = powerlaw_cluster(300, attach=4, seed=8)
-        for backend in ("loop", "vectorized"):
-            result = MPGPPartitioner(gamma=2.0, backend=backend).partition(
-                graph, num_parts)
+        for cls in (GallopingMPGPPartitioner, MPGPPartitioner):
+            result = cls(gamma=2.0).partition(graph, num_parts)
             bound = 2.0 * graph.num_nodes / num_parts + 1
             assert result.sizes().max() <= bound
 
@@ -125,71 +129,84 @@ class TestProperties:
             np.testing.assert_array_equal(a, b)
 
     def test_every_node_assigned(self, medium_graph):
-        for backend in ("loop", "vectorized"):
-            result = MPGPPartitioner(backend=backend).partition(
-                medium_graph, 5)
+        for cls in (GallopingMPGPPartitioner, MPGPPartitioner):
+            result = cls().partition(medium_graph, 5)
             assert result.assignment.min() >= 0
             assert result.assignment.max() < 5
+
+
+def assert_merge_affinities_match(graph, segments, seg_parts, num_parts):
+    """At every step of the merge -- each segment against the machines
+    the segments before it were merged onto -- the vectorized affinity
+    equals the per-node loop's; returns the merged assignment."""
+    for k in range(len(segments)):
+        final = np.full(graph.num_nodes, -1, dtype=np.int64)
+        if k:
+            merged = merge_segments(graph, segments[:k], seg_parts[:k],
+                                    num_parts, 2.0)
+            seen = np.concatenate(segments[:k])
+            final[seen] = merged[seen]
+        np.testing.assert_array_equal(
+            _segment_affinity(graph, segments[k], seg_parts[k], final,
+                              num_parts),
+            segment_affinity_loop(graph, segments[k], seg_parts[k], final,
+                                  num_parts))
+    return merge_segments(graph, segments, seg_parts, num_parts, 2.0)
 
 
 class TestMergeParity:
     """The vectorized segment-merge affinity equals the per-node loop.
 
-    The merge used to be the parallel path's only per-node Python work;
-    it is now one CSR gather + bincount per segment.  Every affinity
+    The merge is one CSR gather + bincount per segment.  Every affinity
     increment is the integer 1.0, so the two computations are equal in
-    any accumulation order -- including at the 10^5-node scale where the
-    loop used to serialize the parallel partitioner.
+    any accumulation order -- including at the 10^5-node scale where a
+    per-node loop would serialize the parallel partitioner.
     """
 
     def test_merge_parity_on_real_segments(self):
         graph = powerlaw_cluster(300, attach=4, triangle_prob=0.3, seed=8)
         stream = get_order("bfs+degree", graph, 0)
         segments = [s for s in np.array_split(stream, 4) if s.size]
-        seg_parts = [_mpgp_stream(graph, s, 4, 2.0)[s] for s in segments]
-        vec = merge_segments(graph, segments, seg_parts, 4, 2.0,
-                             affinity_fn=_segment_affinity)
-        loop = merge_segments(graph, segments, seg_parts, 4, 2.0,
-                              affinity_fn=_segment_affinity_loop)
-        np.testing.assert_array_equal(vec, loop)
+        arc_cm = common_neighbor_counts_per_arc(graph)
+        seg_parts = [_mpgp_stream(graph, s, 4, 2.0, arc_cm)[s]
+                     for s in segments]
+        assert_merge_affinities_match(graph, segments, seg_parts, 4)
 
     def test_merge_parity_at_1e5_nodes(self):
-        """131072-node R-MAT graph: merge of synthetic (but full-coverage)
-        segment labelings is byte-identical between the vectorized and
-        loop affinity, for a skewed-degree graph with dead-end rows."""
+        """131072-node R-MAT graph: the affinities of synthetic (but
+        full-coverage) segment labelings are byte-identical between the
+        vectorized and loop computation at every merge step, for a
+        skewed-degree graph with dead-end rows."""
         graph = rmat(scale=17, edge_factor=4, seed=6)
         rng = np.random.default_rng(0)
         stream = rng.permutation(graph.num_nodes).astype(np.int64)
         segments = [s for s in np.array_split(stream, 4) if s.size]
         seg_parts = [rng.integers(0, 4, size=s.size, dtype=np.int64)
                      for s in segments]
-        vec = merge_segments(graph, segments, seg_parts, 4, 2.0,
-                             affinity_fn=_segment_affinity)
-        loop = merge_segments(graph, segments, seg_parts, 4, 2.0,
-                              affinity_fn=_segment_affinity_loop)
-        np.testing.assert_array_equal(vec, loop)
-        assert vec.min() >= 0 and vec.max() < 4
-
-    def test_vectorized_merge_is_the_fast_path(self):
-        """The partitioner's default merge goes through the vectorized
-        affinity (guards against silently rewiring the loop back in)."""
-        import repro.partition.mpgp as mpgp_module
-
-        defaults = mpgp_module.merge_segments.__defaults__
-        assert mpgp_module._segment_affinity in defaults
+        merged = assert_merge_affinities_match(graph, segments, seg_parts, 4)
+        assert merged.min() >= 0 and merged.max() < 4
 
 
 class TestConfig:
-    def test_defaults_and_resolution(self):
-        cfg = PartitionConfig()
-        assert cfg.resolved_backend() == "vectorized"
-        assert PartitionConfig(backend="loop").resolved_backend() == "loop"
+    @pytest.mark.parametrize("order", ["bogus", "", None, 3])
+    def test_unknown_order_rejected_at_construction(self, order):
+        for cls in (PartitionConfig, MPGPPartitioner,
+                    ParallelMPGPPartitioner):
+            with pytest.raises(ValueError, match="streaming order") as err:
+                cls(order=order)
+            assert "dfs+degree" in str(err.value)  # the options are listed
 
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            PartitionConfig(backend="gpu")
-        with pytest.raises(ValueError, match="backend"):
-            MPGPPartitioner(backend="gpu")
+    def test_order_is_case_insensitive_like_get_order(self, medium_graph):
+        a = MPGPPartitioner(order="DFS+Degree").partition(medium_graph, 3)
+        b = MPGPPartitioner(order="dfs+degree").partition(medium_graph, 3)
+        np.testing.assert_array_equal(a.assignment, b.assignment)
+
+    @pytest.mark.parametrize("segments", [2.5, 2.0, True, "4"])
+    def test_num_segments_must_be_an_integer(self, segments):
+        with pytest.raises(ValueError, match="num_segments"):
+            PartitionConfig(num_segments=segments)
+        with pytest.raises(ValueError, match="num_segments"):
+            ParallelMPGPPartitioner(num_segments=segments)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_gamma_rejected(self, bad):
@@ -201,13 +218,12 @@ class TestConfig:
 
     def test_from_config(self):
         cfg = PartitionConfig(gamma=1.5, order="bfs+degree", seed=4,
-                              backend="loop", num_segments=3)
+                              num_segments=3)
         seq = MPGPPartitioner.from_config(cfg)
-        assert (seq.gamma, seq.order, seq.seed, seq.backend) == \
-            (1.5, "bfs+degree", 4, "loop")
+        assert (seq.gamma, seq.order, seq.seed) == (1.5, "bfs+degree", 4)
         par = ParallelMPGPPartitioner.from_config(cfg)
-        assert par.num_segments == 3
-        assert par.resolved_backend() == "loop"
+        assert (par.gamma, par.order, par.seed, par.num_segments) == \
+            (1.5, "bfs+degree", 4, 3)
 
     def test_config_equivalent_to_kwargs(self, medium_graph):
         cfg = PartitionConfig(gamma=1.8, order="dfs+degree", seed=2)

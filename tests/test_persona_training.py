@@ -216,7 +216,7 @@ class TestLamZeroParity:
         runs = [embed_persona_graph(graph, num_machines=MACHINES, dim=DIM,
                                     epochs=1, seed=0, persona=off,
                                     train_overrides={"backend": backend})
-                for backend in ("numpy", "torch")]
+                for backend in ("auto", "torch")]
         np.testing.assert_array_equal(runs[0].embeddings,
                                       runs[1].embeddings)
 

@@ -2,8 +2,8 @@
 ``"serial"``, byte for byte.
 
 The process runtime (:mod:`repro.runtime.executor`) schedules real OS
-processes, yet every result must be **byte-identical** to the serial
-backends: all randomness flows through counter-based streams, so walks,
+processes, yet every result must be **byte-identical** to serial
+execution: all randomness flows through counter-based streams, so walks,
 MPGP assignments and trained embeddings are pure functions of the seed --
 never of scheduling.  This suite pins that contract for 1/2/4 workers
 across undirected/weighted/directed graphs, plus the executor's failure
@@ -37,6 +37,10 @@ from repro.runtime.executor import (
 )
 from repro.walks import DistributedWalkEngine, WalkConfig
 
+from oracles.embedding import train_reference
+from oracles.partition import GallopingParallelMPGPPartitioner
+from oracles.walks import LoopWalkEngine
+
 WORKER_COUNTS = (1, 2, 4)
 GRAPHS = ("undirected", "weighted", "directed")
 
@@ -53,14 +57,15 @@ def graph_family(kind):
     raise KeyError(kind)
 
 
-def run_walks(graph, execution, workers=0, machines=3, **overrides):
+def run_walks(graph, execution, workers=0, machines=3,
+              engine_cls=DistributedWalkEngine, **overrides):
     part = WorkloadBalancePartitioner().partition(graph, machines)
     cluster = Cluster(machines, part.assignment, seed=5)
     cfg = WalkConfig.distger(**{"max_rounds": 2, "min_rounds": 2,
                                 "context": ExecutionContext(execution,
                                                             workers),
                                 **overrides})
-    return DistributedWalkEngine(graph, cluster, cfg).run(), cluster
+    return engine_cls(graph, cluster, cfg).run(), cluster
 
 
 def assert_corpora_equal(ref, other):
@@ -126,7 +131,8 @@ class TestWalkExecutorParity:
         parent's exported flat tables (no per-worker Σ deg(u) rebuild);
         the loop reference agrees with what they sample."""
         loop, _ = run_walks(graph_family("weighted"), "serial",
-                            backend="loop", **WALK_MODES["node2vec-alias"])
+                            engine_cls=LoopWalkEngine,
+                            **WALK_MODES["node2vec-alias"])
         proc, _ = run_walks(graph_family("weighted"), execution, 2,
                             **WALK_MODES["node2vec-alias"])
         assert_corpora_equal(loop.corpus, proc.corpus)
@@ -235,20 +241,30 @@ class TestTrainParity:
         result = DistributedWalkEngine(graph, cluster, cfg).run()
         return result, part.assignment
 
-    def train(self, walk_result, execution, workers=0, **overrides):
+    def train(self, walk_result, execution, workers=0, reference=False,
+              **overrides):
+        """Train on the walk corpus; ``reference`` swaps in the
+        per-window reference learners (in-process)."""
         result, assignment = walk_result
         learner = overrides.pop("learner", "dsgl")
         cluster = Cluster(4, assignment, seed=9)
         cfg = TrainConfig(dim=16, epochs=2, seed=11,
                           context=ExecutionContext(execution, workers),
                           **overrides)
+        if reference:
+            return train_reference(result.corpus, cluster, cfg,
+                                   learner=learner,
+                                   walk_machines=result.walk_machines), \
+                cluster
         trainer = DistributedTrainer(result.corpus, cluster, cfg,
                                      learner=learner,
                                      walk_machines=result.walk_machines)
         return trainer.train(), cluster
 
-    def assert_process_equals_serial(self, walk_result, workers, **kwargs):
-        ref, ref_cluster = self.train(walk_result, "serial", **kwargs)
+    def assert_process_equals_serial(self, walk_result, workers,
+                                     reference=False, **kwargs):
+        ref, ref_cluster = self.train(walk_result, "serial",
+                                      reference=reference, **kwargs)
         result, cluster = self.train(walk_result, "process", workers,
                                      **kwargs)
         np.testing.assert_array_equal(ref.embeddings, result.embeddings)
@@ -265,14 +281,17 @@ class TestTrainParity:
 
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("learner", ("dsgl", "pword2vec"))
-    @pytest.mark.parametrize("backend", ("loop", "auto"))
-    def test_loop_backend_and_subsampling_parity(self, walk_result, backend,
-                                                 learner, workers):
+    @pytest.mark.parametrize("reference", ("loop", "auto"))
+    def test_loop_backend_and_subsampling_parity(self, walk_result,
+                                                 reference, learner,
+                                                 workers):
         """Subsampling is a pure function of corpus position, so the
-        workers keep exactly the tokens the parent would."""
+        workers keep exactly the tokens the parent would -- and train
+        them to the bytes of the per-window reference learners
+        (``loop``) as well as of the serial batched run (``auto``)."""
         ref = self.assert_process_equals_serial(
-            walk_result, workers, backend=backend, learner=learner,
-            subsample=1e-3)
+            walk_result, workers, reference=reference == "loop",
+            learner=learner, subsample=1e-3)
         assert 0 < ref.tokens_processed < \
             2 * walk_result[0].corpus.total_tokens
 
@@ -295,12 +314,13 @@ class TestPartitionParity:
             np.testing.assert_array_equal(serial, proc)
 
     def test_loop_backend_process_parity(self):
+        """Worker-pool segments land on the galloping reference's
+        assignment."""
         graph = graph_family("undirected")
-        serial = ParallelMPGPPartitioner(backend="loop").partition(
+        serial = GallopingParallelMPGPPartitioner().partition(
             graph, 4).assignment
-        proc = ParallelMPGPPartitioner(
-            backend="loop", context=ExecutionContext(
-                "process", 2)).partition(graph, 4).assignment
+        proc = ParallelMPGPPartitioner(context=ExecutionContext(
+            "process", 2)).partition(graph, 4).assignment
         np.testing.assert_array_equal(serial, proc)
 
     def test_from_config_carries_execution(self):
@@ -557,28 +577,29 @@ class TestKnobs:
             with pytest.raises(TypeError, match=field):
                 config(**{field: value})
 
-    def test_walk_execution_degrades_with_loop_backend(self):
-        """The loop reference and fullpath mode are inherently serial."""
+    def test_walk_execution_degrades_for_fullpath(self):
+        """HuGE-D's fullpath loop is inherently serial."""
         context = ExecutionContext("process")
-        assert context.walk_execution(
-            WalkConfig(context=context).resolved_backend()) == "process"
-        assert context.walk_execution(WalkConfig(
-            context=context, backend="loop").resolved_backend()) == "serial"
-        assert context.walk_execution(WalkConfig.huge_d(
-            context=context).resolved_backend()) == "serial"
+        assert context.walk_execution("incom") == "process"
+        assert context.walk_execution("routine") == "process"
+        assert context.walk_execution("fullpath") == "serial"
+        engine = DistributedWalkEngine(
+            graph_family("undirected"),
+            Cluster(1, np.zeros(150, dtype=np.int64)),
+            WalkConfig.huge_d(context=context))
+        assert engine.execution == "serial"
 
     def test_pipeline_execution_resolution(self):
-        """Pipeline applies to vectorized walks, degrades exactly like
-        process elsewhere, overlaps partitioning only where walks stream,
-        and trains on the process slice path (the trainer is the
+        """Pipeline applies to lock-step walks, degrades exactly like
+        process for fullpath, overlaps partitioning only where walks
+        stream, and trains on the process slice path (the trainer is the
         streaming consumer, not a producer)."""
         pipeline = ExecutionContext("pipeline", 1)
-        assert pipeline.walk_execution("vectorized") == "pipeline"
-        assert pipeline.walk_execution("loop") == "serial"
-        assert pipeline.overlaps_partition("vectorized")
-        assert not pipeline.overlaps_partition("loop")
-        assert not ExecutionContext("process").overlaps_partition(
-            "vectorized")
+        assert pipeline.walk_execution("incom") == "pipeline"
+        assert pipeline.walk_execution("fullpath") == "serial"
+        assert pipeline.overlaps_partition("incom")
+        assert not pipeline.overlaps_partition("fullpath")
+        assert not ExecutionContext("process").overlaps_partition("incom")
         assert pipeline.fans_out(2) and not pipeline.fans_out(1)
         assert not ExecutionContext("serial").fans_out(4)
         walks, cluster = run_walks(graph_family("undirected"), "serial")

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro import embed_graph
 from repro.embedding import (
-    VECTORIZED_LEARNERS,
+    LEARNERS,
     DistributedTrainer,
     EmbeddingModel,
     NegativeSampler,
@@ -48,7 +48,8 @@ from repro.tasks import auc_from_split, split_edges
 from repro.utils.rng import CounterStream
 from repro.walks import Corpus
 
-PARITY_LEARNERS = sorted(VECTORIZED_LEARNERS)
+#: The batched learners (pSGNScc has no slice plan to run on torch).
+PARITY_LEARNERS = sorted(set(LEARNERS) - {"psgnscc"})
 
 
 def make_corpus(num_nodes=40, num_walks=30, seed=3, min_len=1, max_len=18):
@@ -74,7 +75,7 @@ def learner_pass(learner, ops, dtype, seed=1):
     vocab = Vocabulary.from_corpus(corpus)
     cfg = TrainConfig(dim=16, window=3, negatives=4, multi_windows=2)
     model = EmbeddingModel(vocab, cfg.dim, seed=seed)
-    inst = VECTORIZED_LEARNERS[learner](
+    inst = LEARNERS[learner](
         model, NegativeSampler(vocab), cfg, CounterStream(12345), ops=ops)
     inst.train_walks(corpus.walks, lr=0.05)
     return model.phi_in.copy(), model.phi_out.copy()
@@ -133,7 +134,7 @@ class TestTrainerByteParity:
     def test_torch_backend_equals_vectorized(self, learner, machines):
         corpus = make_corpus(seed=11)
         ref = train_embeddings(corpus, machines=machines, learner=learner,
-                               backend="vectorized")
+                               backend="auto")
         got = train_embeddings(corpus, machines=machines, learner=learner,
                                backend="torch", torch_device="cpu",
                                torch_dtype="float32")
@@ -161,7 +162,7 @@ class TestTrainerByteParity:
                                              dtype=np.float32))):
             sampler = RecordingSampler(vocab)
             model = EmbeddingModel(vocab, cfg.dim, seed=1)
-            inst = VECTORIZED_LEARNERS["dsgl"](
+            inst = LEARNERS["dsgl"](
                 model, sampler, cfg, CounterStream(777), ops=ops)
             inst.train_walks(corpus.walks, lr=0.05)
             draws[kind] = np.concatenate([d.reshape(-1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.walks import (
     WalkLengthRule,
     IncrementalWalkMeasure,
 )
+
+from oracles.walks import LoopWalkEngine
 
 
 def make_cluster(graph, machines=2, seed=0, partitioner=None):
@@ -255,7 +259,9 @@ class TestEngine:
         # Walks from 0 and 1 stop at node 2 before reaching length 50.
         assert max(result.stats.walk_lengths) <= 3
 
-    @pytest.mark.parametrize("backend", ("vectorized", "loop"))
+    @pytest.mark.parametrize("engine_cls", (
+        pytest.param(DistributedWalkEngine, id="vectorized"),
+        pytest.param(LoopWalkEngine, id="loop")))
     @pytest.mark.parametrize("bad,match", (
         ([40], "outside the graph"),       # == num_nodes
         ([-1], "outside the graph"),       # would wrap to node n-1
@@ -264,11 +270,11 @@ class TestEngine:
         ([1.0, 2.0], "integer node ids"),
         ([True, False], "integer node ids"),
     ))
-    def test_bad_sources_rejected_before_any_walk(self, small_graph, backend,
-                                                  bad, match):
-        engine = DistributedWalkEngine(
+    def test_bad_sources_rejected_before_any_walk(self, small_graph,
+                                                  engine_cls, bad, match):
+        engine = engine_cls(
             small_graph, make_cluster(small_graph),
-            WalkConfig.distger(max_rounds=1, min_rounds=1, backend=backend))
+            WalkConfig.distger(max_rounds=1, min_rounds=1))
         with pytest.raises(ValueError, match=match):
             engine.run(sources=bad)
         # Nothing was sampled or charged before the refusal.
@@ -303,25 +309,28 @@ class TestEngine:
         assert results[0] == results[1]
 
     def test_deterministic_given_seed_all_backends(self, small_graph):
-        """Byte-identical corpora for the same seed under every backend."""
-        for backend in ("vectorized", "loop"):
+        """Byte-identical corpora for the same seed on the lock-step
+        engine and on the per-walker loop oracle."""
+        for engine_cls in (DistributedWalkEngine, LoopWalkEngine):
             results = []
             for _ in range(2):
                 cluster = make_cluster(small_graph, machines=2, seed=9)
-                cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                         backend=backend)
-                r = DistributedWalkEngine(small_graph, cluster, cfg).run()
+                cfg = WalkConfig.distger(max_rounds=1, min_rounds=1)
+                r = engine_cls(small_graph, cluster, cfg).run()
                 results.append([w.tobytes() for w in r.corpus.walks])
-            assert results[0] == results[1], backend
+            assert results[0] == results[1], engine_cls
 
-    def test_default_backend_is_vectorized_for_incom(self, small_graph):
-        cluster = make_cluster(small_graph)
-        engine = DistributedWalkEngine(small_graph, cluster,
-                                       WalkConfig.distger())
-        assert engine.backend == "vectorized"
-
-    def test_fullpath_stays_on_loop_backend(self, small_graph):
-        cluster = make_cluster(small_graph)
-        engine = DistributedWalkEngine(small_graph, cluster,
-                                       WalkConfig.huge_d())
-        assert engine.backend == "loop"
+    @pytest.mark.parametrize("mode,unused", (
+        ("incom", "_run_loop_rounds"),
+        ("routine", "_run_loop_rounds"),
+        ("fullpath", "_run_rounds")))
+    def test_mode_picks_the_engine(self, small_graph, mode, unused):
+        """Lock-step rounds for incom/routine, the per-walker loop for
+        HuGE-D's fullpath -- the mode is the only selector."""
+        cfg = WalkConfig(mode=mode, max_rounds=1, min_rounds=1,
+                         walks_per_node=1)
+        with mock.patch.object(DistributedWalkEngine, unused,
+                               side_effect=AssertionError(unused)):
+            result = DistributedWalkEngine(
+                small_graph, make_cluster(small_graph), cfg).run()
+        assert result.stats.total_walks == small_graph.num_nodes

@@ -1,5 +1,5 @@
 """Oracle-vs-implementation tests: samplers must match the exact
-distributions computed by repro.walks.reference."""
+distributions computed by the walk oracles (tests/oracles/walks.py)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import pytest
 
 from repro.graph import CSRGraph, ring_of_cliques, star
 from repro.walks import Node2VecKernel, SecondOrderAliasSampler
-from repro.walks.reference import (
+
+from oracles.walks import (
     expected_walk_entropy,
     first_order_stationary_distribution,
     huge_acceptance_matrix,

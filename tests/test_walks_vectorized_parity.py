@@ -1,15 +1,16 @@
-"""Reference parity: the vectorized InCoM engine vs the loop engine.
+"""Reference parity: the lock-step walk engine vs the per-walker loop.
 
 Under the shared walker RNG protocol (per-walker counter streams from
 :mod:`repro.utils.rng`), the batched engine must reproduce the per-walker
-loop engine *exactly*: same corpus, same walk lengths, same termination
-decisions, same trial counts, and the same simulated cluster accounting
-(compute units, local steps, message counts/bytes/matrix).  The suite runs
-every kernel in both vectorizable modes over undirected, weighted and
-directed graphs, and checks the oracles of :mod:`repro.walks.reference`
-against both backends alike.  The loop engine runs one trial at a time,
-so it is also the oracle for block trials: whatever width the batched
-engine evaluates per superstep, it must land on the loop engine's bytes.
+loop of :class:`oracles.walks.LoopWalkEngine` *exactly*: same corpus,
+same walk lengths, same termination decisions, same trial counts, and the
+same simulated cluster accounting (compute units, local steps, message
+counts/bytes/matrix).  The suite runs every kernel in both vectorizable
+modes over undirected, weighted and directed graphs, and checks the
+distribution oracles of :mod:`oracles.walks` against both engines alike.
+The loop runs one trial at a time, so it is also the oracle for block
+trials: whatever width the batched engine evaluates per superstep, it
+must land on the loop's bytes.
 """
 
 from __future__ import annotations
@@ -22,22 +23,26 @@ import pytest
 from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques, rmat
 from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
 from repro.runtime import Cluster
-from repro.walks import (
-    DistributedWalkEngine,
-    WalkConfig,
-    huge_effective_transition_matrix,
-)
+from repro.walks import DistributedWalkEngine, WalkConfig
 from repro.walks.vectorized import BatchWalkRunner
+
+from oracles.walks import LoopWalkEngine, huge_effective_transition_matrix
 
 ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
 VECTOR_MODES = ("incom", "routine")
 
 
-def run_engine(graph, cfg, machines=2, seed=9, partitioner=None):
+def run_engine(graph, cfg, machines=2, seed=9, partitioner=None,
+               engine_cls=DistributedWalkEngine):
     part = (partitioner or MPGPPartitioner()).partition(graph, machines)
     cluster = Cluster(machines, part.assignment, seed=seed)
-    engine = DistributedWalkEngine(graph, cluster, cfg)
+    engine = engine_cls(graph, cluster, cfg)
     return engine.run(), cluster, engine
+
+
+def run_loop(graph, cfg, **kwargs):
+    """:func:`run_engine` on the per-walker loop oracle."""
+    return run_engine(graph, cfg, engine_cls=LoopWalkEngine, **kwargs)
 
 
 def assert_runs_identical(a, cluster_a, b, cluster_b):
@@ -61,68 +66,65 @@ def assert_runs_identical(a, cluster_a, b, cluster_b):
     assert ma.message_byte_matrix == mb.message_byte_matrix
 
 
-def configs(kernel, mode, **overrides):
+def config(kernel, mode, **overrides):
     kwargs = dict(kernel=kernel, mode=mode, max_rounds=2, min_rounds=1)
     if mode == "routine":
         kwargs.update(walk_length=15, walks_per_node=2)
     kwargs.update(overrides)
-    loop = WalkConfig(backend="loop", **kwargs)
-    vec = WalkConfig(backend="vectorized", **kwargs)
-    return loop, vec
+    return WalkConfig(**kwargs)
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("mode", VECTOR_MODES)
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_all_kernels_and_modes(self, kernel, mode, small_graph):
-        loop_cfg, vec_cfg = configs(kernel, mode)
-        a, ca, _ = run_engine(small_graph, loop_cfg)
-        b, cb, _ = run_engine(small_graph, vec_cfg)
+        cfg = config(kernel, mode)
+        a, ca, _ = run_loop(small_graph, cfg)
+        b, cb, _ = run_engine(small_graph, cfg)
         assert_runs_identical(a, ca, b, cb)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_weighted_graph(self, kernel):
         rng = np.random.default_rng(3)
         graph = powerlaw_cluster(100, attach=3, seed=1).with_random_weights(rng)
-        loop_cfg, vec_cfg = configs(kernel, "incom", p=0.5, q=2.0)
-        a, ca, _ = run_engine(graph, loop_cfg, machines=3)
-        b, cb, _ = run_engine(graph, vec_cfg, machines=3)
+        cfg = config(kernel, "incom", p=0.5, q=2.0)
+        a, ca, _ = run_loop(graph, cfg, machines=3)
+        b, cb, _ = run_engine(graph, cfg, machines=3)
         assert_runs_identical(a, ca, b, cb)
 
     @pytest.mark.parametrize("kernel", ("deepwalk", "node2vec", "huge"))
     def test_directed_dead_ends(self, kernel):
         graph = CSRGraph.from_edges(
             [(0, 1), (1, 2), (2, 3), (0, 4), (4, 2)], directed=True)
-        loop_cfg, vec_cfg = configs(kernel, "incom", max_rounds=1)
-        a, ca, _ = run_engine(graph, loop_cfg, machines=1)
-        b, cb, _ = run_engine(graph, vec_cfg, machines=1)
+        cfg = config(kernel, "incom", max_rounds=1)
+        a, ca, _ = run_loop(graph, cfg, machines=1)
+        b, cb, _ = run_engine(graph, cfg, machines=1)
         assert_runs_identical(a, ca, b, cb)
 
     def test_node2vec_biased_parameters(self, medium_graph):
         for p, q in ((0.25, 4.0), (4.0, 0.25)):
-            loop_cfg, vec_cfg = configs("node2vec", "incom", p=p, q=q)
-            a, ca, _ = run_engine(medium_graph, loop_cfg, machines=4)
-            b, cb, _ = run_engine(medium_graph, vec_cfg, machines=4)
+            cfg = config("node2vec", "incom", p=p, q=q)
+            a, ca, _ = run_loop(medium_graph, cfg, machines=4)
+            b, cb, _ = run_engine(medium_graph, cfg, machines=4)
             assert_runs_identical(a, ca, b, cb)
 
     def test_multiple_rounds_and_kl_rule(self, medium_graph):
-        """The walk-count rule sees identical corpora, so both backends
+        """The walk-count rule sees identical corpora, so both engines
         run the same number of rounds."""
-        loop_cfg, vec_cfg = configs("huge", "incom", max_rounds=6,
-                                    delta=0.05)
-        a, ca, _ = run_engine(medium_graph, loop_cfg,
-                              partitioner=WorkloadBalancePartitioner())
-        b, cb, _ = run_engine(medium_graph, vec_cfg,
+        cfg = config("huge", "incom", max_rounds=6, delta=0.05)
+        a, ca, _ = run_loop(medium_graph, cfg,
+                            partitioner=WorkloadBalancePartitioner())
+        b, cb, _ = run_engine(medium_graph, cfg,
                               partitioner=WorkloadBalancePartitioner())
         assert a.stats.rounds == b.stats.rounds
         assert_runs_identical(a, ca, b, cb)
 
     def test_forced_hop_path(self, star_graph):
         """A tiny trial cap exercises the forced-progress hop in both
-        backends identically (HuGE rejects often on hub/leaf ratios)."""
-        loop_cfg, vec_cfg = configs("huge", "incom", max_trials_per_step=1)
-        a, ca, _ = run_engine(star_graph, loop_cfg)
-        b, cb, _ = run_engine(star_graph, vec_cfg)
+        engines identically (HuGE rejects often on hub/leaf ratios)."""
+        cfg = config("huge", "incom", max_trials_per_step=1)
+        a, ca, _ = run_loop(star_graph, cfg)
+        b, cb, _ = run_engine(star_graph, cfg)
         assert_runs_identical(a, ca, b, cb)
 
 
@@ -147,11 +149,10 @@ class TestBlockWidthParity:
     def test_pinned_widths_match_loop(self, kernel, mode, widths):
         graph = rmat(6, edge_factor=6, seed=3).with_random_weights(
             np.random.default_rng(5))
-        loop_cfg, vec_cfg = configs(kernel, mode, p=0.5, q=2.0,
-                                    max_length=30)
-        a, ca, _ = run_engine(graph, loop_cfg, machines=3)
+        cfg = config(kernel, mode, p=0.5, q=2.0, max_length=30)
+        a, ca, _ = run_loop(graph, cfg, machines=3)
         with pinned_widths(widths):
-            b, cb, _ = run_engine(graph, vec_cfg, machines=3)
+            b, cb, _ = run_engine(graph, cfg, machines=3)
         assert_runs_identical(a, ca, b, cb)
 
     @pytest.mark.parametrize("widths", ([2], [3], [1, 3], [4, 1, 2]))
@@ -160,10 +161,10 @@ class TestBlockWidthParity:
         graph = CSRGraph.from_edges(
             np.random.default_rng(11).integers(0, 48, size=(160, 2)),
             num_nodes=48, directed=True)
-        loop_cfg, vec_cfg = configs("huge", "incom", max_trials_per_step=cap)
-        a, ca, _ = run_engine(graph, loop_cfg, machines=2)
+        cfg = config("huge", "incom", max_trials_per_step=cap)
+        a, ca, _ = run_loop(graph, cfg, machines=2)
         with pinned_widths(widths):
-            b, cb, _ = run_engine(graph, vec_cfg, machines=2)
+            b, cb, _ = run_engine(graph, cfg, machines=2)
         # Forced hops happened: more trials than steps, yet never more
         # than cap + 1 per step.
         assert a.stats.total_steps < a.stats.total_trials
@@ -171,35 +172,20 @@ class TestBlockWidthParity:
         assert_runs_identical(a, ca, b, cb)
 
 
-class TestBackendResolution:
-    def test_auto_resolves_vectorized_for_incom_and_routine(self):
-        assert WalkConfig.distger().resolved_backend() == "vectorized"
-        assert WalkConfig.routine("deepwalk").resolved_backend() == "vectorized"
-
-    def test_auto_resolves_loop_for_fullpath(self):
-        cfg = WalkConfig.huge_d()
-        assert cfg.resolved_backend() == "loop"
-
-    def test_explicit_vectorized_fullpath_rejected(self):
-        with pytest.raises(ValueError, match="fullpath"):
-            WalkConfig(mode="fullpath", backend="vectorized")
-
-    def test_invalid_backend_names(self):
-        with pytest.raises(ValueError, match="backend"):
-            WalkConfig(backend="gpu")
-
-    def test_fullpath_auto_equals_explicit_loop(self, small_graph):
-        """backend='auto' on fullpath takes the loop path bit-for-bit."""
-        base = dict(max_rounds=1, min_rounds=1)
-        a, ca, ea = run_engine(small_graph, WalkConfig.huge_d(**base))
-        b, cb, eb = run_engine(small_graph,
-                               WalkConfig.huge_d(backend="loop", **base))
-        assert ea.backend == eb.backend == "loop"
+class TestEngineSelection:
+    def test_fullpath_runs_the_per_walker_loop(self, small_graph):
+        """HuGE-D's fullpath never enters the lock-step rounds, and lands
+        on the oracle's bytes."""
+        cfg = WalkConfig.huge_d(max_rounds=1, min_rounds=1)
+        a, ca, _ = run_loop(small_graph, cfg)
+        with mock.patch.object(DistributedWalkEngine, "_run_rounds",
+                               side_effect=AssertionError("lock-step")):
+            b, cb, _ = run_engine(small_graph, cfg)
         assert_runs_identical(a, ca, b, cb)
 
 
 class TestReferenceOracles:
-    """Both backends must follow the paper's exact distributions."""
+    """Both engines must follow the paper's exact distributions."""
 
     def test_huge_empirical_matches_effective_transitions(self, small_graph):
         expected = huge_effective_transition_matrix(small_graph)
@@ -217,11 +203,11 @@ class TestReferenceOracles:
         assert heavy.any()
         np.testing.assert_allclose(observed[heavy], expected[heavy], atol=0.08)
 
-    def test_walks_follow_edges_both_backends(self, small_graph):
-        for backend in ("loop", "vectorized"):
-            cfg = WalkConfig.distger(
-                max_rounds=1, min_rounds=1, backend=backend)
-            result, _, _ = run_engine(small_graph, cfg)
+    def test_walks_follow_edges_both_engines(self, small_graph):
+        cfg = WalkConfig.distger(max_rounds=1, min_rounds=1)
+        for engine_cls in (LoopWalkEngine, DistributedWalkEngine):
+            result, _, _ = run_engine(small_graph, cfg,
+                                      engine_cls=engine_cls)
             for walk in result.corpus.walks:
                 for u, v in zip(walk[:-1], walk[1:]):
                     assert small_graph.has_edge(int(u), int(v))

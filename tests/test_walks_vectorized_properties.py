@@ -12,8 +12,8 @@ Invariants covered:
 * stats are conserved across machines: per-machine counters sum to the
   global trial/step counts, and the corpus itself is invariant to the
   machine count under the walker RNG protocol;
-* determinism: same seed ⇒ byte-identical corpus, per backend and across
-  backends;
+* determinism: same seed ⇒ byte-identical corpus, for the lock-step
+  engine and for the per-walker loop oracle;
 * block trials: paths, lengths, per-step trial counts, stats and cluster
   metrics do not depend on how many trials a superstep evaluates for
   which walker -- fixed widths, drawn per-walker width vectors, blocks
@@ -54,6 +54,8 @@ from repro.walks import Corpus, DistributedWalkEngine, WalkConfig, vectorized
 from repro.walks.vectorized import BatchWalkRunner, DeferredWalkAccounting
 from repro.walks.walker import WalkStats
 
+from oracles.walks import LoopWalkEngine
+
 GRAPHS = {
     "ring": lambda seed: ring_of_cliques(4, 6),
     "powerlaw": lambda seed: powerlaw_cluster(80, attach=3, seed=seed),
@@ -69,7 +71,6 @@ def run_vectorized(graph, seed, machines=2, **overrides):
     cluster = Cluster(machines, assignment, seed=seed)
     cfg = WalkConfig.distger(max_rounds=2, min_rounds=1, **overrides)
     engine = DistributedWalkEngine(graph, cluster, cfg)
-    assert engine.backend == "vectorized"
     return engine.run(), cluster, engine
 
 
@@ -132,15 +133,16 @@ class TestInvariants:
 class TestDeterminism:
     """Satellite: same seed ⇒ byte-identical corpus, loop and vectorized."""
 
-    @pytest.mark.parametrize("backend", ("loop", "vectorized"))
-    def test_same_seed_same_corpus(self, backend, small_graph):
+    @pytest.mark.parametrize("engine", (
+        pytest.param(LoopWalkEngine, id="loop"),
+        pytest.param(DistributedWalkEngine, id="vectorized")))
+    def test_same_seed_same_corpus(self, engine, small_graph):
         outs = []
         for _ in range(2):
             assignment = np.arange(small_graph.num_nodes, dtype=np.int64) % 2
             cluster = Cluster(2, assignment, seed=13)
-            cfg = WalkConfig.distger(max_rounds=1, min_rounds=1,
-                                     backend=backend)
-            result = DistributedWalkEngine(small_graph, cluster, cfg).run()
+            cfg = WalkConfig.distger(max_rounds=1, min_rounds=1)
+            result = engine(small_graph, cluster, cfg).run()
             outs.append([w.tobytes() for w in result.corpus.walks])
         assert outs[0] == outs[1]
 
@@ -155,8 +157,9 @@ class TestDeterminism:
         assert outs[0] != outs[1]
 
     def test_seed_root_derivation_is_shared(self, small_graph):
-        """Loop and vectorized backends derive walker streams through the
-        same repro.utils.rng helpers, from the same cluster root."""
+        """The per-walker loop and the lock-step rounds derive walker
+        streams through the same repro.utils.rng helpers, from the same
+        cluster root."""
         assignment = np.zeros(small_graph.num_nodes, dtype=np.int64)
         c1 = Cluster(1, assignment, seed=99)
         c2 = Cluster(1, assignment, seed=99)
@@ -191,8 +194,8 @@ class TestCounterStreams:
         np.testing.assert_array_equal(batched, one_by_one)
 
     def test_walker_stream_matches_array_path(self):
-        """The loop backend's integer fast path is bit-identical to the
-        vectorized uint64 ufunc path, pair by pair."""
+        """The per-walker loop's integer fast path is bit-identical to
+        the vectorized uint64 ufunc path, pair by pair."""
         keys = walker_stream_keys(777, np.arange(16))
         for key in keys:
             stream = WalkerStream(int(key))
@@ -253,11 +256,11 @@ def block_graph(kind):
     return CSRGraph.from_edges(edges, num_nodes=48, directed=True)
 
 
-def block_config(kernel, mode, backend, **overrides):
+def block_config(kernel, mode, **overrides):
     kwargs = dict(kernel=kernel, mode=mode, p=0.5, q=2.0, max_length=30,
                   walk_length=12)
     kwargs.update(overrides)
-    return WalkConfig(backend=backend, **kwargs)
+    return WalkConfig(**kwargs)
 
 
 def emitted(paths, lengths, trials, stats, cluster):
@@ -272,14 +275,14 @@ def emitted(paths, lengths, trials, stats, cluster):
     }
 
 
-#: The snapshot walks are walk ids 7n .. 8n-1: round 7 of the loop engine.
+#: The snapshot walks are walk ids 7n .. 8n-1: round 7 of the loop oracle.
 ROUND = 7
 
 
 def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
     """Everything one round of walks emits, credited through the one
     accounting (``deferred`` also keeps the per-step trial buffer)."""
-    cfg = block_config(kernel, mode, "vectorized", **overrides)
+    cfg = block_config(kernel, mode, **overrides)
     assignment = np.arange(graph.num_nodes, dtype=np.int64) % machines
     cluster = Cluster(machines, assignment, seed=17)
     engine = DistributedWalkEngine(graph, cluster, cfg)
@@ -299,14 +302,14 @@ def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
 
 @functools.lru_cache(maxsize=None)
 def loop_snapshot(graph_kind, kernel, mode, machines=3, **overrides):
-    """The same walks from the per-walker loop in ``walks/engine.py`` --
-    the oracle -- in :func:`snapshot`'s form (it has no per-step trial
-    buffer, so ``trials`` is ``None``)."""
+    """The same walks from the per-walker loop of
+    :class:`~oracles.walks.LoopWalkEngine` in :func:`snapshot`'s form (it
+    has no per-step trial buffer, so ``trials`` is ``None``)."""
     graph = block_graph(graph_kind)
-    cfg = block_config(kernel, mode, "loop", **overrides)
+    cfg = block_config(kernel, mode, **overrides)
     assignment = np.arange(graph.num_nodes, dtype=np.int64) % machines
     cluster = Cluster(machines, assignment, seed=17)
-    engine = DistributedWalkEngine(graph, cluster, cfg)
+    engine = LoopWalkEngine(graph, cluster, cfg)
     sources = np.flatnonzero(graph.degrees > 0)
     corpus, stats = Corpus(graph.num_nodes), WalkStats()
     engine._run_round_loop_walker(sources, ROUND, corpus, stats, [])
@@ -573,7 +576,7 @@ class TestInPlaceMix:
 
     def test_streams_wrap_like_the_scalar_path(self):
         """Keys and counters at the top of the range: the array path
-        wraps modulo 2**64 exactly like the loop backend's Python ints."""
+        wraps modulo 2**64 exactly like the per-walker loop's Python ints."""
         for key in (2**64 - 1, 2**64 - 0x9E3779B97F4A7C15, 12345):
             for start in (0, 2**64 - 4):
                 stream = WalkerStream(key, start)
