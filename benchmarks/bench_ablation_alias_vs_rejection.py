@@ -34,14 +34,18 @@ _rows = []
 
 
 def _rejection_steps(graph, rng) -> int:
-    """Run STEPS accepted hops with rejection sampling; count trials."""
+    """Run STEPS accepted hops with rejection sampling; count trials.
+
+    Every trial consumes two uniforms (proposal, acceptance) drawn from
+    ``rng``, the scalar reference's interface."""
     kernel = Node2VecKernel(graph, p=P, q=Q)
     current = int(np.flatnonzero(graph.degrees > 0)[0])
     previous = -1
     trials = 0
     accepted = 0
     while accepted < STEPS:
-        nxt = kernel.step(current, previous, rng)
+        u1, u2 = rng.random(2)
+        nxt = kernel.step_with_uniforms(current, previous, u1, u2, False)
         trials += 1
         if nxt is not None:
             previous, current = current, int(nxt)
@@ -53,7 +57,8 @@ def _alias_steps(sampler, graph, rng) -> None:
     current = int(np.flatnonzero(graph.degrees > 0)[0])
     previous = -1
     for _ in range(STEPS):
-        nxt = sampler.sample_step(current, previous, rng)
+        u1, u2 = rng.random(2)
+        nxt = sampler.sample_step_with_uniforms(current, previous, u1, u2)
         previous, current = current, nxt
 
 

@@ -30,7 +30,6 @@ from repro.walks import (
     WalkConfig,
     compare_corpora,
     entropy_trace,
-    vectorized_routine_corpus,
 )
 
 
@@ -40,14 +39,16 @@ def main() -> None:
     print(f"Graph: {graph.num_nodes} nodes, {graph.num_edges} edges\n")
 
     cluster = Cluster(1, np.zeros(graph.num_nodes, dtype=np.int64), seed=0)
-    info_corpus = DistributedWalkEngine(
-        graph, cluster, WalkConfig.distger()).run().corpus
 
+    def sample(config):
+        return DistributedWalkEngine(graph, cluster, config).run().corpus
+
+    info_corpus = sample(WalkConfig.distger())
     corpora = {
-        "routine L=80 r=10": vectorized_routine_corpus(
-            graph, walk_length=80, walks_per_node=10, seed=0),
-        "truncated L=20 r=3": vectorized_routine_corpus(
-            graph, walk_length=20, walks_per_node=3, seed=0),
+        "routine L=80 r=10": sample(WalkConfig.routine(
+            kernel="deepwalk", walk_length=80, walks_per_node=10)),
+        "truncated L=20 r=3": sample(WalkConfig.routine(
+            kernel="deepwalk", walk_length=20, walks_per_node=3)),
         "information-oriented": info_corpus,
     }
 

@@ -64,8 +64,7 @@ from repro.runtime.executor import (
     ExecutionContext,
 )
 from repro.tasks import evaluate_link_prediction
-
-_KERNEL_CHOICES = ["huge", "huge+", "deepwalk", "node2vec", "node2vec-alias"]
+from repro.walks.kernels import KERNELS
 
 
 def _load_graph(args) -> CSRGraph:
@@ -101,7 +100,7 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=64)
     parser.add_argument("--epochs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--kernel", default=None, choices=_KERNEL_CHOICES,
+    parser.add_argument("--kernel", default=None, choices=sorted(KERNELS),
                         help="walk kernel for walk-based methods (§6.6)")
     parser.add_argument("--train-backend", default=None,
                         choices=_TRAIN_BACKEND_CHOICES,

@@ -38,12 +38,9 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.walks.corpus import _concat_ranges
+from repro.walks.kernels import kernel_class
 
 __all__ = ["affected_nodes", "stale_walk_ids", "audit_walks"]
-
-#: Kernels whose acceptance weights read the *candidate*'s adjacency
-#: (common-neighbour counts), not just the visited node's.
-_NEIGHBOR_SENSITIVE_KERNELS = ("huge", "huge+")
 
 
 def _expand_with_neighbors(nodes: np.ndarray, graph: CSRGraph) -> np.ndarray:
@@ -69,7 +66,8 @@ def affected_nodes(
 
     ``changed_arcs`` is the ``(m, 2)`` dirty-arc set from
     :meth:`DeltaCSR.changed_arcs`.  The endpoints are always affected;
-    for the HuGE kernels the set additionally expands to their
+    for the ``neighbor_sensitive`` kernels (HuGE, HuGE+; ``kernel`` is
+    a case-insensitive name) the set additionally expands to their
     neighbours in the old and new graphs (acceptance weights are
     common-neighbour counts, which a change to either endpoint's row
     perturbs for every adjacent walker position).
@@ -78,7 +76,7 @@ def affected_nodes(
     dirty = np.unique(changed_arcs)
     if dirty.size == 0:
         return dirty
-    if kernel in _NEIGHBOR_SENSITIVE_KERNELS:
+    if kernel is not None and kernel_class(kernel).neighbor_sensitive:
         for graph in (old_graph, new_graph):
             if graph is not None:
                 dirty = _expand_with_neighbors(dirty, graph)

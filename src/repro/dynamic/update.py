@@ -221,13 +221,9 @@ def update_embedding(
         with timer.phase("resample"):
             starts = np.asarray(corpus.offsets)[stale]
             sources = np.asarray(corpus.tokens[starts], dtype=np.int64)
-            kernel_kwargs = {}
-            if walk_config.kernel in ("node2vec", "node2vec-alias"):
-                kernel_kwargs = {"p": walk_config.p, "q": walk_config.q}
-            kernel = make_kernel(walk_config.kernel, new_graph,
-                                 **kernel_kwargs)
             runner = BatchWalkRunner(new_graph, cluster.walk_seed_root,
-                                     walk_config, kernel)
+                                     walk_config,
+                                     make_kernel(walk_config, new_graph))
             # Original walk ids: the corpus index *is* the walk id under
             # the round protocol, so counter-based streams line up with
             # what a full re-run would draw for these walks.

@@ -357,61 +357,20 @@ def split_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
 _WORKER_STATE: Dict[str, object] = {}
 
 
-def _share_kernel_tables(group: _SharedGroup, graph, kernel) -> Dict:
-    """Precompute the walk kernel's tables once into shared segments.
-
-    HuGE acceptance / weighted cumsums, and node2vec-alias's five flat
-    sampler tables (first- and second-order alias structures), so no walk
-    worker pays any table build.
-    """
-    from repro.walks.vectorized import weighted_row_cumsum
-
-    tables = {}
-    if kernel.name in ("huge", "huge+"):
-        tables["arc_accept"] = group.share(kernel.arc_acceptance_table())
-    if graph.is_weighted and kernel.name != "node2vec-alias":
-        tables["row_cumsum"] = group.share(weighted_row_cumsum(graph))
-    if kernel.name == "node2vec-alias":
-        for key, table in kernel.sampler.export_tables().items():
-            tables[key] = group.share(table)
-    return tables
-
-
-def _build_worker_runner(graph, walk_seed_root, config, table_handles):
-    """Rebuild a :class:`BatchWalkRunner` over shared tables (worker side)."""
-    from repro.walks.alias_sampling import (
-        Node2VecAliasKernel,
-        SecondOrderAliasSampler,
-    )
-    from repro.walks.kernels import make_kernel
-    from repro.walks.vectorized import BatchWalkRunner
-
-    tables = {key: attach_shared_array(handle)
-              for key, handle in table_handles.items()}
-    if config.kernel == "node2vec-alias" and "so_offsets" in tables:
-        # The parent exported the sampler's flat tables into shared
-        # memory; build the kernel over views instead of re-running the
-        # per-worker Σ deg(u) alias-table construction.
-        kernel = Node2VecAliasKernel.from_tables(
-            graph, config.p, config.q,
-            {key: tables[key] for key in SecondOrderAliasSampler.TABLE_KEYS})
-    else:
-        kernel_kwargs = ({"p": config.p, "q": config.q}
-                         if config.kernel in ("node2vec", "node2vec-alias")
-                         else {})
-        kernel = make_kernel(config.kernel, graph, **kernel_kwargs)
-    return BatchWalkRunner(graph, walk_seed_root, config, kernel,
-                           tables=tables)
-
-
 def _walk_worker_init(graph_handle, walk_seed_root, config, sources_handle,
                       slot_handles, table_handles) -> None:
-    from repro.walks.vectorized import WalkBuffers
+    from repro.walks.kernels import make_kernel
+    from repro.walks.vectorized import BatchWalkRunner, WalkBuffers
 
-    # The runner never consults the node placement (the partitioner may
-    # still be running): the parent credits the slots' trials and arcs.
-    _WORKER_STATE["walk_runner"] = _build_worker_runner(
-        attach_graph(graph_handle), walk_seed_root, config, table_handles)
+    # The kernel adopts the parent's shared tables as they are, so no
+    # worker pays a table build.  The runner never consults the node
+    # placement (the partitioner may still be running): the parent
+    # credits the slots' trials and arcs.
+    graph = attach_graph(graph_handle)
+    tables = {key: attach_shared_array(handle)
+              for key, handle in table_handles.items()}
+    _WORKER_STATE["walk_runner"] = BatchWalkRunner(
+        graph, walk_seed_root, config, make_kernel(config, graph, tables))
     _WORKER_STATE["walk_sources"] = attach_shared_array(sources_handle)
     _WORKER_STATE["walk_slots"] = [
         WalkBuffers(*(attach_shared_array(handle) for handle in slot))
@@ -482,7 +441,8 @@ class StreamingWalkRunner:
                            for slot in slots]
             slot_handles = [tuple(buffer.handle for buffer in slot)
                             for slot in slots]
-            tables = _share_kernel_tables(self._group, graph, kernel)
+            tables = {key: self._group.share(table)
+                      for key, table in kernel.tables.items()}
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_walk_worker_init,

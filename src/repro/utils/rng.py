@@ -9,19 +9,20 @@ streams via :func:`spawn_rngs`.
 Per-walker counter streams (the shared seed protocol)
 -----------------------------------------------------
 The walk engines additionally need randomness that is *private to each
-walker* and *independent of scheduling*: the loop backend advances walkers
-in BSP queue order while the vectorized backend advances them in lock-step,
-and the two must still consume identical random sequences for the
-reference-parity suite to assert byte-identical corpora.  Stateful
-generators cannot provide that (draw order differs between backends), so
-walker randomness is **counter-based**: a walker's stream key is derived
-from ``(seed, walk_id)`` by :func:`walker_stream_keys` and its ``t``-th
+walker* and *independent of scheduling*: the per-walker loop (the
+``fullpath`` engine and the test oracle) advances walkers in BSP queue
+order while the lock-step rounds advance them together, and the two must
+still consume identical random sequences for the reference-parity suite
+to assert byte-identical corpora.  Stateful generators cannot provide
+that (draw order differs between the two), so walker randomness is
+**counter-based**: a walker's stream key is derived from
+``(seed, walk_id)`` by :func:`walker_stream_keys` and its ``t``-th
 uniform is a pure function of ``(key, t)`` computed by
 :func:`stream_uniforms` -- the splitmix64 output function evaluated on
-``key + t·γ``.  Both backends call the same vectorised NumPy code (the loop
-backend on length-1 arrays via :class:`WalkerStream`), which guarantees
-bit-identical values regardless of batching, machine count, or superstep
-interleaving.
+``key + t·γ``.  The lock-step rounds evaluate it on arrays, the
+per-walker loop on Python ints through :class:`WalkerStream`; both are
+exact integer arithmetic, which guarantees bit-identical values
+regardless of batching, machine count, or superstep interleaving.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def _mix64_int(z: int) -> int:
     """splitmix64 output function on a Python int (mod 2**64).
 
     Unsigned 64-bit integer arithmetic is exact, so this is bit-identical
-    to :func:`_mix64` on uint64 arrays -- the scalar fast path the loop
-    backend uses per trial without paying NumPy array overhead.
+    to :func:`_mix64` on uint64 arrays -- the scalar fast path the
+    per-walker loop uses per trial without paying NumPy array overhead.
     """
     z = ((z ^ (z >> 30)) * _SM64_MUL1_INT) & _U64_MASK
     z = ((z ^ (z >> 27)) * _SM64_MUL2_INT) & _U64_MASK
@@ -189,13 +190,13 @@ def _mix64_int(z: int) -> int:
 
 
 class WalkerStream:
-    """Scalar view of one walker's counter stream (the loop backend's side).
+    """Scalar view of one walker's counter stream (the per-walker loop's side).
 
     Wraps ``(key, counter)`` and evaluates the same splitmix64 counter
     function as :func:`stream_uniforms`, in plain integer arithmetic --
     integer ops and the ``(z >> 11) * 2**-53`` conversion are exact, so
-    every value is bit-identical to what the vectorized backend computes
-    for the same walker at the same counter (property-tested in
+    every value is bit-identical to what the lock-step rounds compute for
+    the same walker at the same counter (property-tested in
     ``tests/test_walks_vectorized_properties.py``).
     """
 

@@ -3,10 +3,11 @@
 Implements the paper's sampler (§2.1, §3.1): information-oriented HuGE
 walks with either InCoM (DistGER) or full-path (HuGE-D) measurement, plus
 the routine DeepWalk/node2vec kernels KnightKing runs, all scheduled over
-the simulated cluster with byte-accurate message accounting.  The
-alias-table samplers and the vectorised batch walkers provide the
-non-distributed fast paths (original-node2vec tables and the pure-NumPy
-routine corpus).  Sampled walks land in the flat
+the simulated cluster with byte-accurate message accounting.  Every
+kernel implements one interface (:mod:`repro.walks.kernels`: built by
+``make_kernel``, a batched trial over its own tables, a scalar
+reference); the alias-table samplers behind ``node2vec-alias`` measure
+the original node2vec design against it.  Sampled walks land in the flat
 :class:`~repro.walks.corpus.Corpus` (one contiguous token block +
 monotone offsets, list API preserved as zero-copy views); its
 finished-event, :class:`~repro.walks.corpus.CorpusFeed`, is what the
@@ -15,7 +16,6 @@ streaming ``execution="pipeline"`` runtime hands to the trainer.
 
 from repro.walks.alias_sampling import (
     FirstOrderAliasSampler,
-    Node2VecAliasKernel,
     SecondOrderAliasSampler,
     second_order_table_entries,
 )
@@ -38,22 +38,13 @@ from repro.walks.kernels import (
     DeepWalkKernel,
     HuGEKernel,
     HuGEPlusKernel,
+    Node2VecAliasKernel,
     Node2VecKernel,
     make_kernel,
 )
 from repro.walks.termination import WalkCountRule, WalkLengthRule
-from repro.walks.vectorized import (
-    BatchWalkRunner,
-    batch_walk_matrix,
-    empirical_transition_matrix,
-    vectorized_routine_corpus,
-)
+from repro.walks.vectorized import BatchWalkRunner
 from repro.walks.walker import Walker, WalkStats
-
-# The alias kernel is a drop-in node2vec alternative; registering it here
-# (rather than in kernels.py) keeps kernels.py free of the table machinery
-# while making it reachable through make_kernel()/the systems' generic API.
-KERNELS["node2vec-alias"] = Node2VecAliasKernel
 
 __all__ = [
     "BatchWalkRunner",
@@ -77,14 +68,11 @@ __all__ = [
     "WalkResult",
     "WalkStats",
     "Walker",
-    "batch_walk_matrix",
     "compare_corpora",
     "corpus_quality",
-    "empirical_transition_matrix",
     "entropy_trace",
     "make_kernel",
     "make_measure",
     "second_order_table_entries",
     "traversed_edges",
-    "vectorized_routine_corpus",
 ]

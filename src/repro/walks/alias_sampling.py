@@ -11,21 +11,22 @@ trade-off is measurable: ``benchmarks/bench_ablation_alias_vs_rejection.py``
 reports table memory/setup time against the rejection kernel's trial
 counts, reproducing the motivation for KnightKing's design.
 
-Both samplers are vectorised: the per-slice alias tables live in flat
-arrays parallel to the CSR ``indices`` (first-order) or to the
-arc-expanded table layout (second-order), so a *batch* of walkers can be
-advanced with one fancy-indexing round-trip.
+Both samplers keep their per-slice alias tables in flat arrays parallel
+to the CSR ``indices`` (first-order) or to the arc-expanded table layout
+(second-order).  Those arrays are the ``node2vec-alias`` kernel's
+``tables`` (:class:`repro.walks.kernels.Node2VecAliasKernel`): its batched
+trial advances a block of walkers with one fancy-indexing round-trip, and
+the samplers' ``*_with_uniforms`` draws are its scalar reference.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.utils.rng import SeedLike, default_rng
 from repro.utils.validation import check_positive
 
 
@@ -77,10 +78,10 @@ def _build_alias_rows(
 class FirstOrderAliasSampler:
     """One alias table per node over its (weighted) neighbours.
 
-    O(1) per draw after O(|E|) setup; this is what DeepWalk-style
-    first-order walks use when edges are weighted.  For unweighted graphs
-    the table degenerates to a plain uniform draw (accept ≡ 1), kept in the
-    same layout so the batch sampling path is identical.
+    O(1) per draw after O(|E|) setup; the second-order sampler draws a
+    walk's first step from it.  For unweighted graphs the table
+    degenerates to a plain uniform draw (accept ≡ 1), kept in the same
+    layout so the batched trial is identical.
     """
 
     def __init__(self, graph: CSRGraph) -> None:
@@ -101,45 +102,13 @@ class FirstOrderAliasSampler:
                 self._alias_local[s:e] = np.arange(e - s)
         self.build_seconds = time.perf_counter() - start
 
-    @classmethod
-    def from_tables(cls, graph: CSRGraph, accept: np.ndarray,
-                    alias_local: np.ndarray) -> "FirstOrderAliasSampler":
-        """Wrap prebuilt flat tables (e.g. shared-memory views) without
-        paying the O(|E|) construction again."""
-        sampler = cls.__new__(cls)
-        sampler.graph = graph
-        sampler._accept = accept
-        sampler._alias_local = alias_local
-        sampler.build_seconds = 0.0
-        return sampler
-
-    def sample(self, nodes: np.ndarray, rng: SeedLike = None) -> np.ndarray:
-        """Draw one neighbour for every node in ``nodes`` (vectorised).
-
-        Every node must have at least one neighbour; dead ends are the
-        caller's responsibility (the batch walkers mask them out first).
-        """
-        gen = default_rng(rng)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        starts = self.graph.indptr[nodes]
-        degs = self.graph.degrees[nodes]
-        if np.any(degs == 0):
-            raise ValueError("cannot sample a neighbour of a degree-0 node")
-        local = (gen.random(nodes.size) * degs).astype(np.int64)
-        flat = starts + local
-        use_alias = gen.random(nodes.size) >= self._accept[flat]
-        local = np.where(use_alias, self._alias_local[flat], local)
-        return self.graph.indices[starts + local]
-
-    def sample_one(self, node: int, rng: SeedLike = None) -> int:
-        return int(self.sample(np.array([node]), rng)[0])
-
     def sample_one_with_uniforms(self, node: int, u1: float, u2: float) -> int:
         """One draw from two walker-protocol uniforms (slot, alias flip).
 
-        Mirrors :meth:`sample` exactly -- ``u1`` picks the slot, ``u2``
-        takes the alias when ``u2 >= accept`` -- so the loop and batch
-        backends reading the same tables produce the same neighbour.
+        ``u1`` picks the slot, ``u2`` takes the alias when ``u2 >=
+        accept`` -- the arithmetic of the kernel's batched trial, so the
+        per-walker loop and lock-step rounds reading the same tables
+        produce the same neighbour.
         """
         deg = self.graph.degree(node)
         if deg == 0:
@@ -207,12 +176,9 @@ class SecondOrderAliasSampler:
     # Flat-table export (shared-memory reuse across walk workers)
     # ------------------------------------------------------------------ #
 
-    #: Keys of :meth:`export_tables` / :meth:`from_tables`.
-    TABLE_KEYS = ("so_offsets", "so_accept", "so_alias",
-                  "fo_accept", "fo_alias")
-
     def export_tables(self) -> dict:
-        """The sampler's five flat arrays, keyed for :meth:`from_tables`.
+        """The sampler's five flat arrays -- the ``node2vec-alias``
+        kernel's ``tables``.
 
         Everything the sampler computes lives in these arrays (offsets
         plus second- and first-order accept/alias tables), so a process
@@ -228,27 +194,6 @@ class SecondOrderAliasSampler:
             "fo_alias": self._first_order._alias_local,
         }
 
-    @classmethod
-    def from_tables(cls, graph: CSRGraph, p: float, q: float,
-                    tables: dict) -> "SecondOrderAliasSampler":
-        """Rebuild a sampler over prebuilt flat tables (zero build cost).
-
-        ``tables`` is an :meth:`export_tables` dict; the arrays are used
-        as-is (typically shared-memory views), so draws match the
-        exporting sampler bit for bit.
-        """
-        sampler = cls.__new__(cls)
-        sampler.graph = graph
-        sampler.p = p
-        sampler.q = q
-        sampler._table_offsets = tables["so_offsets"]
-        sampler._accept = tables["so_accept"]
-        sampler._alias_local = tables["so_alias"]
-        sampler._first_order = FirstOrderAliasSampler.from_tables(
-            graph, tables["fo_accept"], tables["fo_alias"])
-        sampler.build_seconds = 0.0
-        return sampler
-
     # ------------------------------------------------------------------ #
 
     def arc_index(self, t: int, u: int) -> int:
@@ -258,25 +203,6 @@ class SecondOrderAliasSampler:
         if i >= nbrs.size or nbrs[i] != u:
             raise KeyError(f"arc ({t}, {u}) not in graph")
         return int(self.graph.indptr[t]) + i
-
-    def sample_step(self, current: int, previous: int,
-                    rng: SeedLike = None) -> int:
-        """Draw the next node for a walker at ``current`` from ``previous``.
-
-        ``previous < 0`` means the walk's first step, which is first-order.
-        """
-        gen = default_rng(rng)
-        if previous < 0:
-            return self._first_order.sample_one(current, gen)
-        arc = self.arc_index(previous, current)
-        start = self._table_offsets[arc]
-        size = int(self._table_offsets[arc + 1] - start)
-        if size == 0:
-            raise ValueError(f"node {current} has no neighbours to walk to")
-        local = int(gen.integers(0, size))
-        if gen.random() >= self._accept[start + local]:
-            local = int(self._alias_local[start + local])
-        return int(self.graph.neighbors(current)[local])
 
     def sample_step_with_uniforms(self, current: int, previous: int,
                                   u1: float, u2: float) -> int:
@@ -318,43 +244,3 @@ def second_order_table_entries(graph: CSRGraph) -> int:
     building the tables (for memory planning / the ablation bench)."""
     return int(graph.degrees[graph.indices].sum())
 
-
-class Node2VecAliasKernel:
-    """Kernel-interface adapter over :class:`SecondOrderAliasSampler`.
-
-    Drop-in alternative to the rejection-sampling
-    :class:`repro.walks.kernels.Node2VecKernel`: same walk distribution,
-    never rejects, but pays the table setup/memory documented above.
-    Registered as ``"node2vec-alias"`` in :data:`repro.walks.KERNELS`.
-    """
-
-    name = "node2vec-alias"
-    message_fields = 4  # [walk_id, steps, node_id, prev_node_id]
-
-    def __init__(self, graph: CSRGraph, p: float = 1.0, q: float = 1.0) -> None:
-        self.graph = graph
-        self.p = p
-        self.q = q
-        self.sampler = SecondOrderAliasSampler(graph, p=p, q=q)
-
-    @classmethod
-    def from_tables(cls, graph: CSRGraph, p: float, q: float,
-                    tables: dict) -> "Node2VecAliasKernel":
-        """Kernel over prebuilt (shared) sampler tables -- how the process
-        executor's walk workers skip the per-worker table rebuild."""
-        kernel = cls.__new__(cls)
-        kernel.graph = graph
-        kernel.p = p
-        kernel.q = q
-        kernel.sampler = SecondOrderAliasSampler.from_tables(graph, p, q,
-                                                             tables)
-        return kernel
-
-    def step(self, current: int, previous: int,
-             rng: np.random.Generator) -> Optional[int]:
-        return self.sampler.sample_step(current, previous, rng)
-
-    def step_with_uniforms(self, current: int, previous: int,
-                           u1: float, u2: float, forced: bool) -> Optional[int]:
-        # Alias tables never reject, so ``forced`` can never arise.
-        return self.sampler.sample_step_with_uniforms(current, previous, u1, u2)

@@ -119,7 +119,7 @@ class WalkConfig:
     build the baselines.
     """
 
-    kernel: str = "huge"    # deepwalk | node2vec | node2vec-alias | huge | huge+
+    kernel: str = "huge"    # a key of repro.walks.kernels.KERNELS
     mode: str = "incom"             # incom | fullpath | routine
     # mu=0.82 is the laptop-scale calibration of the paper's mu=0.995 (see
     # repro.walks.termination): it reproduces the ~63% average walk-length
@@ -148,6 +148,8 @@ class WalkConfig:
                 or self.kernel.lower() not in KERNELS):
             raise ValueError(f"unknown kernel {self.kernel!r}; "
                              f"options: {sorted(KERNELS)}")
+        # Names are case-insensitive; everything downstream sees one form.
+        self.kernel = self.kernel.lower()
         check_positive("p", self.p)
         check_positive("q", self.q)
         check_positive("max_trials_per_step", self.max_trials_per_step)
@@ -205,10 +207,7 @@ class DistributedWalkEngine:
         self.graph = graph
         self.cluster = cluster
         self.config = config or WalkConfig()
-        kernel_kwargs = {}
-        if self.config.kernel in ("node2vec", "node2vec-alias"):
-            kernel_kwargs = {"p": self.config.p, "q": self.config.q}
-        self.kernel = make_kernel(self.config.kernel, graph, **kernel_kwargs)
+        self.kernel = make_kernel(self.config, graph)
         # One walker message: InCoM's constant one in the information-
         # oriented modes (fullpath messages carry the path and are sized
         # per step), the kernel's routine one otherwise.

@@ -1,43 +1,49 @@
-"""Per-step transition kernels: DeepWalk, node2vec, HuGE, HuGE+.
+"""Walk kernels: DeepWalk, node2vec (rejection and alias tables), HuGE, HuGE+.
 
 Each kernel proposes/accepts the next node for a walker positioned at
-``u``.  All kernels share the *rejection* idiom of the paper: a uniformly
-chosen candidate is accepted with a kernel-specific probability, and a
-rejection leaves the walker at ``u`` to retry (KnightKing's rejection
-sampling for node2vec; HuGE's walking-backtracking strategy [30]).
+``u``.  All kernels share the *rejection* idiom of the paper: a candidate
+drawn from ``u``'s adjacency row is accepted with a kernel-specific
+probability, and a rejection leaves the walker at ``u`` to retry
+(KnightKing's rejection sampling for node2vec; HuGE's
+walking-backtracking strategy [30]).  Engines count every trial as one
+unit of per-machine compute, which is what makes the acceptance-rate
+differences between kernels visible in the simulated cost model.
 
-The function contract returns the accepted node or ``None`` on rejection;
-engines count every call as one unit of per-machine compute, which is what
-makes the acceptance-rate differences between kernels visible in the
-simulated cost model.
+The walk kernel interface
+-------------------------
+This module is the only place that knows which kernel is running; the
+engine, the executor and the dynamic updater talk to the interface:
 
-Two stepping interfaces coexist:
+* :func:`make_kernel` ``(config, graph, tables=None)`` -- the one
+  constructor.  It picks the class ``config.kernel`` names and passes
+  the config fields that class reads (``p``/``q``).  Given ``tables``
+  (shared-memory views in the walk workers) are used as they are;
+  otherwise they are built on first use, so the per-walker ``fullpath``
+  loop never pays for them.
+* ``tables`` -- every flat array :meth:`~WalkKernel.trial` reads, keyed by
+  name; the process executor shares this dict once for all workers.
+* ``second_order`` (the transition reads the walker's previous node) and
+  ``neighbor_sensitive`` (acceptance reads the candidate's adjacency,
+  which is what the dynamic walk audit expands by).
+* :meth:`~WalkKernel.expected_rejections` -- per-node expected rejections
+  per accepted step, or ``None`` (the runner's widths-policy input).
+* :meth:`~WalkKernel.trial` ``(lanes, cur, prev, u1, u2) -> (arc,
+  accepted)`` -- one batched block of trials over flat lanes.
+* ``step_with_uniforms(current, previous, u1, u2, forced)`` -- the scalar
+  reference: one trial, the accepted node or ``None``.  The ``fullpath``
+  loop runs it and the test oracles compare ``trial`` against it.
 
-* ``step(current, previous, rng)`` -- draws from a stateful
-  :class:`numpy.random.Generator`; no engine calls it, the kernel
-  distribution tests and ``bench_ablation_alias_vs_rejection.py``
-  measure it.
-* ``step_with_uniforms(current, previous, u1, u2, forced)`` -- the
-  scheduling-independent interface every engine runs on: the engine
-  supplies exactly two uniforms per trial from the walker's private
-  counter stream (``u1`` proposes, ``u2`` accepts), so the loop and
-  vectorized backends consume identical randomness and produce
-  byte-identical walks.  ``forced`` marks the unconditional hop applied
-  after ``max_trials_per_step`` rejections: the proposal is drawn the same
-  way and accepted outright.
-
-:func:`common_neighbor_counts_per_arc` and
-:meth:`HuGEKernel.arc_acceptance_table` precompute Eq. 3 for every stored
-arc in one pass; the vectorized engine looks acceptance probabilities up
-by flat arc index while the loop engine computes them on demand with the
-same IEEE operations and the same libm ``tanh``, keeping the two backends
-bit-equal.
+Both paths consume the same two uniforms per trial from the walker's
+private counter stream (``u1`` proposes, ``u2`` accepts) with the same
+IEEE operations and the same libm ``tanh``, so lock-step rounds and the
+per-walker loop produce byte-identical walks.  ``forced`` marks the
+unconditional hop after ``max_trials_per_step`` rejections: the proposal
+is drawn the same way and accepted outright.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -45,28 +51,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.partition.galloping import galloping_intersect_size
 from repro.utils.validation import check_positive
-
-
-def _weighted_choice(
-    graph: CSRGraph,
-    node: int,
-    rng: np.random.Generator,
-    cumsum_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> int:
-    """Uniform (or weight-proportional) neighbour draw."""
-    nbrs = graph.neighbors(node)
-    if nbrs.size == 0:
-        raise ValueError(f"node {node} has no neighbours to walk to")
-    if not graph.is_weighted:
-        return int(nbrs[rng.integers(0, nbrs.size)])
-    if cumsum_cache is not None and node in cumsum_cache:
-        cumsum = cumsum_cache[node]
-    else:
-        cumsum = np.cumsum(graph.neighbor_weights(node))
-        if cumsum_cache is not None:
-            cumsum_cache[node] = cumsum
-    x = rng.random() * cumsum[-1]
-    return int(nbrs[np.searchsorted(cumsum, x, side="right")])
+from repro.walks.alias_sampling import SecondOrderAliasSampler
 
 
 def propose_with_uniform(
@@ -80,9 +65,10 @@ def propose_with_uniform(
     ``k`` is the candidate's index within ``node``'s adjacency slice (the
     flat arc index is ``indptr[node] + k``), which the HuGE kernels use for
     table lookups.  Unweighted: ``k = floor(u1 · deg)``; weighted: inverse
-    CDF over the per-node weight cumsum.  Both clamp to ``deg - 1`` so a
-    rounding artefact at ``u1 → 1`` cannot index out of range -- the batch
-    implementation applies the identical clamp.
+    CDF over the per-node weight cumsum, uniform when every weight of the
+    row is zero (the alias tables' degenerate-slice rule).  Both clamp to
+    ``deg - 1`` so a rounding artefact at ``u1 → 1`` cannot index out of
+    range -- :meth:`WalkKernel.propose` applies the identical clamp.
     """
     deg = graph.degree(node)
     if deg == 0:
@@ -96,10 +82,82 @@ def propose_with_uniform(
             cumsum = np.cumsum(graph.neighbor_weights(node))
             if cumsum_cache is not None:
                 cumsum_cache[node] = cumsum
-        k = int(np.searchsorted(cumsum, u1 * cumsum[-1], side="right"))
+        if cumsum[-1] <= 0:
+            k = int(u1 * deg)
+        else:
+            k = int(np.searchsorted(cumsum, u1 * cumsum[-1], side="right"))
     if k >= deg:
         k = deg - 1
     return int(graph.indices[graph.indptr[node] + k]), k
+
+
+def weighted_row_cumsum(graph: CSRGraph) -> np.ndarray:
+    """Flat per-row weight cumsums (the weighted proposal's draw table).
+
+    One ``float64[num_stored_edges]`` array holding each adjacency row's
+    ``np.cumsum`` -- per row, not global, so every value matches the
+    scalar per-node caches of :func:`propose_with_uniform` bit for bit.
+    """
+    cum = np.empty(graph.num_stored_edges, dtype=np.float64)
+    indptr = graph.indptr
+    for u in range(graph.num_nodes):
+        s, e = int(indptr[u]), int(indptr[u + 1])
+        if s != e:
+            cum[s:e] = np.cumsum(graph.weights[s:e])
+    return cum
+
+
+def _bisect_rows(
+    values: np.ndarray,
+    base: np.ndarray,
+    sizes: np.ndarray,
+    x: np.ndarray,
+    right: bool,
+) -> np.ndarray:
+    """Per-row binary search over slices of a flat sorted array.
+
+    Returns, for every ``i``, ``np.searchsorted(values[base[i]:base[i] +
+    sizes[i]], x[i], side="right" if right else "left")`` as a vectorised
+    bisection -- performing the exact ``a[mid] <= x`` (right) or
+    ``a[mid] < x`` (left) comparisons of NumPy's scalar binary search, so
+    the weighted cumsum draws and arc lookups match the scalar kernels
+    bit-for-bit.
+    """
+    lo = np.zeros(x.size, dtype=np.int64)
+    hi = sizes.astype(np.int64).copy()
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) >> 1
+        descend = np.zeros(x.size, dtype=bool)
+        sel = np.flatnonzero(open_)
+        probe = values[base[sel] + mid[sel]]
+        descend[sel] = probe <= x[sel] if right else probe < x[sel]
+        lo = np.where(open_ & descend, mid + 1, lo)
+        hi = np.where(open_ & ~descend, mid, hi)
+
+
+def _locate_in_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Bisect-left position of ``values[i]`` inside the sorted adjacency
+    slice of ``rows[i]`` (may equal the row degree when absent)."""
+    base = indptr[rows]
+    return _bisect_rows(indices, base, indptr[rows + 1] - base, values,
+                        right=False)
+
+
+def _has_edges_batch(
+    indptr: np.ndarray, indices: np.ndarray, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    """Vectorised ``graph.has_edge(us[i], vs[i])`` (all ``us`` must have
+    degree > 0)."""
+    pos = _locate_in_rows(indptr, indices, us, vs)
+    deg = (indptr[us + 1] - indptr[us]).astype(np.int64)
+    inside = pos < deg
+    probe = indptr[us] + np.minimum(pos, np.maximum(deg - 1, 0))
+    return inside & (indices[probe] == vs)
 
 
 def _reverse_arcs(graph: CSRGraph, source: np.ndarray) -> Optional[np.ndarray]:
@@ -191,20 +249,100 @@ def common_neighbor_counts_per_arc(graph: CSRGraph) -> np.ndarray:
     return out
 
 
-@dataclass
-class DeepWalkKernel:
+class WalkKernel:
+    """The interface every kernel implements (see the module docstring).
+
+    The base class owns what the kernels share: the proposal -- uniform,
+    or weight-proportional through the ``row_cumsum`` table -- in its
+    scalar (:func:`propose_with_uniform`) and batched (:meth:`propose`)
+    forms, and the table plumbing.  Subclasses set the class attributes,
+    :meth:`step_with_uniforms` and :meth:`trial`, and extend
+    :meth:`_build_tables` with whatever else their trial reads.
+    """
+
+    name = ""
+    message_fields = 3  # [walk_id, steps, node_id]
+    second_order = False
+    neighbor_sensitive = False
+    #: :class:`~repro.walks.engine.WalkConfig` fields the constructor
+    #: takes as keyword arguments (:func:`make_kernel` passes them).
+    config_fields: Tuple[str, ...] = ()
+
+    def __init__(self, graph: CSRGraph,
+                 tables: Optional[Dict[str, np.ndarray]] = None) -> None:
+        self.graph = graph
+        self._tables = None if tables is None else dict(tables)
+        self._cumsum_cache: Dict[int, np.ndarray] = {}
+        self._indptr = graph.indptr
+        self._indices = graph.indices
+        self._degrees = graph.degrees
+        self._degrees_f = graph.degrees.astype(np.float64)
+
+    @property
+    def tables(self) -> Dict[str, np.ndarray]:
+        """Every flat array :meth:`trial` reads, built on first use."""
+        if self._tables is None:
+            self._tables = self._build_tables()
+        return self._tables
+
+    def _build_tables(self) -> Dict[str, np.ndarray]:
+        if self.graph.is_weighted:
+            return {"row_cumsum": weighted_row_cumsum(self.graph)}
+        return {}
+
+    def expected_rejections(self) -> Optional[np.ndarray]:
+        """Expected rejections per accepted step at every node, or
+        ``None`` when the kernel keeps no per-node table."""
+        return None
+
+    def propose(self, lanes, cur: np.ndarray, u1: np.ndarray) -> np.ndarray:
+        """Batched :func:`propose_with_uniform`: per lane, the flat arc
+        index of the candidate (its local index already offset by the row
+        start).  Row start and degree are gathered once per walker
+        (``cur``) and expanded per lane; uses scratch rows 0-1 and
+        returns row 1 on unweighted graphs."""
+        starts = self._indptr[cur]
+        last = starts + self._degrees[cur] - 1
+        if self.graph.is_weighted:
+            cumsum = self.tables["row_cumsum"]
+            starts = lanes.expand(starts, 0)
+            last = lanes.expand(last, 1)
+            total = cumsum[last]
+            arc = _bisect_rows(cumsum, starts, last - starts + 1,
+                               u1 * total, right=True)
+            flat = np.flatnonzero(total <= 0)
+            if flat.size:
+                # All-zero-weight rows: uniform, as the scalar proposal.
+                arc[flat] = (u1[flat] * (last[flat] - starts[flat] + 1)
+                             ).astype(np.int64)
+            arc += starts
+            return np.minimum(arc, last, out=arc)
+        x = lanes.row(0, np.float64)
+        np.multiply(u1, lanes.expand(self._degrees_f[cur], 0), out=x)
+        arc = lanes.row(1)
+        np.copyto(arc, x, casting="unsafe")     # truncation, as astype
+        arc += lanes.expand(starts, 0)
+        return np.minimum(arc, lanes.expand(last, 0), out=arc)
+
+    def trial(self, lanes, cur: np.ndarray, prev: Optional[np.ndarray],
+              u1: np.ndarray, u2: np.ndarray):
+        """One block of sampling trials: ``(arc, accepted)`` per lane --
+        the flat index of the proposed arc and whether the kernel takes it
+        (the forced hop is the caller's).  ``cur``/``prev`` are per
+        walker (``prev`` only for ``second_order`` kernels); candidate ids
+        are the caller's to gather, for the lanes that win."""
+        raise NotImplementedError
+
+    def step_with_uniforms(self, current: int, previous: int,
+                           u1: float, u2: float,
+                           forced: bool) -> Optional[int]:
+        raise NotImplementedError
+
+
+class DeepWalkKernel(WalkKernel):
     """First-order uniform walk (DeepWalk [42]); never rejects."""
 
-    graph: CSRGraph
-
-    def __post_init__(self) -> None:
-        self._cumsum_cache: Dict[int, np.ndarray] = {}
-
     name = "deepwalk"
-    message_fields = 3  # [walk_id, steps, node_id]
-
-    def step(self, current: int, previous: int, rng: np.random.Generator) -> Optional[int]:
-        return _weighted_choice(self.graph, current, rng, self._cumsum_cache)
 
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:
@@ -212,9 +350,14 @@ class DeepWalkKernel:
                                             self._cumsum_cache)
         return candidate  # first-order walks never reject
 
+    def trial(self, lanes, cur, prev, u1, u2):
+        arc = self.propose(lanes, cur, u1)
+        accepted = lanes.flags()
+        accepted[...] = True
+        return arc, accepted
 
-@dataclass
-class Node2VecKernel:
+
+class Node2VecKernel(WalkKernel):
     """Second-order node2vec walk via rejection sampling (paper §2.1/§2.2).
 
     The envelope is ``Q(u) = max(1/p, 1, 1/q)``; a uniform candidate ``v``
@@ -224,18 +367,19 @@ class Node2VecKernel:
     scheme that avoids scanning the out-edges.
     """
 
-    graph: CSRGraph
-    p: float = 1.0
-    q: float = 1.0
-
     name = "node2vec"
     message_fields = 4  # [walk_id, steps, node_id, prev_node_id]
+    second_order = True
+    config_fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        check_positive("p", self.p)
-        check_positive("q", self.q)
-        self._envelope = max(1.0 / self.p, 1.0, 1.0 / self.q)
-        self._cumsum_cache: Dict[int, np.ndarray] = {}
+    def __init__(self, graph: CSRGraph, p: float = 1.0, q: float = 1.0,
+                 tables: Optional[Dict[str, np.ndarray]] = None) -> None:
+        check_positive("p", p)
+        check_positive("q", q)
+        super().__init__(graph, tables)
+        self.p = p
+        self.q = q
+        self._envelope = max(1.0 / p, 1.0, 1.0 / q)
 
     def _pi(self, previous: int, candidate: int) -> float:
         if previous < 0:
@@ -245,13 +389,6 @@ class Node2VecKernel:
         if self.graph.has_edge(previous, candidate):
             return 1.0
         return 1.0 / self.q
-
-    def step(self, current: int, previous: int, rng: np.random.Generator) -> Optional[int]:
-        candidate = _weighted_choice(self.graph, current, rng, self._cumsum_cache)
-        y = rng.random() * self._envelope
-        if self._pi(previous, candidate) >= y:
-            return candidate
-        return None
 
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:
@@ -264,9 +401,103 @@ class Node2VecKernel:
             return candidate
         return None
 
+    def trial(self, lanes, cur, prev, u1, u2):
+        # KnightKing's rejection envelope, batched.
+        arc = self.propose(lanes, cur, u1)
+        accepted = lanes.flags()
+        cand = self._indices[arc]
+        prev = lanes.expand(prev, 0)
+        first = prev < 0
+        adjacent = np.zeros(cand.size, dtype=bool)
+        second = np.flatnonzero(~first)
+        if second.size:
+            adjacent[second] = _has_edges_batch(
+                self._indptr, self._indices, prev[second], cand[second]
+            )
+        pi = np.where(
+            first, 1.0,
+            np.where(cand == prev, 1.0 / self.p,
+                     np.where(adjacent, 1.0, 1.0 / self.q)),
+        )
+        np.greater_equal(pi, u2 * self._envelope, out=accepted)
+        return arc, accepted
 
-@dataclass
-class HuGEKernel:
+
+class Node2VecAliasKernel(WalkKernel):
+    """node2vec over precomputed alias tables (the pre-KnightKing design).
+
+    Drop-in alternative to the rejection-sampling :class:`Node2VecKernel`:
+    same walk distribution, never rejects, but pays the
+    :class:`~repro.walks.alias_sampling.SecondOrderAliasSampler` setup and
+    memory.  Its tables are the sampler's five flat arrays; the sampler
+    itself is only built when the kernel has to build them or take a
+    scalar step.
+    """
+
+    name = "node2vec-alias"
+    message_fields = 4  # [walk_id, steps, node_id, prev_node_id]
+    second_order = True
+    config_fields = ("p", "q")
+
+    def __init__(self, graph: CSRGraph, p: float = 1.0, q: float = 1.0,
+                 tables: Optional[Dict[str, np.ndarray]] = None) -> None:
+        check_positive("p", p)
+        check_positive("q", q)
+        super().__init__(graph, tables)
+        self.p = p
+        self.q = q
+        self._sampler: Optional[SecondOrderAliasSampler] = None
+
+    @property
+    def sampler(self) -> SecondOrderAliasSampler:
+        if self._sampler is None:
+            self._sampler = SecondOrderAliasSampler(self.graph, p=self.p,
+                                                    q=self.q)
+        return self._sampler
+
+    def _build_tables(self) -> Dict[str, np.ndarray]:
+        return self.sampler.export_tables()
+
+    def step_with_uniforms(self, current: int, previous: int,
+                           u1: float, u2: float, forced: bool) -> Optional[int]:
+        # Alias tables never reject, so ``forced`` can never arise.
+        return self.sampler.sample_step_with_uniforms(current, previous, u1, u2)
+
+    def trial(self, lanes, cur, prev, u1, u2):
+        """Batched alias-table draw (never rejects)."""
+        tables = self.tables
+        indptr = self._indptr
+        cur = lanes.expand(cur, 0)
+        prev = lanes.expand(prev, 1)
+        arc = np.empty(lanes.total, dtype=np.int64)
+        first = prev < 0
+        fo = np.flatnonzero(first)
+        if fo.size:
+            deg = self._degrees[cur[fo]]
+            slot = np.minimum((u1[fo] * deg).astype(np.int64), deg - 1)
+            flat = indptr[cur[fo]] + slot
+            use_alias = u2[fo] >= tables["fo_accept"][flat]
+            slot = np.where(use_alias, tables["fo_alias"][flat], slot)
+            arc[fo] = indptr[cur[fo]] + slot
+        so = np.flatnonzero(~first)
+        if so.size:
+            offsets = tables["so_offsets"]
+            # Flat index of arc (prev, cur): position of cur within N(prev).
+            pos = _locate_in_rows(indptr, self._indices, prev[so], cur[so])
+            table = indptr[prev[so]] + pos
+            t_start = offsets[table]
+            size = (offsets[table + 1] - t_start).astype(np.int64)
+            slot = np.minimum((u1[so] * size).astype(np.int64), size - 1)
+            use_alias = u2[so] >= tables["so_accept"][t_start + slot]
+            slot = np.where(use_alias, tables["so_alias"][t_start + slot],
+                            slot)
+            arc[so] = indptr[cur[so]] + slot
+        accepted = lanes.flags()
+        accepted[...] = True
+        return arc, accepted
+
+
+class HuGEKernel(WalkKernel):
     """HuGE's information-oriented hybrid transition (Eq. 3).
 
     ``α(u,v) = max(deg u/deg v, deg v/deg u) / (deg u − Cm(u,v))`` combines
@@ -277,16 +508,16 @@ class HuGEKernel:
     adjacencies.
     """
 
-    graph: CSRGraph
-
     name = "huge"
     message_fields = 10  # the InCoM constant-size message
+    neighbor_sensitive = True
 
-    def __post_init__(self) -> None:
-        self._cumsum_cache: Dict[int, np.ndarray] = {}
+    def __init__(self, graph: CSRGraph,
+                 tables: Optional[Dict[str, np.ndarray]] = None) -> None:
+        super().__init__(graph, tables)
         self._cm_cache: Dict[int, int] = {}
-        self._n = self.graph.num_nodes
-        self._arc_acceptance: Optional[np.ndarray] = None
+        self._n = graph.num_nodes
+        self._rejections: Optional[np.ndarray] = None
 
     def acceptance_probability(self, u: int, v: int) -> float:
         """``P(u, v)`` of Eq. 3 (public for tests and for HuGE-D)."""
@@ -311,12 +542,6 @@ class HuGEKernel:
             alpha *= self.graph.edge_weight(u, v)
         return math.tanh(alpha)
 
-    def step(self, current: int, previous: int, rng: np.random.Generator) -> Optional[int]:
-        candidate = _weighted_choice(self.graph, current, rng, self._cumsum_cache)
-        if rng.random() < self.acceptance_probability(current, candidate):
-            return candidate
-        return None
-
     def step_with_uniforms(self, current: int, previous: int,
                            u1: float, u2: float, forced: bool) -> Optional[int]:
         candidate, _ = propose_with_uniform(self.graph, current, u1,
@@ -327,19 +552,29 @@ class HuGEKernel:
             return candidate
         return None
 
+    def trial(self, lanes, cur, prev, u1, u2):
+        arc = self.propose(lanes, cur, u1)
+        accepted = lanes.flags()
+        np.less(u2, np.take(self.tables["arc_accept"], arc, mode="clip",
+                            out=lanes.row(0, np.float64)), out=accepted)
+        return arc, accepted
+
     def arc_acceptance_table(self) -> np.ndarray:
-        """``P(u, v)`` of Eq. 3 for every stored arc, by flat arc index.
+        """``P(u, v)`` of Eq. 3 for every stored arc, by flat arc index
+        (the ``arc_accept`` table).
 
         Built as arrays from the vectorised
         :func:`common_neighbor_counts_per_arc` pass with the IEEE
         operations :meth:`acceptance_probability` performs per arc, and
         ``Z`` applied through the same scalar libm function -- so the table
-        the batch engine indexes is bit-identical to what the loop engine
-        computes on demand.  Cached on the kernel after the first call.
+        the batched trial indexes is bit-identical to what the scalar
+        reference computes on demand.
         """
-        if self._arc_acceptance is None:
-            self._arc_acceptance = self._build_arc_table()
-        return self._arc_acceptance
+        return self.tables["arc_accept"]
+
+    def _build_tables(self) -> Dict[str, np.ndarray]:
+        return {**super()._build_tables(),
+                "arc_accept": self._build_arc_table()}
 
     def _build_arc_table(self) -> np.ndarray:
         graph = self.graph
@@ -358,8 +593,33 @@ class HuGEKernel:
         table[live] = [math.tanh(a) for a in alpha.tolist()]
         return table
 
+    def expected_rejections(self) -> np.ndarray:
+        """``1 / (a node's mean acceptance) − 1`` from the per-arc table.
 
-@dataclass
+        Every trial at ``u`` proposes an arc from the same distribution
+        (uniform, or weight-proportional on weighted graphs), so trials
+        there accept independently with that proposal-weighted mean and
+        the rejections before a hop are geometric with this expectation.
+        0 for dead ends, which no live walker stands on.
+        """
+        if self._rejections is None:
+            graph = self.graph
+            source = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+            # Per node: proposal mass, and the part of it that is accepted.
+            mass, accepted = self._degrees_f, self.arc_acceptance_table()
+            if graph.is_weighted:
+                mass = np.bincount(source, weights=graph.weights,
+                                   minlength=graph.num_nodes)
+                accepted = graph.weights * accepted
+            hit = np.bincount(source, weights=accepted,
+                              minlength=graph.num_nodes)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rejections = mass / hit - 1.0
+            rejections[~(rejections > 0)] = 0.0     # dead ends, rounding, NaN
+            self._rejections = rejections
+        return self._rejections
+
+
 class HuGEPlusKernel(HuGEKernel):
     """HuGE+ [16]: next-hop selection additionally weighs the candidate's
     own information content.
@@ -374,9 +634,10 @@ class HuGEPlusKernel(HuGEKernel):
 
     name = "huge+"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._log_max_deg = math.log1p(float(self.graph.degrees.max(initial=1)))
+    def __init__(self, graph: CSRGraph,
+                 tables: Optional[Dict[str, np.ndarray]] = None) -> None:
+        super().__init__(graph, tables)
+        self._log_max_deg = math.log1p(float(graph.degrees.max(initial=1)))
 
     def acceptance_probability(self, u: int, v: int) -> float:
         base = super().acceptance_probability(u, v)
@@ -395,16 +656,25 @@ class HuGEPlusKernel(HuGEKernel):
 
 
 KERNELS = {
-    "deepwalk": DeepWalkKernel,
-    "node2vec": Node2VecKernel,
-    "huge": HuGEKernel,
-    "huge+": HuGEPlusKernel,
+    kernel.name: kernel
+    for kernel in (DeepWalkKernel, Node2VecKernel, Node2VecAliasKernel,
+                   HuGEKernel, HuGEPlusKernel)
 }
 
 
-def make_kernel(name: str, graph: CSRGraph, **kwargs):
-    """Instantiate a kernel by name with kernel-specific kwargs."""
-    key = name.lower()
-    if key not in KERNELS:
+def kernel_class(name: str) -> type:
+    """The kernel class registered under ``name`` (case-insensitive)."""
+    cls = KERNELS.get(str(name).lower())
+    if cls is None:
         raise KeyError(f"unknown kernel {name!r}; options: {sorted(KERNELS)}")
-    return KERNELS[key](graph, **kwargs)
+    return cls
+
+
+def make_kernel(config, graph: CSRGraph,
+                tables: Optional[Dict[str, np.ndarray]] = None) -> WalkKernel:
+    """The one way a kernel is built: the class ``config.kernel`` names,
+    with the config fields it reads, over ``tables`` when given (used as
+    they are) or over tables built on first use."""
+    cls = kernel_class(config.kernel)
+    params = {field: getattr(config, field) for field in cls.config_fields}
+    return cls(graph, tables=tables, **params)

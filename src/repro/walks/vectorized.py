@@ -7,39 +7,35 @@ vectorisation: advance *all* walkers of a round simultaneously with array
 operations, which removes the interpreter constant per step and keeps the
 examples and scalability benches runnable at 10^4-10^5 nodes.
 
-Two batch layers live here:
+:class:`BatchWalkRunner` is the one lock-step engine behind the
+``routine`` and ``incom`` walk modes.  It batches stateful,
+individually-terminating **information-oriented** walks: all of a
+round's walkers advance in lock-step, with per-walker InCoM state (the
+``S = Σ n log₂ n`` entropy accumulator and the five regression moments
+of Eq. 12/13) held as parallel NumPy arrays, termination
+(``mu``/min/max-length and dead ends) applied through active masks, and
+each superstep's block of sampling trials resolved by the kernel's
+batched trial (:meth:`repro.walks.kernels.WalkKernel.trial`).  The runner
+owns the widths policy, the superstep loop and the trial lanes; the
+kernel owns the lane arithmetic and its tables.  It records each step's
+arc and trial count next to the path (:class:`WalkBuffers`);
+:class:`DeferredWalkAccounting` turns those buffers into ``WalkStats``
+and the simulated cluster's compute/message counters, byte-identical to
+the per-walker loop's in-loop accounting.
 
-* :func:`batch_walk_matrix` / :func:`vectorized_routine_corpus` -- the
-  original free-standing first-order helpers (DeepWalk walks, KnightKing
-  corpora) with no cluster accounting.
+Randomness follows the per-walker counter streams of
+:mod:`repro.utils.rng`: each walker consumes its private counter-based
+stream (two uniforms per trial), so these rounds produce *the same
+corpus, walk lengths, termination decisions and metrics* as the
+engine's per-walker loop driven over the same config -- the property the
+reference-parity suite (``tests/test_walks_vectorized_parity.py``) pins
+down.
 
-* :class:`BatchWalkRunner` -- the engine backend behind
-  ``WalkConfig(backend="vectorized")``.  It generalises batching to
-  stateful, individually-terminating **information-oriented** walks: all
-  of a round's walkers advance in lock-step, with per-walker InCoM state
-  (the ``S = Σ n log₂ n`` entropy accumulator and the five regression
-  moments of Eq. 12/13) held as parallel NumPy arrays, termination
-  (``mu``/min/max-length and dead ends) applied through active masks,
-  and second-order kernels (node2vec, HuGE, HuGE+) via batched rejection
-  sampling.  The runner records each step's arc and trial count next to
-  the path (:class:`WalkBuffers`); :class:`DeferredWalkAccounting` turns
-  those buffers into
-  ``WalkStats`` and the simulated cluster's compute/message counters,
-  byte-identical to the loop engine's in-loop accounting.
-
-  Randomness follows the per-walker counter streams of
-  :mod:`repro.utils.rng`: each walker consumes its private counter-based
-  stream (two uniforms per trial), so these rounds produce *the same
-  corpus, walk lengths, termination decisions and metrics* as the
-  engine's per-walker loop driven over the same config -- the property
-  the reference-parity suite (``tests/test_walks_vectorized_parity.py``)
-  pins down.
-
-  Covered: kernels ``deepwalk``/``node2vec``/``node2vec-alias``/``huge``/
-  ``huge+`` in modes ``routine`` and ``incom``.  The ``fullpath`` mode is
-  deliberately *not* vectorised: HuGE-D's from-scratch O(L) recomputation
-  per step is the baseline cost the benchmarks measure, so the engine
-  runs it on the per-walker loop.
+Covered: every kernel of :data:`repro.walks.kernels.KERNELS` in modes
+``routine`` and ``incom``.  The ``fullpath`` mode is deliberately *not*
+vectorised: HuGE-D's from-scratch O(L) recomputation per step is the
+baseline cost the benchmarks measure, so the engine runs it on the
+per-walker loop.
 """
 
 from __future__ import annotations
@@ -51,16 +47,11 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.runtime.message import IncrementalMessage
 from repro.utils.rng import (
-    SeedLike,
     argument_uniforms,
-    default_rng,
     stream_arguments,
     stream_stride,
     walker_stream_keys,
 )
-from repro.utils.validation import check_positive
-from repro.walks.alias_sampling import FirstOrderAliasSampler
-from repro.walks.corpus import Corpus
 from repro.walks.termination import WalkLengthRule
 
 #: Constant InCoM walker-message size (80 bytes, paper §3.1).
@@ -83,150 +74,6 @@ _ACCEPT_STRIDE = stream_stride(1)
 _TRIAL_STRIDE = stream_stride(2)
 
 
-def batch_walk_matrix(
-    graph: CSRGraph,
-    sources: np.ndarray,
-    walk_length: int,
-    rng: SeedLike = None,
-    sampler: Optional[FirstOrderAliasSampler] = None,
-) -> np.ndarray:
-    """First-order walks from every source, advanced in lock-step.
-
-    ``walk_length`` counts **steps**, so the result is an
-    ``int64[len(sources), walk_length + 1]`` matrix whose first column is
-    ``sources``; positions after a dead end (out-degree 0, only possible on
-    directed graphs) are padded with ``-1``.
-
-    ``sampler`` may be shared across calls to amortise the alias setup for
-    weighted graphs; unweighted graphs use a direct uniform draw.
-    """
-    check_positive("walk_length", walk_length, allow_zero=True)
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size and (sources.min() < 0 or sources.max() >= graph.num_nodes):
-        raise ValueError("sources contain node ids outside the graph")
-    gen = default_rng(rng)
-    n = sources.size
-    paths = np.full((n, walk_length + 1), -1, dtype=np.int64)
-    paths[:, 0] = sources
-    if n == 0:
-        return paths
-
-    if graph.is_weighted and sampler is None:
-        sampler = FirstOrderAliasSampler(graph)
-
-    degrees = graph.degrees
-    current = sources.copy()
-    active = degrees[current] > 0
-    for step in range(1, walk_length + 1):
-        if not active.any():
-            break
-        cur = current[active]
-        if sampler is not None:
-            nxt = sampler.sample(cur, gen)
-        else:
-            starts = graph.indptr[cur]
-            offs = (gen.random(cur.size) * degrees[cur]).astype(np.int64)
-            nxt = graph.indices[starts + offs]
-        paths[np.flatnonzero(active), step] = nxt
-        current[active] = nxt
-        # Walkers that stepped onto a dead end stop before the next step.
-        still = degrees[nxt] > 0
-        if not still.all():
-            idx = np.flatnonzero(active)
-            active[idx[~still]] = False
-    return paths
-
-
-def vectorized_routine_corpus(
-    graph: CSRGraph,
-    walk_length: int = 80,
-    walks_per_node: int = 10,
-    seed: SeedLike = None,
-    sources: Optional[np.ndarray] = None,
-) -> Corpus:
-    """Routine corpus (r fixed-length walks per node) built in batch.
-
-    Functionally equivalent to running
-    ``WalkConfig.routine(kernel="deepwalk")`` through the distributed
-    engine, minus the cluster accounting -- use this when only the corpus
-    matters (examples, large-scale studies), and the engine when message
-    and compute counters are the point.  ``walk_length`` counts **tokens**
-    per walk (source included), matching the engine and the paper's L.
-
-    Corpora built here append through the same staged path as the
-    engine's, so calling :meth:`Corpus.spill_to` on the result (or on an
-    empty corpus before the loop) moves the flat block out of core; each
-    round's flush drains to the file-backed block and resident memory
-    stays O(round), not O(corpus).
-    """
-    check_positive("walk_length", walk_length)
-    check_positive("walks_per_node", walks_per_node)
-    gen = default_rng(seed)
-    if sources is None:
-        sources = np.flatnonzero(graph.degrees > 0)
-    sources = np.asarray(sources, dtype=np.int64)
-    sampler = FirstOrderAliasSampler(graph) if graph.is_weighted else None
-    corpus = Corpus(graph.num_nodes)
-    for _round in range(walks_per_node):
-        paths = batch_walk_matrix(graph, sources, walk_length - 1, gen, sampler)
-        # Dead-end padding (-1) is a contiguous tail, so the per-row valid
-        # prefix length recovers exactly the walks the per-row filter did;
-        # the batch flush compacts them straight into the corpus's flat
-        # token block.
-        corpus.add_walks(paths, (paths >= 0).sum(axis=1))
-    corpus.shrink_to_fit()
-    return corpus
-
-
-def empirical_transition_matrix(
-    graph: CSRGraph,
-    num_walks: int = 2000,
-    walk_length: int = 1,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Empirical first-step transition frequencies (testing/diagnostics).
-
-    Runs ``num_walks`` single steps from every node and returns a row-
-    stochastic ``float64[num_nodes, num_nodes]`` matrix of observed
-    frequencies.  Rows of dead-end nodes are all zero.
-    """
-    check_positive("num_walks", num_walks)
-    gen = default_rng(seed)
-    n = graph.num_nodes
-    counts = np.zeros((n, n), dtype=np.float64)
-    sources = np.repeat(np.arange(n, dtype=np.int64), num_walks)
-    paths = batch_walk_matrix(graph, sources, walk_length, gen)
-    first = paths[:, 1]
-    ok = first >= 0
-    np.add.at(counts, (paths[ok, 0], first[ok]), 1.0)
-    row_sums = counts.sum(axis=1, keepdims=True)
-    np.divide(counts, row_sums, out=counts, where=row_sums > 0)
-    return counts
-
-
-# ---------------------------------------------------------------------- #
-# Batched information-oriented engine (WalkConfig backend "vectorized")
-# ---------------------------------------------------------------------- #
-
-
-def weighted_row_cumsum(graph: CSRGraph) -> np.ndarray:
-    """Flat per-row weight cumsums (the rejection kernels' draw table).
-
-    One ``float64[num_stored_edges]`` array holding each adjacency row's
-    ``np.cumsum`` -- per row, not global, so every value matches the
-    scalar kernels' per-node caches bit for bit.  Shared between
-    :class:`BatchWalkRunner` instances (the process executor computes it
-    once and hands workers shared-memory views).
-    """
-    cum = np.empty(graph.num_stored_edges, dtype=np.float64)
-    indptr = graph.indptr
-    for u in range(graph.num_nodes):
-        s, e = int(indptr[u]), int(indptr[u + 1])
-        if s != e:
-            cum[s:e] = np.cumsum(graph.weights[s:e])
-    return cum
-
-
 def _xlog2x_batch(v: np.ndarray) -> np.ndarray:
     """``v · log₂ v`` elementwise with ``0·log 0 = 0`` (float64 in/out).
 
@@ -238,59 +85,6 @@ def _xlog2x_batch(v: np.ndarray) -> np.ndarray:
     nz = v > 0
     out[nz] = v[nz] * np.log2(v[nz])
     return out
-
-
-def _bisect_rows(
-    values: np.ndarray,
-    base: np.ndarray,
-    sizes: np.ndarray,
-    x: np.ndarray,
-    right: bool,
-) -> np.ndarray:
-    """Per-row binary search over slices of a flat sorted array.
-
-    Returns, for every ``i``, ``np.searchsorted(values[base[i]:base[i] +
-    sizes[i]], x[i], side="right" if right else "left")`` as a vectorised
-    bisection -- performing the exact ``a[mid] <= x`` (right) or
-    ``a[mid] < x`` (left) comparisons of NumPy's scalar binary search, so
-    the weighted cumsum draws and arc lookups match the scalar kernels
-    bit-for-bit.
-    """
-    lo = np.zeros(x.size, dtype=np.int64)
-    hi = sizes.astype(np.int64).copy()
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return lo
-        mid = (lo + hi) >> 1
-        descend = np.zeros(x.size, dtype=bool)
-        sel = np.flatnonzero(open_)
-        probe = values[base[sel] + mid[sel]]
-        descend[sel] = probe <= x[sel] if right else probe < x[sel]
-        lo = np.where(open_ & descend, mid + 1, lo)
-        hi = np.where(open_ & ~descend, mid, hi)
-
-
-def _locate_in_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Bisect-left position of ``values[i]`` inside the sorted adjacency
-    slice of ``rows[i]`` (may equal the row degree when absent)."""
-    base = indptr[rows]
-    return _bisect_rows(indices, base, indptr[rows + 1] - base, values,
-                        right=False)
-
-
-def _has_edges_batch(
-    indptr: np.ndarray, indices: np.ndarray, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
-    """Vectorised ``graph.has_edge(us[i], vs[i])`` (all ``us`` must have
-    degree > 0)."""
-    pos = _locate_in_rows(indptr, indices, us, vs)
-    deg = (indptr[us + 1] - indptr[us]).astype(np.int64)
-    inside = pos < deg
-    probe = indptr[us] + np.minimum(pos, np.maximum(deg - 1, 0))
-    return inside & (indices[probe] == vs)
 
 
 class _TrialLanes:
@@ -407,32 +201,28 @@ class WalkBuffers(NamedTuple):
 class BatchWalkRunner:
     """Lock-step walker batch over one graph.
 
-    Owns the per-graph precomputations (flat weight cumsums, per-arc HuGE
-    acceptance table, alias tables via the kernel) and advances batches
-    of walkers with :meth:`run_walks` -- the engine's serial rounds, the
-    walk workers and the dynamic resample all call it.  It never sees
-    the node placement: walker streams hang off ``walk_seed_root`` and
-    what a step cost is recorded per step, for
-    :class:`DeferredWalkAccounting` to credit wherever the assignment is
-    known.
+    Advances batches of walkers with :meth:`run_walks` -- the engine's
+    serial rounds, the walk workers and the dynamic resample all call it
+    -- through one kernel's batched trial
+    (:meth:`repro.walks.kernels.WalkKernel.trial`), which owns the
+    per-graph tables.  It never sees the node placement: walker streams
+    hang off ``walk_seed_root`` and what a step cost is recorded per
+    step, for :class:`DeferredWalkAccounting` to credit wherever the
+    assignment is known.
     """
 
-    def __init__(self, graph: CSRGraph, walk_seed_root: int, config, kernel,
-                 tables: Optional[dict] = None) -> None:
+    def __init__(self, graph: CSRGraph, walk_seed_root: int, config,
+                 kernel) -> None:
         if config.mode == "fullpath":
             raise ValueError(
                 "the fullpath (HuGE-D) measurement is deliberately O(L) per "
                 "step and runs on DistributedWalkEngine's per-walker loop, "
                 "not in lock-step rounds"
             )
-        tables = tables or {}
         self.graph = graph
         self.walk_seed_root = walk_seed_root
         self.config = config
         self.kernel = kernel
-        self.kind = kernel.name
-        #: Whether the transition reads the walker's previous node.
-        self._second_order = self.kind in ("node2vec", "node2vec-alias")
         self.info_mode = config.mode != "routine"
         self.length_rule = (
             WalkLengthRule(mu=config.mu, min_length=config.min_length,
@@ -441,70 +231,23 @@ class BatchWalkRunner:
         )
         #: Path buffer width: the most tokens a walk can hold.
         self.cap = config.max_length if self.info_mode else config.walk_length
-        self._indptr = graph.indptr
         self._indices = graph.indices
         self._degrees = graph.degrees
-        self._degrees_f = graph.degrees.astype(np.float64)
         if self.info_mode:
             # ΔS of appending a node seen k times before, for every k a
             # path can hold: (k+1)·log₂(k+1) − k·log₂ k.
             seen = np.arange(config.max_length + 1, dtype=np.float64)
             self._xlog2x_gain = (_xlog2x_batch(seen + 1.0)
                                  - _xlog2x_batch(seen))
-
-        # Kernel-specific tables.  All values are produced by (or shared
-        # with) the scalar kernel code, keeping the two backends bit-equal.
-        # ``tables`` lets the process executor hand every worker one
-        # precomputed copy instead of paying the build per process.
-        self._row_cumsum: Optional[np.ndarray] = None
-        if graph.is_weighted and self.kind != "node2vec-alias":
-            self._row_cumsum = tables.get("row_cumsum")
-            if self._row_cumsum is None:
-                self._row_cumsum = weighted_row_cumsum(graph)
-        #: Expected rejections per accepted step at each node (HuGE
-        #: kernels; the widths policy's per-walker input).
-        self._node_rejections: Optional[np.ndarray] = None
-        if self.kind in ("huge", "huge+"):
-            self._arc_accept = tables.get("arc_accept")
-            if self._arc_accept is None:
-                self._arc_accept = kernel.arc_acceptance_table()
-            self._node_rejections = self._expected_rejections()
-        elif self.kind == "node2vec-alias":
-            sampler = kernel.sampler
-            fo = sampler._first_order
-            self._fo_accept = fo._accept
-            self._fo_alias = fo._alias_local
-            self._so_offsets = sampler._table_offsets
-            self._so_accept = sampler._accept
-            self._so_alias = sampler._alias_local
+        #: Expected rejections per accepted step at each node, capped by
+        #: the forced hop (the widths policy's per-walker input), when the
+        #: kernel keeps such a table.
+        self._node_rejections = kernel.expected_rejections()
+        if self._node_rejections is not None:
+            self._node_rejections = np.minimum(
+                self._node_rejections, float(config.max_trials_per_step))
         # The trial lanes outlive a call: their scratch is reused.
         self._lanes = _TrialLanes()
-
-    def _expected_rejections(self) -> np.ndarray:
-        """``1 / (a node's mean acceptance) − 1`` from the per-arc table.
-
-        Every trial at ``u`` proposes an arc from the same distribution
-        (uniform, or weight-proportional on weighted graphs), so trials
-        there accept independently with that proposal-weighted mean and
-        the rejections before a hop are geometric with this expectation.
-        Capped at ``max_trials_per_step`` (the forced hop bounds them) and
-        0 for dead ends, which no live walker stands on.
-        """
-        graph = self.graph
-        source = np.repeat(np.arange(graph.num_nodes), graph.degrees)
-        # Per node: proposal mass, and the part of it that is accepted.
-        mass, accepted = self._degrees_f, self._arc_accept
-        if graph.is_weighted:
-            mass = np.bincount(source, weights=graph.weights,
-                               minlength=graph.num_nodes)
-            accepted = graph.weights * accepted
-        hit = np.bincount(source, weights=accepted,
-                          minlength=graph.num_nodes)
-        cap = float(self.config.max_trials_per_step)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rejections = mass / hit - 1.0
-        rejections[~(rejections > 0)] = 0.0     # dead ends, rounding, NaN
-        return np.minimum(rejections, cap, out=rejections)
 
     # ------------------------------------------------------------------ #
     # InCoM batch state helpers
@@ -545,100 +288,6 @@ class BatchWalkRunner:
         np.clip(r, -1.0, 1.0, out=r)
         return r * r
 
-    # ------------------------------------------------------------------ #
-    # Kernel batch steps
-    # ------------------------------------------------------------------ #
-
-    def _propose(self, lanes: _TrialLanes, cur: np.ndarray,
-                 u1: np.ndarray) -> np.ndarray:
-        """Uniform→arc map shared by the rejection kernels: per lane, the
-        flat arc index of ``propose_with_uniform``'s candidate (its local
-        index already offset by the row start).  Row start and degree are
-        gathered once per walker (``cur``) and expanded per lane; uses
-        scratch rows 0-1 and returns row 1 on unweighted graphs."""
-        starts = self._indptr[cur]
-        last = starts + self._degrees[cur] - 1
-        if self._row_cumsum is not None:
-            starts = lanes.expand(starts, 0)
-            last = lanes.expand(last, 1)
-            arc = _bisect_rows(self._row_cumsum, starts, last - starts + 1,
-                               u1 * self._row_cumsum[last], right=True)
-            arc += starts
-            return np.minimum(arc, last, out=arc)
-        x = lanes.row(0, np.float64)
-        np.multiply(u1, lanes.expand(self._degrees_f[cur], 0), out=x)
-        arc = lanes.row(1)
-        np.copyto(arc, x, casting="unsafe")     # truncation, as astype
-        arc += lanes.expand(starts, 0)
-        return np.minimum(arc, lanes.expand(last, 0), out=arc)
-
-    def _trial(self, lanes: _TrialLanes, cur: np.ndarray, prev: np.ndarray,
-               u1: np.ndarray, u2: np.ndarray):
-        """One block of sampling trials: ``(arc, accepted)`` per lane --
-        the flat index of the proposed arc and whether the kernel takes it
-        (the forced hop is the caller's).  ``cur``/``prev`` are per
-        walker; candidate ids are the caller's to gather, for the lanes
-        that win (HuGE's acceptance reads the arc, never the candidate)."""
-        if self.kind == "node2vec-alias":
-            return self._trial_alias(lanes, cur, prev, u1, u2)
-        arc = self._propose(lanes, cur, u1)
-        accepted = lanes.flags()
-        if self.kind == "deepwalk":
-            accepted[...] = True
-        elif self.kind in ("huge", "huge+"):
-            np.less(u2, np.take(self._arc_accept, arc, mode="clip",
-                                out=lanes.row(0, np.float64)), out=accepted)
-        else:
-            # node2vec: KnightKing's rejection envelope, batched.
-            kernel = self.kernel
-            cand = self._indices[arc]
-            prev = lanes.expand(prev, 0)
-            first = prev < 0
-            adjacent = np.zeros(cand.size, dtype=bool)
-            second = np.flatnonzero(~first)
-            if second.size:
-                adjacent[second] = _has_edges_batch(
-                    self._indptr, self._indices, prev[second], cand[second]
-                )
-            pi = np.where(
-                first, 1.0,
-                np.where(cand == prev, 1.0 / kernel.p,
-                         np.where(adjacent, 1.0, 1.0 / kernel.q)),
-            )
-            np.greater_equal(pi, u2 * kernel._envelope, out=accepted)
-        return arc, accepted
-
-    def _trial_alias(self, lanes: _TrialLanes, cur: np.ndarray,
-                     prev: np.ndarray, u1: np.ndarray, u2: np.ndarray):
-        """Batched alias-table draw (never rejects)."""
-        cur = lanes.expand(cur, 0)
-        prev = lanes.expand(prev, 1)
-        arc = np.empty(lanes.total, dtype=np.int64)
-        first = prev < 0
-        fo = np.flatnonzero(first)
-        if fo.size:
-            deg = self._degrees[cur[fo]]
-            slot = np.minimum((u1[fo] * deg).astype(np.int64), deg - 1)
-            flat = self._indptr[cur[fo]] + slot
-            use_alias = u2[fo] >= self._fo_accept[flat]
-            slot = np.where(use_alias, self._fo_alias[flat], slot)
-            arc[fo] = self._indptr[cur[fo]] + slot
-        so = np.flatnonzero(~first)
-        if so.size:
-            # Flat index of arc (prev, cur): position of cur within N(prev).
-            pos = _locate_in_rows(self._indptr, self._indices,
-                                  prev[so], cur[so])
-            table = self._indptr[prev[so]] + pos
-            t_start = self._so_offsets[table]
-            size = (self._so_offsets[table + 1] - t_start).astype(np.int64)
-            slot = np.minimum((u1[so] * size).astype(np.int64), size - 1)
-            use_alias = u2[so] >= self._so_accept[t_start + slot]
-            slot = np.where(use_alias, self._so_alias[t_start + slot], slot)
-            arc[so] = self._indptr[cur[so]] + slot
-        accepted = lanes.flags()
-        accepted[...] = True
-        return arc, accepted
-
     def _block_width(self, cur: np.ndarray, waited: np.ndarray,
                      spent: int, hops: int) -> np.ndarray:
         """The widths policy: trials to evaluate this superstep for each
@@ -649,11 +298,11 @@ class BatchWalkRunner:
         against supersteps.
 
         A walker's block is one trial plus a share of the rejections it
-        should expect where it stands: from the per-node table under the
-        HuGE kernels (trials at a node accept independently with its mean
-        acceptance, so per-node expectations span ~0 at leaves to the cap
-        at hubs), from the call's running rejections per accepted step
-        otherwise -- zero for the kernels that never reject, which
+        should expect where it stands: from the kernel's per-node table
+        when it keeps one (``expected_rejections``, the HuGE kernels:
+        trials at a node accept independently with its mean acceptance,
+        so per-node expectations span ~0 at leaves to the cap at hubs),
+        from the call's running rejections per accepted step otherwise -- zero for the kernels that never reject, which
         therefore stay at one lane and draw only the uniforms they
         consume.  The share grows as the superstep thins out: a block of
         thousands of walkers is lane-bound and should waste few lanes, a
@@ -774,8 +423,8 @@ class BatchWalkRunner:
             lanes.layout(widths, ends)
             stream_at = args[alive]
             u1, u2 = lanes.uniforms(stream_at, begin)
-            prev = previous[alive] if self._second_order else None
-            arc, accepted = self._trial(lanes, cur, prev, u1, u2)
+            prev = previous[alive] if self.kernel.second_order else None
+            arc, accepted = self.kernel.trial(lanes, cur, prev, u1, u2)
             # The forced hop: a block that reaches the horizon ends on it.
             accepted[ends[widths == room] - 1] = True
 
@@ -816,12 +465,12 @@ class BatchWalkRunner:
                 # lost to the scan at the benchmark's walk lengths
                 # (ROADMAP item 4 has the numbers); the simulated cost
                 # model still credits the paper's O(1) InCoM update,
-                # which the scalar backend's dict counters realise
+                # which the per-walker loop's dict counters realise
                 # literally.
                 reach = int(pos.max())
                 seen = np.flatnonzero(paths[idx, :reach] == hop[:, None])
                 prior = np.bincount(seen // reach, minlength=idx.size)
-            if self._second_order:
+            if self.kernel.second_order:
                 previous[idx] = cur[sel]
             current[idx] = hop
             paths[idx, pos] = hop

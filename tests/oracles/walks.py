@@ -4,7 +4,9 @@
 loop the library keeps for HuGE-D's ``fullpath`` mode.  Under the walker
 RNG protocol it must land on the lock-step rounds' bytes for ``incom`` and
 ``routine`` too -- same corpus, stats and cluster metrics -- which is the
-walk engine's reference parity.
+walk engine's reference parity.  :func:`accepted_draws` samples a
+kernel's scalar reference from a seeded generator, :func:`routine_corpus`
+builds a routine corpus through the engine.
 
 Every sampler in :mod:`repro.walks` is stochastic; the functions below
 compute the distributions they *should* follow, by direct evaluation of
@@ -31,8 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.runtime.cluster import Cluster
 from repro.utils.validation import check_positive
-from repro.walks.engine import DistributedWalkEngine
+from repro.walks.engine import DistributedWalkEngine, WalkConfig
 from repro.walks.kernels import HuGEKernel
 
 
@@ -51,6 +54,31 @@ class LoopWalkEngine(DistributedWalkEngine):
             raise ValueError("the loop reference takes no partition join")
         self._run_loop_rounds(sources, rounds, count_rule, degrees, corpus,
                               stats, walk_machines)
+
+
+def accepted_draws(kernel, current: int, previous: int, rng,
+                   count: int) -> np.ndarray:
+    """``count`` accepted hops of ``kernel`` from ``current`` (arrived
+    from ``previous``), every trial fed the two uniforms it consumes from
+    the generator ``rng`` -- rejections retry, as in a walk."""
+    draws = []
+    while len(draws) < count:
+        u1, u2 = rng.random(2)
+        out = kernel.step_with_uniforms(current, previous, u1, u2, False)
+        if out is not None:
+            draws.append(int(out))
+    return np.array(draws)
+
+
+def routine_corpus(graph: CSRGraph, walk_length: int, walks_per_node: int,
+                   seed: int = 0, kernel: str = "deepwalk", sources=None):
+    """The routine corpus (``walks_per_node`` walks of ``walk_length``
+    tokens from every source) as the engine samples it on one machine."""
+    cluster = Cluster(1, np.zeros(graph.num_nodes, dtype=np.int64),
+                      seed=seed)
+    config = WalkConfig.routine(kernel=kernel, walk_length=walk_length,
+                                walks_per_node=walks_per_node)
+    return DistributedWalkEngine(graph, cluster, config).run(sources).corpus
 
 
 def node2vec_transition_distribution(

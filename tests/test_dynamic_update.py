@@ -21,7 +21,7 @@ from repro.dynamic.invalidate import (
     stale_walk_ids,
 )
 from repro.dynamic.update import update_embedding
-from repro.graph import powerlaw_cluster
+from repro.graph import powerlaw_cluster, ring_of_cliques
 from repro.graph.csr import CSRGraph
 from repro.walks import Corpus
 from repro.walks.engine import WalkConfig
@@ -66,6 +66,23 @@ class TestInvalidation:
         both = affected_nodes(arcs, kernel="huge", old_graph=graph,
                               new_graph=graph)
         assert set(expanded) <= set(both)
+
+    def test_kernel_names_are_case_insensitive(self):
+        """``"HuGE"`` is HuGE: the audit expands by neighbours and flags
+        the same stale walks as ``"huge"``."""
+        graph = ring_of_cliques(3, 4)
+        arcs = np.array([[0, 1], [1, 0]])
+        lower = affected_nodes(arcs, kernel="huge", old_graph=graph)
+        assert lower.size > 2
+        np.testing.assert_array_equal(
+            affected_nodes(arcs, kernel="HuGE", old_graph=graph), lower)
+        corpus = Corpus(graph.num_nodes)
+        for walk in ([0, 2], [3, 5], [6, 7], [9, 10, 11]):
+            corpus.add_walk(walk)
+        stale = audit_walks(corpus, arcs, kernel="huge", old_graph=graph)
+        assert 0 < stale.size < corpus.num_walks
+        np.testing.assert_array_equal(
+            audit_walks(corpus, arcs, kernel="HuGE", old_graph=graph), stale)
 
     def test_audit_walks_validates_mode(self):
         corpus = Corpus(4)

@@ -192,7 +192,7 @@ class TestWalkRunner:
         corpus = Corpus(graph.num_nodes)
         with StreamingWalkRunner(
                 graph, ref_cluster.walk_seed_root, cfg,
-                make_kernel("huge", graph), sources, max_rounds=3,
+                make_kernel(cfg, graph), sources, max_rounds=3,
                 depth=depth) as runner:
             assert runner.depth == min(depth, 3)
             for _ in range(3):
@@ -202,31 +202,35 @@ class TestWalkRunner:
         assert_corpora_equal(ref.corpus, corpus)
 
     def test_alias_sampler_table_export_roundtrip(self):
-        """from_tables(export_tables()) reproduces the building sampler's
-        draws exactly (the shared-memory reuse contract)."""
-        from repro.walks.alias_sampling import SecondOrderAliasSampler
+        """A kernel over another kernel's ``tables`` (what a walk worker
+        builds over the shared views) adopts them without a build and
+        draws exactly what the building kernel draws."""
+        from repro.walks.kernels import make_kernel
+        from repro.walks.vectorized import _TrialLanes
 
         graph = graph_family("weighted")
-        built = SecondOrderAliasSampler(graph, p=2.0, q=0.5)
-        wrapped = SecondOrderAliasSampler.from_tables(
-            graph, 2.0, 0.5, built.export_tables())
-        assert wrapped.build_seconds == 0.0
-        assert wrapped.num_table_entries == built.num_table_entries
+        cfg = WalkConfig.routine(kernel="node2vec-alias", p=2.0, q=0.5)
+        built = make_kernel(cfg, graph)
+        wrapped = make_kernel(cfg, graph, built.tables)
+        assert all(wrapped.tables[key] is table
+                   for key, table in built.tables.items())
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            cur = int(rng.integers(0, graph.num_nodes))
-            while graph.degree(cur) == 0:
-                cur = int(rng.integers(0, graph.num_nodes))
-            # First-order (walk start) half the time, otherwise a real
-            # arc (prev -> cur): any neighbour works, the graph is
-            # undirected so the reverse arc is stored too.
-            prev = -1
-            if rng.random() < 0.5:
-                nbrs = graph.neighbors(cur)
-                prev = int(nbrs[int(rng.integers(0, nbrs.size))])
-            u1, u2 = float(rng.random()), float(rng.random())
-            assert built.sample_step_with_uniforms(cur, prev, u1, u2) == \
-                wrapped.sample_step_with_uniforms(cur, prev, u1, u2)
+        source = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+        live = np.flatnonzero(graph.degrees > 0)
+        # First-order (walk start) half the time, otherwise a real arc
+        # (prev -> cur): the graph is undirected, so every arc qualifies.
+        arcs = rng.integers(0, graph.num_stored_edges, size=50)
+        cur = graph.indices[arcs]
+        prev = np.where(rng.random(50) < 0.5, -1, source[arcs])
+        cur[prev < 0] = rng.choice(live, size=int((prev < 0).sum()))
+        u1, u2 = rng.random((2, 50))
+        lanes = _TrialLanes()
+        lanes.layout(np.ones(50, dtype=np.int64), np.arange(1, 51))
+        got, _ = wrapped.trial(lanes, cur, prev, u1, u2)
+        got = graph.indices[got].copy()
+        expected, _ = built.trial(lanes, cur, prev, u1, u2)
+        np.testing.assert_array_equal(got, graph.indices[expected])
+        assert wrapped._sampler is None      # no per-worker table build
 
 
 class TestTrainParity:

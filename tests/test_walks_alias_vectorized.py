@@ -1,4 +1,5 @@
-"""Tests for alias-table samplers and the vectorised batch walkers."""
+"""Tests for the alias-table samplers, the alias kernel, and routine
+walks sampled through the engine."""
 
 from __future__ import annotations
 
@@ -15,12 +16,11 @@ from repro.walks import (
     Node2VecKernel,
     SecondOrderAliasSampler,
     WalkConfig,
-    batch_walk_matrix,
-    empirical_transition_matrix,
     make_kernel,
     second_order_table_entries,
-    vectorized_routine_corpus,
 )
+
+from oracles.walks import accepted_draws, routine_corpus
 
 
 def _exact_node2vec_distribution(
@@ -41,26 +41,32 @@ def _exact_node2vec_distribution(
     return {v: w / total for v, w in weights.items()}
 
 
+def alias_draws(sampler, nodes, rng) -> np.ndarray:
+    """One first-order draw per node, each from two uniforms of ``rng``."""
+    return np.array([sampler.sample_one_with_uniforms(int(u), u1, u2)
+                     for u, (u1, u2) in zip(nodes, rng.random((len(nodes), 2)))])
+
+
 class TestFirstOrderAlias:
     def test_samples_are_neighbors(self, small_graph, rng):
         sampler = FirstOrderAliasSampler(small_graph)
         nodes = np.array([0, 1, 5, 9])
         for _ in range(20):
-            out = sampler.sample(nodes, rng)
+            out = alias_draws(sampler, nodes, rng)
             for u, v in zip(nodes, out):
                 assert small_graph.has_edge(int(u), int(v))
 
     def test_unweighted_uniform(self, rng):
         g = CSRGraph.from_edges([(0, 1), (0, 2), (0, 3)])
         sampler = FirstOrderAliasSampler(g)
-        draws = sampler.sample(np.zeros(6000, dtype=np.int64), rng)
+        draws = alias_draws(sampler, np.zeros(6000, dtype=np.int64), rng)
         counts = np.bincount(draws, minlength=4)[1:]
         assert counts.min() > 0.8 * counts.max()
 
     def test_weighted_proportional(self, rng):
         g = CSRGraph.from_edges([(0, 1), (0, 2)], weights=[3.0, 1.0])
         sampler = FirstOrderAliasSampler(g)
-        draws = sampler.sample(np.zeros(8000, dtype=np.int64), rng)
+        draws = alias_draws(sampler, np.zeros(8000, dtype=np.int64), rng)
         ratio = np.sum(draws == 1) / max(1, np.sum(draws == 2))
         assert 2.4 < ratio < 3.8
 
@@ -68,7 +74,7 @@ class TestFirstOrderAlias:
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)
         sampler = FirstOrderAliasSampler(g)
         with pytest.raises(ValueError, match="degree-0"):
-            sampler.sample(np.array([2]), np.random.default_rng(0))
+            sampler.sample_one_with_uniforms(2, 0.5, 0.5)
 
     def test_memory_and_setup_accounting(self, medium_graph):
         sampler = FirstOrderAliasSampler(medium_graph)
@@ -77,7 +83,14 @@ class TestFirstOrderAlias:
 
     def test_sample_one(self, triangle, rng):
         sampler = FirstOrderAliasSampler(triangle)
-        assert sampler.sample_one(0, rng) in (1, 2)
+        assert alias_draws(sampler, [0], rng)[0] in (1, 2)
+
+
+def alias_steps(sampler, current, previous, rng, count) -> np.ndarray:
+    """``count`` second-order draws, each from two uniforms of ``rng``."""
+    return np.array([
+        sampler.sample_step_with_uniforms(current, previous, u1, u2)
+        for u1, u2 in rng.random((count, 2))])
 
 
 class TestSecondOrderAlias:
@@ -112,7 +125,7 @@ class TestSecondOrderAlias:
         sampler = SecondOrderAliasSampler(g, p=p, q=q)
         previous, current = 0, 1
         exact = _exact_node2vec_distribution(g, previous, current, p, q)
-        draws = [sampler.sample_step(current, previous, rng) for _ in range(4000)]
+        draws = alias_steps(sampler, current, previous, rng, 4000).tolist()
         counts = {v: draws.count(v) / len(draws) for v in exact}
         for v, prob in exact.items():
             assert counts[v] == pytest.approx(prob, abs=0.04)
@@ -125,14 +138,8 @@ class TestSecondOrderAlias:
         rejection = Node2VecKernel(g, p=p, q=q)
         previous, current = 0, 1
         n = 4000
-        a_draws = np.array([alias.sample_step(current, previous, rng)
-                            for _ in range(n)])
-        r_draws = []
-        while len(r_draws) < n:
-            out = rejection.step(current, previous, rng)
-            if out is not None:
-                r_draws.append(out)
-        r_draws = np.array(r_draws)
+        a_draws = alias_steps(alias, current, previous, rng, n)
+        r_draws = accepted_draws(rejection, current, previous, rng, n)
         for v in np.unique(a_draws):
             fa = np.mean(a_draws == v)
             fr = np.mean(r_draws == v)
@@ -140,18 +147,18 @@ class TestSecondOrderAlias:
 
     def test_first_step_is_first_order(self, triangle, rng):
         sampler = SecondOrderAliasSampler(triangle)
-        draws = {sampler.sample_step(0, -1, rng) for _ in range(50)}
+        draws = set(alias_steps(sampler, 0, -1, rng, 50).tolist())
         assert draws == {1, 2}
 
     def test_weighted_graph(self, weighted_triangle, rng):
         sampler = SecondOrderAliasSampler(weighted_triangle, p=1.0, q=1.0)
-        out = sampler.sample_step(1, 0, rng)
+        out = alias_steps(sampler, 1, 0, rng, 1)[0]
         assert out in (0, 2)
 
     def test_small_p_prefers_backtracking(self, rng):
         g = ring_of_cliques(3, 5)
         sampler = SecondOrderAliasSampler(g, p=0.05, q=1.0)
-        draws = [sampler.sample_step(1, 0, rng) for _ in range(800)]
+        draws = alias_steps(sampler, 1, 0, rng, 800).tolist()
         back_rate = draws.count(0) / len(draws)
         uniform_rate = 1.0 / g.degree(1)
         assert back_rate > 2 * uniform_rate
@@ -162,14 +169,15 @@ class TestAliasKernel:
         assert "node2vec-alias" in KERNELS
 
     def test_make_kernel(self, small_graph):
-        k = make_kernel("node2vec-alias", small_graph, p=0.5, q=2.0)
+        k = make_kernel(WalkConfig(kernel="node2vec-alias", p=0.5, q=2.0),
+                        small_graph)
         assert isinstance(k, Node2VecAliasKernel)
         assert k.message_fields == 4
 
     def test_never_rejects(self, small_graph, rng):
         k = Node2VecAliasKernel(small_graph, p=4.0, q=4.0)
-        for _ in range(50):
-            assert k.step(1, 0, rng) is not None
+        for u1, u2 in rng.random((50, 2)):
+            assert k.step_with_uniforms(1, 0, u1, u2, False) is not None
 
     def test_runs_in_engine(self, small_graph):
         from repro.partition import HashPartitioner
@@ -185,109 +193,103 @@ class TestAliasKernel:
         assert all(len(w) == 8 for w in result.corpus.walks)
 
 
-class TestBatchWalkMatrix:
+class TestRoutineWalks:
+    """Routine (DeepWalk) walks as the engine samples them."""
+
     def test_shape_and_first_column(self, small_graph):
         sources = np.arange(10, dtype=np.int64)
-        paths = batch_walk_matrix(small_graph, sources, 7, rng=3)
-        assert paths.shape == (10, 8)
-        assert np.array_equal(paths[:, 0], sources)
+        corpus = routine_corpus(small_graph, 8, 1, seed=3, sources=sources)
+        assert corpus.num_walks == 10
+        assert [int(w[0]) for w in corpus.walks] == sources.tolist()
+        assert all(len(w) == 8 for w in corpus.walks)
 
     def test_steps_follow_edges(self, small_graph):
-        paths = batch_walk_matrix(small_graph, np.arange(20), 10, rng=5)
-        for row in paths:
-            for a, b in zip(row[:-1], row[1:]):
-                if b < 0:
-                    break
+        corpus = routine_corpus(small_graph, 11, 1, seed=5,
+                                sources=np.arange(20))
+        for walk in corpus.walks:
+            for a, b in zip(walk[:-1], walk[1:]):
                 assert small_graph.has_edge(int(a), int(b))
 
-    def test_dead_end_padding(self):
+    def test_dead_end_stops_the_walk(self):
         # Directed path 0->1->2: a walk from 0 stops at 2.
         g = CSRGraph.from_edges([(0, 1), (1, 2)], directed=True)
-        paths = batch_walk_matrix(g, np.array([0]), 5, rng=0)
-        assert list(paths[0][:3]) == [0, 1, 2]
-        assert np.all(paths[0][3:] == -1)
+        corpus = routine_corpus(g, 6, 1, sources=np.array([0]))
+        assert corpus.walks[0].tolist() == [0, 1, 2]
 
     def test_source_with_no_edges_stays(self):
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)
-        paths = batch_walk_matrix(g, np.array([2]), 4, rng=0)
-        assert paths[0][0] == 2
-        assert np.all(paths[0][1:] == -1)
+        corpus = routine_corpus(g, 5, 1, sources=np.array([2]))
+        assert corpus.walks[0].tolist() == [2]
 
     def test_deterministic_given_seed(self, medium_graph):
-        a = batch_walk_matrix(medium_graph, np.arange(30), 12, rng=99)
-        b = batch_walk_matrix(medium_graph, np.arange(30), 12, rng=99)
-        assert np.array_equal(a, b)
+        a = routine_corpus(medium_graph, 13, 1, seed=99, sources=np.arange(30))
+        b = routine_corpus(medium_graph, 13, 1, seed=99, sources=np.arange(30))
+        assert np.array_equal(a.tokens, b.tokens)
 
     def test_invalid_sources_raise(self, triangle):
         with pytest.raises(ValueError, match="outside the graph"):
-            batch_walk_matrix(triangle, np.array([7]), 3)
+            routine_corpus(triangle, 4, 1, sources=np.array([7]))
 
     def test_empty_sources(self, triangle):
-        paths = batch_walk_matrix(triangle, np.empty(0, dtype=np.int64), 3)
-        assert paths.shape == (0, 4)
+        corpus = routine_corpus(triangle, 4, 1,
+                                sources=np.empty(0, dtype=np.int64))
+        assert corpus.num_walks == 0
 
-    def test_weighted_graph_uses_alias(self, rng):
+    def test_weighted_graph_follows_weights(self):
         g = CSRGraph.from_edges([(0, 1), (0, 2)], weights=[50.0, 1.0])
-        paths = batch_walk_matrix(g, np.zeros(400, dtype=np.int64), 1, rng=rng)
-        picks = paths[:, 1]
+        corpus = routine_corpus(g, 2, 400, seed=1, sources=np.array([0]))
+        picks = np.array([int(w[1]) for w in corpus.walks])
         assert np.sum(picks == 1) > 5 * np.sum(picks == 2)
 
 
-class TestVectorizedCorpus:
+class TestRoutineCorpus:
     def test_counts(self, small_graph):
-        corpus = vectorized_routine_corpus(small_graph, walk_length=9,
-                                           walks_per_node=3, seed=1)
+        corpus = routine_corpus(small_graph, 9, 3, seed=1)
         assert corpus.num_walks == 3 * small_graph.num_nodes
         assert corpus.average_walk_length == pytest.approx(9.0)
 
-    def test_matches_engine_statistics(self, medium_graph):
-        """Batch corpus should look like the per-walker routine corpus."""
-        from repro.runtime.cluster import Cluster
-        from repro.walks import DistributedWalkEngine
-
-        corpus_fast = vectorized_routine_corpus(medium_graph, walk_length=20,
-                                                walks_per_node=5, seed=2)
-        cluster = Cluster(1, np.zeros(medium_graph.num_nodes, dtype=np.int64),
-                          seed=2)
-        cfg = WalkConfig.routine(kernel="deepwalk", walk_length=20,
-                                 walks_per_node=5)
-        corpus_slow = DistributedWalkEngine(medium_graph, cluster, cfg).run().corpus
-        assert corpus_fast.num_walks == corpus_slow.num_walks
-        assert corpus_fast.total_tokens == corpus_slow.total_tokens
-        # Both corpora must track the walk's stationary distribution, which
-        # is proportional to degree on an undirected graph.
+    def test_tracks_the_stationary_distribution(self, medium_graph):
+        """Occupancy is proportional to degree on an undirected graph."""
+        corpus = routine_corpus(medium_graph, 20, 5, seed=2)
         deg = medium_graph.degrees.astype(float)
-        for corpus in (corpus_fast, corpus_slow):
-            occ = corpus.occurrences.astype(float)
-            assert np.corrcoef(occ, deg)[0, 1] > 0.9
+        occ = corpus.occurrences.astype(float)
+        assert np.corrcoef(occ, deg)[0, 1] > 0.9
 
     def test_custom_sources(self, small_graph):
-        corpus = vectorized_routine_corpus(small_graph, walk_length=4,
-                                           walks_per_node=2,
-                                           sources=np.array([0, 1]), seed=0)
+        corpus = routine_corpus(small_graph, 4, 2, sources=np.array([0, 1]))
         assert corpus.num_walks == 4
 
-    def test_rejects_bad_params(self, triangle):
+    def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            vectorized_routine_corpus(triangle, walk_length=0)
+            WalkConfig.routine(kernel="deepwalk", walk_length=0)
         with pytest.raises(ValueError):
-            vectorized_routine_corpus(triangle, walks_per_node=0)
+            WalkConfig.routine(kernel="deepwalk", walks_per_node=0)
 
 
-class TestEmpiricalTransitionMatrix:
+def first_step_frequencies(graph, walks_per_node, seed=0) -> np.ndarray:
+    """Row-stochastic first-hop frequencies of engine-sampled walks."""
+    corpus = routine_corpus(graph, 2, walks_per_node, seed=seed)
+    counts = np.zeros((graph.num_nodes, graph.num_nodes))
+    for walk in corpus.walks:
+        counts[walk[0], walk[1]] += 1.0
+    rows = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, rows, out=counts, where=rows > 0)
+
+
+class TestFirstStepFrequencies:
     def test_rows_stochastic(self, triangle):
-        mat = empirical_transition_matrix(triangle, num_walks=500, seed=0)
+        mat = first_step_frequencies(triangle, 500)
         assert np.allclose(mat.sum(axis=1), 1.0)
 
     def test_uniform_on_triangle(self):
         g = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)])
-        mat = empirical_transition_matrix(g, num_walks=4000, seed=1)
+        mat = first_step_frequencies(g, 4000, seed=1)
         assert mat[0, 1] == pytest.approx(0.5, abs=0.05)
         assert mat[0, 2] == pytest.approx(0.5, abs=0.05)
 
     def test_dead_end_row_zero(self):
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)
-        mat = empirical_transition_matrix(g, num_walks=100, seed=0)
+        mat = first_step_frequencies(g, 100)
         assert np.all(mat[2] == 0.0)
 
 
@@ -304,9 +306,8 @@ def test_property_alias_samples_valid_neighbors(num_cliques, clique_size, seed):
     sampler = SecondOrderAliasSampler(g, p=0.5, q=2.0)
     current = int(rng.integers(0, g.num_nodes))
     previous = int(g.neighbors(current)[0])
-    for _ in range(10):
-        out = sampler.sample_step(current, previous, rng)
-        assert g.has_edge(current, out)
+    for out in alias_steps(sampler, current, previous, rng, 10):
+        assert g.has_edge(current, int(out))
 
 
 @settings(max_examples=20, deadline=None)
@@ -315,11 +316,9 @@ def test_property_alias_samples_valid_neighbors(num_cliques, clique_size, seed):
     walk_length=st.integers(min_value=1, max_value=12),
 )
 def test_property_batch_walks_are_paths(seed, walk_length):
-    """Every consecutive pair in a batch walk is an edge of the graph."""
+    """Every consecutive pair in a routine walk is an edge of the graph."""
     g = powerlaw_cluster(40, attach=2, seed=seed % 7)
-    paths = batch_walk_matrix(g, np.arange(g.num_nodes), walk_length, rng=seed)
-    for row in paths[:10]:
-        for a, b in zip(row[:-1], row[1:]):
-            if b < 0:
-                break
+    corpus = routine_corpus(g, walk_length + 1, 1, seed=seed)
+    for walk in corpus.walks[:10]:
+        for a, b in zip(walk[:-1], walk[1:]):
             assert g.has_edge(int(a), int(b))

@@ -12,8 +12,9 @@ from repro.walks import (
     corpus_quality,
     entropy_trace,
     traversed_edges,
-    vectorized_routine_corpus,
 )
+
+from oracles.walks import routine_corpus
 
 
 @pytest.fixture
@@ -49,8 +50,8 @@ class TestTraversedEdges:
 
 class TestCorpusQuality:
     def test_full_coverage_on_exhaustive_corpus(self, small_graph):
-        corpus = vectorized_routine_corpus(small_graph, walk_length=40,
-                                           walks_per_node=10, seed=0)
+        corpus = routine_corpus(small_graph, walk_length=40,
+                                walks_per_node=10)
         q = corpus_quality(small_graph, corpus)
         assert q.node_coverage == pytest.approx(1.0)
         assert q.edge_coverage > 0.95
@@ -97,8 +98,8 @@ class TestCompareCorpora:
         from repro.runtime.cluster import Cluster
         from repro.walks import DistributedWalkEngine, WalkConfig
 
-        routine = vectorized_routine_corpus(medium_graph, walk_length=80,
-                                            walks_per_node=10, seed=0)
+        routine = routine_corpus(medium_graph, walk_length=80,
+                                 walks_per_node=10)
         cluster = Cluster(1, np.zeros(medium_graph.num_nodes,
                                       dtype=np.int64), seed=0)
         info = DistributedWalkEngine(
@@ -140,8 +141,8 @@ class TestEntropyTrace:
     def test_entropy_ramp_flattens_on_small_graph(self, path_graph):
         """The behaviour the R² termination rule exploits: the entropy of
         a walk on a small graph grows then saturates."""
-        corpus = vectorized_routine_corpus(path_graph, walk_length=60,
-                                           walks_per_node=1, seed=1)
+        corpus = routine_corpus(path_graph, walk_length=60,
+                                walks_per_node=1, seed=1)
         trace = entropy_trace(corpus.walks[0])
         early_growth = trace[9] - trace[0]
         late_growth = trace[-1] - trace[-10]

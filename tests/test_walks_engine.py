@@ -35,6 +35,24 @@ class TestWalkConfig:
         assert routine.mode == "routine"
         assert routine.kernel == "deepwalk"
 
+    def test_kernel_names_are_case_insensitive(self):
+        """A mixed-case name is the lower-case kernel, parameters and all
+        (not a node2vec silently run at p = q = 1)."""
+        graph = ring_of_cliques(3, 4)
+
+        def corpus(**kwargs):
+            cfg = WalkConfig.routine(walk_length=12, walks_per_node=2,
+                                     **kwargs)
+            return DistributedWalkEngine(graph, make_cluster(graph),
+                                         cfg).run().corpus
+
+        mixed = corpus(kernel="Node2Vec", p=0.25, q=4.0)
+        assert WalkConfig(kernel="Node2Vec").kernel == "node2vec"
+        np.testing.assert_array_equal(
+            mixed.tokens, corpus(kernel="node2vec", p=0.25, q=4.0).tokens)
+        assert not np.array_equal(mixed.tokens,
+                                  corpus(kernel="node2vec").tokens)
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             WalkConfig(mode="magic")

@@ -1,40 +1,55 @@
-"""Tests for the transition kernels (DeepWalk, node2vec, HuGE, HuGE+)."""
+"""Tests for the walk kernels (DeepWalk, node2vec, node2vec-alias, HuGE,
+HuGE+) and their one interface: the batched trial against the scalar
+reference, lane by lane."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques, rmat, star
 from repro.partition.galloping import galloping_intersect_size
 from repro.walks import (
+    KERNELS,
     DeepWalkKernel,
     HuGEKernel,
     HuGEPlusKernel,
     Node2VecKernel,
+    WalkConfig,
     make_kernel,
 )
 from repro.walks.kernels import _reverse_arcs, common_neighbor_counts_per_arc
+from repro.walks.vectorized import _TrialLanes
+
+from oracles.walks import accepted_draws
+
+
+def one_lane_per_walker(n):
+    lanes = _TrialLanes()
+    widths = np.ones(n, dtype=np.int64)
+    lanes.layout(widths, np.cumsum(widths))
+    return lanes
 
 
 class TestDeepWalk:
     def test_uniform_choice(self, small_graph, rng):
         k = DeepWalkKernel(small_graph)
         nbrs = set(int(x) for x in small_graph.neighbors(0))
-        for _ in range(50):
-            nxt = k.step(0, -1, rng)
+        for nxt in accepted_draws(k, 0, -1, rng, 50):
             assert nxt in nbrs
 
     def test_weighted_choice_respects_weights(self, rng):
         g = CSRGraph.from_edges([(0, 1), (0, 2)], weights=[100.0, 1.0])
         k = DeepWalkKernel(g)
-        picks = [k.step(0, -1, rng) for _ in range(300)]
+        picks = accepted_draws(k, 0, -1, rng, 300).tolist()
         assert picks.count(1) > picks.count(2) * 5
 
     def test_isolated_node_raises(self):
         g = CSRGraph.from_edges([(0, 1)], num_nodes=3)
         with pytest.raises(ValueError, match="no neighbours"):
-            DeepWalkKernel(g).step(2, -1, np.random.default_rng(0))
+            DeepWalkKernel(g).step_with_uniforms(2, -1, 0.5, 0.5, False)
 
 
 class TestNode2Vec:
@@ -63,13 +78,14 @@ class TestNode2Vec:
 
     def test_p1_q1_never_rejects(self, small_graph, rng):
         k = Node2VecKernel(small_graph, p=1.0, q=1.0)
-        for _ in range(50):
-            assert k.step(0, 1, rng) is not None
+        for u1, u2 in rng.random((50, 2)):
+            assert k.step_with_uniforms(0, 1, u1, u2, False) is not None
 
     def test_small_q_prefers_outward(self, rng):
         # Star-of-paths: from center, q << 1 favours DFS-like moves.
         k_dfs = Node2VecKernel(ring_of_cliques(4, 6), p=1.0, q=0.25)
-        accepted = sum(k_dfs.step(0, 1, rng) is not None for _ in range(200))
+        accepted = sum(k_dfs.step_with_uniforms(0, 1, u1, u2, False)
+                       is not None for u1, u2 in rng.random((200, 2)))
         assert 0 < accepted <= 200
 
 
@@ -118,7 +134,8 @@ class TestHuGE:
     def test_step_returns_neighbor_or_none(self, medium_graph, rng):
         k = HuGEKernel(medium_graph)
         nbrs = set(int(x) for x in medium_graph.neighbors(5))
-        outcomes = {k.step(5, -1, rng) for _ in range(100)}
+        outcomes = {k.step_with_uniforms(5, -1, u1, u2, False)
+                    for u1, u2 in rng.random((100, 2))}
         outcomes.discard(None)
         assert outcomes <= nbrs
 
@@ -163,17 +180,17 @@ class TestArcAcceptanceTable:
     @pytest.mark.parametrize("family", sorted(TABLE_GRAPHS))
     def test_equals_per_arc_scalar_loop(self, family, name):
         graph = TABLE_GRAPHS[family]()
-        table = make_kernel(name, graph).arc_acceptance_table()
+        table = KERNELS[name](graph).arc_acceptance_table()
         assert table.dtype == np.float64
         assert table.shape == (graph.num_stored_edges,)
         # A fresh kernel: the scalar path must not lean on table state.
         np.testing.assert_array_equal(
-            table, scalar_arc_table(make_kernel(name, graph)))
+            table, scalar_arc_table(KERNELS[name](graph)))
 
     @pytest.mark.parametrize("name", ("huge", "huge+"))
     def test_zero_degree_endpoint(self, name):
         graph = TABLE_GRAPHS["directed"]()
-        kernel = make_kernel(name, graph)
+        kernel = KERNELS[name](graph)
         table = kernel.arc_acceptance_table()
         dead = np.flatnonzero(graph.degrees[graph.indices] == 0)
         scalar = [kernel.acceptance_probability(u, v)
@@ -193,7 +210,7 @@ class TestArcAcceptanceTable:
         forged[0] = 3                    # arc (0, 1): deg 0 == 3 == Cm
         forged[1] = 5                    # arc (0, 2): Cm > deg
         graph.__dict__["_arc_common_neighbors"] = forged
-        kernel = make_kernel(name, graph)
+        kernel = KERNELS[name](graph)
         kernel._cm_cache.update({0 * 4 + 1: 3, 0 * 4 + 2: 5})
         table = kernel.arc_acceptance_table()
         if name == "huge":
@@ -312,14 +329,138 @@ class TestCommonNeighbourPass:
 
 class TestFactory:
     def test_known_kernels(self, small_graph):
-        for name in ("deepwalk", "node2vec", "huge", "huge+"):
-            k = make_kernel(name, small_graph)
+        for name in KERNELS:
+            k = make_kernel(WalkConfig(kernel=name), small_graph)
             assert k.name == name
+            assert isinstance(k, KERNELS[name])
 
-    def test_node2vec_kwargs(self, small_graph):
-        k = make_kernel("node2vec", small_graph, p=0.5, q=4.0)
-        assert k.p == 0.5
+    @pytest.mark.parametrize("name", ("node2vec", "node2vec-alias"))
+    def test_reads_p_and_q_from_the_config(self, small_graph, name):
+        k = make_kernel(WalkConfig(kernel=name, p=0.5, q=4.0), small_graph)
+        assert (k.p, k.q) == (0.5, 4.0)
 
     def test_unknown_kernel(self, small_graph):
+        class Config:
+            kernel = "pagerank"
+
         with pytest.raises(KeyError):
-            make_kernel("pagerank", small_graph)
+            make_kernel(Config, small_graph)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_given_tables_are_used_as_they_are(self, name):
+        graph = TABLE_GRAPHS["weighted"]()
+        config = WalkConfig(kernel=name, p=2.0, q=0.5)
+        built = make_kernel(config, graph).tables
+        adopted = make_kernel(config, graph, built)
+        assert adopted.tables.keys() == built.keys()
+        assert all(adopted.tables[key] is built[key] for key in built)
+
+    def test_tables_are_built_on_first_use_only(self, medium_graph):
+        kernel = make_kernel(WalkConfig(kernel="huge"), medium_graph)
+        kernel.step_with_uniforms(0, -1, 0.5, 0.5, False)
+        assert kernel._tables is None      # the scalar path needs none
+
+
+# ---------------------------------------------------------------------- #
+# The interface contract: batched trial == scalar reference, per lane
+# ---------------------------------------------------------------------- #
+
+
+def contract_graph(family: str, seed: int) -> CSRGraph:
+    """Small random inputs of every shape a walk meets: unweighted,
+    weighted (some rows all-zero), directed with dead ends, and both."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 24))
+    edges = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2))
+    directed = family.startswith("directed")
+    # Directed inputs keep a few nodes out of every source: dead ends.
+    num_nodes = n + 3 if directed else n
+    weights = None
+    if family.endswith("weighted"):
+        weights = rng.choice([0.0, 0.25, 1.0, 3.5], size=len(edges),
+                             p=[0.3, 0.2, 0.3, 0.2])
+    return CSRGraph.from_edges(edges, num_nodes=num_nodes, weights=weights,
+                               directed=directed)
+
+
+def contract_walkers(graph: CSRGraph, rng, count: int):
+    """``(cur, prev)`` per walker: walk starts (``prev = -1``) and walkers
+    that arrived over a stored arc, always standing on a live node."""
+    source = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    arrivals = np.flatnonzero(graph.degrees[graph.indices] > 0)
+    live = np.flatnonzero(graph.degrees > 0)
+    cur = np.empty(count, dtype=np.int64)
+    prev = np.full(count, -1, dtype=np.int64)
+    for j in range(count):
+        if arrivals.size and rng.random() < 0.7:
+            arc = arrivals[rng.integers(arrivals.size)]
+            cur[j], prev[j] = graph.indices[arc], source[arc]
+        else:
+            cur[j] = live[rng.integers(live.size)]
+    return cur, prev
+
+
+class TestLaneContract:
+    """For every kernel: the batched trial proposes, per lane, the arc the
+    scalar reference proposes from the same two uniforms, and accepts
+    exactly where the reference accepts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(KERNELS)),
+           family=st.sampled_from(("unweighted", "weighted", "directed",
+                                   "directed-weighted")),
+           p=st.sampled_from((0.25, 1.0, 4.0)),
+           q=st.sampled_from((0.5, 1.0, 2.0)),
+           walkers=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trial_is_the_scalar_reference(self, name, family, p, q,
+                                           walkers, seed):
+        graph = contract_graph(family, seed)
+        if not graph.degrees.any():
+            return
+        rng = np.random.default_rng(seed)
+        config = WalkConfig(kernel=name, p=p, q=q)
+        kernel = make_kernel(config, graph)
+        # A fresh kernel: the scalar path must not lean on table state.
+        reference = make_kernel(config, graph)
+        cur, prev = contract_walkers(graph, rng, walkers)
+        widths = rng.integers(1, 6, size=walkers)
+        ends = np.cumsum(widths)
+        lanes = _TrialLanes()
+        lanes.layout(widths, ends)
+        u1, u2 = rng.random((2, int(ends[-1])))
+        u1[::5] = np.nextafter(1.0, 0.0)        # the clamp at u1 -> 1
+        arc, accepted = kernel.trial(
+            lanes, cur, prev if kernel.second_order else None, u1, u2)
+        arc, accepted = arc.copy(), accepted.copy()
+        own = np.repeat(np.arange(walkers), widths)
+        indptr = graph.indptr
+        for lane, j in enumerate(own.tolist()):
+            assert indptr[cur[j]] <= arc[lane] < indptr[cur[j] + 1]
+            candidate = int(graph.indices[arc[lane]])
+            args = (int(cur[j]), int(prev[j]), u1[lane], u2[lane])
+            expected = candidate if accepted[lane] else None
+            assert reference.step_with_uniforms(*args, False) == expected
+            assert reference.step_with_uniforms(*args, True) == candidate
+
+
+class TestZeroWeightRows:
+    """A row whose weights are all zero proposes uniformly -- the alias
+    tables' degenerate-slice rule -- in both paths of every kernel."""
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_proposal_is_uniform(self, name, rng):
+        graph = CSRGraph.from_edges([(0, 1), (0, 2), (0, 3)],
+                                    weights=[0.0, 0.0, 0.0])
+        kernel = make_kernel(WalkConfig(kernel=name), graph)
+        u1, u2 = rng.random((2, 3000))
+        # The forced hop takes the proposal whatever the acceptance.
+        scalar = np.array([kernel.step_with_uniforms(0, -1, a, b, True)
+                           for a, b in zip(u1, u2)])
+        counts = np.bincount(scalar, minlength=4)
+        assert counts[0] == 0 and counts[1:].min() > 850
+        walkers = np.zeros(u1.size, dtype=np.int64)
+        arc, _ = kernel.trial(one_lane_per_walker(u1.size), walkers,
+                              walkers - 1 if kernel.second_order else None,
+                              u1, u2)
+        np.testing.assert_array_equal(graph.indices[arc], scalar)

@@ -10,11 +10,13 @@ from repro.graph import CSRGraph, ring_of_cliques, star
 from repro.walks import Node2VecKernel, SecondOrderAliasSampler
 
 from oracles.walks import (
+    accepted_draws,
     expected_walk_entropy,
     first_order_stationary_distribution,
     huge_acceptance_matrix,
     huge_effective_transition_matrix,
     node2vec_transition_distribution,
+    routine_corpus,
     stationary_distribution_power_iteration,
 )
 
@@ -49,12 +51,7 @@ class TestNode2VecOracle:
         previous, current = 0, 1
         oracle = node2vec_transition_distribution(g, previous, current,
                                                   p=p, q=q)
-        draws = []
-        while len(draws) < 4000:
-            out = kernel.step(current, previous, rng)
-            if out is not None:
-                draws.append(int(out))
-        draws = np.array(draws)
+        draws = accepted_draws(kernel, current, previous, rng, 4000)
         for v, prob in oracle.items():
             assert np.mean(draws == v) == pytest.approx(prob, abs=0.04)
 
@@ -65,8 +62,9 @@ class TestNode2VecOracle:
         previous, current = 0, 1
         oracle = node2vec_transition_distribution(g, previous, current,
                                                   p=p, q=q)
-        draws = np.array([sampler.sample_step(current, previous, rng)
-                          for _ in range(4000)])
+        draws = np.array([
+            sampler.sample_step_with_uniforms(current, previous, u1, u2)
+            for u1, u2 in rng.random((4000, 2))])
         for v, prob in oracle.items():
             assert np.mean(draws == v) == pytest.approx(prob, abs=0.04)
 
@@ -94,12 +92,7 @@ class TestHuGEOracles:
         kernel = HuGEKernel(g)
         t = huge_effective_transition_matrix(g)
         u = 0
-        draws = []
-        while len(draws) < 4000:
-            out = kernel.step(u, -1, rng)
-            if out is not None:
-                draws.append(int(out))
-        draws = np.array(draws)
+        draws = accepted_draws(kernel, u, -1, rng, 4000)
         for v in np.unique(draws):
             assert np.mean(draws == v) == pytest.approx(t[u, v], abs=0.04)
 
@@ -117,8 +110,6 @@ class TestStationaryDistributions:
             first_order_stationary_distribution(g)
 
     def test_power_iteration_agrees_with_closed_form(self, small_graph):
-        from repro.walks import empirical_transition_matrix
-
         # Build the exact uniform-walk transition matrix.
         n = small_graph.num_nodes
         t = np.zeros((n, n))
@@ -141,10 +132,8 @@ class TestStationaryDistributions:
 
     def test_corpus_occupancy_converges_to_stationary(self, medium_graph):
         """Long uniform walks visit nodes ∝ degree (Eq. 6's premise)."""
-        from repro.walks import vectorized_routine_corpus
-
-        corpus = vectorized_routine_corpus(medium_graph, walk_length=80,
-                                           walks_per_node=10, seed=0)
+        corpus = routine_corpus(medium_graph, walk_length=80,
+                                walks_per_node=10)
         occupancy = corpus.occurrences / corpus.total_tokens
         pi = first_order_stationary_distribution(medium_graph)
         # L1 distance small; start-node bias keeps it from vanishing.
@@ -164,9 +153,6 @@ class TestExpectedWalkEntropy:
 
     def test_star_walk_entropy_below_uniform(self, star_graph):
         """Walks on a star revisit the hub: entropy far below log2(n)."""
-        from repro.walks import vectorized_routine_corpus
-
-        corpus = vectorized_routine_corpus(star_graph, walk_length=40,
-                                           walks_per_node=3, seed=0)
+        corpus = routine_corpus(star_graph, walk_length=40, walks_per_node=3)
         h = expected_walk_entropy(corpus.occurrences)
         assert h < np.log2(star_graph.num_nodes) - 0.5
