@@ -5,9 +5,12 @@ per-step measurement cost must stay flat for InCoM and grow linearly for
 the full-path baseline, and message sizes must be 80 B vs 24+8L B.  This
 is the design choice DESIGN.md calls out as DistGER's first contribution.
 
-What is timed is the **scalar** pair the loop engine runs
-(:class:`IncrementalWalkMeasure` / :class:`FullPathWalkMeasure`), one
-walk at a time -- not the vectorised engine's path-occurrence scan.
+What is timed is the **scalar** pair the loop oracle runs
+(:class:`IncrementalWalkMeasure` / :class:`FullPathWalkMeasure` in
+``tests/oracles/walks.py``), one walk at a time -- not the vectorised
+engine's path-occurrence scan.  The full-path measure makes the same
+``entropy_of_sequence`` / ``r_squared`` calls per step that the
+lock-step engine makes per HuGE-D walker.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import pytest
 
 from common import print_table, run_once
 from repro.runtime.message import message_size_ratio
-from repro.walks import FullPathWalkMeasure, IncrementalWalkMeasure
+
+from oracles.walks import FullPathWalkMeasure, IncrementalWalkMeasure
 
 #: Up to 16x the paper-scale cap of 80: the full-path measure carries a
 #: fixed 20-35 µs per call (array construction, the regression set-up), so

@@ -41,9 +41,10 @@ DATASETS = ("FL", "YT", "LJ", "OR", "TW")
 _walk = {}
 _train = {}
 
-# The cross-system comparison runs every system on the per-walker loop:
-# fullpath (HuGE-D) is only implemented there, so timing the others on
-# the lock-step engine would conflate NumPy batching (~22x, measured
+# The cross-system comparison runs every system on the per-walker loop
+# oracle: the lock-step engine batches proposal and acceptance for every
+# mode but measures HuGE-D's walks one scalar recomputation at a time,
+# so timing it there would conflate NumPy batching (~22x, measured
 # separately below) with the paper's algorithmic InCoM-vs-full-path
 # effect (3.88x) that this figure isolates.
 WALK_MODES = {

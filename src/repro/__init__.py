@@ -5,8 +5,8 @@ A from-scratch, pure-Python implementation of the paper's system and every
 substrate it depends on:
 
 * ``repro.graph``      -- CSR graphs, generators, dataset stand-ins
-* ``repro.runtime``    -- simulated cluster, BSP walker scheduling,
-                          byte-accurate message accounting
+* ``repro.runtime``    -- simulated cluster, byte-accurate message
+                          accounting, process executors
 * ``repro.partition``  -- MPGP and all baselines (LDG, FENNEL, METIS-like,
                           KnightKing workload balancing)
 * ``repro.walks``      -- HuGE information-oriented walks with InCoM O(1)

@@ -12,9 +12,10 @@ walks with information-centric termination on DistGER).
 
 Walk-based methods accept every :class:`repro.walks.engine.WalkConfig`
 field as a flat keyword (``mu=0.9``, ``max_length=40``, ...).  Each phase
-runs one engine: the walk mode picks the walk engine (lock-step NumPy
-rounds for ``incom``/``routine``, the per-walker loop for HuGE-D's
-``fullpath``), MPGP scores from its per-arc common-neighbour table, and
+runs one engine: walks advance in lock-step NumPy rounds whatever the
+mode (the mode picks only how a walk is measured -- InCoM, HuGE-D's
+``fullpath`` recomputation, or a fixed length), MPGP scores from its
+per-arc common-neighbour table, and
 the trainer runs the batched learner of the chosen ``learner``.  The one
 trainer knob is exposed under a prefixed name: ``train_backend="torch"``
 (optional dependency, validated eagerly with an install hint) runs the

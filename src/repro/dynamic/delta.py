@@ -33,6 +33,11 @@ __all__ = ["EdgeStream", "DeltaCSR", "random_churn"]
 _MISSING = object()
 
 
+def _valid_weight(w):
+    """Whether edge weight(s) ``w`` are finite and >= 0 (NaN is not)."""
+    return (w >= 0) & np.isfinite(w)
+
+
 @dataclass(frozen=True)
 class EdgeStream:
     """An ordered stream of edge insertions and deletions.
@@ -61,6 +66,16 @@ class EdgeStream:
             raise ValueError("ops must be +1 (insert) or -1 (delete)")
         if self.src.size and min(int(self.src.min()), int(self.dst.min())) < 0:
             raise ValueError("node ids must be non-negative")
+        # The CSR rule (finite and >= 0), checked where the entry is still
+        # known: an unweighted base would drop a bad weight silently, a
+        # weighted one would refuse it only at compact(), by arc index.
+        bad = np.flatnonzero((self.ops == 1) & ~_valid_weight(self.weights))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"insert weights must be finite and >= 0: op {i} "
+                f"(+ {int(self.src[i])} {int(self.dst[i])}) has weight "
+                f"{float(self.weights[i])!r} ({bad.size} bad inserts)")
 
     def __len__(self) -> int:
         return int(self.src.size)
@@ -126,6 +141,10 @@ class EdgeStream:
             src.append(int(parts[1]))
             dst.append(int(parts[2]))
             weights.append(float(parts[3]) if len(parts) == 4 else 1.0)
+            if not _valid_weight(weights[-1]):
+                raise ValueError(
+                    f"line {lineno}: insert weight must be finite and "
+                    f">= 0, got {parts[3]!r}")
         return cls(np.asarray(src, dtype=np.int64),
                    np.asarray(dst, dtype=np.int64),
                    np.asarray(ops, dtype=np.int64),

@@ -10,9 +10,9 @@ provides, none of which re-runs work the churn didn't touch:
 2. **invalidate** — :func:`~repro.dynamic.invalidate.audit_walks` scans
    the flat corpus once and returns the stale walk ids (kernel-aware
    node audit by default; see that module for the correctness ladder).
-3. **resample** — the stale walks re-run through the vectorized
-   :class:`~repro.walks.vectorized.BatchWalkRunner` on the new graph
-   *with their original walk ids*.  Walk randomness is counter-based
+3. **resample** — the stale walks re-run through the walk engine's
+   :class:`~repro.walks.vectorized.BatchWalkRunner` (any walk mode) on
+   the new graph *with their original walk ids*.  Walk randomness is counter-based
    (keyed by walk id and step), so a resampled non-stale walk would
    reproduce its bytes exactly — selective resampling equals the full
    re-run on the same source set.  The new walks splice into the corpus
@@ -45,9 +45,7 @@ pins the walk count; the KL walk-count rule is likewise not
 re-evaluated, so the round count stays what the full run converged to
 (a fresh run on the new graph may pick a different one); and walks
 whose source lost its last edge collapse to length-1 paths, as a fresh
-run would simply not start them.  The
-``mode="fullpath"`` (HuGE-D) measurement has no batch kernel and is
-rejected.
+run would simply not start them.
 """
 
 from __future__ import annotations
@@ -156,11 +154,6 @@ def update_embedding(
     :meth:`repro.serving.store.EmbeddingStore.update`).
     """
     walk_config = walk_config or WalkConfig.distger()
-    if walk_config.mode == "fullpath":
-        raise ValueError(
-            "dynamic updates need the batched walk kernel; the fullpath "
-            "(HuGE-D) measurement has no batch form — use mode='incom' "
-            "or 'routine'")
     if update_epochs <= 0:
         raise ValueError(f"update_epochs must be positive, got {update_epochs}")
     if train_scope not in ("stale", "full"):

@@ -47,10 +47,10 @@ Global model state stays NumPy float32 (shared memory and the sync
 strategies are untouched).  A device backend uploads each cohort's plan
 constants and slice-gathered buffers, computes the lock-step batches on
 device, downloads the deltas and merges them on the host.  On CUDA the
-plan-constant uploads go through a dedicated copy stream
-(:meth:`TorchOps.staged_upload` / :meth:`TorchOps.join`), so the trainer
-can stage cohort ``i+1``'s tensors while cohort ``i``'s kernels are still
-queued -- the double-buffered slice-upload pattern.  On CPU (either
+plan-constant uploads are non-blocking copies and compute waits for
+them only at :meth:`TorchOps.join`, so the trainer can stage cohort
+``i+1``'s tensors while cohort ``i``'s kernels are still queued -- the
+double-buffered slice-upload pattern.  On CPU (either
 backend) every call is synchronous and the staging hooks are no-ops.
 
 torch is an **optional** dependency: nothing here imports it at module
@@ -272,10 +272,6 @@ class ArrayOps:
     def upload(self, host):
         """Adopt a host float block as a backend buffer (dtype-cast)."""
         raise NotImplementedError
-
-    def staged_upload(self, host):
-        """`upload` that may overlap compute (CUDA copy stream)."""
-        return self.upload(host)
 
     def join(self) -> None:
         """Make compute wait for outstanding staged uploads (no-op on CPU)."""
@@ -548,14 +544,6 @@ class TorchOps(ArrayOps):
         host = np.ascontiguousarray(host, dtype=self.dtype)
         t = self.torch.from_numpy(host)
         return t if self.is_cpu else t.to(self.device, non_blocking=True)
-
-    def staged_upload(self, host):
-        if self._copy_stream is None:
-            return self.upload(host)
-        host = np.ascontiguousarray(host, dtype=self.dtype)
-        with self.torch.cuda.stream(self._copy_stream):
-            staged = self.torch.from_numpy(host).pin_memory()
-            return staged.to(self.device, non_blocking=True)
 
     def join(self) -> None:
         if self._copy_stream is not None:

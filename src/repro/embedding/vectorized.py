@@ -272,8 +272,8 @@ class DSGLSlicePlan:
 
         The index tensors, labels, masks and learning rates never depend
         on the model matrices, so a device backend can stage their
-        uploads (on the CUDA copy stream, via ``ops.staged_upload``-style
-        transfer inside ``const``/``mask``) while the *previous* cohort's
+        uploads (non-blocking transfers inside ``const``/``mask``/``upload``,
+        joined before compute) while the *previous* cohort's
         kernels are still queued -- the double-buffered half of the slice
         upload.  On the NumPy backend every call is an identity, except
         that the float64 learning rates meet the buffer dtype here (the

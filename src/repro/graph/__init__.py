@@ -35,11 +35,6 @@ from repro.graph.io import (
     save_graph_npz,
     write_edge_list,
 )
-from repro.graph.sampling import (
-    sample_edges_uniform,
-    sample_nodes_uniform,
-    snowball_sample,
-)
 from repro.graph.transform import (
     PersonaGraph,
     core_number,
@@ -103,11 +98,8 @@ __all__ = [
     "read_edge_list",
     "ring_of_cliques",
     "rmat",
-    "sample_edges_uniform",
-    "sample_nodes_uniform",
     "save_embeddings",
     "save_graph_npz",
-    "snowball_sample",
     "star",
     "triangle_count",
     "write_edge_list",

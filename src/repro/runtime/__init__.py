@@ -1,9 +1,9 @@
 """Distributed runtime: the simulated cluster and the real executors.
 
 Two layers live here.  The *simulated* layer stands in for the paper's
-8-machine cluster: machine placement, BSP walker scheduling, byte-accurate
-message accounting and a cost model that converts operation/traffic counts
-into a simulated makespan (see DESIGN.md §1 for why this substitution
+8-machine cluster: machine placement, byte-accurate message accounting
+and a cost model that converts operation/traffic counts into a simulated
+makespan (see DESIGN.md §1 for why this substitution
 preserves the paper's efficiency comparisons).  The *execution* layer
 makes the pipeline phases actually run on multiple OS processes:
 :mod:`repro.runtime.executor` hosts the run's one
@@ -15,7 +15,6 @@ the next round, training from the finished-event) -- all byte-identical
 to serial execution under the counter-based RNG protocols.
 """
 
-from repro.runtime.bsp import BSPEngine, BSPStats, SuperstepRecord
 from repro.runtime.cluster import Cluster
 from repro.runtime.executor import (
     ExecutionContext,
@@ -41,8 +40,6 @@ from repro.runtime.topology import (
 )
 
 __all__ = [
-    "BSPEngine",
-    "BSPStats",
     "Cluster",
     "ClusterMetrics",
     "CostModel",
@@ -57,7 +54,6 @@ __all__ = [
     "IncrementalMessage",
     "Node2VecMessage",
     "RackTopologyCostModel",
-    "SuperstepRecord",
     "SyncMessage",
     "WalkerMessage",
     "message_size_ratio",

@@ -164,8 +164,8 @@ class ExecutionContext:
     :class:`~repro.embedding.model.TrainConfig` and
     :class:`~repro.partition.base.PartitionConfig` each hold one; the
     systems hand the *same* context to all three.  The per-phase policy
-    lives here: :meth:`walk_execution`, :meth:`slice_trainer`,
-    :meth:`fans_out` and :meth:`overlaps_partition`.  Every choice is
+    lives here: :meth:`slice_trainer`, :meth:`fans_out` and
+    :meth:`overlaps_partition`.  Every choice is
     byte-identical to serial execution; the context trades wall-clock
     and residency only.
     """
@@ -193,20 +193,10 @@ class ExecutionContext:
             return self.workers
         return max(1, min(4, os.cpu_count() or 1))
 
-    def walk_execution(self, mode: str) -> str:
-        """Where walk rounds run for walk ``mode``.
-
-        Worker pools apply to the lock-step rounds of ``routine`` and
-        ``incom`` walks; ``fullpath`` (HuGE-D) runs the per-walker loop,
-        which is inherently serial -- its per-walker cost is what the
-        benches measure -- so it degrades to ``"serial"``.
-        """
-        return "serial" if mode == "fullpath" else self.execution
-
-    def overlaps_partition(self, walk_mode: str) -> bool:
+    def overlaps_partition(self) -> bool:
         """Whether the system runs partitioning concurrently with walk
         sampling (:func:`repro.runtime.pipeline.run_pipelined_sampling`)."""
-        return self.walk_execution(walk_mode) == "pipeline"
+        return self.execution == "pipeline"
 
     def fans_out(self, tasks: int) -> bool:
         """Whether ``tasks`` independent tasks (parallel-MPGP segments)

@@ -13,7 +13,7 @@ with DistGER's design claims:
 * **Oversubscribed racks** -- inter-rack bandwidth below intra-rack
   bandwidth.  Cross-machine messages are not all equal: traffic that
   stays inside a rack is cheap.  :class:`RackTopologyCostModel` prices
-  the per-pair byte matrix (recorded by the BSP engine) against a
+  the per-pair byte matrix (recorded by the walk accounting) against a
   two-tier network, which makes MPGP's 45% message reduction (Fig. 10(c))
   worth *more* than on a flat switch.
 
@@ -86,7 +86,7 @@ class RackTopologyCostModel(CostModel):
     """Two-tier network: fast intra-rack links, oversubscribed core.
 
     ``racks[m]`` is machine ``m``'s rack.  Walker traffic recorded with
-    endpoints (the BSP engine always provides them) is split into
+    endpoints (the walk accounting always provides them) is split into
     intra-rack bytes priced at ``bandwidth`` and inter-rack bytes priced
     at ``bandwidth / oversubscription``.  Traffic without endpoint
     information -- model synchronisation broadcasts and any legacy

@@ -141,8 +141,7 @@ class RandomWalkSystem(EmbeddingSystem):
     def embed(self, graph: CSRGraph) -> SystemResult:
         timer = Timer()
         feed = None
-        if self.walk_config.context.overlaps_partition(
-                self.walk_config.mode):
+        if self.walk_config.context.overlaps_partition():
             # Streaming dataflow: the partitioner runs on its own worker
             # while walk rounds sample ahead through the bounded queue
             # (byte-identical to the phased sequence below -- walk

@@ -8,12 +8,12 @@ streams via :func:`spawn_rngs`.
 
 Per-walker counter streams (the shared seed protocol)
 -----------------------------------------------------
-The walk engines additionally need randomness that is *private to each
-walker* and *independent of scheduling*: the per-walker loop (the
-``fullpath`` engine and the test oracle) advances walkers in BSP queue
-order while the lock-step rounds advance them together, and the two must
-still consume identical random sequences for the reference-parity suite
-to assert byte-identical corpora.  Stateful generators cannot provide
+The walk engine additionally needs randomness that is *private to each
+walker* and *independent of scheduling*: the per-walker loop of the test
+oracle advances walkers in BSP queue order while the lock-step rounds
+advance them together, and the two must still consume identical random
+sequences for the reference-parity suite to assert byte-identical
+corpora.  Stateful generators cannot provide
 that (draw order differs between the two), so walker randomness is
 **counter-based**: a walker's stream key is derived from
 ``(seed, walk_id)`` by :func:`walker_stream_keys` and its ``t``-th

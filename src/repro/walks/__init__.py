@@ -28,11 +28,6 @@ from repro.walks.diagnostics import (
     traversed_edges,
 )
 from repro.walks.engine import DistributedWalkEngine, WalkConfig, WalkResult
-from repro.walks.incom import (
-    FullPathWalkMeasure,
-    IncrementalWalkMeasure,
-    make_measure,
-)
 from repro.walks.kernels import (
     KERNELS,
     DeepWalkKernel,
@@ -44,7 +39,7 @@ from repro.walks.kernels import (
 )
 from repro.walks.termination import WalkCountRule, WalkLengthRule
 from repro.walks.vectorized import BatchWalkRunner
-from repro.walks.walker import Walker, WalkStats
+from repro.walks.walker import WalkStats
 
 __all__ = [
     "BatchWalkRunner",
@@ -54,10 +49,8 @@ __all__ = [
     "DeepWalkKernel",
     "DistributedWalkEngine",
     "FirstOrderAliasSampler",
-    "FullPathWalkMeasure",
     "HuGEKernel",
     "HuGEPlusKernel",
-    "IncrementalWalkMeasure",
     "KERNELS",
     "Node2VecAliasKernel",
     "Node2VecKernel",
@@ -67,12 +60,10 @@ __all__ = [
     "WalkLengthRule",
     "WalkResult",
     "WalkStats",
-    "Walker",
     "compare_corpora",
     "corpus_quality",
     "entropy_trace",
     "make_kernel",
-    "make_measure",
     "second_order_table_entries",
     "traversed_edges",
 ]

@@ -1,8 +1,7 @@
 """The distributed walk engine (sampler of Fig. 1).
 
-Runs walks for every source node over a simulated :class:`Cluster` using
-the BSP scheduling of :mod:`repro.runtime.bsp`.  Three modes reproduce the
-three systems compared throughout the paper:
+Runs walks for every source node over a simulated :class:`Cluster`.
+Three modes reproduce the three systems compared throughout the paper:
 
 * ``routine``  -- KnightKing: fixed walk length ``L`` and ``r`` walks per
   node, constant 24/32-byte messages, O(1) per-step compute.
@@ -12,50 +11,42 @@ three systems compared throughout the paper:
 * ``incom``    -- DistGER: information-oriented walks with O(1) InCoM
   measurement and constant 80-byte messages.
 
-Every mode flushes finished walks into the flat
+Every mode runs on one engine: all walkers of a round advance in
+lock-step through :class:`repro.walks.vectorized.BatchWalkRunner` (NumPy
+array ops for proposal and acceptance, for every kernel); the mode only
+picks how the runner *measures* a walk.  HuGE-D's whole-path
+recomputation is performed for real, walker by walker, so the wall-clock
+separation from InCoM is genuine, not just simulated.
+
+Finished walks are flushed into the flat
 :class:`repro.walks.corpus.Corpus` (one contiguous token block + monotone
 offsets) in **walk-id order** -- the canonical corpus order of the walker
-RNG protocol.  Vectorized rounds compact whole padded rounds into the
-token block with ``Corpus.add_walks``; the per-walker loop appends one
-walk at a time and lands on the identical flat state, which the
-corpus-invariants suite (``tests/test_walks_corpus_properties.py``) pins
-down.
+RNG protocol -- by compacting whole padded rounds into the token block
+with ``Corpus.add_walks``.
 
 Per-machine compute units are credited for every sampling trial and for
 every measurement at its mode-specific cost, so the simulated cost model
-reproduces the paper's complexity separations; the *wall-clock* separation
-is also real because the full-path mode genuinely recomputes from scratch.
-The loop credits walker by walker as it goes (``fullpath`` costs depend
-on the path, so it has to); vectorized rounds record each step's arc and
-trial count and reach ``WalkStats`` and the metrics through one
-:class:`~repro.walks.vectorized.DeferredWalkAccounting`, under every
-execution.
+reproduces the paper's complexity separations.  Rounds record each
+step's arc and trial count and reach ``WalkStats`` and the metrics
+through one :class:`~repro.walks.vectorized.DeferredWalkAccounting`,
+under every execution.
 
-Engines and randomness
-----------------------
-The mode picks the engine:
-
-* ``routine`` and ``incom`` -- all walkers of a round advance in
-  lock-step through :class:`repro.walks.vectorized.BatchWalkRunner`
-  (NumPy array ops, no per-walker Python loop), for every kernel.
-* ``fullpath`` -- the per-walker BSP loop below
-  (:meth:`DistributedWalkEngine._run_round_loop_walker`).  It stays in the
-  library because HuGE-D is one of the paper's measured baselines: its
-  O(L)-per-step recomputation is itself what the benches measure.
-
+Randomness
+----------
 Walk randomness has one source: each walker owns a counter-based stream
 derived from ``(cluster seed, walk_id)`` via :mod:`repro.utils.rng`,
 consuming exactly two uniforms per sampling trial.  Walks are therefore
-independent of scheduling, batching and machine count: the per-walker
-loop driven over ``incom``/``routine`` configs produces **byte-identical
-corpora** to the lock-step rounds -- the reference-parity guarantee
-(``tests/oracles/walks.py`` drives it; ``tests/test_walks_vectorized_parity.py``
-asserts it), which the corpus/embedding machine-count invariance suite
+independent of scheduling, batching and machine count: a per-walker BSP
+loop driven over the same config produces **byte-identical corpora,
+stats and metrics** to the lock-step rounds in every mode -- the
+reference-parity guarantee (``tests/oracles/walks.py`` holds that loop;
+``tests/test_walks_vectorized_parity.py`` asserts it), which the
+corpus/embedding machine-count invariance suite
 (``tests/test_golden_pipeline.py``) also relies on.
 
 ``WalkConfig.context.execution`` (the run's
 :class:`~repro.runtime.executor.ExecutionContext`) selects *where* a
-vectorized round's walkers run; one consumer loop (:meth:`DistributedWalkEngine._run_rounds`)
+round's walkers run; one consumer loop (:meth:`DistributedWalkEngine._run_rounds`)
 flushes rounds in walk-id order and folds their buffers into the
 accounting whichever it is:
 
@@ -75,38 +66,32 @@ accounting whichever it is:
   partitioning with sampling.  Because walker randomness is
   counter-based, both are **byte-identical** to serial -- same corpus,
   stats and metrics, the executor parity contract
-  (``tests/test_runtime_executor_parity.py``).
-
-The ``fullpath`` loop is inherently serial, so
-:meth:`ExecutionContext.walk_execution` degrades to ``"serial"`` there
-(measuring its sequential cost is the point of keeping it).
+  (``tests/test_runtime_executor_parity.py``) -- in every mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.runtime.bsp import BSPEngine, StepResult
 from repro.runtime.cluster import Cluster
 from repro.runtime.executor import ExecutionContext
 from repro.runtime.message import BYTES_PER_FIELD
-from repro.utils.rng import WalkerStream, walker_stream_keys
 from repro.utils.validation import check_integral, check_positive
 from repro.walks.corpus import Corpus
-from repro.walks.incom import make_measure
 from repro.walks.kernels import KERNELS, make_kernel
 from repro.walks.termination import WalkCountRule, WalkLengthRule
 from repro.walks.vectorized import (
+    _FULLPATH_HEADER_BYTES,
     _INCOM_MESSAGE_BYTES,
     BatchWalkRunner,
     DeferredWalkAccounting,
     WalkBuffers,
 )
-from repro.walks.walker import Walker, WalkStats
+from repro.walks.walker import WalkStats
 
 
 @dataclass
@@ -208,14 +193,15 @@ class DistributedWalkEngine:
         self.cluster = cluster
         self.config = config or WalkConfig()
         self.kernel = make_kernel(self.config, graph)
-        # One walker message: InCoM's constant one in the information-
-        # oriented modes (fullpath messages carry the path and are sized
-        # per step), the kernel's routine one otherwise.
-        self._message_bytes = (
-            _INCOM_MESSAGE_BYTES if self.config.mode != "routine"
-            else self.kernel.message_fields * BYTES_PER_FIELD)
-        #: Where rounds actually run (the context's walk policy).
-        self.execution = self.config.context.walk_execution(self.config.mode)
+        # One walker message: the kernel's routine one, InCoM's constant
+        # one, or HuGE-D's header (the accounting adds its path per step).
+        self._message_bytes = {
+            "routine": self.kernel.message_fields * BYTES_PER_FIELD,
+            "incom": _INCOM_MESSAGE_BYTES,
+            "fullpath": _FULLPATH_HEADER_BYTES,
+        }[self.config.mode]
+        #: Where rounds run.
+        self.execution = self.config.context.execution
         self._batch_runner: Optional[BatchWalkRunner] = None
 
     # ------------------------------------------------------------------ #
@@ -281,14 +267,8 @@ class DistributedWalkEngine:
                 delta=cfg.delta, min_rounds=cfg.min_rounds,
                 max_rounds=cfg.max_rounds,
             )
-        degrees = self.graph.degrees
-
-        if cfg.mode == "fullpath":
-            self._run_loop_rounds(sources, rounds, count_rule, degrees,
-                                  corpus, stats, walk_machines)
-        else:
-            self._run_rounds(sources, rounds, count_rule, degrees, corpus,
-                             stats, walk_machines, partition_join)
+        self._run_rounds(sources, rounds, count_rule, self.graph.degrees,
+                         corpus, stats, walk_machines, partition_join)
         if count_rule is not None:
             stats.kl_trace = list(count_rule.kl_trace)
         # Sampling is done: drop the growth headroom so the corpus the
@@ -297,7 +277,7 @@ class DistributedWalkEngine:
         return WalkResult(corpus=corpus, stats=stats, walk_machines=walk_machines)
 
     # ------------------------------------------------------------------ #
-    # Vectorized rounds: one consumer loop, an in-process or pooled producer
+    # Rounds: one consumer loop, an in-process or pooled producer
     # ------------------------------------------------------------------ #
 
     def _run_rounds(
@@ -323,8 +303,7 @@ class DistributedWalkEngine:
         """
         cluster = self.cluster
         accounting = DeferredWalkAccounting(
-            self.graph, info_mode=self.config.mode != "routine",
-            message_bytes=self._message_bytes)
+            self.graph, self.config.mode, self._message_bytes)
         produced = self._produce_rounds(sources, rounds)
         try:
             for walks in produced:
@@ -384,120 +363,3 @@ class DistributedWalkEngine:
             for _round_idx in range(rounds):
                 yield pool.next_round()
                 pool.release_round()
-
-    # ------------------------------------------------------------------ #
-    # Per-walker loop: what fullpath HuGE-D runs on
-    # ------------------------------------------------------------------ #
-
-    def _run_loop_rounds(
-        self,
-        sources: np.ndarray,
-        rounds: int,
-        count_rule,
-        degrees: np.ndarray,
-        corpus: Corpus,
-        stats: WalkStats,
-        walk_machines: List[int],
-    ) -> None:
-        """Run rounds through :meth:`_run_round_loop_walker` until the
-        walk-count rule stops them."""
-        for round_idx in range(rounds):
-            self._run_round_loop_walker(sources, round_idx, corpus, stats,
-                                        walk_machines)
-            stats.rounds += 1
-            if count_rule is not None:
-                if count_rule.observe_round(corpus, degrees):
-                    break
-
-    def _run_round_loop_walker(
-        self,
-        sources: np.ndarray,
-        round_idx: int,
-        corpus: Corpus,
-        stats: WalkStats,
-        walk_machines: List[int],
-    ) -> None:
-        """Per-walker BSP loop drawing from private counter streams.
-
-        Mode-generic: the same per-walker uniforms (two per trial), the
-        same trial/termination schedule and the same cost accounting as
-        the lock-step rounds -- only executed one walker at a time -- so
-        the parity oracle drives it over ``incom``/``routine`` configs and
-        compares against the vectorized bytes.  Finished walks are emitted
-        in walk-id order (the protocol's canonical corpus order,
-        independent of BSP scheduling).
-        """
-        cfg = self.config
-        cluster = self.cluster
-        metrics = cluster.metrics
-        info_mode = cfg.mode != "routine"
-        length_rule = (
-            WalkLengthRule(mu=cfg.mu, min_length=cfg.min_length,
-                           max_length=cfg.max_length)
-            if info_mode
-            else None
-        )
-        n = len(sources)
-        keys = walker_stream_keys(
-            cluster.walk_seed_root,
-            round_idx * n + np.arange(n, dtype=np.int64),
-        )
-        finished: List[Optional[np.ndarray]] = [None] * n
-
-        items: List[Tuple[int, Tuple[Walker, object, WalkerStream]]] = []
-        for offset, source in enumerate(sources):
-            source = int(source)
-            walker = Walker.start(round_idx * n + offset, source)
-            measure = make_measure(cfg.mode) if info_mode else None
-            if measure is not None:
-                measure.observe(source)
-            items.append((cluster.machine_of(source),
-                          (walker, measure, WalkerStream(int(keys[offset])))))
-
-        def advance(machine: int,
-                    item: Tuple[Walker, object, WalkerStream]) -> StepResult:
-            walker, measure, stream = item
-            while True:
-                if self._walk_finished(walker, measure, length_rule):
-                    finished[walker.walk_id - round_idx * n] = \
-                        np.asarray(walker.path, dtype=np.int64)
-                    return None
-                forced = walker.trials_at_step >= cfg.max_trials_per_step
-                u1, u2 = stream.next_pair()
-                candidate = self.kernel.step_with_uniforms(
-                    walker.current, walker.previous, u1, u2, forced)
-                stats.total_trials += 1
-                metrics.record_compute(machine, 1.0)
-                if candidate is None:
-                    walker.trials_at_step += 1
-                    continue
-                walker.advance(int(candidate))
-                stats.total_steps += 1
-                metrics.record_local_step(machine)
-                if measure is not None:
-                    measure.observe(int(candidate))
-                    metrics.record_compute(machine, measure.step_cost())
-                dest = cluster.machine_of(int(candidate))
-                if dest != machine:
-                    n_bytes = (
-                        measure.message_bytes()
-                        if measure is not None
-                        else self._message_bytes
-                    )
-                    return (dest, (walker, measure, stream), n_bytes)
-
-        BSPEngine(cluster).run(items, advance)
-
-        for offset, walk in enumerate(finished):
-            corpus.add_walk(walk)
-            stats.total_walks += 1
-            stats.walk_lengths.append(int(walk.size))
-            walk_machines.append(cluster.machine_of(int(sources[offset])))
-
-    def _walk_finished(self, walker: Walker, measure, length_rule) -> bool:
-        # Dead end (directed graphs / isolated nodes): stop where we stand.
-        if self.graph.degree(walker.current) == 0:
-            return True
-        if length_rule is None:
-            return walker.length >= self.config.walk_length
-        return length_rule.should_stop(measure)

@@ -18,8 +18,8 @@ engine, the executor and the dynamic updater talk to the interface:
   constructor.  It picks the class ``config.kernel`` names and passes
   the config fields that class reads (``p``/``q``).  Given ``tables``
   (shared-memory views in the walk workers) are used as they are;
-  otherwise they are built on first use, so the per-walker ``fullpath``
-  loop never pays for them.
+  otherwise they are built on first use, so a kernel driven only through
+  its scalar reference never pays for them.
 * ``tables`` -- every flat array :meth:`~WalkKernel.trial` reads, keyed by
   name; the process executor shares this dict once for all workers.
 * ``second_order`` (the transition reads the walker's previous node) and
@@ -30,13 +30,14 @@ engine, the executor and the dynamic updater talk to the interface:
 * :meth:`~WalkKernel.trial` ``(lanes, cur, prev, u1, u2) -> (arc,
   accepted)`` -- one batched block of trials over flat lanes.
 * ``step_with_uniforms(current, previous, u1, u2, forced)`` -- the scalar
-  reference: one trial, the accepted node or ``None``.  The ``fullpath``
-  loop runs it and the test oracles compare ``trial`` against it.
+  reference: one trial, the accepted node or ``None``.  The per-walker
+  loop oracle (``tests/oracles/walks.py``) runs it and the lane-contract
+  tests compare ``trial`` against it.
 
 Both paths consume the same two uniforms per trial from the walker's
 private counter stream (``u1`` proposes, ``u2`` accepts) with the same
 IEEE operations and the same libm ``tanh``, so lock-step rounds and the
-per-walker loop produce byte-identical walks.  ``forced`` marks the
+per-walker loop oracle produce byte-identical walks.  ``forced`` marks the
 unconditional hop after ``max_trials_per_step`` rejections: the proposal
 is drawn the same way and accepted outright.
 """

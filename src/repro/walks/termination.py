@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.utils.validation import check_positive, check_probability
 from repro.walks.corpus import Corpus
-from repro.walks.incom import WalkMeasure
 
 
 @dataclass
@@ -48,18 +47,14 @@ class WalkLengthRule:
                 f"max_length {self.max_length} < min_length {self.min_length}"
             )
 
-    def should_stop(self, measure: WalkMeasure) -> bool:
-        """Decide termination from the walk's measurement state."""
-        if measure.length >= self.max_length:
-            return True
-        return measure.should_terminate(self.mu, self.min_length)
-
     def stop_mask(self, lengths: np.ndarray, r_squared: np.ndarray) -> np.ndarray:
-        """Batched :meth:`should_stop` over parallel walker-state arrays.
+        """The rule over parallel walker-state arrays (token counts and
+        R² values).
 
-        Same rule, same order: the max-length cap fires first, then
-        ``R² < μ`` gated by the minimum length -- so the vectorized engine
-        reaches the exact decisions the scalar path takes per walker.
+        The max-length cap fires first, then ``R² < μ`` gated by the
+        minimum length -- the order a per-walker check takes, so the
+        lock-step engine reaches the exact decisions of the scalar loop
+        reference.
         """
         return (lengths >= self.max_length) | (
             (lengths >= self.min_length) & (r_squared < self.mu)

@@ -7,35 +7,40 @@ vectorisation: advance *all* walkers of a round simultaneously with array
 operations, which removes the interpreter constant per step and keeps the
 examples and scalability benches runnable at 10^4-10^5 nodes.
 
-:class:`BatchWalkRunner` is the one lock-step engine behind the
-``routine`` and ``incom`` walk modes.  It batches stateful,
-individually-terminating **information-oriented** walks: all of a
-round's walkers advance in lock-step, with per-walker InCoM state (the
-``S = Σ n log₂ n`` entropy accumulator and the five regression moments
-of Eq. 12/13) held as parallel NumPy arrays, termination
+:class:`BatchWalkRunner` is the one lock-step engine behind every walk
+mode.  All of a round's walkers advance in lock-step, termination
 (``mu``/min/max-length and dead ends) applied through active masks, and
 each superstep's block of sampling trials resolved by the kernel's
 batched trial (:meth:`repro.walks.kernels.WalkKernel.trial`).  The runner
 owns the widths policy, the superstep loop and the trial lanes; the
-kernel owns the lane arithmetic and its tables.  It records each step's
-arc and trial count next to the path (:class:`WalkBuffers`);
-:class:`DeferredWalkAccounting` turns those buffers into ``WalkStats``
-and the simulated cluster's compute/message counters, byte-identical to
-the per-walker loop's in-loop accounting.
+kernel owns the lane arithmetic and its tables.  The modes differ only
+in how a walk is *measured*:
+
+* ``routine`` -- not at all: walks stop at ``walk_length`` tokens;
+* ``incom`` -- DistGER's InCoM: per-walker state (the ``S = Σ n log₂ n``
+  entropy accumulator and the five regression moments of Eq. 12/13) held
+  as parallel NumPy arrays, updated in O(1) per step;
+* ``fullpath`` -- HuGE-D: each walker's entropy series in a float64 row,
+  its newest point recomputed from the whole path after every hop and
+  the Eq. 5 R² recomputed over the whole series -- O(L) per step, one
+  scalar :func:`repro.utils.stats.entropy_of_sequence` /
+  :func:`repro.utils.stats.r_squared` call per walker, because that
+  recomputation is the baseline cost the benchmarks measure.
+
+The runner records each step's arc and trial count next to the path
+(:class:`WalkBuffers`); :class:`DeferredWalkAccounting` turns those
+buffers into ``WalkStats`` and the simulated cluster's compute/message
+counters, byte-identical to the per-walker loop oracle's in-loop
+accounting.
 
 Randomness follows the per-walker counter streams of
 :mod:`repro.utils.rng`: each walker consumes its private counter-based
 stream (two uniforms per trial), so these rounds produce *the same
 corpus, walk lengths, termination decisions and metrics* as the
-engine's per-walker loop driven over the same config -- the property the
-reference-parity suite (``tests/test_walks_vectorized_parity.py``) pins
-down.
-
-Covered: every kernel of :data:`repro.walks.kernels.KERNELS` in modes
-``routine`` and ``incom``.  The ``fullpath`` mode is deliberately *not*
-vectorised: HuGE-D's from-scratch O(L) recomputation per step is the
-baseline cost the benchmarks measure, so the engine runs it on the
-per-walker loop.
+per-walker loop reference (``tests/oracles/walks.py``) driven over the
+same config -- the property the reference-parity suite
+(``tests/test_walks_vectorized_parity.py``) pins down, for every kernel
+of :data:`repro.walks.kernels.KERNELS` in every mode.
 """
 
 from __future__ import annotations
@@ -45,17 +50,25 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.runtime.message import IncrementalMessage
+from repro.runtime.message import (
+    BYTES_PER_FIELD,
+    FullPathMessage,
+    IncrementalMessage,
+)
 from repro.utils.rng import (
     argument_uniforms,
     stream_arguments,
     stream_stride,
     walker_stream_keys,
 )
+from repro.utils.stats import entropy_of_sequence, r_squared
 from repro.walks.termination import WalkLengthRule
 
 #: Constant InCoM walker-message size (80 bytes, paper §3.1).
 _INCOM_MESSAGE_BYTES = IncrementalMessage(0, 0, 0).byte_size()
+#: HuGE-D's walker message without its path (24 bytes); the path adds
+#: ``BYTES_PER_FIELD`` per token (paper §3.1: 24 + 8L).
+_FULLPATH_HEADER_BYTES = FullPathMessage(0, 0, 0).byte_size()
 
 #: Lanes (trials summed over live walkers) a superstep may evaluate; keeps
 #: the trial block's scratch O(round).
@@ -213,16 +226,12 @@ class BatchWalkRunner:
 
     def __init__(self, graph: CSRGraph, walk_seed_root: int, config,
                  kernel) -> None:
-        if config.mode == "fullpath":
-            raise ValueError(
-                "the fullpath (HuGE-D) measurement is deliberately O(L) per "
-                "step and runs on DistributedWalkEngine's per-walker loop, "
-                "not in lock-step rounds"
-            )
         self.graph = graph
         self.walk_seed_root = walk_seed_root
         self.config = config
         self.kernel = kernel
+        #: How a walk is measured: ``routine`` | ``incom`` | ``fullpath``.
+        self.mode = config.mode
         self.info_mode = config.mode != "routine"
         self.length_rule = (
             WalkLengthRule(mu=config.mu, min_length=config.min_length,
@@ -233,12 +242,15 @@ class BatchWalkRunner:
         self.cap = config.max_length if self.info_mode else config.walk_length
         self._indices = graph.indices
         self._degrees = graph.degrees
-        if self.info_mode:
+        if self.mode == "incom":
             # ΔS of appending a node seen k times before, for every k a
             # path can hold: (k+1)·log₂(k+1) − k·log₂ k.
             seen = np.arange(config.max_length + 1, dtype=np.float64)
             self._xlog2x_gain = (_xlog2x_batch(seen + 1.0)
                                  - _xlog2x_batch(seen))
+        elif self.mode == "fullpath":
+            # The regression's L axis: 1, 2, ..., cap.
+            self._positions = np.arange(1, self.cap + 1, dtype=np.float64)
         #: Expected rejections per accepted step at each node, capped by
         #: the forced hop (the widths policy's per-walker input), when the
         #: kernel keeps such a table.
@@ -250,7 +262,7 @@ class BatchWalkRunner:
         self._lanes = _TrialLanes()
 
     # ------------------------------------------------------------------ #
-    # InCoM batch state helpers
+    # Measurement: InCoM batch state, HuGE-D's whole-path recomputation
     # ------------------------------------------------------------------ #
 
     def _observe(self, idx: np.ndarray, prior: np.ndarray,
@@ -288,6 +300,31 @@ class BatchWalkRunner:
         np.clip(r, -1.0, 1.0, out=r)
         return r * r
 
+    def _observe_paths(self, idx: np.ndarray, paths: np.ndarray,
+                       lengths_after: np.ndarray) -> None:
+        """HuGE-D's measurement after a hop: walker ``j``'s entropy over
+        its whole path, appended to its series -- the scalar
+        ``entropy_of_sequence`` per walker, O(L) each, as the baseline
+        recomputes it."""
+        series = self._series
+        for j, length in zip(idx.tolist(), lengths_after.tolist()):
+            series[j, length - 1] = entropy_of_sequence(
+                paths[j, :length].tolist())
+
+    def _path_r_squared(self, idx: np.ndarray,
+                        counts: np.ndarray) -> np.ndarray:
+        """HuGE-D's Eq. 5: the scalar ``r_squared`` of each walker's whole
+        ``(H, L)`` series, evaluated only where the length rule reads it
+        (``min_length <= L < max_length``; 1.0 elsewhere)."""
+        rule = self.length_rule
+        r = np.ones(idx.size, dtype=np.float64)
+        band = (counts >= rule.min_length) & (counts < rule.max_length)
+        for i in np.flatnonzero(band).tolist():
+            length = int(counts[i])
+            r[i] = r_squared(self._series[idx[i], :length],
+                             self._positions[:length])
+        return r
+
     def _block_width(self, cur: np.ndarray, waited: np.ndarray,
                      spent: int, hops: int) -> np.ndarray:
         """The widths policy: trials to evaluate this superstep for each
@@ -321,11 +358,14 @@ class BatchWalkRunner:
     def _finished(self, idx: np.ndarray, nodes: np.ndarray,
                   at: np.ndarray) -> np.ndarray:
         """Termination mask of walkers ``idx`` standing on ``nodes`` with
-        ``at`` tokens -- same decision order as the loop engine's
-        ``_walk_finished``: dead end, then the length rule."""
+        ``at`` tokens -- same decision order as the loop oracle: dead
+        end, then the length rule."""
         done = self._degrees[nodes] == 0
-        if self.info_mode:
+        if self.mode == "incom":
             done |= self.length_rule.stop_mask(at, self._r_squared(idx, at))
+        elif self.mode == "fullpath":
+            done |= self.length_rule.stop_mask(
+                at, self._path_r_squared(idx, at))
         else:
             done |= at >= self.config.walk_length
         return done
@@ -383,7 +423,7 @@ class BatchWalkRunner:
         previous = np.full(n, -1, dtype=np.int64)
         trials_at_step = np.zeros(n, dtype=np.int64)
         alive = np.arange(n)
-        if self.info_mode:
+        if self.mode == "incom":
             self._S = np.zeros(n, dtype=np.float64)
             self._e_h = np.zeros(n, dtype=np.float64)
             self._e_l = np.zeros(n, dtype=np.float64)
@@ -392,6 +432,12 @@ class BatchWalkRunner:
             self._e_l2 = np.zeros(n, dtype=np.float64)
             # observe(source): prior count 0, one token on the path.
             self._observe(alive, np.zeros(n, dtype=np.int64), lengths)
+        elif self.mode == "fullpath":
+            # Each walker's entropy series; only its first ``lengths[j]``
+            # entries are ever read.
+            self._series = np.empty((n, cap), dtype=np.float64)
+            # A one-token path has the same entropy whatever the token.
+            self._series[:, 0] = entropy_of_sequence([0])
         # Termination is a function of where a walker stands and what it
         # has measured, so it is decided once here and again only for the
         # walkers that hop; ``alive`` carries the rest across supersteps.
@@ -454,7 +500,7 @@ class BatchWalkRunner:
             taken = arc[win]
             hop = self._indices[taken]
             pos = lengths[idx]
-            if self.info_mode:
+            if self.mode == "incom":
                 # Occurrences of the accepted node on the path so far: the
                 # batch form of InCoM's per-walker visit counters.  This
                 # scan is O(current length) per step, bounded by
@@ -476,8 +522,10 @@ class BatchWalkRunner:
             paths[idx, pos] = hop
             pos += 1
             lengths[idx] = pos
-            if self.info_mode:
+            if self.mode == "incom":
                 self._observe(idx, prior, pos)
+            elif self.mode == "fullpath":
+                self._observe_paths(idx, paths, pos)
             # A walker does not move between rejections and every live
             # walker ends its step (the forced hop), so a step's trials
             # all ran at the node the arc leaves.
@@ -502,24 +550,31 @@ class DeferredWalkAccounting:
     cluster metrics, whatever the execution.
 
     The cost model credits, at the machine a walker currently occupies:
-    one compute unit per sampling trial, one local step (plus one InCoM
-    measurement unit in the information-oriented modes) per accepted
-    step, and one ``message_bytes``-sized message per machine-crossing
-    step.  All of it is determined by the stored arc each step took (its
-    source is where the step's trials ran) -- so this class aggregates
-    rounds into two placement-free per-arc arrays (steps and trials) and
-    maps them onto machines in one pass once the assignment is known.
-    Every counter is an integer-valued float, so the late application
-    equals the loop engine's increment-by-increment accounting bit for
-    bit (pinned by the block-trial and executor parity suites).
+    one compute unit per sampling trial, one local step per accepted
+    step plus its measurement (one unit under InCoM, ``L`` units under
+    HuGE-D's whole-path recomputation, ``L`` being the token count after
+    the step), and one message per machine-crossing step --
+    ``message_bytes``, plus ``BYTES_PER_FIELD`` per path token under
+    ``fullpath`` (24 + 8L).  All of it is determined by the stored arc
+    each step took (its source is where the step's trials ran) and, for
+    ``fullpath``, by the step's column (``L`` = column + 1) -- so this
+    class aggregates rounds into placement-free per-arc arrays (steps,
+    trials and, in ``fullpath`` mode only, summed lengths) and maps them
+    onto machines in one pass once the assignment is known.  Every
+    counter is an integer-valued float, so the late application equals
+    the loop oracle's increment-by-increment accounting bit for bit
+    (pinned by the block-trial and executor parity suites).
     """
 
-    def __init__(self, graph, info_mode: bool, message_bytes: int) -> None:
+    def __init__(self, graph, mode: str, message_bytes: int) -> None:
         self._graph = graph
-        self.info_mode = info_mode
+        self.mode = mode
         self.message_bytes = int(message_bytes)
         self._arc_steps = np.zeros(graph.num_stored_edges, dtype=np.int64)
         self._arc_trials = np.zeros(graph.num_stored_edges, dtype=np.int64)
+        self._arc_lengths = (
+            np.zeros(graph.num_stored_edges, dtype=np.int64)
+            if mode == "fullpath" else None)
 
     def observe_round(self, walks: WalkBuffers) -> Tuple[int, int]:
         """Fold one round's buffers in; returns ``(trials, steps)`` totals."""
@@ -531,6 +586,11 @@ class DeferredWalkAccounting:
         self._arc_steps += np.bincount(arcs, minlength=num_arcs)
         self._arc_trials += np.bincount(
             arcs, weights=trials, minlength=num_arcs).astype(np.int64)
+        if self._arc_lengths is not None:
+            # A step written to column s leaves the path s + 1 tokens long.
+            lengths = np.nonzero(step)[1] + 1
+            self._arc_lengths += np.bincount(
+                arcs, weights=lengths, minlength=num_arcs).astype(np.int64)
         return int(trials.sum()), int(arcs.size)
 
     def apply(self, assignment: np.ndarray, metrics) -> None:
@@ -541,20 +601,29 @@ class DeferredWalkAccounting:
         dst = assignment[graph.indices]
         trials_m = np.bincount(src, weights=self._arc_trials, minlength=m)
         steps_m = np.bincount(src, weights=self._arc_steps, minlength=m)
+        # Measurement units per arc: O(1) per step under InCoM, the path
+        # length under the whole-path recomputation.
+        measured = {"incom": self._arc_steps,
+                    "fullpath": self._arc_lengths}.get(self.mode)
+        if measured is not None:
+            measured_m = np.bincount(src, weights=measured, minlength=m)
         for machine in np.flatnonzero(trials_m):
             # One compute unit per sampling trial.
             metrics.record_compute(int(machine), float(trials_m[machine]))
         for machine in np.flatnonzero(steps_m):
             metrics.record_local_step(int(machine), int(steps_m[machine]))
-            if self.info_mode:
-                # InCoM measurement cost: O(1) per accepted step.
-                metrics.record_compute(int(machine), float(steps_m[machine]))
+            if measured is not None:
+                metrics.record_compute(int(machine),
+                                       float(measured_m[machine]))
         crossing = (src != dst) & (self._arc_steps > 0)
         if crossing.any():
             pair = src[crossing] * m + dst[crossing]
+            arc_bytes = self._arc_steps[crossing] * self.message_bytes
+            if self._arc_lengths is not None:
+                arc_bytes += BYTES_PER_FIELD * self._arc_lengths[crossing]
             counts = np.bincount(pair, weights=self._arc_steps[crossing],
                                  minlength=m * m)
+            sizes = np.bincount(pair, weights=arc_bytes, minlength=m * m)
             for p in np.flatnonzero(counts):
-                c = int(counts[p])
-                metrics.record_messages(c, c * self.message_bytes,
+                metrics.record_messages(int(counts[p]), int(sizes[p]),
                                         src=int(p // m), dst=int(p % m))

@@ -1,49 +1,9 @@
-"""Walker state (paper §2.2's walker-centric model).
-
-A :class:`Walker` is the unit of scheduling in the BSP walk engine: it
-carries its identity, position, and generated path, plus (in the
-information-oriented modes) the InCoM measurement state defined in
-:mod:`repro.walks.incom`.
-"""
+"""Aggregate statistics of a sampling run."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional
-
-
-@dataclass
-class Walker:
-    """One random walk in progress."""
-
-    walk_id: int
-    source: int
-    current: int
-    previous: int = -1
-    path: List[int] = field(default_factory=list)
-    #: Number of accepted steps so far (== len(path) - 1).
-    steps: int = 0
-    #: Rejection-sampling trials spent at the current position.
-    trials_at_step: int = 0
-
-    @classmethod
-    def start(cls, walk_id: int, source: int) -> "Walker":
-        """A fresh walker positioned at its source with the source on-path."""
-        return cls(walk_id=walk_id, source=source, current=source,
-                   path=[source])
-
-    def advance(self, node: int) -> None:
-        """Accept ``node`` as the next step."""
-        self.previous = self.current
-        self.current = node
-        self.path.append(node)
-        self.steps += 1
-        self.trials_at_step = 0
-
-    @property
-    def length(self) -> int:
-        """Current walk length ``L`` = number of nodes on the path."""
-        return len(self.path)
 
 
 @dataclass

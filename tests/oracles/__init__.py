@@ -3,7 +3,8 @@
 One module per phase, each holding the straightforward implementation the
 parity suites compare the production engine with, byte for byte:
 
-* :mod:`oracles.walks` -- the per-walker BSP loop driven over every walk
+* :mod:`oracles.walks` -- the per-walker BSP loop (``BSPEngine``,
+  ``Walker``, the InCoM and full-path measures) driven over every walk
   mode, plus exact transition/stationary distributions;
 * :mod:`oracles.partition` -- MPGP scored by on-demand galloping, and the
   per-node segment-merge affinity;
@@ -12,5 +13,6 @@ parity suites compare the production engine with, byte for byte:
 
 The library never imports these (CI checks it): they exist only to be
 compared against.  What the paper's *measured baselines* run -- HuGE-D's
-``fullpath`` walks and pSGNScc -- stays in ``src/``.
+``fullpath`` walks (on the one lock-step walk engine) and pSGNScc --
+stays in ``src/``.
 """

@@ -76,6 +76,23 @@ class TestEdgeStream:
         with pytest.raises(ValueError, match="non-negative"):
             EdgeStream(np.array([-1]), np.array([1]), np.array([1]))
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"),
+                                     float("-inf"), -0.5))
+    def test_insert_weights_must_be_finite_and_non_negative(self, bad):
+        """A bad insert weight is refused where it enters, naming the
+        stream entry -- not silently dropped on an unweighted base, nor
+        reported by CSR arc index at ``compact()`` on a weighted one."""
+        with pytest.raises(ValueError, match=r"op 2 \(\+ 4 5\)"):
+            EdgeStream.from_edits(inserts=[(0, 1), (4, 5)],
+                                  deletes=[(2, 3)],
+                                  insert_weights=[1.0, bad])
+        with pytest.raises(ValueError, match="line 3: insert weight"):
+            EdgeStream.from_text(io.StringIO(
+                f"+ 0 1\n# comment\n+ 4 5 {bad!r}\n"))
+        # Deletions carry no weight to check; zero is a valid weight.
+        EdgeStream(np.array([0, 1]), np.array([1, 2]), np.array([-1, 1]),
+                   np.array([bad, 0.0]))
+
     def test_random_churn_deterministic(self):
         graph = powerlaw_cluster(60, attach=3, triangle_prob=0.3, seed=4)
         a = random_churn(graph, 0.05, seed=9)

@@ -24,7 +24,6 @@ from repro.dynamic.update import update_embedding
 from repro.graph import powerlaw_cluster, ring_of_cliques
 from repro.graph.csr import CSRGraph
 from repro.walks import Corpus
-from repro.walks.engine import WalkConfig
 
 SMALL = dict(num_machines=2, dim=12, epochs=2, seed=7)
 
@@ -256,16 +255,21 @@ class TestUpdateEmbedding:
             outs.append(result.embeddings)
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_executor_byte_parity(self, base_graph, churn):
-        """One update step is byte-identical across execution modes."""
+    @pytest.mark.parametrize("method", ("distger", "huge-d"))
+    def test_executor_byte_parity(self, base_graph, churn, method):
+        """One update step is byte-identical across execution modes, for
+        InCoM and HuGE-D's full-path walks alike."""
         outs = {}
         for execution, workers in (("serial", 0), ("process", 2),
                                    ("pipeline", 2)):
-            prev = embed_graph(base_graph, execution=execution,
-                               workers=workers, **SMALL)
+            prev = embed_graph(base_graph, method=method,
+                               execution=execution, workers=workers,
+                               **SMALL)
             result = apply_edge_stream(base_graph, churn, prev,
-                                       audit="arc", execution=execution,
+                                       method=method, audit="arc",
+                                       execution=execution,
                                        workers=workers, **SMALL)
+            assert result.stats["stale_walks"] > 0
             outs[execution] = result.embeddings
         np.testing.assert_array_equal(outs["serial"], outs["process"])
         np.testing.assert_array_equal(outs["serial"], outs["pipeline"])
@@ -322,8 +326,3 @@ class TestUpdateEmbedding:
         with pytest.raises(ValueError, match="update_epochs"):
             apply_edge_stream(base_graph, churn, prev, update_epochs=0,
                               **SMALL)
-        with pytest.raises(ValueError, match="fullpath"):
-            update_embedding(
-                base_graph, churn, corpus=prev.corpus,
-                embeddings=prev.embeddings,
-                walk_config=WalkConfig.huge_d())

@@ -24,11 +24,10 @@ from repro.walks import (
     Corpus,
     DistributedWalkEngine,
     WalkConfig,
-    Walker,
     WalkStats,
 )
 
-from oracles.walks import LoopWalkEngine
+from oracles.walks import LoopWalkEngine, Walker
 
 #: The lock-step engine and the per-walker loop oracle, by name.
 ENGINES = {"loop": LoopWalkEngine, "vectorized": DistributedWalkEngine}

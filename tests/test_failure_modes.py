@@ -21,9 +21,11 @@ from repro.partition import (
     ParallelMPGPPartitioner,
     PartitionConfig,
 )
-from repro.runtime import BSPEngine, Cluster, ClusterMetrics
+from repro.runtime import Cluster, ClusterMetrics
 from repro.systems import DistGER
 from repro.walks import Corpus, DistributedWalkEngine, WalkConfig
+
+from oracles.walks import BSPEngine
 
 
 class TestBSPFailureModes:

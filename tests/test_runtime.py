@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    BSPEngine,
     Cluster,
     ClusterMetrics,
     CostModel,
@@ -17,6 +16,8 @@ from repro.runtime import (
     SyncMessage,
     message_size_ratio,
 )
+
+from oracles.walks import BSPEngine
 
 
 class TestMessageSizes:

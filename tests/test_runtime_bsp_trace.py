@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime import BSPEngine, Cluster
-from repro.runtime.bsp import SuperstepRecord
+from repro.runtime import Cluster
+
+from oracles.walks import BSPEngine, SuperstepRecord
 
 
 def _hop_n_times(n: int):

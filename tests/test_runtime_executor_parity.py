@@ -102,6 +102,7 @@ WALK_MODES = {
     "routine": dict(kernel="node2vec", mode="routine", walk_length=20,
                     walks_per_node=2, p=2.0, q=0.5),
     "node2vec-alias": dict(kernel="node2vec-alias", p=2.0, q=0.5),
+    "fullpath": dict(mode="fullpath"),
 }
 
 
@@ -581,29 +582,24 @@ class TestKnobs:
             with pytest.raises(TypeError, match=field):
                 config(**{field: value})
 
-    def test_walk_execution_degrades_for_fullpath(self):
-        """HuGE-D's fullpath loop is inherently serial."""
-        context = ExecutionContext("process")
-        assert context.walk_execution("incom") == "process"
-        assert context.walk_execution("routine") == "process"
-        assert context.walk_execution("fullpath") == "serial"
+    @pytest.mark.parametrize("execution", ("serial", "process", "pipeline"))
+    def test_fullpath_keeps_the_context_execution(self, execution):
+        """HuGE-D's fullpath runs on the one round engine, so it runs
+        wherever the context says -- no mode-specific degrade."""
+        context = ExecutionContext(execution)
         engine = DistributedWalkEngine(
             graph_family("undirected"),
             Cluster(1, np.zeros(150, dtype=np.int64)),
             WalkConfig.huge_d(context=context))
-        assert engine.execution == "serial"
+        assert engine.execution == execution
 
     def test_pipeline_execution_resolution(self):
-        """Pipeline applies to lock-step walks, degrades exactly like
-        process for fullpath, overlaps partitioning only where walks
-        stream, and trains on the process slice path (the trainer is the
+        """Pipeline overlaps partitioning with sampling whatever the walk
+        mode, and trains on the process slice path (the trainer is the
         streaming consumer, not a producer)."""
         pipeline = ExecutionContext("pipeline", 1)
-        assert pipeline.walk_execution("incom") == "pipeline"
-        assert pipeline.walk_execution("fullpath") == "serial"
-        assert pipeline.overlaps_partition("incom")
-        assert not pipeline.overlaps_partition("fullpath")
-        assert not ExecutionContext("process").overlaps_partition("incom")
+        assert pipeline.overlaps_partition()
+        assert not ExecutionContext("process").overlaps_partition()
         assert pipeline.fans_out(2) and not pipeline.fans_out(1)
         assert not ExecutionContext("serial").fans_out(4)
         walks, cluster = run_walks(graph_family("undirected"), "serial")

@@ -128,7 +128,7 @@ class TestEntropyTrace:
         assert all(h == pytest.approx(0.0) for h in entropy_trace([3, 3, 3]))
 
     def test_agrees_with_incom_accumulator(self):
-        from repro.walks import IncrementalWalkMeasure
+        from oracles.walks import IncrementalWalkMeasure
 
         rng = np.random.default_rng(4)
         walk = rng.integers(0, 6, size=30)

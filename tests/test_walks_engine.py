@@ -16,10 +16,9 @@ from repro.walks import (
     WalkConfig,
     WalkCountRule,
     WalkLengthRule,
-    IncrementalWalkMeasure,
 )
 
-from oracles.walks import LoopWalkEngine
+from oracles.walks import IncrementalWalkMeasure, LoopWalkEngine, should_stop
 
 
 def make_cluster(graph, machines=2, seed=0, partitioner=None):
@@ -152,10 +151,10 @@ class TestTerminationRules:
         rule = WalkLengthRule(mu=0.9, min_length=3, max_length=5)
         m = IncrementalWalkMeasure()
         m.observe(0)
-        assert not rule.should_stop(m)  # below min length
+        assert not should_stop(rule, m)  # below min length
         for node in [1, 2, 3, 4]:
             m.observe(node)
-        assert rule.should_stop(m)  # at max length
+        assert should_stop(rule, m)  # at max length
 
     def test_length_rule_validation(self):
         with pytest.raises(ValueError):
@@ -338,17 +337,17 @@ class TestEngine:
                 results.append([w.tobytes() for w in r.corpus.walks])
             assert results[0] == results[1], engine_cls
 
-    @pytest.mark.parametrize("mode,unused", (
-        ("incom", "_run_loop_rounds"),
-        ("routine", "_run_loop_rounds"),
-        ("fullpath", "_run_rounds")))
-    def test_mode_picks_the_engine(self, small_graph, mode, unused):
-        """Lock-step rounds for incom/routine, the per-walker loop for
-        HuGE-D's fullpath -- the mode is the only selector."""
+    @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
+    def test_every_mode_runs_the_rounds(self, small_graph, mode):
+        """One engine: every mode, HuGE-D's fullpath included, runs the
+        lock-step rounds -- the mode picks only the measurement."""
         cfg = WalkConfig(mode=mode, max_rounds=1, min_rounds=1,
                          walks_per_node=1)
-        with mock.patch.object(DistributedWalkEngine, unused,
-                               side_effect=AssertionError(unused)):
+        with mock.patch.object(DistributedWalkEngine, "_run_rounds",
+                               autospec=True,
+                               side_effect=DistributedWalkEngine._run_rounds
+                               ) as rounds:
             result = DistributedWalkEngine(
                 small_graph, make_cluster(small_graph), cfg).run()
+        rounds.assert_called_once()
         assert result.stats.total_walks == small_graph.num_nodes

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.message import incremental_state_to_message
-from repro.walks import (
+
+from oracles.walks import (
     FullPathWalkMeasure,
     IncrementalWalkMeasure,
     make_measure,

@@ -5,8 +5,9 @@ Under the shared walker RNG protocol (per-walker counter streams from
 loop of :class:`oracles.walks.LoopWalkEngine` *exactly*: same corpus,
 same walk lengths, same termination decisions, same trial counts, and the
 same simulated cluster accounting (compute units, local steps, message
-counts/bytes/matrix).  The suite runs every kernel in both vectorizable
-modes over undirected, weighted and directed graphs, and checks the
+counts/bytes/matrix).  The suite runs every kernel in every walk mode
+(HuGE-D's ``fullpath`` included) over undirected, weighted and directed
+graphs, and checks the
 distribution oracles of :mod:`oracles.walks` against both engines alike.
 The loop runs one trial at a time, so it is also the oracle for block
 trials: whatever width the batched engine evaluates per superstep, it
@@ -23,13 +24,14 @@ import pytest
 from repro.graph import CSRGraph, powerlaw_cluster, ring_of_cliques, rmat
 from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
 from repro.runtime import Cluster
+from repro.runtime.executor import ExecutionContext
 from repro.walks import DistributedWalkEngine, WalkConfig
 from repro.walks.vectorized import BatchWalkRunner
 
 from oracles.walks import LoopWalkEngine, huge_effective_transition_matrix
 
 ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
-VECTOR_MODES = ("incom", "routine")
+VECTOR_MODES = ("incom", "routine", "fullpath")
 
 
 def run_engine(graph, cfg, machines=2, seed=9, partitioner=None,
@@ -173,14 +175,20 @@ class TestBlockWidthParity:
 
 
 class TestEngineSelection:
-    def test_fullpath_runs_the_per_walker_loop(self, small_graph):
-        """HuGE-D's fullpath never enters the lock-step rounds, and lands
-        on the oracle's bytes."""
-        cfg = WalkConfig.huge_d(max_rounds=1, min_rounds=1)
+    @pytest.mark.parametrize("execution", ("serial", "process", "pipeline"))
+    def test_fullpath_runs_the_rounds(self, small_graph, execution):
+        """HuGE-D's fullpath runs the lock-step rounds under every
+        execution, and lands on the loop oracle's bytes."""
+        cfg = WalkConfig.huge_d(max_rounds=1, min_rounds=1,
+                                context=ExecutionContext(execution, 2))
         a, ca, _ = run_loop(small_graph, cfg)
         with mock.patch.object(DistributedWalkEngine, "_run_rounds",
-                               side_effect=AssertionError("lock-step")):
-            b, cb, _ = run_engine(small_graph, cfg)
+                               autospec=True,
+                               side_effect=DistributedWalkEngine._run_rounds
+                               ) as rounds:
+            b, cb, engine = run_engine(small_graph, cfg)
+        rounds.assert_called_once()
+        assert engine.execution == execution
         assert_runs_identical(a, ca, b, cb)
 
 

@@ -291,8 +291,7 @@ def snapshot(graph, kernel, mode, deferred=False, machines=3, **overrides):
     sources = np.flatnonzero(graph.degrees > 0)
     walks = runner.run_walks(
         sources, ROUND * sources.size + np.arange(sources.size))
-    accounting = DeferredWalkAccounting(graph, info_mode=mode != "routine",
-                                        message_bytes=engine._message_bytes)
+    accounting = DeferredWalkAccounting(graph, mode, engine._message_bytes)
     stats = WalkStats()
     stats.total_trials, stats.total_steps = accounting.observe_round(walks)
     accounting.apply(assignment, cluster.metrics)
@@ -329,7 +328,7 @@ def assert_is_the_loop(got, graph_kind, kernel, mode, **overrides):
 class TestBlockTrials:
     @pytest.mark.parametrize("deferred", (False, True))
     @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
-    @pytest.mark.parametrize("mode", ("incom", "routine"))
+    @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_width_invariance(self, kernel, mode, graph_kind, deferred):
         graph = block_graph(graph_kind)
@@ -346,7 +345,7 @@ class TestBlockTrials:
     @settings(max_examples=40, deadline=None)
     @given(widths=st.lists(st.integers(1, 40), min_size=1, max_size=23),
            kernel=st.sampled_from(ALL_KERNELS),
-           mode=st.sampled_from(("incom", "routine")),
+           mode=st.sampled_from(("incom", "routine", "fullpath")),
            graph_kind=st.sampled_from(("weighted", "directed")))
     def test_any_width_vector(self, widths, kernel, mode, graph_kind):
         """Per-walker widths, redrawn from the list every superstep: the
@@ -389,7 +388,8 @@ class TestBlockTrials:
 
     @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
     @pytest.mark.parametrize("kernel,mode", (
-        ("huge", "incom"), ("node2vec", "routine"), ("deepwalk", "incom")))
+        ("huge", "incom"), ("node2vec", "routine"), ("deepwalk", "incom"),
+        ("huge", "fullpath")))
     def test_deferred_accounting_is_the_in_loop_accounting(self, kernel, mode,
                                                            graph_kind):
         """``DeferredWalkAccounting`` reads each step's arc (which leads
@@ -402,11 +402,10 @@ class TestBlockTrials:
         step = walks.trials > 0
         np.testing.assert_array_equal(graph.indices[walks.arcs[step]],
                                       walks.paths[step])
-        info_mode = mode != "routine"
         fields = {"node2vec": 4, "deepwalk": 3}.get(kernel, 10)
-        accounting = DeferredWalkAccounting(
-            graph, info_mode=info_mode,
-            message_bytes=80 if info_mode else fields * 8)
+        # InCoM's 80 bytes, HuGE-D's 24 before its path, routine fields.
+        message_bytes = {"incom": 80, "fullpath": 24}.get(mode, fields * 8)
+        accounting = DeferredWalkAccounting(graph, mode, message_bytes)
         half = walks.lengths.size // 2    # two rounds' worth of folding
         totals = [accounting.observe_round(walks.rows(lo, hi))
                   for lo, hi in ((0, half), (half, walks.lengths.size))]
