@@ -33,6 +33,10 @@ engine, the executor and the dynamic updater talk to the interface:
   reference: one trial, the accepted node or ``None``.  The per-walker
   loop oracle (``tests/oracles/walks.py``) runs it and the lane-contract
   tests compare ``trial`` against it.
+* ``resolves_steps`` / :meth:`~HuGEKernel.resolve_steps` ``(cur, args,
+  horizon) -> (arc, trials)`` -- every live walker's whole step in one
+  compiled call (:mod:`repro.walks.native`), in place of the trial lanes;
+  the step-contract tests hold it to iterated ``step_with_uniforms``.
 
 Both paths consume the same two uniforms per trial from the walker's
 private counter stream (``u1`` proposes, ``u2`` accepts) with the same
@@ -52,6 +56,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.partition.galloping import galloping_intersect_size
 from repro.utils.validation import check_positive
+from repro.walks import native
 from repro.walks.alias_sampling import SecondOrderAliasSampler
 
 
@@ -265,6 +270,8 @@ class WalkKernel:
     message_fields = 3  # [walk_id, steps, node_id]
     second_order = False
     neighbor_sensitive = False
+    #: Whether :meth:`resolve_steps` replaces the runner's trial lanes.
+    resolves_steps = False
     #: :class:`~repro.walks.engine.WalkConfig` fields the constructor
     #: takes as keyword arguments (:func:`make_kernel` passes them).
     config_fields: Tuple[str, ...] = ()
@@ -519,6 +526,7 @@ class HuGEKernel(WalkKernel):
         self._cm_cache: Dict[int, int] = {}
         self._n = graph.num_nodes
         self._rejections: Optional[np.ndarray] = None
+        self.resolves_steps = native.load() is not None
 
     def acceptance_probability(self, u: int, v: int) -> float:
         """``P(u, v)`` of Eq. 3 (public for tests and for HuGE-D)."""
@@ -559,6 +567,16 @@ class HuGEKernel(WalkKernel):
         np.less(u2, np.take(self.tables["arc_accept"], arc, mode="clip",
                             out=lanes.row(0, np.float64)), out=accepted)
         return arc, accepted
+
+    def resolve_steps(self, cur: np.ndarray, args: np.ndarray,
+                      horizon: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every walker's whole step from its stream argument ``args``
+        (advanced in place): ``(arc, trials)``, the trial at ``horizon``
+        forced -- :meth:`trial`'s lanes run to each walker's first accept,
+        in compiled code."""
+        tables = self.tables
+        return native.resolve_steps(self._indptr, tables.get("row_cumsum"),
+                                    tables["arc_accept"], cur, args, horizon)
 
     def arc_acceptance_table(self) -> np.ndarray:
         """``P(u, v)`` of Eq. 3 for every stored arc, by flat arc index

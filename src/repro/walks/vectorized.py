@@ -13,8 +13,10 @@ mode.  All of a round's walkers advance in lock-step, termination
 each superstep's block of sampling trials resolved by the kernel's
 batched trial (:meth:`repro.walks.kernels.WalkKernel.trial`).  The runner
 owns the widths policy, the superstep loop and the trial lanes; the
-kernel owns the lane arithmetic and its tables.  The modes differ only
-in how a walk is *measured*:
+kernel owns the lane arithmetic and its tables.  A kernel that
+``resolves_steps`` (the HuGE kernels' compiled resolver) replaces the
+block: one call runs each live walker's trials to its hop.  The modes
+differ only in how a walk is *measured*:
 
 * ``routine`` -- not at all: walks stop at ``walk_length`` tokens;
 * ``incom`` -- DistGER's InCoM: per-walker state (the ``S = Σ n log₂ n``
@@ -253,8 +255,9 @@ class BatchWalkRunner:
             self._positions = np.arange(1, self.cap + 1, dtype=np.float64)
         #: Expected rejections per accepted step at each node, capped by
         #: the forced hop (the widths policy's per-walker input), when the
-        #: kernel keeps such a table.
-        self._node_rejections = kernel.expected_rejections()
+        #: kernel keeps such a table and does not resolve its own steps.
+        self._node_rejections = (None if kernel.resolves_steps
+                                 else kernel.expected_rejections())
         if self._node_rejections is not None:
             self._node_rejections = np.minimum(
                 self._node_rejections, float(config.max_trials_per_step))
@@ -370,6 +373,50 @@ class BatchWalkRunner:
             done |= at >= self.config.walk_length
         return done
 
+    def _superstep(self, cur, args, alive, previous, trials_at_step,
+                   horizon: int, spent: int, hops: int):
+        """One superstep of trial lanes: ``(sel, arc, trials, used)`` --
+        the walkers that hop (positions in ``alive``), their arcs and step
+        costs, and the lanes consumed; ``args`` and ``trials_at_step``
+        advance in place."""
+        # 1) The block.
+        waited = trials_at_step[alive]
+        room = horizon - waited
+        widths = np.clip(self._block_width(cur, waited, spent, hops),
+                         1, room)
+        ends = np.cumsum(widths)
+        if ends[-1] > _BLOCK_SCRATCH_LANES:
+            np.minimum(widths,
+                       max(1, _BLOCK_SCRATCH_LANES // alive.size),
+                       out=widths)
+            ends = np.cumsum(widths)
+        begin = ends - widths
+        lanes = self._lanes
+        lanes.layout(widths, ends)
+        stream_at = args[alive]
+        u1, u2 = lanes.uniforms(stream_at, begin)
+        prev = previous[alive] if self.kernel.second_order else None
+        arc, accepted = self.kernel.trial(lanes, cur, prev, u1, u2)
+        # The forced hop: a block that reaches the horizon ends on it.
+        accepted[ends[widths == room] - 1] = True
+
+        # 2) Lanes are walker-major, so a walker's first accepted lane
+        #    is the head of its run in the sorted accepted lanes.
+        lane = np.flatnonzero(accepted)
+        owner = lane if lanes.own is None else lanes.own[lane]
+        head = np.ones(lane.size, dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=head[1:])
+        win = lane[head]     # flat lane that decides each hop
+        sel = owner[head]    # its walker, as a position in ``alive``
+        used = widths        # lanes consumed: all, or up to the winner
+        used[sel] = win - begin[sel] + 1
+        waited += used
+        step_trials = waited[sel]   # what each completed step cost
+        waited[sel] = 0
+        trials_at_step[alive] = waited
+        args[alive] = stream_at + used.astype(np.uint64) * _TRIAL_STRIDE
+        return sel, arc[win], step_trials, int(used.sum())
+
     # ------------------------------------------------------------------ #
     # One batch of walks
     # ------------------------------------------------------------------ #
@@ -446,58 +493,30 @@ class BatchWalkRunner:
         # A walker is forced to hop once max_trials_per_step trials of a
         # step were rejected, so its block never needs to reach further.
         horizon = cfg.max_trials_per_step + 1
-        lanes = self._lanes
         # Supersteps, not trials: a block is never slower than one trial.
         max_iters = cap * (cfg.max_trials_per_step + 2) + 8
         spent = hops = 0   # this call's trials / accepted steps so far
         for _ in range(max_iters):
             if alive.size == 0:
                 break
-            # 1) The block.
             cur = current[alive]
-            waited = trials_at_step[alive]
-            room = horizon - waited
-            widths = np.clip(self._block_width(cur, waited, spent, hops),
-                             1, room)
-            ends = np.cumsum(widths)
-            if ends[-1] > _BLOCK_SCRATCH_LANES:
-                np.minimum(widths,
-                           max(1, _BLOCK_SCRATCH_LANES // alive.size),
-                           out=widths)
-                ends = np.cumsum(widths)
-            begin = ends - widths
-            lanes.layout(widths, ends)
-            stream_at = args[alive]
-            u1, u2 = lanes.uniforms(stream_at, begin)
-            prev = previous[alive] if self.kernel.second_order else None
-            arc, accepted = self.kernel.trial(lanes, cur, prev, u1, u2)
-            # The forced hop: a block that reaches the horizon ends on it.
-            accepted[ends[widths == room] - 1] = True
-
-            # 2) Lanes are walker-major, so a walker's first accepted lane
-            #    is the head of its run in the sorted accepted lanes.
-            lane = np.flatnonzero(accepted)
-            owner = lane if lanes.own is None else lanes.own[lane]
-            head = np.ones(lane.size, dtype=bool)
-            np.not_equal(owner[1:], owner[:-1], out=head[1:])
-            win = lane[head]     # flat lane that decides each hop
-            sel = owner[head]    # its walker, as a position in ``alive``
-            used = widths        # lanes consumed: all, or up to the winner
-            used[sel] = win - begin[sel] + 1
-            waited += used
-            step_trials = waited[sel]   # what each completed step cost
-            waited[sel] = 0
-            trials_at_step[alive] = waited
-            args[alive] = stream_at + used.astype(np.uint64) * _TRIAL_STRIDE
-            spent += int(used.sum())
-
-            if sel.size == 0:
-                continue
-
-            # 3) The hops, and the only walkers whose termination moved.
+            if self.kernel.resolves_steps:
+                # Each walker's trials run to its hop: every walker steps.
+                stream_at = args[alive]
+                taken, step_trials = self.kernel.resolve_steps(
+                    cur, stream_at, horizon)
+                args[alive] = stream_at
+                sel = np.arange(alive.size)
+            else:
+                sel, taken, step_trials, used = self._superstep(
+                    cur, args, alive, previous, trials_at_step, horizon,
+                    spent, hops)
+                spent += used
+                if sel.size == 0:
+                    continue
+            # The hops, and the only walkers whose termination moved.
             idx = alive[sel]
             hops += int(sel.size)
-            taken = arc[win]
             hop = self._indices[taken]
             pos = lengths[idx]
             if self.mode == "incom":
@@ -508,11 +527,11 @@ class BatchWalkRunner:
                 # minority, so the hits are counted from their flat
                 # positions rather than by summing rows.  A per-walker
                 # hashed (walker, node) -> count table was prototyped and
-                # lost to the scan at the benchmark's walk lengths
-                # (ROADMAP item 4 has the numbers); the simulated cost
-                # model still credits the paper's O(1) InCoM update,
-                # which the per-walker loop's dict counters realise
-                # literally.
+                # lost to the scan on R-MAT-13 at a mean walk length of
+                # 22 (0.24-0.30 s against 0.17-0.24 s per pass, with
+                # 19 % of hops revisits); the simulated cost model still
+                # credits the paper's O(1) InCoM update, which the
+                # per-walker loop's dict counters realise literally.
                 reach = int(pos.max())
                 seen = np.flatnonzero(paths[idx, :reach] == hop[:, None])
                 prior = np.bincount(seen // reach, minlength=idx.size)

@@ -15,6 +15,7 @@ from repro.graph import (
     ring_of_cliques,
     star,
 )
+from repro.walks import native
 
 
 def pytest_report_header(config):
@@ -78,3 +79,22 @@ def weighted_triangle() -> CSRGraph:
     return CSRGraph.from_edges(
         [(0, 1), (1, 2), (0, 2)], weights=[1.0, 2.0, 3.0]
     )
+
+
+@pytest.fixture(scope="session")
+def step_resolver():
+    """The compiled HuGE step resolver; skips where it cannot be built."""
+    if native.load() is None:
+        pytest.skip("the HuGE step resolver cannot be built here")
+    return native.load()
+
+
+@pytest.fixture
+def lanes_path(monkeypatch, tmp_path):
+    """Walk kernels built while this is active run the NumPy trial lanes:
+    the resolver reads as unavailable, in this process and in any worker
+    it forks, and a worker that starts afresh finds no cached library and
+    no compiler to build one."""
+    monkeypatch.setattr(native, "load", lambda: None)
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -20,7 +20,12 @@ from repro.walks import (
     WalkConfig,
     make_kernel,
 )
-from repro.walks.kernels import _reverse_arcs, common_neighbor_counts_per_arc
+from repro.utils.rng import WalkerStream
+from repro.walks.kernels import (
+    _reverse_arcs,
+    common_neighbor_counts_per_arc,
+    propose_with_uniform,
+)
 from repro.walks.vectorized import _TrialLanes
 
 from oracles.walks import accepted_draws
@@ -442,6 +447,121 @@ class TestLaneContract:
             expected = candidate if accepted[lane] else None
             assert reference.step_with_uniforms(*args, False) == expected
             assert reference.step_with_uniforms(*args, True) == candidate
+
+
+GAMMA = 0x9E3779B97F4A7C15
+U64 = 2**64
+
+
+def iterated_reference(kernel, graph, node: int, argument: int,
+                       horizon: int):
+    """One whole step by the scalar reference: ``step_with_uniforms`` over
+    the walker's stream from ``argument`` until it accepts or the hop is
+    forced at trial ``horizon`` -> ``(arc, trials, next argument)``."""
+    # The stream whose counter 0 sits at ``argument``.
+    stream = WalkerStream((argument - GAMMA) % U64, 0)
+    for trial in range(1, horizon + 1):
+        u1, u2 = stream.next_pair()
+        if kernel.step_with_uniforms(node, -1, u1, u2,
+                                     trial == horizon) is not None:
+            break
+    _, k = propose_with_uniform(graph, node, u1)
+    return (int(graph.indptr[node]) + k, trial,
+            (stream.key + GAMMA * (stream.counter + 1)) % U64)
+
+
+def unmix(z: int) -> int:
+    """The stream argument whose uniform draws ``z`` (splitmix64's output
+    mix inverted: xor-shifts undone by iteration, odd multipliers by
+    their inverses mod 2**64)."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, U64) % U64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, U64) % U64
+    return unshift(z, 30)
+
+
+class TestStepContract:
+    """For the kernels that resolve their own steps (the HuGE kernels'
+    compiled resolver): per walker, the arc, the trial count and the
+    advanced stream argument are the scalar reference's, iterated."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(("huge", "huge+")),
+           family=st.sampled_from(("unweighted", "weighted", "directed",
+                                   "directed-weighted")),
+           max_trials=st.sampled_from((1, 2, 3, 32)),
+           walkers=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_resolver_is_the_iterated_reference(self, step_resolver, name,
+                                                family, max_trials, walkers,
+                                                seed):
+        graph = contract_graph(family, seed)
+        if not graph.degrees.any():
+            return
+        rng = np.random.default_rng(seed)
+        config = WalkConfig(kernel=name)
+        kernel = make_kernel(config, graph)
+        reference = make_kernel(config, graph)
+        assert kernel.resolves_steps
+        cur, _ = contract_walkers(graph, rng, walkers)
+        args = rng.integers(0, U64, size=walkers, dtype=np.uint64)
+        # Arguments a few γ below 2**64, and a few units below it: the
+        # walker's trials wrap modulo 2**64 within its step.
+        args[::3] = [(-int(k) * GAMMA) % U64
+                     for k in rng.integers(1, 5, size=args[::3].size)]
+        args[1::3] = [U64 - int(k)
+                      for k in rng.integers(1, 9, size=args[1::3].size)]
+        horizon = max_trials + 1
+        start = args.copy()
+        arc, trials = kernel.resolve_steps(cur, args, horizon)
+        for j in range(walkers):
+            assert (int(arc[j]), int(trials[j]), int(args[j])) == \
+                iterated_reference(reference, graph, int(cur[j]),
+                                   int(start[j]), horizon)
+        assert trials.max() <= horizon
+
+    def test_exact_ties(self, step_resolver):
+        """Uniforms chosen through the inverted mix: proposals landing
+        exactly on a cumsum entry (a zero weight repeats one), the clamp
+        at ``u1 → 1``, and an acceptance uniform equal to a zero-weight
+        arc's probability on an all-zero row."""
+        graph = CSRGraph.from_edges(
+            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 7), (6, 8),
+             (7, 0), (8, 0)],
+            weights=[0.0, 1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0, 1.0],
+            directed=True)
+        kernel = make_kernel(WalkConfig(kernel="huge"), graph)
+        u1s = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+        start = [unmix(int(u * 2**53) << 11) for u in u1s]
+        cur = [0] * len(u1s) + [6] * len(u1s)
+        # The acceptance uniform sits one γ past the proposal's.
+        start += [(unmix(int(u * 2**53) << 11) - GAMMA) % U64 for u in u1s]
+        cur, args = np.array(cur), np.array(start, dtype=np.uint64)
+        arc, trials = kernel.resolve_steps(cur, args, 3)
+        for j in range(cur.size):
+            assert (int(arc[j]), int(trials[j]), int(args[j])) == \
+                iterated_reference(kernel, graph, int(cur[j]), start[j], 3)
+
+    def test_forced_hops_happen(self, step_resolver):
+        """An R-MAT hub expects four rejections per hop: at one retry per
+        step most steps run into the forced hop, and it is the
+        reference's."""
+        graph = rmat(6, edge_factor=6, seed=3)
+        kernel = make_kernel(WalkConfig(kernel="huge"), graph)
+        hub = int(np.argmax(graph.degrees))
+        cur = np.full(64, hub, dtype=np.int64)
+        args = np.arange(64, dtype=np.uint64) * np.uint64(7919)
+        start = args.copy()
+        arc, trials = kernel.resolve_steps(cur, args, 2)
+        assert (trials == 2).sum() > 32
+        for j in range(cur.size):
+            assert (int(arc[j]), int(trials[j]), int(args[j])) == \
+                iterated_reference(kernel, graph, hub, int(start[j]), 2)
 
 
 class TestZeroWeightRows:

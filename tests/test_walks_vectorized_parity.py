@@ -16,6 +16,7 @@ must land on the loop's bytes.
 
 from __future__ import annotations
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,66 @@ class TestEngineSelection:
         rounds.assert_called_once()
         assert engine.execution == execution
         assert_runs_identical(a, ca, b, cb)
+
+
+def walk_digest(result, cluster):
+    """Everything a walk run emits: corpus sha1, ``WalkStats``,
+    ``walk_machines`` and every ``ClusterMetrics`` counter."""
+    corpus = result.corpus
+    sha1 = hashlib.sha1(np.asarray(corpus.tokens).tobytes())
+    sha1.update(np.asarray(corpus.offsets).tobytes())
+    return {"corpus": sha1.hexdigest(), "stats": vars(result.stats),
+            "walk_machines": list(result.walk_machines),
+            "metrics": vars(cluster.metrics)}
+
+
+class TestResolverParity:
+    """The HuGE kernels' compiled step resolver against the NumPy trial
+    lanes, end to end: the same bytes under every execution, in both
+    information-oriented modes and through a dynamic resample."""
+
+    @pytest.mark.parametrize("execution", ("serial", "process", "pipeline"))
+    @pytest.mark.parametrize("mode", ("incom", "fullpath"))
+    @pytest.mark.parametrize("kernel", ("huge", "huge+"))
+    @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
+    def test_resolver_is_the_lanes(self, step_resolver, request, graph_kind,
+                                   kernel, mode, execution):
+        graph = (powerlaw_cluster(90, attach=3, seed=2).with_random_weights(
+                     np.random.default_rng(4))
+                 if graph_kind == "weighted" else
+                 CSRGraph.from_edges(
+                     np.random.default_rng(11).integers(0, 60, size=(200, 2)),
+                     num_nodes=60, directed=True))
+        cfg = config(kernel, mode, max_trials_per_step=4,
+                     context=ExecutionContext(execution, 2))
+        resolved, cluster, engine = run_engine(graph, cfg, machines=3)
+        assert engine.kernel.resolves_steps
+        request.getfixturevalue("lanes_path")
+        lanes, lanes_cluster, engine = run_engine(graph, cfg, machines=3)
+        assert not engine.kernel.resolves_steps
+        assert walk_digest(resolved, cluster) == walk_digest(lanes,
+                                                             lanes_cluster)
+
+    def test_dynamic_resample(self, step_resolver, request):
+        from repro.api import apply_edge_stream, embed_graph
+        from repro.dynamic.delta import random_churn
+
+        graph = powerlaw_cluster(60, attach=3, triangle_prob=0.3, seed=4)
+        churn = random_churn(graph, 0.05, seed=1)
+        kwargs = dict(num_machines=2, dim=8, epochs=1, seed=7)
+
+        def update():
+            prev = embed_graph(graph, **kwargs)
+            result = apply_edge_stream(graph, churn, prev, audit="arc",
+                                       **kwargs)
+            assert result.stats["stale_walks"] > 0
+            return (np.asarray(result.corpus.tokens).tobytes(),
+                    np.asarray(result.corpus.offsets).tobytes(),
+                    result.embeddings.tobytes(), result.stats)
+
+        resolved = update()
+        request.getfixturevalue("lanes_path")
+        assert update() == resolved
 
 
 class TestReferenceOracles:

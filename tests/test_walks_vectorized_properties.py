@@ -325,7 +325,12 @@ def assert_is_the_loop(got, graph_kind, kernel, mode, **overrides):
     assert {**got, "trials": None} == reference
 
 
+@pytest.mark.usefixtures("lanes_path")
 class TestBlockTrials:
+    """On the NumPy trial lanes: the HuGE kernels' compiled resolver runs
+    each walker's trials to its hop and has no widths to vary (its own
+    contract is ``TestStepContract``)."""
+
     @pytest.mark.parametrize("deferred", (False, True))
     @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
     @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
