@@ -92,6 +92,7 @@ class Partitioner(ABC):
 
     def partition(self, graph: CSRGraph, num_parts: int) -> PartitionResult:
         """Validate, time, and run the concrete assignment."""
+        num_parts = int(check_integral("num_parts", num_parts))
         if num_parts <= 0:
             raise ValueError(f"num_parts must be positive, got {num_parts}")
         if num_parts > max(1, graph.num_nodes):

@@ -19,13 +19,13 @@ where
 
 Optimisations from the paper, all implemented here:
 
-1. first-order scores use a membership bitmap (O(deg) for all partitions at
-   once); common-neighbour counts come from one per-arc table,
+1. each streamed node scores all partitions in one O(deg) pass over its
+   CSR row, reading each neighbour's partition from the placement list;
+   common-neighbour counts come from one per-arc table,
    :func:`repro.walks.kernels.common_neighbor_counts_per_arc` -- the exact
    pass ``HuGEKernel.arc_acceptance_table`` is built from (MPGP's
    second-order proximity *is* the quantity HuGE's transition probability
-   rewards) -- so each streamed node scores all partitions with pure
-   array ops, no per-neighbour Python loop;
+   rewards) -- so no intersection is computed during the stream;
 2. PF2 only visits ``u ∈ N(v) ∩ P_i`` -- non-neighbours cannot be reached
    by a walker in one hop, so they are skipped;
 3. streaming order is pluggable, defaulting to **DFS+degree** (recommended
@@ -55,6 +55,8 @@ takes no context (the PF2 table is its fast path).
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -89,63 +91,49 @@ def _mpgp_stream(
     Places ``stream``'s nodes one by one against an empty partition set
     and returns the per-node parts (-1 for nodes off the stream).
     ``arc_cm`` is the per-arc common-neighbour table
-    (:func:`_arc_common_neighbors`).
+    (:func:`_arc_common_neighbors`).  Each node reads its CSR row as
+    Python scalars and scores in scalar float64 -- the galloping
+    reference's operations in its arc and partition order, so every
+    node lands on the same partition.
     """
-    part_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-    sizes = np.zeros(num_parts, dtype=np.int64)
-    member_of_part = part_of  # alias for readability
-    weighted = graph.is_weighted
-    indptr = graph.indptr
-
-    for v in stream:
-        v = int(v)
-        nbrs = graph.neighbors(v)
-        nbr_weights = graph.neighbor_weights(v) if weighted else None
-
-        pf1 = np.zeros(num_parts, dtype=np.float64)
-        pf2 = np.zeros(num_parts, dtype=np.float64)
-        placed_mask = member_of_part[nbrs] >= 0 if nbrs.size else \
-            np.empty(0, dtype=bool)
-        placed_nbrs = nbrs[placed_mask]
-        if placed_nbrs.size:
-            parts = member_of_part[placed_nbrs]
-            if weighted:
-                np.add.at(pf1, parts, nbr_weights[placed_mask])
-            else:
-                np.add.at(pf1, parts, 1.0)
-            # Second-order proximity, restricted to partitioned neighbours
-            # (optimisation 2): gather the placed arcs' precomputed counts
-            # and accumulate per partition in one pass.  np.add.at adds in
-            # index order, the order the galloping reference adds in (zero
-            # counts add +0.0 exactly).
-            cm_placed = arc_cm[indptr[v]:indptr[v + 1]][placed_mask]
-            contrib = (cm_placed * nbr_weights[placed_mask] if weighted
-                       else cm_placed.astype(np.float64))
-            np.add.at(pf2, parts, contrib)
-
-        total_assigned = int(sizes.sum())
-        if total_assigned == 0:
-            tau = np.ones(num_parts)
-        else:
-            avg = total_assigned / num_parts
-            tau = 1.0 - sizes / (gamma * avg)
-        scores = (pf1 + pf2) * tau
-        eligible = tau > 0
-        if not eligible.any():
-            target = int(np.argmin(sizes))
-        else:
-            masked = np.where(eligible, scores, -np.inf)
-            best = float(masked.max())
-            if best <= 0.0:
-                # No structural signal: place on the least-loaded eligible
-                # partition to preserve balance.
-                candidate_sizes = np.where(eligible, sizes, np.iinfo(np.int64).max)
-                target = int(np.argmin(candidate_sizes))
-            else:
-                target = int(np.argmax(masked))
+    starts = graph.indptr.tolist()
+    indices, weights = graph.indices, graph.weights
+    gamma = float(gamma)
+    part_of = [-1] * graph.num_nodes
+    sizes = [0] * num_parts
+    for assigned, v in enumerate(stream.tolist()):
+        lo, hi = starts[v], starts[v + 1]
+        pf1 = [0.0] * num_parts
+        pf2 = [0.0] * num_parts
+        row_weights = (repeat(1.0) if weights is None
+                       else weights[lo:hi].tolist())
+        for u, cm, w in zip(indices[lo:hi].tolist(), arc_cm[lo:hi].tolist(),
+                            row_weights):
+            p = part_of[u]
+            if p >= 0:
+                pf1[p] += w
+                pf2[p] += cm * w
+        # τ = 1 before the first placement (0 / inf); the best eligible
+        # (τ > 0) score wins, the least-loaded eligible part without
+        # structural signal, the least-loaded part when none is eligible.
+        cap = gamma * (assigned / num_parts) if assigned else math.inf
+        target = least = -1
+        best = -math.inf
+        for p in range(num_parts):
+            tau = 1.0 - sizes[p] / cap
+            if tau > 0:
+                score = (pf1[p] + pf2[p]) * tau
+                if score > best:
+                    best, target = score, p
+                if least < 0 or sizes[p] < sizes[least]:
+                    least = p
+        if target < 0:
+            target = sizes.index(min(sizes))
+        elif best <= 0.0:
+            target = least
         part_of[v] = target
         sizes[target] += 1
-    return part_of
+    return np.array(part_of, dtype=np.int64)
 
 
 class MPGPPartitioner(Partitioner):

@@ -40,13 +40,16 @@ def _traversal(
         return np.empty(0, dtype=np.int64)
     rng = default_rng(seed)
     degrees = graph.degrees
-    visited = np.zeros(n, dtype=bool)
+    # Rows are read as Python ints: a NumPy call per visited node would
+    # cost more than its few-arc work.
+    starts, indices = graph.indptr.tolist(), graph.indices
+    degree = degrees.tolist()
+    visited = [False] * n
     order: List[int] = []
     # Restart roots: highest degree first for degree-guided variants,
     # random otherwise.
     roots = np.argsort(-degrees, kind="stable") if by_degree else rng.permutation(n)
-    for root in roots:
-        root = int(root)
+    for root in roots.tolist():
         if visited[root]:
             continue
         visited[root] = True
@@ -54,23 +57,24 @@ def _traversal(
         while frontier:
             u = frontier.popleft() if breadth_first else frontier.pop()
             order.append(u)
-            nbrs = graph.neighbors(u)
-            unvisited = nbrs[~visited[nbrs]]
-            if unvisited.size == 0:
+            unvisited = [v for v in indices[starts[u]:starts[u + 1]].tolist()
+                         if not visited[v]]
+            if not unvisited:
                 continue
             if by_degree:
                 # Highest-degree neighbour should be dequeued first: for BFS
                 # append in descending order; for DFS (stack) push ascending
-                # so the largest is popped first.
-                ranked = unvisited[np.argsort(-degrees[unvisited], kind="stable")]
+                # so the largest is popped first.  ``sort`` is stable (ties
+                # keep CSR order) under ``reverse=True`` too.
+                unvisited.sort(key=degree.__getitem__, reverse=True)
                 if not breadth_first:
-                    ranked = ranked[::-1]
+                    unvisited.reverse()
             else:
-                ranked = rng.permutation(unvisited)
-            for v in ranked:
+                unvisited = rng.permutation(unvisited).tolist()
+            for v in unvisited:
                 if not visited[v]:
                     visited[v] = True
-                    frontier.append(int(v))
+                    frontier.append(v)
     return np.asarray(order, dtype=np.int64)
 
 

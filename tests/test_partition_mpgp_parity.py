@@ -35,6 +35,7 @@ from repro.walks.kernels import common_neighbor_counts_per_arc
 from oracles.partition import (
     GallopingMPGPPartitioner,
     GallopingParallelMPGPPartitioner,
+    mpgp_stream_galloping,
     segment_affinity_loop,
 )
 
@@ -52,23 +53,44 @@ def graph_family(kind):
 
 
 GRAPHS = ("undirected", "weighted", "directed")
+#: γ < 1 reaches the "no eligible partition" fallback (every τ ≤ 0),
+#: γ = 7 lets structure pile nodes onto one part.
+GAMMAS = (0.5, 1.0, 2.0, 7.0)
 
 
 class TestBackendParity:
+    @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("num_parts", (2, 4, 7))
     @pytest.mark.parametrize("kind", GRAPHS)
-    def test_sequential_assignments_identical(self, kind, num_parts):
+    def test_sequential_assignments_identical(self, kind, num_parts, gamma):
         graph = graph_family(kind)
-        loop = GallopingMPGPPartitioner().partition(graph, num_parts)
-        vec = MPGPPartitioner().partition(graph, num_parts)
+        loop = GallopingMPGPPartitioner(gamma=gamma).partition(graph,
+                                                               num_parts)
+        vec = MPGPPartitioner(gamma=gamma).partition(graph, num_parts)
         np.testing.assert_array_equal(loop.assignment, vec.assignment)
 
+    @pytest.mark.parametrize("gamma", GAMMAS)
     @pytest.mark.parametrize("kind", GRAPHS)
-    def test_parallel_assignments_identical(self, kind):
+    def test_parallel_assignments_identical(self, kind, gamma):
         graph = graph_family(kind)
-        loop = GallopingParallelMPGPPartitioner().partition(graph, 4)
-        vec = ParallelMPGPPartitioner().partition(graph, 4)
+        loop = GallopingParallelMPGPPartitioner(gamma=gamma).partition(
+            graph, 4)
+        vec = ParallelMPGPPartitioner(gamma=gamma).partition(graph, 4)
         np.testing.assert_array_equal(loop.assignment, vec.assignment)
+
+    @pytest.mark.parametrize("weighted", (False, True),
+                             ids=("unweighted", "weighted"))
+    def test_ledger_shape_stream(self, weighted):
+        """The benchmark's shape scaled down: a heavy-tailed R-MAT graph
+        (2^11 nodes, dead-end rows), the DFS+degree stream, 4 parts."""
+        graph = rmat(scale=11, edge_factor=8, seed=11)
+        if weighted:
+            graph = graph.with_random_weights(np.random.default_rng(12))
+        stream = get_order("dfs+degree", graph, 0)
+        np.testing.assert_array_equal(
+            _mpgp_stream(graph, stream, 4, 2.0,
+                         common_neighbor_counts_per_arc(graph)),
+            mpgp_stream_galloping(graph, stream, 4, 2.0))
 
     @pytest.mark.parametrize("kind", GRAPHS)
     def test_quality_metrics_identical(self, kind):

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.graph import path, ring_of_cliques, star
+from repro.graph import (
+    erdos_renyi,
+    path,
+    powerlaw_cluster,
+    ring_of_cliques,
+    star,
+)
+from repro.graph.generators import rmat
 from repro.partition import (
     STREAMING_ORDERS,
     bfs_degree_order,
@@ -72,3 +81,48 @@ class TestOrderSemantics:
     def test_unknown_order(self, medium_graph):
         with pytest.raises(KeyError):
             get_order("spiral", medium_graph)
+
+
+def pinned_graph(kind):
+    if kind == "rmat10":
+        return rmat(scale=10, edge_factor=8, seed=3)
+    if kind == "weighted":
+        return powerlaw_cluster(300, attach=3, triangle_prob=0.3,
+                                seed=4).with_random_weights(
+            np.random.default_rng(5))
+    if kind == "disconnected":  # 150 nodes, 100 edges: many components
+        return erdos_renyi(150, 100, seed=6)
+    raise KeyError(kind)
+
+
+#: sha1 of ``get_order(name, graph, 7).tobytes()``.  The traversal's
+#: restarts, degree ranking (stable, ties in CSR order) and random-tie
+#: ``rng.permutation`` calls all show in these bytes, and MPGP's
+#: assignments follow from them.
+ORDER_SHA1 = {
+    ("rmat10", "bfs"): "855d725bbff212c31ef17d08d4714a74e105b0bd",
+    ("rmat10", "bfs+degree"): "c90d8e1a8f2d981ba07db5a57c34308c77b90946",
+    ("rmat10", "dfs"): "2e484881b9b382546530bb1613576ecc1b427ee1",
+    ("rmat10", "dfs+degree"): "2ca2204d36542a737d1aa507d6c04b05fb9a84be",
+    ("rmat10", "random"): "6f6ce2ddd444fd5beed642b55759bdce78063ff8",
+    ("weighted", "bfs"): "2a5d6ca1d57430bef7cd3013ce33c8caadd0fd80",
+    ("weighted", "bfs+degree"): "6040564a6c0f14270670ff4c6fc6bf8500319346",
+    ("weighted", "dfs"): "d38023fcfa03bc2acecb7aabe433b05293956d7d",
+    ("weighted", "dfs+degree"): "f10202216fae0b68ec3581e51b33328de2740feb",
+    ("weighted", "random"): "f483725d3df0650b2f306c7734b2e7a593c54790",
+    ("disconnected", "bfs"): "c326c2580fd99d64714f08ffb3b4e65d1b446fdf",
+    ("disconnected", "bfs+degree"):
+        "cd96926c538931ee89191627f9f018989ad6872e",
+    ("disconnected", "dfs"): "04d333888306a45647add2ca20a003d5f6fc04bb",
+    ("disconnected", "dfs+degree"):
+        "16b99a4956ceff36632febdfbf71b0f8913fb0c4",
+    ("disconnected", "random"): "589584c253ecc30ca7a71bc5472828e1b9e529a3",
+}
+
+
+@pytest.mark.parametrize("kind, name", sorted(ORDER_SHA1))
+def test_order_bytes_pinned(kind, name):
+    order = get_order(name, pinned_graph(kind), 7)
+    assert order.dtype == np.int64
+    assert hashlib.sha1(order.tobytes()).hexdigest() == \
+        ORDER_SHA1[kind, name]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.partition as partition_pkg
 from repro.graph import ring_of_cliques
 from repro.partition import (
     ChunkPartitioner,
@@ -60,6 +61,31 @@ class TestPartitionerContract:
         a = partitioner.partition(medium_graph, 3).assignment
         b = partitioner.partition(medium_graph, 3).assignment
         np.testing.assert_array_equal(a, b)
+
+
+EXPORTED_PARTITIONERS = [
+    getattr(partition_pkg, name) for name in partition_pkg.__all__
+    if name.endswith("Partitioner") and name != "Partitioner"]
+
+
+@pytest.mark.parametrize("cls", EXPORTED_PARTITIONERS,
+                         ids=lambda cls: cls.__name__)
+class TestNumPartsBoundary:
+    """``partition`` checks ``num_parts`` before any scheme runs, so
+    every scheme rejects a non-integer (``bool`` included: list and
+    ``range`` arithmetic would take ``True`` as one part) with the same
+    ``ValueError``, and none returns a result carrying one."""
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "2", None])
+    def test_non_integer_rejected(self, cls, bad, medium_graph):
+        with pytest.raises(ValueError, match="num_parts"):
+            cls().partition(medium_graph, bad)
+
+    def test_numpy_integer_accepted(self, cls, medium_graph):
+        a = cls().partition(medium_graph, np.int64(3))
+        b = cls().partition(medium_graph, 3)
+        assert a.num_parts == 3 and type(a.num_parts) is int
+        np.testing.assert_array_equal(a.assignment, b.assignment)
 
 
 class TestQualityRelationships:
