@@ -190,6 +190,15 @@ class DuplicateRowSum:
                 + np.repeat(starts[:wide], wide_sizes)]
             self._wide_starts = excl
 
+    @classmethod
+    def from_layout(cls, *fields) -> "DuplicateRowSum":
+        """The structure from its fields in ``__slots__`` order, computed as
+        ``__init__`` computes them (the compiled DSGL planner's)."""
+        merge = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(merge, name, value)
+        return merge
+
     def reduce(self, deltas: np.ndarray) -> np.ndarray:
         """Merged deltas, row-aligned with :attr:`rows` (a fresh array).
 

@@ -71,6 +71,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.embedding.ops import (
     NUMPY_OPS,
     ArrayOps,
@@ -529,14 +530,10 @@ def plan_dsgl_slice(
     layout_cache = groups[0][0].__dict__.setdefault("_window_layout_cache",
                                                     {})
 
-    # Per group: row-map the walks, split into lifetime chunks, draw the
-    # negative pool, index eligible walks (>= 2 tokens).  Everything is
+    # Per group: draw the negative pool, row-map the walks.  Everything is
     # appended group-major, which is original lifetime order.
     tokens: List[int] = []
-    planned, group_chunks = [], []
-    tok_parts, pool_parts, chunk_size_parts = [], [], []
-    wl_len_parts, wl_chunk_parts, wl_base_parts = [], [], []
-    n_chunks = n_tokens = 0
+    planned, size_parts, tok_parts, pool_parts = [], [], [], []
     for learner, walks, lr in groups:
         sizes = np.fromiter((w.size for w in walks), dtype=np.int64,
                             count=len(walks))
@@ -547,38 +544,74 @@ def plan_dsgl_slice(
         # One pooled negative draw (counter-based draws are invariant to
         # batching, so the per-chunk split equals per-chunk draws).
         pool = learner._negatives(k * group_tokens)
+        if sizes.max() < 2:
+            continue                   # no walk with a window
+        planned.append((learner, lr))
+        size_parts.append(sizes)
+        tok_parts.append(learner._rows(np.concatenate(walks)))
+        pool_parts.append(pool)
+    if not planned:
+        return tokens, None
+    tok = np.concatenate(tok_parts)
+    pool = np.concatenate(pool_parts)
+    group_lr = np.asarray([lr for _, lr in planned], dtype=np.float64)
+    vocab_rows = planned[0][0].model.phi_in.shape[0]
+    plan = DSGLSlicePlan()
+    plan._bound = False
+    plan.groups = planned
+    plan.cohort = 0
+    plan.m_max = m_max = group * 2 * window
+    plan.b_max = b_max = group + k
+    if native.load() is not None:
+        ((plan.ctx_gather, plan.ctx_bounds, ctx_merge, plan.ctx_dest),
+         (plan.out_gather, plan.out_bounds, out_merge, plan.out_dest)), \
+            plan.step_offsets, plan.lr, plan.cidx, plan.oidx, plan.labels, \
+            plan.mask = native.plan_slice(
+                tok, pool, np.concatenate(size_parts),
+                np.asarray([part.size for part in size_parts],
+                           dtype=np.int64),
+                group_lr, vocab_rows, k, group, window)
+        plan.num_steps = len(plan.step_offsets) - 1
+        plan.ctx_merge = DuplicateRowSum.from_layout(*ctx_merge)
+        plan.out_merge = DuplicateRowSum.from_layout(*out_merge)
+        return tokens, plan
+
+    # The NumPy planner (the compiled half's reference and fallback):
+    # split groups into lifetime chunks, index walks with >= 2 tokens.
+    group_chunks, chunk_size_parts = [], []
+    wl_len_parts, wl_chunk_parts, wl_base_parts = [], [], []
+    n_chunks = n_tokens = 0
+    for sizes in size_parts:
         eligible = np.flatnonzero(sizes > 1)
-        if not eligible.size:
-            continue
         per_chunk = np.add.reduceat(sizes, np.arange(0, sizes.size, group))
         kept = per_chunk > 0                       # empty chunks vanish
         chunk_of_walk = (np.cumsum(kept) - 1)[np.arange(sizes.size) // group]
-        planned.append((learner, lr))
         group_chunks.append(int(kept.sum()))
-        tok_parts.append(learner._rows(np.concatenate(walks)))
-        pool_parts.append(pool)
         chunk_size_parts.append(per_chunk[kept])
         wl_len_parts.append(sizes[eligible])
         wl_chunk_parts.append(chunk_of_walk[eligible] + n_chunks)
         wl_base_parts.append(
             (np.cumsum(sizes) - sizes)[eligible] + n_tokens)
         n_chunks += group_chunks[-1]
-        n_tokens += group_tokens
-    if not planned:
-        return tokens, None
+        n_tokens += int(sizes.sum())
     chunk_sizes = np.concatenate(chunk_size_parts)
     chunks_per_group = np.asarray(group_chunks, dtype=np.int64)
+    wl_len_arr = np.concatenate(wl_len_parts)
+    wl_chunk_arr = np.concatenate(wl_chunk_parts)
+    wl_base_arr = np.concatenate(wl_base_parts)
+    chunk_steps = np.zeros(n_chunks, dtype=np.int64)
+    np.maximum.at(chunk_steps, wl_chunk_arr, wl_len_arr)
+    plan.num_steps = int(chunk_steps.max())
     group_starts = _exclusive_cumsum(chunks_per_group)[:-1]
     poff = _exclusive_cumsum(chunk_sizes * k)
 
     # Plan-global buffer layout: one sort pass assigns every token (and
     # pool entry) its slot in the concatenation of per-lifetime sorted
     # unique row sets -- replacing a per-chunk unique+searchsorted pair.
-    tok = np.concatenate(tok_parts)
     tok_chunk = np.repeat(np.arange(n_chunks), chunk_sizes)
     ctx_gather, ctx_counts, ctx_slots = _chunk_ranks(tok, tok_chunk,
                                                      n_chunks)
-    ext = np.concatenate([tok] + pool_parts)
+    ext = np.concatenate([tok, pool])
     ext_chunk = np.concatenate(
         [tok_chunk, np.repeat(np.arange(n_chunks), chunk_sizes * k)])
     out_gather, out_counts, ext_slots = _chunk_ranks(ext, ext_chunk,
@@ -586,9 +619,6 @@ def plan_dsgl_slice(
     tgt_slots = ext_slots[:tok.size]
     neg_slots = ext_slots[tok.size:]
 
-    wl_len_arr = np.concatenate(wl_len_parts)
-    wl_chunk_arr = np.concatenate(wl_chunk_parts)
-    wl_base_arr = np.concatenate(wl_base_parts)
     wl_len = wl_len_arr.tolist()
     n_walks = len(wl_len)
     wl_layout: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -599,17 +629,12 @@ def plan_dsgl_slice(
                                                                   window)
         wl_layout.append(layout)
 
-    plan = DSGLSlicePlan()
-    plan._bound = False
-    plan.groups = planned
-    plan.cohort = 0
     plan.ctx_gather = ctx_gather
     plan.out_gather = out_gather
     plan.ctx_bounds = _exclusive_cumsum(
         np.add.reduceat(ctx_counts, group_starts)).tolist()
     plan.out_bounds = _exclusive_cumsum(
         np.add.reduceat(out_counts, group_starts)).tolist()
-    vocab_rows = planned[0][0].model.phi_in.shape[0]
     plan.ctx_merge, plan.ctx_dest = _replica_merge(
         ctx_gather, plan.ctx_bounds, vocab_rows)
     plan.out_merge, plan.out_dest = _replica_merge(
@@ -620,25 +645,18 @@ def plan_dsgl_slice(
     # active lifetimes at step t are always the prefix [0, c_t) and the
     # step-major tensors need no padding for finished lifetimes: slot
     # (t, position) lives at row step_offsets[t] + position.
-    chunk_steps = np.zeros(n_chunks, dtype=np.int64)
-    np.maximum.at(chunk_steps, wl_chunk_arr, wl_len_arr)
     exec_order = np.argsort(-chunk_steps, kind="stable")
     cpos_of_chunk = np.empty(n_chunks, dtype=np.int64)
     cpos_of_chunk[exec_order] = np.arange(n_chunks)
     steps_sorted = chunk_steps[exec_order]
-    num_steps = int(steps_sorted[0])
+    num_steps = plan.num_steps
     active_counts = (steps_sorted[None, :]
                      > np.arange(num_steps)[:, None]).sum(axis=1)
     step_off = _exclusive_cumsum(active_counts)
     n_slots = int(step_off[-1])
-    plan.num_steps = num_steps
     plan.step_offsets = step_off.tolist()
-    plan.lr = np.repeat(np.asarray([lr for _, lr in planned],
-                                   dtype=np.float64),
-                        chunks_per_group)[exec_order].reshape(-1, 1, 1)
-    m_max = group * 2 * window
-    b_max = group + k
-    plan.m_max, plan.b_max = m_max, b_max
+    plan.lr = np.repeat(group_lr, chunks_per_group)[exec_order].reshape(
+        -1, 1, 1)
 
     # Window grids: one column per eligible walk (chunk-major), one row
     # per lock-step batch.  Grouped cumsums along the walk axis give each

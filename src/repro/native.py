@@ -1,0 +1,208 @@
+"""Loader of the compiled kernels -- the HuGE step resolver
+(``walks/huge_step.c``) and the DSGL planner's compiled half
+(``embedding/dsgl_plan.c``) -- built into one library.
+
+:func:`load` returns it, or ``None`` when it cannot be built or loaded --
+then the NumPy trial lanes and the NumPy planner run, with the same bytes.
+It is compiled once per hash of both sources with ``$CC`` (default ``cc``)
+into the user-private ``$XDG_CACHE_HOME/repro`` (default
+``~/.cache/repro``), each build sealed with its own SHA-256 and renamed
+into place, so concurrent builders load complete libraries and a damaged
+cache entry is rebuilt before the dynamic loader maps it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import itertools
+import os
+import shlex
+import stat
+import subprocess
+import tempfile
+from typing import Optional, Tuple
+
+import numpy as np
+
+_SOURCES = tuple(os.path.join(os.path.dirname(__file__), *parts) for parts
+                 in (("walks", "huge_step.c"), ("embedding", "dsgl_plan.c")))
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SEAL = hashlib.sha256().digest_size
+_UNSET = object()
+_library = _UNSET
+
+
+def cache_dir() -> Optional[str]:
+    """The user-private cache directory (created 0700), or ``None`` when
+    it is not this user's or others may write to it."""
+    root = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    path = os.path.join(root, "repro")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    info = os.stat(path)
+    if (not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid()
+            or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)):
+        return None
+    return path
+
+
+def library_path(directory: str) -> str:
+    """Where the library of the current sources and flags is cached."""
+    digest = hashlib.sha256(" ".join(_FLAGS).encode())
+    for source in _SOURCES:
+        with open(source, "rb") as handle:
+            digest.update(handle.read())
+    return os.path.join(directory, f"native-{digest.hexdigest()[:16]}.so")
+
+
+def _sealed(path: str) -> bool:
+    """Whether ``path`` is a complete build: its bytes end in their hash."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return False
+    return (len(data) > _SEAL
+            and hashlib.sha256(data[:-_SEAL]).digest() == data[-_SEAL:])
+
+
+def _build(path: str) -> None:
+    fd, scratch = tempfile.mkstemp(dir=os.path.dirname(path),
+                                   prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        compiler = shlex.split(os.environ.get("CC") or "cc")
+        subprocess.run([*compiler, *_FLAGS, "-o", scratch, *_SOURCES],
+                       check=True, capture_output=True, timeout=300)
+        with open(scratch, "r+b") as handle:
+            handle.write(hashlib.sha256(handle.read()).digest())
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+
+
+def _open(path: str):
+    lib = ctypes.CDLL(path)
+    count, pointer = ctypes.c_int64, ctypes.c_void_p
+    lib.huge_resolve_steps.restype = lib.dsgl_plan.restype = count
+    lib.huge_resolve_steps.argtypes = [count, *[pointer] * 3, count,
+                                       *[pointer] * 2, count, *[pointer] * 2]
+    lib.dsgl_plan.argtypes = [pointer] * 15
+    return lib
+
+
+def load():
+    """The library, or ``None``; resolved once per process -- by the
+    parent, before any walk or slice pool starts (forked workers inherit
+    it), or by whichever walk kernel or planner asks first."""
+    global _library
+    if _library is _UNSET:
+        _library = None
+        try:
+            directory = cache_dir()
+            if directory is not None:
+                path = library_path(directory)
+                if not _sealed(path):
+                    _build(path)     # absent, truncated or corrupt
+                _library = _open(path)
+        except (OSError, AttributeError, subprocess.SubprocessError):
+            pass
+    return _library
+
+
+def _checked(array: np.ndarray, dtype, size: int, kernel="resolver") -> int:
+    """``array``'s data pointer, once it is ``size`` contiguous ``dtype``."""
+    if (array.dtype != dtype or array.size != size or array.ndim != 1
+            or not array.flags.c_contiguous):
+        raise ValueError(f"{kernel} expects {size} contiguous {dtype} "
+                         f"items, got {array.shape} {array.dtype}")
+    return array.ctypes.data
+
+
+def resolve_steps(indptr: np.ndarray, cumsum: Optional[np.ndarray],
+                  accept: np.ndarray, cur: np.ndarray, args: np.ndarray,
+                  horizon: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(arc, trials)`` of each walker's whole step, ``args`` advanced in
+    place; ``cumsum`` is ``row_cumsum``, ``None`` on unweighted graphs."""
+    nodes, arcs, n = indptr.size - 1, int(indptr[-1]), cur.size
+    arc = np.empty(n, dtype=np.int64)
+    trials = np.empty(n, dtype=np.int64)
+    bad = load().huge_resolve_steps(
+        nodes, _checked(indptr, np.int64, nodes + 1),
+        None if cumsum is None else _checked(cumsum, np.float64, arcs),
+        _checked(accept, np.float64, arcs), n,
+        _checked(cur, np.int64, n), _checked(args, np.uint64, n),
+        int(horizon), arc.ctypes.data, trials.ctypes.data)
+    if bad:
+        raise ValueError(f"walker {bad - 1} stands on node "
+                         f"{int(cur[bad - 1])}, which has no out-arcs")
+    return arc, trials
+
+
+#: Per buffer: size, merged, gathered, wide, wide size, layers + 7 slots.
+_COUNTS = 13
+
+
+def plan_slice(tok: np.ndarray, pool: np.ndarray, walk_sizes: np.ndarray,
+               group_walks: np.ndarray, group_lr: np.ndarray, vocab: int,
+               negatives: int, multi_windows: int, window: int):
+    """The compiled half of a DSGL slice plan, from the groups' row-mapped
+    tokens, pools, walk sizes, walk counts and rates: ``(buffers,
+    step_offsets, lr, cidx, oidx, labels, mask)``, ``buffers`` holding the
+    context and the output buffer's ``(gather, bounds, merge, dest)`` --
+    ``merge`` as :meth:`DuplicateRowSum.from_layout` takes it."""
+    n, k, groups = tok.size, int(negatives), group_walks.size
+    args = [_checked(array, dtype, size, "planner") for array, dtype, size
+            in ((tok, np.int64, n), (pool, np.int64, n * k),
+                (walk_sizes, np.int64, walk_sizes.size),
+                (group_walks, np.int64, groups),
+                (group_lr, np.float64, groups))]
+    m_max, b_max = multi_windows * 2 * window, multi_windows + k
+    dims = np.array([groups, walk_sizes.size, n, vocab, k, multi_windows,
+                     window], dtype=np.int64)
+    # Sized for the most lifetimes, steps and slots n tokens make; merge
+    # structures live to the write-back, step lanes only to the steps.
+    sizes = [size for cap in (n, n * (k + 1))
+             for size in (cap, groups + 1, *[cap] * 6, groups + 1)]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    arena = np.empty(starts[-1] + 2 * _COUNTS + 3 + n + 1, dtype=np.int64)
+    table = np.array([arena.ctypes.data + 8 * lo for lo in starts[:-1]],
+                     dtype=np.uintp)
+    lanes = np.empty(n * (m_max + b_max), dtype=np.int64)
+    floats = np.empty((2, n, m_max, b_max), dtype=np.float32)
+    lr = np.empty((n, 1, 1), dtype=np.float64)
+    status = load().dsgl_plan(
+        dims.ctypes.data, *args, table.ctypes.data, table.ctypes.data + 72,
+        *(arena.ctypes.data + 8 * (starts[-1] + at)
+          for at in (0, 2 * _COUNTS + 3)),
+        lr.ctypes.data, lanes.ctypes.data, lanes.ctypes.data + 8 * n * m_max,
+        floats.ctypes.data, floats[1].ctypes.data)
+    if status in (1, 2):
+        raise IndexError(
+            "DSGL plan gathers rows outside the model matrices" if status == 1
+            else "DSGL plan indexes outside its local buffers")
+    if status:
+        raise (MemoryError("DSGL planner: out of memory") if status == 3
+               else ValueError("planner inputs do not describe a DSGL slice"))
+    counts = arena[starts[-1]:].tolist()
+    chunks, steps, slots = counts[2 * _COUNTS:2 * _COUNTS + 3]
+    buffers = []
+    for b in (0, 1):
+        (gather, bounds, rows, order, wide_order, wide_starts, dest_rows,
+         dest_at, cuts) = (arena[starts[i]:starts[i + 1]]
+                           for i in range(9 * b, 9 * b + 9))
+        size, merged, gathered, wide, wide_size, layers, *layer = \
+            counts[_COUNTS * b:_COUNTS * (b + 1)]
+        cuts = cuts.tolist()
+        buffers.append((
+            gather[:size], bounds.tolist(),
+            (rows[:merged], order[:gathered], layer[:layers], wide)
+            + ((wide_order[:wide_size], wide_starts[:wide]) if wide else ()),
+            [(dest_rows[lo:hi], dest_at[lo:hi])
+             for lo, hi in zip(cuts[:-1], cuts[1:])]))
+    return (buffers, counts[2 * _COUNTS + 3:][:steps + 1], lr[:chunks],
+            lanes[:slots * m_max].reshape(slots, m_max),
+            lanes[n * m_max:n * m_max + slots * b_max].reshape(slots, b_max),
+            floats[0, :slots], floats[1, :slots])

@@ -69,6 +69,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.utils.sharedmem import (
     BACKING_CHOICES,
     SharedArray,
@@ -433,6 +434,7 @@ class StreamingWalkRunner:
                             for slot in slots]
             tables = {key: self._group.share(table)
                       for key, table in kernel.tables.items()}
+            native.load()    # resolved here, so the forked workers inherit it
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_walk_worker_init,
@@ -691,6 +693,7 @@ class ProcessSliceTrainer:
                                  float(anchor.lam)))
             keep_handle = None if keep is None else self._group.share(keep)
             self.workers = config.context.pool_size
+            native.load()    # resolved here, so the forked workers inherit it
             self._pool = ProcessExecutor(
                 self.workers, initializer=_train_worker_init,
                 initargs=(phi_in.handle, phi_out.handle, vocab, config,

@@ -42,10 +42,12 @@ and zero-length walks round-trip exactly.
 
 from __future__ import annotations
 
+import operator
 import os
 import shutil
 import tempfile
 import threading
+import zipfile
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -288,8 +290,12 @@ class Corpus:
         negative table and subsampling thresholds stay those of the whole
         walk set (see :mod:`repro.dynamic.update`).
         """
-        tokens = np.asarray(tokens, dtype=np.int64).ravel()
-        offsets = np.asarray(offsets, dtype=np.int64).ravel()
+        tokens, offsets = np.asarray(tokens), np.asarray(offsets)
+        for name, array in (("tokens", tokens), ("offsets", offsets)):
+            if array.size and array.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, not {array.dtype}")
+        tokens = tokens.astype(np.int64, copy=False).ravel()
+        offsets = offsets.astype(np.int64, copy=False).ravel()
         if offsets.size == 0 or offsets[0] != 0:
             raise ValueError("offsets must start at 0")
         if offsets[-1] != tokens.size:
@@ -801,17 +807,23 @@ class Corpus:
     def load(cls, path: str) -> "Corpus":
         """Rebuild a corpus written by :meth:`save`.
 
-        A file that does not start with the ``.npz`` magic bytes is
-        refused with a ``ValueError`` naming the path.
+        Anything else -- no ``.npz`` magic bytes, a truncated or corrupt
+        archive, a missing member, a non-integer array or offsets that do
+        not cut the token block -- is a ``ValueError`` naming the path.
         """
         with open(path, "rb") as probe:
             magic = probe.read(len(_NPZ_MAGIC))
         if magic != _NPZ_MAGIC:
             raise ValueError(
                 f"{path}: not a flat .npz corpus (no zip header)")
-        with np.load(path) as data:
-            return cls.from_flat(int(data["num_nodes"]),
-                                 data["tokens"], data["offsets"])
+        try:
+            with np.load(path) as data:
+                return cls.from_flat(operator.index(data["num_nodes"][()]),
+                                     data["tokens"], data["offsets"])
+        except (KeyError, TypeError, ValueError, EOFError,
+                zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a readable flat .npz corpus: "
+                             f"{exc}") from exc
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.walks)

@@ -35,7 +35,7 @@ engine, the executor and the dynamic updater talk to the interface:
   tests compare ``trial`` against it.
 * ``resolves_steps`` / :meth:`~HuGEKernel.resolve_steps` ``(cur, args,
   horizon) -> (arc, trials)`` -- every live walker's whole step in one
-  compiled call (:mod:`repro.walks.native`), in place of the trial lanes;
+  compiled call (:mod:`repro.native`), in place of the trial lanes;
   the step-contract tests hold it to iterated ``step_with_uniforms``.
 
 Both paths consume the same two uniforms per trial from the walker's
@@ -53,10 +53,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.graph.csr import CSRGraph
 from repro.partition.galloping import galloping_intersect_size
 from repro.utils.validation import check_positive
-from repro.walks import native
 from repro.walks.alias_sampling import SecondOrderAliasSampler
 
 

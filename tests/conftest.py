@@ -15,7 +15,7 @@ from repro.graph import (
     ring_of_cliques,
     star,
 )
-from repro.walks import native
+from repro import native
 
 
 def pytest_report_header(config):
@@ -83,18 +83,20 @@ def weighted_triangle() -> CSRGraph:
 
 @pytest.fixture(scope="session")
 def step_resolver():
-    """The compiled HuGE step resolver; skips where it cannot be built."""
+    """The compiled kernels' library (the HuGE step resolver and the DSGL
+    planner's compiled half); skips where it cannot be built."""
     if native.load() is None:
-        pytest.skip("the HuGE step resolver cannot be built here")
+        pytest.skip("the compiled kernels cannot be built here")
     return native.load()
 
 
 @pytest.fixture
 def lanes_path(monkeypatch, tmp_path):
-    """Walk kernels built while this is active run the NumPy trial lanes:
-    the resolver reads as unavailable, in this process and in any worker
-    it forks, and a worker that starts afresh finds no cached library and
-    no compiler to build one."""
+    """Walk kernels built and DSGL slices planned while this is active run
+    the NumPy trial lanes and the NumPy planner: the compiled library
+    reads as unavailable, in this process and in any worker it forks, and
+    a worker that starts afresh finds no cached library and no compiler
+    to build one."""
     monkeypatch.setattr(native, "load", lambda: None)
     monkeypatch.setenv("CC", "false")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -175,6 +175,10 @@ class TestFlatListRoundTrips:
             Corpus.from_flat(3, [0, 1], [0, 2, 1, 2])
         with pytest.raises(ValueError, match="outside the universe"):
             Corpus.from_flat(3, [0, 5], [0, 2])
+        with pytest.raises(ValueError, match="tokens.*float64"):
+            Corpus.from_flat(3, [0.5, 1.0], [0, 2])
+        with pytest.raises(ValueError, match="offsets.*float32"):
+            Corpus.from_flat(3, [0, 1], np.array([0, 2], dtype=np.float32))
 
     def test_merge_preserves_flat_layout(self):
         a = build_corpus([[0, 1], [2]])
@@ -231,6 +235,46 @@ class TestSaveLoadRoundTrips:
         path = tmp_path / "legacy.txt"
         path.write_text("# num_nodes=9\n0 1 2\n8 7\n")
         with pytest.raises(ValueError, match="legacy.txt"):
+            Corpus.load(str(path))
+
+    @pytest.mark.parametrize("keep", (0.5, 0.9, 0.99))
+    def test_truncated_archive_is_refused(self, tmp_path, keep):
+        path = tmp_path / "cut.npz"
+        build_corpus([[0, 1, 2], [3, 4]]).save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:int(len(data) * keep)])
+        with pytest.raises(ValueError, match="cut.npz.*not a readable"):
+            Corpus.load(str(path))
+
+    @pytest.mark.parametrize("member", ("num_nodes", "tokens", "offsets"))
+    def test_missing_member_is_refused(self, tmp_path, member):
+        path = tmp_path / "partial.npz"
+        members = dict(tokens=np.array([0, 1], dtype=np.int64),
+                       offsets=np.array([0, 2], dtype=np.int64),
+                       num_nodes=np.int64(3))
+        del members[member]
+        with open(path, "wb") as handle:
+            np.savez(handle, **members)
+        with pytest.raises(ValueError,
+                           match=f"partial.npz.*{member} is not a file"):
+            Corpus.load(str(path))
+
+    @pytest.mark.parametrize("member, value", (
+        ("tokens", np.array([0.5, 1.0])),
+        ("offsets", np.array([0.0, 2.0])),
+        ("num_nodes", np.float64(3.0)),
+        ("tokens", np.array([True, False])),
+    ))
+    def test_non_integer_arrays_are_refused(self, tmp_path, member, value):
+        """Float tokens were once cast to int64 and loaded as a walk."""
+        path = tmp_path / "floats.npz"
+        members = dict(tokens=np.array([0, 1], dtype=np.int64),
+                       offsets=np.array([0, 2], dtype=np.int64),
+                       num_nodes=np.int64(3))
+        members[member] = value
+        with open(path, "wb") as handle:
+            np.savez(handle, **members)
+        with pytest.raises(ValueError, match=f"floats.npz.*{value.dtype}"):
             Corpus.load(str(path))
 
 

@@ -1,5 +1,5 @@
-"""The compiled step resolver's loader: where it builds, what it refuses,
-and how it recovers (:mod:`repro.walks.native`).
+"""The compiled kernels' loader: where it builds, what it refuses, and how
+it recovers (:mod:`repro.native`).
 
 Every test points ``$XDG_CACHE_HOME`` at an empty directory and forgets
 the process's resolved library, so the loader starts from nothing; the
@@ -18,10 +18,11 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro import native
 from repro.graph import rmat
-from repro.walks import WalkConfig, make_kernel, native
+from repro.walks import WalkConfig, make_kernel
 
-SRC = os.path.dirname(os.path.dirname(os.path.dirname(native.__file__)))
+SRC = os.path.dirname(os.path.dirname(native.__file__))
 #: What the benchmark ledger counts as a leaked segment or spill directory.
 LEAK_PATTERNS = ("/dev/shm/repro-*",
                  os.path.join(tempfile.gettempdir(), "repro-spill-*"))
@@ -59,6 +60,24 @@ class TestCacheDirectory:
         assert probe() == expected
         [library] = os.listdir(fresh)
         assert library == os.path.basename(native.library_path(str(fresh)))
+
+    def test_one_library_keyed_on_both_sources(self, fresh, expected,
+                                               tmp_path, monkeypatch):
+        """The resolver and the planner's compiled half are one library;
+        editing either source is a new cache key."""
+        library = native.load()
+        assert library.huge_resolve_steps and library.dsgl_plan
+        keys = {native.library_path(str(fresh))}
+        sources = native._SOURCES
+        for i, source in enumerate(sources):
+            edited = tmp_path / f"edited-{i}.c"
+            with open(source, "rb") as handle:
+                edited.write_bytes(handle.read() + b"\n")
+            monkeypatch.setattr(native, "_SOURCES", tuple(
+                str(edited) if j == i else other
+                for j, other in enumerate(sources)))
+            keys.add(native.library_path(str(fresh)))
+        assert len(keys) == 3
 
     @pytest.mark.parametrize("mode", (0o770, 0o707, 0o720))
     def test_writable_by_others_is_refused(self, fresh, mode):
