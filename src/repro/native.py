@@ -1,5 +1,5 @@
-"""Loader of the compiled kernels -- the HuGE step resolver
-(``walks/huge_step.c``) and the DSGL planner's compiled half
+"""Loader of the compiled kernels -- the HuGE step resolver and whole
+walks (``walks/huge_step.c``) and the DSGL planner's compiled half
 (``embedding/dsgl_plan.c``) -- built into one library.
 
 :func:`load` returns it, or ``None`` when it cannot be built or loaded --
@@ -27,7 +27,9 @@ import numpy as np
 
 _SOURCES = tuple(os.path.join(os.path.dirname(__file__), *parts) for parts
                  in (("walks", "huge_step.c"), ("embedding", "dsgl_plan.c")))
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# -fno-math-errno: ``sqrt`` is the bare (correctly rounded) instruction,
+# with no libm call to resolve.
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 _SEAL = hashlib.sha256().digest_size
 _UNSET = object()
 _library = _UNSET
@@ -90,6 +92,10 @@ def _open(path: str):
     lib.huge_resolve_steps.argtypes = [count, *[pointer] * 3, count,
                                        *[pointer] * 2, count, *[pointer] * 2]
     lib.dsgl_plan.argtypes = [pointer] * 15
+    lib.huge_walks.restype = None
+    lib.huge_walks.argtypes = [*[pointer] * 4, count, *[pointer] * 2,
+                               *[count] * 3, ctypes.c_double,
+                               *[pointer] * 7]
     return lib
 
 
@@ -112,9 +118,11 @@ def load():
     return _library
 
 
-def _checked(array: np.ndarray, dtype, size: int, kernel="resolver") -> int:
-    """``array``'s data pointer, once it is ``size`` contiguous ``dtype``."""
-    if (array.dtype != dtype or array.size != size or array.ndim != 1
+def _checked(array: np.ndarray, dtype, size, kernel="resolver") -> int:
+    """``array``'s data pointer, once it is a C-contiguous ``dtype`` array
+    of ``size`` items (or of shape ``size``, a tuple)."""
+    shape = size if isinstance(size, tuple) else (size,)
+    if (array.dtype != dtype or array.shape != shape
             or not array.flags.c_contiguous):
         raise ValueError(f"{kernel} expects {size} contiguous {dtype} "
                          f"items, got {array.shape} {array.dtype}")
@@ -139,6 +147,46 @@ def resolve_steps(indptr: np.ndarray, cumsum: Optional[np.ndarray],
         raise ValueError(f"walker {bad - 1} stands on node "
                          f"{int(cur[bad - 1])}, which has no out-arcs")
     return arc, trials
+
+
+def huge_walks(indptr: np.ndarray, indices: np.ndarray,
+               cumsum: Optional[np.ndarray], accept: np.ndarray,
+               sources: np.ndarray, args: np.ndarray, horizon: int, out,
+               min_length: int = 0, mu: float = 0.0,
+               gain: Optional[np.ndarray] = None,
+               log2_of: Optional[np.ndarray] = None,
+               state: Optional[np.ndarray] = None) -> None:
+    """Each walker from ``sources`` at stream argument ``args`` to
+    termination, written into the ``WalkBuffers`` ``out``: a dead end,
+    ``cap`` tokens or -- given InCoM's ``gain`` and ``log2_of`` tables
+    (``cap + 1`` long) and a ``(6, n)`` ``state`` for each walker's final
+    ``S`` and five moments -- ``R² < mu`` from ``min_length`` tokens on.
+    ``cumsum`` is ``row_cumsum``, ``None`` on unweighted graphs."""
+    nodes, arcs, n = indptr.size - 1, int(indptr[-1]), sources.size
+    cap = out.paths.shape[-1]
+    measure = (gain, log2_of, state)
+    if len({table is None for table in measure}) > 1:
+        raise ValueError("InCoM walks take gain, log2_of and state")
+    pointers = [
+        None if array is None and optional
+        else _checked(array, dtype, size, "walks")
+        for array, dtype, size, optional in (
+            (indptr, np.int64, nodes + 1, False),
+            (indices, np.int64, arcs, False),
+            (cumsum, np.float64, arcs, True),
+            (accept, np.float64, arcs, False),
+            (sources, np.int64, n, False), (args, np.uint64, n, False),
+            (gain, np.float64, cap + 1, True),
+            (log2_of, np.float64, cap + 1, True),
+            *zip(out, (np.int64, np.int64, np.int32, np.int64),
+                 ((n, cap), n, (n, cap), (n, cap)), [False] * 4),
+            (state, np.float64, (6, n), True))]
+    bad = np.flatnonzero((sources < 0) | (sources >= nodes))
+    if bad.size:
+        raise ValueError(f"walker {bad[0]} starts at node "
+                         f"{int(sources[bad[0]])}, outside [0, {nodes})")
+    load().huge_walks(*pointers[:4], n, *pointers[4:6], int(horizon), cap,
+                      int(min_length), float(mu), *pointers[6:])
 
 
 #: Per buffer: size, merged, gathered, wide, wide size, layers + 7 slots.

@@ -138,6 +138,10 @@ class WalkConfig:
         check_positive("p", self.p)
         check_positive("q", self.q)
         check_positive("max_trials_per_step", self.max_trials_per_step)
+        # A step's trials, forced one included, are recorded as int32.
+        if self.max_trials_per_step > 2**31 - 2:
+            raise ValueError("max_trials_per_step must be at most 2**31 - 2,"
+                             f" got {self.max_trials_per_step}")
         check_positive("walk_length", self.walk_length)
         check_positive("walks_per_node", self.walks_per_node)
         # The rules own their parameter checks; building them here makes

@@ -37,6 +37,8 @@ engine, the executor and the dynamic updater talk to the interface:
   horizon) -> (arc, trials)`` -- every live walker's whole step in one
   compiled call (:mod:`repro.native`), in place of the trial lanes;
   the step-contract tests hold it to iterated ``step_with_uniforms``.
+  :meth:`~HuGEKernel.resolve_walks` runs each walker from its source to
+  termination in one call (routine and InCoM measurement only).
 
 Both paths consume the same two uniforms per trial from the walker's
 private counter stream (``u1`` proposes, ``u2`` accepts) with the same
@@ -577,6 +579,17 @@ class HuGEKernel(WalkKernel):
         tables = self.tables
         return native.resolve_steps(self._indptr, tables.get("row_cumsum"),
                                     tables["arc_accept"], cur, args, horizon)
+
+    def resolve_walks(self, sources: np.ndarray, args: np.ndarray,
+                      horizon: int, out, **measure) -> None:
+        """Each walker from ``sources`` to termination into the
+        :class:`~repro.walks.vectorized.WalkBuffers` ``out``: the steps of
+        :meth:`resolve_steps`, with the runner's termination and InCoM
+        ``measure`` (:func:`repro.native.huge_walks`) between them."""
+        tables = self.tables
+        native.huge_walks(self._indptr, self._indices,
+                          tables.get("row_cumsum"), tables["arc_accept"],
+                          sources, args, horizon, out, **measure)
 
     def arc_acceptance_table(self) -> np.ndarray:
         """``P(u, v)`` of Eq. 3 for every stored arc, by flat arc index

@@ -14,14 +14,17 @@ each superstep's block of sampling trials resolved by the kernel's
 batched trial (:meth:`repro.walks.kernels.WalkKernel.trial`).  The runner
 owns the widths policy, the superstep loop and the trial lanes; the
 kernel owns the lane arithmetic and its tables.  A kernel that
-``resolves_steps`` (the HuGE kernels' compiled resolver) replaces the
-block: one call runs each live walker's trials to its hop.  The modes
-differ only in how a walk is *measured*:
+``resolves_steps`` (the HuGE kernels' compiled library) replaces more:
+under ``routine`` and ``incom`` one call runs every walker of the batch
+to termination, measurement and length rule included, and no superstep
+runs; under ``fullpath`` one call per superstep runs each live walker's
+trials to its hop.  The NumPy lanes stay the reference and the fallback.
+The modes differ only in how a walk is *measured*:
 
 * ``routine`` -- not at all: walks stop at ``walk_length`` tokens;
 * ``incom`` -- DistGER's InCoM: per-walker state (the ``S = Σ n log₂ n``
   entropy accumulator and the five regression moments of Eq. 12/13) held
-  as parallel NumPy arrays, updated in O(1) per step;
+  as the rows of one ``(6, n)`` array, updated in O(1) per step;
 * ``fullpath`` -- HuGE-D: each walker's entropy series in a float64 row,
   its newest point recomputed from the whole path after every hop and
   the Eq. 5 R² recomputed over the whole series -- O(L) per step, one
@@ -250,6 +253,10 @@ class BatchWalkRunner:
             seen = np.arange(config.max_length + 1, dtype=np.float64)
             self._xlog2x_gain = (_xlog2x_batch(seen + 1.0)
                                  - _xlog2x_batch(seen))
+            # log₂ L for every token count L, for the compiled walks: they
+            # compute no logarithm (``_observe`` takes the same values).
+            with np.errstate(divide="ignore"):
+                self._log2_of = np.log2(seen)
         elif self.mode == "fullpath":
             # The regression's L axis: 1, 2, ..., cap.
             self._positions = np.arange(1, self.cap + 1, dtype=np.float64)
@@ -460,6 +467,25 @@ class BatchWalkRunner:
             walker_stream_keys(self.walk_seed_root, walk_ids), 0)
         if out is None:
             out = WalkBuffers.allocate(n, cap)
+        # A walker is forced to hop once max_trials_per_step trials of a
+        # step were rejected, so its block never needs to reach further.
+        horizon = cfg.max_trials_per_step + 1
+        if self.mode == "incom":
+            # InCoM's per-walker S and five moments, one row each.
+            self._state = np.zeros((6, n), dtype=np.float64)
+            (self._S, self._e_h, self._e_l, self._e_hl, self._e_h2,
+             self._e_l2) = self._state
+        if self.kernel.resolves_steps and self.mode != "fullpath":
+            # One compiled call runs every walker to termination, the
+            # measurement and the length rule included.
+            measure = {} if self.mode == "routine" else dict(
+                min_length=self.length_rule.min_length,
+                mu=self.length_rule.mu, gain=self._xlog2x_gain,
+                log2_of=self._log2_of, state=self._state)
+            self.kernel.resolve_walks(
+                np.ascontiguousarray(sources, dtype=np.int64), args,
+                horizon, out, **measure)
+            return out
         paths, lengths, trials, arcs = out
         paths[...] = -1
         paths[:, 0] = sources
@@ -471,12 +497,6 @@ class BatchWalkRunner:
         trials_at_step = np.zeros(n, dtype=np.int64)
         alive = np.arange(n)
         if self.mode == "incom":
-            self._S = np.zeros(n, dtype=np.float64)
-            self._e_h = np.zeros(n, dtype=np.float64)
-            self._e_l = np.zeros(n, dtype=np.float64)
-            self._e_hl = np.zeros(n, dtype=np.float64)
-            self._e_h2 = np.zeros(n, dtype=np.float64)
-            self._e_l2 = np.zeros(n, dtype=np.float64)
             # observe(source): prior count 0, one token on the path.
             self._observe(alive, np.zeros(n, dtype=np.int64), lengths)
         elif self.mode == "fullpath":
@@ -490,9 +510,6 @@ class BatchWalkRunner:
         # walkers that hop; ``alive`` carries the rest across supersteps.
         alive = alive[~self._finished(alive, current, lengths)]
 
-        # A walker is forced to hop once max_trials_per_step trials of a
-        # step were rejected, so its block never needs to reach further.
-        horizon = cfg.max_trials_per_step + 1
         # Supersteps, not trials: a block is never slower than one trial.
         max_iters = cap * (cfg.max_trials_per_step + 2) + 8
         spent = hops = 0   # this call's trials / accepted steps so far

@@ -205,12 +205,13 @@ def walk_digest(result, cluster):
 
 
 class TestResolverParity:
-    """The HuGE kernels' compiled step resolver against the NumPy trial
-    lanes, end to end: the same bytes under every execution, in both
-    information-oriented modes and through a dynamic resample."""
+    """The HuGE kernels' compiled library (whole walks under ``incom``
+    and ``routine``, the step resolver under ``fullpath``) against the
+    NumPy trial lanes, end to end: the same bytes under every execution,
+    in every mode and through a dynamic resample."""
 
     @pytest.mark.parametrize("execution", ("serial", "process", "pipeline"))
-    @pytest.mark.parametrize("mode", ("incom", "fullpath"))
+    @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
     @pytest.mark.parametrize("kernel", ("huge", "huge+"))
     @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
     def test_resolver_is_the_lanes(self, step_resolver, request, graph_kind,

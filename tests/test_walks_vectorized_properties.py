@@ -95,7 +95,9 @@ class TestInvariants:
     def test_entropy_accumulators_nonnegative(self, family, seed):
         graph = GRAPHS[family](seed)
         # Reads the in-process runner's state, which only the serial
-        # executor leaves behind.
+        # executor leaves behind: the compiled walks' final S and moments
+        # where the library builds, the NumPy lanes' otherwise (the two
+        # are held to the same bits in test_walks_compiled_walks.py).
         _, _, engine = run_vectorized(
             graph, seed, context=ExecutionContext("serial"))
         runner = engine._batch_runner
