@@ -20,7 +20,11 @@ from repro.systems import DistDGL, DistGER, HuGED, KnightKing, PBG
 
 SYSTEMS = (DistGER, HuGED, KnightKing, PBG, DistDGL)
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
+#: ``system.embed`` runs per cell; the report's wall is their median, so
+#: one noisy sample cannot decide the wall-clock assertion.
+RUNS = 3
 
+#: (system, dataset) -> (median wall seconds, simulated seconds).
 _results = {}
 
 
@@ -29,9 +33,16 @@ _results = {}
 def test_fig5_end_to_end(benchmark, system_cls, dataset):
     ds = bench_dataset(dataset)
     system = system_cls(num_machines=4, dim=32, epochs=bench_epochs(), seed=0)
-    result = run_once(benchmark, system.embed, ds.graph)
-    _results[(system_cls.name, dataset)] = result
-    assert result.embeddings.shape[0] == ds.graph.num_nodes
+    results = run_once(benchmark,
+                       lambda: [system.embed(ds.graph) for _ in range(RUNS)])
+    for result in results:
+        assert result.embeddings.shape[0] == ds.graph.num_nodes
+    # The simulated cost is a pure function of the seed.
+    simulated = {result.simulated_seconds for result in results}
+    assert len(simulated) == 1, f"simulated seconds vary: {simulated}"
+    walls = sorted(result.wall_seconds for result in results)
+    _results[(system_cls.name, dataset)] = (walls[RUNS // 2],
+                                            simulated.pop())
 
 
 def test_fig5_report(benchmark):
@@ -44,9 +55,9 @@ def test_fig5_report(benchmark):
         row = [name]
         for dataset in DATASETS:
             res = _results.get((name, dataset))
-            row.append(res.wall_seconds if res else float("nan"))
+            row.append(res[0] if res else float("nan"))
         rows.append(row)
-    print_table("Figure 5: end-to-end wall seconds (this run)",
+    print_table(f"Figure 5: end-to-end wall seconds (median of {RUNS} runs)",
                 ["system", *DATASETS], rows)
     # Wall + simulated speedups of DistGER over the walk-based baselines.
     speed_rows = []
@@ -56,8 +67,8 @@ def test_fig5_report(benchmark):
             d = _results.get(("DistGER", dataset))
             o = _results.get((other, dataset))
             if d and o:
-                walls.append(o.wall_seconds / d.wall_seconds)
-                sims.append(o.simulated_seconds / d.simulated_seconds)
+                walls.append(o[0] / d[0])
+                sims.append(o[1] / d[1])
         if walls:
             speed_rows.append([
                 other,

@@ -38,7 +38,7 @@ partitioner runs concurrently with walk sampling, and walk rounds sample
 ahead through a bounded queue while the parent flushes the previous
 round into the corpus (:mod:`repro.runtime.pipeline`).  ``backing="mmap"`` materialises the
 read-only blocks the workers attach -- the CSR arrays, the kernel
-acceptance/alias tables, MPGP's per-arc common-neighbour table, and the
+acceptance tables, MPGP's per-arc common-neighbour table, and the
 flat corpus itself -- as file-backed ``.npy`` maps under ``spill_dir``
 instead of ``/dev/shm`` segments, so resident memory stays bounded by
 the working set rather than the corpus

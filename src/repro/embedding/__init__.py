@@ -38,12 +38,7 @@ from repro.embedding.schedules import (
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.psgnscc import PSGNSccLearner
 from repro.embedding.sgns import BaseLearner, linear_lr
-from repro.embedding.similarity import (
-    analogy,
-    cosine_similarity,
-    similarity_matrix,
-    top_k_similar,
-)
+from repro.embedding.similarity import top_k_similar
 from repro.embedding.sync import (
     FullSync,
     HotnessBlockSync,
@@ -93,10 +88,8 @@ __all__ = [
     "VectorizedPword2vecLearner",
     "VectorizedSGNSLearner",
     "Vocabulary",
-    "analogy",
     "average_models",
     "convergence_report",
-    "cosine_similarity",
     "count_windows",
     "count_windows_flat",
     "dominates",
@@ -108,7 +101,6 @@ __all__ = [
     "quality_time_curve",
     "save_model",
     "sigmoid",
-    "similarity_matrix",
     "time_to_quality",
     "top_k_similar",
     "window_batches",

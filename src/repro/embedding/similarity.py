@@ -2,9 +2,9 @@
 
 Every downstream task in the paper reduces to similarity in the embedding
 space: link prediction scores pairs by dot product, recommendation ranks
-a catalogue, classification separates regions.  These helpers are the
-interactive counterpart -- nearest-neighbour queries, pairwise similarity
-and analogy arithmetic over a node-embedding matrix -- useful for
+a catalogue, classification separates regions.  :func:`top_k_similar` is
+the interactive counterpart -- a nearest-neighbour query over a
+node-embedding matrix (the CLI's ``similar`` command), useful for
 eyeballing whether an embedding "learned the graph" before running a full
 evaluation harness.
 """
@@ -16,23 +16,6 @@ from typing import Optional
 import numpy as np
 
 from repro.utils.validation import check_positive
-
-
-def cosine_similarity(embeddings: np.ndarray, u: int, v: int) -> float:
-    """Cosine of the angle between the vectors of nodes ``u`` and ``v``."""
-    a = embeddings[u]
-    b = embeddings[v]
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
-def _normalise_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return matrix / safe
 
 
 def top_k_similar(
@@ -68,52 +51,3 @@ def top_k_similar(
                           metric=metric, candidates=candidates,
                           exclude_self=True)
     return result.as_lists()[0]
-
-
-def similarity_matrix(
-    embeddings: np.ndarray, nodes: np.ndarray, metric: str = "cosine"
-) -> np.ndarray:
-    """Pairwise similarity among ``nodes`` (small selections only)."""
-    if metric not in ("cosine", "dot"):
-        raise ValueError(f"unknown metric {metric!r}; use 'cosine' or 'dot'")
-    nodes = np.asarray(nodes, dtype=np.int64)
-    sub = embeddings[nodes]
-    if metric == "cosine":
-        sub = _normalise_rows(sub)
-    return sub @ sub.T
-
-
-def analogy(
-    embeddings: np.ndarray,
-    positive: list,
-    negative: list,
-    k: int = 5,
-) -> list:
-    """word2vec analogy arithmetic: ``Σ positive − Σ negative``.
-
-    Returns the ``k`` nearest nodes (cosine) to the composed query vector,
-    excluding the query nodes themselves.
-    """
-    check_positive("k", k)
-    if not positive:
-        raise ValueError("analogy needs at least one positive node")
-    query = np.zeros(embeddings.shape[1], dtype=np.float64)
-    for node in positive:
-        query += embeddings[node]
-    for node in negative:
-        query -= embeddings[node]
-    norm = float(np.linalg.norm(query))
-    if norm > 0:
-        query = query / norm
-    matrix = _normalise_rows(embeddings)
-    scores = matrix @ query
-    exclude = set(int(n) for n in list(positive) + list(negative))
-    order = np.argsort(-scores, kind="stable")
-    out = []
-    for idx in order:
-        if int(idx) in exclude:
-            continue
-        out.append((int(idx), float(scores[idx])))
-        if len(out) >= k:
-            break
-    return out

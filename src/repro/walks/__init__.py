@@ -6,19 +6,13 @@ the routine DeepWalk/node2vec kernels KnightKing runs, all scheduled over
 the simulated cluster with byte-accurate message accounting.  Every
 kernel implements one interface (:mod:`repro.walks.kernels`: built by
 ``make_kernel``, a batched trial over its own tables, a scalar
-reference); the alias-table samplers behind ``node2vec-alias`` measure
-the original node2vec design against it.  Sampled walks land in the flat
+reference).  Sampled walks land in the flat
 :class:`~repro.walks.corpus.Corpus` (one contiguous token block +
 monotone offsets, list API preserved as zero-copy views); its
 finished-event, :class:`~repro.walks.corpus.CorpusFeed`, is what the
 streaming ``execution="pipeline"`` runtime hands to the trainer.
 """
 
-from repro.walks.alias_sampling import (
-    FirstOrderAliasSampler,
-    SecondOrderAliasSampler,
-    second_order_table_entries,
-)
 from repro.walks.corpus import Corpus, CorpusFeed
 from repro.walks.diagnostics import (
     CorpusQuality,
@@ -33,7 +27,6 @@ from repro.walks.kernels import (
     DeepWalkKernel,
     HuGEKernel,
     HuGEPlusKernel,
-    Node2VecAliasKernel,
     Node2VecKernel,
     make_kernel,
 )
@@ -48,13 +41,10 @@ __all__ = [
     "CorpusQuality",
     "DeepWalkKernel",
     "DistributedWalkEngine",
-    "FirstOrderAliasSampler",
     "HuGEKernel",
     "HuGEPlusKernel",
     "KERNELS",
-    "Node2VecAliasKernel",
     "Node2VecKernel",
-    "SecondOrderAliasSampler",
     "WalkConfig",
     "WalkCountRule",
     "WalkLengthRule",
@@ -64,6 +54,5 @@ __all__ = [
     "corpus_quality",
     "entropy_trace",
     "make_kernel",
-    "second_order_table_entries",
     "traversed_edges",
 ]

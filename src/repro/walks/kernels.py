@@ -1,4 +1,4 @@
-"""Walk kernels: DeepWalk, node2vec (rejection and alias tables), HuGE, HuGE+.
+"""Walk kernels: DeepWalk, node2vec, HuGE, HuGE+.
 
 Each kernel proposes/accepts the next node for a walker positioned at
 ``u``.  All kernels share the *rejection* idiom of the paper: a candidate
@@ -59,7 +59,6 @@ from repro import native
 from repro.graph.csr import CSRGraph
 from repro.partition.galloping import galloping_intersect_size
 from repro.utils.validation import check_positive
-from repro.walks.alias_sampling import SecondOrderAliasSampler
 
 
 def propose_with_uniform(
@@ -73,8 +72,8 @@ def propose_with_uniform(
     ``k`` is the candidate's index within ``node``'s adjacency slice (the
     flat arc index is ``indptr[node] + k``), which the HuGE kernels use for
     table lookups.  Unweighted: ``k = floor(u1 · deg)``; weighted: inverse
-    CDF over the per-node weight cumsum, uniform when every weight of the
-    row is zero (the alias tables' degenerate-slice rule).  Both clamp to
+    CDF over the per-node weight cumsum; a row whose weights are all zero
+    has no distribution to invert, so it proposes uniformly.  Both clamp to
     ``deg - 1`` so a rounding artefact at ``u1 → 1`` cannot index out of
     range -- :meth:`WalkKernel.propose` applies the identical clamp.
     """
@@ -433,80 +432,6 @@ class Node2VecKernel(WalkKernel):
         return arc, accepted
 
 
-class Node2VecAliasKernel(WalkKernel):
-    """node2vec over precomputed alias tables (the pre-KnightKing design).
-
-    Drop-in alternative to the rejection-sampling :class:`Node2VecKernel`:
-    same walk distribution, never rejects, but pays the
-    :class:`~repro.walks.alias_sampling.SecondOrderAliasSampler` setup and
-    memory.  Its tables are the sampler's five flat arrays; the sampler
-    itself is only built when the kernel has to build them or take a
-    scalar step.
-    """
-
-    name = "node2vec-alias"
-    message_fields = 4  # [walk_id, steps, node_id, prev_node_id]
-    second_order = True
-    config_fields = ("p", "q")
-
-    def __init__(self, graph: CSRGraph, p: float = 1.0, q: float = 1.0,
-                 tables: Optional[Dict[str, np.ndarray]] = None) -> None:
-        check_positive("p", p)
-        check_positive("q", q)
-        super().__init__(graph, tables)
-        self.p = p
-        self.q = q
-        self._sampler: Optional[SecondOrderAliasSampler] = None
-
-    @property
-    def sampler(self) -> SecondOrderAliasSampler:
-        if self._sampler is None:
-            self._sampler = SecondOrderAliasSampler(self.graph, p=self.p,
-                                                    q=self.q)
-        return self._sampler
-
-    def _build_tables(self) -> Dict[str, np.ndarray]:
-        return self.sampler.export_tables()
-
-    def step_with_uniforms(self, current: int, previous: int,
-                           u1: float, u2: float, forced: bool) -> Optional[int]:
-        # Alias tables never reject, so ``forced`` can never arise.
-        return self.sampler.sample_step_with_uniforms(current, previous, u1, u2)
-
-    def trial(self, lanes, cur, prev, u1, u2):
-        """Batched alias-table draw (never rejects)."""
-        tables = self.tables
-        indptr = self._indptr
-        cur = lanes.expand(cur, 0)
-        prev = lanes.expand(prev, 1)
-        arc = np.empty(lanes.total, dtype=np.int64)
-        first = prev < 0
-        fo = np.flatnonzero(first)
-        if fo.size:
-            deg = self._degrees[cur[fo]]
-            slot = np.minimum((u1[fo] * deg).astype(np.int64), deg - 1)
-            flat = indptr[cur[fo]] + slot
-            use_alias = u2[fo] >= tables["fo_accept"][flat]
-            slot = np.where(use_alias, tables["fo_alias"][flat], slot)
-            arc[fo] = indptr[cur[fo]] + slot
-        so = np.flatnonzero(~first)
-        if so.size:
-            offsets = tables["so_offsets"]
-            # Flat index of arc (prev, cur): position of cur within N(prev).
-            pos = _locate_in_rows(indptr, self._indices, prev[so], cur[so])
-            table = indptr[prev[so]] + pos
-            t_start = offsets[table]
-            size = (offsets[table + 1] - t_start).astype(np.int64)
-            slot = np.minimum((u1[so] * size).astype(np.int64), size - 1)
-            use_alias = u2[so] >= tables["so_accept"][t_start + slot]
-            slot = np.where(use_alias, tables["so_alias"][t_start + slot],
-                            slot)
-            arc[so] = indptr[cur[so]] + slot
-        accepted = lanes.flags()
-        accepted[...] = True
-        return arc, accepted
-
-
 class HuGEKernel(WalkKernel):
     """HuGE's information-oriented hybrid transition (Eq. 3).
 
@@ -689,8 +614,8 @@ class HuGEPlusKernel(HuGEKernel):
 
 KERNELS = {
     kernel.name: kernel
-    for kernel in (DeepWalkKernel, Node2VecKernel, Node2VecAliasKernel,
-                   HuGEKernel, HuGEPlusKernel)
+    for kernel in (DeepWalkKernel, Node2VecKernel, HuGEKernel,
+                   HuGEPlusKernel)
 }
 
 

@@ -16,8 +16,7 @@ the paper's formulas, so tests can compare empirical behaviour against
 ground truth:
 
 * :func:`node2vec_transition_distribution` -- the exact second-order
-  probabilities of §2.1 that both the rejection kernel and the alias
-  tables must reproduce;
+  probabilities of §2.1 that the rejection kernel must reproduce;
 * :func:`huge_acceptance_matrix` -- Eq. 3's acceptance probability for
   every arc (HuGE's effective transition bias, since rejected hops
   retry uniformly);
@@ -477,13 +476,16 @@ def accepted_draws(kernel, current: int, previous: int, rng,
 
 
 def routine_corpus(graph: CSRGraph, walk_length: int, walks_per_node: int,
-                   seed: int = 0, kernel: str = "deepwalk", sources=None):
+                   seed: int = 0, kernel: str = "deepwalk", sources=None,
+                   **overrides):
     """The routine corpus (``walks_per_node`` walks of ``walk_length``
-    tokens from every source) as the engine samples it on one machine."""
+    tokens from every source) as the engine samples it on one machine;
+    ``overrides`` are further :class:`WalkConfig` fields (node2vec's
+    ``p`` / ``q``)."""
     cluster = Cluster(1, np.zeros(graph.num_nodes, dtype=np.int64),
                       seed=seed)
     config = WalkConfig.routine(kernel=kernel, walk_length=walk_length,
-                                walks_per_node=walks_per_node)
+                                walks_per_node=walks_per_node, **overrides)
     return DistributedWalkEngine(graph, cluster, config).run(sources).corpus
 
 

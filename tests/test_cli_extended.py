@@ -23,10 +23,17 @@ class TestParserExtensions:
         args = build_parser().parse_args(["stats", "--dataset", "TW"])
         assert args.dataset == "TW"
 
-    def test_alias_kernel_accepted(self):
-        args = build_parser().parse_args(
-            ["embed", "--kernel", "node2vec-alias"])
-        assert args.kernel == "node2vec-alias"
+    @pytest.mark.parametrize("kernel", ("deepwalk", "node2vec", "huge",
+                                        "huge+"))
+    def test_every_kernel_accepted(self, kernel):
+        args = build_parser().parse_args(["embed", "--kernel", kernel])
+        assert args.kernel == kernel
+
+    def test_removed_alias_kernel_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["embed", "--kernel", "node2vec-alias"])
+        assert "invalid choice: 'node2vec-alias'" in capsys.readouterr().err
 
 
 class TestClusterCommand:

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embedding import (
-    analogy,
-    cosine_similarity,
-    similarity_matrix,
-    top_k_similar,
-)
+from repro.embedding import top_k_similar
 
 
 @pytest.fixture
@@ -24,24 +19,6 @@ def toy_embeddings():
         [1.0, 1.0],    # 4: 45 degrees
         [0.0, 0.0],    # 5: zero vector
     ])
-
-
-class TestCosineSimilarity:
-    def test_parallel_is_one(self, toy_embeddings):
-        assert cosine_similarity(toy_embeddings, 0, 1) == pytest.approx(1.0)
-
-    def test_orthogonal_is_zero(self, toy_embeddings):
-        assert cosine_similarity(toy_embeddings, 0, 2) == pytest.approx(0.0)
-
-    def test_opposite_is_minus_one(self, toy_embeddings):
-        assert cosine_similarity(toy_embeddings, 0, 3) == pytest.approx(-1.0)
-
-    def test_zero_vector_is_zero(self, toy_embeddings):
-        assert cosine_similarity(toy_embeddings, 0, 5) == 0.0
-
-    def test_symmetric(self, toy_embeddings):
-        assert cosine_similarity(toy_embeddings, 0, 4) == pytest.approx(
-            cosine_similarity(toy_embeddings, 4, 0))
 
 
 class TestTopKSimilar:
@@ -78,46 +55,64 @@ class TestTopKSimilar:
         with pytest.raises(ValueError, match="metric"):
             top_k_similar(toy_embeddings, 0, metric="euclid")
 
+    def test_parallel_scores_one(self, toy_embeddings):
+        scores = dict(top_k_similar(toy_embeddings, 0, k=5))
+        assert scores[1] == pytest.approx(1.0)
 
-class TestSimilarityMatrix:
-    def test_cosine_diagonal_is_one(self, toy_embeddings):
-        mat = similarity_matrix(toy_embeddings, np.array([0, 1, 4]))
-        assert np.allclose(np.diag(mat), 1.0)
+    def test_orthogonal_scores_zero(self, toy_embeddings):
+        scores = dict(top_k_similar(toy_embeddings, 0, k=5))
+        assert scores[2] == pytest.approx(0.0)
 
-    def test_symmetric(self, toy_embeddings):
-        mat = similarity_matrix(toy_embeddings, np.array([0, 2, 3, 4]))
-        assert np.allclose(mat, mat.T)
+    def test_opposite_scores_minus_one(self, toy_embeddings):
+        scores = dict(top_k_similar(toy_embeddings, 0, k=5))
+        assert scores[3] == pytest.approx(-1.0)
 
-    def test_dot_metric(self, toy_embeddings):
-        mat = similarity_matrix(toy_embeddings, np.array([0, 1]),
-                                metric="dot")
-        assert mat[0, 1] == pytest.approx(2.0)
+    def test_zero_vector_scores_zero(self, toy_embeddings):
+        assert dict(top_k_similar(toy_embeddings, 0, k=5))[5] == 0.0
+        assert all(score == 0.0
+                   for _, score in top_k_similar(toy_embeddings, 5, k=5))
 
-    def test_bad_metric(self, toy_embeddings):
-        with pytest.raises(ValueError, match="metric"):
-            similarity_matrix(toy_embeddings, np.array([0]), metric="x")
+    def test_cosine_is_symmetric(self, toy_embeddings):
+        forward = dict(top_k_similar(toy_embeddings, 0, k=5))[4]
+        backward = dict(top_k_similar(toy_embeddings, 4, k=5))[0]
+        assert forward == pytest.approx(backward)
 
+    @pytest.mark.parametrize("metric", ("cosine", "dot"))
+    def test_matches_brute_force(self, metric):
+        emb = np.random.default_rng(4).normal(size=(30, 6))
+        node = 7
+        if metric == "cosine":
+            unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+            scores = unit @ unit[node]
+        else:
+            scores = emb @ emb[node]
+        scores[node] = -np.inf
+        expected = np.argsort(-scores, kind="stable")[:5]
+        out = top_k_similar(emb, node, k=5, metric=metric)
+        assert [n for n, _ in out] == expected.tolist()
+        np.testing.assert_allclose([s for _, s in out], scores[expected])
 
-class TestAnalogy:
-    def test_recovers_direction(self):
-        # Clean vector arithmetic: king - man + woman = queen.
-        emb = np.array([
-            [1.0, 1.0],   # 0 "king"  = royal + male
-            [0.0, 1.0],   # 1 "man"   = male
-            [0.0, -1.0],  # 2 "woman" = female
-            [1.0, -1.0],  # 3 "queen" = royal + female
-            [5.0, 5.0],   # 4 distractor
-        ])
-        out = analogy(emb, positive=[0, 2], negative=[1], k=1)
-        assert out[0][0] == 3
+    def test_ties_broken_by_smallest_id(self):
+        emb = np.ones((6, 3))
+        assert [n for n, _ in top_k_similar(emb, 4, k=3)] == [0, 1, 2]
 
-    def test_excludes_query_nodes(self, toy_embeddings):
-        out = analogy(toy_embeddings, positive=[0], negative=[], k=5)
-        assert all(node != 0 for node, _ in out)
+    def test_duplicate_candidates_returned_once(self, toy_embeddings):
+        out = top_k_similar(toy_embeddings, 0, k=10,
+                            candidates=np.array([2, 2, 3, 3, 1]))
+        assert [n for n, _ in out] == [1, 2, 3]
 
-    def test_requires_positive(self, toy_embeddings):
-        with pytest.raises(ValueError, match="positive"):
-            analogy(toy_embeddings, positive=[], negative=[1])
+    def test_k_beyond_the_nodes_returns_each_once(self, toy_embeddings):
+        out = top_k_similar(toy_embeddings, 0, k=100)
+        assert sorted(n for n, _ in out) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("k", (0, -3))
+    def test_nonpositive_k_raises(self, toy_embeddings, k):
+        with pytest.raises(ValueError, match="k must be"):
+            top_k_similar(toy_embeddings, 0, k=k)
+
+    def test_node_outside_the_matrix_raises(self, toy_embeddings):
+        with pytest.raises(ValueError, match="query nodes"):
+            top_k_similar(toy_embeddings, 6, k=1)
 
     def test_embedding_neighbors_are_graph_neighbors(self):
         """On a strongly-clustered graph, a node's nearest embedding

@@ -104,6 +104,8 @@ class TestWalkEngineFailureModes:
     @pytest.mark.parametrize("field,value,match", [
         ("kernel", "quantum", "unknown kernel 'quantum'; options:.*huge"),
         ("kernel", None, "unknown kernel None"),
+        ("kernel", "node2vec-alias", r"unknown kernel 'node2vec-alias'; "
+         r"options: \['deepwalk', 'huge', 'huge\+', 'node2vec'\]$"),
         ("p", 0.0, "p must be finite and > 0"),
         ("p", -1.0, "p must be finite and > 0"),
         ("q", float("nan"), "q must be finite and > 0"),

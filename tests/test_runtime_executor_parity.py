@@ -101,7 +101,7 @@ WALK_MODES = {
     "incom": {},
     "routine": dict(kernel="node2vec", mode="routine", walk_length=20,
                     walks_per_node=2, p=2.0, q=0.5),
-    "node2vec-alias": dict(kernel="node2vec-alias", p=2.0, q=0.5),
+    "node2vec": dict(kernel="node2vec", p=2.0, q=0.5),
     "fullpath": dict(mode="fullpath"),
 }
 
@@ -127,15 +127,13 @@ class TestWalkExecutorParity:
                         **WALK_MODES[mode])
         assert_walk_runs_equal(serial_runs[kind, mode], run)
 
-    def test_node2vec_alias_shared_tables_match_loop(self, execution):
-        """Walk workers build their node2vec-alias kernel from the
-        parent's exported flat tables (no per-worker Σ deg(u) rebuild);
-        the loop reference agrees with what they sample."""
+    def test_huge_shared_tables_match_loop(self, execution):
+        """Walk workers build their HuGE kernel from the parent's shared
+        flat tables (``row_cumsum`` and ``arc_accept`` on a weighted
+        graph); the loop reference agrees with what they sample."""
         loop, _ = run_walks(graph_family("weighted"), "serial",
-                            engine_cls=LoopWalkEngine,
-                            **WALK_MODES["node2vec-alias"])
-        proc, _ = run_walks(graph_family("weighted"), execution, 2,
-                            **WALK_MODES["node2vec-alias"])
+                            engine_cls=LoopWalkEngine)
+        proc, _ = run_walks(graph_family("weighted"), execution, 2)
         assert_corpora_equal(loop.corpus, proc.corpus)
 
     def test_kl_round_termination_matches(self, execution):
@@ -202,36 +200,36 @@ class TestWalkRunner:
                 runner.release_round()
         assert_corpora_equal(ref.corpus, corpus)
 
-    def test_alias_sampler_table_export_roundtrip(self):
+    def test_kernel_table_export_roundtrip(self, monkeypatch):
         """A kernel over another kernel's ``tables`` (what a walk worker
         builds over the shared views) adopts them without a build and
         draws exactly what the building kernel draws."""
-        from repro.walks.kernels import make_kernel
+        from repro.walks.kernels import HuGEKernel, make_kernel
         from repro.walks.vectorized import _TrialLanes
 
         graph = graph_family("weighted")
-        cfg = WalkConfig.routine(kernel="node2vec-alias", p=2.0, q=0.5)
+        cfg = WalkConfig.distger()
         built = make_kernel(cfg, graph)
+        assert set(built.tables) == {"row_cumsum", "arc_accept"}
+
+        def no_build(self):
+            raise AssertionError("a kernel over given tables rebuilt them")
+
+        monkeypatch.setattr(HuGEKernel, "_build_tables", no_build)
         wrapped = make_kernel(cfg, graph, built.tables)
         assert all(wrapped.tables[key] is table
                    for key, table in built.tables.items())
         rng = np.random.default_rng(7)
-        source = np.repeat(np.arange(graph.num_nodes), graph.degrees)
-        live = np.flatnonzero(graph.degrees > 0)
-        # First-order (walk start) half the time, otherwise a real arc
-        # (prev -> cur): the graph is undirected, so every arc qualifies.
-        arcs = rng.integers(0, graph.num_stored_edges, size=50)
-        cur = graph.indices[arcs]
-        prev = np.where(rng.random(50) < 0.5, -1, source[arcs])
-        cur[prev < 0] = rng.choice(live, size=int((prev < 0).sum()))
+        cur = rng.choice(np.flatnonzero(graph.degrees > 0), size=50)
         u1, u2 = rng.random((2, 50))
-        lanes = _TrialLanes()
-        lanes.layout(np.ones(50, dtype=np.int64), np.arange(1, 51))
-        got, _ = wrapped.trial(lanes, cur, prev, u1, u2)
-        got = graph.indices[got].copy()
-        expected, _ = built.trial(lanes, cur, prev, u1, u2)
-        np.testing.assert_array_equal(got, graph.indices[expected])
-        assert wrapped._sampler is None      # no per-worker table build
+        draws = []
+        for kernel in (built, wrapped):
+            lanes = _TrialLanes()
+            lanes.layout(np.ones(50, dtype=np.int64), np.arange(1, 51))
+            arc, accepted = kernel.trial(lanes, cur, None, u1, u2)
+            draws.append((arc.copy(), accepted.copy()))
+        for want, got in zip(*draws):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrainParity:

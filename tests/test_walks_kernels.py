@@ -1,6 +1,6 @@
-"""Tests for the walk kernels (DeepWalk, node2vec, node2vec-alias, HuGE,
-HuGE+) and their one interface: the batched trial against the scalar
-reference, lane by lane."""
+"""Tests for the walk kernels (DeepWalk, node2vec, HuGE, HuGE+) and their
+one interface: the batched trial against the scalar reference, lane by
+lane."""
 
 from __future__ import annotations
 
@@ -92,6 +92,58 @@ class TestNode2Vec:
         accepted = sum(k_dfs.step_with_uniforms(0, 1, u1, u2, False)
                        is not None for u1, u2 in rng.random((200, 2)))
         assert 0 < accepted <= 200
+
+    def test_first_step_is_first_order(self, triangle, rng):
+        k = Node2VecKernel(triangle, p=0.5, q=2.0)
+        assert set(accepted_draws(k, 0, -1, rng, 50).tolist()) == {1, 2}
+
+    def test_weighted_graph_steps_to_neighbours(self, weighted_triangle, rng):
+        k = Node2VecKernel(weighted_triangle, p=2.0, q=0.5)
+        assert set(accepted_draws(k, 1, 0, rng, 50).tolist()) <= {0, 2}
+
+    def test_small_p_prefers_backtracking(self, rng):
+        g = ring_of_cliques(3, 5)
+        k = Node2VecKernel(g, p=0.05, q=1.0)
+        back_rate = np.mean(accepted_draws(k, 1, 0, rng, 800) == 0)
+        assert back_rate > 2.0 / g.degree(1)
+
+    def test_large_p_avoids_backtracking(self, rng):
+        g = ring_of_cliques(3, 5)
+        k = Node2VecKernel(g, p=20.0, q=1.0)
+        back_rate = np.mean(accepted_draws(k, 1, 0, rng, 800) == 0)
+        assert back_rate < 0.5 / g.degree(1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(num_cliques=st.integers(min_value=2, max_value=4),
+           clique_size=st.integers(min_value=3, max_value=6),
+           p=st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0)),
+           q=st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0)),
+           seed=st.integers(min_value=0, max_value=10_000))
+    def test_accepted_hops_are_arcs(self, num_cliques, clique_size, p, q,
+                                    seed):
+        g = ring_of_cliques(num_cliques, clique_size)
+        rng = np.random.default_rng(seed)
+        k = Node2VecKernel(g, p=p, q=q)
+        current = int(rng.integers(0, g.num_nodes))
+        previous = int(g.neighbors(current)[0])
+        for out in accepted_draws(k, current, previous, rng, 10):
+            assert g.has_edge(current, int(out))
+
+    def test_routine_walks_in_the_engine(self, small_graph):
+        from repro.partition import HashPartitioner
+        from repro.runtime.cluster import Cluster
+        from repro.walks import DistributedWalkEngine
+
+        assignment = HashPartitioner().partition(small_graph, 2).assignment
+        cluster = Cluster(2, assignment, seed=0)
+        cfg = WalkConfig.routine(kernel="node2vec", walk_length=8,
+                                 walks_per_node=1, p=0.5, q=2.0)
+        corpus = DistributedWalkEngine(small_graph, cluster, cfg).run().corpus
+        assert corpus.num_walks == small_graph.num_nodes
+        for walk in corpus.walks:
+            assert len(walk) == 8
+            for a, b in zip(walk[:-1], walk[1:]):
+                assert small_graph.has_edge(int(a), int(b))
 
 
 class TestHuGE:
@@ -339,9 +391,9 @@ class TestFactory:
             assert k.name == name
             assert isinstance(k, KERNELS[name])
 
-    @pytest.mark.parametrize("name", ("node2vec", "node2vec-alias"))
-    def test_reads_p_and_q_from_the_config(self, small_graph, name):
-        k = make_kernel(WalkConfig(kernel=name, p=0.5, q=4.0), small_graph)
+    def test_reads_p_and_q_from_the_config(self, small_graph):
+        k = make_kernel(WalkConfig(kernel="node2vec", p=0.5, q=4.0),
+                        small_graph)
         assert (k.p, k.q) == (0.5, 4.0)
 
     def test_unknown_kernel(self, small_graph):
@@ -565,8 +617,8 @@ class TestStepContract:
 
 
 class TestZeroWeightRows:
-    """A row whose weights are all zero proposes uniformly -- the alias
-    tables' degenerate-slice rule -- in both paths of every kernel."""
+    """A row whose weights are all zero proposes uniformly, in both paths
+    of every kernel."""
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_proposal_is_uniform(self, name, rng):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, ring_of_cliques, star
-from repro.walks import Node2VecKernel, SecondOrderAliasSampler
+from repro.walks import Node2VecKernel
 
 from oracles.walks import (
     accepted_draws,
@@ -19,6 +19,10 @@ from oracles.walks import (
     routine_corpus,
     stationary_distribution_power_iteration,
 )
+
+#: node2vec (p, q) regimes: BFS-like, DFS-like, both extremes, unbiased.
+NODE2VEC_BIASES = ((0.5, 2.0), (2.0, 0.5), (4.0, 0.25), (0.25, 4.0),
+                   (1.0, 1.0))
 
 
 class TestNode2VecOracle:
@@ -55,16 +59,32 @@ class TestNode2VecOracle:
         for v, prob in oracle.items():
             assert np.mean(draws == v) == pytest.approx(prob, abs=0.04)
 
-    def test_alias_sampler_matches_oracle(self, rng):
+    @pytest.mark.parametrize("weighted", (False, True))
+    @pytest.mark.parametrize("p,q", NODE2VEC_BIASES)
+    def test_rejection_kernel_matches_oracle_across_biases(self, p, q,
+                                                           weighted, rng):
         g = ring_of_cliques(3, 4)
-        p, q = 4.0, 0.25
-        sampler = SecondOrderAliasSampler(g, p=p, q=q)
+        if weighted:
+            g = g.with_random_weights(np.random.default_rng(2))
+        kernel = Node2VecKernel(g, p=p, q=q)
         previous, current = 0, 1
         oracle = node2vec_transition_distribution(g, previous, current,
                                                   p=p, q=q)
-        draws = np.array([
-            sampler.sample_step_with_uniforms(current, previous, u1, u2)
-            for u1, u2 in rng.random((4000, 2))])
+        draws = accepted_draws(kernel, current, previous, rng, 4000)
+        assert set(np.unique(draws)) <= set(oracle)
+        for v, prob in oracle.items():
+            assert np.mean(draws == v) == pytest.approx(prob, abs=0.04)
+
+    @pytest.mark.parametrize("weighted", (False, True))
+    def test_first_step_matches_first_order_oracle(self, weighted, rng):
+        """With no previous node the biases do not apply: the first hop
+        is the (weighted) first-order one."""
+        g = ring_of_cliques(3, 4)
+        if weighted:
+            g = g.with_random_weights(np.random.default_rng(2))
+        kernel = Node2VecKernel(g, p=4.0, q=0.25)
+        oracle = node2vec_transition_distribution(g, -1, 1)
+        draws = accepted_draws(kernel, 1, -1, rng, 4000)
         for v, prob in oracle.items():
             assert np.mean(draws == v) == pytest.approx(prob, abs=0.04)
 

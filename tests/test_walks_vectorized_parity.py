@@ -31,8 +31,12 @@ from repro.walks.vectorized import BatchWalkRunner
 
 from oracles.walks import LoopWalkEngine, huge_effective_transition_matrix
 
-ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
+ALL_KERNELS = ("deepwalk", "node2vec", "huge", "huge+")
 VECTOR_MODES = ("incom", "routine", "fullpath")
+#: node2vec's two biased regimes: BFS-like (p < 1, q > 1: outward hops
+#: are the rejected ones) and DFS-like (p > 1, q < 1: the return hop is).
+#: Under the default p = q = 1 the kernel never rejects.
+NODE2VEC_BIASES = ((0.5, 2.0), (2.0, 0.5))
 
 
 def run_engine(graph, cfg, machines=2, seed=9, partitioner=None,
@@ -104,6 +108,23 @@ class TestBackendParity:
         b, cb, _ = run_engine(graph, cfg, machines=1)
         assert_runs_identical(a, ca, b, cb)
 
+    @pytest.mark.parametrize("p,q", NODE2VEC_BIASES)
+    @pytest.mark.parametrize("mode", VECTOR_MODES)
+    def test_biased_node2vec_every_mode(self, mode, p, q, small_graph):
+        cfg = config("node2vec", mode, p=p, q=q)
+        a, ca, _ = run_loop(small_graph, cfg)
+        b, cb, _ = run_engine(small_graph, cfg)
+        assert a.stats.total_trials > a.stats.total_steps
+        assert_runs_identical(a, ca, b, cb)
+
+    def test_weighted_graph_dfs_node2vec(self):
+        rng = np.random.default_rng(3)
+        graph = powerlaw_cluster(100, attach=3, seed=1).with_random_weights(rng)
+        cfg = config("node2vec", "incom", p=2.0, q=0.5)
+        a, ca, _ = run_loop(graph, cfg, machines=3)
+        b, cb, _ = run_engine(graph, cfg, machines=3)
+        assert_runs_identical(a, ca, b, cb)
+
     def test_node2vec_biased_parameters(self, medium_graph):
         for p, q in ((0.25, 4.0), (4.0, 0.25)):
             cfg = config("node2vec", "incom", p=p, q=q)
@@ -153,6 +174,20 @@ class TestBlockWidthParity:
         graph = rmat(6, edge_factor=6, seed=3).with_random_weights(
             np.random.default_rng(5))
         cfg = config(kernel, mode, p=0.5, q=2.0, max_length=30)
+        a, ca, _ = run_loop(graph, cfg, machines=3)
+        with pinned_widths(widths):
+            b, cb, _ = run_engine(graph, cfg, machines=3)
+        assert_runs_identical(a, ca, b, cb)
+
+    @pytest.mark.parametrize("widths", ([1], [2], [3], [8], [33],
+                                        [1, 6, 2], [9, 1, 1, 40, 2, 3, 5]))
+    @pytest.mark.parametrize("mode", VECTOR_MODES)
+    def test_pinned_widths_dfs_node2vec(self, mode, widths):
+        """node2vec's DFS-like regime rejects the return hop instead of
+        the outward ones, so its blocks end on other lanes."""
+        graph = rmat(6, edge_factor=6, seed=3).with_random_weights(
+            np.random.default_rng(5))
+        cfg = config("node2vec", mode, p=2.0, q=0.5, max_length=30)
         a, ca, _ = run_loop(graph, cfg, machines=3)
         with pinned_widths(widths):
             b, cb, _ = run_engine(graph, cfg, machines=3)

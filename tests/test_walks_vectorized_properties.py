@@ -224,7 +224,7 @@ class TestCounterStreams:
 # Block trials: any width vector, the same bytes
 # ---------------------------------------------------------------------- #
 
-ALL_KERNELS = ("deepwalk", "node2vec", "node2vec-alias", "huge", "huge+")
+ALL_KERNELS = ("deepwalk", "node2vec", "huge", "huge+")
 
 
 @contextmanager
@@ -347,6 +347,24 @@ class TestBlockTrials:
                 got, _ = snapshot(graph, kernel, mode, deferred)
             assert got == reference, f"widths {widths}"
         adaptive, _ = snapshot(graph, kernel, mode, deferred)
+        assert adaptive == reference
+
+    @pytest.mark.parametrize("deferred", (False, True))
+    @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
+    @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
+    def test_width_invariance_dfs_node2vec(self, mode, graph_kind, deferred):
+        """The same for node2vec's DFS-like regime (p > 1, q < 1), where
+        the return hop is the rejected proposal."""
+        graph = block_graph(graph_kind)
+        bias = dict(p=2.0, q=0.5)
+        with pinned_widths([1]):
+            reference, _ = snapshot(graph, "node2vec", mode, deferred, **bias)
+        assert_is_the_loop(reference, graph_kind, "node2vec", mode, **bias)
+        for widths in ([2], [3], [8], [33], [1, 4], [5, 1, 2, 40, 3]):
+            with pinned_widths(widths):
+                got, _ = snapshot(graph, "node2vec", mode, deferred, **bias)
+            assert got == reference, f"widths {widths}"
+        adaptive, _ = snapshot(graph, "node2vec", mode, deferred, **bias)
         assert adaptive == reference
 
     @settings(max_examples=40, deadline=None)
@@ -506,8 +524,7 @@ class TestBlockTrials:
             1 + int(np.ceil(share * 6.5))}
 
     @pytest.mark.parametrize("kernel,extra", (
-        ("deepwalk", {}), ("node2vec-alias", {}),
-        ("node2vec", {"p": 1.0, "q": 1.0}),
+        ("deepwalk", {}), ("node2vec", {"p": 1.0, "q": 1.0}),
     ))
     def test_never_rejecting_kernels_waste_no_uniform(self, kernel, extra,
                                                       monkeypatch):
