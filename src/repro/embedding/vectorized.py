@@ -340,10 +340,25 @@ class DSGLSlicePlan:
         one-lifetime plans, the lock-step learner on whole-round plans.  Per-slice
         matmul results are identical either way (the stacked form loops
         the same GEMM over slices), which is what makes the executors
-        bit-equal.  Every primitive flows through ``ops``, bound once per
-        plan; the workspace views are re-cut only when the active prefix
+        bit-equal.  On the shared float32 :data:`NUMPY_OPS` with the
+        compiled library loaded, the exact lanes of each step run in C
+        (:meth:`_run_lanes`); otherwise every primitive flows through
+        ``ops``, bound once per plan -- the reference and the fallback.
+        The workspace views are re-cut only when the active prefix
         shrinks.
         """
+        if ops is NUMPY_OPS and native.load() is not None:
+            self._run_lanes(ctx_mega, out_mega)
+        else:
+            self._run_ops(ctx_mega, out_mega, ops)
+        # A plan runs once.  Its step tensors and workspaces are dead
+        # now, and the next cohort is planned before this one's
+        # writeback: dropping them keeps two plans' worth off the peak.
+        self.cidx = self.oidx = self.labels = self.mask = None
+        self._buffers = None
+
+    def _run_ops(self, ctx_mega, out_mega, ops: ArrayOps) -> None:
+        """The ``ArrayOps`` step loop: the reference and the fallback."""
         take, scatter, sub, sigmoid_ = (ops.take, ops.scatter_rows, ops.sub,
                                         ops.sigmoid_)
         bmm, bmm_nt, bmm_tn = ops.bmm, ops.bmm_nt, ops.bmm_tn
@@ -377,11 +392,38 @@ class DSGLSlicePlan:
             out_vecs += out_delta
             scatter(ctx_mega, cidx, ctx_vecs)
             scatter(out_mega, oidx, out_vecs)
-        # A plan runs once.  Its step tensors and workspaces are dead
-        # now, and the next cohort is planned before this one's
-        # writeback: dropping them keeps two plans' worth off the peak.
-        self.cidx = self.oidx = self.labels = self.mask = None
-        self._buffers = None
+
+    def _run_lanes(self, ctx_mega, out_mega) -> None:
+        """:meth:`_run_ops` on ``NUMPY_OPS`` in eight calls a step: C
+        gathers both blocks, clips and negates the scores, turns the
+        exponentials into the masked, rate-scaled gradient (in the scores
+        buffer) and adds-and-scatters both blocks, in lane order; the three
+        GEMMs and the ``exp`` -- BLAS's and NumPy's own accumulation and
+        polynomial, which C cannot reproduce -- stay the same NumPy calls
+        on the same operands."""
+        work = self._buffers[:3] + self._buffers[4:]   # grad is the scores
+        gather, pre_exp, post_exp, add_scatter = native.step_lanes(
+            self.step_offsets, self.m_max, self.b_max, self.cidx, self.oidx,
+            self.labels, self.mask, self.lr, ctx_mega, out_mega, work)
+        matmul, exp = np.matmul, np.exp
+        offsets = self.step_offsets
+        width = 0
+        for t in range(self.num_steps):
+            lo, hi = offsets[t], offsets[t + 1]
+            if hi - lo != width:
+                width = hi - lo
+                c_vecs, o_vecs, grad, c_delta, o_delta = [
+                    buf[:width] for buf in work]
+                o_vecs_t, grad_t = (o_vecs.transpose(0, 2, 1),
+                                    grad.transpose(0, 2, 1))
+            gather(lo, hi)
+            matmul(c_vecs, o_vecs_t, out=grad)
+            pre_exp(lo, hi)
+            exp(grad, out=grad)
+            post_exp(lo, hi)
+            matmul(grad, o_vecs, out=c_delta)
+            matmul(grad_t, c_vecs, out=o_delta)
+            add_scatter(lo, hi)
 
     def apply_writeback(self, ctx_mega, ctx_start, out_mega, out_start,
                         ops: ArrayOps = NUMPY_OPS) -> None:

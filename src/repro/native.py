@@ -1,11 +1,13 @@
 """Loader of the compiled kernels -- the HuGE step resolver and whole
-walks (``walks/huge_step.c``) and the DSGL planner's compiled half
-(``embedding/dsgl_plan.c``) -- built into one library.
+walks (``walks/huge_step.c``), the DSGL planner's compiled half
+(``embedding/dsgl_plan.c``) and the exact lanes of the DSGL trainer step
+(``embedding/dsgl_step.c``) -- built into one library.
 
 :func:`load` returns it, or ``None`` when it cannot be built or loaded --
-then the NumPy trial lanes and the NumPy planner run, with the same bytes.
-It is compiled once per hash of both sources with ``$CC`` (default ``cc``)
-into the user-private ``$XDG_CACHE_HOME/repro`` (default
+then the NumPy trial lanes, the NumPy planner and the ``ArrayOps`` step
+loop run, with the same bytes, and one ``RuntimeWarning`` per process says
+why.  It is compiled once per hash of the sources and flags with ``$CC``
+(default ``cc``) into the user-private ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), each build sealed with its own SHA-256 and renamed
 into place, so concurrent builders load complete libraries and a damaged
 cache entry is rebuilt before the dynamic loader maps it.
@@ -21,15 +23,22 @@ import shlex
 import stat
 import subprocess
 import tempfile
-from typing import Optional, Tuple
+import warnings
+from functools import partial
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 _SOURCES = tuple(os.path.join(os.path.dirname(__file__), *parts) for parts
-                 in (("walks", "huge_step.c"), ("embedding", "dsgl_plan.c")))
+                 in (("walks", "huge_step.c"), ("embedding", "dsgl_plan.c"),
+                     ("embedding", "dsgl_step.c")))
+# -O3 vectorises the step lanes; it reassociates nothing without
+# -ffast-math, and -ffp-contract=off keeps each * and + its own rounding.
 # -fno-math-errno: ``sqrt`` is the bare (correctly rounded) instruction,
 # with no libm call to resolve.
-_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
+#: dsgl_step.c's kernels, each ``(lanes, lo, hi)``.
+_LANES = ("dsgl_gather", "dsgl_pre_exp", "dsgl_post_exp", "dsgl_add_scatter")
 _SEAL = hashlib.sha256().digest_size
 _UNSET = object()
 _library = _UNSET
@@ -96,6 +105,9 @@ def _open(path: str):
     lib.huge_walks.argtypes = [*[pointer] * 4, count, *[pointer] * 2,
                                *[count] * 3, ctypes.c_double,
                                *[pointer] * 7]
+    for name in _LANES:
+        getattr(lib, name).restype = None
+        getattr(lib, name).argtypes = [pointer, count, count]
     return lib
 
 
@@ -108,13 +120,24 @@ def load():
         _library = None
         try:
             directory = cache_dir()
-            if directory is not None:
-                path = library_path(directory)
-                if not _sealed(path):
-                    _build(path)     # absent, truncated or corrupt
-                _library = _open(path)
-        except (OSError, AttributeError, subprocess.SubprocessError):
-            pass
+            if directory is None:
+                raise OSError("the cache directory is not private to this "
+                              "user")
+            path = library_path(directory)
+            if not _sealed(path):
+                _build(path)     # absent, truncated or corrupt
+            _library = _open(path)
+        except (OSError, AttributeError, subprocess.SubprocessError) as error:
+            reason = str(error)
+            if isinstance(error, subprocess.CalledProcessError):
+                reason = " ".join((f"exit status {error.returncode}",
+                                   error.stderr.decode(errors="replace"))
+                                  ).strip()
+            warnings.warn(
+                f"the compiled kernels are unavailable "
+                f"($CC={os.environ.get('CC') or 'cc'!r}: {reason}); the NumPy "
+                f"fallbacks run with the same bytes, slower",
+                RuntimeWarning, stacklevel=2)
     return _library
 
 
@@ -254,3 +277,42 @@ def plan_slice(tok: np.ndarray, pool: np.ndarray, walk_sizes: np.ndarray,
             lanes[:slots * m_max].reshape(slots, m_max),
             lanes[n * m_max:n * m_max + slots * b_max].reshape(slots, b_max),
             floats[0, :slots], floats[1, :slots])
+
+
+def step_lanes(offsets: Sequence[int], m: int, b: int, cidx: np.ndarray,
+               oidx: np.ndarray, labels: np.ndarray, mask: np.ndarray,
+               lr: np.ndarray, ctx_mega: np.ndarray, out_mega: np.ndarray,
+               work: Sequence[np.ndarray]):
+    """dsgl_step.c's four kernels -- gather, pre-exp, post-exp and
+    add-scatter -- bound to one plan's step tensors (``m`` context and
+    ``b`` output lanes per slot), local buffers and float32 ``work``spaces
+    ``(ctx_vecs, out_vecs, scores, ctx_delta, out_delta)``, each a callable
+    of a step's plan rows ``(lo, hi)``.  Every array is checked here, once
+    per plan; the caller keeps them alive while it calls the kernels."""
+    steps = np.diff(np.asarray(offsets, dtype=np.int64))
+    if not steps.size or offsets[0] != 0 or steps.min() < 0:
+        raise ValueError(f"step lanes expect step offsets rising from 0, "
+                         f"got {list(offsets)[:8]}")
+    slots, width, d = offsets[-1], int(steps.max()), ctx_mega.shape[-1]
+    arrays = {
+        "cidx": (cidx, np.int64, (slots, m)),
+        "oidx": (oidx, np.int64, (slots, b)),
+        "labels": (labels, np.float32, (slots, m, b)),
+        "mask": (mask, np.float32, (slots, m, b)),
+        "lr": (lr[:width], np.float32, (width, 1, 1)),   # windowless too
+        "ctx_mega": (ctx_mega, np.float32, (ctx_mega.shape[0], d)),
+        "out_mega": (out_mega, np.float32, (out_mega.shape[0], d)),
+        **{name: (array, np.float32, (width, rows, cols)) for name, array,
+           rows, cols in zip(("ctx_vecs", "out_vecs", "scores", "ctx_delta",
+                              "out_delta"), work,
+                             (m, b, m, m, b), (d, d, b, d, d))}}
+    pointers = [_checked(array, dtype, size, f"step lanes' {name}")
+                for name, (array, dtype, size) in arrays.items()]
+    for name, idx, mega in (("cidx", cidx, ctx_mega),
+                            ("oidx", oidx, out_mega)):
+        if idx.size and (idx.min() < 0 or idx.max() >= mega.shape[0]):
+            raise ValueError(f"step lanes' {name} indexes outside its "
+                             f"{mega.shape[0]}-row local buffer")
+    lib = load()
+    table = (ctypes.c_uint64 * (3 + len(pointers)))(d, m, b, *pointers)
+    return [partial(getattr(lib, name), table) for name in _LANES]

@@ -374,10 +374,15 @@ class TestFusedStepGradient:
         # Padded lanes are (signed) zeros whatever the scores held there.
         assert not grad[mask == 0.0].any()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_scratch_rows_stay_zero_through_a_plan(self, dtype):
+    @pytest.mark.parametrize("ops", [
+        pytest.param(NumpyOps(np.float32), id="float32"),
+        pytest.param(NumpyOps(np.float64), id="float64"),
+        pytest.param(NUMPY_OPS, id="shared")])
+    def test_scratch_rows_stay_zero_through_a_plan(self, ops):
         """Padded lanes gather and scatter the scratch row; the mask must
-        keep it at zero across every step of a real plan."""
+        keep it at zero across every step of a real plan -- on the
+        ``ArrayOps`` loop a fresh ``NumpyOps`` runs, and on the compiled
+        step lanes the shared ``NUMPY_OPS`` runs when the library loads."""
         from repro.embedding import (EmbeddingModel, NegativeSampler,
                                      VectorizedDSGLLearner, Vocabulary)
         from repro.embedding.vectorized import plan_dsgl_slice
@@ -391,7 +396,6 @@ class TestFusedStepGradient:
             corpus.add_walk(walk)
         vocab = Vocabulary.from_corpus(corpus)
         cfg = TrainConfig(dim=8, window=3, negatives=3)
-        ops = NumpyOps(dtype=dtype)
         learner = VectorizedDSGLLearner(
             EmbeddingModel(vocab, cfg.dim, seed=2), NegativeSampler(vocab),
             cfg, CounterStream(5), ops=ops)

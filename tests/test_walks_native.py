@@ -14,11 +14,12 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 
-from repro import native
+from repro import embed_graph, native
 from repro.graph import rmat
 from repro.walks import WalkConfig, make_kernel
 
@@ -61,12 +62,13 @@ class TestCacheDirectory:
         [library] = os.listdir(fresh)
         assert library == os.path.basename(native.library_path(str(fresh)))
 
-    def test_one_library_keyed_on_both_sources(self, fresh, expected,
+    def test_one_library_keyed_on_every_source(self, fresh, expected,
                                                tmp_path, monkeypatch):
-        """The resolver and the planner's compiled half are one library;
-        editing either source is a new cache key."""
+        """The walks, the planner's compiled half and the step lanes are
+        one library; editing any source is a new cache key."""
         library = native.load()
         assert library.huge_resolve_steps and library.dsgl_plan
+        assert all(getattr(library, name) for name in native._LANES)
         keys = {native.library_path(str(fresh))}
         sources = native._SOURCES
         for i, source in enumerate(sources):
@@ -77,14 +79,15 @@ class TestCacheDirectory:
                 str(edited) if j == i else other
                 for j, other in enumerate(sources)))
             keys.add(native.library_path(str(fresh)))
-        assert len(keys) == 3
+        assert len(keys) == len(native._SOURCES) + 1
 
     @pytest.mark.parametrize("mode", (0o770, 0o707, 0o720))
     def test_writable_by_others_is_refused(self, fresh, mode):
         fresh.mkdir(mode=0o700)
         os.chmod(fresh, mode)
         assert native.cache_dir() is None
-        assert native.load() is None
+        with pytest.warns(RuntimeWarning, match="not private"):
+            assert native.load() is None
         assert os.listdir(fresh) == []
         graph = rmat(5, edge_factor=4, seed=1)
         assert not make_kernel(WalkConfig(kernel="huge"),
@@ -95,7 +98,8 @@ class TestCacheDirectory:
         uid = os.getuid()
         monkeypatch.setattr(os, "getuid", lambda: uid + 1)
         assert native.cache_dir() is None
-        assert native.load() is None
+        with pytest.warns(RuntimeWarning, match="not private"):
+            assert native.load() is None
 
 
 class TestBuild:
@@ -134,11 +138,30 @@ class TestBuild:
     def test_failed_build_leaves_the_lanes(self, fresh, monkeypatch,
                                            compiler):
         monkeypatch.setenv("CC", compiler)
-        assert native.load() is None
+        with pytest.warns(RuntimeWarning, match=f"CC='{compiler}'"):
+            assert native.load() is None
         assert os.listdir(fresh) == []      # no half-written build left
         graph = rmat(5, edge_factor=4, seed=1)
         assert not make_kernel(WalkConfig(kernel="huge"),
                                graph).resolves_steps
+
+    def test_a_failed_load_warns_once(self, fresh, monkeypatch):
+        """The fallback is slower, so it is not silent: one warning per
+        process, naming the compiler and what went wrong."""
+        monkeypatch.setenv("CC", "false")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert native.load() is None and native.load() is None
+            make_kernel(WalkConfig(kernel="huge"), rmat(5, seed=1))
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "$CC='false': exit status 1" in str(caught[0].message)
+
+    def test_the_disabled_library_warns_never(self, lanes_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert native.load() is None
+            embed_graph(rmat(5, seed=1), dim=4, epochs=1, seed=0)
+        assert not [w for w in caught if "compiled" in str(w.message)]
 
     def test_concurrent_builds_each_load_a_complete_library(self, fresh,
                                                             expected):
