@@ -12,7 +12,6 @@ negatives from the same counter-based per-machine streams) live in
 ``tests/oracles/embedding.py``.
 """
 
-from repro.embedding.checkpoint import load_model, save_model
 from repro.embedding.convergence import (
     CurvePoint,
     QualityTimeCurve,
@@ -95,11 +94,9 @@ __all__ = [
     "dominates",
     "iter_windows",
     "linear_lr",
-    "load_model",
     "make_schedule",
     "make_sync",
     "quality_time_curve",
-    "save_model",
     "sigmoid",
     "time_to_quality",
     "top_k_similar",

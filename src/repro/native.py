@@ -1,5 +1,5 @@
-"""Loader of the compiled kernels -- the HuGE step resolver and whole
-walks (``walks/huge_step.c``), the DSGL planner's compiled half
+"""Loader of the compiled kernels -- the HuGE kernels' whole walks
+(``walks/huge_step.c``), the DSGL planner's compiled half
 (``embedding/dsgl_plan.c``) and the exact lanes of the DSGL trainer step
 (``embedding/dsgl_step.c``) -- built into one library.
 
@@ -25,7 +25,7 @@ import subprocess
 import tempfile
 import warnings
 from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,9 +97,7 @@ def _build(path: str) -> None:
 def _open(path: str):
     lib = ctypes.CDLL(path)
     count, pointer = ctypes.c_int64, ctypes.c_void_p
-    lib.huge_resolve_steps.restype = lib.dsgl_plan.restype = count
-    lib.huge_resolve_steps.argtypes = [count, *[pointer] * 3, count,
-                                       *[pointer] * 2, count, *[pointer] * 2]
+    lib.dsgl_plan.restype = count
     lib.dsgl_plan.argtypes = [pointer] * 15
     lib.huge_walks.restype = None
     lib.huge_walks.argtypes = [*[pointer] * 4, count, *[pointer] * 2,
@@ -141,7 +139,7 @@ def load():
     return _library
 
 
-def _checked(array: np.ndarray, dtype, size, kernel="resolver") -> int:
+def _checked(array: np.ndarray, dtype, size, kernel: str) -> int:
     """``array``'s data pointer, once it is a C-contiguous ``dtype`` array
     of ``size`` items (or of shape ``size``, a tuple)."""
     shape = size if isinstance(size, tuple) else (size,)
@@ -150,26 +148,6 @@ def _checked(array: np.ndarray, dtype, size, kernel="resolver") -> int:
         raise ValueError(f"{kernel} expects {size} contiguous {dtype} "
                          f"items, got {array.shape} {array.dtype}")
     return array.ctypes.data
-
-
-def resolve_steps(indptr: np.ndarray, cumsum: Optional[np.ndarray],
-                  accept: np.ndarray, cur: np.ndarray, args: np.ndarray,
-                  horizon: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(arc, trials)`` of each walker's whole step, ``args`` advanced in
-    place; ``cumsum`` is ``row_cumsum``, ``None`` on unweighted graphs."""
-    nodes, arcs, n = indptr.size - 1, int(indptr[-1]), cur.size
-    arc = np.empty(n, dtype=np.int64)
-    trials = np.empty(n, dtype=np.int64)
-    bad = load().huge_resolve_steps(
-        nodes, _checked(indptr, np.int64, nodes + 1),
-        None if cumsum is None else _checked(cumsum, np.float64, arcs),
-        _checked(accept, np.float64, arcs), n,
-        _checked(cur, np.int64, n), _checked(args, np.uint64, n),
-        int(horizon), arc.ctypes.data, trials.ctypes.data)
-    if bad:
-        raise ValueError(f"walker {bad - 1} stands on node "
-                         f"{int(cur[bad - 1])}, which has no out-arcs")
-    return arc, trials
 
 
 def huge_walks(indptr: np.ndarray, indices: np.ndarray,

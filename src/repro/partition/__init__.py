@@ -19,7 +19,6 @@ from repro.partition.hash import ChunkPartitioner, HashPartitioner
 from repro.partition.ldg import LDGPartitioner
 from repro.partition.metis_like import MetisLikePartitioner
 from repro.partition.mpgp import MPGPPartitioner, ParallelMPGPPartitioner
-from repro.partition.persistence import load_partition, save_partition
 from repro.partition.refinement import (
     RefinementStats,
     refine_partition,
@@ -70,10 +69,8 @@ __all__ = [
     "galloping_intersect_size",
     "get_order",
     "intersect_with_membership",
-    "load_partition",
     "node_balance",
     "random_order",
     "refine_partition",
     "refine_result",
-    "save_partition",
 ]

@@ -12,11 +12,12 @@ Three modes reproduce the three systems compared throughout the paper:
   measurement and constant 80-byte messages.
 
 Every mode runs on one engine: all walkers of a round advance in
-lock-step through :class:`repro.walks.vectorized.BatchWalkRunner` (NumPy
-array ops for proposal and acceptance, for every kernel); the mode only
-picks how the runner *measures* a walk.  HuGE-D's whole-path
-recomputation is performed for real, walker by walker, so the wall-clock
-separation from InCoM is genuine, not just simulated.
+lock-step through :class:`repro.walks.vectorized.BatchWalkRunner` (one
+compiled call per batch for the HuGE kernels when the library loads, the
+NumPy trial lanes otherwise); the mode only picks how the runner
+*measures* a walk.  HuGE-D's whole-path recomputation is performed for
+real, walker by walker, so the wall-clock separation from InCoM is
+genuine, not just simulated.
 
 Finished walks are flushed into the flat
 :class:`repro.walks.corpus.Corpus` (one contiguous token block + monotone

@@ -64,24 +64,6 @@ static int64_t step(const int64_t *indptr, const double *cumsum,
     return arc;
 }
 
-/* Returns 0, or j + 1 for the first walker j not standing on a node with
- * out-arcs (nothing is resolved for it or any walker after it). */
-int64_t huge_resolve_steps(int64_t num_nodes, const int64_t *indptr,
-                           const double *cumsum, const double *accept,
-                           int64_t walkers, const int64_t *cur,
-                           uint64_t *args, int64_t horizon,
-                           int64_t *arc_out, int64_t *trials_out)
-{
-    for (int64_t j = 0; j < walkers; ++j) {
-        int64_t node = cur[j];
-        if (node < 0 || node >= num_nodes || indptr[node + 1] <= indptr[node])
-            return j + 1;
-        arc_out[j] = step(indptr, cumsum, accept, node, &args[j], horizon,
-                          &trials_out[j]);
-    }
-    return 0;
-}
-
 /* InCoM's observe of the L-th token, whose prior count adds `gain` to S:
  * m = (S, E(H), E(L), E(HL), E(H^2), E(L^2)), each mean E += (x - E) / L. */
 static void observe(double *m, double gain, double L, double log2_L)

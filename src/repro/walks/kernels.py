@@ -33,12 +33,11 @@ engine, the executor and the dynamic updater talk to the interface:
   reference: one trial, the accepted node or ``None``.  The per-walker
   loop oracle (``tests/oracles/walks.py``) runs it and the lane-contract
   tests compare ``trial`` against it.
-* ``resolves_steps`` / :meth:`~HuGEKernel.resolve_steps` ``(cur, args,
-  horizon) -> (arc, trials)`` -- every live walker's whole step in one
-  compiled call (:mod:`repro.native`), in place of the trial lanes;
-  the step-contract tests hold it to iterated ``step_with_uniforms``.
-  :meth:`~HuGEKernel.resolve_walks` runs each walker from its source to
-  termination in one call (routine and InCoM measurement only).
+* ``resolves_walks`` / :meth:`~HuGEKernel.resolve_walks` ``(sources,
+  args, horizon, out, **measure)`` -- each walker from its source to
+  termination in one compiled call (:mod:`repro.native`), in place of the
+  trial lanes, InCoM's measurement included; the step-contract tests hold
+  its steps to iterated ``step_with_uniforms``.
 
 Both paths consume the same two uniforms per trial from the walker's
 private counter stream (``u1`` proposes, ``u2`` accepts) with the same
@@ -271,8 +270,8 @@ class WalkKernel:
     message_fields = 3  # [walk_id, steps, node_id]
     second_order = False
     neighbor_sensitive = False
-    #: Whether :meth:`resolve_steps` replaces the runner's trial lanes.
-    resolves_steps = False
+    #: Whether :meth:`resolve_walks` replaces the runner's trial lanes.
+    resolves_walks = False
     #: :class:`~repro.walks.engine.WalkConfig` fields the constructor
     #: takes as keyword arguments (:func:`make_kernel` passes them).
     config_fields: Tuple[str, ...] = ()
@@ -453,7 +452,7 @@ class HuGEKernel(WalkKernel):
         self._cm_cache: Dict[int, int] = {}
         self._n = graph.num_nodes
         self._rejections: Optional[np.ndarray] = None
-        self.resolves_steps = native.load() is not None
+        self.resolves_walks = native.load() is not None
 
     def acceptance_probability(self, u: int, v: int) -> float:
         """``P(u, v)`` of Eq. 3 (public for tests and for HuGE-D)."""
@@ -495,22 +494,14 @@ class HuGEKernel(WalkKernel):
                             out=lanes.row(0, np.float64)), out=accepted)
         return arc, accepted
 
-    def resolve_steps(self, cur: np.ndarray, args: np.ndarray,
-                      horizon: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Every walker's whole step from its stream argument ``args``
-        (advanced in place): ``(arc, trials)``, the trial at ``horizon``
-        forced -- :meth:`trial`'s lanes run to each walker's first accept,
-        in compiled code."""
-        tables = self.tables
-        return native.resolve_steps(self._indptr, tables.get("row_cumsum"),
-                                    tables["arc_accept"], cur, args, horizon)
-
     def resolve_walks(self, sources: np.ndarray, args: np.ndarray,
                       horizon: int, out, **measure) -> None:
-        """Each walker from ``sources`` to termination into the
-        :class:`~repro.walks.vectorized.WalkBuffers` ``out``: the steps of
-        :meth:`resolve_steps`, with the runner's termination and InCoM
-        ``measure`` (:func:`repro.native.huge_walks`) between them."""
+        """Each walker from ``sources`` at stream argument ``args`` to
+        termination into the :class:`~repro.walks.vectorized.WalkBuffers`
+        ``out``: :meth:`trial`'s lanes run to each step's first accept (the
+        trial at ``horizon`` forced), with the dead-end and ``cap`` stops
+        and InCoM's ``measure`` between the steps, in compiled code
+        (:func:`repro.native.huge_walks`)."""
         tables = self.tables
         native.huge_walks(self._indptr, self._indices,
                           tables.get("row_cumsum"), tables["arc_accept"],

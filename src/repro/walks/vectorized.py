@@ -14,23 +14,23 @@ each superstep's block of sampling trials resolved by the kernel's
 batched trial (:meth:`repro.walks.kernels.WalkKernel.trial`).  The runner
 owns the widths policy, the superstep loop and the trial lanes; the
 kernel owns the lane arithmetic and its tables.  A kernel that
-``resolves_steps`` (the HuGE kernels' compiled library) replaces more:
-under ``routine`` and ``incom`` one call runs every walker of the batch
-to termination, measurement and length rule included, and no superstep
-runs; under ``fullpath`` one call per superstep runs each live walker's
-trials to its hop.  The NumPy lanes stay the reference and the fallback.
+``resolves_walks`` (the HuGE kernels' compiled library) replaces them: in
+every mode one call runs every walker of the batch to termination and no
+superstep runs.  The NumPy lanes stay the reference and the fallback.
 The modes differ only in how a walk is *measured*:
 
 * ``routine`` -- not at all: walks stop at ``walk_length`` tokens;
 * ``incom`` -- DistGER's InCoM: per-walker state (the ``S = Σ n log₂ n``
   entropy accumulator and the five regression moments of Eq. 12/13) held
   as the rows of one ``(6, n)`` array, updated in O(1) per step;
-* ``fullpath`` -- HuGE-D: each walker's entropy series in a float64 row,
-  its newest point recomputed from the whole path after every hop and
-  the Eq. 5 R² recomputed over the whole series -- O(L) per step, one
-  scalar :func:`repro.utils.stats.entropy_of_sequence` /
-  :func:`repro.utils.stats.r_squared` call per walker, because that
-  recomputation is the baseline cost the benchmarks measure.
+* ``fullpath`` -- HuGE-D: the entropy of the whole path recomputed for
+  every token count and the Eq. 5 R² recomputed over the whole series --
+  O(L) per step, one scalar :func:`repro.utils.stats.entropy_of_counts`
+  / :func:`repro.utils.stats.r_squared` call per walker and length,
+  because that recomputation is the baseline cost the benchmarks
+  measure.  A walker's path is a function of its stream alone, and the
+  measurement only decides where the walk stops, so walks run to ``cap``
+  (or a dead end) and are cut to length afterwards (:meth:`_cut_to_length`).
 
 The runner records each step's arc and trial count next to the path
 (:class:`WalkBuffers`); :class:`DeferredWalkAccounting` turns those
@@ -66,7 +66,7 @@ from repro.utils.rng import (
     stream_stride,
     walker_stream_keys,
 )
-from repro.utils.stats import entropy_of_sequence, r_squared
+from repro.utils.stats import entropy_of_counts, r_squared
 from repro.walks.termination import WalkLengthRule
 
 #: Constant InCoM walker-message size (80 bytes, paper §3.1).
@@ -263,7 +263,7 @@ class BatchWalkRunner:
         #: Expected rejections per accepted step at each node, capped by
         #: the forced hop (the widths policy's per-walker input), when the
         #: kernel keeps such a table and does not resolve its own steps.
-        self._node_rejections = (None if kernel.resolves_steps
+        self._node_rejections = (None if kernel.resolves_walks
                                  else kernel.expected_rejections())
         if self._node_rejections is not None:
             self._node_rejections = np.minimum(
@@ -310,30 +310,38 @@ class BatchWalkRunner:
         np.clip(r, -1.0, 1.0, out=r)
         return r * r
 
-    def _observe_paths(self, idx: np.ndarray, paths: np.ndarray,
-                       lengths_after: np.ndarray) -> None:
-        """HuGE-D's measurement after a hop: walker ``j``'s entropy over
-        its whole path, appended to its series -- the scalar
-        ``entropy_of_sequence`` per walker, O(L) each, as the baseline
-        recomputes it."""
-        series = self._series
-        for j, length in zip(idx.tolist(), lengths_after.tolist()):
-            series[j, length - 1] = entropy_of_sequence(
-                paths[j, :length].tolist())
+    def _cut_to_length(self, out: WalkBuffers) -> None:
+        """HuGE-D's length rule over walks that ran to ``cap`` (=
+        ``max_length``) or a dead end: each walk ends at the first token
+        count ``L`` from ``min_length`` on at which ``R²`` of its entropy
+        series against ``1..L`` falls below ``mu``, and everything past
+        ``L`` is blanked as if never walked.
 
-    def _path_r_squared(self, idx: np.ndarray,
-                        counts: np.ndarray) -> np.ndarray:
-        """HuGE-D's Eq. 5: the scalar ``r_squared`` of each walker's whole
-        ``(H, L)`` series, evaluated only where the length rule reads it
-        (``min_length <= L < max_length``; 1.0 elsewhere)."""
+        The series grows one token at a time: the prefix's occurrence
+        counts, in first-seen order, go to ``entropy_of_counts`` -- what
+        ``entropy_of_sequence`` of the prefix computes from them -- and
+        ``r_squared`` is read only where the rule reads it, scalar by
+        scalar, so every value is the per-hop measurement's.
+        """
         rule = self.length_rule
-        r = np.ones(idx.size, dtype=np.float64)
-        band = (counts >= rule.min_length) & (counts < rule.max_length)
-        for i in np.flatnonzero(band).tolist():
-            length = int(counts[i])
-            r[i] = r_squared(self._series[idx[i], :length],
-                             self._positions[:length])
-        return r
+        paths, lengths, trials, arcs = out
+        positions = self._positions
+        series = np.empty(self.cap, dtype=np.float64)
+        for j, walked in enumerate(lengths.tolist()):
+            counts = {}
+            # At ``walked`` tokens the walk stops whatever it measures.
+            for length, node in enumerate(paths[j, :walked - 1].tolist(), 1):
+                counts[node] = counts.get(node, 0) + 1
+                series[length - 1] = entropy_of_counts(counts.values())
+                # One token's R² is 1, never below mu.
+                if length >= rule.min_length and r_squared(
+                        series[:length], positions[:length]) < rule.mu:
+                    lengths[j] = length
+                    break
+        past = np.arange(self.cap) >= lengths[:, None]
+        paths[past] = -1
+        arcs[past] = -1
+        trials[past] = 0
 
     def _block_width(self, cur: np.ndarray, waited: np.ndarray,
                      spent: int, hops: int) -> np.ndarray:
@@ -373,11 +381,9 @@ class BatchWalkRunner:
         done = self._degrees[nodes] == 0
         if self.mode == "incom":
             done |= self.length_rule.stop_mask(at, self._r_squared(idx, at))
-        elif self.mode == "fullpath":
-            done |= self.length_rule.stop_mask(
-                at, self._path_r_squared(idx, at))
         else:
-            done |= at >= self.config.walk_length
+            # fullpath walks to cap too: it is cut to length afterwards.
+            done |= at >= self.cap
         return done
 
     def _superstep(self, cur, args, alive, previous, trials_at_step,
@@ -442,20 +448,10 @@ class BatchWalkRunner:
         the per-step trials and arcs and of the node assignment, which
         :class:`DeferredWalkAccounting` applies bit for bit.
 
-        Each superstep resolves a **ragged block** of trials: live walker
-        ``j`` gets ``widths[j]`` lanes (:meth:`_block_width`, clamped here
-        to its forced-hop horizon and jointly to the scratch budget), the
-        lanes of all walkers laid out flat and walker-major over
-        :class:`_TrialLanes`.  A walker stands still between rejections
-        and its stream is a pure function of ``(key, counter)``, so lane
-        ``t`` of its block *is* the trial it would run ``t`` supersteps
-        from now; its first accepted lane decides the hop, the lanes
-        behind it are dropped and their counters never consumed.  Trials
-        are counted by the lanes *used* and recorded when their step
-        completes: every buffer is one function of the seed for every
-        width vector, the rectangular block and one trial per superstep
-        included (the loop engine is the oracle the parity suites hold
-        this to).
+        The walks run in one compiled call when the kernel
+        ``resolves_walks``, on the NumPy trial lanes (:meth:`_run_lanes`)
+        otherwise; ``fullpath`` walks are then cut to length
+        (:meth:`_cut_to_length`).
         """
         cfg = self.config
         n = sources.size
@@ -475,17 +471,44 @@ class BatchWalkRunner:
             self._state = np.zeros((6, n), dtype=np.float64)
             (self._S, self._e_h, self._e_l, self._e_hl, self._e_h2,
              self._e_l2) = self._state
-        if self.kernel.resolves_steps and self.mode != "fullpath":
-            # One compiled call runs every walker to termination, the
-            # measurement and the length rule included.
-            measure = {} if self.mode == "routine" else dict(
+        if self.kernel.resolves_walks:
+            # One compiled call runs every walker to termination, InCoM's
+            # measurement and length rule included.
+            measure = {} if self.mode != "incom" else dict(
                 min_length=self.length_rule.min_length,
                 mu=self.length_rule.mu, gain=self._xlog2x_gain,
                 log2_of=self._log2_of, state=self._state)
             self.kernel.resolve_walks(
                 np.ascontiguousarray(sources, dtype=np.int64), args,
                 horizon, out, **measure)
-            return out
+        else:
+            self._run_lanes(sources, args, horizon, out)
+        if self.mode == "fullpath":
+            self._cut_to_length(out)
+        return out
+
+    def _run_lanes(self, sources: np.ndarray, args: np.ndarray,
+                   horizon: int, out: WalkBuffers) -> None:
+        """:meth:`run_walks` on the NumPy trial lanes, into ``out``.
+
+        Each superstep resolves a **ragged block** of trials: live walker
+        ``j`` gets ``widths[j]`` lanes (:meth:`_block_width`, clamped here
+        to its forced-hop horizon and jointly to the scratch budget), the
+        lanes of all walkers laid out flat and walker-major over
+        :class:`_TrialLanes`.  A walker stands still between rejections
+        and its stream is a pure function of ``(key, counter)``, so lane
+        ``t`` of its block *is* the trial it would run ``t`` supersteps
+        from now; its first accepted lane decides the hop, the lanes
+        behind it are dropped and their counters never consumed.  Trials
+        are counted by the lanes *used* and recorded when their step
+        completes: every buffer is one function of the seed for every
+        width vector, the rectangular block and one trial per superstep
+        included (the loop engine is the oracle the parity suites hold
+        this to).
+        """
+        cfg = self.config
+        n = sources.size
+        cap = self.cap
         paths, lengths, trials, arcs = out
         paths[...] = -1
         paths[:, 0] = sources
@@ -499,12 +522,6 @@ class BatchWalkRunner:
         if self.mode == "incom":
             # observe(source): prior count 0, one token on the path.
             self._observe(alive, np.zeros(n, dtype=np.int64), lengths)
-        elif self.mode == "fullpath":
-            # Each walker's entropy series; only its first ``lengths[j]``
-            # entries are ever read.
-            self._series = np.empty((n, cap), dtype=np.float64)
-            # A one-token path has the same entropy whatever the token.
-            self._series[:, 0] = entropy_of_sequence([0])
         # Termination is a function of where a walker stands and what it
         # has measured, so it is decided once here and again only for the
         # walkers that hop; ``alive`` carries the rest across supersteps.
@@ -517,20 +534,12 @@ class BatchWalkRunner:
             if alive.size == 0:
                 break
             cur = current[alive]
-            if self.kernel.resolves_steps:
-                # Each walker's trials run to its hop: every walker steps.
-                stream_at = args[alive]
-                taken, step_trials = self.kernel.resolve_steps(
-                    cur, stream_at, horizon)
-                args[alive] = stream_at
-                sel = np.arange(alive.size)
-            else:
-                sel, taken, step_trials, used = self._superstep(
-                    cur, args, alive, previous, trials_at_step, horizon,
-                    spent, hops)
-                spent += used
-                if sel.size == 0:
-                    continue
+            sel, taken, step_trials, used = self._superstep(
+                cur, args, alive, previous, trials_at_step, horizon,
+                spent, hops)
+            spent += used
+            if sel.size == 0:
+                continue
             # The hops, and the only walkers whose termination moved.
             idx = alive[sel]
             hops += int(sel.size)
@@ -560,8 +569,6 @@ class BatchWalkRunner:
             lengths[idx] = pos
             if self.mode == "incom":
                 self._observe(idx, prior, pos)
-            elif self.mode == "fullpath":
-                self._observe_paths(idx, paths, pos)
             # A walker does not move between rejections and every live
             # walker ends its step (the forced hop), so a step's trials
             # all ran at the node the arc leaves.
@@ -577,7 +584,6 @@ class BatchWalkRunner:
                 f"batched walk round did not converge in {max_iters} "
                 "supersteps"
             )
-        return out
 
 
 class DeferredWalkAccounting:

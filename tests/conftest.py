@@ -82,9 +82,10 @@ def weighted_triangle() -> CSRGraph:
 
 
 @pytest.fixture(scope="session")
-def step_resolver():
-    """The compiled kernels' library (the HuGE step resolver and the DSGL
-    planner's compiled half); skips where it cannot be built."""
+def compiled_library():
+    """The compiled kernels' library (the HuGE kernels' whole walks, the
+    DSGL planner's compiled half and the DSGL step lanes); skips where it
+    cannot be built."""
     if native.load() is None:
         pytest.skip("the compiled kernels cannot be built here")
     return native.load()

@@ -35,7 +35,7 @@ from repro.utils.rng import CounterStream
 from repro.walks import Corpus
 from repro.walks.corpus import shard_walks
 
-pytestmark = pytest.mark.usefixtures("step_resolver")
+pytestmark = pytest.mark.usefixtures("compiled_library")
 #: The loader itself, whatever a fixture has patched over it since.
 LOAD = native.load
 

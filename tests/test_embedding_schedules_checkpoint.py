@@ -1,4 +1,4 @@
-"""Tests for learning-rate schedules and model checkpointing."""
+"""Tests for learning-rate schedules."""
 
 from __future__ import annotations
 
@@ -12,14 +12,10 @@ from repro.embedding import (
     ConstantSchedule,
     CosineSchedule,
     DistributedTrainer,
-    EmbeddingModel,
     InverseSqrtSchedule,
     LinearDecaySchedule,
     TrainConfig,
-    Vocabulary,
-    load_model,
     make_schedule,
-    save_model,
 )
 from repro.runtime.cluster import Cluster
 from repro.walks import Corpus
@@ -105,53 +101,3 @@ class TestSchedules:
             assert result.embeddings.shape == (small_graph.num_nodes, 8)
             assert np.isfinite(result.embeddings).all()
 
-
-def _toy_model(num_nodes: int = 12, dim: int = 6) -> EmbeddingModel:
-    corpus = Corpus(num_nodes)
-    rng = np.random.default_rng(3)
-    for _ in range(8):
-        corpus.add_walk(rng.integers(0, num_nodes, size=10))
-    vocab = Vocabulary.from_corpus(corpus)
-    model = EmbeddingModel(vocab, dim, seed=5)
-    model.phi_out = rng.normal(size=model.phi_out.shape).astype(np.float32)
-    return model
-
-
-class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        model = _toy_model()
-        path = str(tmp_path / "ckpt.npz")
-        save_model(model, path)
-        restored = load_model(path)
-        assert np.array_equal(restored.phi_in, model.phi_in)
-        assert np.array_equal(restored.phi_out, model.phi_out)
-        assert np.array_equal(restored.vocab.row_to_node,
-                              model.vocab.row_to_node)
-        assert np.array_equal(restored.vocab.row_counts,
-                              model.vocab.row_counts)
-        assert restored.dim == model.dim
-
-    def test_roundtrip_preserves_node_space_embeddings(self, tmp_path):
-        model = _toy_model()
-        path = str(tmp_path / "ckpt.npz")
-        save_model(model, path)
-        restored = load_model(path)
-        assert np.array_equal(restored.embeddings_node_space(),
-                              model.embeddings_node_space())
-
-    def test_version_check(self, tmp_path):
-        model = _toy_model()
-        path = str(tmp_path / "ckpt.npz")
-        save_model(model, path)
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["version"] = np.array([99])
-        np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)
-
-    def test_creates_directories(self, tmp_path):
-        model = _toy_model()
-        path = str(tmp_path / "deep" / "nested" / "ckpt.npz")
-        save_model(model, path)
-        assert load_model(path).dim == model.dim

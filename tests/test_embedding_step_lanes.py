@@ -34,7 +34,7 @@ from repro.embedding.vectorized import plan_dsgl_slice
 from repro.utils.rng import CounterStream
 from repro.walks import Corpus
 
-pytestmark = pytest.mark.usefixtures("step_resolver")
+pytestmark = pytest.mark.usefixtures("compiled_library")
 #: The loader itself, whatever a fixture has patched over it since.
 LOAD = native.load
 POISON = (np.nan, np.inf, -np.inf, 3e38)

@@ -1,15 +1,16 @@
 """Compiled whole walks (``huge_walks`` in ``walks/huge_step.c``) against
 the NumPy trial lanes and the per-walker loop oracle.
 
-Under ``routine`` and ``incom`` a HuGE kernel with the compiled library
-runs each walker from its source to termination in one call -- steps,
-revisit counts, InCoM's ``S`` and moments, ``R²`` and the length rule.
-Everything it emits must be the lanes' bytes: the round buffers (paths,
-lengths, per-step trials and arcs, padding included), each walker's final
-``S`` and five moments, and, end to end, corpus, ``WalkStats``,
-``walk_machines`` and every ``ClusterMetrics`` counter -- which the loop
-oracle must reproduce as well.  The wrapper's boundary checks and the
-``log₂`` table run without the library too.
+In every mode a HuGE kernel with the compiled library runs each walker
+from its source to termination in one call -- steps, revisit counts and,
+under ``incom``, InCoM's ``S`` and moments, ``R²`` and the length rule;
+``fullpath`` walks run to ``cap`` and are cut to length afterwards, on
+both paths.  Everything it emits must be the lanes' bytes: the round
+buffers (paths, lengths, per-step trials and arcs, padding included),
+each walker's final ``S`` and five moments, and, end to end, corpus,
+``WalkStats``, ``walk_machines`` and every ``ClusterMetrics`` counter --
+which the loop oracle must reproduce as well.  The wrapper's boundary
+checks and the ``log₂`` table run without the library too.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def run(graph, cfg, sources, engine_cls=DistributedWalkEngine):
     runner = BatchWalkRunner(graph, ROOT, cfg, make_kernel(cfg, graph))
     buffers = runner.run_walks(sources, np.arange(sources.size) + 7)
     state = runner._state.copy() if cfg.mode == "incom" else None
-    return digest, buffers, state, runner.kernel.resolves_steps
+    return digest, buffers, state, runner.kernel.resolves_walks
 
 
 def lanes():
@@ -98,7 +99,7 @@ class TestWholeWalkParity:
     @settings(max_examples=80, deadline=None)
     @given(family=st.sampled_from(sorted(GRAPHS)),
            kernel=st.sampled_from(("huge", "huge+")),
-           mode=st.sampled_from(("incom", "routine")),
+           mode=st.sampled_from(("incom", "routine", "fullpath")),
            mu=st.sampled_from((0.5, 0.82, 1.0)),
            min_length=st.sampled_from((1, 5)),
            long=st.booleans(),
@@ -106,8 +107,8 @@ class TestWholeWalkParity:
            walk_length=st.sampled_from((1, 2, 80)),
            seed=st.integers(0, 2**32 - 1))
     def test_compiled_is_the_lanes_and_the_loop(
-            self, step_resolver, family, kernel, mode, mu, min_length, long,
-            max_trials, walk_length, seed):
+            self, compiled_library, family, kernel, mode, mu, min_length,
+            long, max_trials, walk_length, seed):
         graph = GRAPHS[family](np.random.default_rng(seed))
         cfg = WalkConfig(kernel=kernel, mode=mode, mu=mu,
                          min_length=min_length,
@@ -132,21 +133,16 @@ class TestWholeWalkParity:
         assert loop_digest == digest
 
     @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
-    def test_one_call_per_batch(self, step_resolver, mode):
-        """``incom`` and ``routine`` make one ``huge_walks`` call and
-        resolve no single step; ``fullpath`` keeps the superstep loop."""
+    def test_one_call_per_batch(self, compiled_library, mode):
+        """Every mode makes one ``huge_walks`` call per batch."""
         graph = rmat(6, edge_factor=4, seed=2)
         cfg = WalkConfig(kernel="huge", mode=mode, walk_length=20)
         runner = BatchWalkRunner(graph, ROOT, cfg, make_kernel(cfg, graph))
         sources = np.flatnonzero(graph.degrees > 0)
         with mock.patch.object(native, "huge_walks",
-                               wraps=native.huge_walks) as walks, \
-                mock.patch.object(native, "resolve_steps",
-                                  wraps=native.resolve_steps) as steps:
+                               wraps=native.huge_walks) as walks:
             runner.run_walks(sources, np.arange(sources.size))
-        whole = mode != "fullpath"
-        assert walks.call_count == int(whole)
-        assert (steps.call_count == 0) == whole
+        assert walks.call_count == 1
 
 
 def test_log2_table_is_numpy_log2():

@@ -26,7 +26,7 @@ from repro.walks.kernels import (
     common_neighbor_counts_per_arc,
     propose_with_uniform,
 )
-from repro.walks.vectorized import _TrialLanes
+from repro.walks.vectorized import WalkBuffers, _TrialLanes
 
 from oracles.walks import accepted_draws
 
@@ -537,10 +537,37 @@ def unmix(z: int) -> int:
     return unshift(z, 30)
 
 
+def assert_steps_are_the_reference(kernel, reference, graph, cur, start,
+                                   horizon, cap):
+    """``resolve_walks`` from ``cur`` at stream arguments ``start`` for
+    ``cap`` tokens: step ``s`` of each walker takes the arc and the trial
+    count of the reference's step from where step ``s - 1`` left the node
+    and the stream argument, and a dead end stops the walk.  Returns the
+    walks' buffers."""
+    cur = np.asarray(cur, dtype=np.int64)
+    out = WalkBuffers.allocate(cur.size, cap)
+    kernel.resolve_walks(cur, np.array(start, dtype=np.uint64), horizon, out)
+    for j in range(cur.size):
+        node, argument = int(cur[j]), int(start[j])
+        length = 1
+        while length < cap and graph.degrees[node]:
+            arc, trials, argument = iterated_reference(
+                reference, graph, node, argument, horizon)
+            assert (int(out.arcs[j, length]),
+                    int(out.trials[j, length])) == (arc, trials)
+            node = int(graph.indices[arc])
+            assert int(out.paths[j, length]) == node
+            length += 1
+        assert int(out.lengths[j]) == length
+    assert out.trials.max() <= horizon
+    return out
+
+
 class TestStepContract:
-    """For the kernels that resolve their own steps (the HuGE kernels'
-    compiled resolver): per walker, the arc, the trial count and the
-    advanced stream argument are the scalar reference's, iterated."""
+    """For the kernels that resolve their own walks (the HuGE kernels'
+    compiled library): per walker, each step's arc and trial count are the
+    scalar reference's, iterated -- and a second step, which starts where
+    the first left the walker's stream argument, checks that argument."""
 
     @settings(max_examples=80, deadline=None)
     @given(name=st.sampled_from(("huge", "huge+")),
@@ -548,10 +575,11 @@ class TestStepContract:
                                    "directed-weighted")),
            max_trials=st.sampled_from((1, 2, 3, 32)),
            walkers=st.integers(1, 12),
+           cap=st.sampled_from((2, 3)),
            seed=st.integers(0, 2**32 - 1))
-    def test_resolver_is_the_iterated_reference(self, step_resolver, name,
+    def test_resolver_is_the_iterated_reference(self, compiled_library, name,
                                                 family, max_trials, walkers,
-                                                seed):
+                                                cap, seed):
         graph = contract_graph(family, seed)
         if not graph.degrees.any():
             return
@@ -559,7 +587,7 @@ class TestStepContract:
         config = WalkConfig(kernel=name)
         kernel = make_kernel(config, graph)
         reference = make_kernel(config, graph)
-        assert kernel.resolves_steps
+        assert kernel.resolves_walks
         cur, _ = contract_walkers(graph, rng, walkers)
         args = rng.integers(0, U64, size=walkers, dtype=np.uint64)
         # Arguments a few γ below 2**64, and a few units below it: the
@@ -568,16 +596,10 @@ class TestStepContract:
                      for k in rng.integers(1, 5, size=args[::3].size)]
         args[1::3] = [U64 - int(k)
                       for k in rng.integers(1, 9, size=args[1::3].size)]
-        horizon = max_trials + 1
-        start = args.copy()
-        arc, trials = kernel.resolve_steps(cur, args, horizon)
-        for j in range(walkers):
-            assert (int(arc[j]), int(trials[j]), int(args[j])) == \
-                iterated_reference(reference, graph, int(cur[j]),
-                                   int(start[j]), horizon)
-        assert trials.max() <= horizon
+        assert_steps_are_the_reference(kernel, reference, graph, cur,
+                                       args.tolist(), max_trials + 1, cap)
 
-    def test_exact_ties(self, step_resolver):
+    def test_exact_ties(self, compiled_library):
         """Uniforms chosen through the inverted mix: proposals landing
         exactly on a cumsum entry (a zero weight repeats one), the clamp
         at ``u1 → 1``, and an acceptance uniform equal to a zero-weight
@@ -593,13 +615,10 @@ class TestStepContract:
         cur = [0] * len(u1s) + [6] * len(u1s)
         # The acceptance uniform sits one γ past the proposal's.
         start += [(unmix(int(u * 2**53) << 11) - GAMMA) % U64 for u in u1s]
-        cur, args = np.array(cur), np.array(start, dtype=np.uint64)
-        arc, trials = kernel.resolve_steps(cur, args, 3)
-        for j in range(cur.size):
-            assert (int(arc[j]), int(trials[j]), int(args[j])) == \
-                iterated_reference(kernel, graph, int(cur[j]), start[j], 3)
+        assert_steps_are_the_reference(kernel, kernel, graph, cur, start, 3,
+                                       3)
 
-    def test_forced_hops_happen(self, step_resolver):
+    def test_forced_hops_happen(self, compiled_library):
         """An R-MAT hub expects four rejections per hop: at one retry per
         step most steps run into the forced hop, and it is the
         reference's."""
@@ -607,13 +626,10 @@ class TestStepContract:
         kernel = make_kernel(WalkConfig(kernel="huge"), graph)
         hub = int(np.argmax(graph.degrees))
         cur = np.full(64, hub, dtype=np.int64)
-        args = np.arange(64, dtype=np.uint64) * np.uint64(7919)
-        start = args.copy()
-        arc, trials = kernel.resolve_steps(cur, args, 2)
-        assert (trials == 2).sum() > 32
-        for j in range(cur.size):
-            assert (int(arc[j]), int(trials[j]), int(args[j])) == \
-                iterated_reference(kernel, graph, hub, int(start[j]), 2)
+        start = (np.arange(64, dtype=np.uint64) * np.uint64(7919)).tolist()
+        out = assert_steps_are_the_reference(kernel, kernel, graph, cur,
+                                             start, 2, 2)
+        assert (out.trials[:, 1] == 2).sum() > 32
 
 
 class TestZeroWeightRows:

@@ -22,6 +22,7 @@ import pytest
 from repro import embed_graph, native
 from repro.graph import rmat
 from repro.walks import WalkConfig, make_kernel
+from repro.walks.vectorized import WalkBuffers
 
 SRC = os.path.dirname(os.path.dirname(native.__file__))
 #: What the benchmark ledger counts as a leaked segment or spill directory.
@@ -39,18 +40,20 @@ def fresh(monkeypatch, tmp_path):
 
 
 def probe():
-    """One resolved step per walker on a small R-MAT graph."""
+    """One compiled walk of up to five tokens per node of a small R-MAT
+    graph."""
     graph = rmat(5, edge_factor=4, seed=1)
     kernel = make_kernel(WalkConfig(kernel="huge"), graph)
-    cur = np.flatnonzero(graph.degrees > 0)
-    args = np.arange(cur.size, dtype=np.uint64) * np.uint64(104729)
-    arc, trials = native.resolve_steps(
-        graph.indptr, None, kernel.tables["arc_accept"], cur, args, 5)
-    return arc.tolist(), trials.tolist(), args.tolist()
+    sources = np.arange(graph.num_nodes, dtype=np.int64)
+    args = np.arange(sources.size, dtype=np.uint64) * np.uint64(104729)
+    out = WalkBuffers.allocate(sources.size, 5)
+    native.huge_walks(graph.indptr, graph.indices, None,
+                      kernel.tables["arc_accept"], sources, args, 5, out)
+    return [buffer.tolist() for buffer in out]
 
 
 @pytest.fixture(scope="module")
-def expected(step_resolver):
+def expected(compiled_library):
     return probe()
 
 
@@ -67,7 +70,7 @@ class TestCacheDirectory:
         """The walks, the planner's compiled half and the step lanes are
         one library; editing any source is a new cache key."""
         library = native.load()
-        assert library.huge_resolve_steps and library.dsgl_plan
+        assert library.huge_walks and library.dsgl_plan
         assert all(getattr(library, name) for name in native._LANES)
         keys = {native.library_path(str(fresh))}
         sources = native._SOURCES
@@ -91,7 +94,7 @@ class TestCacheDirectory:
         assert os.listdir(fresh) == []
         graph = rmat(5, edge_factor=4, seed=1)
         assert not make_kernel(WalkConfig(kernel="huge"),
-                               graph).resolves_steps
+                               graph).resolves_walks
 
     def test_owned_by_another_user_is_refused(self, fresh, monkeypatch):
         fresh.mkdir(mode=0o700)
@@ -143,7 +146,7 @@ class TestBuild:
         assert os.listdir(fresh) == []      # no half-written build left
         graph = rmat(5, edge_factor=4, seed=1)
         assert not make_kernel(WalkConfig(kernel="huge"),
-                               graph).resolves_steps
+                               graph).resolves_walks
 
     def test_a_failed_load_warns_once(self, fresh, monkeypatch):
         """The fallback is slower, so it is not silent: one warning per
@@ -180,42 +183,8 @@ class TestBuild:
         assert os.listdir(fresh) == [
             os.path.basename(native.library_path(str(fresh)))]
 
-    def test_nothing_under_the_leak_patterns(self, step_resolver, fresh):
+    def test_nothing_under_the_leak_patterns(self, compiled_library, fresh):
         before = {p: set(glob.glob(p)) for p in LEAK_PATTERNS}
         assert native.load() is not None
         assert {p: set(glob.glob(p)) for p in LEAK_PATTERNS} == before
 
-
-class TestBoundary:
-    """ctypes checks nothing, so the wrapper checks every array."""
-
-    @pytest.fixture
-    def tables(self, step_resolver):
-        graph = rmat(5, edge_factor=4, seed=1)
-        kernel = make_kernel(WalkConfig(kernel="huge"), graph)
-        return graph, kernel.tables["arc_accept"]
-
-    def test_wrong_dtype_or_length_is_refused(self, tables):
-        graph, accept = tables
-        cur = np.flatnonzero(graph.degrees > 0)[:4]
-        args = np.zeros(4, dtype=np.uint64)
-        for bad in (dict(cur=cur.astype(np.int32)),
-                    dict(args=args.astype(np.int64)),
-                    dict(accept=accept[:-1]),
-                    dict(accept=accept.astype(np.float32)),
-                    dict(indptr=graph.indptr[::2]),
-                    dict(cur=np.repeat(cur, 2)[::2])):
-            call = {**dict(indptr=graph.indptr, cumsum=None, accept=accept,
-                           cur=cur, args=args, horizon=3), **bad}
-            with pytest.raises(ValueError, match="resolver expects"):
-                native.resolve_steps(**call)
-
-    def test_walker_on_a_dead_end_is_refused(self, tables):
-        graph, accept = tables
-        live = int(np.flatnonzero(graph.degrees > 0)[0])
-        dead = int(np.flatnonzero(graph.degrees == 0)[0])
-        cur = np.array([live, dead], dtype=np.int64)
-        with pytest.raises(ValueError, match=f"walker 1 stands on node "
-                                             f"{dead}"):
-            native.resolve_steps(graph.indptr, None, accept, cur,
-                                 np.zeros(2, dtype=np.uint64), 3)

@@ -240,16 +240,16 @@ def walk_digest(result, cluster):
 
 
 class TestResolverParity:
-    """The HuGE kernels' compiled library (whole walks under ``incom``
-    and ``routine``, the step resolver under ``fullpath``) against the
-    NumPy trial lanes, end to end: the same bytes under every execution,
-    in every mode and through a dynamic resample."""
+    """The HuGE kernels' compiled library (whole walks in every mode,
+    ``fullpath`` cut to length afterwards) against the NumPy trial lanes,
+    end to end: the same bytes under every execution, in every mode and
+    through a dynamic resample."""
 
     @pytest.mark.parametrize("execution", ("serial", "process", "pipeline"))
     @pytest.mark.parametrize("mode", ("incom", "routine", "fullpath"))
     @pytest.mark.parametrize("kernel", ("huge", "huge+"))
     @pytest.mark.parametrize("graph_kind", ("weighted", "directed"))
-    def test_resolver_is_the_lanes(self, step_resolver, request, graph_kind,
+    def test_resolver_is_the_lanes(self, compiled_library, request, graph_kind,
                                    kernel, mode, execution):
         graph = (powerlaw_cluster(90, attach=3, seed=2).with_random_weights(
                      np.random.default_rng(4))
@@ -260,14 +260,14 @@ class TestResolverParity:
         cfg = config(kernel, mode, max_trials_per_step=4,
                      context=ExecutionContext(execution, 2))
         resolved, cluster, engine = run_engine(graph, cfg, machines=3)
-        assert engine.kernel.resolves_steps
+        assert engine.kernel.resolves_walks
         request.getfixturevalue("lanes_path")
         lanes, lanes_cluster, engine = run_engine(graph, cfg, machines=3)
-        assert not engine.kernel.resolves_steps
+        assert not engine.kernel.resolves_walks
         assert walk_digest(resolved, cluster) == walk_digest(lanes,
                                                              lanes_cluster)
 
-    def test_dynamic_resample(self, step_resolver, request):
+    def test_dynamic_resample(self, compiled_library, request):
         from repro.api import apply_edge_stream, embed_graph
         from repro.dynamic.delta import random_churn
 

@@ -329,8 +329,8 @@ def assert_is_the_loop(got, graph_kind, kernel, mode, **overrides):
 
 @pytest.mark.usefixtures("lanes_path")
 class TestBlockTrials:
-    """On the NumPy trial lanes: the HuGE kernels' compiled resolver runs
-    each walker's trials to its hop and has no widths to vary (its own
+    """On the NumPy trial lanes: the HuGE kernels' compiled walks run
+    each walker's trials to its hop and have no widths to vary (their own
     contract is ``TestStepContract``)."""
 
     @pytest.mark.parametrize("deferred", (False, True))
