@@ -229,6 +229,16 @@ class TestSaveLoadRoundTrips:
         assert_flat_equal(corpus, loaded)
         np.testing.assert_array_equal(loaded.walk_lengths, [0, 2, 0, 0, 1])
 
+    def test_save_creates_directories(self, tmp_path):
+        corpus = build_corpus([[0, 1, 2], [3, 4]])
+        path = str(tmp_path / "deep" / "nested" / "c.npz")
+        corpus.save(path)
+        assert_flat_equal(corpus, Corpus.load(path))
+
+    def test_missing_file_is_refused(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            Corpus.load(str(tmp_path / "nope.npz"))
+
     def test_non_npz_file_is_refused(self, tmp_path):
         """The one-walk-per-line text format is gone; the error names
         the file."""
