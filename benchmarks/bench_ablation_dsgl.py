@@ -1,6 +1,6 @@
 """Ablation: DSGL's three improvements, isolated.
 
-DESIGN.md calls out three design choices in the learner (§4.2):
+The paper calls out three design choices in the learner (§4.2):
 multi-window batch size (Improvement-II), and hotness-block vs full vs no
 synchronisation (Improvement-III); Improvement-I (buffers + frequency
 order) is implicit in DSGL vs Pword2vec (bench_fig10).  This bench sweeps

@@ -3,7 +3,7 @@
 Not a single paper figure, but the micro-mechanism behind §3.1's claims:
 per-step measurement cost must stay flat for InCoM and grow linearly for
 the full-path baseline, and message sizes must be 80 B vs 24+8L B.  This
-is the design choice DESIGN.md calls out as DistGER's first contribution.
+is the design choice the paper names as DistGER's first contribution.
 
 What is timed is the **scalar** pair the loop oracle runs
 (:class:`IncrementalWalkMeasure` / :class:`FullPathWalkMeasure` in

@@ -5,7 +5,7 @@ redundant information; while too large μ may not ensure good coverage".
 This bench sweeps μ and reports average walk length, corpus size, and the
 resulting link-prediction AUC, exposing the redundancy/coverage trade-off
 and documenting the laptop-scale calibration (μ=0.82 ≈ the paper's 0.995
-behaviour; see DESIGN.md).
+behaviour; see the calibration note in ``repro.walks.termination``).
 """
 
 from __future__ import annotations

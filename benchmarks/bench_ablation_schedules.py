@@ -5,7 +5,7 @@ inherits; this ablation trains DistGER on the LiveJournal stand-in under
 each schedule at the same budget and scores link-prediction AUC on one
 fixed edge split.
 
-Measured shape (recorded in EXPERIMENTS.md): the stand-in runs are
+Measured shape: the stand-in runs are
 *budget-starved* (2-3 epochs over a small corpus), so quality tracks the
 total learning delivered -- the area under the LR curve.  Constant wins,
 linear/cosine follow, the fast-decaying inverse-sqrt trails.  At the

@@ -11,38 +11,31 @@ Two gates on the golden pipeline config (FL at scale 0.5, the
 link-prediction split and hyper-parameters of
 ``tests/test_golden_pipeline.py``):
 
-* **speedup** -- update wall-clock at least ``REPRO_BENCH_DYN_FLOOR``
-  times faster than a from-scratch embed of the churned graph
-  (default 5x; CI smoke relaxes to 2x on shared runners);
+* **speedup** -- update wall-clock at least ``FLOOR`` times faster
+  than a from-scratch embed of the churned graph (5x; ``--size smoke``
+  relaxes it to 2x for shared CI runners);
 * **quality** -- link-prediction AUC of the updated matrix inside the
-  golden band of the full pipeline (0.9386 +/- REPRO_BENCH_DYN_AUC_BAND,
-  default 0.05).
+  golden band of the full pipeline (0.9386 +/- 0.05).
 
 The update runs the arc audit (``audit="arc"``): the bench measures the
 traversed-pair invalidation mechanism, and on a dense stand-in graph
 the conservative node audit degenerates to resampling everything (its
 conservatism is a correctness feature, not a speed claim -- see
 :mod:`repro.dynamic.invalidate`).
-
-Env knobs: ``REPRO_BENCH_DYN_FLOOR`` (default 5),
-``REPRO_BENCH_DYN_CHURN`` (edge fraction, default 0.01),
-``REPRO_BENCH_DYN_AUC_BAND`` (default 0.05).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from common import bench_dataset, print_table, run_once
+from common import bench_dataset, bench_size, print_table, run_once
 from repro.api import apply_edge_stream, embed_graph
 from repro.dynamic import random_churn
 from repro.tasks import auc_from_split, split_edges
 
-FLOOR = float(os.environ.get("REPRO_BENCH_DYN_FLOOR", "5"))
-CHURN = float(os.environ.get("REPRO_BENCH_DYN_CHURN", "0.01"))
-AUC_BAND = float(os.environ.get("REPRO_BENCH_DYN_AUC_BAND", "0.05"))
+FLOOR = bench_size("dynamic")["floor"]
+CHURN = 0.01
+AUC_BAND = 0.05
 
 #: The golden pipeline's full-run AUC at this exact config.
 GOLDEN_AUC = 0.9386

@@ -15,19 +15,18 @@ floor; both run the walker RNG protocol, so the corpora they time are
 byte-identical);
 (d) the batched DSGL learner vs its per-lifetime loop reference
 (``tests/oracles/embedding.py``) on the same corpus (>=3x floor;
-identical negative streams, bit-equal embeddings).  ``REPRO_BENCH_BACKEND_NODES`` / ``REPRO_BENCH_TRAIN_NODES``
-and ``REPRO_BENCH_TRAIN_FLOOR`` scale (c)/(d) down for CI smoke runs.
+identical negative streams, bit-equal embeddings).  ``--size smoke``
+scales (c)/(d) down for CI (``SIZES["smoke"]["fig10"]``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from common import PAPER, bench_dataset, print_table, run_once
+from common import PAPER, bench_dataset, bench_size, print_table, run_once
 from repro.embedding import DistributedTrainer, TrainConfig
 from repro.graph import powerlaw_cluster
 from repro.partition import MPGPPartitioner, WorkloadBalancePartitioner
@@ -36,6 +35,12 @@ from repro.walks import DistributedWalkEngine, WalkConfig
 
 from oracles.embedding import train_reference
 from oracles.walks import LoopWalkEngine
+
+SIZE = bench_size("fig10")
+SCALE = SIZE["scale"]
+BACKEND_NODES = SIZE["backend_nodes"]
+TRAIN_NODES = SIZE["train_nodes"]
+TRAIN_FLOOR = SIZE["train_floor"]
 
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
 _walk = {}
@@ -58,7 +63,7 @@ WALK_MODES = {
 @pytest.mark.parametrize("dataset", DATASETS)
 @pytest.mark.parametrize("mode", sorted(WALK_MODES))
 def test_fig10a_walk_efficiency(benchmark, mode, dataset):
-    ds = bench_dataset(dataset)
+    ds = bench_dataset(dataset, SCALE)
     cfg_factory, partitioner_cls = WALK_MODES[mode]
     assignment = partitioner_cls().partition(ds.graph, 4).assignment
     cluster = Cluster(4, assignment, seed=1)
@@ -74,7 +79,7 @@ def test_fig10a_vectorized_backend_speedup(benchmark):
     corpora, so the timing difference is pure execution strategy: batched
     NumPy supersteps vs the per-walker Python loop.
     """
-    nodes = int(os.environ.get("REPRO_BENCH_BACKEND_NODES", "10000"))
+    nodes = BACKEND_NODES
     graph = powerlaw_cluster(nodes, attach=5, triangle_prob=0.3, seed=11)
     assignment = WorkloadBalancePartitioner().partition(graph, 4).assignment
     seconds, tokens = {}, {}
@@ -115,11 +120,9 @@ def test_fig10b_dsgl_vectorized_backend_speedup(benchmark):
     reports that configuration, ungated).  The loop time is one run; the
     vectorized time is the best of two (allocator noise on small CI boxes
     otherwise dominates a seconds-long measurement).
-    ``REPRO_BENCH_TRAIN_NODES`` / ``REPRO_BENCH_TRAIN_FLOOR`` scale the
-    gate down for CI smoke runs (2000 nodes / 2x there).
+    ``--size smoke`` scales the gate down for CI (2000 nodes / 2x there).
     """
-    nodes = int(os.environ.get("REPRO_BENCH_TRAIN_NODES", "10000"))
-    floor = float(os.environ.get("REPRO_BENCH_TRAIN_FLOOR", "3.0"))
+    nodes, floor = TRAIN_NODES, TRAIN_FLOOR
     graph = powerlaw_cluster(nodes, attach=5, triangle_prob=0.3, seed=11)
     assignment = WorkloadBalancePartitioner().partition(graph, 4).assignment
     cluster = Cluster(4, assignment, seed=1)
@@ -162,7 +165,7 @@ def test_fig10b_dsgl_vectorized_backend_speedup(benchmark):
 @pytest.mark.parametrize("learner", ("dsgl", "pword2vec", "psgnscc", "sgns"))
 def test_fig10b_training_efficiency(benchmark, learner):
     """Same corpus, different learners (paper Fig. 10(b))."""
-    ds = bench_dataset("LJ")
+    ds = bench_dataset("LJ", SCALE)
     assignment = MPGPPartitioner().partition(ds.graph, 4).assignment
     cluster = Cluster(4, assignment, seed=1)
     walks = DistributedWalkEngine(ds.graph, cluster, WalkConfig.distger()).run()

@@ -4,7 +4,7 @@ Paper result: DistGER is fastest everywhere, with average speedups of
 9.25x vs KnightKing, 6.56x vs HuGE-D, 26.2x vs PBG and 51.9x vs DistDGL
 (2.33x-129x across graphs).
 
-Reproduced shape (see EXPERIMENTS.md): DistGER beats both random-walk
+Reproduced shape: DistGER beats both random-walk
 systems in wall-clock on every stand-in.  PBG/DistDGL run few-epoch
 NumPy-vectorised loops that are not wall-clock comparable at laptop scale;
 their efficiency comparison is reproduced as *time-to-quality* in

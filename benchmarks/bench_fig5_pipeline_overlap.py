@@ -15,15 +15,11 @@ phases instead of running them behind barriers (Fang et al., VLDB 2023
 
 Because the two executors are byte-identical (the pipeline parity
 suite's contract), the speedup is pure scheduling: the gate asserts
-``process / pipeline >= REPRO_BENCH_PIPE_FLOOR`` end to end (default 1.2
-at 4 workers on a ~10^5-node R-MAT stand-in; CI smoke runs 1.1 at 2
-workers on a smaller graph).  Hosts with fewer cores than workers skip
+``process / pipeline >= FLOOR`` end to end (1.2 at 4 workers on a
+~10^5-node R-MAT stand-in; ``--size smoke`` runs 1.1 at 2 workers on a
+2^15-node graph).  Hosts with fewer cores than workers skip
 the gate -- overlap cannot buy wall-clock without idle cores to run the
 overlapped work on.
-
-Env knobs: ``REPRO_BENCH_PIPE_SCALE`` (R-MAT scale, default 17 ->
-131072 nodes), ``REPRO_BENCH_PIPE_WORKERS`` (default 4),
-``REPRO_BENCH_PIPE_FLOOR`` (default 1.2).
 """
 
 from __future__ import annotations
@@ -34,13 +30,14 @@ import time
 import numpy as np
 import pytest
 
-from common import print_table, run_once
+from common import bench_size, print_table, run_once
 from repro import embed_graph
 from repro.graph.generators import rmat
 
-SCALE = int(os.environ.get("REPRO_BENCH_PIPE_SCALE", "17"))
-WORKERS = int(os.environ.get("REPRO_BENCH_PIPE_WORKERS", "4"))
-FLOOR = float(os.environ.get("REPRO_BENCH_PIPE_FLOOR", "1.2"))
+SIZE = bench_size("fig5_pipeline")
+SCALE = SIZE["rmat_scale"]
+WORKERS = SIZE["workers"]
+FLOOR = SIZE["floor"]
 MACHINES = 4
 
 _graph_cache = {}

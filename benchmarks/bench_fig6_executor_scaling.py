@@ -9,14 +9,10 @@ axis -- runs the same lock-step rounds under ``execution="serial"`` and
 
 Because the two executors are byte-identical (the parity suite's
 contract), the speedup is pure scheduling: the gate asserts
-``serial / process >= REPRO_BENCH_EXEC_FLOOR`` (default 2.0 at 4 workers;
-CI smoke runs 1.5 at 2 workers on a smaller graph).  Hosts with fewer
+``serial / process >= FLOOR`` (2.0 at 4 workers; ``--size smoke`` runs
+1.5 at 2 workers on a 2^15-node graph).  Hosts with fewer
 cores than workers skip the gate -- a 1-core box cannot exhibit
 multi-process speedup by construction.
-
-Env knobs: ``REPRO_BENCH_EXEC_SCALE`` (R-MAT scale, default 17 ->
-131072 nodes), ``REPRO_BENCH_EXEC_WORKERS`` (default 4),
-``REPRO_BENCH_EXEC_FLOOR`` (default 2.0).
 """
 
 from __future__ import annotations
@@ -27,16 +23,17 @@ import time
 import numpy as np
 import pytest
 
-from common import print_table, run_once
+from common import bench_size, print_table, run_once
 from repro.embedding import DistributedTrainer, TrainConfig
 from repro.graph.generators import rmat
 from repro.partition.balance import WorkloadBalancePartitioner
 from repro.runtime import Cluster, ExecutionContext
 from repro.walks import DistributedWalkEngine, WalkConfig
 
-SCALE = int(os.environ.get("REPRO_BENCH_EXEC_SCALE", "17"))
-WORKERS = int(os.environ.get("REPRO_BENCH_EXEC_WORKERS", "4"))
-FLOOR = float(os.environ.get("REPRO_BENCH_EXEC_FLOOR", "2.0"))
+SIZE = bench_size("fig6_executor")
+SCALE = SIZE["rmat_scale"]
+WORKERS = SIZE["workers"]
+FLOOR = SIZE["floor"]
 MACHINES = 4
 
 _graph_cache = {}

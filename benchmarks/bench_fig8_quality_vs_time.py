@@ -7,7 +7,7 @@ Reproduced by sweeping training epochs per system and recording
 (cumulative wall seconds, AUC) pairs.  This bench is also where the
 paper's *absolute* Fig. 5 advantage over PBG/DistDGL is reproduced at
 laptop scale: time-to-reach-target-AUC, which is robust to the baselines'
-NumPy vectorisation advantage (documented in EXPERIMENTS.md).
+NumPy vectorisation advantage.
 """
 
 from __future__ import annotations

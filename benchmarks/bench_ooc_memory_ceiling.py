@@ -7,9 +7,9 @@ appends, per-round flush, ``MADV_DONTNEED``), workers fault pages
 through the OS cache on demand, and descriptor-shipping training never
 materialises token pages in the parent.  Gate: on an R-MAT workload
 whose corpus dominates memory, the mmap run's peak-RSS *delta* over its
-post-graph-build baseline is at most ``REPRO_BENCH_OOC_RATIO`` (default
-0.5) of the shm run's -- with byte-identical embeddings and corpus, so
-the saving is pure transport.
+post-graph-build baseline is at most ``RATIO`` (0.5) of the shm run's --
+with byte-identical embeddings and corpus, so the saving is pure
+transport.
 
 Each backing runs in a fresh subprocess (this file, ``--child``) so the
 two peaks cannot contaminate each other: ``VmHWM`` is per-process and
@@ -17,12 +17,10 @@ monotonic.  The delta (peak minus the baseline sampled after the graph
 is built) isolates the pipeline's own footprint from interpreter +
 graph fixed costs shared by both runs.
 
-Env knobs: ``REPRO_BENCH_OOC_SCALE`` (R-MAT scale exponent, default 13
--> 2^13 nodes), ``REPRO_BENCH_OOC_EDGE_FACTOR`` (default 8),
-``REPRO_BENCH_OOC_WALKS``/``REPRO_BENCH_OOC_LENGTH`` (routine r/L,
-defaults 10/80), ``REPRO_BENCH_OOC_RATIO``.  CI smoke runs reduced
-scale with a relaxed ratio; the full-size defaults show the ceiling
-clearly (corpus ~50 MB vs a few-MB graph).
+``--size smoke`` runs 2^11 R-MAT nodes with a relaxed 0.85 ratio; the
+full size (2^13 nodes) shows the ceiling clearly (corpus ~50 MB vs a
+few-MB graph).  The child takes its R-MAT scale on argv: it runs
+outside pytest and cannot see the ``--size`` option.
 """
 
 from __future__ import annotations
@@ -36,11 +34,14 @@ import tempfile
 
 import pytest
 
-SCALE = int(os.environ.get("REPRO_BENCH_OOC_SCALE", "13"))
-EDGE_FACTOR = int(os.environ.get("REPRO_BENCH_OOC_EDGE_FACTOR", "8"))
-WALKS = int(os.environ.get("REPRO_BENCH_OOC_WALKS", "10"))
-LENGTH = int(os.environ.get("REPRO_BENCH_OOC_LENGTH", "80"))
-RATIO = float(os.environ.get("REPRO_BENCH_OOC_RATIO", "0.5"))
+from common import bench_size, print_table, run_once
+
+SIZE = bench_size("ooc")
+SCALE = SIZE["rmat_scale"]
+RATIO = SIZE["ratio"]
+EDGE_FACTOR = 8
+WALKS = 10
+LENGTH = 80
 
 
 def _status_kb(field: str) -> int:
@@ -51,14 +52,15 @@ def _status_kb(field: str) -> int:
     raise KeyError(field)
 
 
-def _child(backing: str, spill_dir: str) -> None:
-    """Run one embed under ``backing`` and report peaks as JSON."""
+def _child(backing: str, spill_dir: str, scale: int) -> None:
+    """Run one embed under ``backing`` on an R-MAT 2^``scale`` graph and
+    report peaks as JSON."""
     import numpy as np
 
     from repro.api import embed_graph
     from repro.graph.generators import rmat
 
-    graph = rmat(SCALE, edge_factor=EDGE_FACTOR, seed=1)
+    graph = rmat(scale, edge_factor=EDGE_FACTOR, seed=1)
     baseline_kb = _status_kb("VmRSS")
     result = embed_graph(
         graph, method="knightking", kernel="deepwalk", num_machines=2,
@@ -85,7 +87,7 @@ def _child(backing: str, spill_dir: str) -> None:
     corpus.close()
 
 
-def _run_child(backing: str, spill_dir: str) -> dict:
+def _run_child(backing: str, spill_dir: str, scale: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [p for p in (env.get("PYTHONPATH"),
@@ -93,7 +95,7 @@ def _run_child(backing: str, spill_dir: str) -> dict:
          if p])
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", backing,
-         spill_dir],
+         spill_dir, str(scale)],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -101,11 +103,9 @@ def _run_child(backing: str, spill_dir: str) -> dict:
 def test_ooc_memory_ceiling(benchmark):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("procfs required for VmHWM accounting")
-    from common import print_table, run_once
-
     with tempfile.TemporaryDirectory(prefix="repro-ooc-") as spill_dir:
-        shm = _run_child("shm", "")
-        mmap_run = run_once(benchmark, _run_child, "mmap", spill_dir)
+        shm = _run_child("shm", "", SCALE)
+        mmap_run = run_once(benchmark, _run_child, "mmap", spill_dir, SCALE)
 
     print_table(
         f"Out-of-core RSS ceiling (R-MAT 2^{SCALE} nodes x{EDGE_FACTOR}, "
@@ -137,7 +137,8 @@ def test_ooc_memory_ceiling(benchmark):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) >= 3 and sys.argv[1] == "--child":
-        _child(sys.argv[2], sys.argv[3] if len(sys.argv) > 3 else "")
+    if len(sys.argv) == 5 and sys.argv[1] == "--child":
+        _child(sys.argv[2], sys.argv[3], int(sys.argv[4]))
     else:  # pragma: no cover - manual invocation
-        raise SystemExit("run via pytest, or --child <backing> <spill_dir>")
+        raise SystemExit(
+            "run via pytest, or --child <backing> <spill_dir> <rmat_scale>")

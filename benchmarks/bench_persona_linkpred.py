@@ -17,29 +17,24 @@ Gates:
   embedding the persona graph directly, on every executor (serial /
   process / pipeline) -- the anchor seam's do-no-harm contract.
 
-Env knobs (CI smoke scales down through them):
-
-* ``REPRO_BENCH_PERSONA_NODES``  (default 240)
-* ``REPRO_BENCH_PERSONA_TRIALS`` (default 3)
-* ``REPRO_BENCH_PERSONA_EPOCHS`` (default 3)
+``--size smoke`` runs one trial at 2 epochs instead of 3 at 3.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from common import print_table, run_once
+from common import bench_size, print_table, run_once
 from repro import PersonaConfig, embed_graph, embed_persona_graph, \
     persona_pair_scores
 from repro.graph import overlapping_community_graph, persona_graph
 from repro.tasks import auc_from_split, split_edges
 from repro.tasks.metrics import auc_score
 
-NODES = int(os.environ.get("REPRO_BENCH_PERSONA_NODES", "240"))
-TRIALS = int(os.environ.get("REPRO_BENCH_PERSONA_TRIALS", "3"))
-EPOCHS = int(os.environ.get("REPRO_BENCH_PERSONA_EPOCHS", "3"))
+SIZE = bench_size("persona")
+TRIALS = SIZE["trials"]
+EPOCHS = SIZE["epochs"]
+NODES = 240
 COMMUNITIES = max(2, NODES // 10)   # ~10-node communities, densely knit
 DIM = 32
 MACHINES = 2

@@ -27,11 +27,10 @@ The QPS/p99 gates still skip on hosts with fewer cores than workers
 (they are throughput claims about parallel hardware); the parity gate
 always runs.
 
-Env knobs: ``REPRO_BENCH_QPS_NODES`` (catalogue size, default 100000),
-``REPRO_BENCH_QPS_DIM`` (default 64), ``REPRO_BENCH_QPS_QUERIES``
-(default 50000), ``REPRO_BENCH_QPS_BATCH`` (default 64),
-``REPRO_BENCH_QPS_WORKERS`` (default 2), ``REPRO_BENCH_QPS_FLOOR``
-(queries/s, default 1500), ``REPRO_BENCH_QPS_P99_MS`` (default 250).
+``--size`` sets the catalogue size, query count and the two gates
+(``SIZES[...]["serving"]``): 100 000 nodes, 50 000 queries, 1 500 q/s
+and p99 <= 250 ms at ``full``; 20 000 nodes, 5 000 queries, 6 000 q/s
+and 200 ms at ``smoke``.
 """
 
 from __future__ import annotations
@@ -42,16 +41,17 @@ import time
 import numpy as np
 import pytest
 
-from common import print_table, run_once
+from common import bench_size, print_table, run_once
 from repro.serving import EmbeddingStore, QueryEngine, zipf_query_trace
 
-NODES = int(os.environ.get("REPRO_BENCH_QPS_NODES", "100000"))
-DIM = int(os.environ.get("REPRO_BENCH_QPS_DIM", "64"))
-QUERIES = int(os.environ.get("REPRO_BENCH_QPS_QUERIES", "50000"))
-BATCH = int(os.environ.get("REPRO_BENCH_QPS_BATCH", "64"))
-WORKERS = int(os.environ.get("REPRO_BENCH_QPS_WORKERS", "2"))
-FLOOR = float(os.environ.get("REPRO_BENCH_QPS_FLOOR", "1500"))
-P99_MS = float(os.environ.get("REPRO_BENCH_QPS_P99_MS", "250"))
+SIZE = bench_size("serving")
+NODES = SIZE["nodes"]
+QUERIES = SIZE["queries"]
+FLOOR = SIZE["floor"]
+P99_MS = SIZE["p99_ms"]
+DIM = 64
+BATCH = 64
+WORKERS = 2
 K = 10
 
 _cache = {}

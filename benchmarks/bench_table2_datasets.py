@@ -1,7 +1,7 @@
 """Table 2: dataset statistics -- paper graphs vs their stand-ins.
 
 The paper's Table 2 lists |V| and |E| of the five evaluation graphs.  The
-stand-ins cannot match absolute sizes (DESIGN.md §1), so this bench prints
+laptop-sized stand-ins cannot match absolute sizes, so this bench prints
 both sides plus the structural properties the substitution *does* promise
 to preserve -- relative size ordering, density ordering, degree skew
 (power-law exponent / Gini), clustering -- and asserts them.

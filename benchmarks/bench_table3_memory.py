@@ -12,22 +12,22 @@ The second section gates the flat-corpus IPC refactor (this repo's memory
 story rather than the paper's): under ``execution="process"`` a training
 sync round ships ``(machine, lo, hi, lr)`` slice descriptors over a
 shared-memory token block instead of pickling its walk batches.  Gate:
-pickled bytes per sync round at least ``REPRO_BENCH_IPC_FLOOR`` (default
-10x) below the 8 bytes per trained token any batch transport must move,
-on a ``REPRO_BENCH_IPC_NODES`` (default 10^4) node graph, with the flat
+pickled bytes per sync round at least ``IPC_FLOOR`` (10x) below the 8
+bytes per trained token any batch transport must move, on an
+``ipc_nodes`` (10^4; 2 000 at ``--size smoke``) node graph, with the flat
 corpus resident footprint no worse than the legacy list-of-arrays layout
 it replaced.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
 import pytest
 
-from common import PAPER, bench_dataset, bench_epochs, print_table, run_once
+from common import (PAPER, bench_dataset, bench_epochs, bench_size,
+                    print_table, run_once)
 from repro.embedding import DistributedTrainer, TrainConfig
 from repro.graph.generators import powerlaw_cluster
 from repro.partition.balance import WorkloadBalancePartitioner
@@ -80,8 +80,8 @@ def test_table3_report(benchmark):
 # Flat-corpus IPC + resident-footprint gate
 # --------------------------------------------------------------------- #
 
-IPC_NODES = int(os.environ.get("REPRO_BENCH_IPC_NODES", "10000"))
-IPC_FLOOR = float(os.environ.get("REPRO_BENCH_IPC_FLOOR", "10.0"))
+IPC_NODES = bench_size("table3")["ipc_nodes"]
+IPC_FLOOR = 10.0
 
 
 def test_table3_flat_corpus_ipc_gate(benchmark):

@@ -3,7 +3,7 @@
 Paper result: MPGP partitions 25.1x faster than the competitors on
 average (e.g. LJ: 36.42s vs 458.52s (PBG) / 425.19s (METIS)).
 
-Known deviations at laptop scale (recorded in EXPERIMENTS.md):
+Known deviations at laptop scale:
 
 * real PBG's partition cost includes building its on-disk bucket layout;
   our chunk partitioner is only the assignment, so the PBG column here is
@@ -20,13 +20,12 @@ Known deviations at laptop scale (recorded in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from common import PAPER, bench_dataset, print_table, run_once
+from common import PAPER, bench_dataset, bench_size, print_table, run_once
 from repro.graph import powerlaw_cluster
 from repro.partition import (
     ChunkPartitioner,
@@ -35,6 +34,11 @@ from repro.partition import (
 )
 
 from oracles.partition import GallopingMPGPPartitioner
+
+SIZE = bench_size("table5")
+SCALE = SIZE["scale"]
+MPGP_NODES = SIZE["mpgp_nodes"]
+MPGP_FLOOR = SIZE["mpgp_floor"]
 
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
 PARTITIONERS = {
@@ -55,11 +59,10 @@ def test_table5a_mpgp_vectorized_backend_speedup(benchmark):
     so the assignments are asserted byte-equal and the timing difference
     is pure execution strategy.  The graph uses
     attach=8 (average degree ~16, the LJ-like density regime MPGP
-    targets).  ``REPRO_BENCH_MPGP_NODES`` / ``REPRO_BENCH_MPGP_FLOOR``
-    scale the gate down for CI smoke runs (2000 nodes / 2x there).
+    targets).  ``--size smoke`` scales the gate down for CI (2000 nodes
+    / 2x there).
     """
-    nodes = int(os.environ.get("REPRO_BENCH_MPGP_NODES", "10000"))
-    floor = float(os.environ.get("REPRO_BENCH_MPGP_FLOOR", "3.0"))
+    nodes, floor = MPGP_NODES, MPGP_FLOOR
     graph = powerlaw_cluster(nodes, attach=8, triangle_prob=0.3, seed=11)
     seconds, assignments = {}, {}
     partitioners = {"loop": GallopingMPGPPartitioner,
@@ -87,7 +90,7 @@ def test_table5a_mpgp_vectorized_backend_speedup(benchmark):
 @pytest.mark.parametrize("dataset", DATASETS)
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
 def test_table5a_partition_time(benchmark, scheme, dataset):
-    ds = bench_dataset(dataset)
+    ds = bench_dataset(dataset, SCALE)
     partitioner = PARTITIONERS[scheme]()
     result = run_once(benchmark, partitioner.partition, ds.graph, 4)
     _times[(scheme, dataset)] = result.seconds

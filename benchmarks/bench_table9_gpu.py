@@ -21,20 +21,23 @@ from __future__ import annotations
 
 import pytest
 
-from common import (PAPER, bench_dataset, bench_epochs, bench_scale,
-                    print_table, run_once)
+from common import PAPER, bench_dataset, bench_size, print_table, run_once
 from repro.embedding.ops import torch_available
 from repro.systems import DistGER, DistGERGPU, GPUCostModel
+
+SIZE = bench_size("table9")
+SCALE = SIZE["scale"]
+EPOCHS = SIZE["epochs"]
 
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
 _out = {}
 
 #: Scaled "24 GB" device.  Resident training state grows with
-#: REPRO_BENCH_SCALE, so the capacity must track it for the paper's
+#: SCALE, so the capacity must track it for the paper's
 #: crossover to reproduce at any scale: the TW stand-in (~1.1 MB/scale
 #: resident) exceeds it and spills, FL (~0.35 MB/scale) fits.
 GPU = GPUCostModel(speedup=12.0,
-                   device_memory_bytes=int(800_000 * bench_scale()),
+                   device_memory_bytes=int(800_000 * SCALE),
                    pcie_bandwidth=2.0e4)
 
 
@@ -48,8 +51,8 @@ def backend(request):
 
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_table9_gpu(benchmark, dataset, backend):
-    ds = bench_dataset(dataset)
-    system = DistGERGPU(num_machines=4, dim=32, epochs=bench_epochs(),
+    ds = bench_dataset(dataset, SCALE)
+    system = DistGERGPU(num_machines=4, dim=32, epochs=EPOCHS,
                         seed=0, gpu=GPU, backend=backend)
     result = run_once(benchmark, system.embed, ds.graph)
     stats = dict(result.stats)
@@ -57,7 +60,7 @@ def test_table9_gpu(benchmark, dataset, backend):
         # Measured CPU baseline for the side-by-side (the cost model's
         # CPU column is itself a measurement in model mode, so only the
         # torch mode needs this extra run).
-        cpu = DistGER(num_machines=4, dim=32, epochs=bench_epochs(),
+        cpu = DistGER(num_machines=4, dim=32, epochs=EPOCHS,
                       seed=0)
         stats["cpu_training_seconds"] = \
             cpu.embed(ds.graph).phase("training")

@@ -1,15 +1,17 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark module reproduces one table or figure of the paper
-(DESIGN.md §3 maps experiment → module).  Conventions:
+(README's "Benchmarks" table maps module -> figure).  Conventions:
 
-* ``REPRO_BENCH_SCALE`` (env, default 0.5) multiplies the dataset stand-in
-  sizes; raise it for higher-fidelity (slower) runs.
-* ``REPRO_BENCH_EPOCHS`` (env, default 2) sets training epochs for the
-  efficiency benches; effectiveness benches choose their own.
+* ``--size {full,smoke}`` (pytest option, default ``full``) picks the
+  row of :data:`SIZES` every bench reads its sizes and gate floors from:
+  ``full`` is a local run, ``smoke`` the scaled-down CI steps.
+* ``scale`` multiplies the dataset stand-in sizes and ``epochs`` sets
+  training epochs for the efficiency benches; effectiveness benches
+  choose their own.
 * Each bench prints the same rows/series the paper reports, labelled with
   the paper's numbers where available, so the console output *is* the
-  paper-vs-measured comparison recorded in EXPERIMENTS.md.
+  paper-vs-measured comparison.
 * ``benchmark.pedantic(fn, rounds=1, iterations=1)`` is used because one
   end-to-end system run is seconds-long; pytest-benchmark still records
   the timing.
@@ -17,23 +19,70 @@ Every benchmark module reproduces one table or figure of the paper
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Sequence
 
 from repro.graph import load
 from repro.graph.datasets import Dataset
 
+#: Every size-dependent bench parameter, per ``--size``.  A bench reads
+#: ``bench_size(name)``: the shared ``default`` entries overlaid with its
+#: own.  ``rmat_scale`` is an R-MAT exponent (2**scale nodes), ``floor``
+#: a speedup or q/s floor, ``ratio`` an RSS ceiling.
+SIZES: Dict[str, Dict[str, Dict[str, float]]] = {
+    "full": {
+        "default": {"scale": 0.5, "epochs": 2},
+        "dynamic": {"floor": 5.0},
+        "fig5_pipeline": {"rmat_scale": 17, "workers": 4, "floor": 1.2},
+        "fig6_executor": {"rmat_scale": 17, "workers": 4, "floor": 2.0},
+        "fig10": {"backend_nodes": 10_000, "train_nodes": 10_000,
+                  "train_floor": 3.0},
+        "ooc": {"rmat_scale": 13, "ratio": 0.5},
+        "persona": {"trials": 3, "epochs": 3},
+        "serving": {"nodes": 100_000, "queries": 50_000, "floor": 1500.0,
+                    "p99_ms": 250.0},
+        "table3": {"ipc_nodes": 10_000},
+        "table5": {"mpgp_nodes": 10_000, "mpgp_floor": 3.0},
+        "table9": {},
+    },
+    "smoke": {
+        "default": {"scale": 0.5, "epochs": 2},
+        "dynamic": {"floor": 2.0},
+        "fig5_pipeline": {"rmat_scale": 15, "workers": 2, "floor": 1.1},
+        "fig6_executor": {"rmat_scale": 15, "workers": 2, "floor": 1.5},
+        "fig10": {"scale": 0.1, "backend_nodes": 2000, "train_nodes": 2000,
+                  "train_floor": 2.0},
+        "ooc": {"rmat_scale": 11, "ratio": 0.85},
+        "persona": {"trials": 1, "epochs": 2},
+        "serving": {"nodes": 20_000, "queries": 5000, "floor": 6000.0,
+                    "p99_ms": 200.0},
+        "table3": {"ipc_nodes": 2000},
+        "table5": {"scale": 0.1, "mpgp_nodes": 2000, "mpgp_floor": 2.0},
+        "table9": {"scale": 0.2, "epochs": 1},
+    },
+}
 
-def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
+_size = "full"
 
 
-def bench_epochs() -> int:
-    return int(os.environ.get("REPRO_BENCH_EPOCHS", "2"))
+def use_size(size: str) -> None:
+    """Select the :data:`SIZES` row later ``bench_size`` calls read."""
+    global _size
+    _size = size
+
+
+def bench_size(bench: str = "default") -> Dict[str, float]:
+    """``bench``'s parameters at the selected size."""
+    row = SIZES[_size]
+    return {**row["default"], **row[bench]}
 
 
 def bench_dataset(name: str, scale: float | None = None) -> Dataset:
-    return load(name, scale=scale if scale is not None else bench_scale())
+    return load(name, scale=scale if scale is not None
+                else bench_size()["scale"])
+
+
+def bench_epochs() -> int:
+    return bench_size()["epochs"]
 
 
 def bench_suite(names: Sequence[str] | None = None) -> List[Dataset]:

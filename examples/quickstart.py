@@ -8,9 +8,8 @@ DSGL training with hotness-block synchronisation) on a simulated
 
 Run:  python examples/quickstart.py
 
-``REPRO_EXAMPLE_SCALE`` / ``REPRO_EXAMPLE_DIM`` / ``REPRO_EXAMPLE_EPOCHS``
-shrink the run (the examples smoke test uses them to keep this script
-executable in CI on a tiny graph).
+``REPRO_EXAMPLE_FAST=1`` shrinks the run to a tiny graph (how the
+examples smoke test keeps this script executable in CI).
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ import os
 
 from repro import embed_graph, load_dataset
 
-SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "0.5"))
-DIM = int(os.environ.get("REPRO_EXAMPLE_DIM", "64"))
-EPOCHS = int(os.environ.get("REPRO_EXAMPLE_EPOCHS", "3"))
+#: Smoke-test mode: a tiny graph and one short epoch, identical code path.
+FAST = os.environ.get("REPRO_EXAMPLE_FAST", "") not in ("", "0")
+SCALE, DIM, EPOCHS = (0.1, 16, 1) if FAST else (0.5, 64, 3)
 
 
 def main() -> None:

@@ -344,7 +344,6 @@ def serve_embeddings(
     workers: int = 0,
     metric: str = "cosine",
     candidates=None,
-    normalized_cache: bool = False,
     store_mode: Optional[str] = None,
 ):
     """Open a :class:`~repro.serving.engine.QueryEngine` over embeddings.
@@ -365,7 +364,7 @@ def serve_embeddings(
         0 answers queries in-process; ``>= 1`` starts that many query
         worker processes sharing the store zero-copy.  Responses are
         byte-identical either way.
-    metric, candidates, normalized_cache:
+    metric, candidates:
         Engine defaults; see :class:`~repro.serving.engine.QueryEngine`.
     store_mode:
         Backing mode for array/text inputs (``"shared"``/``"mmap"``/
@@ -399,7 +398,6 @@ def serve_embeddings(
         close_store = True
     return QueryEngine(store, workers=workers, metric=metric,
                        candidates=candidates,
-                       normalized_cache=normalized_cache,
                        close_store=close_store)
 
 

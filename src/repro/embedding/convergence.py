@@ -8,8 +8,8 @@ competitor.  This module provides that protocol as a reusable tool:
 * :func:`quality_time_curve` -- run one embedding method across a sweep
   of epoch budgets and record ``(seconds, score)`` points;
 * :func:`time_to_quality` -- the first budget at which a curve reaches a
-  target score (the "time-to-quality" metric EXPERIMENTS.md uses for the
-  PBG/DistDGL comparison);
+  target score (the "time-to-quality" metric of the PBG/DistDGL
+  comparison in ``benchmarks/bench_fig8_quality_vs_time.py``);
 * :func:`dominates` -- the Fig. 8 dominance check between two curves.
 
 Scores come from any ``(embeddings) -> float`` callable; the link-
@@ -101,7 +101,7 @@ def time_to_quality(curve: QualityTimeCurve, target: float) -> float:
 
     ``inf`` when no measured budget reaches it -- the honest answer for a
     plateaued method (this is how the PBG/DistDGL efficiency deficit is
-    expressed at stand-in scale; see EXPERIMENTS.md, Fig. 5/8 notes).
+    expressed at stand-in scale; see ``bench_fig8_quality_vs_time.py``).
     """
     feasible = [p.seconds for p in curve.points if p.score >= target]
     return min(feasible) if feasible else float("inf")

@@ -1,16 +1,17 @@
 """Model synchronisation across learner machines (paper §4.2, Improvement-III).
 
 Each machine trains on its local sub-corpus against a full model replica
-and periodically synchronises with the other ``m − 1`` machines.  The
-reconciliation rule is **delta accumulation** (parameter-server semantics):
-relative to the last synchronised state ``base``, the new value of a row is
+and periodically synchronises with the other ``m − 1`` machines.  Relative
+to the last synchronised state ``base``, a periodic sync **averages** the
+selected rows, ``base + mean_machines (replica_m − base)`` (Pword2vec's
+allreduce, stable for rows many machines contend for), and the final
+reduction **delta-accumulates** every row (parameter-server semantics),
 
     ``base + Σ_machines (replica_m − base)``
 
 so every machine's gradient contribution survives -- this is the
-distributed analogue of Hogwild's lock-free adds, and unlike naive model
-averaging it does not divide effective learning rates by the machine count
-(a failure mode we measured directly; see tests).
+distributed analogue of Hogwild's lock-free adds, and unlike averaging it
+does not divide effective learning rates by the machine count.
 
 Three strategies select *which rows* reconcile per period:
 
@@ -49,10 +50,7 @@ class SyncStrategy:
 
     name = "base"
 
-    def __init__(self, combine: str = "average") -> None:
-        if combine not in ("average", "delta"):
-            raise ValueError(f"unknown combine rule {combine!r}")
-        self.combine = combine
+    def __init__(self) -> None:
         self._base_in: Optional[np.ndarray] = None
         self._base_out: Optional[np.ndarray] = None
 
@@ -72,7 +70,7 @@ class SyncStrategy:
         metrics: Optional[ClusterMetrics] = None,
     ) -> None:
         rows = self._select_rows(replicas, rng)
-        self._reconcile(replicas, rows)
+        self._reconcile(replicas, rows, average=True)
         if replicas:
             self._charge(metrics, rows.size, replicas[0].dim, len(replicas))
 
@@ -89,7 +87,7 @@ class SyncStrategy:
         the periodic syncs.
         """
         all_rows = np.arange(replicas[0].vocab.size, dtype=np.int64)
-        self._reconcile(replicas, all_rows, combine="delta")
+        self._reconcile(replicas, all_rows, average=False)
         self._charge(metrics, all_rows.size, replicas[0].dim, len(replicas))
         return replicas[0].clone()
 
@@ -102,20 +100,19 @@ class SyncStrategy:
         self,
         replicas: List[EmbeddingModel],
         rows: np.ndarray,
-        combine: Optional[str] = None,
+        average: bool,
     ) -> None:
         """Reconcile the selected rows across replicas and refresh ``base``.
 
-        ``combine="average"``: ``new = base + mean(replica − base)`` --
-        gradient averaging, stable for rows contested by many machines
-        (this is Pword2vec's allreduce, and it is only sound with frequent
-        periods).  ``combine="delta"``: ``new = base + Σ (replica − base)``
-        -- parameter-server delta accumulation, exact for rows touched by
-        a single machine.
+        ``average`` (the periodic syncs): ``new = base + mean(replica −
+        base)`` -- gradient averaging, stable for rows contested by many
+        machines (this is Pword2vec's allreduce, and it is only sound with
+        frequent periods).  Otherwise (:meth:`finalize`): ``new = base +
+        Σ (replica − base)`` -- parameter-server delta accumulation, exact
+        for rows touched by a single machine.
         """
         if rows.size == 0 or self._base_in is None:
             return
-        rule = combine or self.combine
         if len(replicas) == 1:
             # Single machine: just refresh the base.
             self._base_in[rows] = replicas[0].phi_in[rows]
@@ -125,7 +122,7 @@ class SyncStrategy:
         base_out = self._base_out[rows]
         sum_in = sum(r.phi_in[rows] - base_in for r in replicas)
         sum_out = sum(r.phi_out[rows] - base_out for r in replicas)
-        if rule == "average":
+        if average:
             sum_in = sum_in / len(replicas)
             sum_out = sum_out / len(replicas)
         new_in = base_in + sum_in
@@ -166,17 +163,13 @@ class HotnessBlockSync(SyncStrategy):
 
     name = "hotness"
 
-    def __init__(self, include_untrained: bool = False) -> None:
-        super().__init__()
-        # Rows with zero corpus occurrences are never updated by training;
-        # syncing them is pure waste, so they are skipped by default.
-        self.include_untrained = include_untrained
-
     def _select_rows(self, replicas, rng) -> np.ndarray:
         vocab = replicas[0].vocab
         rows: List[int] = []
         for start, end in vocab.hotness_blocks():
-            if not self.include_untrained and vocab.row_counts[start] == 0:
+            # Rows with zero corpus occurrences are never updated by
+            # training; syncing them is pure waste.
+            if vocab.row_counts[start] == 0:
                 continue
             rows.append(int(rng.integers(start, end)))
         return np.asarray(rows, dtype=np.int64)

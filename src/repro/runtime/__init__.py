@@ -3,8 +3,8 @@
 Two layers live here.  The *simulated* layer stands in for the paper's
 8-machine cluster: machine placement, byte-accurate message accounting
 and a cost model that converts operation/traffic counts into a simulated
-makespan (see DESIGN.md §1 for why this substitution
-preserves the paper's efficiency comparisons).  The *execution* layer
+makespan (``docs/ARCHITECTURE.md`` §1: the counters are exact, so
+the paper's machine-count comparisons are deterministic on any host).  The *execution* layer
 makes the pipeline phases actually run on multiple OS processes:
 :mod:`repro.runtime.executor` hosts the run's one
 :class:`~repro.runtime.executor.ExecutionContext`, the phased

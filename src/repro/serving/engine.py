@@ -48,24 +48,21 @@ __all__ = ["PendingQuery", "QueryEngine"]
 _SERVE_STATE: Dict[str, object] = {}
 
 
-def _serving_worker_init(store_handle, candidates_handle,
-                         normalized_cache: bool) -> None:
+def _serving_worker_init(store_handle, candidates_handle) -> None:
     store = EmbeddingStore.attach(store_handle)
     candidates = (None if candidates_handle is None
                   else attach_shared_array(candidates_handle))
     _SERVE_STATE["store"] = store
     _SERVE_STATE["candidates"] = candidates
-    _SERVE_STATE["normalized_cache"] = normalized_cache
     _SERVE_STATE["generation"] = store.generation
     _SERVE_STATE["scorer"] = BatchTopKScorer(
-        store.embeddings, candidates=candidates,
-        normalized_cache=normalized_cache, norms=store.norms)
+        store.embeddings, candidates=candidates, norms=store.norms)
 
 
 def _serving_query_task(nodes, k, metric, candidates, exclude_self,
                         exclude):
-    # The scorer's construction-time caches (safe norms, normalised
-    # matrix, gathered catalogues) are only valid for the generation of
+    # The scorer's construction-time caches (safe norms, gathered
+    # catalogues) are only valid for the generation of
     # the matrix they were built from; a store update in the owner bumps
     # the shared generation slot, and the worker rebuilds before scoring
     # rather than mixing new vectors with stale norms.
@@ -74,7 +71,6 @@ def _serving_query_task(nodes, k, metric, candidates, exclude_self,
         _SERVE_STATE["generation"] = store.generation
         _SERVE_STATE["scorer"] = BatchTopKScorer(
             store.embeddings, candidates=_SERVE_STATE["candidates"],
-            normalized_cache=_SERVE_STATE["normalized_cache"],
             norms=store.norms)
     scorer: BatchTopKScorer = _SERVE_STATE["scorer"]
     start = time.perf_counter()
@@ -122,14 +118,10 @@ class QueryEngine:
     candidates:
         Engine-wide catalogue restriction (e.g. the item side of a
         bipartite graph); shipped to workers through shared memory once.
-    normalized_cache:
-        Precompute the row-normalised matrix in every scorer (see
-        :class:`BatchTopKScorer`).
     """
 
     def __init__(self, store, workers: int = 0, metric: str = "cosine",
                  candidates: Optional[np.ndarray] = None,
-                 normalized_cache: bool = False,
                  close_store: bool = False) -> None:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; use "
@@ -152,13 +144,12 @@ class QueryEngine:
         self._pool: Optional[ProcessExecutor] = None
         self._scorer: Optional[BatchTopKScorer] = None
         self._candidates = candidates
-        self._normalized_cache = normalized_cache
         self._scorer_generation = store.generation
         try:
             if workers == 0:
                 self._scorer = BatchTopKScorer(
                     store.embeddings, candidates=candidates,
-                    normalized_cache=normalized_cache, norms=store.norms)
+                    norms=store.norms)
             else:
                 candidates_handle = None
                 if candidates is not None:
@@ -167,8 +158,7 @@ class QueryEngine:
                         np.asarray(candidates, dtype=np.int64))
                 self._pool = ProcessExecutor(
                     workers, initializer=_serving_worker_init,
-                    initargs=(store.handle, candidates_handle,
-                              normalized_cache))
+                    initargs=(store.handle, candidates_handle))
         except BaseException:
             self.close()
             raise
@@ -200,12 +190,11 @@ class QueryEngine:
         if self._pool is None:
             if self.store.generation != self._scorer_generation:
                 # The store was updated under us (dynamic re-embedding);
-                # the scorer's norm/normalised/catalogue caches belong
+                # the scorer's norm/catalogue caches belong
                 # to the old matrix.  Rebuild before scoring.
                 self._scorer_generation = self.store.generation
                 self._scorer = BatchTopKScorer(
                     self.store.embeddings, candidates=self._candidates,
-                    normalized_cache=self._normalized_cache,
                     norms=self.store.norms)
             start = time.perf_counter()
             result = self._scorer.top_k(nodes, k=k, metric=metric,

@@ -8,9 +8,8 @@ evaluation protocol shared by the random-walk embedding literature.
 
 * **batched** -- a request carries ``q`` query nodes and is scored with
   one matmul against the catalogue, not ``q`` scans;
-* **cached** -- row norms (and optionally the normalised matrix) are
-  computed once at construction, never per query, and a fixed candidate
-  catalogue is gathered once;
+* **cached** -- row norms are computed once at construction, never per
+  query, and a fixed candidate catalogue is gathered once;
 * **deterministic** -- top-k selection breaks score ties by smallest
   node id, so equal-score results are byte-identical run to run and
   across serving processes.  This is the fix for the ``np.argpartition``
@@ -197,11 +196,6 @@ class BatchTopKScorer:
         Optional fixed catalogue (e.g. the item side of a bipartite
         graph).  Deduplicated, sorted and gathered **once**; per-call
         ``candidates`` still override it.  ``None`` means all nodes.
-    normalized_cache:
-        Precompute the row-normalised matrix once (extra ``n * d``
-        memory) so cosine queries skip the per-batch norm division.
-        Numerically this is the same deterministic elementwise division
-        either way -- the cache only moves it out of the hot path.
     norms:
         Precomputed :func:`row_norms` of ``embeddings`` (e.g. shipped by
         the store so workers skip the O(n d) pass); computed here when
@@ -216,7 +210,6 @@ class BatchTopKScorer:
 
     def __init__(self, embeddings: np.ndarray,
                  candidates: Optional[np.ndarray] = None,
-                 normalized_cache: bool = False,
                  norms: Optional[np.ndarray] = None,
                  groups: Optional[np.ndarray] = None) -> None:
         embeddings = np.asarray(embeddings)
@@ -232,10 +225,6 @@ class BatchTopKScorer:
         # Zero-norm (cold/untrained) rows divide by 1 instead of 0: their
         # dot products are exactly 0, so cosine is defined as 0, not NaN.
         self._safe_norms = np.where(self.norms > 0.0, self.norms, 1.0)
-        self._normalized: Optional[np.ndarray] = None
-        if normalized_cache:
-            self._normalized = embeddings / \
-                self._safe_norms[:, None].astype(embeddings.dtype)
         self.groups: Optional[np.ndarray] = None
         self.num_groups = 0
         self._group_rows_order: Optional[np.ndarray] = None
@@ -275,9 +264,6 @@ class BatchTopKScorer:
             "matrix": self.embeddings if full else self.embeddings[cand],
             "safe_norms": (self._safe_norms if full
                            else self._safe_norms[cand]),
-            "normalized": (None if self._normalized is None
-                           else (self._normalized if full
-                                 else self._normalized[cand])),
             # Group-sorted column structure for top_k_bases (lazy).
             "group_cols": None,
         }
@@ -437,15 +423,12 @@ class BatchTopKScorer:
         """``(c, q)`` score block, the layout the one matmul per request
         batch produces.  ``dot`` keeps the product's own float dtype;
         ``cosine`` divides in float64."""
-        normalized = gathered["normalized"] if metric == "cosine" else None
-        product = (gathered["matrix"] if normalized is None
-                   else normalized) @ queries.T
+        product = gathered["matrix"] @ queries.T
         if metric == "dot":
             return np.asarray(
                 product, dtype=np.result_type(product, np.float32))
         scores = np.asarray(product, dtype=np.float64)
-        if normalized is None:
-            scores /= gathered["safe_norms"][:, None]
+        scores /= gathered["safe_norms"][:, None]
         scores /= np.where(query_norms > 0.0, query_norms, 1.0)[None, :]
         return scores
 

@@ -28,8 +28,7 @@ cannot go stale.  :meth:`update` rewrites the matrix in place (the
 dynamic-update pipeline's re-embedding lands here), recomputes the norm
 cache, and bumps ``generation`` -- a shared ``int64[1]`` slot that
 attached workers see instantly.  Anything that derives state from the
-matrix (the scorer's ``_safe_norms`` / normalised-matrix / gathered
-catalogues) keys its caches on ``generation`` and rebuilds on change;
+matrix (the scorer's ``_safe_norms`` / gathered catalogues) keys its caches on ``generation`` and rebuilds on change;
 :class:`~repro.serving.engine.QueryEngine` does exactly that on both the
 in-process and the worker path, so a :class:`~repro.serving.scorer.
 BatchTopKScorer` never scores post-update vectors against pre-update

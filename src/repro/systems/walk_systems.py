@@ -23,13 +23,12 @@ kernel (``deepwalk``/``node2vec``/``huge``/``huge+``) can be combined with
 information-centric termination, which is how the Fig. 12 generality
 experiments deploy DeepWalk and node2vec on DistGER.
 
-One engine per phase: the walk mode picks the walk engine -- DistGER and
-KnightKing sample through the batched
-:class:`repro.walks.vectorized.BatchWalkRunner` (lock-step NumPy
-supersteps, ~22x faster at 10^4 nodes) while HuGE-D runs the per-walker
-loop, because its O(L)-per-step full-path measurement *is* the baseline
-cost being reproduced (:mod:`repro.walks.engine`).  MPGP always scores
-from the precomputed per-arc common-neighbour table
+One engine per phase: every system samples through the batched
+:class:`repro.walks.vectorized.BatchWalkRunner` (lock-step supersteps,
+~22x faster than the per-walker loop at 10^4 nodes); HuGE-D's walks run
+to the length cap and are cut where the full-path rule stops them, with
+their O(L) messages charged per step (:mod:`repro.walks.engine`).  MPGP
+always scores from the precomputed per-arc common-neighbour table
 (:mod:`repro.partition.mpgp`) and the trainer always runs the batched
 learners, except for the loop-only pSGNScc baseline
 (:mod:`repro.embedding.trainer`).  The loop references each fast path

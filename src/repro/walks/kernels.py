@@ -576,8 +576,8 @@ class HuGEPlusKernel(HuGEKernel):
     as the candidate's normalised degree information
     ``1 + log(1 + deg v) / log(1 + deg_max)``, which boosts hops toward
     informative (high-degree) regions while preserving HuGE's walk-length
-    and walk-count rules.  (Approximation documented in DESIGN.md; HuGE+
-    uses the same termination machinery, which dominates its behaviour.)
+    and walk-count rules.  (An approximation of HuGE+; it uses the same
+    termination machinery, which dominates its behaviour.)
     """
 
     name = "huge+"

@@ -10,7 +10,7 @@
   corpus occurrence distribution ``q`` stabilises:
   ``|D_r(p‖q) − D_{r−1}(p‖q)| <= δ``.
 
-Calibration note (documented in DESIGN.md): the paper's ``μ = 0.995`` is
+Calibration note: the paper's ``μ = 0.995`` is
 calibrated on graphs with 10⁶-10⁹ edges, where the entropy series has a
 long near-linear ramp.  On the ~10³-node stand-ins used here the ramp is
 shorter, so the same rule with the paper's constant terminates walks very

@@ -49,22 +49,12 @@ class TestSyncStrategies:
     def test_average_rule_divides_step(self, rng):
         """Averaging: one machine's +3 delta becomes +1 across 3 replicas."""
         models = fixture_models()
-        sync = FullSync(combine="average")
+        sync = FullSync()
         sync.start(models)
         before = models[0].phi_in[0].copy()
         models[1].phi_in[0] = before + 3.0
         sync.sync(models, rng)
         np.testing.assert_allclose(models[0].phi_in[0], before + 1.0)
-
-    def test_delta_rule_preserves_single_machine_updates(self, rng):
-        """Delta-sum: a row touched by one machine is adopted exactly."""
-        models = fixture_models()
-        sync = FullSync(combine="delta")
-        sync.start(models)
-        before = models[0].phi_in[0].copy()
-        models[1].phi_in[0] = before + 3.0
-        sync.sync(models, rng)
-        np.testing.assert_allclose(models[0].phi_in[0], before + 3.0)
 
     def test_hotness_skips_untrained_rows(self, rng):
         models = fixture_models()
@@ -107,10 +97,6 @@ class TestSyncStrategies:
         models[1].phi_in[2] = base + 2.0
         final = sync.finalize(models)
         np.testing.assert_allclose(final.phi_in[2], base + 3.0)
-
-    def test_invalid_combine(self):
-        with pytest.raises(ValueError):
-            FullSync(combine="median")
 
 
 class TestDistributedTrainer:

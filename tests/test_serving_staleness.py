@@ -49,9 +49,8 @@ def _norm_skewed_pair(n=40, d=8, seed=3):
     return gen0, gen1
 
 
-def _reference(matrix, nodes, k, normalized_cache=False):
-    scorer = BatchTopKScorer(np.asarray(matrix),
-                             normalized_cache=normalized_cache)
+def _reference(matrix, nodes, k):
+    scorer = BatchTopKScorer(np.asarray(matrix))
     return scorer.top_k(np.asarray(nodes, dtype=np.int64), k=k)
 
 
@@ -137,18 +136,15 @@ class TestEngineRebuild:
     """The regression proper: queries after an update must equal a fresh
     scorer's bytes on every execution path."""
 
-    @pytest.mark.parametrize("normalized_cache", [False, True])
-    def test_inprocess_scorer_rebuilds(self, normalized_cache):
+    def test_inprocess_scorer_rebuilds(self):
         gen0, gen1 = _norm_skewed_pair()
         store = EmbeddingStore.from_array(gen0.copy(), mode="memory")
-        with QueryEngine(store, workers=0,
-                         normalized_cache=normalized_cache) as engine:
+        with QueryEngine(store, workers=0) as engine:
             nodes = [0, 1, 2, 3]
             stale_answer = engine.query(nodes, k=5)
             store.update(gen1)
             fresh = engine.query(nodes, k=5)
-            want = _reference(gen1, nodes, 5,
-                              normalized_cache=normalized_cache)
+            want = _reference(gen1, nodes, 5)
             np.testing.assert_array_equal(fresh.ids, want.ids)
             np.testing.assert_array_equal(fresh.scores, want.scores)
             # the fault was real: the old answer differs from the new one
