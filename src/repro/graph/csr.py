@@ -218,11 +218,6 @@ class CSRGraph:
             return 1.0
         return float(self.weights[self.indptr[u] + i])
 
-    def common_neighbor_count(self, u: int, v: int) -> int:
-        """``|N(u) ∩ N(v)|`` via sorted-array intersection."""
-        return int(np.intersect1d(self.neighbors(u), self.neighbors(v),
-                                  assume_unique=True).size)
-
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #

@@ -1,13 +1,15 @@
 """Loader of the compiled kernels -- the HuGE kernels' whole walks
 (``walks/huge_step.c``), the DSGL planner's compiled half
-(``embedding/dsgl_plan.c``) and the exact lanes of the DSGL trainer step
-(``embedding/dsgl_step.c``) -- built into one library.
+(``embedding/dsgl_plan.c``), the exact lanes of the DSGL trainer step
+(``embedding/dsgl_step.c``) and MPGP's common-neighbour table and
+placement stream (``partition/mpgp.c``) -- built into one library.
 
 :func:`load` returns it, or ``None`` when it cannot be built or loaded --
-then the NumPy trial lanes, the NumPy planner and the ``ArrayOps`` step
-loop run, with the same bytes, and one ``RuntimeWarning`` per process says
-why.  It is compiled once per hash of the sources and flags with ``$CC``
-(default ``cc``) into the user-private ``$XDG_CACHE_HOME/repro`` (default
+then the NumPy trial lanes, the NumPy bitmap gather, the Python MPGP
+stream, the NumPy planner and the ``ArrayOps`` step loop run, with the
+same bytes, and one ``RuntimeWarning`` per process says why.  It is
+compiled once per hash of the sources and flags with ``$CC`` (default
+``cc``) into the user-private ``$XDG_CACHE_HOME/repro`` (default
 ``~/.cache/repro``), each build sealed with its own SHA-256 and renamed
 into place, so concurrent builders load complete libraries and a damaged
 cache entry is rebuilt before the dynamic loader maps it.
@@ -31,7 +33,7 @@ import numpy as np
 
 _SOURCES = tuple(os.path.join(os.path.dirname(__file__), *parts) for parts
                  in (("walks", "huge_step.c"), ("embedding", "dsgl_plan.c"),
-                     ("embedding", "dsgl_step.c")))
+                     ("embedding", "dsgl_step.c"), ("partition", "mpgp.c")))
 # -O3 vectorises the step lanes; it reassociates nothing without
 # -ffast-math, and -ffp-contract=off keeps each * and + its own rounding.
 # -fno-math-errno: ``sqrt`` is the bare (correctly rounded) instruction,
@@ -106,13 +108,17 @@ def _open(path: str):
     for name in _LANES:
         getattr(lib, name).restype = None
         getattr(lib, name).argtypes = [pointer, count, count]
+    lib.cn_counts.restype = lib.mpgp_stream.restype = None
+    lib.cn_counts.argtypes = [*[pointer] * 4, count, *[pointer] * 2]
+    lib.mpgp_stream.argtypes = [*[pointer] * 5, count, count,
+                                ctypes.c_double, *[pointer] * 3]
     return lib
 
 
 def load():
     """The library, or ``None``; resolved once per process -- by the
-    parent, before any walk or slice pool starts (forked workers inherit
-    it), or by whichever walk kernel or planner asks first."""
+    parent, before any walk, slice or partition-segment pool starts
+    (forked workers inherit it), or by whichever kernel asks first."""
     global _library
     if _library is _UNSET:
         _library = None
@@ -294,3 +300,62 @@ def step_lanes(offsets: Sequence[int], m: int, b: int, cidx: np.ndarray,
     lib = load()
     table = (ctypes.c_uint64 * (3 + len(pointers)))(d, m, b, *pointers)
     return [partial(getattr(lib, name), table) for name in _LANES]
+
+
+def _partition_arrays(kernel: str, indptr: np.ndarray, indices: np.ndarray,
+                      *arrays) -> list:
+    """Pointers to a CSR whose offsets rise from 0 to its arc count and to
+    each ``(name, array, dtype, size, stop)`` -- ``None`` as NULL, ``stop``
+    (when set) bounding the ids the array holds."""
+    nodes, arcs = indptr.size - 1, indices.size
+    pointers = [_checked(indptr, np.int64, nodes + 1, f"{kernel}'s indptr")]
+    if nodes < 0 or indptr[0] != 0 or indptr[-1] != arcs or np.any(
+            np.diff(indptr) < 0):
+        raise ValueError(f"{kernel}'s indptr does not rise from 0 to {arcs}")
+    for name, array, dtype, size, stop in (
+            ("indices", indices, np.int64, arcs, nodes), *arrays):
+        pointers.append(None if array is None else
+                        _checked(array, dtype, size, f"{kernel}'s {name}"))
+        if stop is not None and array.size and (array.min() < 0
+                                                or array.max() >= stop):
+            raise ValueError(f"{kernel}'s {name} holds ids outside "
+                             f"[0, {stop})")
+    return pointers
+
+
+def cn_counts(indptr: np.ndarray, indices: np.ndarray, source: np.ndarray,
+              scanned: np.ndarray) -> np.ndarray:
+    """``|N(u) ∩ N(v)|`` at every ``scanned`` arc ``(u, v) = (source[arc],
+    indices[arc])`` of the CSR, 0 at every other arc (int64 per arc)."""
+    nodes, arcs = indptr.size - 1, indices.size
+    pointers = _partition_arrays(
+        "cn_counts", indptr, indices,
+        ("source", source, np.int64, arcs, nodes),
+        ("scanned", scanned, np.int64, scanned.size, arcs))
+    mark, out = np.zeros(nodes, dtype=np.uint8), np.zeros(arcs, np.int64)
+    load().cn_counts(*pointers, scanned.size, mark.ctypes.data,
+                     out.ctypes.data)
+    return out
+
+
+def mpgp_stream(indptr: np.ndarray, indices: np.ndarray,
+                weights: Optional[np.ndarray], arc_cm: np.ndarray,
+                stream: np.ndarray, num_parts: int,
+                gamma: float) -> np.ndarray:
+    """MPGP's placement of ``stream``'s nodes, one by one, on ``num_parts``
+    empty parts: per node, its part (-1 off the stream).  ``weights`` is
+    ``None`` on unweighted graphs; ``arc_cm`` is the per-arc table."""
+    nodes, arcs = indptr.size - 1, indices.size
+    if num_parts < 1:
+        raise ValueError(f"mpgp_stream's num_parts must be >= 1, got "
+                         f"{num_parts}")
+    pointers = _partition_arrays(
+        "mpgp_stream", indptr, indices,
+        ("weights", weights, np.float64, arcs, None),
+        ("arc_cm", arc_cm, np.int64, arcs, None),
+        ("stream", stream, np.int64, stream.size, nodes))
+    part_of = np.full(nodes, -1, dtype=np.int64)
+    sizes, pf = np.zeros(num_parts, np.int64), np.empty(2 * num_parts)
+    load().mpgp_stream(*pointers, stream.size, int(num_parts), float(gamma),
+                       part_of.ctypes.data, sizes.ctypes.data, pf.ctypes.data)
+    return part_of

@@ -73,12 +73,6 @@ class PartitionResult:
         """Node count per part."""
         return np.bincount(self.assignment, minlength=self.num_parts)
 
-    def edge_loads(self, graph: CSRGraph) -> np.ndarray:
-        """Stored-arc count per part (KnightKing's workload estimate)."""
-        loads = np.zeros(self.num_parts, dtype=np.int64)
-        np.add.at(loads, self.assignment, graph.degrees)
-        return loads
-
 
 class Partitioner(ABC):
     """Common interface: ``partition(graph, num_parts) -> PartitionResult``."""

@@ -25,7 +25,8 @@ Optimisations from the paper, all implemented here:
    :func:`repro.walks.kernels.common_neighbor_counts_per_arc` -- the exact
    pass ``HuGEKernel.arc_acceptance_table`` is built from (MPGP's
    second-order proximity *is* the quantity HuGE's transition probability
-   rewards) -- so no intersection is computed during the stream;
+   rewards) -- so no intersection is computed during the stream (both
+   run in C, ``partition/mpgp.c``, when :mod:`repro.native` loads);
 2. PF2 only visits ``u ∈ N(v) ∩ P_i`` -- non-neighbours cannot be reached
    by a walker in one hop, so they are skipped;
 3. streaming order is pluggable, defaulting to **DFS+degree** (recommended
@@ -61,6 +62,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import native
 from repro.graph.csr import CSRGraph
 from repro.partition.base import PartitionConfig, Partitioner
 from repro.partition.streaming_orders import check_order, get_order
@@ -91,11 +93,15 @@ def _mpgp_stream(
     Places ``stream``'s nodes one by one against an empty partition set
     and returns the per-node parts (-1 for nodes off the stream).
     ``arc_cm`` is the per-arc common-neighbour table
-    (:func:`_arc_common_neighbors`).  Each node reads its CSR row as
-    Python scalars and scores in scalar float64 -- the galloping
-    reference's operations in its arc and partition order, so every
-    node lands on the same partition.
+    (:func:`_arc_common_neighbors`).  Each node scores its CSR row in
+    scalar float64 -- the galloping reference's operations in its arc and
+    partition order, so every node lands on the same partition -- in C
+    (:func:`repro.native.mpgp_stream`) when the compiled library loads,
+    else over Python scalars below.
     """
+    if native.load() is not None:
+        return native.mpgp_stream(graph.indptr, graph.indices, graph.weights,
+                                  arc_cm, stream, num_parts, gamma)
     starts = graph.indptr.tolist()
     indices, weights = graph.indices, graph.weights
     gamma = float(gamma)

@@ -788,6 +788,7 @@ def run_partition_segments(graph, segments, num_parts: int, gamma: float,
     try:
         graph_handle = share_graph(group, graph)
         arc_handle = group.share(arc_cm)
+        native.load()    # resolved here, so the forked workers inherit it
         with ProcessExecutor(
                 min(context.pool_size, len(segments)),
                 initializer=_partition_worker_init,

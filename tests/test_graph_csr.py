@@ -158,10 +158,6 @@ class TestAccessors:
         assert weighted_triangle.edge_weight(0, 1) == pytest.approx(1.0)
         assert weighted_triangle.edge_weight(2, 0) == pytest.approx(3.0)
 
-    def test_common_neighbors(self, small_graph):
-        # Nodes 0 and 1 are in the same 8-clique: share the other 6 members.
-        assert small_graph.common_neighbor_count(0, 1) >= 6
-
     def test_degrees_match_neighbors(self, medium_graph):
         for u in range(0, medium_graph.num_nodes, 17):
             assert medium_graph.degree(u) == medium_graph.neighbors(u).size

@@ -132,7 +132,8 @@ class TestQualityRelationships:
 
     def test_workload_balancing_balances_edges(self, medium_graph):
         res = WorkloadBalancePartitioner().partition(medium_graph, 4)
-        loads = res.edge_loads(medium_graph)
+        loads = np.bincount(res.assignment, weights=medium_graph.degrees,
+                            minlength=4)
         assert loads.max() / max(1.0, loads.mean()) < 1.3
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.graph import CSRGraph
 from repro.partition import MPGPPartitioner, node_balance
 from repro.walks import HuGEKernel, Node2VecKernel
+from repro.walks.kernels import common_neighbor_counts_per_arc
 
 # Random small graphs: edge lists over <= 24 nodes.
 graphs = st.lists(
@@ -82,7 +83,10 @@ class TestKernelProbabilityLaws:
              (6, 5), (4, 5), (4, 6)])
         p1 = HuGEKernel(g1).acceptance_probability(0, 1)
         p2 = HuGEKernel(g2).acceptance_probability(0, 1)
-        assert g1.common_neighbor_count(0, 1) < g2.common_neighbor_count(0, 1)
+        # Arc 0 is (0, 1) in both: 1 is node 0's smallest neighbour.
+        assert (common_neighbor_counts_per_arc(g1)[0]
+                < common_neighbor_counts_per_arc(g2)[0])
+        assert g1.indices[0] == g2.indices[0] == 1
         assert g1.degree(0) == g2.degree(0) and g1.degree(1) == g2.degree(1)
         assert p2 > p1
 

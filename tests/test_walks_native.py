@@ -67,10 +67,12 @@ class TestCacheDirectory:
 
     def test_one_library_keyed_on_every_source(self, fresh, expected,
                                                tmp_path, monkeypatch):
-        """The walks, the planner's compiled half and the step lanes are
-        one library; editing any source is a new cache key."""
+        """The walks, the planner's compiled half, the step lanes and the
+        partition kernels are one library; editing any source is a new
+        cache key."""
         library = native.load()
         assert library.huge_walks and library.dsgl_plan
+        assert library.cn_counts and library.mpgp_stream
         assert all(getattr(library, name) for name in native._LANES)
         keys = {native.library_path(str(fresh))}
         sources = native._SOURCES
