@@ -1,8 +1,10 @@
 """Array-ops seam: the backend-neutral primitives of the trainer hot path.
 
-Every gather, stacked matmul, sigmoid and scatter in the batched learners
-(:mod:`repro.embedding.vectorized`) and the shared DSGL step kernel flows
-through one of the two implementations here:
+The batched learners (:mod:`repro.embedding.vectorized`) run one step
+kernel -- a DSGL lock-step step, a Pword2vec window or an SGNS pair --
+whose gathers, stacked matmuls, sigmoid and scatters flow through one of
+the two implementations here (on the shared float32 ``NUMPY_OPS`` with
+the compiled library loaded, the step's exact lanes run in C instead):
 
 * :class:`NumpyOps` -- the reference.  Each method wraps the NumPy call
   the learners made before the seam existed (same ``out=`` discipline,
@@ -264,12 +266,6 @@ class ArrayOps:
     def empty(self, shape):
         raise NotImplementedError
 
-    def zeros(self, shape):
-        raise NotImplementedError
-
-    def zeros_like(self, x):
-        raise NotImplementedError
-
     def const(self, arr):
         """Adopt a host int64 index array (device copy where needed)."""
         raise NotImplementedError
@@ -330,22 +326,6 @@ class ArrayOps:
 
     def sigmoid_(self, x) -> None:
         """In-place clipped logistic."""
-        raise NotImplementedError
-
-    def matmul(self, a, b):
-        """Fresh ``a @ b`` (vector or matrix operands)."""
-        raise NotImplementedError
-
-    def matmul_nt(self, a, b):
-        """Fresh ``a @ b.T`` (2-D operands)."""
-        raise NotImplementedError
-
-    def matmul_tn(self, a, b):
-        """Fresh ``a.T @ b`` (2-D operands)."""
-        raise NotImplementedError
-
-    def outer(self, a, b):
-        """Fresh outer product of two vectors."""
         raise NotImplementedError
 
     def rowwise_dot(self, a, b):
@@ -414,12 +394,6 @@ class NumpyOps(ArrayOps):
     def empty(self, shape):
         return np.empty(shape, dtype=self.dtype)
 
-    def zeros(self, shape):
-        return np.zeros(shape, dtype=self.dtype)
-
-    def zeros_like(self, x):
-        return np.zeros_like(x)
-
     def const(self, arr):
         return arr
 
@@ -469,18 +443,6 @@ class NumpyOps(ArrayOps):
         np.exp(x, out=x)
         x += 1.0
         np.divide(1.0, x, out=x)
-
-    def matmul(self, a, b):
-        return a @ b
-
-    def matmul_nt(self, a, b):
-        return a @ b.T
-
-    def matmul_tn(self, a, b):
-        return a.T @ b
-
-    def outer(self, a, b):
-        return np.outer(a, b)
 
     def rowwise_dot(self, a, b):
         return np.einsum("ij,ij->i", a, b)
@@ -532,13 +494,6 @@ class TorchOps(ArrayOps):
     def empty(self, shape):
         return self.torch.empty(shape, dtype=self.torch_dtype,
                                 device=self.device)
-
-    def zeros(self, shape):
-        return self.torch.zeros(shape, dtype=self.torch_dtype,
-                                device=self.device)
-
-    def zeros_like(self, x):
-        return self.torch.zeros_like(x)
 
     def const(self, arr):
         t = self.torch.from_numpy(np.ascontiguousarray(arr))
@@ -652,26 +607,6 @@ class TorchOps(ArrayOps):
             x.exp_()
             x.add_(1.0)
             x.reciprocal_()
-
-    def matmul(self, a, b):
-        if self.is_cpu:
-            return self.torch.from_numpy(self._np(a) @ self._np(b))
-        return a @ b
-
-    def matmul_nt(self, a, b):
-        if self.is_cpu:
-            return self.torch.from_numpy(self._np(a) @ self._np(b).T)
-        return a @ b.T
-
-    def matmul_tn(self, a, b):
-        if self.is_cpu:
-            return self.torch.from_numpy(self._np(a).T @ self._np(b))
-        return a.T @ b
-
-    def outer(self, a, b):
-        if self.is_cpu:
-            return self.torch.from_numpy(np.outer(self._np(a), self._np(b)))
-        return self.torch.outer(a, b)
 
     def rowwise_dot(self, a, b):
         if self.is_cpu:

@@ -3,8 +3,8 @@
 :class:`BaseLearner` holds one machine's replica, its negative sampler and
 counter stream, and the array-ops implementation its update math runs on;
 the concrete learners -- the batched SGNS / Pword2vec / DSGL learners of
-:mod:`repro.embedding.vectorized` and the loop-only pSGNScc of
-:mod:`repro.embedding.psgnscc` -- subclass it.  All operate on an
+:mod:`repro.embedding.vectorized`, which share one step kernel, and the
+loop-only pSGNScc of :mod:`repro.embedding.psgnscc` -- subclass it.  All operate on an
 :class:`EmbeddingModel` in row (frequency) space.
 """
 

@@ -22,14 +22,16 @@ Learners and randomness
 -----------------------
 :data:`LEARNERS` holds one learner per name: the batched learners of
 :mod:`repro.embedding.vectorized` for ``sgns`` / ``pword2vec`` / ``dsgl``,
-and pSGNScc's loop learner, which stays sequential because its mutable
-inverted-index lookup is the overhead §4.1 measures.  Each machine's
+which all run one step kernel (a Pword2vec window or an SGNS pair is a
+DSGL step of width 1), and pSGNScc's loop learner, which stays
+sequential because its mutable inverted-index lookup is the overhead
+§4.1 measures.  Each machine's
 negative samples come from a counter-based stream derived from
 ``(train seed, machine)``, so the per-window reference learners in
 ``tests/oracles/embedding.py`` consume identical randomness and produce
 bit-identical embeddings -- ``tests/test_embedding_vectorized_parity.py``
 is the reference-parity suite.  ``TrainConfig.backend="torch"`` runs the
-same batched slice plans on torch tensors (:mod:`repro.embedding.ops`).
+same batched plans on torch tensors (:mod:`repro.embedding.ops`).
 
 Execution
 ---------

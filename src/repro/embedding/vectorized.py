@@ -1,31 +1,32 @@
 """Batched Skip-Gram learners: what the trainer runs for SGNS, Pword2vec
 and DSGL.
 
-A per-window learner spends most of its time *around* the update math:
-windows are re-sliced per target, every window re-runs ``searchsorted``
-over the lifetime buffers, negatives are drawn a handful at a time, and
-DSGL's multi-window batching advances Python generators.  The learners
-here hoist all of that bookkeeping out of the inner loop -- window
-layouts, buffer indices, label coordinates and the whole negative pool
-are precomputed as flat NumPy arrays per walk (SGNS/Pword2vec) or per
-lifetime chunk (DSGL) -- while the update math itself is kept
-operation-for-operation identical.
+All three run one step kernel: gather a step's context rows and output
+rows, score ``ctx @ outs.T``, form the gradient ``(labels - sigmoid) *
+lr``, add ``grad @ outs`` and ``grad.T @ ctx`` to the pre-update blocks
+and scatter them back, the last write winning for a repeated row.  On
+the shared float32 ``NUMPY_OPS`` with the compiled library loaded the
+step's exact lanes run in C (``dsgl_step.c``) around NumPy's three GEMMs
+and its ``exp``; elsewhere every primitive goes through ``ops``
+(:func:`_step_ops`).  Window layouts, row indices and the whole negative
+pool are precomputed as flat arrays per plan.
 
-That identity is the parity contract against the per-window reference
-learners in ``tests/oracles/embedding.py`` (the trainer analogue of the
-walk engine's loop/lock-step parity): both feed the same counter-based
+The parity target is the per-window reference learners in
+``tests/oracles/embedding.py`` (the trainer analogue of the walk
+engine's loop/lock-step parity): both feed the same counter-based
 negative streams through
 :meth:`repro.embedding.negative.NegativeSampler.sample_rows_stream`, and
-every gather, matmul, ``sigmoid`` and scatter runs on bit-identical
-operands in the same order, so the final embeddings agree to the last bit
--- ``tests/test_embedding_vectorized_parity.py`` pins this down at
+a stacked ``(1, m, d)`` product gives the bytes of the 2-D product at
+the same ``m``, so the final embeddings agree to the last bit --
+``tests/test_embedding_vectorized_parity.py`` pins this down at
 ``atol=1e-10`` (far below float32 resolution).
 
 SGD is order-sensitive, so SGNS stays a per-pair update (its level-1
 structure is the baseline being measured: the original word2vec
 formulation, Fig. 3(a)) and Pword2vec a per-window update (one negative
-set shared by a window's contexts, Fig. 3(b), Ji et al. [22]): their
-speedup is pure bookkeeping elimination.
+set shared by a window's contexts, Fig. 3(b), Ji et al. [22]): each
+window or pair is one step of width 1 on the replica matrices
+(:class:`_WindowLearner`), run in corpus order.
 
 DSGL goes further.  In the real system (§4.2, Fig. 4) the lifetimes --
 ``multi_windows``-walk chunks with private local buffers -- are processed
@@ -116,84 +117,132 @@ def window_context_layout(length: int, window: int) -> Tuple[np.ndarray, np.ndar
     return positions, left + right
 
 
-class VectorizedSGNSLearner(BaseLearner):
-    """Per-pair SGNS with precomputed windows and pooled negative draws."""
+#: Most steps one window plan holds: its step tensors stay a few MB.
+_WINDOW_PLAN_STEPS = 2048
+
+
+class _WindowLearner(BaseLearner):
+    """Per-window SGD on the DSGL step kernel (SGNS and Pword2vec).
+
+    Every window -- or, with ``per_pair``, every ``(context, target)``
+    pair -- is one step of width 1: its ``m`` context rows and its output
+    rows ``[target, k negatives]`` index the replica matrices directly, so
+    there is no local buffer, no padding lane and no write-back.  Steps
+    are grouped by ``m``, each group binding the step kernels once, and
+    run one at a time in corpus order (SGD is order-sensitive): each
+    updates both blocks from their pre-update copies, and a row repeated
+    within a step keeps its last lane's write.  A plan covers whole walks
+    with at most ``_WINDOW_PLAN_STEPS`` steps between them (or one walk).
+    """
+
+    per_pair = False
+
+    def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
+        phi_in, phi_out = self._adopt()
+        per_token = 2 * self.config.window if self.per_pair else 1
+        chunk, steps = [], 0
+        for walk in walks:
+            if walk.size < 2:                  # a walk of one has no window
+                continue
+            size = walk.size * min(walk.size - 1, per_token)  # steps, at most
+            if chunk and steps + size > _WINDOW_PLAN_STEPS:
+                self._train_plan(chunk, phi_in, phi_out, lr)
+                chunk, steps = [], 0
+            chunk.append(walk)
+            steps += size
+        if chunk:
+            self._train_plan(chunk, phi_in, phi_out, lr)
+        self._publish(phi_in, phi_out)
+        return sum(int(walk.size) for walk in walks)
+
+    def _train_plan(self, walks, phi_in, phi_out, lr: float) -> None:
+        """Train ``walks``, each of two tokens or more, as one plan."""
+        layouts = [window_context_layout(walk.size, self.config.window)
+                   for walk in walks]
+        rows = self._rows(np.concatenate(walks))
+        bases = np.cumsum([0] + [walk.size for walk in walks[:-1]]).tolist()
+        contexts = rows[np.concatenate(
+            [layout[0] + base for layout, base in zip(layouts, bases)])]
+        sizes = np.concatenate([layout[1] for layout in layouts])
+        targets = rows
+        if self.per_pair:
+            targets = np.repeat(rows, sizes)
+            sizes = np.ones_like(targets)
+        # One pooled draw: step s's negatives are the reference's s-th draw.
+        k = self.config.negatives
+        outs = np.column_stack(
+            [targets, self._negatives(k * sizes.size).reshape(-1, k)])
+        # Group the steps by context count, in corpus order within each.
+        starts = _exclusive_cumsum(sizes)[:-1]
+        order = np.argsort(sizes, kind="stable")
+        widths, firsts = np.unique(sizes[order], return_index=True)
+        group = np.searchsorted(widths, sizes)
+        index = np.empty_like(order)            # each step's row in its group
+        index[order] = np.arange(order.size)
+        index -= firsts[group]
+        steps = [self._bind_steps(
+                     phi_in, phi_out,
+                     contexts[starts[members][:, None] + np.arange(m)],
+                     outs[members], lr)
+                 for m, members in zip(widths.tolist(),
+                                       np.split(order, firsts[1:]))]
+        for g, j in zip(group.tolist(), index.tolist()):
+            steps[g](j)
+
+    def _bind_steps(self, phi_in, phi_out, cidx, oidx, lr: float):
+        """Step ``j`` of one group of ``m``-context steps, as a callable of
+        ``j``: the compiled lanes around NumPy's GEMMs and ``exp`` on the
+        shared ``NUMPY_OPS`` with the library loaded, else
+        :func:`_step_ops`."""
+        ops = self.ops
+        (n, m), b, d = cidx.shape, oidx.shape[1], phi_in.shape[1]
+        labels = np.zeros((n, m, b), dtype=np.float32)
+        labels[:, :, 0] = 1.0
+        mask = np.ones_like(labels)
+        rate = ops.upload(np.full((1, 1, 1), lr))
+        work = [ops.empty((1,) + shape) for shape in
+                ((m, d), (b, d), (m, b), (m, b), (m, d), (b, d))]
+        if ops is not NUMPY_OPS or native.load() is None:
+            cidx, oidx = ops.const(cidx), ops.const(oidx)
+            labels, mask = ops.mask(labels), ops.mask(mask)
+            ops.join()      # compute must see the staged constant uploads
+            return lambda j: _step_ops(
+                ops, phi_in, phi_out, cidx[j:j + 1], oidx[j:j + 1],
+                labels[j:j + 1], mask[j:j + 1], rate, work)
+        c_vecs, o_vecs, grad, _, c_delta, o_delta = work
+        gather, pre_exp, post_exp, add_scatter = native.step_lanes(
+            range(n + 1), m, b, cidx, oidx, labels, mask, rate, phi_in,
+            phi_out, (c_vecs, o_vecs, grad, c_delta, o_delta))
+        matmul, exp = np.matmul, np.exp
+        o_vecs_t, grad_t = o_vecs.transpose(0, 2, 1), grad.transpose(0, 2, 1)
+
+        # The kernels hold raw pointers: the default keeps their arrays
+        # alive as long as the step is.
+        def step(j, _alive=(cidx, oidx, labels, mask, rate, work)):
+            gather(j, j + 1)
+            matmul(c_vecs, o_vecs_t, out=grad)
+            pre_exp(j, j + 1)
+            exp(grad, out=grad)
+            post_exp(j, j + 1)
+            matmul(grad, o_vecs, out=c_delta)
+            matmul(grad_t, c_vecs, out=o_delta)
+            add_scatter(j, j + 1)
+        return step
+
+
+class VectorizedSGNSLearner(_WindowLearner):
+    """SGNS, the original word2vec (Fig. 3(a)): one step per
+    ``(context, target)`` pair, each with its own negatives."""
 
     name = "sgns"
-
-    def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
-        ops = self.ops
-        phi_in, phi_out = self._adopt()
-        k = self.config.negatives
-        tokens = 0
-        out_rows = np.empty(k + 1, dtype=np.int64)
-        for walk in walks:
-            tokens += int(walk.size)
-            if walk.size <= 1:
-                continue
-            rows = self._rows(walk)
-            positions, sizes = window_context_layout(rows.size, self.config.window)
-            pair_ctx = rows[positions]                    # (P,) pair order
-            pair_tgt = np.repeat(rows, sizes)             # (P,)
-            # One pooled draw: the p-th pair's negatives equal the
-            # per-pair reference's p-th draw (counter-based stream).
-            negs = self._negatives(k * pair_ctx.size).reshape(-1, k)
-            for p in range(pair_ctx.size):
-                c_row = int(pair_ctx[p])
-                out_rows[0] = pair_tgt[p]
-                out_rows[1:] = negs[p]
-                x = phi_in[c_row]
-                outs = ops.gather(phi_out, out_rows)
-                scores = ops.sigmoid(ops.matmul(outs, x))
-                grad = ops.zeros(k + 1)
-                grad[0] = 1.0
-                grad -= scores
-                grad *= lr
-                phi_in[c_row] = x + ops.matmul(grad, outs)
-                ops.scatter_rows(phi_out, out_rows,
-                                 outs + ops.outer(grad, x))
-        self._publish(phi_in, phi_out)
-        return tokens
+    per_pair = True
 
 
-class VectorizedPword2vecLearner(BaseLearner):
-    """Per-window Pword2vec with precomputed windows and pooled negatives."""
+class VectorizedPword2vecLearner(_WindowLearner):
+    """Pword2vec [22] (Fig. 3(b)): one step per window, its contexts
+    sharing one negative set."""
 
     name = "pword2vec"
-
-    def train_walks(self, walks: Sequence[np.ndarray], lr: float) -> int:
-        ops = self.ops
-        phi_in, phi_out = self._adopt()
-        k = self.config.negatives
-        tokens = 0
-        out_rows = np.empty(k + 1, dtype=np.int64)
-        for walk in walks:
-            tokens += int(walk.size)
-            if walk.size <= 1:
-                continue
-            rows = self._rows(walk)
-            positions, sizes = window_context_layout(rows.size, self.config.window)
-            ctx_flat = rows[positions]
-            offs = np.zeros(rows.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=offs[1:])
-            negs = self._negatives(k * rows.size).reshape(-1, k)
-            for t in range(rows.size):
-                contexts = ctx_flat[offs[t]:offs[t + 1]]
-                out_rows[0] = rows[t]
-                out_rows[1:] = negs[t]
-                ctx = ops.gather(phi_in, contexts)         # (m, d)
-                outs = ops.gather(phi_out, out_rows)       # (k+1, d)
-                scores = ops.sigmoid(ops.matmul_nt(ctx, outs))  # (m, k+1)
-                labels = ops.zeros_like(scores)
-                labels[:, 0] = 1.0
-                grad = labels - scores                     # (m, k+1)
-                grad *= lr
-                ops.scatter_rows(phi_in, contexts,
-                                 ctx + ops.matmul(grad, outs))
-                ops.scatter_rows(phi_out, out_rows,
-                                 outs + ops.matmul_tn(grad, ctx))
-        self._publish(phi_in, phi_out)
-        return tokens
 
 
 # --------------------------------------------------------------------- #
@@ -359,39 +408,17 @@ class DSGLSlicePlan:
 
     def _run_ops(self, ctx_mega, out_mega, ops: ArrayOps) -> None:
         """The ``ArrayOps`` step loop: the reference and the fallback."""
-        take, scatter, sub, sigmoid_ = (ops.take, ops.scatter_rows, ops.sub,
-                                        ops.sigmoid_)
-        bmm, bmm_nt, bmm_tn = ops.bmm, ops.bmm_nt, ops.bmm_tn
-        b_cidx, b_oidx, b_labels, b_mask, b_lr = (
-            self.cidx, self.oidx, self.labels, self.mask, self.lr)
         offsets = self.step_offsets
         width = 0
         for t in range(self.num_steps):
             lo, hi = offsets[t], offsets[t + 1]
             if hi - lo != width:
                 width = hi - lo
-                (ctx_vecs, out_vecs, scores, grad,
-                 ctx_delta, out_delta) = [buf[:width] for buf in self._buffers]
-                lr = b_lr[:width]
-            cidx = b_cidx[lo:hi]                         # (C, Mmax)
-            oidx = b_oidx[lo:hi]                         # (C, Bmax)
-            take(ctx_mega, cidx, ctx_vecs)               # (C, Mmax, d)
-            take(out_mega, oidx, out_vecs)               # (C, Bmax, d)
-            bmm_nt(ctx_vecs, out_vecs, scores)           # (C, Mmax, Bmax)
-            sigmoid_(scores)
-            sub(b_labels[lo:hi], scores, grad)
-            grad *= lr
-            # Zero the padding lanes so scratch-row garbage never leaks
-            # into a valid row (and the scratch row itself stays zero: its
-            # updates reduce to scratch + 0).  Valid lanes multiply by
-            # 1.0 -- exact.
-            grad *= b_mask[lo:hi]
-            bmm(grad, out_vecs, ctx_delta)
-            bmm_tn(grad, ctx_vecs, out_delta)
-            ctx_vecs += ctx_delta
-            out_vecs += out_delta
-            scatter(ctx_mega, cidx, ctx_vecs)
-            scatter(out_mega, oidx, out_vecs)
+                work = [buf[:width] for buf in self._buffers]
+                lr = self.lr[:width]
+            _step_ops(ops, ctx_mega, out_mega, self.cidx[lo:hi],
+                      self.oidx[lo:hi], self.labels[lo:hi],
+                      self.mask[lo:hi], lr, work)
 
     def _run_lanes(self, ctx_mega, out_mega) -> None:
         """:meth:`_run_ops` on ``NUMPY_OPS`` in eight calls a step: C
@@ -471,6 +498,33 @@ class DSGLSlicePlan:
             f"{learner.machine} at lr={lr!r}, cohort {self.cohort}: "
             f"non-finite {matrix} delta, first row {row} (node {node}); "
             f"lower lr")
+
+
+def _step_ops(ops: ArrayOps, ctx_mega, out_mega, cidx, oidx, labels,
+              mask, lr, work) -> None:
+    """One step through ``ops``: both blocks gathered, scored and
+    scattered back with their updates, in place.  ``cidx``/``oidx`` hold
+    the step's ``(C, M)``/``(C, B)`` rows, ``labels``/``mask`` its
+    ``(C, M, B)`` lanes, ``lr`` its ``(C, 1, 1)`` rates and ``work`` the
+    ``(ctx_vecs, out_vecs, scores, grad, ctx_delta, out_delta)`` blocks
+    cut to width ``C``."""
+    ctx_vecs, out_vecs, scores, grad, ctx_delta, out_delta = work
+    ops.take(ctx_mega, cidx, ctx_vecs)               # (C, M, d)
+    ops.take(out_mega, oidx, out_vecs)               # (C, B, d)
+    ops.bmm_nt(ctx_vecs, out_vecs, scores)           # (C, M, B)
+    ops.sigmoid_(scores)
+    ops.sub(labels, scores, grad)
+    grad *= lr
+    # Zero the padding lanes so scratch-row garbage never leaks into a
+    # valid row (and the scratch row itself stays zero: its updates
+    # reduce to scratch + 0).  Valid lanes multiply by 1.0 -- exact.
+    grad *= mask
+    ops.bmm(grad, out_vecs, ctx_delta)
+    ops.bmm_tn(grad, ctx_vecs, out_delta)
+    ctx_vecs += ctx_delta
+    out_vecs += out_delta
+    ops.scatter_rows(ctx_mega, cidx, ctx_vecs)
+    ops.scatter_rows(out_mega, oidx, out_vecs)
 
 
 def merge_deltas(phi: np.ndarray, rows: np.ndarray,

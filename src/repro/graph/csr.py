@@ -301,27 +301,6 @@ class CSRGraph:
             total += self.weights.nbytes
         return int(total)
 
-    def storage_bytes(self) -> dict:
-        """CSR bytes split into resident heap vs file-backed mappings.
-
-        A graph attached from a ``backing="mmap"`` handle holds
-        ``np.memmap`` arrays whose pages live in the page cache, not the
-        process heap; the out-of-core memory gates
-        (``bench_ooc_memory_ceiling.py``) need the two pools reported
-        separately.  ``resident + mapped == memory_bytes()``.
-        """
-        resident = 0
-        mapped = 0
-        arrays = [self.indptr, self.indices]
-        if self.weights is not None:
-            arrays.append(self.weights)
-        for arr in arrays:
-            if isinstance(arr, np.memmap):
-                mapped += int(arr.nbytes)
-            else:
-                resident += int(arr.nbytes)
-        return {"resident": resident, "mapped": mapped}
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "directed" if self.directed else "undirected"
         w = "weighted" if self.is_weighted else "unweighted"

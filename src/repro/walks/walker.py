@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 
 @dataclass
@@ -22,10 +22,6 @@ class WalkStats:
         if not self.walk_lengths:
             return 0.0
         return sum(self.walk_lengths) / len(self.walk_lengths)
-
-    @property
-    def average_walks_per_node(self) -> Optional[float]:
-        return None if self.rounds == 0 else float(self.rounds)
 
     @property
     def acceptance_rate(self) -> float:

@@ -55,7 +55,7 @@ class SGNSLearner(BaseLearner):
                 for c_row in contexts:
                     neg_rows = self._negatives(k)
                     out_rows = np.concatenate([[target], neg_rows])
-                    x = phi_in[c_row]
+                    x = phi_in[c_row].copy()   # the pre-update row
                     outs = phi_out[out_rows]
                     scores = sigmoid(outs @ x)
                     grad = np.zeros(k + 1, dtype=np.float32)

@@ -313,12 +313,20 @@ class TestNumpyOpsTiers:
         np.testing.assert_array_equal(inplace, got)
 
     def test_matmul_family_shapes(self):
+        """The stacked products over ``(C, m, d)`` blocks, against the
+        2-D product of each slice."""
         ops = NumpyOps(dtype=np.float64)
-        a = ops.upload(np.random.default_rng(0).standard_normal((4, 3)))
-        b = ops.upload(np.random.default_rng(1).standard_normal((5, 3)))
-        np.testing.assert_allclose(ops.matmul_nt(a, b), a @ b.T)
-        np.testing.assert_allclose(ops.matmul_tn(a[:, :2].copy(), a),
-                                   a[:, :2].T @ a)
+        a = ops.upload(np.random.default_rng(0).standard_normal((2, 4, 3)))
+        b = ops.upload(np.random.default_rng(1).standard_normal((2, 5, 3)))
+        g = ops.upload(np.random.default_rng(2).standard_normal((2, 4, 5)))
+        for product, x, y, shape, want in (
+                (ops.bmm_nt, a, b, (2, 4, 5), lambda c: a[c] @ b[c].T),
+                (ops.bmm, g, b, (2, 4, 3), lambda c: g[c] @ b[c]),
+                (ops.bmm_tn, g, a, (2, 5, 3), lambda c: g[c].T @ a[c])):
+            out = ops.empty(shape)
+            product(x, y, out)
+            for c in range(2):
+                np.testing.assert_allclose(out[c], want(c))
 
 
 def step_case(seed, lifetimes, m_max=6, b_max=4):

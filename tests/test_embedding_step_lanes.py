@@ -10,6 +10,8 @@ inf and overflow lanes included, write back the same matrices and raise
 the same divergence error.  NaN lanes must sit in the same places; their
 sign bits are the one exception, because where two NaNs are summed NumPy
 keeps one or the other depending on the lane's place in its SIMD loop.
+The Pword2vec and SGNS learners run the same lanes, one step of width 1
+per window or pair.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.embedding import (
+    LEARNERS,
     EmbeddingModel,
     NegativeSampler,
     TrainConfig,
     VectorizedDSGLLearner,
     Vocabulary,
 )
-from repro.embedding.ops import NumpyOps
+from repro.embedding.ops import NUMPY_OPS, NumpyOps
 from repro.embedding.vectorized import plan_dsgl_slice
 from repro.utils.rng import CounterStream
 from repro.walks import Corpus
@@ -171,6 +174,36 @@ class TestLaneParity:
                 side_effect=AssertionError("the compiled lanes ran")):
             ctx_mega, _, out_mega, _ = plan.gather(ops)
             plan.run_steps(ctx_mega, out_mega, ops)
+
+
+@pytest.mark.parametrize("learner, groups", [
+    ("pword2vec", 4),       # windows of 3, 4, 5 and 6 contexts at window 3
+    ("sgns", 1)])           # every pair has one context
+def test_window_learners_run_the_step_lanes(learner, groups):
+    """A Pword2vec or SGNS ``train_walks`` binds the step lanes once per
+    context count and makes no per-window ``ArrayOps`` call: each window
+    or pair is one step of the compiled kernel."""
+    corpus = Corpus(30)
+    rng = np.random.default_rng(4)
+    walks = [rng.integers(0, 30, size=n) for n in (9, 1, 6, 12)]
+    for walk in walks:
+        corpus.add_walk(walk)
+    vocab = Vocabulary.from_corpus(corpus)
+    cfg = TrainConfig(dim=8, window=3, negatives=2)
+    model = EmbeddingModel(vocab, cfg.dim, seed=1)
+    trainer = LEARNERS[learner](model, NegativeSampler(vocab), cfg,
+                                CounterStream(3))
+    spies = {name: mock.patch.object(NUMPY_OPS, name,
+                                     wraps=getattr(NUMPY_OPS, name))
+             for name in ("gather", "take", "sigmoid", "sigmoid_")}
+    with mock.patch.object(native, "step_lanes",
+                           wraps=native.step_lanes) as lanes, \
+            spies["gather"] as gather, spies["take"] as take, \
+            spies["sigmoid"] as sigmoid, spies["sigmoid_"] as sigmoid_:
+        assert trainer.train_walks(walks, 0.05) == 28
+    assert lanes.call_count == groups
+    assert not (gather.called or take.called or sigmoid.called
+                or sigmoid_.called)
 
 
 def lane_args():

@@ -30,6 +30,7 @@ from repro.embedding import (
     VectorizedSGNSLearner,
     Vocabulary,
 )
+from repro.embedding import vectorized
 from repro.embedding.anchor import AnchorRegularizer
 from repro.embedding.trainer import WarmStart
 from repro.embedding.vectorized import plan_dsgl_slice
@@ -84,9 +85,24 @@ def train_embeddings(corpus, kind, machines=2, walk_machines=None,
 class TestLearnerParity:
     """Direct learner-level parity: same model, sampler and stream."""
 
+    @pytest.mark.parametrize("case", ("mixed", "pairs", "wide_window",
+                                      "three_nodes", "small_plans"))
     @pytest.mark.parametrize("learner", PARITY_LEARNERS)
-    def test_loop_equals_vectorized(self, learner):
-        corpus = make_corpus()
+    def test_loop_equals_vectorized(self, learner, case, monkeypatch):
+        """``pairs``: walks of two tokens; ``wide_window``: no walk longer
+        than the window; ``three_nodes``: nodes repeat inside windows and
+        five output rows over three vocabulary rows always repeat one --
+        often a target drawn among its own negatives -- so a step
+        scatters duplicate rows and the last write must win;
+        ``small_plans``: a window plan holds a few walks, or one walk
+        over the budget."""
+        if case == "small_plans":
+            monkeypatch.setattr(vectorized, "_WINDOW_PLAN_STEPS", 40)
+        corpus = {"mixed": lambda: make_corpus(),
+                  "small_plans": lambda: make_corpus(),
+                  "pairs": lambda: make_corpus(min_len=2, max_len=3),
+                  "wide_window": lambda: make_corpus(max_len=4),
+                  "three_nodes": lambda: make_corpus(num_nodes=3)}[case]()
         vocab = Vocabulary.from_corpus(corpus)
         sampler = NegativeSampler(vocab)
         cfg = TrainConfig(dim=16, window=3, negatives=4, multi_windows=2)
@@ -138,6 +154,37 @@ class TestLearnerParity:
             inst.train_walks(corpus.walks, lr=0.05)
             draws[kind] = np.concatenate(sampler.drawn)
         np.testing.assert_array_equal(draws["loop"], draws["vectorized"])
+
+    def test_sgns_updates_the_output_rows_from_the_pre_update_context(self):
+        """A two-token walk on a three-row model -- two pairs -- against
+        the updates written out by hand: both blocks move by the gradient
+        times the *other* block's pre-update rows, as in word2vec.c,
+        which updates the context row only after the output loop."""
+        corpus = Corpus(3)
+        corpus.add_walk(np.arange(3))
+        vocab = Vocabulary.from_corpus(corpus)
+        sampler = NegativeSampler(vocab)
+        cfg = TrainConfig(dim=4, window=1, negatives=2)
+        walk, lr = np.array([2, 0]), 0.5
+        start = np.random.default_rng(4).uniform(-1, 1, size=(2, 3, 4))
+        phi_in, phi_out = start.copy()
+        stream = CounterStream(8)
+        first, second = vocab.rows_of(walk).tolist()
+        for c_row, target in ((second, first), (first, second)):
+            out_rows = np.concatenate(
+                [[target], sampler.sample_rows_stream(2, stream)])
+            x, outs = phi_in[c_row].copy(), phi_out[out_rows]
+            score = 1.0 / (1.0 + np.exp(-np.clip(outs @ x, -6.0, 6.0)))
+            grad = (np.eye(3)[0] - score) * lr
+            phi_in[c_row] = x + grad @ outs
+            phi_out[out_rows] = outs + np.outer(grad, x)  # last write wins
+        for registry in (REFERENCE_LEARNERS, LEARNERS):
+            model = EmbeddingModel(vocab, cfg.dim, seed=1)
+            model.phi_in[:], model.phi_out[:] = start
+            registry["sgns"](model, sampler, cfg,
+                             CounterStream(8)).train_walks([walk], lr)
+            np.testing.assert_allclose(model.phi_in, phi_in, atol=1e-6)
+            np.testing.assert_allclose(model.phi_out, phi_out, atol=1e-6)
 
     def test_dsgl_multi_window_sizes(self):
         corpus = make_corpus(seed=11)

