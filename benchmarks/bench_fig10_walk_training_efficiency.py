@@ -43,7 +43,12 @@ TRAIN_NODES = SIZE["train_nodes"]
 TRAIN_FLOOR = SIZE["train_floor"]
 
 DATASETS = ("FL", "YT", "LJ", "OR", "TW")
+#: ``train()`` runs per learner, each on a fresh trainer over the same
+#: corpus; the report's wall is their median, as in Fig. 5, so one noisy
+#: sample cannot decide the learner ranking.
+TRAIN_RUNS = 3
 _walk = {}
+#: learner -> (median wall seconds, tokens/s of that run).
 _train = {}
 
 # The cross-system comparison runs every system on the per-walker loop
@@ -170,10 +175,19 @@ def test_fig10b_training_efficiency(benchmark, learner):
     cluster = Cluster(4, assignment, seed=1)
     walks = DistributedWalkEngine(ds.graph, cluster, WalkConfig.distger()).run()
     cfg = TrainConfig(dim=32, epochs=1)
-    trainer = DistributedTrainer(walks.corpus, cluster, cfg, learner=learner,
-                                 walk_machines=walks.walk_machines)
-    result = run_once(benchmark, trainer.train)
-    _train[learner] = (result.wall_seconds, result.throughput)
+
+    def train_runs():
+        return [DistributedTrainer(walks.corpus, cluster, cfg,
+                                   learner=learner,
+                                   walk_machines=walks.walk_machines).train()
+                for _ in range(TRAIN_RUNS)]
+
+    results = run_once(benchmark, train_runs)
+    for result in results[1:]:
+        np.testing.assert_array_equal(result.embeddings,
+                                      results[0].embeddings)
+    median = sorted(results, key=lambda r: r.wall_seconds)[TRAIN_RUNS // 2]
+    _train[learner] = (median.wall_seconds, median.throughput)
 
 
 def test_fig10ab_report(benchmark):
@@ -209,9 +223,11 @@ def test_fig10ab_report(benchmark):
 
     rows = [[name, secs, thr / 1e3] for name, (secs, thr) in
             sorted(_train.items())]
+    ratio = _train["pword2vec"][0] / _train["dsgl"][0]
     print_table(
-        "Figure 10(b): training wall seconds / throughput (k tokens/s); "
-        f"paper: DSGL {PAPER['fig10_dsgl_vs_pword2vec']}x vs Pword2vec",
+        f"Figure 10(b): training wall seconds / throughput (k tokens/s), "
+        f"median of {TRAIN_RUNS} runs; DSGL {ratio:.2f}x vs Pword2vec "
+        f"(paper: {PAPER['fig10_dsgl_vs_pword2vec']}x)",
         ["learner", "seconds", "k tok/s"], rows,
     )
     assert _train["dsgl"][0] < _train["pword2vec"][0], \

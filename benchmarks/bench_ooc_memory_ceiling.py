@@ -2,14 +2,14 @@
 
 The point of the mmap backing is that the big read-only blocks -- the
 flat corpus above all -- stop charging the processes' resident memory:
-the corpus spills to file-backed ``.npy`` blocks as it is built (staged
-appends, per-round flush, ``MADV_DONTNEED``), workers fault pages
-through the OS cache on demand, and descriptor-shipping training never
-materialises token pages in the parent.  Gate: on an R-MAT workload
-whose corpus dominates memory, the mmap run's peak-RSS *delta* over its
-post-graph-build baseline is at most ``RATIO`` (0.5) of the shm run's --
-with byte-identical embeddings and corpus, so the saving is pure
-transport.
+the corpus spills to file-backed ``.npy`` blocks as it is built (every
+round written through and synced, its pages dropped by
+``MADV_DONTNEED``), workers fault pages through the OS cache on demand,
+and descriptor-shipping training never materialises token pages in the
+parent.  Gate: on an R-MAT workload whose corpus dominates memory, the
+mmap run's peak-RSS *delta* over its post-graph-build baseline is at
+most ``RATIO`` (0.5) of the shm run's -- with byte-identical embeddings
+and corpus, so the saving is pure transport.
 
 Each backing runs in a fresh subprocess (this file, ``--child``) so the
 two peaks cannot contaminate each other: ``VmHWM`` is per-process and

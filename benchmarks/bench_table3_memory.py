@@ -165,8 +165,8 @@ def test_table3_flat_corpus_memory_no_worse(benchmark):
 
 def test_table3_spilled_corpus_resident_gate(benchmark, tmp_path):
     """Out-of-core companion: a spilled corpus keeps the token block
-    file-backed, so its resident share (occurrence counters + bounded
-    staging) is a small fraction of the mapped bytes -- the property the
+    file-backed, so its resident share (the occurrence counters) is a
+    small fraction of the mapped bytes -- the property the
     ``backing="mmap"`` RSS ceiling (bench_ooc_memory_ceiling.py) builds
     on."""
     graph = powerlaw_cluster(min(IPC_NODES, 5000), attach=6,
@@ -186,7 +186,7 @@ def test_table3_spilled_corpus_resident_gate(benchmark, tmp_path):
         print_table(
             "Table 3 companion: spilled corpus resident vs mapped bytes",
             ["pool", "bytes"],
-            [["resident (counters + staging)", split["resident"]],
+            [["resident (occurrence counters)", split["resident"]],
              ["mapped (token + offset blocks)", split["mapped"]]],
         )
         assert split["mapped"] >= corpus.total_tokens * 8

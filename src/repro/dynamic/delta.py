@@ -150,16 +150,6 @@ class EdgeStream:
                    np.asarray(ops, dtype=np.int64),
                    np.asarray(weights, dtype=np.float64))
 
-    def to_text(self) -> str:
-        """Inverse of :meth:`from_text` (weights printed only on inserts)."""
-        lines = []
-        for op, u, v, w in self:
-            if op == 1 and w != 1.0:
-                lines.append(f"+ {u} {v} {w!r}")
-            else:
-                lines.append(f"{'+' if op == 1 else '-'} {u} {v}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def random_churn(
     graph: CSRGraph,
@@ -270,10 +260,6 @@ class DeltaCSR:
     @property
     def num_nodes(self) -> int:
         return self._num_nodes
-
-    @property
-    def num_edits(self) -> int:
-        return len(self._edits)
 
     def _base_has_arc(self, u: int, v: int) -> bool:
         return u < self.base.num_nodes and self.base.has_edge(u, v)

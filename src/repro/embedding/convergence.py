@@ -53,9 +53,6 @@ class QualityTimeCurve:
         feasible = [p.score for p in self.points if p.seconds <= seconds]
         return max(feasible) if feasible else float("-inf")
 
-    def as_rows(self) -> List[List]:
-        return [[p.budget, p.seconds, p.score] for p in self.points]
-
 
 def quality_time_curve(
     graph: CSRGraph,

@@ -58,11 +58,6 @@ class Vocabulary:
     def size(self) -> int:
         return int(self.row_to_node.size)
 
-    @property
-    def max_occurrence(self) -> int:
-        """``ocn_max``: the paper's bound on the number of hotness blocks."""
-        return int(self.row_counts[0]) if self.size else 0
-
     def rows_of(self, nodes: np.ndarray) -> np.ndarray:
         """Vectorised node→row lookup."""
         return self.node_to_row[nodes]

@@ -37,16 +37,9 @@ class BipartiteInfo:
     item_groups: np.ndarray
 
     @property
-    def user_ids(self) -> np.ndarray:
-        return np.arange(self.num_users, dtype=np.int64)
-
-    @property
     def item_ids(self) -> np.ndarray:
         return np.arange(self.num_users, self.num_users + self.num_items,
                          dtype=np.int64)
-
-    def is_item(self, node: int) -> bool:
-        return self.num_users <= node < self.num_users + self.num_items
 
 
 def bipartite_preference_graph(

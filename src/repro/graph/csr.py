@@ -257,13 +257,6 @@ class CSRGraph:
         """Reinterpret stored arcs as a directed graph (paper §8.1)."""
         return CSRGraph(self.indptr, self.indices, self.weights, directed=True)
 
-    def as_undirected(self) -> "CSRGraph":
-        """Symmetrise a directed graph into its undirected version."""
-        if not self.directed:
-            return self
-        arcs = self.edge_array()
-        return CSRGraph.from_edges(arcs, num_nodes=self.num_nodes, directed=False)
-
     def subgraph_without_edges(self, removed: Iterable[Tuple[int, int]]) -> "CSRGraph":
         """Copy of the graph with the given logical edges removed.
 

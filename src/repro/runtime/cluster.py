@@ -61,14 +61,6 @@ class Cluster:
         """Machine hosting ``node`` (and its adjacency)."""
         return int(self.assignment[node])
 
-    def is_local(self, u: int, v: int) -> bool:
-        """Whether ``u`` and ``v`` live on the same machine."""
-        return self.assignment[u] == self.assignment[v]
-
-    def nodes_of(self, machine: int) -> np.ndarray:
-        """All node ids placed on ``machine``."""
-        return np.flatnonzero(self.assignment == machine)
-
     def partition_sizes(self) -> np.ndarray:
         """Node count per machine."""
         return np.bincount(self.assignment, minlength=self.num_machines)
@@ -80,10 +72,6 @@ class Cluster:
     def simulated_seconds(self) -> float:
         """Simulated makespan of everything recorded so far."""
         return self.cost_model.makespan(self.metrics)
-
-    def reset_metrics(self) -> None:
-        """Clear counters (placement and the walk seed root are kept)."""
-        self.metrics = ClusterMetrics(self.num_machines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = self.partition_sizes() if self.assignment.size else []

@@ -20,7 +20,7 @@ layer accumulates them whenever a walker hops machines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
 BYTES_PER_FIELD = 8
 
@@ -113,29 +113,3 @@ def message_size_ratio(walk_length: int) -> float:
     full = FullPathMessage(0, walk_length, 0, path=list(range(walk_length)))
     inc = IncrementalMessage(0, walk_length, 0)
     return full.byte_size() / inc.byte_size()
-
-
-def incremental_state_to_message(
-    walk_id: int,
-    steps: int,
-    node_id: int,
-    entropy_state: Tuple[int, float],
-    entropy_value: float,
-    moments: Tuple[float, float, float, float, float, int],
-) -> IncrementalMessage:
-    """Pack walker-carried InCoM state into a wire message."""
-    length, s = entropy_state
-    e_h, e_l, e_hl, e_h2, e_l2, _count = moments
-    return IncrementalMessage(
-        walk_id=walk_id,
-        steps=steps,
-        node_id=node_id,
-        entropy_h=entropy_value,
-        entropy_s=s,
-        length=length,
-        e_h=e_h,
-        e_l=e_l,
-        e_hl=e_hl,
-        e_h2=e_h2,
-        e_l2=e_l2,
-    )

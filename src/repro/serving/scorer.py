@@ -332,28 +332,6 @@ class BatchTopKScorer:
         return self._select(scores, nodes if exclude_self else None, k,
                             gathered["ids"], exclude)
 
-    def top_k_vectors(self, vectors: np.ndarray, k: int = 10,
-                      metric: str = "cosine",
-                      candidates: Optional[np.ndarray] = None,
-                      exclude: Optional[Sequence[np.ndarray]] = None
-                      ) -> TopKResult:
-        """Top-``k`` for raw query *vectors* (analogy-style queries).
-
-        Vectors arrive from outside the store, so a NaN/inf entry raises
-        here instead of poisoning the selection threshold.
-        """
-        check_positive("k", k)
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; use "
-                             f"{' or '.join(repr(m) for m in METRICS)}")
-        vectors = np.atleast_2d(np.asarray(vectors))
-        if exclude is not None and len(exclude) != vectors.shape[0]:
-            raise ValueError("exclude must hold one id array per query")
-        gathered = self._resolve_candidates(candidates)
-        scores = self._score(vectors, finite_row_norms(vectors, "query"),
-                             metric, gathered)
-        return self._select(scores, None, k, gathered["ids"], exclude)
-
     def top_k_bases(self, bases: np.ndarray, k: int = 10,
                     metric: str = "cosine",
                     candidates: Optional[np.ndarray] = None,

@@ -58,11 +58,6 @@ class LogisticRegression:
         x = np.asarray(features, dtype=np.float64)
         return x @ self._weights[:-1] + self._weights[-1]
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """P(label = 1 | x)."""
-        return 1.0 / (1.0 + np.exp(-np.clip(self.decision_function(features),
-                                            -30, 30)))
-
 
 class OneVsRestClassifier:
     """Independent binary classifiers per label (multi-label protocol)."""

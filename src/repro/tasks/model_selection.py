@@ -80,10 +80,6 @@ class GridSearchReport:
         return max(self.trials, key=key)
 
     @property
-    def best_params(self) -> Dict:
-        return self.best.params
-
-    @property
     def best_score(self) -> float:
         return self.best.score
 

@@ -10,8 +10,8 @@ quantities admit exact O(1) incremental updates:
   ``H(W_L) = log₂ L − S / L``.  Appending a node whose prior count is ``n``
   changes ``S`` by ``(n+1)log₂(n+1) − n log₂ n`` -- an O(1) update.  The
   paper states the equivalent multiplicative ``T`` form
-  (``H_{L+1} = (H_L·L − log₂ T)/(L+1)``); both are implemented and
-  property-tested equal.
+  (``H_{L+1} = (H_L·L − log₂ T)/(L+1)``); the direct ``S`` form is the
+  one implemented here.
 
 * **Regression** (Eq. 12/13).  ``R(H, L)`` needs only the five running
   moments ``E(H), E(L), E(HL), E(H²), E(L²)``; each is a mean and updates in
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable
 
 import numpy as np
 
@@ -73,45 +73,6 @@ class IncrementalEntropy:
             return 0.0
         # np.log2 for bit-parity with the vectorized engine (see _xlog2x).
         return float(np.log2(self.length) - self._s / self.length)
-
-    def merge_count_state(self, length: int, s: float) -> None:
-        """Adopt walker-carried ``(L, S)`` state (used after machine hops)."""
-        self.length = length
-        self._s = s
-
-    @property
-    def carried_state(self) -> Tuple[int, float]:
-        """The ``(L, S)`` pair a walker message carries across machines."""
-        return self.length, self._s
-
-    @staticmethod
-    def theorem1_step(h_prev: float, length: int, n_prev: int) -> float:
-        """One update via the paper's Theorem 1 ``T`` formulation.
-
-        Parameters
-        ----------
-        h_prev:
-            ``H(W_L)`` before appending the node.
-        length:
-            Current walk length ``L`` (before appending).
-        n_prev:
-            Occurrences ``n_L(v)`` of the appended node in ``W_L``
-            (0 when the node is new).
-
-        Returns
-        -------
-        float
-            ``H(W_{L+1})``.
-        """
-        if length == 0:
-            return 0.0
-        log_t = (
-            length * math.log2(length)
-            - (length + 1) * math.log2(length + 1)
-            + _xlog2x(n_prev + 1)
-            - _xlog2x(n_prev)
-        )
-        return (h_prev * length - log_t) / (length + 1)
 
 
 @dataclass
@@ -175,25 +136,3 @@ class IncrementalCorrelation:
         """Coefficient of determination ``R²`` of the streamed pairs."""
         r = self.correlation
         return r * r
-
-    @property
-    def carried_state(self) -> Tuple[float, float, float, float, float, int]:
-        """Moments a walker message carries: (E(H),E(L),E(HL),E(H²),E(L²),p)."""
-        return (
-            self.e_x.value,
-            self.e_y.value,
-            self.e_xy.value,
-            self.e_x2.value,
-            self.e_y2.value,
-            self.count,
-        )
-
-    def load_state(
-        self, e_x: float, e_y: float, e_xy: float, e_x2: float, e_y2: float, count: int
-    ) -> None:
-        """Adopt walker-carried moment state (after a machine hop)."""
-        self.e_x = IncrementalMean(count, e_x)
-        self.e_y = IncrementalMean(count, e_y)
-        self.e_xy = IncrementalMean(count, e_xy)
-        self.e_x2 = IncrementalMean(count, e_x2)
-        self.e_y2 = IncrementalMean(count, e_y2)

@@ -46,6 +46,7 @@ dying serving worker cannot orphan ``/dev/shm`` entries
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import sys
@@ -62,6 +63,7 @@ __all__ = [
     "attach_shared_array",
     "attached_count",
     "detach_shared_array",
+    "release_pages",
     "resolve_backing",
 ]
 
@@ -169,6 +171,19 @@ def _close_memmap(mm: Optional[np.memmap], force: bool = False) -> None:
             underlying.close()
         except BufferError:  # pragma: no cover - exported elsewhere
             pass
+
+
+def release_pages(array: np.ndarray) -> None:
+    """``madvise(MADV_DONTNEED)`` a memmap's pages out of the resident set.
+
+    The bytes stay in the file (and the OS page cache) and re-fault on
+    demand; flush first if the map is dirty.  No-op for in-RAM arrays and
+    on platforms without ``madvise``.
+    """
+    underlying = getattr(array, "_mmap", None)
+    if underlying is not None and hasattr(underlying, "madvise") and \
+            hasattr(mmap, "MADV_DONTNEED"):
+        underlying.madvise(mmap.MADV_DONTNEED)
 
 
 def _handle_matches(mm: np.ndarray, handle: SharedArrayHandle) -> bool:
@@ -397,12 +412,7 @@ class SharedArray:
         if self._mmap is None:
             return
         self.flush()
-        import mmap as _mmap_module
-
-        underlying = getattr(self._mmap, "_mmap", None)
-        if underlying is not None and hasattr(underlying, "madvise") and \
-                hasattr(_mmap_module, "MADV_DONTNEED"):
-            underlying.madvise(_mmap_module.MADV_DONTNEED)
+        release_pages(self._mmap)
 
     def close(self) -> None:
         """Release the mapping; unlink shm segments (idempotent).

@@ -76,21 +76,3 @@ def r_squared(x: Sequence[float], y: Sequence[float]) -> float:
     r = float(np.dot(dx, dy)) / np.sqrt(var_x * var_y)
     r = max(-1.0, min(1.0, r))
     return r * r
-
-
-def degree_distribution(degrees: np.ndarray) -> np.ndarray:
-    """Normalised node-degree distribution ``p(v)`` (paper §2.1)."""
-    degrees = np.asarray(degrees, dtype=np.float64)
-    total = degrees.sum()
-    if total <= 0:
-        raise ValueError("graph has no edges; degree distribution undefined")
-    return degrees / total
-
-
-def occurrence_distribution(occurrences: np.ndarray) -> np.ndarray:
-    """Normalised corpus occurrence distribution ``q(v)`` (paper §2.1)."""
-    occ = np.asarray(occurrences, dtype=np.float64)
-    total = occ.sum()
-    if total <= 0:
-        raise ValueError("corpus is empty; occurrence distribution undefined")
-    return occ / total

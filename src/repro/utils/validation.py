@@ -47,12 +47,3 @@ def check_fraction(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value!r}")
     return value
-
-
-def check_int_in_range(name: str, value: int, low: int, high: int) -> int:
-    """Validate ``low <= value <= high`` for an integer parameter."""
-    if not isinstance(value, (int,)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
-    return value

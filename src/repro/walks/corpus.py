@@ -27,11 +27,14 @@ Out-of-core spill
 -----------------
 :meth:`Corpus.spill_to` moves ``tokens``/``offsets`` onto file-backed
 ``.npy`` mmaps (the walk engine calls it under ``backing="mmap"``).  A
-spilled corpus keeps the exact same API and byte layout, but appends go
-through a bounded in-RAM staging buffer that every :meth:`add_walks`
-round flushes to disk (dropping the flushed pages from the resident
-set), so sampling a corpus of any size holds O(round + staging) bytes in
-RAM instead of O(corpus).  :meth:`storage_bytes` reports the
+spilled corpus keeps the exact same API and byte layout and appends the
+same way: every append writes straight into the maps, syncs them and
+drops the token pages from the resident set, so sampling a corpus of any
+size holds O(round) bytes in RAM instead of O(corpus); reading never
+writes.  Every block copy -- growth, shrink, splice -- goes through one
+helper pair (:meth:`Corpus._new_block` / :meth:`Corpus._install`) that
+serves both backings; a spilled block is rebuilt in a sibling file and
+atomically replaces its predecessor.  :meth:`storage_bytes` reports the
 resident-vs-mapped split; :meth:`spill_handles` lets the process trainer
 share the blocks zero-copy straight from the spill files.
 
@@ -48,24 +51,21 @@ import shutil
 import tempfile
 import threading
 import zipfile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.utils.rng import stream_uniforms
+from repro.utils.sharedmem import SharedArrayHandle, release_pages
 from repro.utils.stats import kl_divergence
 
 #: Zip local-file-header magic -- how :meth:`Corpus.load` detects ``.npz``.
 _NPZ_MAGIC = b"PK\x03\x04"
 
-#: Elements copied per step when a spilled block is rewritten onto a
-#: larger file -- with the per-chunk page release below this bounds the
-#: resident cost of growth to one chunk (8 MB), not O(corpus).
-_SPILL_COPY_CHUNK = 1 << 20
-
-#: Default staging bound (tokens) of a spilled corpus: appends accumulate
-#: in RAM up to this many tokens between flushes.
-_SPILL_STAGE_TOKENS = 1 << 20
+#: Elements copied per step when a block is rewritten -- with the
+#: per-chunk page release of a spilled corpus this bounds the resident
+#: cost of a copy to one chunk (8 MB), not O(corpus).
+_COPY_CHUNK = 1 << 20
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -88,16 +88,6 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     deltas[heads] = starts
     deltas[heads[1:]] -= starts[:-1] + lengths[:-1] - 1
     return np.cumsum(deltas)
-
-
-def _advise_dontneed(mm: np.ndarray) -> None:
-    """Drop a memmap's resident pages (data stays in file + page cache)."""
-    import mmap as _mmap_module
-
-    underlying = getattr(mm, "_mmap", None)
-    if underlying is not None and hasattr(underlying, "madvise") and \
-            hasattr(_mmap_module, "MADV_DONTNEED"):
-        underlying.madvise(_mmap_module.MADV_DONTNEED)
 
 
 class _WalkSequence(Sequence):
@@ -138,12 +128,64 @@ class Corpus:
         self._n_tokens = 0
         self._n_walks = 0
         self._occurrences = np.zeros(self.num_nodes, dtype=np.int64)
-        # Out-of-core spill state (see spill_to); counters above always
-        # include staged-but-unflushed appends.
+        # Directory of the .npy maps once spilled (see spill_to).
         self._spill_dir: Optional[str] = None
-        self._stage: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._stage_tokens = 0
-        self._stage_limit = _SPILL_STAGE_TOKENS
+
+    # ------------------------------------------------------------------ #
+    # Storage: one block-copy path for both backings
+    # ------------------------------------------------------------------ #
+
+    def _valid(self, name: str) -> int:
+        """Logical length of block ``name`` (``"tokens"``/``"offsets"``)."""
+        return self._n_tokens if name == "tokens" else self._n_walks + 1
+
+    def _new_block(self, name: str, size: int) -> np.ndarray:
+        """A fresh int64 block of ``size`` slots to replace ``name`` with:
+        an array, or for a spilled corpus a map of ``<name>.npy.next``."""
+        if self._spill_dir is None:
+            return np.empty(size, dtype=np.int64)
+        return np.lib.format.open_memmap(
+            os.path.join(self._spill_dir, f"{name}.npy.next"), mode="w+",
+            dtype=np.int64, shape=(max(size, 1),))
+
+    def _install(self, name: str, block: np.ndarray) -> None:
+        """Make ``block`` (from :meth:`_new_block`) the corpus's ``name``.
+
+        A spilled block is synced, its pages released, and its file
+        atomically replaces ``<name>.npy``, reopened ``r+``.  Existing
+        views and shared handles keep reading the superseded inode; its
+        maps are reclaimed once the last view dies.
+        """
+        if self._spill_dir is not None:
+            block.flush()
+            release_pages(block)
+            path = os.path.join(self._spill_dir, f"{name}.npy")
+            os.replace(path + ".next", path)
+            block = np.lib.format.open_memmap(path, mode="r+")
+        setattr(self, "_" + name, block)
+
+    def _copy(self, dst: np.ndarray, dst_start: int, src: np.ndarray,
+              src_start: int, count: int) -> None:
+        """``dst[dst_start:][:count] = src[src_start:][:count]``, chunked.
+
+        A spilled corpus syncs and releases both sides per chunk: reads
+        fault ``src``'s pages in and writes dirty ``dst``'s, so a copy
+        never charges more than one chunk of residency.
+        """
+        for off in range(0, count, _COPY_CHUNK):
+            stop = min(count, off + _COPY_CHUNK)
+            dst[dst_start + off:dst_start + stop] = \
+                src[src_start + off:src_start + stop]
+            if self._spill_dir is not None:
+                dst.flush()
+                release_pages(dst)
+                release_pages(src)
+
+    def _regrow(self, name: str, size: int) -> None:
+        """Move block ``name``'s logical prefix onto ``size`` slots."""
+        block = self._new_block(name, size)
+        self._copy(block, 0, getattr(self, "_" + name), 0, self._valid(name))
+        self._install(name, block)
 
     # ------------------------------------------------------------------ #
     # Building
@@ -153,16 +195,10 @@ class Corpus:
         """Grow the flat arrays (amortised doubling) for a pending append."""
         need = self._n_tokens + extra_tokens
         if need > self._tokens.size:
-            grown = np.empty(max(need, 2 * self._tokens.size, 1024),
-                             dtype=np.int64)
-            grown[:self._n_tokens] = self._tokens[:self._n_tokens]
-            self._tokens = grown
+            self._regrow("tokens", max(need, 2 * self._tokens.size, 1024))
         need = self._n_walks + extra_walks + 1
         if need > self._offsets.size:
-            grown = np.empty(max(need, 2 * self._offsets.size, 256),
-                             dtype=np.int64)
-            grown[:self._n_walks + 1] = self._offsets[:self._n_walks + 1]
-            self._offsets = grown
+            self._regrow("offsets", max(need, 2 * self._offsets.size, 256))
 
     def _count_occurrences(self, flat: np.ndarray) -> None:
         if flat.size:
@@ -171,9 +207,9 @@ class Corpus:
                 self._occurrences += np.bincount(flat,
                                                  minlength=self.num_nodes)
             else:
-                # Small appends (add_walk from the loop engines):
-                # O(len(walk)), not O(num_nodes) -- integer counts, so
-                # both paths land on identical state.
+                # Small appends (add_walk, a short merge): O(len(walk)),
+                # not O(num_nodes) -- integer counts, so both paths land
+                # on identical state.
                 np.add.at(self._occurrences, flat, 1)
 
     def _append_flat(self, flat: np.ndarray, lengths: np.ndarray) -> None:
@@ -182,20 +218,9 @@ class Corpus:
         The internal fast path shared by ``add_walk``/``add_walks``/
         ``merge``/``load``; unlike the public builders it accepts
         zero-length walks (needed for lossless save/load round trips).
-        A spilled corpus stages the append in RAM (counters advance
-        immediately; the flat views materialise at the next flush).
+        A spilled corpus writes through: the append is synced and the
+        token pages dropped, so resident memory stays O(append).
         """
-        if self._spill_dir is not None:
-            flat = np.array(flat, dtype=np.int64, copy=True).ravel()
-            lengths = np.array(lengths, dtype=np.int64, copy=True).ravel()
-            self._stage.append((flat, lengths))
-            self._stage_tokens += int(flat.size)
-            self._n_tokens += int(flat.size)
-            self._n_walks += int(lengths.size)
-            self._count_occurrences(flat)
-            if self._stage_tokens >= self._stage_limit:
-                self._flush_staging()
-            return
         self._reserve(int(flat.size), int(lengths.size))
         start = self._n_tokens
         self._tokens[start:start + flat.size] = flat
@@ -208,6 +233,10 @@ class Corpus:
         self._n_tokens += int(flat.size)
         self._n_walks += int(lengths.size)
         self._count_occurrences(flat)
+        if self._spill_dir is not None:
+            self._tokens.flush()
+            self._offsets.flush()
+            release_pages(self._tokens)
 
     def add_walk(self, walk: Sequence[int]) -> None:
         """Append one walk and update occurrence counts."""
@@ -247,24 +276,16 @@ class Corpus:
         if flat.min() < 0 or flat.max() >= self.num_nodes:
             raise ValueError("walk contains node ids outside the universe")
         self._append_flat(flat, lengths)
-        if self._spill_dir is not None:
-            # Round boundary: push the round to disk and drop its pages,
-            # so resident memory stays O(round) while sampling.
-            self._flush_staging()
 
     def __getstate__(self):
         # A spilled corpus materialises its blocks: the receiver has no
         # claim on our temp files' lifetime, so the pickle must be
         # self-contained.
-        if self._stage:
-            self._flush_staging()
         state = self.__dict__.copy()
         if self._spill_dir is not None:
             state["_tokens"] = np.array(self._tokens[:self._n_tokens])
             state["_offsets"] = np.array(self._offsets[:self._n_walks + 1])
             state["_spill_dir"] = None
-            state["_stage"] = []
-            state["_stage_tokens"] = 0
         return state
 
     def merge(self, other: "Corpus") -> None:
@@ -355,12 +376,12 @@ class Corpus:
         Equal-length replacements write straight into the flat block;
         otherwise the block is rebuilt with one bulk copy per unchanged
         run between replaced walks (``<= 2k + 1`` copies for ``k``
-        replacements).  A spilled corpus rewrites its files through a
-        sibling + atomic-replace, chunked, exactly like
-        :meth:`shrink_to_fit` -- existing zero-copy views and shared
-        handles keep reading the superseded inode, so a consumer that
-        must observe the patch re-reads ``tokens``/``offsets`` (the
-        update executor re-shares the corpus after patching).
+        replacements).  A spilled corpus rewrites its files through the
+        same sibling + atomic-replace as :meth:`shrink_to_fit` --
+        existing zero-copy views and shared handles keep reading the
+        superseded inode, so a consumer that must observe the patch
+        re-reads ``tokens``/``offsets`` (the update executor re-shares
+        the corpus after patching).
         """
         indices = np.asarray(indices, dtype=np.int64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
@@ -387,8 +408,6 @@ class Corpus:
                               or new_flat.max() >= self.num_nodes):
             raise ValueError("walk contains node ids outside the universe")
 
-        if self._stage:
-            self._flush_staging()
         offsets = self._offsets  # full backing array; prefix is logical
         old_lengths = np.diff(offsets[:self._n_walks + 1])
 
@@ -403,7 +422,7 @@ class Corpus:
             self._tokens[old_pos] = new_flat
             if self._spill_dir is not None:
                 self._tokens.flush()
-                _advise_dontneed(self._tokens)
+                release_pages(self._tokens)
         else:
             self._splice_rebuild(indices, lengths, new_flat, old_lengths)
 
@@ -412,73 +431,40 @@ class Corpus:
                         old_lengths: np.ndarray) -> None:
         """Rebuild ``tokens``/``offsets`` around replaced walks.
 
-        Unchanged runs between replaced walks are copied in bulk (chunked
-        with page drops when spilled); replacement rows come from
-        ``new_flat``.  The arrays come out exactly sized (no doubling
-        headroom), like :meth:`shrink_to_fit` leaves them.
+        Unchanged runs between replaced walks are copied in bulk through
+        :meth:`_copy`; replacement rows come from ``new_flat``.  The
+        blocks come out exactly sized (no doubling headroom), like
+        :meth:`shrink_to_fit` leaves them.
         """
         old_offsets = self._offsets
         new_lengths = old_lengths.copy()
         new_lengths[indices] = lengths
-        new_offsets = np.zeros(self._n_walks + 1, dtype=np.int64)
+        new_offsets = self._new_block("offsets", self._n_walks + 1)
+        new_offsets[0] = 0
         np.cumsum(new_lengths, out=new_offsets[1:])
         new_total = int(new_offsets[-1])
+        new_tokens = self._new_block("tokens", new_total)
 
-        spilled = self._spill_dir is not None
-        if spilled:
-            tmp = os.path.join(self._spill_dir, "tokens.npy.next")
-            new_tokens = np.lib.format.open_memmap(
-                tmp, mode="w+", dtype=np.int64, shape=(max(new_total, 1),))
-        else:
-            new_tokens = np.empty(new_total, dtype=np.int64)
-
-        def copy_run(dst_start: int, src_start: int, count: int) -> None:
-            for off in range(0, count, _SPILL_COPY_CHUNK):
-                stop = min(count, off + _SPILL_COPY_CHUNK)
-                new_tokens[dst_start + off:dst_start + stop] = \
-                    self._tokens[src_start + off:src_start + stop]
-                if spilled:
-                    new_tokens.flush()
-                    _advise_dontneed(new_tokens)
-                    _advise_dontneed(self._tokens)
+        def copy_run(first: int, stop: int) -> None:
+            """Copy the unchanged walks ``[first, stop)`` over."""
+            self._copy(new_tokens, int(new_offsets[first]), self._tokens,
+                       int(old_offsets[first]),
+                       int(old_offsets[stop] - old_offsets[first]))
 
         heads = np.zeros(indices.size, dtype=np.int64)
         np.cumsum(lengths[:-1], out=heads[1:])
         prev = 0  # first walk id of the next unchanged run
         for j, walk_id in enumerate(indices.tolist()):
             if prev < walk_id:
-                copy_run(int(new_offsets[prev]), int(old_offsets[prev]),
-                         int(old_offsets[walk_id] - old_offsets[prev]))
+                copy_run(prev, walk_id)
             row = slice(int(new_offsets[walk_id]),
                         int(new_offsets[walk_id + 1]))
             new_tokens[row] = new_flat[heads[j]:heads[j] + lengths[j]]
             prev = walk_id + 1
         if prev < self._n_walks:
-            copy_run(int(new_offsets[prev]), int(old_offsets[prev]),
-                     int(old_offsets[self._n_walks] - old_offsets[prev]))
-
-        if spilled:
-            new_tokens.flush()
-            _advise_dontneed(new_tokens)
-            del new_tokens
-            path = os.path.join(self._spill_dir, "tokens.npy")
-            self._tokens = None
-            os.replace(tmp, path)
-            self._tokens = np.lib.format.open_memmap(path, mode="r+")
-            # Offsets change too: rewrite through the same discipline.
-            opath = os.path.join(self._spill_dir, "offsets.npy")
-            otmp = opath + ".next"
-            mm = np.lib.format.open_memmap(
-                otmp, mode="w+", dtype=np.int64, shape=(new_offsets.size,))
-            mm[:] = new_offsets
-            mm.flush()
-            del mm
-            self._offsets = None
-            os.replace(otmp, opath)
-            self._offsets = np.lib.format.open_memmap(opath, mode="r+")
-        else:
-            self._tokens = new_tokens
-            self._offsets = new_offsets
+            copy_run(prev, self._n_walks)
+        self._install("tokens", new_tokens)
+        self._install("offsets", new_offsets)
         self._n_tokens = new_total
 
     @property
@@ -491,19 +477,16 @@ class Corpus:
         """Directory holding ``tokens.npy``/``offsets.npy`` (or None)."""
         return self._spill_dir
 
-    def spill_to(self, directory: Optional[str] = None,
-                 stage_tokens: int = _SPILL_STAGE_TOKENS) -> str:
+    def spill_to(self, directory: Optional[str] = None) -> str:
         """Move the flat walk storage onto file-backed ``.npy`` mmaps.
 
-        ``tokens`` and ``offsets`` are rewritten (chunked, so the copy
+        ``tokens`` and ``offsets`` are copied (chunked, so the copy
         itself is O(chunk) resident) onto ``tokens.npy``/``offsets.npy``
-        under a fresh private subdirectory of ``directory`` (default:
-        the system temp dir), and the corpus keeps
-        growing through them: appends accumulate in a bounded in-RAM
-        staging buffer (at most ``stage_tokens`` tokens) that every
-        :meth:`add_walks` round flushes to disk.  All views, statistics
-        and persistence behave identically -- byte for byte -- to the
-        in-RAM corpus; only residency changes.
+        under a fresh ``repro-spill-*`` subdirectory of ``directory``
+        (default: the system temp dir), and the corpus keeps growing
+        through them: every append writes through to the files.  All
+        views, statistics and persistence behave identically -- byte for
+        byte -- to the in-RAM corpus; only residency changes.
 
         Returns the spill directory.  Idempotent on an already-spilled
         corpus.  The files are temp artifacts deleted by :meth:`close`
@@ -513,96 +496,10 @@ class Corpus:
             return self._spill_dir
         root = directory or tempfile.gettempdir()
         os.makedirs(root, exist_ok=True)
-        self._spill_dir = tempfile.mkdtemp(prefix="repro-corpus-", dir=root)
-        self._stage_limit = max(1, int(stage_tokens))
-        self._tokens = self._spill_block("tokens.npy", self._tokens,
-                                         self._n_tokens)
-        self._offsets = self._spill_block("offsets.npy", self._offsets,
-                                          self._n_walks + 1)
+        self._spill_dir = tempfile.mkdtemp(prefix="repro-spill-", dir=root)
+        for name in ("tokens", "offsets"):
+            self._regrow(name, self._valid(name))
         return self._spill_dir
-
-    def _spill_block(self, name: str, arr: np.ndarray,
-                     n_valid: int) -> np.ndarray:
-        path = os.path.join(self._spill_dir, name)
-        mm = np.lib.format.open_memmap(path, mode="w+", dtype=np.int64,
-                                       shape=(max(int(n_valid), 1),))
-        for start in range(0, int(n_valid), _SPILL_COPY_CHUNK):
-            stop = min(int(n_valid), start + _SPILL_COPY_CHUNK)
-            mm[start:stop] = arr[start:stop]
-            # Sync and drop the chunk's dirty pages so the copy itself
-            # never charges more than one chunk of residency.
-            mm.flush()
-            _advise_dontneed(mm)
-        mm.flush()
-        return mm
-
-    def _resize_block(self, name: str, old: np.ndarray, n_valid: int,
-                      new_cap: int) -> np.ndarray:
-        """Rewrite spilled block ``name`` onto a file of ``new_cap`` slots.
-
-        Chunked copy into a sibling file, atomic ``os.replace``, reopen.
-        Existing views keep reading the replaced inode (same bytes for
-        the valid prefix); the superseded maps are reclaimed by
-        refcounting once the last view dies.
-        """
-        path = os.path.join(self._spill_dir, name)
-        tmp = path + ".next"
-        new = np.lib.format.open_memmap(tmp, mode="w+", dtype=np.int64,
-                                        shape=(max(int(new_cap), 1),))
-        for start in range(0, int(n_valid), _SPILL_COPY_CHUNK):
-            stop = min(int(n_valid), start + _SPILL_COPY_CHUNK)
-            new[start:stop] = old[start:stop]
-            # Release both sides chunk-wise: reads fault ``old``'s pages
-            # back in and writes dirty ``new``'s -- without the per-chunk
-            # drop a resize would transiently charge 2x the block size.
-            new.flush()
-            _advise_dontneed(new)
-            _advise_dontneed(old)
-        new.flush()
-        del new, old
-        os.replace(tmp, path)
-        return np.lib.format.open_memmap(path, mode="r+")
-
-    def _flush_staging(self) -> None:
-        """Write staged appends onto the spilled blocks.
-
-        Grows the files by amortised doubling first, replays the staged
-        ``(flat, lengths)`` rounds exactly as the in-RAM ``_append_flat``
-        would have (same cumsum, same bases -- byte-identical blocks),
-        syncs, and drops the token pages from the resident set.
-        """
-        if not self._stage:
-            return
-        stage, self._stage = self._stage, []
-        self._stage_tokens = 0
-        staged_tokens = sum(int(f.size) for f, _l in stage)
-        staged_walks = sum(int(l.size) for _f, l in stage)
-        disk_tokens = self._n_tokens - staged_tokens
-        disk_walks = self._n_walks - staged_walks
-        if self._n_tokens > self._tokens.size:
-            old, self._tokens = self._tokens, None
-            self._tokens = self._resize_block(
-                "tokens.npy", old, disk_tokens,
-                max(self._n_tokens, 2 * old.size))
-        if self._n_walks + 1 > self._offsets.size:
-            old, self._offsets = self._offsets, None
-            self._offsets = self._resize_block(
-                "offsets.npy", old, disk_walks + 1,
-                max(self._n_walks + 1, 2 * old.size))
-        t = disk_tokens
-        w = disk_walks
-        base = int(self._offsets[w])
-        for flat, lengths in stage:
-            self._tokens[t:t + flat.size] = flat
-            out = self._offsets[w + 1:w + 1 + lengths.size]
-            np.cumsum(lengths, out=out)
-            out += base
-            t += int(flat.size)
-            w += int(lengths.size)
-            base = int(self._offsets[w])
-        self._tokens.flush()
-        self._offsets.flush()
-        _advise_dontneed(self._tokens)
 
     def spill_handles(self):
         """Zero-copy share of a spilled corpus: handles over its own files.
@@ -614,8 +511,6 @@ class Corpus:
         size first (attachers validate shapes against the file).
         Requires a spilled, non-empty corpus.
         """
-        from repro.utils.sharedmem import SharedArrayHandle
-
         if self._spill_dir is None:
             raise RuntimeError("corpus is not spilled; call spill_to first")
         if self._n_tokens == 0:
@@ -644,8 +539,6 @@ class Corpus:
         """
         if self._spill_dir is None:
             return
-        if self._stage:
-            self._flush_staging()
         spill_dir, self._spill_dir = self._spill_dir, None
         shutil.rmtree(spill_dir, ignore_errors=True)
 
@@ -662,16 +555,12 @@ class Corpus:
     @property
     def tokens(self) -> np.ndarray:
         """The flat token block (int64 view, one entry per corpus token)."""
-        if self._stage:
-            self._flush_staging()
         return self._tokens[:self._n_tokens]
 
     @property
     def offsets(self) -> np.ndarray:
         """Monotone walk boundaries: walk ``i`` is
         ``tokens[offsets[i]:offsets[i + 1]]`` (int64[num_walks + 1])."""
-        if self._stage:
-            self._flush_staging()
         return self._offsets[:self._n_walks + 1]
 
     @property
@@ -681,8 +570,6 @@ class Corpus:
 
     def walk(self, index: int) -> np.ndarray:
         """Walk ``index`` as a zero-copy view into the token block."""
-        if self._stage:
-            self._flush_staging()
         if index < 0:
             index += self._n_walks
         if not 0 <= index < self._n_walks:
@@ -717,10 +604,6 @@ class Corpus:
             return 0.0
         return self.total_tokens / self.num_walks
 
-    def frequency_order(self) -> np.ndarray:
-        """Node ids in descending corpus frequency (DSGL's matrix order)."""
-        return np.argsort(-self._occurrences, kind="stable").astype(np.int64)
-
     def kl_from_degree_distribution(self, degrees: np.ndarray) -> float:
         """``D(p ‖ q)`` between the degree distribution and corpus
         occurrences (Eq. 6) -- the walk-count convergence statistic."""
@@ -736,45 +619,26 @@ class Corpus:
         corpus the *files* are resized to exact logical size, which also
         makes :meth:`spill_handles` shapes match the on-disk headers.
         """
-        if self._spill_dir is not None:
-            if self._stage:
-                self._flush_staging()
-            if self._tokens.size > max(self._n_tokens, 1):
-                old, self._tokens = self._tokens, None
-                self._tokens = self._resize_block(
-                    "tokens.npy", old, self._n_tokens, self._n_tokens)
-            if self._offsets.size > self._n_walks + 1:
-                old, self._offsets = self._offsets, None
-                self._offsets = self._resize_block(
-                    "offsets.npy", old, self._n_walks + 1,
-                    self._n_walks + 1)
-            return
-        if self._tokens.size > self._n_tokens:
-            self._tokens = self._tokens[:self._n_tokens].copy()
-        if self._offsets.size > self._n_walks + 1:
-            self._offsets = self._offsets[:self._n_walks + 1].copy()
+        for name in ("tokens", "offsets"):
+            # A spilled block never maps fewer than one slot.
+            if getattr(self, "_" + name).size > max(self._valid(name), 1):
+                self._regrow(name, self._valid(name))
 
     def storage_bytes(self) -> Dict[str, int]:
         """Resident-vs-mapped split of the flat walk storage.
 
         ``resident`` counts bytes that occupy RAM no matter what (the
-        occurrence counters, plus any staged appends); ``mapped`` counts
-        the file-backed blocks of a spilled corpus, which the OS pages
-        in and out on demand.  For an in-RAM corpus everything is
-        resident and ``mapped`` is 0.  ``bench_table3_memory.py`` and
-        ``bench_ooc_memory_ceiling.py`` gate on this split.
+        occurrence counters); ``mapped`` counts the file-backed blocks of
+        a spilled corpus, which the OS pages in and out on demand.  For
+        an in-RAM corpus everything is resident and ``mapped`` is 0.
+        ``bench_table3_memory.py`` and ``bench_ooc_memory_ceiling.py``
+        gate on this split.
         """
-        stage_bytes = sum(int(f.nbytes + l.nbytes) for f, l in self._stage)
+        blocks = int(self._tokens.nbytes + self._offsets.nbytes)
+        counters = int(self._occurrences.nbytes)
         if self._spill_dir is not None:
-            return {
-                "resident": int(self._occurrences.nbytes + stage_bytes),
-                "mapped": int(self._tokens.nbytes + self._offsets.nbytes),
-            }
-        return {
-            "resident": int(self._tokens.nbytes + self._offsets.nbytes
-                            + self._occurrences.nbytes + stage_bytes),
-            "mapped": 0,
-        }
+            return {"resident": counters, "mapped": blocks}
+        return {"resident": counters + blocks, "mapped": 0}
 
     def memory_bytes(self) -> int:
         """Bytes held by the flat walk storage + counters (memory-table

@@ -256,11 +256,10 @@ class DistributedWalkEngine:
                               walk_machines=walk_machines)
 
         if cfg.context.backing == "mmap":
-            # Out-of-core sampling: walks land on file-backed blocks,
-            # rounds append through the bounded staging buffer, and the
-            # trainer later shares the blocks zero-copy from the spill
-            # files.  A pure transport change -- corpora stay
-            # byte-identical to shm/in-RAM runs.
+            # Out-of-core sampling: every round writes through to
+            # file-backed blocks, and the trainer later shares them
+            # zero-copy from the spill files.  A pure transport change
+            # -- corpora stay byte-identical to shm/in-RAM runs.
             corpus.spill_to(cfg.context.spill_dir)
 
         if cfg.mode == "routine":

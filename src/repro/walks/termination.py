@@ -95,7 +95,3 @@ class WalkCountRule:
             stop = abs(kl - self._previous_kl) <= self.delta
         self._previous_kl = kl
         return stop
-
-    @property
-    def rounds_observed(self) -> int:
-        return len(self.kl_trace)

@@ -74,7 +74,7 @@ class TestEmptyAndTiny:
     def test_vocabulary_all_zero_counts(self):
         corpus = Corpus(4)  # nothing added
         vocab = Vocabulary.from_corpus(corpus)
-        assert vocab.max_occurrence == 0
+        assert vocab.row_counts.max() == 0
         sampler = NegativeSampler(vocab)  # falls back to uniform
         rows = sampler.sample_rows_stream(4000, CounterStream(0))
         np.testing.assert_allclose(np.bincount(rows, minlength=4) / 4000,

@@ -38,10 +38,6 @@ class TestQualityTimeCurve:
         with pytest.raises(ValueError, match="no points"):
             QualityTimeCurve(method="x").best_score
 
-    def test_as_rows(self):
-        curve = _curve("x", [(1.0, 0.6)])
-        assert curve.as_rows() == [[1, 1.0, 0.6]]
-
 
 class TestTimeToQuality:
     def test_first_feasible_budget(self):

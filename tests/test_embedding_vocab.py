@@ -50,17 +50,13 @@ class TestVocabulary:
         for (s1, e1), (s2, e2) in zip(blocks, blocks[1:]):
             assert e1 == s2
 
-    def test_max_occurrence(self):
-        c = corpus_with_counts([5, 2])
-        assert Vocabulary.from_corpus(c).max_occurrence == 5
-
     def test_block_count_bounded_by_max_occurrence(self):
         """The paper's O(ocn_max) bound on hotness-block count."""
         c = corpus_with_counts([9, 4, 4, 2, 1, 1, 1])
         v = Vocabulary.from_corpus(c)
         nonzero_blocks = [b for b in v.hotness_blocks()
                           if v.row_counts[b[0]] > 0]
-        assert len(nonzero_blocks) <= v.max_occurrence
+        assert len(nonzero_blocks) <= v.row_counts[0]
 
     def test_reorder_to_node_space(self):
         c = corpus_with_counts([1, 3, 2])

@@ -67,13 +67,6 @@ class TestClusterFailureModes:
         with pytest.raises(ValueError, match="cover the graph"):
             DistributedWalkEngine(triangle, cluster)
 
-    def test_metrics_reset_preserves_placement(self, triangle):
-        cluster = Cluster(1, np.zeros(3, dtype=np.int64), seed=0)
-        cluster.metrics.record_compute(0, 10.0)
-        cluster.reset_metrics()
-        assert cluster.metrics.total_compute == 0.0
-        assert cluster.assignment.size == 3
-
     def test_metrics_merge_size_mismatch(self):
         with pytest.raises(ValueError, match="different cluster sizes"):
             ClusterMetrics(2).merge(ClusterMetrics(3))

@@ -188,12 +188,6 @@ class TestTransformations:
         assert d.directed
         assert d.num_edges == 6  # each stored arc counts
 
-    def test_as_undirected_roundtrip(self):
-        d = CSRGraph.from_edges([(0, 1), (1, 2)], directed=True)
-        u = d.as_undirected()
-        assert not u.directed
-        assert u.has_edge(1, 0)
-
     def test_subgraph_without_edges(self, triangle):
         g = triangle.subgraph_without_edges([(0, 1)])
         assert not g.has_edge(0, 1)

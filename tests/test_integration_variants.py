@@ -97,7 +97,7 @@ class TestBipartiteGraphs:
         emb = embed_graph(graph, method="distger", num_machines=2,
                           dim=16, epochs=3, seed=0).embeddings
         same, cross = [], []
-        users = info.user_ids
+        users = np.arange(info.num_users, dtype=np.int64)
         rng = np.random.default_rng(0)
         for _ in range(300):
             u, v = rng.choice(users, size=2, replace=False)

@@ -12,8 +12,10 @@ through configs, ``embed_graph`` and the CLI.
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -75,17 +77,52 @@ class TestCorpusSpill:
     @pytest.mark.parametrize("kind", ("directed", "weighted"))
     def test_spilled_append_equals_in_ram(self, kind, tmp_path):
         """Replaying a real engine corpus walk-by-walk into a spilled
-        corpus reproduces the flat block byte for byte."""
+        corpus grows its token file several times and reproduces the
+        flat block byte for byte."""
         ref = self.build_reference(kind)
         spilled = Corpus(ref.occurrences.size)
-        spilled.spill_to(str(tmp_path), stage_tokens=257)
+        spill_dir = spilled.spill_to(str(tmp_path))
+        tokens_file = os.path.join(spill_dir, "tokens.npy")
         try:
             assert spilled.is_spilled
+            sizes = [os.stat(tokens_file).st_size]
             for walk in ref.walks:
                 spilled.add_walk(walk)
+                size = os.stat(tokens_file).st_size
+                if size != sizes[-1]:
+                    sizes.append(size)
+            assert len(sizes) - 1 >= 3, sizes
+            assert sizes == sorted(sizes)
             spilled.shrink_to_fit()
             assert_corpora_equal(ref, spilled)
             assert isinstance(spilled.tokens, np.memmap)
+        finally:
+            spilled.close()
+
+    def test_reading_a_spilled_corpus_never_writes(self, tmp_path):
+        """Views, iteration, the storage split and pickling leave every
+        spill file's inode, size and mtime as they were."""
+        ref = self.build_reference("directed")
+        spilled = Corpus(ref.occurrences.size)
+        spill_dir = spilled.spill_to(str(tmp_path))
+        try:
+            spilled.merge(ref)
+
+            def signatures():
+                stats = {name: os.stat(os.path.join(spill_dir, name))
+                         for name in sorted(os.listdir(spill_dir))}
+                return {name: (st.st_ino, st.st_size, st.st_mtime_ns)
+                        for name, st in stats.items()}
+
+            before = signatures()
+            assert sorted(before) == ["offsets.npy", "tokens.npy"]
+            np.testing.assert_array_equal(spilled.tokens, ref.tokens)
+            np.testing.assert_array_equal(spilled.offsets, ref.offsets)
+            np.testing.assert_array_equal(spilled.walk(3), ref.walk(3))
+            assert sum(w.size for w in spilled) == ref.total_tokens
+            assert spilled.storage_bytes()["mapped"] > 0
+            assert_corpora_equal(ref, pickle.loads(pickle.dumps(spilled)))
+            assert signatures() == before
         finally:
             spilled.close()
 
@@ -223,6 +260,22 @@ class TestEmbedParity:
         mm = embed_graph(graph, backing="mmap", spill_dir=str(tmp_path),
                          **kwargs)
         np.testing.assert_array_equal(shm.embeddings, mm.embeddings)
+
+    def test_default_spill_dir_sits_under_the_leak_pattern(self,
+                                                            reference):
+        """With no ``spill_dir`` the corpus spills to ``repro-spill-*``
+        under the temp dir -- the glob the leak checks count -- and
+        ``close`` removes it."""
+        graph, _ = reference
+        run = embed_graph(graph, num_machines=3, dim=12, epochs=1, seed=7,
+                          execution="process", workers=2, backing="mmap")
+        spill_dir = run.corpus.spill_dir
+        try:
+            assert spill_dir in glob.glob(
+                os.path.join(tempfile.gettempdir(), "repro-spill-*"))
+        finally:
+            run.corpus.close()
+        assert not os.path.exists(spill_dir)
 
     def test_partition_assignment_parity(self, tmp_path):
         from repro.partition import ParallelMPGPPartitioner

@@ -115,9 +115,6 @@ class TestCluster:
     def test_placement(self):
         c = Cluster(2, np.array([0, 1, 0, 1]), seed=0)
         assert c.machine_of(1) == 1
-        assert c.is_local(0, 2)
-        assert not c.is_local(0, 1)
-        np.testing.assert_array_equal(c.nodes_of(0), [0, 2])
         np.testing.assert_array_equal(c.partition_sizes(), [2, 2])
 
     def test_invalid_assignment(self):
@@ -138,12 +135,6 @@ class TestCluster:
         assignment = np.zeros(4, dtype=np.int64)
         assert Cluster(machines, assignment,
                        seed=make_seed()).walk_seed_root == root
-
-    def test_reset_metrics(self):
-        c = Cluster(1, np.zeros(3, dtype=np.int64))
-        c.metrics.record_message(10)
-        c.reset_metrics()
-        assert c.metrics.messages_sent == 0
 
 
 class TestBSPEngine:

@@ -29,6 +29,7 @@ from repro.serving.scorer import (
     BatchTopKScorer,
     _batched_top_k,
     deterministic_top_k,
+    finite_row_norms,
     row_norms,
 )
 
@@ -254,16 +255,6 @@ class TestEdgeCases:
                         candidates=np.arange(6, 12))
         assert c.ids.tobytes() == d.ids.tobytes()
 
-    def test_top_k_vectors_matches_node_queries(self):
-        rng = np.random.default_rng(3)
-        emb = rng.standard_normal((15, 4))
-        by_node = BatchTopKScorer(emb).top_k([4], k=5,
-                                             exclude_self=False)
-        by_vec = BatchTopKScorer(emb).top_k_vectors(emb[4][None, :], k=5)
-        np.testing.assert_array_equal(by_node.ids, by_vec.ids)
-        np.testing.assert_allclose(by_node.scores, by_vec.scores,
-                                   rtol=1e-12)
-
 
 # --------------------------------------------------------------------- #
 # The batched selection kernel vs the per-row oracle
@@ -436,22 +427,18 @@ class TestBatchedKernel:
             hashlib.sha256(want_scores.tobytes()).hexdigest()
 
 
-class TestNonFiniteQueries:
+class TestNonFiniteRows:
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("metric", ["cosine", "dot"])
-    def test_top_k_vectors_names_the_first_bad_row(self, poison, metric):
-        emb = np.random.default_rng(0).standard_normal((12, 3))
-        vectors = emb[:4].copy()
-        vectors[2, 1] = poison
-        vectors[3, 0] = poison
+    def test_finite_row_norms_names_the_first_bad_row(self, poison):
+        rows = np.random.default_rng(0).standard_normal((4, 3))
+        rows[2, 1] = poison
+        rows[3, 0] = poison
         with pytest.raises(ValueError, match="query row 2 is not finite"):
-            BatchTopKScorer(emb).top_k_vectors(vectors, k=3, metric=metric)
+            finite_row_norms(rows, "query")
 
-    def test_zero_query_vector_stays_legal(self):
-        emb = np.random.default_rng(0).standard_normal((12, 3))
-        got = BatchTopKScorer(emb).top_k_vectors(np.zeros((1, 3)), k=3)
-        assert got.ids[0].tolist() == [0, 1, 2]
-        assert (got.scores[0] == 0.0).all()
+    def test_zero_rows_stay_legal(self):
+        assert finite_row_norms(np.zeros((2, 3)), "query").tolist() == \
+            [0.0, 0.0]
 
 
 # --------------------------------------------------------------------- #

@@ -56,7 +56,7 @@ class TestGridSearch:
             lambda p: -((p["x"] - 3) ** 2) - (p["y"] + 1) ** 2,
             {"x": [1, 2, 3, 4], "y": [-2, -1, 0]},
         )
-        assert report.best_params == {"x": 3, "y": -1}
+        assert report.best.params == {"x": 3, "y": -1}
         assert report.best_score == pytest.approx(0.0)
         assert len(report.trials) == 12
 
@@ -66,7 +66,7 @@ class TestGridSearch:
             {"x": [0, 1, 2, 3]},
             maximize=False,
         )
-        assert report.best_params == {"x": 2}
+        assert report.best.params == {"x": 2}
 
     def test_records_timing(self):
         report = grid_search(lambda p: 1.0, {"x": [1, 2]})
@@ -114,7 +114,7 @@ class TestObjectives:
         )
         report = grid_search(objective, {"dim": [8, 16]})
         assert len(report.trials) == 2
-        assert report.best_params["dim"] in (8, 16)
+        assert report.best.params["dim"] in (8, 16)
 
     def test_search_params_override_fixed(self, labelled_graph):
         graph, _ = labelled_graph

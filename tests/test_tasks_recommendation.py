@@ -28,21 +28,19 @@ class TestBipartiteGenerator:
         graph, info = shop
         assert graph.num_nodes == 100
         assert info.num_users == 60 and info.num_items == 40
-        assert info.user_ids[-1] == 59
         assert info.item_ids[0] == 60
-        assert not info.is_item(59)
-        assert info.is_item(60)
+        assert info.item_ids[-1] == 99
 
     def test_strictly_bipartite(self, shop):
         graph, info = shop
-        for user in info.user_ids:
-            assert all(info.is_item(int(v)) for v in graph.neighbors(user))
+        for user in range(info.num_users):
+            assert (graph.neighbors(user) >= info.num_users).all()
         for item in info.item_ids:
-            assert all(not info.is_item(int(v)) for v in graph.neighbors(item))
+            assert (graph.neighbors(item) < info.num_users).all()
 
     def test_interactions_per_user(self, shop):
         graph, info = shop
-        degrees = graph.degrees[info.user_ids]
+        degrees = graph.degrees[:info.num_users]
         assert np.all(degrees >= 1)
         assert np.all(degrees <= 8)
         assert degrees.mean() > 5  # near-complete baskets at this affinity
@@ -51,7 +49,7 @@ class TestBipartiteGenerator:
         graph, info = shop
         in_group = 0
         total = 0
-        for user in info.user_ids:
+        for user in range(info.num_users):
             g = info.user_groups[user]
             for item in graph.neighbors(user):
                 total += 1
@@ -85,7 +83,7 @@ class TestSplitInteractions:
         graph, info = shop
         split = split_interactions(graph, info, test_fraction=0.3, seed=0)
         held = sum(v.size for v in split.test_items.values())
-        total = int(graph.degrees[info.user_ids].sum())
+        total = int(graph.degrees[:info.num_users].sum())
         assert 0.15 * total < held < 0.45 * total
 
     def test_every_user_keeps_a_training_item(self, shop):
@@ -150,7 +148,7 @@ class TestEvaluateRecommendation:
 
         def oracle(train_graph):
             emb = np.zeros((graph.num_nodes, 4))
-            emb[info.user_ids] = np.eye(4)[info.user_groups]
+            emb[:info.num_users] = np.eye(4)[info.user_groups]
             emb[info.item_ids] = np.eye(4)[info.item_groups]
             return emb
 

@@ -86,7 +86,7 @@ class TestLogisticRegression:
                             rng.normal(2, 0.5, size=(50, 3))])
         y = np.concatenate([np.zeros(50), np.ones(50)])
         model = LogisticRegression().fit(x, y)
-        pred = model.predict_proba(x) > 0.5
+        pred = model.decision_function(x) > 0
         assert (pred == y.astype(bool)).mean() > 0.95
 
     def test_unfitted_raises(self):

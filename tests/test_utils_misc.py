@@ -16,7 +16,6 @@ from repro.utils import (
     spawn_rngs,
 )
 from repro.utils.rng import derive_seed
-from repro.utils.validation import check_int_in_range
 
 
 class TestRNG:
@@ -109,12 +108,3 @@ class TestValidation:
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
                 check_fraction("f", bad)
-
-    def test_check_int_in_range(self):
-        assert check_int_in_range("k", 3, 1, 5) == 3
-        with pytest.raises(ValueError):
-            check_int_in_range("k", 9, 1, 5)
-        with pytest.raises(TypeError):
-            check_int_in_range("k", 2.5, 1, 5)
-        with pytest.raises(TypeError):
-            check_int_in_range("k", True, 0, 5)

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
-    degree_distribution,
     entropy_of_counts,
     entropy_of_sequence,
     kl_divergence,
-    occurrence_distribution,
     r_squared,
 )
 
@@ -90,17 +88,3 @@ class TestRSquared:
             y = rng.random(15)
             expected = float(np.corrcoef(x, y)[0, 1]) ** 2
             assert r_squared(x, y) == pytest.approx(expected, abs=1e-9)
-
-
-class TestDistributions:
-    def test_degree_distribution_normalises(self):
-        p = degree_distribution(np.array([1, 2, 3, 4]))
-        assert p.sum() == pytest.approx(1.0)
-
-    def test_degree_distribution_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            degree_distribution(np.zeros(5))
-
-    def test_occurrence_distribution(self):
-        q = occurrence_distribution(np.array([10, 30]))
-        np.testing.assert_allclose(q, [0.25, 0.75])

@@ -11,8 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.message import incremental_state_to_message
-
 from oracles.walks import (
     FullPathWalkMeasure,
     IncrementalWalkMeasure,
@@ -104,17 +102,3 @@ class TestMeasureProtocol:
             m.observe(node)
         # Even with a trivially failing mu, min_length blocks termination.
         assert not m.should_terminate(mu=1.0, min_length=10)
-
-    def test_message_packing(self):
-        m = IncrementalWalkMeasure()
-        for node in [1, 2, 2, 3]:
-            m.observe(node)
-        msg = incremental_state_to_message(
-            walk_id=7, steps=3, node_id=3,
-            entropy_state=m._entropy.carried_state,
-            entropy_value=m.entropy,
-            moments=m._corr.carried_state,
-        )
-        assert msg.byte_size() == 80
-        assert msg.length == 4
-        assert msg.entropy_h == pytest.approx(m.entropy)
