@@ -227,6 +227,186 @@ class TestCorpusSpill:
 
 
 # ------------------------------------------------------------------ #
+# One storage path: the block helpers serve both backings
+# ------------------------------------------------------------------ #
+
+
+def synthetic_walks(count=600, num_nodes=97, seed=11):
+    """``count`` walks of 1..40 tokens -- about 12k tokens, enough to
+    grow a fresh corpus's token block four times."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, num_nodes, size=int(n), dtype=np.int64)
+            for n in rng.integers(1, 41, size=count)]
+
+
+def corpus_of(walks, num_nodes=97):
+    corpus = Corpus(num_nodes)
+    for walk in walks:
+        corpus.add_walk(walk)
+    return corpus
+
+
+def padded(walks):
+    lengths = np.array([len(w) for w in walks], dtype=np.int64)
+    paths = np.zeros((len(walks), int(lengths.max())), dtype=np.int64)
+    for row, walk in enumerate(walks):
+        paths[row, :len(walk)] = walk
+    return paths, lengths
+
+
+@pytest.fixture(params=("ram", "mmap"))
+def blank(request, tmp_path):
+    """An empty 97-node corpus on either backing; spilled ones close."""
+    corpus = Corpus(97)
+    if request.param == "mmap":
+        corpus.spill_to(str(tmp_path))
+    yield corpus
+    corpus.close()
+
+
+def spill_files(corpus):
+    return sorted(os.listdir(corpus.spill_dir)) if corpus.is_spilled \
+        else []
+
+
+class TestOneStoragePath:
+    """Growth, shrink and splice copy blocks through the same helpers
+    whatever the backing, and land on the in-RAM bytes."""
+
+    def test_growth_reproduces_the_flat_block(self, blank):
+        walks = synthetic_walks()
+        for walk in walks:
+            blank.add_walk(walk)
+        assert_corpora_equal(corpus_of(walks), blank)
+        assert blank.is_spilled == isinstance(blank.tokens, np.memmap)
+        assert spill_files(blank) in ([], ["offsets.npy", "tokens.npy"])
+
+    def test_shrink_to_fit_is_exact_and_appends_regrow(self, blank):
+        walks = synthetic_walks()
+        blank.add_walks(*padded(walks[:300]))
+        blank.shrink_to_fit()
+        logical = (blank.total_tokens + blank.num_walks + 1) * 8
+        split = blank.storage_bytes()
+        assert split["resident"] + split["mapped"] == \
+            logical + blank.occurrences.nbytes
+        if blank.is_spilled:
+            tokens_file = os.path.join(blank.spill_dir, "tokens.npy")
+            header = os.stat(tokens_file).st_size - blank.total_tokens * 8
+            assert 0 < header <= 128
+        blank.add_walks(*padded(walks[300:]))
+        assert_corpora_equal(corpus_of(walks), blank)
+
+    def test_length_changing_splice_equals_a_rebuilt_corpus(self, blank):
+        walks = synthetic_walks()
+        for walk in walks:
+            blank.add_walk(walk)
+        indices = np.array([0, 5, 6, 299, 599], dtype=np.int64)
+        fresh = [np.full(len(walks[i]) % 7 + 1, i % 97, dtype=np.int64)
+                 for i in indices]
+        blank.replace_walks(indices, *padded(fresh))
+        expected = list(walks)
+        for i, walk in zip(indices.tolist(), fresh):
+            expected[i] = walk
+        assert_corpora_equal(corpus_of(expected), blank)
+        assert blank.tokens.size == blank.total_tokens
+        assert spill_files(blank) in ([], ["offsets.npy", "tokens.npy"])
+
+    def test_same_length_splice_writes_in_place(self, blank):
+        walks = synthetic_walks()
+        for walk in walks:
+            blank.add_walk(walk)
+        before = blank.tokens
+        inode = os.stat(os.path.join(blank.spill_dir, "tokens.npy")
+                        ).st_ino if blank.is_spilled else None
+        fresh = [np.zeros_like(walks[4]), np.ones_like(walks[9])]
+        blank.replace_walks([4, 9], *padded(fresh))
+        assert np.shares_memory(before, blank.tokens)
+        np.testing.assert_array_equal(blank.walk(4), fresh[0])
+        np.testing.assert_array_equal(blank.walk(9), fresh[1])
+        if blank.is_spilled:
+            assert os.stat(os.path.join(blank.spill_dir, "tokens.npy")
+                           ).st_ino == inode
+            on_disk = np.load(os.path.join(blank.spill_dir, "tokens.npy"))
+            np.testing.assert_array_equal(
+                on_disk[:blank.total_tokens], blank.tokens)
+
+    def test_block_copy_spans_many_chunks(self, blank, monkeypatch):
+        """A copy longer than one chunk is split at chunk boundaries
+        without dropping or shifting a token."""
+        monkeypatch.setattr("repro.walks.corpus._COPY_CHUNK", 7)
+        walks = synthetic_walks(count=120)
+        for walk in walks:
+            blank.add_walk(walk)
+        blank.shrink_to_fit()
+        blank.replace_walks([60], *padded([np.array([1], np.int64)]))
+        expected = list(walks)
+        expected[60] = np.array([1], dtype=np.int64)
+        assert_corpora_equal(corpus_of(expected), blank)
+
+    @pytest.mark.parametrize("at", (0, 250, 600))
+    def test_spill_mid_build_keeps_the_bytes(self, at, tmp_path):
+        """Spilling after any prefix of the appends copies that prefix
+        onto the maps and keeps appending through them."""
+        walks = synthetic_walks()
+        corpus = corpus_of(walks[:at])
+        try:
+            corpus.spill_to(str(tmp_path))
+            for walk in walks[at:]:
+                corpus.add_walk(walk)
+            assert isinstance(corpus.tokens, np.memmap)
+            assert_corpora_equal(corpus_of(walks), corpus)
+        finally:
+            corpus.close()
+
+    def test_appends_after_close_move_to_ram(self, tmp_path):
+        walks = synthetic_walks()
+        corpus = corpus_of(walks[:100])
+        corpus.spill_to(str(tmp_path))
+        corpus.shrink_to_fit()
+        corpus.close()
+        assert isinstance(corpus.tokens, np.memmap)
+        for walk in walks[100:]:
+            corpus.add_walk(walk)
+        assert not isinstance(corpus.tokens, np.memmap)
+        assert os.listdir(str(tmp_path)) == []
+        assert_corpora_equal(corpus_of(walks), corpus)
+
+    def test_spill_handles_follow_a_splice(self, tmp_path):
+        walks = synthetic_walks(count=50)
+        corpus = corpus_of(walks)
+        corpus.spill_to(str(tmp_path))
+        handles = None
+        try:
+            corpus.replace_walks([3], *padded([np.arange(45) % 97]))
+            handles = corpus.spill_handles()
+            np.testing.assert_array_equal(
+                attach_shared_array(handles[0]), corpus.tokens)
+            np.testing.assert_array_equal(
+                attach_shared_array(handles[1]), corpus.offsets)
+            np.testing.assert_array_equal(corpus.walk(3), np.arange(45))
+        finally:
+            if handles is not None:
+                for handle in handles:
+                    detach_shared_array(handle.path)
+            corpus.close()
+
+    def test_empty_spilled_corpus_keeps_one_slot(self, tmp_path):
+        corpus = Corpus(5)
+        corpus.spill_to(str(tmp_path))
+        try:
+            corpus.shrink_to_fit()
+            assert corpus.tokens.size == 0
+            np.testing.assert_array_equal(corpus.offsets, [0])
+            assert corpus.storage_bytes()["mapped"] == 2 * 8
+            with pytest.raises(RuntimeError, match="empty"):
+                corpus.spill_handles()
+            corpus.add_walk([4, 0])
+            np.testing.assert_array_equal(corpus.walk(0), [4, 0])
+        finally:
+            corpus.close()
+
+
+# ------------------------------------------------------------------ #
 # End-to-end parity
 # ------------------------------------------------------------------ #
 

@@ -29,6 +29,7 @@ from repro.utils.sharedmem import (
     attach_shared_array,
     attached_count,
     detach_shared_array,
+    release_pages,
     resolve_backing,
 )
 
@@ -171,6 +172,25 @@ class TestCloseReleasesResources:
                 np.lib.format.open_memmap(path, mode="r"), source)
         finally:
             shared.close()
+
+    @pytest.mark.parametrize("mode", ("r", "r+", "c"))
+    def test_module_release_pages_keeps_map_bytes(self, tmp_path, mode):
+        """The module-level release the corpus spill shares: a synced
+        map of any mode re-faults the same bytes after the release."""
+        path = str(tmp_path / "released.npy")
+        source = np.arange(3 * 4096, dtype=np.int64)
+        np.save(path, source)
+        mapped = np.lib.format.open_memmap(path, mode=mode)
+        release_pages(mapped)
+        release_pages(mapped[100:200])  # a view releases its base map
+        np.testing.assert_array_equal(mapped, source)
+        del mapped
+
+    def test_module_release_pages_ignores_in_ram_arrays(self):
+        array = np.arange(10, dtype=np.int64)
+        release_pages(array)
+        release_pages(np.empty(0, dtype=np.int64))
+        np.testing.assert_array_equal(array, np.arange(10))
 
 
 # ------------------------------------------------------------------ #
